@@ -1,8 +1,8 @@
 """Benchmark harness — prints ONE JSON line with headline + per-query times.
 
-Headline: flagship end-to-end pipeline (read parquet pages → exact dedup →
-extract → quality → classify (4 techniques incl. ML actor pool) → entities →
-rules → write parquet) over a deterministic pages corpus derived from
+Headline: flagship end-to-end pipeline (read parquet pages → extract →
+exact dedup → quality → classify (4 techniques incl. ML actor pool) →
+entities → rules → write parquet) over a deterministic pages corpus derived from
 ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1).
 
 Usage:

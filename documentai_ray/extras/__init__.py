@@ -1,16 +1,13 @@
-"""OFF-MISSION extras quarantine (VERDICT r3 #8).
+"""Off-mission analytics/math kernels (vampire numbers, D'Hondt seats,
+Bulgarian solitaire, ...), kept apart from the engine.
 
-The analytics/math trivia kernels (vampire numbers, D'Hondt seats,
-Bulgarian solitaire, ...) carried from round 2 live here, OUT of the
-capability engine's source tree: nothing under ``documentai_ray/stages``
-(or any core module) imports this package eagerly — the lazy name
-resolver in ``stages/aggregates.py`` pulls it in only when a trivia
-query actually calls one of these kernels. ``import documentai_ray``
-and the whole flagship/capability surface load without touching it.
-
-Every kernel here remains real, oracle-mirrored code (the driver
-registry keeps its entries, per the r3 instruction to preserve the
-query dict); the quarantine is about source-tree clarity: the engine is
-``stages/ functions/ sources/ state/ pipelines/``, and this directory
-is not part of it.
+No module under ``stages/ functions/ sources/ state/ pipelines/`` imports
+this package. Five registry queries still call a kernel from here
+(``kruskal_wallis``, ``fleiss_kappa``, ``friedman_test``, ``bh_fdr`` and
+``degree_assortativity``); every other kernel is reached only from its
+unit tests. The four modules form an import chain: each star-imports the
+previous one, and ``analytics_extras_01`` binds the core names of
+``stages/aggregates.py``. This package re-exports the whole chain.
 """
+
+from documentai_ray.extras.analytics_extras_04 import *  # noqa: F401,F403

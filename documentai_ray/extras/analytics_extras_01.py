@@ -8,13 +8,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-# chain root: bind every CORE name (underscore ones included) from the
-# partially-initialized aggregates module — its core defs all precede
-# the chain import at its bottom, so this is well-defined
+# chain root: bind every core aggregates name (underscore ones included)
 from documentai_ray.stages import aggregates as _agg_core  # noqa: E402
 
-globals().update({_n: getattr(_agg_core, _n) for _n in _agg_core._CORE_ALL})
-_PREV_ALL = list(_agg_core._CORE_ALL)
+globals().update({_n: getattr(_agg_core, _n) for _n in _agg_core.__all__})
+_PREV_ALL = list(_agg_core.__all__)
 
 
 

@@ -159,38 +159,3 @@ def _stage_knuth_split(ds, sf_dir, *, train_ppm: int = 800_000,
 
     return ds.map_batches(split, batch_format="pyarrow", batch_size=256)
 
-
-@register_stage("group_fold")
-def _stage_group_fold(ds, sf_dir, *, group_col: str = "url",
-                      folds: int = 5):
-    """Leakage-safe group-aware fold id: md5-LE64(group) % folds — all
-    rows of a group land in one fold (see _q_group_split)."""
-    import pyarrow as pa
-
-    from documentai_ray.stages.sketches import md5_le64
-
-    def assign(batch: pa.Table) -> pa.Table:
-        f = [md5_le64(str(v)) % folds
-             for v in batch.column(group_col).to_pylist()]
-        return batch.append_column("fold", pa.array(f, pa.int64()))
-
-    return ds.map_batches(assign, batch_format="pyarrow")
-
-
-@register_stage("percent_rank")
-def _stage_percent_rank(ds, sf_dir, *, key_col: str, val_col: str,
-                        out_col: str = "pct_ppm"):
-    """Per-row integer-ppm percent_rank within key groups
-    (aggregates.grouped_percent_rank)."""
-    from documentai_ray.stages.aggregates import grouped_percent_rank
-
-    return grouped_percent_rank(ds, key_col=key_col, val_col=val_col,
-                                out_col=out_col)
-
-
-@register_stage("mode_per_key")
-def _stage_mode_per_key(ds, sf_dir, *, key_col: str, val_col: str):
-    """Dominant value per key (aggregates.grouped_mode)."""
-    from documentai_ray.stages.aggregates import grouped_mode
-
-    return grouped_mode(ds, key_col=key_col, val_col=val_col)

@@ -1,18 +1,15 @@
-"""Generic resumable pipeline runner.
-
-``flagship.run_to_parquet`` hard-wires the flagship chain; any other
-heavy pipeline (corpus line dedup, passage removal, a curation sweep)
-needs the same checkpoint contract at 100 TB: bucket the INPUT on a
-salted url hash, skip buckets whose manifest already exists, discard
-manifest-less partial outputs before rerunning, and attest each bucket
-from what is actually ON DISK. This runner lifts that contract out of
-the flagship so it wraps ANY ds→ds pipeline function.
+"""Resumable partitioned runner — the one checkpoint contract every heavy
+pipeline (the flagship via ``flagship.run_to_parquet``, corpus line
+dedup, passage removal, a curation sweep) runs under at 100 TB: bucket
+the INPUT on a salted url hash, skip buckets whose manifest already
+exists, discard manifest-less partial outputs before rerunning, and
+attest each bucket from what is actually ON DISK.
 
 Requirements on ``pipeline_fn``: input-row → output-row mapping may be
 arbitrary (explode/aggregate within a bucket is fine) but must PRESERVE
 the ``bucket`` column it receives, so outputs land in the right
-partition; ``url_col`` + ``text_col`` of the OUTPUT feed the digest (use
-any stable pair of columns).
+partition, and must emit ``url`` and ``text``: the manifest digest is
+taken over those two columns of the written output.
 """
 
 from __future__ import annotations
@@ -21,42 +18,34 @@ import os
 from typing import Callable
 
 from documentai_ray.state import manifest as mf
-from documentai_ray.state.partitioning import add_bucket_column, detect_heavy_hosts
+from documentai_ray.state.partitioning import add_bucket_column
 
 
 def run_pipeline_to_parquet(
     out_dir: str,
     ds,
     pipeline_fn: Callable,
+    heavy: dict[str, int],
     *,
     n_buckets: int = 16,
-    heavy_share: float = 0.10,
-    salt_k: int = 8,
-    url_col: str = "url",
-    text_col: str = "text",
 ) -> dict[int, dict]:
     """Bucket → skip completed → run ``pipeline_fn`` → write → attest.
+
+    ``heavy`` is the salted-host map from
+    ``partitioning.detect_heavy_hosts`` (``{}`` salts nothing).
     Re-invocation after a crash reprocesses only unfinished buckets."""
-    heavy = detect_heavy_hosts(ds, share_threshold=heavy_share, salt_k=salt_k)
     ds = add_bucket_column(ds, n_buckets, heavy)
+    # drop partial outputs of crashed buckets (no manifest ⇒ untrusted)
+    # BEFORE reprocessing, or the rerun would append beside stale files
     mf.clean_incomplete_buckets(out_dir)
     done = mf.completed_buckets(out_dir)
     ds = mf.filter_completed(ds, done)
     out = pipeline_fn(ds)
     os.makedirs(out_dir, exist_ok=True)
     out.write_parquet(out_dir, partition_cols=["bucket"])
-
+    # Manifests are computed from what is ON DISK (read back, column-pruned)
+    # so a manifest never attests rows that failed to write.
     import ray.data
 
-    written = ray.data.read_parquet(out_dir, columns=["bucket", url_col,
-                                                      text_col])
-    if url_col != "url" or text_col != "text":
-        import pyarrow as pa
-
-        def rename(batch: pa.Table) -> pa.Table:
-            return pa.table({"bucket": batch.column("bucket"),
-                             "url": batch.column(url_col).cast(pa.string()),
-                             "text": batch.column(text_col).cast(pa.large_string())})
-
-        written = written.map_batches(rename, batch_format="pyarrow")
+    written = ray.data.read_parquet(out_dir, columns=["bucket", "url", "text"])
     return mf.finalize_buckets(written, out_dir)

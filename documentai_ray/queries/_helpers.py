@@ -647,195 +647,6 @@ def _bm25_top_rel(sf_dir: str):
     return per_q
 
 
-def _apportion_votes(sf_dir: str) -> list:
-    """Shared vote census for the apportionment family: one row per
-    event type with its total count — per-batch partial counts, ONE
-    exchange bounded by |types| (5), the same partial-then-tiny-
-    groupby discipline as copeland_rank's ballot census."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        vc = pc.value_counts(batch.column("event_type"))
-        return pa.table({
-            "event_type": vc.field("values").cast(pa.large_string()),
-            "n": vc.field("counts").cast(pa.int64())})
-
-    cell = (ev.map_batches(partial, batch_format="pyarrow")
-            .groupby("event_type")
-            .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    return sorted(zip(cell["event_type"], cell["n"]))
-
-
-def _user_conv_rollup(sf_dir: str):
-    """Shared per-user conversion census for the encouragement /
-    meta-analysis family: one (user_id, conv) row per user, conv =
-    "has a purchase event with value ≥ 150" (the mh_stratified
-    outcome).  ONE user-key exchange; everything downstream is a
-    |cells|-bounded histogram."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Max
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_type", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        conv = pc.and_(pc.equal(batch.column("event_type"),
-                                "purchase"),
-                       pc.greater_equal(batch.column("value"),
-                                        pa.scalar(150.0)))
-        return pa.table({"user_id": batch.column("user_id"),
-                         "conv": conv.cast(pa.int64())})
-
-    return (ev.map_batches(prep, batch_format="pyarrow")
-            .groupby("user_id")
-            .aggregate(Max("conv", alias_name="conv")))
-
-
-def _auction_bids(sf_dir: str) -> list:
-    """Shared bid census for the auction family: one (type, bid)
-    per event type with bid_micro = mean value in micro-cents
-    (10⁶·Σcents // n, the ONE floor in the whole batch) — the same
-    partial-then-tiny-groupby discipline as _apportion_votes, ONE
-    |types|-bounded exchange."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c = np.rint(batch.column("value").to_numpy()
-                    * 100).astype("int64")
-        df = pd.DataFrame({"t": batch.column("event_type")
-                           .to_pylist(), "c": c, "n": 1})
-        g = df.groupby("t", as_index=False).agg(
-            sc=("c", "sum"), n=("n", "sum"))
-        return pa.table({"t": pa.array(g["t"], pa.large_string()),
-                         "sc": pa.array(g["sc"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    cell = (ev.map_batches(partial, batch_format="pyarrow")
-            .groupby("t")
-            .aggregate(Sum("sc", alias_name="sc"),
-                       Sum("n", alias_name="n"))).to_pandas()
-    return sorted((t, 1_000_000 * int(sc) // int(n))
-                  for t, sc, n in zip(cell["t"], cell["sc"],
-                                      cell["n"]))
-
-
-#: Slot click rates per mille for the position-auction pair —
-#: strictly decreasing, shared with the SQL mirrors.
-_AUCTION_CTRS = [1000, 600, 300]
-
-
-def _game_cells(sf_dir: str) -> dict:
-    """Shared 2×2 cell census for the game-theory pair: users fall
-    into cells by TWO independent hash coins (the Knuth coin as the
-    row action, the iv_wald second hash as the column action), and
-    each cell reports (n, Σconv, Σerr) where conv is the standard
-    purchase≥150 outcome and err is "any error event".  ONE
-    user-key exchange, then a 4-cell histogram — everything
-    downstream is driver arithmetic on 12 integers."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Max, Sum
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_type", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        conv = pc.and_(pc.equal(batch.column("event_type"),
-                                "purchase"),
-                       pc.greater_equal(batch.column("value"),
-                                        pa.scalar(150.0)))
-        err = pc.equal(batch.column("event_type"), "error")
-        return pa.table({"user_id": batch.column("user_id"),
-                         "conv": conv.cast(pa.int64()),
-                         "err": err.cast(pa.int64())})
-
-    u = (ev.map_batches(prep, batch_format="pyarrow")
-         .groupby("user_id")
-         .aggregate(Max("conv", alias_name="conv"),
-                    Max("err", alias_name="err")))
-
-    def cells(batch: pa.Table) -> pa.Table:
-        ids = batch.column("user_id").to_numpy()
-        h1 = (ids.astype(np.uint64) * np.uint64(2654435761)) \
-            % np.uint64(1 << 32)
-        h2 = (ids.astype(np.uint64) * np.uint64(2246822519)) \
-            % np.uint64(1 << 32)
-        df = pd.DataFrame({
-            "i": (h1 >= np.uint64(1 << 31)).astype("int64"),
-            "j": (h2 >= np.uint64(1 << 31)).astype("int64"),
-            "n": 1,
-            "sc": batch.column("conv").to_numpy().astype("int64"),
-            "se": batch.column("err").to_numpy().astype("int64")})
-        g = df.groupby(["i", "j"], as_index=False).sum()
-        for c in g.columns:
-            g[c] = g[c].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False) \
-                       .replace_schema_metadata(None)
-
-    g = (u.map_batches(cells, batch_format="pyarrow")
-         .groupby(["i", "j"])
-         .aggregate(*[Sum(c, alias_name=c) for c in
-                      ("n", "sc", "se")])).to_pandas()
-    return {(int(r["i"]), int(r["j"])):
-            (int(r["n"]), int(r["sc"]), int(r["se"]))
-            for _, r in g.iterrows()}
-
-
-def _component_rel(sf_dir: str) -> list:
-    """Shared component census for the reliability family: each
-    event type is a component whose reliability is its value ≥ 50
-    success rate, r_ppm = 10⁶·n_ok // n (one floor per component).
-    Per-batch (type → n_ok, n) partials → ONE |types|-bounded
-    exchange (the _apportion_votes discipline)."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        ok = pc.greater_equal(batch.column("value"),
-                              pa.scalar(50.0)).cast(pa.int64())
-        df = pd.DataFrame({"t": batch.column("event_type")
-                           .to_pylist(),
-                           "ok": ok.to_numpy(), "n": 1})
-        g = df.groupby("t", as_index=False).sum()
-        return pa.table({"t": pa.array(g["t"], pa.large_string()),
-                         "ok": pa.array(g["ok"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    cell = (ev.map_batches(partial, batch_format="pyarrow")
-            .groupby("t")
-            .aggregate(Sum("ok", alias_name="ok"),
-                       Sum("n", alias_name="n"))).to_pandas()
-    return sorted((t, 1_000_000 * int(ok) // int(n))
-                  for t, ok, n in zip(cell["t"], cell["ok"],
-                                      cell["n"]))
-
-
 #: the four alphabetically-first event types are the matching-market
 #: "workers"; tasks are the four hour-of-day mod 4 classes.  Shared
 #: with the SQL mirrors.
@@ -920,392 +731,7 @@ _CHAIN_TRANSIENT = ["click", "error", "view"]
 _CHAIN_ABSORBING = ["purchase", "signup"]
 
 
-def _type_shares(sf_dir: str) -> dict:
-    """Shared 5-row type-share census for the population-dynamics
-    pair: share_ppm(t) = 10⁶·n_t // n_total (one floor per type),
-    ONE |types|-bounded exchange."""
-    import ray.data
-    from ray.data.aggregate import Count
-
-    cdf = (ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                 columns=["event_type"])
-           .groupby("event_type")
-           .aggregate(Count(alias_name="n"))).to_pandas()
-    tot = int(cdf["n"].sum())
-    return {t: 1_000_000 * int(n) // tot
-            for t, n in zip(cdf["event_type"], cdf["n"])}
-
-
-def _halfday_census(sf_dir: str) -> dict:
-    """Shared (type, am/pm) census for the scheduling pair: per
-    event type and half-day, (Σcents, n) — per-batch partials →
-    ONE ≤10-cell exchange.  Serves johnson_flowshop's two machine
-    times AND critical_path's whole-day mean from the same rows."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "t": batch.column("event_type").to_pylist(),
-            "h": (pd.Series(batch.column("ts").to_pandas())
-                  .dt.hour.to_numpy() >= 12).astype("int64"),
-            "c": np.rint(batch.column("value").to_numpy()
-                         * 100).astype("int64"),
-            "n": 1})
-        g = df.groupby(["t", "h"], as_index=False).agg(
-            sc=("c", "sum"), n=("n", "sum"))
-        return pa.table({"t": pa.array(g["t"], pa.large_string()),
-                         "h": pa.array(g["h"], pa.int64()),
-                         "sc": pa.array(g["sc"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    cell = (ev.map_batches(partial, batch_format="pyarrow")
-            .groupby(["t", "h"])
-            .aggregate(Sum("sc", alias_name="sc"),
-                       Sum("n", alias_name="n"))).to_pandas()
-    out: dict = {}
-    for t, h, sc, n in zip(cell["t"], cell["h"], cell["sc"],
-                           cell["n"]):
-        out.setdefault(t, {})[int(h)] = (int(sc), int(n))
-    return out
-
-
-def _team_census(sf_dir: str) -> dict:
-    """Shared per-type census for the sports-rating pair: (n,
-    n_hi = value ≥ 150 events, Σ AM cents, Σ PM cents) — per-batch
-    partials → ONE |types|-bounded exchange."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column("value").to_numpy()
-        c = np.rint(v * 100).astype("int64")
-        pm = (pd.Series(batch.column("ts").to_pandas())
-              .dt.hour.to_numpy() >= 12)
-        df = pd.DataFrame({
-            "t": batch.column("event_type").to_pylist(),
-            "n": 1, "hi": (v >= 150).astype("int64"),
-            "am": np.where(pm, 0, c), "pmc": np.where(pm, c, 0)})
-        g = df.groupby("t", as_index=False).sum()
-        for col in g.columns:
-            if col != "t":
-                g[col] = g[col].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False) \
-                       .replace_schema_metadata(None)
-
-    cell = (ev.map_batches(partial, batch_format="pyarrow")
-            .groupby("t")
-            .aggregate(Sum("n", alias_name="n"),
-                       Sum("hi", alias_name="hi"),
-                       Sum("am", alias_name="am"),
-                       Sum("pmc", alias_name="pmc"))).to_pandas()
-    return {t: (int(n), int(hi), int(am), int(pmc))
-            for t, n, hi, am, pmc in zip(cell["t"], cell["n"],
-                                         cell["hi"], cell["am"],
-                                         cell["pmc"])}
-
-
-def _daily_ballot_census(sf_dir: str):
-    """Shared (day, type, n) census for the voting-rule suite — the
-    copeland_rank construction: each calendar day is a voter whose
-    ballot is its count profile.  ONE exchange bounded by
-    days×|types|."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type"])
-
-    def daily(batch: pa.Table) -> pa.Table:
-        day = (batch.column("ts").cast(pa.timestamp("us"))
-               .cast(pa.int64()).to_numpy() // 86_400_000_000)
-        df = pd.DataFrame({"day": day,
-                           "event_type": batch.column("event_type")
-                           .to_pylist(), "n": 1})
-        g = df.groupby(["day", "event_type"],
-                       as_index=False)["n"].sum()
-        return pa.table({"day": pa.array(g["day"], pa.int64()),
-                         "event_type": pa.array(
-                             g["event_type"], pa.large_string()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    return (ev.map_batches(daily, batch_format="pyarrow")
-            .groupby(["day", "event_type"])
-            .aggregate(Sum("n", alias_name="n"))).to_pandas()
-
-
-def _hourly_peak_mean(sf_dir: str) -> tuple:
-    """Shared hourly census for the teletraffic suite: returns
-    (peak hourly arrivals, total events, hour count) from ONE
-    |hours|-bounded exchange — erlang_blocking's census widened to
-    also serve the mean-load M/M/1 row."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def hourly(batch: pa.Table) -> pa.Table:
-        hr = (batch.column("ts").cast(pa.timestamp("us"))
-              .cast(pa.int64()).to_numpy() // 3_600_000_000)
-        df = pd.DataFrame({"hr": hr, "n": 1})
-        g = df.groupby("hr", as_index=False)["n"].sum()
-        return pa.table({"hr": pa.array(g["hr"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    h = (ev.map_batches(hourly, batch_format="pyarrow")
-         .groupby("hr")
-         .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    return int(h["n"].max()), int(h["n"].sum()), len(h)
-
-
-def _value_type_hist(sf_dir: str):
-    """Shared (event_type, cents) → count histogram for the
-    parametric-ANOVA pair: bounded by the VALUE DOMAIN (cents of a
-    physically bounded 0–600 range, ~18k distinct at sf0.1), not by
-    row count — the matching_att / kruskal_wallis census discipline.
-    Per-batch partials → ONE domain-bounded exchange; serves BOTH
-    anova_oneway (moments are exact sums over the histogram) and
-    brown_forsythe (medians are window cumsums over it)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "grp": batch.column("event_type").to_pylist(),
-            "c": np.rint(batch.column("value").to_numpy()
-                         * 100).astype("int64"),
-            "n": 1})
-        g = df.groupby(["grp", "c"], as_index=False)["n"].sum()
-        return pa.table({"grp": pa.array(g["grp"],
-                                         pa.large_string()),
-                         "c": pa.array(g["c"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    return (ev.map_batches(partial, batch_format="pyarrow")
-            .groupby(["grp", "c"])
-            .aggregate(Sum("n", alias_name="n"))).to_pandas()
-
-
-def _hourly_xy_moments(sf_dir: str) -> tuple:
-    """Shared hourly two-series moments for the second-moment pair
-    (portfolio_minvar, lin_ccc): counts of the two alphabetically-
-    first event types over the shared hour grid (missing hours = 0)
-    from ONE |hours×types|-bounded exchange; returns
-    (n, Σx, Σy, Σx², Σy², Σxy) — exact integers."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type"])
-
-    def hourly(batch: pa.Table) -> pa.Table:
-        hr = (batch.column("ts").cast(pa.timestamp("us"))
-              .cast(pa.int64()).to_numpy() // 3_600_000_000)
-        df = pd.DataFrame({"hr": hr,
-                           "event_type": batch.column("event_type")
-                           .to_pylist(), "n": 1})
-        g = df.groupby(["hr", "event_type"], as_index=False)["n"] \
-              .sum()
-        return pa.table({"hr": pa.array(g["hr"], pa.int64()),
-                         "event_type": pa.array(
-                             g["event_type"], pa.large_string()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    cell = (ev.map_batches(hourly, batch_format="pyarrow")
-            .groupby(["hr", "event_type"])
-            .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    t0, t1 = sorted(cell["event_type"].unique())[:2]
-    pivot = (cell.pivot_table(index="hr", columns="event_type",
-                              values="n", aggfunc="sum",
-                              fill_value=0))
-    x = pivot[t0].astype(int).to_numpy()
-    y = pivot[t1].astype(int).to_numpy()
-    return (len(pivot), int(x.sum()), int(y.sum()),
-            int((x * x).sum()), int((y * y).sum()),
-            int((x * y).sum()))
-
-
-def _daily_counts(sf_dir: str) -> list:
-    """Shared daily-count census for the regression-diagnostics
-    pair: ONE |days|-bounded exchange (30 days on this corpus at
-    every SF), counts ordered by day — the _hourly_peak_mean
-    pattern at daily grain."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def daily(batch: pa.Table) -> pa.Table:
-        dy = (batch.column("ts").cast(pa.timestamp("us"))
-              .cast(pa.int64()).to_numpy() // 86_400_000_000)
-        df = pd.DataFrame({"dy": dy, "n": 1})
-        g = df.groupby("dy", as_index=False)["n"].sum()
-        return pa.table({"dy": pa.array(g["dy"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    h = (ev.map_batches(daily, batch_format="pyarrow")
-         .groupby("dy")
-         .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    return [int(v) for v in h.sort_values("dy")["n"]]
-
-
-def _two_type_daily(sf_dir: str):
-    """Shared two-type daily census for the fluctuation pair: the
-    two lowest-named event types (the portfolio_minvar convention)
-    counted per day over the SHARED day grid — ONE |days|-bounded
-    exchange; missing days on either side count 0, never drop."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type"])
-    types = sorted(t["event_type"] for t in
-                   ev.groupby("event_type").count()
-                   .select_columns(["event_type"]).take_all())
-    ta, tb = types[0], types[1]
-
-    def daily(batch: pa.Table) -> pa.Table:
-        dy = (batch.column("ts").cast(pa.timestamp("us"))
-              .cast(pa.int64()).to_numpy() // 86_400_000_000)
-        et = np.asarray(batch.column("event_type").to_pylist())
-        df = pd.DataFrame({"dy": dy,
-                           "x": (et == ta).astype("int64"),
-                           "y": (et == tb).astype("int64")})
-        g = df.groupby("dy", as_index=False)[["x", "y"]].sum()
-        return pa.table({"dy": pa.array(g["dy"], pa.int64()),
-                         "x": pa.array(g["x"], pa.int64()),
-                         "y": pa.array(g["y"], pa.int64())})
-
-    h = (ev.map_batches(daily, batch_format="pyarrow")
-         .groupby("dy")
-         .aggregate(Sum("x", alias_name="x"),
-                    Sum("y", alias_name="y"))
-         ).to_pandas().sort_values("dy")
-    return [int(v) for v in h["x"]], [int(v) for v in h["y"]]
-
-
-def _ampm_value_hist(sf_dir: str):
-    """Shared (am, cents) histogram for the AM-vs-PM distribution
-    pair (double_auction's census shape): ONE domain-bounded
-    exchange, hour(ts) < 12 = AM (the hardy_weinberg convention)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hrs = (batch.column("ts").cast(pa.timestamp("us"))
-               .cast(pa.int64()).to_numpy()
-               // 3_600_000_000) % 24
-        df = pd.DataFrame({
-            "am": (hrs < 12).astype("int64"),
-            "c": np.rint(batch.column("value").to_numpy()
-                         * 100).astype("int64"),
-            "n": 1})
-        g = df.groupby(["am", "c"], as_index=False)["n"].sum()
-        return pa.table({"am": pa.array(g["am"], pa.int64()),
-                         "c": pa.array(g["c"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    return (ev.map_batches(partial, batch_format="pyarrow")
-            .groupby(["am", "c"])
-            .aggregate(Sum("n", alias_name="n"))).to_pandas()
-
-
-def _am_total_counts(sf_dir: str) -> tuple:
-    """Shared scalar census for the dynamical/number-theory pair:
-    (AM event count, total event count) from ONE scalar exchange
-    (the loan_amortization shape; hour(ts) < 12 = AM)."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hrs = (batch.column("ts").cast(pa.timestamp("us"))
-               .cast(pa.int64()).to_numpy()
-               // 3_600_000_000) % 24
-        return pa.table({"a": pa.array([int((hrs < 12).sum())],
-                                       pa.int64()),
-                         "n": pa.array([len(batch)], pa.int64())})
-
-    agg = (ev.map_batches(partial, batch_format="pyarrow")
-           .aggregate(Sum("a", alias_name="a"),
-                      Sum("n", alias_name="n")))
-    return int(agg["a"]), int(agg["n"])
-
-
 _HOUR_CENSUS_CACHE: dict = {}
-
-
-def _hour_census(sf_dir: str) -> dict:
-    """Hour-of-day event census as {hour: count} — the bounded
-    24-cell exchange shared by the census-driven kernel queries:
-    per-batch np.unique partials, one 24-key groupby sum, driver
-    reads back 24 rows. Memoized per sf_dir (a full driver run
-    calls ~100 census-driven queries; the input is immutable
-    testdata, so one scan serves them all)."""
-    if sf_dir in _HOUR_CENSUS_CACHE:
-        return dict(_HOUR_CENSUS_CACHE[sf_dir])
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = batch.column("ts").cast(pa.int64()).to_numpy()
-        r = (us // 3_600_000_000) % 24
-        u, c = np.unique(r, return_counts=True)
-        return pa.table({"h": pa.array(u, pa.int64()),
-                         "n": pa.array(c, pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("h").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    out = dict(zip(h["h"].astype(int), h["n"].astype(int)))
-    _HOUR_CENSUS_CACHE[sf_dir] = out
-    return dict(out)
 
 
 _SQL_BPE_WORDS = (
@@ -1582,55 +1008,6 @@ def _sql_ss(num: str, den: str) -> str:
             f"ELSE -(1000000 * abs({num}) // abs({den})) END")
 
 
-#: day-voter ballot grid shared by the voting-rule mirrors: every
-#: (day, candidate) cell, missing counts as 0, strict ranks by
-#: (n desc, name asc)
-_SQL_BALLOT_GRID = (
-    "d AS (SELECT epoch_us(ts) // 86400000000 AS day, "
-    "event_type AS c, count(*) AS n FROM events GROUP BY 1, 2), "
-    "cands AS (SELECT DISTINCT event_type AS c FROM events), "
-    "days AS (SELECT DISTINCT day FROM d), "
-    "grid AS (SELECT days.day, cands.c, coalesce(d.n, 0) AS n "
-    "FROM days CROSS JOIN cands LEFT JOIN d ON d.day = days.day "
-    "AND d.c = cands.c)"
-)
-
-
-def _sql_irv_winner(n_rounds: int = 4) -> str:
-    """IRV mirror generator: ``n_rounds`` chained
-    tally→argmin→filter CTE rounds (the candidate census fixes the
-    round count — 5 types every sf ⇒ 4 eliminations), then the
-    survivor with the unanimous final tally."""
-    parts = ["WITH " + _SQL_BALLOT_GRID]
-    excl = ""
-    for r in range(1, n_rounds + 1):
-        where = f" WHERE c NOT IN ({excl})" if excl else ""
-        parts.append(
-            f"rk{r} AS (SELECT day, c, row_number() OVER "
-            f"(PARTITION BY day ORDER BY n DESC, c) AS r "
-            f"FROM grid{where})")
-        parts.append(
-            f"t{r} AS (SELECT c, count(*) AS v FROM rk{r} "
-            f"WHERE r = 1 GROUP BY c)")
-        parts.append(
-            f"tf{r} AS (SELECT cands.c, coalesce(t{r}.v, 0) AS v "
-            f"FROM cands LEFT JOIN t{r} USING (c){where})")
-        parts.append(
-            f"e{r} AS (SELECT c, v FROM tf{r} ORDER BY v, c "
-            f"LIMIT 1)")
-        excl = " UNION ALL ".join(f"SELECT c FROM e{i}"
-                                  for i in range(1, r + 1))
-    union = [
-        f"SELECT CAST({r} AS BIGINT) AS round, c AS candidate, "
-        f"CAST(v AS BIGINT) AS votes, false AS is_winner FROM e{r}"
-        for r in range(1, n_rounds + 1)]
-    union.append(
-        f"SELECT CAST({n_rounds + 1} AS BIGINT), c, "
-        f"(SELECT CAST(count(*) AS BIGINT) FROM days), true "
-        f"FROM cands WHERE c NOT IN ({excl})")
-    return ", ".join(parts) + " " + " UNION ALL ".join(union)
-
-
 def _sql_det3(m: list) -> str:
     """3×3 determinant, cofactor expansion along the first row —
     mirrors ``linalg.mat3_det`` term for term."""
@@ -1793,409 +1170,6 @@ def _sql_luhn_sum(col: str, parity: int) -> str:
     return "(" + " + ".join(terms) + ")"
 
 
-def _sql_colley() -> str:
-    """Colley mirror: three lowest-named types, hourly round-robin
-    pair wins as scalars, then the identical spelled-out 3x3
-    cofactor expansion (the leontief_io mirror discipline)."""
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    wins = ", ".join(
-        f"sum(CASE WHEN x{i} > x{j} THEN 1 ELSE 0 END) AS w{i}{j}, "
-        f"sum(CASE WHEN x{j} > x{i} THEN 1 ELSE 0 END) AS w{j}{i}"
-        for i, j in pairs)
-    g = {(i, j): f"(p.w{min(i,j)}{max(i,j)} + p.w{max(i,j)}{min(i,j)})"
-         for i in range(3) for j in range(3) if i != j}
-    m = [[(f"CAST(2 + {g[(i,(i+1)%3)]} + {g[(i,(i+2)%3)]} AS HUGEINT)"
-           if i == j else f"CAST(-{g[(i,j)]} AS HUGEINT)")
-          for j in range(3)] for i in range(3)]
-    det = _sql_det3(m)
-    wsum = {i: " + ".join(f"p.w{i}{j}" for j in range(3) if j != i)
-            for i in range(3)}
-    lsum = {i: " + ".join(f"p.w{j}{i}" for j in range(3) if j != i)
-            for i in range(3)}
-    b2 = [f"CAST(2 + ({wsum[i]}) - ({lsum[i]}) AS HUGEINT)"
-          for i in range(3)]
-    rows = []
-    for i, nm in enumerate(("a", "b", "c")):
-        num = f"(1000000 * {_sql_adjdot3(m, b2, i)})"
-        rows.append(
-            f"SELECT tp.{nm} AS event_type, "
-            f"CAST({g[(i,(i+1)%3)]} + {g[(i,(i+2)%3)]} AS BIGINT) "
-            f"AS games, CAST({wsum[i]} AS BIGINT) AS wins, "
-            f"CAST({lsum[i]} AS BIGINT) AS losses, "
-            f"CAST(CASE WHEN {num} >= 0 THEN {num} // (2 * {det}) "
-            f"ELSE -((-{num}) // (2 * {det})) END AS BIGINT) "
-            f"AS rating_ppm FROM tp, p")
-    return (
-        "WITH tp AS (SELECT "
-        "(SELECT event_type FROM (SELECT DISTINCT event_type FROM "
-        "events) ORDER BY 1 LIMIT 1 OFFSET 0) AS a, "
-        "(SELECT event_type FROM (SELECT DISTINCT event_type FROM "
-        "events) ORDER BY 1 LIMIT 1 OFFSET 1) AS b, "
-        "(SELECT event_type FROM (SELECT DISTINCT event_type FROM "
-        "events) ORDER BY 1 LIMIT 1 OFFSET 2) AS c), "
-        "h AS (SELECT epoch_us(ts) // 3600000000 AS hr, "
-        "sum(CASE WHEN event_type = tp.a THEN 1 ELSE 0 END) AS x0, "
-        "sum(CASE WHEN event_type = tp.b THEN 1 ELSE 0 END) AS x1, "
-        "sum(CASE WHEN event_type = tp.c THEN 1 ELSE 0 END) AS x2 "
-        "FROM events, tp GROUP BY 1), "
-        f"p AS (SELECT {wins} FROM h) "
-        + " UNION ALL ".join(rows))
-
-
-def _sql_penney() -> str:
-    """Penney mirror: substr-built Conway leading numbers (first
-    principles, not hardcoded constants) + a double-lag trigram
-    scan of the daily parity stream."""
-    def el(x: str, y: str) -> str:
-        return (f"((CASE WHEN substr({x}, 3, 1) = substr({y}, 1, 1) "
-                f"THEN 1 ELSE 0 END) + (CASE WHEN substr({x}, 2, 2) "
-                f"= substr({y}, 1, 2) THEN 2 ELSE 0 END) + "
-                f"(CASE WHEN {x} = {y} THEN 4 ELSE 0 END))")
-    num = f"({el('k.pat', 'k.pat')} - {el('k.pat', 'k.kil')})"
-    den = (f"({el('k.pat', 'k.pat')} - {el('k.pat', 'k.kil')} + "
-           f"{el('k.kil', 'k.kil')} - {el('k.kil', 'k.pat')})")
-    return (
-        "WITH d AS (SELECT epoch_us(ts) // 86400000000 AS dy, "
-        "count(*) AS y FROM events GROUP BY 1), "
-        "b AS (SELECT row_number() OVER (ORDER BY dy) AS t, "
-        "CAST(y % 2 AS VARCHAR) AS bit FROM d), "
-        "s AS (SELECT t, lag(bit, 2) OVER (ORDER BY t) || "
-        "lag(bit, 1) OVER (ORDER BY t) || bit AS tri FROM b), "
-        "p AS (SELECT * FROM (VALUES ('000'), ('001'), ('010'), "
-        "('011'), ('100'), ('101'), ('110'), ('111')) v(pat)), "
-        "k AS (SELECT pat, (CASE WHEN substr(pat, 2, 1) = '0' "
-        "THEN '1' ELSE '0' END) || substr(pat, 1, 1) || "
-        "substr(pat, 2, 1) AS kil FROM p) "
-        "SELECT k.pat AS pattern, k.kil AS killer, "
-        "CAST(coalesce((SELECT min(t) FROM s WHERE s.tri = "
-        "k.pat), 0) - 1 AS BIGINT) AS first_day, "
-        f"CAST(1000000 * {num} // {den} AS BIGINT) AS win_ppm, "
-        f"CAST(CASE WHEN 2 * {num} > {den} THEN 1 ELSE 0 END "
-        "AS BIGINT) AS beats_half FROM k"
-    )
-
-
-def _sql_bond_duration() -> str:
-    """Bond mirror: the 100^t*101^(12-t) discount weights and
-    their Sigma w / Sigma t*w / Sigma t(t+1)*w aggregates are
-    builder-computed design constants (the acceptance_sampling
-    literal discipline); coupons factor out, so each bond row is
-    linear in (coupon, face)."""
-    n = 12
-    w = [100 ** t * 101 ** (n - t) for t in range(n + 1)]
-    sw = sum(w[1:])
-    stw = sum(t * w[t] for t in range(1, n + 1))
-    sttw = sum(t * (t + 1) * w[t] for t in range(1, n + 1))
-    w12 = w[n]
-    full = 101 ** n
-    rows = []
-    for name, cdiv in (("zero", 0), ("discount", 200),
-                       ("par", 100), ("premium", 50)):
-        coup = "0" if cdiv == 0 else f"(f.face // {cdiv})"
-        pvn = (f"(CAST({coup} AS HUGEINT) * {sw} "
-               f"+ CAST(f.face AS HUGEINT) * {w12})")
-        dn = (f"(CAST({coup} AS HUGEINT) * {stw} "
-              f"+ CAST(f.face AS HUGEINT) * {12 * w12})")
-        cn = (f"(CAST({coup} AS HUGEINT) * {sttw} "
-              f"+ CAST(f.face AS HUGEINT) * {156 * w12})")
-        rows.append(
-            f"SELECT '{name}' AS bond, "
-            f"CAST({coup} AS BIGINT) AS coupon_cents, "
-            f"CAST(1000000 * {pvn} // (CAST(f.face AS HUGEINT) * "
-            f"{full}) AS BIGINT) AS price_ppm_of_face, "
-            f"CAST(1000 * {dn} // {pvn} AS BIGINT) "
-            f"AS duration_milli, "
-            f"CAST(1000 * {cn} // {pvn} "
-            f"AS BIGINT) AS convexity_milli FROM f")
-    return (
-        "WITH m AS (SELECT CAST(sum(CAST(round(o_totalprice * "
-        "100) AS BIGINT)) // count(*) AS BIGINT) AS mv "
-        "FROM orders), "
-        "f AS (SELECT mv - mv % 100 AS face FROM m) "
-        + " UNION ALL ".join(rows))
-
-
-def _sql_lpt() -> str:
-    """LPT mirror: recursive CTE carrying the five machine-load
-    columns, least-active-load via CASE on m, first-equal tie rule
-    spelled per column."""
-    lv = ("CASE w.m WHEN 2 THEN least(w.l1, w.l2) WHEN 3 THEN "
-          "least(w.l1, w.l2, w.l3) ELSE "
-          "least(w.l1, w.l2, w.l3, w.l4, w.l5) END")
-    nxt = "(SELECT y FROM r WHERE r.rk = w.t + 1)"
-    upds = []
-    for i in range(1, 6):
-        prior = " AND ".join(f"w.l{j} <> ({lv})"
-                             for j in range(1, i))
-        cond = f"w.l{i} = ({lv})" + (f" AND {prior}" if prior
-                                     else "")
-        upds.append(f"w.l{i} + CASE WHEN {i} <= w.m AND {cond} "
-                    f"THEN {nxt} ELSE 0 END")
-    mk = ("CASE m WHEN 2 THEN greatest(l1, l2) WHEN 3 THEN "
-          "greatest(l1, l2, l3) ELSE "
-          "greatest(l1, l2, l3, l4, l5) END")
-    return (
-        "WITH RECURSIVE d AS (SELECT epoch_us(ts) // 86400000000 "
-        "AS dy, count(*) AS y FROM events GROUP BY 1), "
-        "r AS (SELECT row_number() OVER (ORDER BY y DESC, dy) "
-        "AS rk, CAST(y AS BIGINT) AS y FROM d), "
-        "nn AS (SELECT count(*) AS n, sum(y) AS tot, max(y) "
-        "AS mx FROM r), "
-        "w(m, t, l1, l2, l3, l4, l5) AS ("
-        "SELECT CAST(m AS BIGINT), 0, CAST(0 AS BIGINT), "
-        "CAST(0 AS BIGINT), CAST(0 AS BIGINT), "
-        "CAST(0 AS BIGINT), CAST(0 AS BIGINT) "
-        "FROM (VALUES (2), (3), (5)) v(m) "
-        "UNION ALL SELECT w.m, w.t + 1, "
-        + ", ".join(upds) +
-        " FROM w WHERE w.t < (SELECT n FROM nn)), "
-        "f AS (SELECT m, " + mk + " AS mk FROM w "
-        "WHERE t = (SELECT n FROM nn)) "
-        "SELECT CAST(m AS BIGINT) AS m_machines, "
-        "CAST(mk AS BIGINT) AS makespan, "
-        "CAST(((SELECT tot FROM nn) + m - 1) // m AS BIGINT) "
-        "AS lb_avg, "
-        "(SELECT CAST(mx AS BIGINT) FROM nn) AS lb_max, "
-        "CAST((SELECT tot FROM nn) + (m - 1) * "
-        "(SELECT mx FROM nn) - m * mk AS BIGINT) "
-        "AS graham_slack, "
-        "CAST(1000000 * mk // greatest(((SELECT tot FROM nn) "
-        "+ m - 1) // m, (SELECT mx FROM nn)) AS BIGINT) "
-        "AS ratio_vs_lb_ppm FROM f"
-    )
-
-
-
-
-def _sql_spanning() -> str:
-    """Matrix-tree oracle: per-region supplier/customer censuses →
-    the same mod-97 edge weights → reduced 4×4 Laplacian → 24-term
-    Leibniz determinant (generated, exact HUGEINT).  The unit-weight
-    determinant is the same expansion over the 4/−1 literals —
-    Cayley's 125 evaluated, not quoted.  prufer_gap is 0 by the
-    matrix-tree theorem (the Ray side COMPUTES it from the 125-tree
-    Prüfer sum)."""
-    import itertools
-
-    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
-    wdefs = ", ".join(
-        f"1 + ((SELECT n FROM sup WHERE r = {a}) * "
-        f"(SELECT n FROM cust WHERE r = {b}) "
-        f"+ (SELECT n FROM sup WHERE r = {b}) * "
-        f"(SELECT n FROM cust WHERE r = {a})) % 97 AS w{a}{b}"
-        for a, b in pairs)
-
-    def wname(a, b):
-        return f"w{min(a, b)}{max(a, b)}"
-
-    ldefs = []
-    for i in range(1, 5):
-        for j in range(1, 5):
-            if i == j:
-                expr = " + ".join(wname(i, b) for b in range(5)
-                                  if b != i)
-            else:
-                expr = f"-{wname(i, j)}"
-            ldefs.append(f"CAST({expr} AS HUGEINT) AS m{i}{j}")
-    lexpr = ", ".join(ldefs)
-    terms, uterms = [], []
-    for perm in itertools.permutations(range(1, 5)):
-        inv = sum(1 for x in range(4) for y in range(x + 1, 4)
-                  if perm[x] > perm[y])
-        sign = "-" if inv % 2 else "+"
-        terms.append(sign + " " + " * ".join(
-            f"m{i + 1}{perm[i]}" for i in range(4)))
-        uterms.append(sign + " " + " * ".join(
-            "4" if perm[i] == i + 1 else "(-1)" for i in range(4)))
-    det = " ".join(terms)
-    udet = " ".join(uterms)
-    return (
-        "WITH r5 AS (SELECT * FROM (VALUES (0), (1), (2), (3), (4)) "
-        "v(r)), "
-        "sup AS (SELECT r5.r, coalesce(s.n, 0) AS n FROM r5 "
-        "LEFT JOIN (SELECT n_regionkey AS r, count(*) AS n "
-        "FROM supplier, nation WHERE s_nationkey = n_nationkey "
-        "GROUP BY 1) s USING (r)), "
-        "cust AS (SELECT r5.r, coalesce(c.n, 0) AS n FROM r5 "
-        "LEFT JOIN (SELECT n_regionkey AS r, count(*) AS n "
-        "FROM customer, nation WHERE c_nationkey = n_nationkey "
-        "GROUP BY 1) c USING (r)), "
-        f"wv AS (SELECT {wdefs}), "
-        f"lm AS (SELECT {lexpr} FROM wv) "
-        "SELECT CAST(5 AS BIGINT) AS n_nodes, "
-        "CAST(10 AS BIGINT) AS n_edges, "
-        f"CAST({det} AS BIGINT) AS tree_weight, "
-        f"CAST({udet} AS BIGINT) AS n_trees_unit, "
-        "CAST(0 AS BIGINT) AS prufer_gap FROM lm"
-    )
-
-
-_SQL_KNAPSACK = (
-    "WITH RECURSIVE items AS (SELECT p_partkey AS k, "
-    "greatest(p_size, 1) AS w, CAST(round(p_retailprice * 100) "
-    "AS BIGINT) AS v FROM part WHERE p_partkey < 18), "
-    "ord AS (SELECT k, w, v, row_number() OVER (ORDER BY k) AS i "
-    "FROM items), "
-    "dp AS (SELECT 0 AS i, list_transform(generate_series(0, 200), "
-    "x -> CAST(0 AS BIGINT)) AS d UNION ALL "
-    "SELECT o.i, list_transform(generate_series(0, 200), c -> "
-    "CASE WHEN c >= o.w AND dp.d[c - o.w + 1] + o.v > dp.d[c + 1] "
-    "THEN dp.d[c - o.w + 1] + o.v ELSE dp.d[c + 1] END) "
-    "FROM dp JOIN ord o ON o.i = dp.i + 1), "
-    "opt AS (SELECT d[201] AS opt FROM dp WHERE i = "
-    "(SELECT count(*) FROM items)), "
-    "rk AS (SELECT k, w, v, row_number() OVER (ORDER BY "
-    "CAST(v AS DOUBLE) / w DESC, k) AS i FROM items), "
-    "g AS (SELECT 0 AS i, 200 AS rem, CAST(0 AS BIGINT) AS acc "
-    "UNION ALL SELECT r.i, g.rem - CASE WHEN r.w <= g.rem THEN r.w "
-    "ELSE 0 END, g.acc + CASE WHEN r.w <= g.rem THEN r.v ELSE 0 END "
-    "FROM g JOIN rk r ON r.i = g.i + 1), "
-    "greedy AS (SELECT acc AS gv FROM g WHERE i = "
-    "(SELECT count(*) FROM items)), "
-    "pre AS (SELECT *, coalesce(sum(w) OVER (ORDER BY i ROWS "
-    "BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS cwb, "
-    "coalesce(sum(v) OVER (ORDER BY i ROWS BETWEEN UNBOUNDED "
-    "PRECEDING AND 1 PRECEDING), 0) AS cvb FROM rk), "
-    "brk AS (SELECT * FROM pre WHERE cwb + w > 200 ORDER BY i "
-    "LIMIT 1), "
-    "lp AS (SELECT CASE WHEN (SELECT count(*) FROM brk) = 0 THEN "
-    "1000 * (SELECT sum(v) FROM items) ELSE (SELECT 1000 * cvb + "
-    "1000 * v * (200 - cwb) // w FROM brk) END AS lpm), "
-    "bs AS (SELECT coalesce(max(v), 0) AS b FROM items "
-    "WHERE w <= 200) "
-    "SELECT CAST((SELECT count(*) FROM items) AS BIGINT) "
-    "AS n_items, CAST(200 AS BIGINT) AS capacity, "
-    "CAST(opt AS BIGINT) AS opt_value, CAST(gv AS BIGINT) "
-    "AS greedy_value, CAST(b AS BIGINT) AS best_single, "
-    "CAST(lpm AS BIGINT) AS lp_bound_milli, "
-    "CAST(lpm - 1000 * opt AS BIGINT) AS lp_slack_milli, "
-    "CAST(2 * greatest(gv, b) - opt AS BIGINT) AS half_slack "
-    "FROM opt, greedy, lp, bs"
-)
-
-
-
-
-def _sql_tsp() -> str:
-    """TSP oracle: the same mod-97 census weights as
-    _sql_spanning, the exact optimum as the least() over all 24
-    generated fixed-start tour sums, the degree bound via the
-    two-smallest = total − greatest-pair identity, and the 1-tree
-    bound over the 16 generated Prüfer-tree sums (tree edge sets
-    are weight-independent, so decode happens at generation
-    time)."""
-    from itertools import permutations
-
-    def prufer_edges4(seq):
-        deg = [1] * 4
-        for v in seq:
-            deg[v] += 1
-        edges, dd = [], deg[:]
-        for v in seq:
-            leaf = min(u for u in range(4) if dd[u] == 1)
-            edges.append((min(leaf, v), max(leaf, v)))
-            dd[leaf] -= 1
-            dd[v] -= 1
-        rest = [u for u in range(4) if dd[u] == 1]
-        edges.append((min(rest), max(rest)))
-        return edges
-
-    def wname(a, b):
-        a, b = min(a, b), max(a, b)
-        return f"w{a}{b}"
-
-    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
-    wdefs = ", ".join(
-        f"1 + ((SELECT n FROM sup WHERE r = {a}) * "
-        f"(SELECT n FROM cust WHERE r = {b}) "
-        f"+ (SELECT n FROM sup WHERE r = {b}) * "
-        f"(SELECT n FROM cust WHERE r = {a})) % 97 AS w{a}{b}"
-        for a, b in pairs)
-    tours = []
-    for perm in permutations(range(1, 5)):
-        terms = ([wname(0, perm[0])]
-                 + [wname(perm[i], perm[i + 1]) for i in range(3)]
-                 + [wname(perm[3], 0)])
-        tours.append(" + ".join(terms))
-    opt = "least(" + ", ".join(tours) + ")"
-
-    def min2sum(vals):
-        tot = " + ".join(vals)
-        prs = [f"{vals[i]} + {vals[j]}"
-               for i in range(len(vals))
-               for j in range(i + 1, len(vals))]
-        return f"({tot} - greatest({', '.join(prs)}))"
-
-    deg2 = " + ".join(
-        min2sum([wname(v, u) for u in range(5) if u != v])
-        for v in range(5))
-    msts, seen = [], set()
-    for s0 in range(4):
-        for s1 in range(4):
-            es = tuple(sorted(prufer_edges4([s0, s1])))
-            if es in seen:
-                continue
-            seen.add(es)
-            msts.append(" + ".join(wname(a + 1, b + 1)
-                                   for a, b in es))
-    mst = "least(" + ", ".join(msts) + ")"
-    at0 = min2sum([wname(0, u) for u in range(1, 5)])
-    return (
-        "WITH r5 AS (SELECT * FROM (VALUES (0), (1), (2), (3), (4)) "
-        "v(r)), "
-        "sup AS (SELECT r5.r, coalesce(s.n, 0) AS n FROM r5 "
-        "LEFT JOIN (SELECT n_regionkey AS r, count(*) AS n "
-        "FROM supplier, nation WHERE s_nationkey = n_nationkey "
-        "GROUP BY 1) s USING (r)), "
-        "cust AS (SELECT r5.r, coalesce(c.n, 0) AS n FROM r5 "
-        "LEFT JOIN (SELECT n_regionkey AS r, count(*) AS n "
-        "FROM customer, nation WHERE c_nationkey = n_nationkey "
-        "GROUP BY 1) c USING (r)), "
-        f"wv AS (SELECT {wdefs}), "
-        f"d AS (SELECT {opt} AS opt, {deg2} AS deg2, "
-        f"{mst} + {at0} AS onetree FROM wv) "
-        "SELECT CAST(opt AS BIGINT) AS opt_cost, "
-        "CAST(12 AS BIGINT) AS n_tours, "
-        "CAST(2 * opt - deg2 AS BIGINT) AS degree_slack_x2, "
-        "CAST(onetree AS BIGINT) AS onetree_lb, "
-        "CAST(opt - onetree AS BIGINT) AS onetree_slack FROM d"
-    )
-
-
-_SQL_BUZEN_POW = (
-    "CASE WHEN k = 0 THEN CAST(1 AS HUGEINT) ELSE list_reduce("
-    "list_transform(generate_series(1, k), x -> "
-    "CAST(st.t AS HUGEINT)), (a, b) -> a * b) END"
-)
-
-_SQL_BUZEN = (
-    "WITH RECURSIVE st AS (SELECT o_orderstatus AS s, "
-    "1 + count(*) % 20 AS t, row_number() OVER "
-    "(ORDER BY o_orderstatus) AS m FROM orders GROUP BY 1), "
-    "mm AS (SELECT count(*) AS m FROM st), "
-    "conv AS (SELECT 0 AS m, list_transform(generate_series(0, 6), "
-    "n -> CAST(CASE WHEN n = 0 THEN 1 ELSE 0 END AS HUGEINT)) AS g "
-    "UNION ALL SELECT c.m + 1, list_transform("
-    "generate_series(0, 6), n -> list_sum(list_transform("
-    "generate_series(0, n), k -> (" + _SQL_BUZEN_POW + ") "
-    "* c.g[n - k + 1]))) FROM conv c JOIN st ON st.m = c.m + 1), "
-    "fin AS (SELECT g FROM conv, mm WHERE conv.m = mm.m), "
-    "num AS (SELECT st.m, st.t, list_sum(list_transform("
-    "generate_series(1, 6), k -> (" + _SQL_BUZEN_POW + ") "
-    "* fin.g[6 - k + 1])) AS nb FROM st, fin), "
-    "tot AS (SELECT sum(nb) AS total FROM num) "
-    "SELECT CAST(st.m - 1 AS BIGINT) AS station, "
-    "CAST(st.t AS BIGINT) AS t_load, "
-    "CAST(1000000 * st.t * fin.g[6] // fin.g[7] AS BIGINT) "
-    "AS util_ppm, "
-    "CAST(1000 * num.nb // fin.g[7] AS BIGINT) AS nbar_milli, "
-    "CAST(fin.g[6] AS BIGINT) AS g_nm1, "
-    "CAST(fin.g[7] AS BIGINT) AS g_n, "
-    "CAST(tot.total - 6 * fin.g[7] AS BIGINT) AS conservation_gap "
-    "FROM st JOIN num USING (m), fin, tot"
-)
-
-
 
 
 def _sql_crc8() -> str:
@@ -2219,472 +1193,6 @@ def _sql_crc8() -> str:
         "CAST(c AS BIGINT) AS crc8, "
         f"CAST({tab}[xor(c, c) + 1] AS BIGINT) AS residue "
         "FROM walk WHERE i = n"
-    )
-
-
-_SQL_FFD = (
-    "WITH RECURSIVE items AS (SELECT p_partkey AS k, "
-    "greatest(p_size, 1) AS w FROM part WHERE p_partkey < 30), "
-    "ord AS (SELECT k, w, row_number() OVER (ORDER BY w DESC, k) "
-    "AS i FROM items), "
-    "fit AS (SELECT 0 AS i, CAST([] AS BIGINT[]) AS loads "
-    "UNION ALL SELECT f.i + 1, "
-    "CASE WHEN list_position(list_transform(f.loads, "
-    "l -> l + o.w <= 64), true) = 0 "
-    "THEN list_append(f.loads, CAST(o.w AS BIGINT)) "
-    "ELSE list_transform(generate_series(1, len(f.loads)), j -> "
-    "CASE WHEN j = list_position(list_transform(f.loads, "
-    "l -> l + o.w <= 64), true) THEN f.loads[j] + o.w "
-    "ELSE f.loads[j] END) END "
-    "FROM fit f JOIN ord o ON o.i = f.i + 1), "
-    "fin AS (SELECT loads FROM fit WHERE i = "
-    "(SELECT count(*) FROM items)), "
-    "st AS (SELECT (SELECT count(*) FROM items) AS n, "
-    "(SELECT sum(w) FROM items) AS total) "
-    "SELECT CAST(st.n AS BIGINT) AS n_items, "
-    "CAST(64 AS BIGINT) AS capacity, "
-    "CAST(len(fin.loads) AS BIGINT) AS n_bins_ffd, "
-    "CAST((st.total + 63) // 64 AS BIGINT) AS lb_size, "
-    "CAST(len(fin.loads) - (st.total + 63) // 64 AS BIGINT) "
-    "AS lb_slack, "
-    "CAST(len(fin.loads) * 64 - st.total AS BIGINT) AS waste "
-    "FROM fin, st"
-)
-
-
-
-
-def _sql_batcher() -> str:
-    """Batcher-network oracle: the SAME 19-gate list as
-    aggregates.BATCHER8 (imported — single source of truth),
-    unrolled into chained least/greatest CTEs; is_sorted re-derived
-    from the output wires."""
-    from documentai_ray.stages.aggregates import BATCHER8
-
-    ctes = [
-        "g0 AS (SELECT " + ", ".join(
-            f"coalesce((SELECT n FROM cen WHERE b = {i}), 0) "
-            f"AS v{i}" for i in range(8)) + ")"]
-    for k, (a, b) in enumerate(BATCHER8, start=1):
-        cols = []
-        for i in range(8):
-            if i == a:
-                cols.append(f"least(v{a}, v{b}) AS v{i}")
-            elif i == b:
-                cols.append(f"greatest(v{a}, v{b}) AS v{i}")
-            else:
-                cols.append(f"v{i}")
-        ctes.append(f"g{k} AS (SELECT " + ", ".join(cols)
-                    + f" FROM g{k - 1})")
-    last = f"g{len(BATCHER8)}"
-    sorted_expr = " AND ".join(
-        f"{last}.v{i} <= {last}.v{i + 1}" for i in range(7))
-    wire_rows = ", ".join(f"({i})" for i in range(8))
-    in_case = " ".join(f"WHEN {i} THEN g0.v{i}" for i in range(8))
-    out_case = " ".join(f"WHEN {i} THEN {last}.v{i}"
-                        for i in range(8))
-    return (
-        "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 // 3 "
-        "AS b, count(*) AS n FROM events GROUP BY 1), "
-        + ", ".join(ctes) + " "
-        f"SELECT CAST(w.w AS BIGINT) AS wire, "
-        f"CAST(CASE w.w {in_case} END AS BIGINT) AS in_value, "
-        f"CAST(CASE w.w {out_case} END AS BIGINT) AS out_value, "
-        f"CAST(CASE WHEN {sorted_expr} THEN 1 ELSE 0 END AS BIGINT) "
-        "AS is_sorted, CAST(19 AS BIGINT) AS n_comparators "
-        f"FROM g0, {last}, (VALUES {wire_rows}) w(w)"
-    )
-
-
-def _sql_ramsey() -> str:
-    """Ramsey-K6 oracle: triangle edge-index triples and the
-    vertex-edge incidence list generated from the SAME constants as
-    aggregates.RAMSEY_TRIS / RAMSEY_EIDX (single source of truth);
-    the Goodman angle identity AND the exhaustive 2^15-coloring
-    minimum are both re-derived in SQL (32768 x 20 = 655k rows for
-    the sweep — bounded, constant, independent of sf)."""
-    from documentai_ray.stages.aggregates import (RAMSEY_EDGES,
-                                                  RAMSEY_EIDX,
-                                                  RAMSEY_TRIS)
-
-    tri_rows = ", ".join(
-        f"({i}, {j}, {k}, {RAMSEY_EIDX[(i, j)]}, "
-        f"{RAMSEY_EIDX[(i, k)]}, {RAMSEY_EIDX[(j, k)]})"
-        for i, j, k in RAMSEY_TRIS)
-    inc_rows = ", ".join(
-        f"({v}, {e})"
-        for e, (a, b) in enumerate(RAMSEY_EDGES) for v in (a, b))
-    return (
-        "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, "
-        "count(*) AS n FROM events GROUP BY 1), "
-        "bits AS (SELECT g.e AS e, coalesce((SELECT n FROM cen "
-        "WHERE h = g.e), 0) % 2 AS b "
-        "FROM generate_series(0, 14) g(e)), "
-        f"tri(i, j, k, e1, e2, e3) AS (VALUES {tri_rows}), "
-        f"inc(v, e) AS (VALUES {inc_rows}), "
-        "tm AS (SELECT tri.i, tri.j, tri.k, "
-        "CASE WHEN b1.b = b2.b AND b2.b = b3.b THEN 1 ELSE 0 END "
-        "AS mono FROM tri "
-        "JOIN bits b1 ON b1.e = tri.e1 "
-        "JOIN bits b2 ON b2.e = tri.e2 "
-        "JOIN bits b3 ON b3.e = tri.e3), "
-        "tot AS (SELECT sum(mono) AS mono_total FROM tm), "
-        "deg AS (SELECT inc.v AS v, sum(bits.b) AS r FROM inc "
-        "JOIN bits ON bits.e = inc.e GROUP BY inc.v), "
-        "gf AS (SELECT 20 - sum(r * (5 - r)) // 2 AS mono_formula "
-        "FROM deg), "
-        "sw AS (SELECT m.m AS m, sum(CASE WHEN "
-        "(m.m >> e1) & 1 = (m.m >> e2) & 1 AND "
-        "(m.m >> e2) & 1 = (m.m >> e3) & 1 THEN 1 ELSE 0 END) "
-        "AS mc FROM generate_series(0, 32767) m(m), tri "
-        "GROUP BY m.m), "
-        "gm AS (SELECT min(mc) AS gmin FROM sw) "
-        "SELECT CAST(tm.i AS BIGINT) AS i, "
-        "CAST(tm.j AS BIGINT) AS j, CAST(tm.k AS BIGINT) AS k, "
-        "CAST(tm.mono AS BIGINT) AS mono, "
-        "CAST(tot.mono_total AS BIGINT) AS mono_total, "
-        "CAST(gf.mono_formula AS BIGINT) AS mono_formula, "
-        "CAST(gm.gmin AS BIGINT) AS min_all_colorings "
-        "FROM tm, tot, gf, gm"
-    )
-
-
-def _sql_gauss_lattice() -> str:
-    """Gauss-reduction oracle: the kernel's swap/round-subtract
-    loop replayed as a bounded recursive CTE — swap normalization
-    in the inner subquery, round-half-up μ via the sign-split
-    floor division (DuckDB // truncates toward zero), terminal row
-    = first μ=0 state, then sign canonicalization and the same
-    [−5,5]² shortest-vector box search."""
-    n1s = "sa1 * sa1 + sb1 * sb1"
-    dots = "sa1 * sa2 + sb1 * sb2"
-    tnum = f"2 * ({dots}) + ({n1s})"
-    tden = f"2 * ({n1s})"
-    mu = (f"CASE WHEN {tnum} >= 0 THEN ({tnum}) // ({tden}) "
-          f"ELSE -((-({tnum}) + ({tden}) - 1) // ({tden})) END")
-    swap_cond = "a1 * a1 + b1 * b1 > a2 * a2 + b2 * b2"
-    neg1 = "a1 < 0 OR (a1 = 0 AND b1 < 0)"
-    neg2 = "a2 < 0 OR (a2 = 0 AND b2 < 0)"
-    return (
-        "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 "
-        "% 24 AS h, count(*) AS n FROM events GROUP BY 1), "
-        "init AS (SELECT g.i AS inst, "
-        "coalesce((SELECT n FROM cen WHERE h = 3 * g.i), 0) % 20 "
-        "AS s, "
-        "coalesce((SELECT n FROM cen WHERE h = 3 * g.i + 1), 0) "
-        "% 20 AS t, "
-        "coalesce((SELECT n FROM cen WHERE h = 3 * g.i + 2), 0) "
-        "% 20 AS u FROM generate_series(0, 7) g(i)), "
-        "rec AS (SELECT inst, 0 AS stp, CAST(1 AS BIGINT) AS a1, "
-        "CAST(s AS BIGINT) AS b1, CAST(t AS BIGINT) AS a2, "
-        "CAST(1 + s * t + u AS BIGINT) AS b2, "
-        "CAST(1 AS BIGINT) AS mu FROM init "
-        "UNION ALL SELECT inst, stp + 1, sa1, sb1, "
-        "sa2 - m2 * sa1, sb2 - m2 * sb1, m2 FROM ("
-        f"SELECT inst, stp, sa1, sb1, sa2, sb2, {mu} AS m2 "
-        "FROM (SELECT inst, stp, "
-        f"CASE WHEN {swap_cond} THEN a2 ELSE a1 END AS sa1, "
-        f"CASE WHEN {swap_cond} THEN b2 ELSE b1 END AS sb1, "
-        f"CASE WHEN {swap_cond} THEN a1 ELSE a2 END AS sa2, "
-        f"CASE WHEN {swap_cond} THEN b1 ELSE b2 END AS sb2 "
-        "FROM rec WHERE mu <> 0 AND stp < 60))), "
-        "fin AS (SELECT inst, "
-        f"CASE WHEN {neg1} THEN -a1 ELSE a1 END AS a1, "
-        f"CASE WHEN {neg1} THEN -b1 ELSE b1 END AS b1, "
-        f"CASE WHEN {neg2} THEN -a2 ELSE a2 END AS a2, "
-        f"CASE WHEN {neg2} THEN -b2 ELSE b2 END AS b2 "
-        "FROM rec WHERE mu = 0), "
-        "box AS (SELECT fin.inst, min("
-        "(x.x * fin.a1 + y.y * fin.a2) * "
-        "(x.x * fin.a1 + y.y * fin.a2) + "
-        "(x.x * fin.b1 + y.y * fin.b2) * "
-        "(x.x * fin.b1 + y.y * fin.b2)) AS mn FROM fin, "
-        "generate_series(-5, 5) x(x), generate_series(-5, 5) y(y) "
-        "WHERE NOT (x.x = 0 AND y.y = 0) GROUP BY fin.inst) "
-        "SELECT CAST(init.inst AS BIGINT) AS inst, "
-        "CAST(init.s AS BIGINT) AS s, "
-        "CAST(init.t AS BIGINT) AS t, "
-        "CAST(init.u AS BIGINT) AS u, "
-        "CAST(fin.a1 AS BIGINT) AS a1, "
-        "CAST(fin.b1 AS BIGINT) AS b1, "
-        "CAST(fin.a2 AS BIGINT) AS a2, "
-        "CAST(fin.b2 AS BIGINT) AS b2, "
-        "CAST(fin.a1 * fin.a1 + fin.b1 * fin.b1 AS BIGINT) AS n1, "
-        "CAST(fin.a2 * fin.a2 + fin.b2 * fin.b2 AS BIGINT) AS n2, "
-        "CAST(fin.a1 * fin.a2 + fin.b1 * fin.b2 AS BIGINT) "
-        "AS dot12, "
-        "CAST(abs(fin.a1 * fin.b2 - fin.b1 * fin.a2) AS BIGINT) "
-        "AS det_abs, CAST(box.mn AS BIGINT) AS min_norm_box "
-        "FROM init JOIN fin ON fin.inst = init.inst "
-        "JOIN box ON box.inst = init.inst"
-    )
-
-
-def _sql_hook_lengths() -> str:
-    """Hook-length oracle: the canonical partition list shipped as
-    literal (rank, row, rowlen, shape, n_rows) rows from the SAME
-    aggregates constant; SQL re-derives conjugate lengths, hooks
-    (arm + leg + 1), the product (exact in double below 2^53,
-    cast), f = 7!/product, and the RSK sum."""
-    from documentai_ray.stages.aggregates import HOOK_PARTITIONS
-
-    vals = []
-    for rank, lam in enumerate(HOOK_PARTITIONS):
-        shape = int("".join(str(x) for x in lam))
-        for i, ln in enumerate(lam):
-            vals.append(f"({rank}, {i}, {ln}, {shape}, {len(lam)})")
-    rows = ", ".join(vals)
-    return (
-        "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS "
-        "h, count(*) AS n FROM events GROUP BY 1), "
-        "sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), "
-        f"0) % {len(HOOK_PARTITIONS)} AS s), "
-        f"shp(rank, i, leni, shape, n_rows) AS (VALUES {rows}), "
-        "cells AS (SELECT shp.rank, shp.i, j.j AS j, shp.leni "
-        "FROM shp, generate_series(0, 6) j(j) "
-        "WHERE j.j < shp.leni), "
-        "conj AS (SELECT rank, j.j AS j, count(*) AS cl FROM shp, "
-        "generate_series(0, 6) j(j) WHERE j.j < shp.leni "
-        "GROUP BY rank, j.j), "
-        "hk AS (SELECT c.rank, CAST(round(product(c.leni - c.j "
-        "+ conj.cl - c.i - 1)) AS BIGINT) AS hp "
-        "FROM cells c JOIN conj ON conj.rank = c.rank "
-        "AND conj.j = c.j GROUP BY c.rank), "
-        "ff AS (SELECT hk.rank, hk.hp, factorial(7) // hk.hp "
-        "AS f FROM hk), "
-        "rsk AS (SELECT sum(f * f) AS rs FROM ff) "
-        "SELECT CAST(ff.rank AS BIGINT) AS rank, "
-        "CAST(m.shape AS BIGINT) AS shape, "
-        "CAST(m.n_rows AS BIGINT) AS n_rows, "
-        "CAST(ff.hp AS BIGINT) AS hook_product, "
-        "CAST(ff.f AS BIGINT) AS f_lambda, "
-        "CAST(rsk.rs AS BIGINT) AS rsk_sum, "
-        "CAST(CASE WHEN ff.rank = sel.s THEN 1 ELSE 0 END "
-        "AS BIGINT) AS selected "
-        "FROM ff JOIN (SELECT DISTINCT rank, shape, n_rows "
-        "FROM shp) m ON m.rank = ff.rank, rsk, sel"
-    )
-
-
-def _sql_turan() -> str:
-    """Turán oracle: census bits (nonzero mod 3), per-edge
-    triangle participation by joins over the shared constants,
-    and the SAME exhaustive 2^15 sweep as the kernel — max edges
-    over triangle-free masks via NOT EXISTS."""
-    from documentai_ray.stages.aggregates import (RAMSEY_EDGES,
-                                                  RAMSEY_EIDX,
-                                                  RAMSEY_TRIS)
-
-    tri_rows = ", ".join(
-        f"({RAMSEY_EIDX[(i, j)]}, {RAMSEY_EIDX[(i, k)]}, "
-        f"{RAMSEY_EIDX[(j, k)]})" for i, j, k in RAMSEY_TRIS)
-    edge_rows = ", ".join(
-        f"({e}, {i}, {j})"
-        for e, (i, j) in enumerate(RAMSEY_EDGES))
-    return (
-        "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS "
-        "h, count(*) AS n FROM events GROUP BY 1), "
-        f"ed(e, i, j) AS (VALUES {edge_rows}), "
-        f"tri(e1, e2, e3) AS (VALUES {tri_rows}), "
-        "bits AS (SELECT ed.e AS e, ed.i AS i, ed.j AS j, "
-        "CASE WHEN coalesce((SELECT n FROM cen WHERE h = ed.e), "
-        "0) % 3 <> 0 THEN 1 ELSE 0 END AS b FROM ed), "
-        "tp AS (SELECT tri.e1, tri.e2, tri.e3 FROM tri "
-        "JOIN bits b1 ON b1.e = tri.e1 AND b1.b = 1 "
-        "JOIN bits b2 ON b2.e = tri.e2 AND b2.b = 1 "
-        "JOIN bits b3 ON b3.e = tri.e3 AND b3.b = 1), "
-        "pet AS (SELECT bits.e AS e, (SELECT count(*) FROM tp "
-        "WHERE tp.e1 = bits.e OR tp.e2 = bits.e OR tp.e3 = "
-        "bits.e) AS it FROM bits), "
-        "gl AS (SELECT sum(b) AS n_edges FROM bits), "
-        "gt AS (SELECT count(*) AS n_tri FROM tp), "
-        "sw AS (SELECT m.m AS m, bit_count(CAST(m.m AS BIGINT)) "
-        "AS ne FROM generate_series(0, 32767) m(m) WHERE NOT "
-        "EXISTS (SELECT 1 FROM tri WHERE (m.m >> tri.e1) & 1 = 1 "
-        "AND (m.m >> tri.e2) & 1 = 1 AND (m.m >> tri.e3) & 1 "
-        "= 1)), "
-        "mx AS (SELECT max(ne) AS best FROM sw) "
-        "SELECT CAST(bits.e AS BIGINT) AS edge, "
-        "CAST(bits.i AS BIGINT) AS i, CAST(bits.j AS BIGINT) "
-        "AS j, CAST(bits.b AS BIGINT) AS present, "
-        "CAST(pet.it AS BIGINT) AS in_triangles, "
-        "CAST(gl.n_edges AS BIGINT) AS n_edges, "
-        "CAST(gt.n_tri AS BIGINT) AS n_triangles, "
-        "CAST(9 AS BIGINT) AS turan_bound, "
-        "CAST(mx.best AS BIGINT) AS max_trianglefree_edges "
-        "FROM bits JOIN pet ON pet.e = bits.e, gl, gt, mx"
-    )
-
-
-def _sql_birkhoff() -> str:
-    """Birkhoff oracle: the 24 S4 permutations and the 4 build
-    perms shipped as literals from aggregates.BIRKHOFF_PERMS
-    (single source of truth); greedy replay as a recursive
-    list-carrying CTE — pick = min rank with all-positive support,
-    subtract the bottleneck, remaining = list_sum."""
-    from documentai_ray.stages.aggregates import BIRKHOFF_PERMS
-
-    pm_rows = ", ".join(
-        f"({rank}, {pm[0]}, {pm[1]}, {pm[2]}, {pm[3]}, "
-        f"{int(''.join(str(d) for d in pm))})"
-        for rank, pm in enumerate(BIRKHOFF_PERMS))
-    build = [0, 9, 16, 23]
-    bp_rows = ", ".join(
-        f"({k}, {i}, {BIRKHOFF_PERMS[rank][i]})"
-        for k, rank in enumerate(build) for i in range(4))
-    return (
-        "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000"
-        " % 24 AS h, count(*) AS n FROM events GROUP BY 1), "
-        "wt AS (SELECT k.k AS k, coalesce((SELECT n FROM cen "
-        "WHERE h = k.k), 0) % 9 + 1 AS w "
-        "FROM generate_series(0, 3) k(k)), "
-        f"pm(rank, i0, i1, i2, i3, digits) AS (VALUES {pm_rows}), "
-        f"bp(k, i, j) AS (VALUES {bp_rows}), "
-        "cellv AS (SELECT bp.i AS i, bp.j AS j, sum(wt.w) AS v "
-        "FROM bp JOIN wt ON wt.k = bp.k GROUP BY bp.i, bp.j), "
-        "grid AS (SELECT g.c AS c, coalesce((SELECT v FROM cellv "
-        "WHERE i = (g.c - 1) // 4 AND j = (g.c - 1) % 4), 0) AS v"
-        " FROM generate_series(1, 16) g(c)), "
-        "ini AS (SELECT list(CAST(v AS BIGINT) ORDER BY c) AS m "
-        "FROM grid), "
-        "rec AS (SELECT -1 AS rnd, m, CAST(0 AS BIGINT) AS rank, "
-        "CAST(0 AS BIGINT) AS digits, CAST(0 AS BIGINT) AS w "
-        "FROM ini UNION ALL SELECT rnd + 1, "
-        "list_transform(generate_series(1, 16), c -> "
-        "s.m[c] - CASE WHEN c = s.c0 OR c = s.c1 OR c = s.c2 OR "
-        "c = s.c3 THEN s.w ELSE 0 END), s.rank, s.digits, s.w "
-        "FROM (SELECT r.rnd, r.m, pm.rank, pm.digits, "
-        "pm.i0 + 1 AS c0, pm.i1 + 5 AS c1, pm.i2 + 9 AS c2, "
-        "pm.i3 + 13 AS c3, least(r.m[pm.i0 + 1], r.m[pm.i1 + 5], "
-        "r.m[pm.i2 + 9], r.m[pm.i3 + 13]) AS w FROM rec r "
-        "JOIN pm ON pm.rank = (SELECT min(p2.rank) FROM pm p2 "
-        "WHERE r.m[p2.i0 + 1] > 0 AND r.m[p2.i1 + 5] > 0 AND "
-        "r.m[p2.i2 + 9] > 0 AND r.m[p2.i3 + 13] > 0) "
-        "WHERE list_sum(r.m) > 0) s) "
-        "SELECT CAST(rnd AS BIGINT) AS round, "
-        "CAST(rank AS BIGINT) AS perm_rank, "
-        "CAST(digits AS BIGINT) AS perm_digits, "
-        "CAST(w AS BIGINT) AS weight, "
-        "CAST(list_sum(m) AS BIGINT) AS remaining "
-        "FROM rec WHERE rnd >= 0"
-    )
-
-
-def _sql_sperner() -> str:
-    """Sperner oracle: the labeling decode as ONE CASE chain over
-    vertex index (bit fields of the choice integer), evaluated for
-    ALL 192 choices at once; triangles from the shared constants;
-    the census row-set filters to the selected choice while the
-    full sweep certifies n_even_labelings = 0 in SQL too."""
-    from documentai_ray.stages.aggregates import (SPERNER_TRIS,
-                                                  SPERNER_VERTS,
-                                                  SPERNER_VIDX)
-
-    def lab_expr(v):
-        i, j, k = v
-        if v == (3, 0, 0):
-            return "0"
-        if v == (0, 3, 0):
-            return "1"
-        if v == (0, 0, 3):
-            return "2"
-        if v == (2, 1, 0):
-            return "(c.c >> 0) & 1"
-        if v == (1, 2, 0):
-            return "(c.c >> 1) & 1"
-        if v == (2, 0, 1):
-            return "CASE WHEN (c.c >> 2) & 1 = 0 THEN 0 ELSE 2 END"
-        if v == (1, 0, 2):
-            return "CASE WHEN (c.c >> 3) & 1 = 0 THEN 0 ELSE 2 END"
-        if v == (0, 2, 1):
-            return "CASE WHEN (c.c >> 4) & 1 = 0 THEN 1 ELSE 2 END"
-        if v == (0, 1, 2):
-            return "CASE WHEN (c.c >> 5) & 1 = 0 THEN 1 ELSE 2 END"
-        assert v == (1, 1, 1)
-        return "(c.c >> 6) % 3"
-
-    case_chain = " ".join(
-        f"WHEN {SPERNER_VIDX[v]} THEN ({lab_expr(v)})"
-        for v in SPERNER_VERTS)
-    tri_rows = ", ".join(f"({t}, {a}, {b}, {d})"
-                         for t, (a, b, d) in enumerate(SPERNER_TRIS))
-    return (
-        "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS "
-        "h, count(*) AS n FROM events GROUP BY 1), "
-        "sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0),"
-        " 0) % 192 AS s), "
-        f"tri(t, a, b, d) AS (VALUES {tri_rows}), "
-        "labf AS (SELECT c.c AS c, v.n AS n, "
-        f"CASE v.n {case_chain} END AS lab "
-        "FROM generate_series(0, 191) c(c), "
-        "generate_series(0, 9) v(n)), "
-        "rb AS (SELECT la.c AS c, tri.t AS t, la.lab AS l1, "
-        "lb.lab AS l2, ld.lab AS l3, CASE WHEN la.lab <> lb.lab "
-        "AND la.lab <> ld.lab AND lb.lab <> ld.lab THEN 1 ELSE 0 "
-        "END AS rainbow FROM tri "
-        "JOIN labf la ON la.n = tri.a "
-        "JOIN labf lb ON lb.n = tri.b AND lb.c = la.c "
-        "JOIN labf ld ON ld.n = tri.d AND ld.c = la.c), "
-        "percfg AS (SELECT c, sum(rainbow) AS nr FROM rb "
-        "GROUP BY c), "
-        "ev AS (SELECT count(*) AS n_even FROM percfg "
-        "WHERE nr % 2 = 0) "
-        "SELECT CAST(rb.t AS BIGINT) AS tri, "
-        "CAST(rb.l1 AS BIGINT) AS l1, "
-        "CAST(rb.l2 AS BIGINT) AS l2, "
-        "CAST(rb.l3 AS BIGINT) AS l3, "
-        "CAST(rb.rainbow AS BIGINT) AS rainbow, "
-        "CAST(percfg.nr AS BIGINT) AS n_rainbow, "
-        "CAST(sel.s AS BIGINT) AS choice, "
-        "CAST(192 AS BIGINT) AS n_labelings, "
-        "CAST(ev.n_even AS BIGINT) AS n_even_labelings "
-        "FROM rb JOIN sel ON rb.c = sel.s "
-        "JOIN percfg ON percfg.c = sel.s, ev"
-    )
-
-
-def _sql_cube() -> str:
-    """Cube-coloring oracle: the 24 rotations shipped as
-    (rot, face, image) literals from aggregates.CUBE_ROTS (single
-    source of truth); SQL re-derives each rotation's face-cycle
-    count by orbit closure (a face heads a cycle iff it is the
-    min of its orbit), then the Burnside sums with certified /24."""
-    from documentai_ray.stages.aggregates import CUBE_ROTS
-
-    rows = ", ".join(f"({r}, {f}, {g[f]})"
-                     for r, g in enumerate(CUBE_ROTS)
-                     for f in range(6))
-    return (
-        "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000"
-        " % 24 AS h, count(*) AS n FROM events GROUP BY 1), "
-        "sel AS (SELECT CASE coalesce((SELECT n FROM cen WHERE "
-        "h = 0), 0) % 3 WHEN 0 THEN 2 WHEN 1 THEN 3 ELSE 4 END "
-        "AS c), "
-        f"pm(rot, face, img) AS (VALUES {rows}), "
-        "orb AS (SELECT rot, face AS start, img AS cur FROM pm "
-        "UNION SELECT orb.rot, orb.start, pm.img FROM orb "
-        "JOIN pm ON pm.rot = orb.rot AND pm.face = orb.cur "
-        "WHERE orb.cur <> orb.start), "
-        "om AS (SELECT rot, start, min(least(cur, start)) AS mn "
-        "FROM orb GROUP BY rot, start), "
-        "cy AS (SELECT rot, count(*) FILTER (WHERE mn = start) "
-        "AS n_cycles FROM om GROUP BY rot), "
-        "bs AS (SELECT "
-        "CAST(sum(CAST(round(pow(2, n_cycles)) AS BIGINT)) // 24 "
-        "AS BIGINT) AS c2, "
-        "CAST(sum(CAST(round(pow(3, n_cycles)) AS BIGINT)) // 24 "
-        "AS BIGINT) AS c3, "
-        "CAST(sum(CAST(round(pow(4, n_cycles)) AS BIGINT)) // 24 "
-        "AS BIGINT) AS c4 FROM cy) "
-        "SELECT CAST(cy.rot AS BIGINT) AS rot, "
-        "CAST(cy.n_cycles AS BIGINT) AS n_cycles, "
-        "CAST(sel.c AS BIGINT) AS c_sel, "
-        "CAST(CASE sel.c WHEN 2 THEN bs.c2 WHEN 3 THEN bs.c3 "
-        "ELSE bs.c4 END AS BIGINT) AS count_sel, "
-        "CAST(bs.c2 AS BIGINT) AS count_c2, "
-        "CAST(bs.c3 AS BIGINT) AS count_c3, "
-        "CAST(bs.c4 AS BIGINT) AS count_c4 "
-        "FROM cy, sel, bs"
     )
 
 
@@ -2728,4 +1236,4 @@ quality_inner = (
 )
 
 
-__all__ = ['_REPO_ROOT', 'quality_inner', 'Any', 'Callable', 'SIMHASH_VARIANT_MAX_HAMMING', '_AUCTION_CTRS', '_BM25_QUERIES', '_CHAIN_ABSORBING', '_CHAIN_TRANSIENT', '_CONFORMANCE_MODEL', '_FD_CANDIDATES', '_GROUP_CATS', '_HLL_ALPHA_PPM', '_HOUR_CENSUS_CACHE', '_H_LEVELS', '_INV_P1', '_INV_P2', '_INV_Q1', '_INV_Q2', '_KM_H', '_LEONTIEF_SECTORS', '_MATCH_WORKERS', '_MK_STEPS', '_RAKE_STOPWORDS', '_SCD2_SEGMENTS', '_SQL_AMB_SUFFIX', '_SQL_BALLOT_GRID', '_SQL_BM25_CORE', '_SQL_BPE_SPACED', '_SQL_BPE_WORDS', '_SQL_BUZEN', '_SQL_BUZEN_POW', '_SQL_CATEGORY', '_SQL_CIF', '_SQL_DENSE_GRID', '_SQL_EWMA', '_SQL_EXPECTED_PAGES', '_SQL_FFD', '_SQL_FLOW_CENSUS', '_SQL_GOLDEN_TEXT', '_SQL_HAAR', '_SQL_INV_TEXT', '_SQL_JACCARD_PAIRS', '_SQL_KM', '_SQL_KNAPSACK', '_SQL_MARKOV', '_SQL_MATCH_PRELUDE', '_SQL_PAGES_WITH_AMP', '_SQL_POINT_X', '_SQL_POINT_Y', '_SQL_PO_TEXT', '_SQL_QUALITY_DERIVED', '_SQL_QUALITY_METRICS', '_SQL_URL', '_SQL_VERDICT', '_SQL_VOTES', '_am_total_counts', '_ampm_value_hist', '_apportion_votes', '_arm_metric_stats', '_auction_bids', '_bm25_top_rel', '_component_rel', '_daily_ballot_census', '_daily_counts', '_extracted_pages_with_doc_id', '_game_cells', '_halfday_census', '_hour_census', '_hourly_peak_mean', '_hourly_xy_moments', '_markov_flows', '_match_cells', '_minhash_verified_pairs', '_norm_strings', '_norm_strings_ds', '_score_label_hist', '_sql_absorbing_chain', '_sql_adjdot3', '_sql_batcher', '_sql_birkhoff', '_sql_bond_duration', '_sql_bpe_encode_tokens', '_sql_bpe_train', '_sql_cof3', '_sql_colley', '_sql_crc8', '_sql_cube', '_sql_det3', '_sql_fingerprint', '_sql_gauss_lattice', '_sql_hex_slice16', '_sql_hits', '_sql_hook_lengths', '_sql_irv_winner', '_sql_kmeans', '_sql_lang_id', '_sql_leontief_io', '_sql_lpt', '_sql_luhn_sum', '_sql_md5_le64', '_sql_pagerank', '_sql_pagerank_irregular', '_sql_penney', '_sql_pq', '_sql_ramsey', '_sql_spanning', '_sql_sperner', '_sql_ss', '_sql_tsp', '_sql_turan', '_team_census', '_trunc_ppm', '_two_type_daily', '_type_shares', '_user_conv_rollup', '_value_type_hist', 'os', 'sys']
+__all__ = ['_REPO_ROOT', 'quality_inner', 'Any', 'Callable', 'SIMHASH_VARIANT_MAX_HAMMING', '_BM25_QUERIES', '_CHAIN_ABSORBING', '_CHAIN_TRANSIENT', '_CONFORMANCE_MODEL', '_FD_CANDIDATES', '_GROUP_CATS', '_HLL_ALPHA_PPM', '_HOUR_CENSUS_CACHE', '_H_LEVELS', '_INV_P1', '_INV_P2', '_INV_Q1', '_INV_Q2', '_KM_H', '_LEONTIEF_SECTORS', '_MATCH_WORKERS', '_MK_STEPS', '_RAKE_STOPWORDS', '_SCD2_SEGMENTS', '_SQL_AMB_SUFFIX', '_SQL_BM25_CORE', '_SQL_BPE_SPACED', '_SQL_BPE_WORDS', '_SQL_CATEGORY', '_SQL_CIF', '_SQL_DENSE_GRID', '_SQL_EWMA', '_SQL_EXPECTED_PAGES', '_SQL_FLOW_CENSUS', '_SQL_GOLDEN_TEXT', '_SQL_HAAR', '_SQL_INV_TEXT', '_SQL_JACCARD_PAIRS', '_SQL_KM', '_SQL_MARKOV', '_SQL_MATCH_PRELUDE', '_SQL_PAGES_WITH_AMP', '_SQL_POINT_X', '_SQL_POINT_Y', '_SQL_PO_TEXT', '_SQL_QUALITY_DERIVED', '_SQL_QUALITY_METRICS', '_SQL_URL', '_SQL_VERDICT', '_SQL_VOTES', '_arm_metric_stats', '_bm25_top_rel', '_extracted_pages_with_doc_id', '_markov_flows', '_match_cells', '_minhash_verified_pairs', '_norm_strings', '_norm_strings_ds', '_score_label_hist', '_sql_absorbing_chain', '_sql_adjdot3', '_sql_bpe_encode_tokens', '_sql_bpe_train', '_sql_cof3', '_sql_crc8', '_sql_det3', '_sql_fingerprint', '_sql_hex_slice16', '_sql_hits', '_sql_kmeans', '_sql_lang_id', '_sql_leontief_io', '_sql_luhn_sum', '_sql_md5_le64', '_sql_pagerank', '_sql_pagerank_irregular', '_sql_pq', '_sql_ss', '_trunc_ppm', 'os', 'sys']

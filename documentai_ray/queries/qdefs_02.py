@@ -2394,22 +2394,6 @@ def _q_tvd_drift(sf_dir: str):
     return tvd_drift_int(docs, key_col="source", cat_col="lang")
 
 
-def _q_chi2_independence(sf_dir: str):
-    """Pearson χ² decomposition (``aggregates.chi2_independence_int``)
-    over the source × lang contingency grid, per-cell integer ppm —
-    completes the drift family (tvd = L1, ks = sup, χ² = variance-
-    weighted L2 that amplifies rare-cell deviations). Zero-observed
-    cells still contribute their (r·c)² evidence. ONE exchange bounded
-    by sources × langs."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import chi2_independence_int
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["source", "lang"])
-    return chi2_independence_int(docs, key_col="source", cat_col="lang")
-
-
 def _q_readability(sf_dir: str):
     """Flesch reading-ease in integer ppm
     (``textstats.readability_batch``): sentence-length × syllable-
@@ -3306,4 +3290,4 @@ def _q_page_type_detect(sf_dir: str):
 
     return ds.map_batches(f, batch_format="pyarrow", batch_size=512)
 
-__all__ = ['_q_wet_roundtrip', '_q_jsonl_roundtrip', '_q_cdx_fetch', '_q_kcenter_select', '_q_zorder_keys', '_q_merge_upsert', '_q_scd2_build', '_q_asof_snapshot', '_q_late_events', '_q_online_neardup', '_q_fetch_schedule', '_q_users_sketch', '_q_events_anomaly', '_q_table_checksum', '_q_string_agg_topdocs', '_q_gap_fill', '_q_cube_counts', '_q_scd2_join', '_q_grouped_regression', '_q_event_transitions', '_q_funnel_conversion', '_q_lang_rebalance', '_q_drop_funnel', '_q_tfrecord_roundtrip', '_q_csv_roundtrip', '_q_ipc_roundtrip', '_q_sorted_export', '_q_orc_roundtrip', '_q_page_meta', '_q_robots_filter', '_q_robots_txt_rules', '_q_surt_keys', '_q_anchor_text', '_q_sitemap_frontier', '_q_recrawl_priority', '_q_price_quantiles', '_q_fetch_waves', '_q_profile_columns', '_q_dq_audit', '_q_k_anonymity', '_q_l_diversity', '_q_diversity_index', '_q_mad_outliers', '_q_unpivot_measures', '_q_benford_audit', '_q_dead_letter', '_q_curation_hostaware', '_q_snapshot_diff', '_q_host_cap', '_q_outlink_count', '_q_kmeans_clusters', '_q_video_frames', '_q_kmv_distinct', '_q_hll_distinct', '_q_p95_quantity', '_q_users_per_event', '_q_events_rate_windows', '_q_images_to_pdf', '_q_base64_pages', '_q_rasterize_pages', '_q_urgent_revenue', '_q_gopher_quality', '_q_repeated_passages', '_q_dedup_passages', '_q_json_props', '_q_customer_running', '_q_stratified_sample', '_q_events_pivot', '_q_category_split_pdfs', '_q_bigram_lm', '_q_pagerank', '_q_pagerank_irregular', '_q_windowed_paths', '_q_user_features', '_q_user_ledger', '_q_cusum_alarms', '_q_mann_kendall', '_q_lag_coactivity', '_q_vocab_growth', '_q_trend_flips', '_q_skew_histogram', '_q_gini_orders', '_q_backtest_mae', '_q_tvd_drift', '_q_chi2_independence', '_q_readability', '_q_clustering_coeff', '_q_unique_prefix', '_q_soundex_blocking', '_q_zonemap_prune', '_q_nest_tokens', '_q_longest_streak', '_q_supplier_percentile', '_q_delta_varint', '_q_impute_mode', '_q_rrf_fusion', '_q_quantile_normalize', '_q_subsequence_counts', '_q_coordinated_sample', '_q_kcore_nodes', '_q_rendezvous_shards', '_q_kwic_snippets', '_q_skipgram_pairs', '_q_collocation_lift', '_q_posexplode_tokens', '_q_weighted_median', '_q_ntile_split', '_q_fuzzy_hosts', '_q_symspell_pairs', '_q_triangle_count', '_q_redirect_resolve', '_q_khop_frontier', '_q_sssp_weighted', '_q_ocr_roundtrip', '_q_ocr_classify', '_q_office_extract', '_q_generic_entities', '_q_layout_structure', '_q_page_type_detect']
+__all__ = ['_q_wet_roundtrip', '_q_jsonl_roundtrip', '_q_cdx_fetch', '_q_kcenter_select', '_q_zorder_keys', '_q_merge_upsert', '_q_scd2_build', '_q_asof_snapshot', '_q_late_events', '_q_online_neardup', '_q_fetch_schedule', '_q_users_sketch', '_q_events_anomaly', '_q_table_checksum', '_q_string_agg_topdocs', '_q_gap_fill', '_q_cube_counts', '_q_scd2_join', '_q_grouped_regression', '_q_event_transitions', '_q_funnel_conversion', '_q_lang_rebalance', '_q_drop_funnel', '_q_tfrecord_roundtrip', '_q_csv_roundtrip', '_q_ipc_roundtrip', '_q_sorted_export', '_q_orc_roundtrip', '_q_page_meta', '_q_robots_filter', '_q_robots_txt_rules', '_q_surt_keys', '_q_anchor_text', '_q_sitemap_frontier', '_q_recrawl_priority', '_q_price_quantiles', '_q_fetch_waves', '_q_profile_columns', '_q_dq_audit', '_q_k_anonymity', '_q_l_diversity', '_q_diversity_index', '_q_mad_outliers', '_q_unpivot_measures', '_q_benford_audit', '_q_dead_letter', '_q_curation_hostaware', '_q_snapshot_diff', '_q_host_cap', '_q_outlink_count', '_q_kmeans_clusters', '_q_video_frames', '_q_kmv_distinct', '_q_hll_distinct', '_q_p95_quantity', '_q_users_per_event', '_q_events_rate_windows', '_q_images_to_pdf', '_q_base64_pages', '_q_rasterize_pages', '_q_urgent_revenue', '_q_gopher_quality', '_q_repeated_passages', '_q_dedup_passages', '_q_json_props', '_q_customer_running', '_q_stratified_sample', '_q_events_pivot', '_q_category_split_pdfs', '_q_bigram_lm', '_q_pagerank', '_q_pagerank_irregular', '_q_windowed_paths', '_q_user_features', '_q_user_ledger', '_q_cusum_alarms', '_q_mann_kendall', '_q_lag_coactivity', '_q_vocab_growth', '_q_trend_flips', '_q_skew_histogram', '_q_gini_orders', '_q_backtest_mae', '_q_tvd_drift', '_q_readability', '_q_clustering_coeff', '_q_unique_prefix', '_q_soundex_blocking', '_q_zonemap_prune', '_q_nest_tokens', '_q_longest_streak', '_q_supplier_percentile', '_q_delta_varint', '_q_impute_mode', '_q_rrf_fusion', '_q_quantile_normalize', '_q_subsequence_counts', '_q_coordinated_sample', '_q_kcore_nodes', '_q_rendezvous_shards', '_q_kwic_snippets', '_q_skipgram_pairs', '_q_collocation_lift', '_q_posexplode_tokens', '_q_weighted_median', '_q_ntile_split', '_q_fuzzy_hosts', '_q_symspell_pairs', '_q_triangle_count', '_q_redirect_resolve', '_q_khop_frontier', '_q_sssp_weighted', '_q_ocr_roundtrip', '_q_ocr_classify', '_q_office_extract', '_q_generic_entities', '_q_layout_structure', '_q_page_type_detect']

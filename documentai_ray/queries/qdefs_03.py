@@ -1991,39 +1991,6 @@ def _q_oov_rate(sf_dir: str):
     return oov_rate(ds, ray.put(vocab), id_col="doc_id", text_col="text")
 
 
-def _q_kendall_tau(sf_dir: str):
-    """Kendall concordance between quantity and discount-cents per
-    returnflag (``aggregates.grouped_kendall_int``) — rank correlation
-    WITHOUT the O(n²) pair scan: both columns have tiny value domains
-    (50 × 11), so every row-pair comparison is determined by the joint
-    histogram and C/D/tie pair counts are cell-product sums over ≤550
-    cells per group.  ONE bounded histogram exchange; the n² pairs
-    never materialize anywhere.  Full tie decomposition (Tx, Ty, Txy;
-    the P = C+D+Tx+Ty−Txy identity is asserted engine-side) plus
-    tau_a_ppm with trunc-toward-zero division (SQL ``//``).  Mirror:
-    HUGEINT histogram self-join."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_kendall_int
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_quantity", "l_discount"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        q = batch.column("l_quantity").to_numpy().astype("int64")
-        dc = np.rint(batch.column("l_discount").to_numpy() * 100
-                     ).astype("int64")
-        return pa.table({"l_returnflag": batch.column("l_returnflag"),
-                         "x": pa.array(q, pa.int64()),
-                         "y": pa.array(dc, pa.int64())})
-
-    return grouped_kendall_int(ds.map_batches(prep, batch_format="pyarrow"),
-                               key_col="l_returnflag", x_col="x", y_col="y")
-
-
 def _q_max_concurrency(sf_dir: str):
     """Peak simultaneous open intervals per user — each event opens a
     window of floor(value) seconds (floor, not round: the corpus has
@@ -2825,7 +2792,7 @@ def _q_degree_assortativity(sf_dir: str):
     import pyarrow as pa
     import ray.data
 
-    from documentai_ray.stages.aggregates import grouped_kendall_int
+    from documentai_ray.extras import grouped_kendall_int
     from documentai_ray.stages.joins import hash_join
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -4356,4 +4323,4 @@ def _q_fifo_cogs(sf_dir: str):
             .map_groups(lambda x: fifo(x.drop(columns=["_pkey"])),
                         batch_format="pandas"))
 
-__all__ = ['_q_table_detect', '_q_field_validation', '_q_doc_type_autodetect', '_q_pq_codes', '_q_jpeg_roundtrip', '_q_tiff_roundtrip', '_q_tiff_compressed_roundtrip', '_q_png_color_roundtrip', '_q_jpeg_progressive_roundtrip', '_q_pdf_modern_extract', '_q_pdf_embedded_images', '_q_scanned_pdf_ocr', '_q_pdf_encrypted_extract', '_q_pdf_password_extract', '_q_fax_pdf_ocr', '_q_pdf_g3_ocr', '_q_pdf_jbig2_ocr', '_q_pdf_jbig2_text_ocr', '_q_pdf_jbig2_globals', '_q_pdf_jpx_extract', '_q_jpeg_lossless_roundtrip', '_q_jpeg12_roundtrip', '_q_flagship_warc', '_q_pdf_cmap_extract', '_q_warc_http_charset', '_q_pdf_metadata', '_q_pdf_outline', '_q_pdf_links', '_q_incremental_dedup', '_q_bloom_dedup', '_q_url_filter', '_q_semdedup', '_q_shard_export', '_q_dsir_weights', '_q_heavy_hitters', '_q_web_curation', '_q_config_pipeline', '_q_ivm_counts', '_q_pseudonymize', '_q_customer_order_counts', '_q_incremental_session', '_q_f2_selfjoin', '_q_winsorize', '_q_hits', '_q_mix_assemble', '_q_mix_plan', '_q_seasonality_strength', '_q_theil_sen', '_q_interarrival_stats', '_q_changepoint_localize', '_q_bloom_semijoin', '_q_ngram_novelty', '_q_attribution_credit', '_q_fd_error', '_q_oov_rate', '_q_kendall_tau', '_q_max_concurrency', '_q_countmin_estimate', '_q_acf_lag', '_q_runs_test', '_q_frequent_triples', '_q_haar_energy', '_q_ewma_backtest', '_q_url_templates', '_q_conversion_lag', '_q_q17_decorrelated', '_q_relational_division', '_q_t_closeness', '_q_orders_all_ontime', '_q_minmax_scale', '_q_markov_kstep', '_q_rfm_segments', '_q_revenue_share', '_q_bm25_topk', '_q_dispersion_index', '_q_leadlag_beta', '_q_km_survival', '_q_mrr_eval', '_q_decayed_leaderboard', '_q_degree_assortativity', '_q_ndcg_eval', '_q_seasonal_anomaly', '_q_did_estimator', '_q_laspeyres_index', '_q_ab_conversion', '_q_assoc_rules', '_q_logrank_test', '_q_uplift_deciles', '_q_paasche_index', '_q_fd_mine', '_q_bounce_rate', '_q_rank_overlap', '_q_chain_index', '_q_lorenz_deciles', '_q_rmst_summary', '_q_q10_returns', '_q_q8_market_share', '_q_pinball_eval', '_q_cohort_ltv', '_q_post_stratify', '_q_lincoln_petersen', '_q_german_tank', '_q_fifo_cogs']
+__all__ = ['_q_table_detect', '_q_field_validation', '_q_doc_type_autodetect', '_q_pq_codes', '_q_jpeg_roundtrip', '_q_tiff_roundtrip', '_q_tiff_compressed_roundtrip', '_q_png_color_roundtrip', '_q_jpeg_progressive_roundtrip', '_q_pdf_modern_extract', '_q_pdf_embedded_images', '_q_scanned_pdf_ocr', '_q_pdf_encrypted_extract', '_q_pdf_password_extract', '_q_fax_pdf_ocr', '_q_pdf_g3_ocr', '_q_pdf_jbig2_ocr', '_q_pdf_jbig2_text_ocr', '_q_pdf_jbig2_globals', '_q_pdf_jpx_extract', '_q_jpeg_lossless_roundtrip', '_q_jpeg12_roundtrip', '_q_flagship_warc', '_q_pdf_cmap_extract', '_q_warc_http_charset', '_q_pdf_metadata', '_q_pdf_outline', '_q_pdf_links', '_q_incremental_dedup', '_q_bloom_dedup', '_q_url_filter', '_q_semdedup', '_q_shard_export', '_q_dsir_weights', '_q_heavy_hitters', '_q_web_curation', '_q_config_pipeline', '_q_ivm_counts', '_q_pseudonymize', '_q_customer_order_counts', '_q_incremental_session', '_q_f2_selfjoin', '_q_winsorize', '_q_hits', '_q_mix_assemble', '_q_mix_plan', '_q_seasonality_strength', '_q_theil_sen', '_q_interarrival_stats', '_q_changepoint_localize', '_q_bloom_semijoin', '_q_ngram_novelty', '_q_attribution_credit', '_q_fd_error', '_q_oov_rate', '_q_max_concurrency', '_q_countmin_estimate', '_q_acf_lag', '_q_runs_test', '_q_frequent_triples', '_q_haar_energy', '_q_ewma_backtest', '_q_url_templates', '_q_conversion_lag', '_q_q17_decorrelated', '_q_relational_division', '_q_t_closeness', '_q_orders_all_ontime', '_q_minmax_scale', '_q_markov_kstep', '_q_rfm_segments', '_q_revenue_share', '_q_bm25_topk', '_q_dispersion_index', '_q_leadlag_beta', '_q_km_survival', '_q_mrr_eval', '_q_decayed_leaderboard', '_q_degree_assortativity', '_q_ndcg_eval', '_q_seasonal_anomaly', '_q_did_estimator', '_q_laspeyres_index', '_q_ab_conversion', '_q_assoc_rules', '_q_logrank_test', '_q_uplift_deciles', '_q_paasche_index', '_q_fd_mine', '_q_bounce_rate', '_q_rank_overlap', '_q_chain_index', '_q_lorenz_deciles', '_q_rmst_summary', '_q_q10_returns', '_q_q8_market_share', '_q_pinball_eval', '_q_cohort_ltv', '_q_post_stratify', '_q_lincoln_petersen', '_q_german_tank', '_q_fifo_cogs']

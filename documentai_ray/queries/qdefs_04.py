@@ -2883,7 +2883,7 @@ def _q_bh_fdr(sf_dir: str):
     the identical CASE chain + a window MAX of the passing ranks."""
     import pandas as pd
 
-    from documentai_ray.stages.aggregates import bh_stepup_int
+    from documentai_ray.extras import bh_stepup_int
 
     stats = _arm_metric_stats(sf_dir)
     recs = bh_stepup_int(stats)

@@ -371,7 +371,7 @@ def _q_friedman_test(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Count, Sum
 
-    from documentai_ray.stages.aggregates import friedman_int
+    from documentai_ray.extras import friedman_int
     from documentai_ray.stages.dedup import _add_pkey
 
     counts = (ray.data.read_parquet(
@@ -810,7 +810,7 @@ def _q_kruskal_wallis(sf_dir: str):
             "qty": pa.array(v, pa.int64()),
             "flag": batch.column("l_returnflag")})
 
-    from documentai_ray.stages.aggregates import kruskal_wallis_int
+    from documentai_ray.extras import kruskal_wallis_int
 
     h = (ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
@@ -871,7 +871,7 @@ def _q_fleiss_kappa(sf_dir: str):
             "cat": pa.array(cats + ["__s"], pa.string()),
             "c": pa.array([c[k] for k in cats] + [s_item], pa.int64())})
 
-    from documentai_ray.stages.aggregates import fleiss_kappa_int
+    from documentai_ray.extras import fleiss_kappa_int
 
     agg = (ds.map_batches(partial, batch_format="pyarrow")
            .groupby("cat")
@@ -882,175 +882,6 @@ def _q_fleiss_kappa(sf_dir: str):
         s, dict(zip(cj["cat"], cj["c"])))])
     for c in out.columns:
         out[c] = out[c].astype("int64")
-    return out
-
-
-def _q_copeland_rank(sf_dir: str):
-    """Copeland/Condorcet pairwise-majority ranking — SOCIAL CHOICE
-    over aggregates, a family the surface lacks: top_tokens and
-    heavy_hitters rank by a single global count, but "which event
-    type do the DAYS prefer" treats each calendar day as a voter
-    whose ballot is its own count profile, and pairwise majority is
-    robust to the one mega-day a global sum lets dominate (the
-    exact failure plurality voting has and Condorcet methods fix).
-    Day a prefers type x to y iff count_x > count_y that day (equal
-    counts abstain — NOT half a win); beats(x,y) = #days preferring
-    x; support = Σ beats (the Borda count under strict rankings);
-    copeland = #pairwise wins − #pairwise losses; a Condorcet winner
-    has copeland = k−1, and a majority CYCLE — the phenomenon the
-    family exists to expose — flattens copeland across candidates
-    (pinned rock-paper-scissors hand case in the kernel tests).
-
-    Physical plan: per-batch (day, type) count partials → ONE
-    exchange bounded by days×|types| (≈ 31×6 — tiny), pairwise fold
-    driver-side in ``aggregates.copeland_int``.  Mirror: the
-    days×types grid (cross join + coalesce 0), a self-join on day
-    for beats, a second self-join on the transposed pair for the
-    sign sum."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import copeland_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type"])
-
-    def daily(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        day = (batch.column("ts").cast(pa.timestamp("us"))
-               .cast(pa.int64()).to_numpy() // 86_400_000_000)
-        df = pd.DataFrame({"day": day,
-                           "event_type": batch.column("event_type")
-                           .to_pylist(), "n": 1})
-        g = df.groupby(["day", "event_type"], as_index=False)["n"].sum()
-        return pa.table({"day": pa.array(g["day"], pa.int64()),
-                         "event_type": pa.array(g["event_type"],
-                                                pa.large_string()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    cell = (ev.map_batches(daily, batch_format="pyarrow")
-            .groupby(["day", "event_type"])
-            .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    return copeland_int(cell, voter_col="day", cand_col="event_type",
-                        n_col="n")
-
-
-def _q_dm_test(sf_dir: str):
-    """Diebold-Mariano forecast-comparison test — the PAIRWISE judge
-    the forecast-eval family lacks: mase_eval and backtest_mae score
-    ONE forecaster against a scale, but "is the seasonal-naive
-    BETTER than the naive, or just lucky" compares two loss series
-    on the SAME days, and DM is the published test for exactly that
-    (Diebold & Mariano 1995).  Daily event totals on the gap-filled
-    calendar; forecaster A = lag-1 naive, B = lag-7 seasonal naive;
-    loss = |error| (integer — no squaring blow-up), eval days where
-    both are defined.  With d_t = |e_A| − |e_B|, S = Σd, Q = Σd²:
-
-        DM² = n·S² / (n·Q − S²)      (exact integer ratio)
-        z2_milli = 1000·n·S² // (n·Q − S²)
-        significant ⟺ 10⁶·n·S² > 3841459·(n·Q − S²)   (χ²₁ exact)
-
-    better_sign = sign(S) (+1 → seasonal wins).  h=1 small-sample
-    variant: plain variance of d, no HAC window — the classic
-    one-step-loss form.  ONE day-histogram exchange (≤ 31 cells),
-    fold in ``aggregates.dm_test_int``; mirror = calendar
-    generate_series + lag windows + identical fold."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import dm_test_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def daily(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        day = (batch.column("ts").cast(pa.timestamp("us"))
-               .cast(pa.int64()).to_numpy() // 86_400_000_000)
-        df = pd.DataFrame({"day": day, "n": 1})
-        g = df.groupby("day", as_index=False)["n"].sum()
-        return pa.table({"day": pa.array(g["day"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    h = (ev.map_batches(daily, batch_format="pyarrow")
-         .groupby("day")
-         .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    d0, d1 = int(h["day"].min()), int(h["day"].max())
-    full = {int(d): int(n) for d, n in zip(h["day"], h["n"])}
-    y = [full.get(d, 0) for d in range(d0, d1 + 1)]
-    r = dm_test_int(y, season=7)
-    out = pd.DataFrame([r])
-    for c in out.columns[:-1]:
-        out[c] = out[c].astype("int64")
-    out["significant"] = out["significant"].astype(bool)
-    return out
-
-
-def _q_mood_scale(sf_dir: str):
-    """Mood's two-sample SCALE test — the dispersion companion
-    mann_whitney deliberately isn't: the two arms of the Knuth-hash
-    coin can share their median activity while one swings far wider,
-    and a location test scores that 0 by construction; Mood's
-    statistic sums squared rank deviations from the center, so
-    EXTREME ranks (either end) testify and middling ranks don't.
-    Values are per-user event counts; doubled midranks keep ties
-    integral, t_v = (R'_v − (N+1))² is exactly 4× the classic score,
-    and the conditional-on-ties moments clear to one floor (the full
-    contract lives on ``aggregates.mood_scale_int``).  NOT Mood's
-    median test (a 2×2 χ² the pool rejected as a chi2 member) — this
-    is the 1954 squared-rank-deviation scale statistic.
-
-    Physical plan: ONE user-key exchange for counts, then a
-    (value, arm) histogram bounded by distinct counts × 2, fold
-    driver-side in Python ints (t ~ N², SQ ~ N⁵ — past int64 by
-    ~5k users; the SQL mirror's HUGEINT envelope holds to N ≈ 4k
-    subjects, documented here: sf0.1 has N = 1.5k)."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import mood_scale_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id"])
-
-    def ones(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        df = pd.DataFrame({"user_id": batch.column("user_id")
-                           .to_numpy(), "n": 1})
-        g = df.groupby("user_id", as_index=False)["n"].sum()
-        return pa.table({"user_id": pa.array(g["user_id"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    per_user = (ev.map_batches(ones, batch_format="pyarrow")
-                .groupby("user_id")
-                .aggregate(Sum("n", alias_name="v")))
-
-    def vh(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-        ids = batch.column("user_id").to_numpy()
-        h = (ids.astype(np.uint64) * np.uint64(2654435761)) \
-            % np.uint64(1 << 32)
-        df = pd.DataFrame({"v": batch.column("v").to_numpy(),
-                           "tr": h < np.uint64(1 << 31), "n": 1})
-        g = df.groupby(["v", "tr"], as_index=False)["n"].sum()
-        return pa.table({"v": pa.array(g["v"], pa.int64()),
-                         "tr": pa.array(g["tr"], pa.bool_()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    h = (per_user.map_batches(vh, batch_format="pyarrow")
-         .groupby(["v", "tr"])
-         .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    out = pd.DataFrame([mood_scale_int(h, val_col="v", grp_col="tr",
-                                       n_col="n")])
-    for c in out.columns[:-1]:
-        out[c] = out[c].astype("int64")
-    out["significant"] = out["significant"].astype(bool)
     return out
 
 
@@ -1076,515 +907,6 @@ def _q_stratified_logrank(sf_dir: str):
                                columns=["user_id", "ts"])
     return stratified_logrank_int(ev, horizon_days=30,
                                   censor_gap_hours=6, strata_mod=3)
-
-
-def _q_dhondt_seats(sf_dir: str):
-    """D'Hondt highest-averages apportionment — the PROPORTIONAL
-    SEAT ALLOCATION family, new to the surface: ranking ops
-    (top_tokens, copeland_rank) order candidates, but "divide a
-    fixed house of S = 10 seats among the event types in proportion
-    to their counts" is the classical apportionment problem, and
-    the two method families disagree in famous, pinnable ways
-    (D'Hondt's large-party bias here; Hamilton's Alabama paradox in
-    the sibling).  Quotients v/d for d = 1..10 are ordered EXACTLY
-    by the integer keys v·(2520/d) (2520 = lcm(1..10), so every
-    divisor divides out) — no floats, no floors anywhere; equal
-    quotients break by votes desc then party name (pinned by the
-    4/2 = 2/1 profile in the kernel tests).
-
-    Physical plan: per-batch event-type value_counts → ONE
-    |types|-bounded exchange → driver fold in
-    ``aggregates.dhondt_int``.  Mirror: votes × generate_series
-    divisor grid, row_number over the same integer keys, count of
-    top-S rows per party."""
-    from documentai_ray.stages.aggregates import dhondt_int
-
-    out = dhondt_int(_apportion_votes(sf_dir), seats=10)
-    return out.rename(columns={"party": "event_type"})
-
-
-def _q_hamilton_seats(sf_dir: str):
-    """Hamilton largest-remainder apportionment — the OTHER
-    classical method family next to dhondt_seats' highest averages
-    (same 10-seat house, same vote census).  base = v·S // T seats
-    up front, the S − Σbase leftovers to the largest remainders
-    v·S mod T (ties: votes desc, then name) — the quota floor IS
-    the method, everything else exact integers.  The family's
-    defining pathology, the ALABAMA PARADOX (a party losing a seat
-    when the house GROWS — 5/3/1 gives C one seat of 4 but zero of
-    5), is pinned in the kernel tests; divisor methods are immune
-    by construction, which is why both ship side by side.
-
-    Mirror: the quota arithmetic verbatim (integer // and %), a
-    window row_number over remainders for the bonus seats."""
-    from documentai_ray.stages.aggregates import hamilton_int
-
-    out = hamilton_int(_apportion_votes(sf_dir), seats=10)
-    return out.rename(columns={"party": "event_type"})
-
-
-def _q_banzhaf_power(sf_dir: str):
-    """Banzhaf power index — COOPERATIVE GAME THEORY over
-    aggregates, a family the surface lacked: apportionment
-    (dhondt/hamilton) divides seats in proportion to weight, but
-    the power-index question is the opposite one — given the
-    weights, how much VOTING POWER does each player actually hold
-    under a quota rule, and the answer is famously NOT proportional
-    (the (50,49,1)@51 profile gives 49 votes exactly the power of
-    1 vote — both 200000 ppm — pinned in the kernel tests, beside
-    dictator/dummy and the all-veto symmetric profile).  Players =
-    event types, weight = event count, quota = strict majority
-    T//2 + 1; swings_i counts the coalitions i flips from losing
-    to winning, power_ppm = 10⁶·swings // Σswings (ONE floor);
-    is_dummy / is_veto integer flags.
-
-    Physical plan: the |types|-bounded vote census (shared with the
-    apportionment family), then an exhaustive 2^k coalition fold
-    driver-side in ``aggregates.banzhaf_int`` — k is the HANDFUL of
-    types (2^5 = 32 masks), never rows.  Mirror: generate_series
-    bitmask grid, per-mask weight sums via bit tests, the same
-    swing predicate and floor."""
-    from documentai_ray.stages.aggregates import banzhaf_int
-
-    out = banzhaf_int(_apportion_votes(sf_dir))
-    return out.rename(columns={"party": "event_type"})
-
-
-def _q_shapley_shubik(sf_dir: str):
-    """Shapley-Shubik power index — the ORDERING-based companion to
-    banzhaf_power (same game: types as players, counts as weights,
-    strict-majority quota): ss_i = #orderings of all k players in
-    which i's arrival pushes the running weight past quota, out of
-    k!.  Computed from the SAME pivotal-by-size table Banzhaf sums
-    flat, but weighing size s by s!·(k−1−s)! — exact integers at
-    k ≈ 5 (k! = 120), Σ ss_num = k!; ss_ppm = 10⁶·ss_num // k!.
-    The two indices rank players identically but WEIGH them
-    differently — (50,49,1)@51 reads 3/5 vs 4/6 for the big
-    player, both pinned.  Mirror: the bitmask grid with per-mask
-    size, DuckDB factorial() (exact HUGEINT) for the permutation
-    weights, same floor."""
-    from documentai_ray.stages.aggregates import shapley_shubik_int
-
-    out = shapley_shubik_int(_apportion_votes(sf_dir))
-    return out.rename(columns={"party": "event_type"})
-
-
-def _q_iv_wald(sf_dir: str):
-    """Wald / instrumental-variable LATE estimator — the missing
-    pillar of the causal suite: DiD exploits time, RDD a threshold,
-    matching observables, CUPED a covariate, MH strata — but when
-    treatment UPTAKE is voluntary, randomizing the ENCOURAGEMENT
-    and dividing intent-to-treat effect by first-stage uptake is
-    the textbook identification (Angrist-Imbens-Rubin LATE).  The
-    Knuth coin is the encouragement Z; uptake D follows the
-    canonical principal strata from a SECOND independent hash
-    (h2 = user_id·2246822519 mod 2³²): compliers (h2 < 0.7·2³²)
-    take iff encouraged, always-takers (h2 ≥ 0.9·2³²) take
-    regardless, never-takers sit out — NO defiers by construction,
-    which is exactly the monotonicity assumption LATE needs.
-    Outcome Y = real purchase conversion (independent of Z ⇒ a
-    placebo read near 0 on this corpus — the phenomena live in the
-    kernel pins: perfect compliance makes late == itt EXACTLY
-    because the cross-multiplied ratio clears both cell means in
-    one floor; 50% one-sided compliance doubles it; a dead first
-    stage clamps to 0 and flags weak).  Full integer contract on
-    ``aggregates.iv_wald_int``.  Physical plan: the shared
-    ``_user_conv_rollup`` exchange, then a 2-cell histogram."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import iv_wald_int
-
-    def cells(batch: pa.Table) -> pa.Table:
-        ids = batch.column("user_id").to_numpy()
-        h1 = (ids.astype(np.uint64) * np.uint64(2654435761)) \
-            % np.uint64(1 << 32)
-        h2 = (ids.astype(np.uint64) * np.uint64(2246822519)) \
-            % np.uint64(1 << 32)
-        z = (h1 < np.uint64(1 << 31))
-        d = (z & (h2 < np.uint64(3006477107))) \
-            | (h2 >= np.uint64(3865470566))
-        y = batch.column("conv").to_numpy()
-        df = pd.DataFrame({"z": z.astype("int64"), "n": 1,
-                           "d": d.astype("int64"),
-                           "y": y.astype("int64")})
-        g = df.groupby("z", as_index=False).sum()
-        for c in g.columns:
-            g[c] = g[c].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False) \
-                       .replace_schema_metadata(None)
-
-    g = (_user_conv_rollup(sf_dir)
-         .map_batches(cells, batch_format="pyarrow")
-         .groupby("z")
-         .aggregate(*[Sum(c, alias_name=c) for c in
-                      ("n", "d", "y")])).to_pandas()
-    table = {int(r["z"]): (int(r["n"]), int(r["d"]), int(r["y"]))
-             for _, r in g.iterrows()}
-    out = pd.DataFrame([iv_wald_int(table)])
-    for c in out.columns:
-        if c != "weak_instrument":
-            out[c] = out[c].astype("int64")
-    out["weak_instrument"] = out["weak_instrument"].astype(bool)
-    return out
-
-
-def _q_meta_fixed(sf_dir: str):
-    """Fixed-effect meta-analysis with Cochran's Q and Higgins' I² —
-    the HETEROGENEITY family, new to the surface: mh_stratified
-    pools within-stratum differences to guard Simpson, but the
-    meta-analytic question is the reverse — "do the strata even
-    AGREE on the effect, and how much of the spread is real rather
-    than sampling noise?"  Q (weighted squared deviation from the
-    inverse-variance pool) and I² = (Q − df)/Q are the published
-    answers (Cochran 1954; Higgins & Thompson 2002).  Strata =
-    user_id mod 5 (low-order residue, independent of the Knuth
-    coin's high bits); effect = per-stratum conversion risk
-    difference.  Every floor documented on
-    ``aggregates.meta_fixed_int``; identical strata collapse Q to
-    EXACTLY 0 (the computational form's flooring residue vanishes
-    — pinned), one flipped stratum blows past the χ²_df bar, and
-    degenerate all-or-none strata emit with w = 0 and leave the
-    pool (pinned).  One row per stratum with the pooled columns
-    repeated (the kruskal row-shape convention).  Physical plan:
-    the shared ``_user_conv_rollup`` exchange, then a 10-cell
-    (stratum × arm) histogram.  Mirror: the same arithmetic under
-    HUGEINT — envelope (Σw·d)² ≲ 2.5e37 documented at the kernel."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import meta_fixed_int
-
-    def cells(batch: pa.Table) -> pa.Table:
-        ids = batch.column("user_id").to_numpy()
-        h1 = (ids.astype(np.uint64) * np.uint64(2654435761)) \
-            % np.uint64(1 << 32)
-        t = (h1 < np.uint64(1 << 31)).astype("int64")
-        y = batch.column("conv").to_numpy().astype("int64")
-        df = pd.DataFrame({"s": (ids % 5).astype("int64"),
-                           "nt": t, "ct": t * y,
-                           "nc": 1 - t, "cc": (1 - t) * y})
-        g = df.groupby("s", as_index=False).sum()
-        for c in g.columns:
-            g[c] = g[c].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False) \
-                       .replace_schema_metadata(None)
-
-    g = (_user_conv_rollup(sf_dir)
-         .map_batches(cells, batch_format="pyarrow")
-         .groupby("s")
-         .aggregate(*[Sum(c, alias_name=c) for c in
-                      ("nt", "ct", "nc", "cc")])).to_pandas()
-    strata = sorted((int(r["s"]), int(r["nt"]), int(r["ct"]),
-                     int(r["nc"]), int(r["cc"]))
-                    for _, r in g.iterrows())
-    out = meta_fixed_int(strata)
-    out["stratum"] = out["stratum"].astype("int64")
-    return out
-
-
-def _q_erlang_blocking(sf_dir: str):
-    """Erlang-B blocking chain — TELETRAFFIC/capacity-planning, a
-    family the surface lacked: interarrival_stats and max_concurrency
-    DESCRIBE the load, but "how many crawl workers keep blocking
-    under 1% at the peak hour" is the 1917 Erlang loss model, the
-    oldest production capacity formula there is.  Offered load
-    a = peak-hour arrivals × 3 s hold time / 3600 s (micro-erlang
-    floor), then the classic recursion B_c = a·B_{c−1}/(c + a·B_{c−1})
-    replayed as chained ppm floors for c = 1..10 — the km_survival
-    sequential-fold discipline, ONE floor per step, and at a = 1
-    erlang the chain is EXACT (1/2, 1/5, 1/16 — pinned on
-    ``aggregates.erlang_b_int`` along with monotone-in-c and the
-    dead-load clamp).  meets_sla ⟺ blocking < 1% (the classic GoS
-    bar).  Physical plan: per-batch hourly partials → ONE
-    |hours|-bounded exchange (≤ ~750 cells) → driver max + 10-step
-    fold.  Mirror: the hour histogram + a WITH RECURSIVE chain over
-    c (the fold is data-INdependent in length — exactly when the
-    recursive-CTE mirror is honest)."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import erlang_b_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def hourly(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        hr = (batch.column("ts").cast(pa.timestamp("us"))
-              .cast(pa.int64()).to_numpy() // 3_600_000_000)
-        df = pd.DataFrame({"hr": hr, "n": 1})
-        g = df.groupby("hr", as_index=False)["n"].sum()
-        return pa.table({"hr": pa.array(g["hr"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    h = (ev.map_batches(hourly, batch_format="pyarrow")
-         .groupby("hr")
-         .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    peak = int(h["n"].max())
-    a_micro = 1_000_000 * peak // 1200
-    return erlang_b_int(a_micro, servers=10)
-
-
-def _q_wspt_schedule(sf_dir: str):
-    """Smith's-rule (WSPT) single-machine scheduling — SCHEDULING
-    THEORY, a family the surface lacked: rankings order rows, but
-    "in what order should one worker process the back-office queue
-    to minimize total weighted waiting" is the classical 1||ΣwC
-    problem, solved EXACTLY by shortest-weighted-processing-time
-    order (Smith 1956).  Jobs = orders; p = price cents (the
-    doubled-units convention), w = priority class 5..1; the Smith
-    ratio p/w orders exactly via the integer key p·(60//w)
-    (60 = lcm(1..5) clears every weight — the dhondt_seats trick),
-    ties by orderkey.  Σ w·C under WSPT vs the FIFO (orderkey)
-    baseline — WSPT is provably minimal, so improvement_ppm ≥ 0
-    ALWAYS (the adjacent-exchange argument; equal ratios are
-    exchange-invariant, both pinned on
-    ``aggregates.wspt_objective_int``).
-
-    Physical plan — the completion time C_j is a GLOBAL prefix sum,
-    computed without a global sort: (1) per-batch partials of Σp per
-    key-range bucket (key >> 24, ~180 buckets) → tiny exchange →
-    driver exclusive-prefix offsets shipped via ray.put; (2) rows
-    shuffle ONCE by bucket, each bucket sorts locally and cumsums
-    from its offset — group count bounded by buckets, not rows.
-    The FIFO baseline repeats the plan on orderkey ranges.  Int64
-    envelope: Σw·C ≈ 6e17 at sf0.1, safe to ~sf1 (HUGEINT in the
-    mirror)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import WSPT_WEIGHTS
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderpriority", "o_totalprice"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        pr = pd.Series(batch.column("o_orderpriority").to_pylist())
-        w = pr.map(WSPT_WEIGHTS).to_numpy().astype("int64")
-        p = np.rint(batch.column("o_totalprice").to_numpy()
-                    * 100).astype("int64")
-        ok = batch.column("o_orderkey").to_numpy().astype("int64")
-        key = p * (60 // w)
-        return pa.table({"ok": pa.array(ok, pa.int64()),
-                         "w": pa.array(w, pa.int64()),
-                         "p": pa.array(p, pa.int64()),
-                         "key": pa.array(key, pa.int64()),
-                         "bw": pa.array(key >> 24, pa.int64()),
-                         "bf": pa.array(ok >> 14, pa.int64())})
-
-    jobs = ds.map_batches(prep, batch_format="pyarrow")
-
-    def offsets(bucket_col: str):
-        def partial(batch: pa.Table) -> pa.Table:
-            df = pd.DataFrame({"b": batch.column(bucket_col)
-                               .to_numpy(),
-                               "s": batch.column("p").to_numpy()})
-            g = df.groupby("b", as_index=False)["s"].sum()
-            return pa.table({"b": pa.array(g["b"], pa.int64()),
-                             "s": pa.array(g["s"], pa.int64())})
-        h = (jobs.map_batches(partial, batch_format="pyarrow")
-             .groupby("b")
-             .aggregate(Sum("s", alias_name="s"))).to_pandas()
-        h = h.sort_values("b", kind="mergesort")
-        cum = h["s"].cumsum().to_numpy()
-        start = np.concatenate(([0], cum[:-1]))
-        return ray.put({int(b): int(s)
-                        for b, s in zip(h["b"], start)})
-
-    off_w, off_f = offsets("bw"), offsets("bf")
-
-    def wct_pass(bucket_col, sort_cols, off_ref, out_name):
-        def fold(g: pd.DataFrame) -> pd.DataFrame:
-            offs = ray.get(off_ref)
-            g = g.sort_values(sort_cols, kind="mergesort")
-            c = int(offs[int(g[bucket_col].iloc[0])]) \
-                + g["p"].cumsum().to_numpy()
-            g["_wc"] = g["w"].to_numpy() * c
-            agg = g.groupby("w", as_index=False).agg(
-                **{out_name: ("_wc", "sum"),
-                   "n_jobs": ("p", "size"),
-                   "sum_p_cents": ("p", "sum")})
-            for col in agg.columns:
-                agg[col] = agg[col].astype("int64")
-            return agg
-        part = (jobs.groupby(bucket_col)
-                .map_groups(fold, batch_format="pandas"))
-        return (part.groupby("w")
-                .aggregate(Sum(out_name, alias_name=out_name),
-                           Sum("n_jobs", alias_name="n_jobs"),
-                           Sum("sum_p_cents",
-                               alias_name="sum_p_cents"))).to_pandas()
-
-    a = wct_pass("bw", ["key", "ok"], off_w, "wct_wspt")
-    b = wct_pass("bf", ["ok"], off_f, "wct_fifo")
-    out = a.merge(b[["w", "wct_fifo"]], on="w").sort_values("w")
-    tot_w, tot_f = int(out["wct_wspt"].sum()), \
-        int(out["wct_fifo"].sum())
-    rev = {v: k for k, v in WSPT_WEIGHTS.items()}
-    out["priority"] = out["w"].map(rev)
-    out["total_wspt"] = tot_w
-    out["total_fifo"] = tot_f
-    out["improvement_ppm"] = (1_000_000 * (tot_f - tot_w) // tot_f
-                              if tot_f > 0 else 0)
-    out = out[["priority", "w", "n_jobs", "sum_p_cents", "wct_wspt",
-               "wct_fifo", "total_wspt", "total_fifo",
-               "improvement_ppm"]].reset_index(drop=True)
-    for c in out.columns:
-        if c != "priority":
-            out[c] = out[c].astype("int64")
-    return out
-
-
-def _q_gsp_auction(sf_dir: str):
-    """Generalized-second-price position auction — AUCTION THEORY,
-    a family the surface lacked: banzhaf/shapley ask how much power
-    a COALITION weight buys, but "rank the event types by their
-    mean value as ad bidders over 3 slots and settle next-price"
-    is the GSP mechanism every search-ad market runs
-    (Edelman-Ostrovsky-Schwarz 2007).  Bids = per-type mean value
-    in micro-cents (one floor in the census); slots pay
-    c_i · b_{i+1} — PURE integer products, ties by type name, a
-    slot whose next bid is past the field pays 0 (all pinned on
-    ``aggregates.position_auction_int`` beside the single-slot
-    Vickrey collapse).  Physical plan: per-batch (type → Σcents, n)
-    partials → ONE |types|-bounded exchange → driver rank-and-
-    settle over ≤ 3 slots.  Mirror: the census + row_number rank +
-    a VALUES slot table joined on rank."""
-    from documentai_ray.stages.aggregates import position_auction_int
-
-    out = position_auction_int(_auction_bids(sf_dir), _AUCTION_CTRS)
-    return out[["slot", "ctr_permille", "bidder", "bid_micro",
-                "next_bid_micro", "gsp_pay", "gsp_revenue"]]
-
-
-def _q_vcg_payments(sf_dir: str):
-    """VCG settlement of the SAME position auction — the truthful
-    mechanism GSP famously is not, and the pair ships together
-    because their relationship is a theorem, not a coincidence:
-    vcg_pay_i = Σ_{j≥i} (c_j − c_{j+1})·b_{j+1} (the externality
-    the winner imposes on everyone below) is dominated by GSP's
-    c_i·b_{i+1} in EVERY slot term-by-term (bids descend), with
-    EQUALITY at the last slot and in the single-slot case where
-    both collapse to Vickrey — so overcharge_ppm carries one
-    provably-nonneg floor and gsp_dominates is True by theorem
-    (pinned, with truthful-utility c_i·b_i ≥ vcg_pay_i beside it).
-    Same census exchange as gsp_auction; the suffix sum is a
-    window SUM ORDER BY slot DESC in the mirror — no recursion."""
-    from documentai_ray.stages.aggregates import position_auction_int
-
-    out = position_auction_int(_auction_bids(sf_dir), _AUCTION_CTRS)
-    return out[["slot", "ctr_permille", "bidder", "vcg_pay",
-                "gsp_pay", "vcg_revenue", "gsp_revenue",
-                "overcharge_ppm", "gsp_dominates"]]
-
-
-def _q_nash_2x2(sf_dir: str):
-    """Nash equilibria of a 2×2 bimatrix game — NON-COOPERATIVE
-    game theory, the solution-concept complement of banzhaf/shapley
-    (cooperative) and gsp/vcg (mechanism design): two platform
-    teams each flip an independent hash coin, and the measured
-    payoffs per cell are the ROW player's conversion ppm and the
-    COLUMN player's error-free ppm (one floor each).  Best-response
-    checks give the pure NE; the interior mixed equilibrium makes
-    the OPPONENT indifferent — exact rationals with interiority
-    checked on the integers and one nonneg floor each (the classic
-    trio is pinned on ``aggregates.nash_2x2_int``: matching pennies
-    0 pure + p = q = 1/2, prisoner's dilemma 1 pure + no mixed,
-    battle of the sexes 2 pure + 2/3, 1/3 — equilibrium counts all
-    ODD per Wilson 1971).  On this corpus the coins are independent
-    of the outcomes, so payoffs are near-flat and the cells read as
-    near-ties — the phenomena live in the kernel pins (the
-    selectivity_audit lesson).  Plan: ONE user-key exchange →
-    4-cell histogram → driver arithmetic on 12 integers.  Mirror:
-    the same census pivoted to 8 scalars + CASE best-response
-    algebra."""
-    from documentai_ray.stages.aggregates import nash_2x2_int
-
-    cells = _game_cells(sf_dir)
-    A = [[0, 0], [0, 0]]
-    B = [[0, 0], [0, 0]]
-    for (i, j), (n, sc, se) in cells.items():
-        A[i][j] = 1_000_000 * sc // n if n > 0 else 0
-        B[i][j] = 1_000_000 * (n - se) // n if n > 0 else 0
-    return nash_2x2_int(A, B)
-
-
-def _q_zerosum_value(sf_dir: str):
-    """Value of the 2×2 ZERO-SUM game over the same cells — von
-    Neumann's 1928 minimax, the third solution concept of the
-    game-theory suite: payoffs = CENTERED conversion ppm (cell ppm
-    minus the overall ppm, one extra floor — so the matrix has
-    genuine negative entries and the sign-split value floor is
-    exercised).  maximin ≤ minimax ALWAYS; equality is a saddle
-    (pure value, zero flooring), otherwise the mixed value
-    (a00·a11 − a01·a10)/D is an exact rational reported in milli
-    with the minimax theorem maximin ≤ v ≤ minimax pinned on
-    ``aggregates.zerosum_value_int`` beside the saddle detector and
-    matching pennies' exact v = 0, p = q = 1/2.  Same single
-    user-key exchange; mirror = pivoted scalars + greatest/least
-    minimax algebra + the sign-split milli floor."""
-    from documentai_ray.stages.aggregates import zerosum_value_int
-
-    cells = _game_cells(sf_dir)
-    tn = sum(v[0] for v in cells.values())
-    tc = sum(v[1] for v in cells.values())
-    overall = 1_000_000 * tc // tn if tn > 0 else 0
-    A = [[0, 0], [0, 0]]
-    for (i, j), (n, sc, _) in cells.items():
-        A[i][j] = (1_000_000 * sc // n if n > 0 else 0) - overall
-    return zerosum_value_int(A)
-
-
-def _q_series_parallel_rel(sf_dir: str):
-    """Series / parallel system reliability — RELIABILITY
-    ENGINEERING, a family the surface lacked: dq_audit and
-    field_validation COUNT failures, but "if the pipeline needs
-    every event-type feed healthy (series) vs any one (parallel),
-    how reliable is the system" is the oldest composition law in
-    the discipline.  Components = event types, r = value ≥ 50
-    success ppm; series = Π r // 10⁶⁽ⁿ⁻¹⁾ and parallel =
-    (10⁶ⁿ − Π f) // 10⁶⁽ⁿ⁻¹⁾ — exact products, ONE floor each,
-    the complement-numerator parallel form chosen so the k-of-n
-    bridge identities are exact (see koon_availability).
-    Weakest-link law and the two-fair-coins 250000/750000 pins on
-    ``aggregates.system_reliability_int``.  Plan: |types|-bounded
-    census → driver products.  Mirror: recursive product chain
-    over components with HUGEINT accumulators (envelope 10³⁰ at
-    n = 5)."""
-    from documentai_ray.stages.aggregates import (
-        system_reliability_int,
-    )
-
-    return system_reliability_int(_component_rel(sf_dir))
-
-
-def _q_koon_availability(sf_dir: str):
-    """k-out-of-n availability ladder — the redundancy family's
-    full curve over the SAME components: R(k) = Σ_{|S|≥k}
-    Π_{i∈S} r_i Π_{i∉S} f_i // 10⁶⁽ⁿ⁻¹⁾, exhaustive over 2ⁿ
-    component states (the banzhaf bitmask discipline — n = |types|,
-    2⁵ = 32 states, never rows), ONE floor per k.  The ladder
-    bridges the compositions EXACTLY — R(1) == parallel, R(n) ==
-    series, bit for bit — and is monotone non-increasing in k;
-    majority-of-three fair coins reads exactly 500000 and TMR at
-    0.9 exactly 972000 (all pinned on
-    ``aggregates.koon_reliability_int``).  Mirror: bitmask grid ×
-    recursive per-mask product chain (HUGEINT, Σ ≤ 2ⁿ·10⁶ⁿ ≈
-    3·10³¹ at n = 5), bit-test popcount, suffix subset sums."""
-    from documentai_ray.stages.aggregates import koon_reliability_int
-
-    return koon_reliability_int(_component_rel(sf_dir))
 
 
 def _q_luhn_check(sf_dir: str):
@@ -1888,52 +1210,6 @@ def _q_absorbing_chain(sf_dir: str):
     return absorbing_chain_int(q_ppm, r_ppm, tr, ab)
 
 
-def _q_sir_epidemic(sf_dir: str):
-    """Discrete Kermack-McKendrick SIR epidemic (1927) — POPULATION
-    DYNAMICS, a family the surface lacked: every time-series op so
-    far DESCRIBES an observed series (acf, ewma, mann_kendall,
-    changepoint), but "seed an incident at the error share and let
-    it propagate at the click-derived contact rate — when does it
-    peak and how many stay uninfected" SIMULATES one, the oldest
-    compartmental model there is.  24 exact integer Euler steps
-    (the erlang_blocking chained-floor discipline — fixed,
-    data-INdependent length, exactly when a recursive SQL mirror is
-    honest): new_inf = β·S·I // 10¹², recov = γ·I // 10⁶, both
-    TRANSFERS so S+I+R == 10⁶ bit-exactly at every step (pinned —
-    conservation is by construction, not approximate).  β =
-    3·share(click), γ = share(signup), I₀ = share(error)//10 from
-    ONE type-share census.  Threshold theorem pinned on the kernel:
-    I monotone down iff R_eff = β·S₀/γ·10⁶ < 1, peak-and-decline
-    above.  Mirror: WITH RECURSIVE carrying (β, γ) as recursion
-    columns, replaying the identical floors."""
-    from documentai_ray.stages.aggregates import sir_epidemic_int
-
-    sh = _type_shares(sf_dir)
-    return sir_epidemic_int(3 * sh["click"], sh["signup"],
-                            sh["error"] // 10)
-
-
-def _q_lotka_volterra(sf_dir: str):
-    """Discrete Lotka-Volterra predator-prey dynamics (1925/26) —
-    the two-species companion of sir_epidemic: prey = organic
-    traffic (view-seeded), predator = conversion pressure
-    (purchase-seeded), rates from the same type-share census.  24
-    chained integer Euler steps, four floors per step, with the
-    explicit max(0, ·) extinction clamp — the discrete-Euler
-    honesty tax, mirrored as greatest(0, ·).  The interior
-    equilibrium survives integer arithmetic exactly when
-    representable: a = b, c = d, x = y = 10⁶ is an EXACT eternal
-    fixed point (pinned); decoupled b = d = 0 chains replay
-    geometric growth/decay floor-for-floor (pinned).  Mirror: WITH
-    RECURSIVE carrying all four rates as recursion columns."""
-    from documentai_ray.stages.aggregates import lotka_volterra_int
-
-    sh = _type_shares(sf_dir)
-    return lotka_volterra_int(
-        sh["click"] // 2, sh["error"], sh["signup"] // 2,
-        sh["view"], 2 * sh["view"], sh["purchase"])
-
-
 def _q_debruijn_degrees(sf_dir: str):
     """De Bruijn graph degree-imbalance census — SEQUENCE ASSEMBLY
     (Pevzner / Idury-Waterman), a family the surface lacked: the
@@ -1988,1318 +1264,4 @@ def _q_debruijn_contigs(sf_dir: str):
     edges = edge_census(ds).materialize()
     return assembly_stats(edges, degree_table(edges))
 
-
-def _q_johnson_flowshop(sf_dir: str):
-    """Johnson's rule for the 2-machine flowshop (1954) — the
-    MAKESPAN face of scheduling theory: wspt_schedule minimizes
-    weighted completion on ONE machine, but "every event-type feed
-    passes through ingest (machine 1 = its AM mean cents) then
-    enrich (machine 2 = its PM mean cents); in what order does the
-    whole batch finish earliest" is the flowshop question Johnson
-    solved exactly: p1 < p2 jobs first ascending p1, the rest
-    descending p2, ties by name.  Optimality pinned by BRUTE FORCE
-    over all 5! orders (``aggregates.johnson_flowshop_int``), FIFO
-    baseline rides along with Johnson ≤ FIFO by theorem.  The C2
-    fold is mirrored WITHOUT recursion via the prefix/suffix closed
-    form C2_j = max_{i≤j}(S1_i + S2_j − S2_i + p2_i) — a 5×5
-    self-join on window prefix sums, algebraically identical.  Two
-    floors total (the two mean-cents censuses)."""
-    from documentai_ray.stages.aggregates import johnson_flowshop_int
-
-    cen = _halfday_census(sf_dir)
-    jobs = []
-    for t in sorted(cen):
-        (s0, n0), (s1, n1) = cen[t][0], cen[t][1]
-        jobs.append((t, s0 // n0, s1 // n1))
-    return johnson_flowshop_int(jobs)
-
-
-def _q_critical_path(sf_dir: str):
-    """Critical Path Method (Kelley-Walker 1959) — PROJECT
-    NETWORKS, a family the surface lacked: dag_layers counts depth
-    and sssp_weighted minimizes, but a project schedule needs the
-    LONGEST path and its slack structure.  The five event types are
-    tasks on the fixed activity network A→C, B→C, A→D, C→E, D→E
-    (``aggregates.CPM_EDGES``; durations = whole-day mean cents,
-    one floor each): forward pass ES = max(pred ES + d), project
-    duration T = sink ES + d, backward pass LS = min(succ LS) − d,
-    slack = LS − ES.  Classical structure pinned: slack ≥ 0
-    everywhere, the zero-slack tasks form a source-to-sink chain
-    realizing T (a critical path ALWAYS exists), T == the explicit
-    max over the three enumerated path sums.  Zero floors past the
-    census — pure max/min/plus algebra.  Mirror: the same fixed-DAG
-    passes as chained greatest/least CTEs, no recursion."""
-    from documentai_ray.stages.aggregates import critical_path_int
-
-    cen = _halfday_census(sf_dir)
-    tasks = sorted(cen)
-    durations = []
-    for t in tasks:
-        (s0, n0), (s1, n1) = cen[t][0], cen[t][1]
-        durations.append((s0 + s1) // (n0 + n1))
-    return critical_path_int(tasks, durations)
-
-
-def _q_pythagorean_wins(sf_dir: str):
-    """Bill James' Pythagorean expectation — SPORTS ANALYTICS /
-    RATING THEORY, a family the surface lacked: each event type is
-    a team that 'scores' its AM cents and 'allows' its PM cents,
-    and the expected win share is S²/(S² + A²) (exponent 2, the
-    classical form) next to the raw share S/(S+A), with luck_ppm =
-    the gap between them — the regression-to-skill diagnostic the
-    estimator exists for.  One floor per team per column.
-    Identities pinned on ``aggregates.pythagorean_wins_int``:
-    S == A → exactly 500000, A == 0 → exactly 10⁶, SCALE INVARIANCE
-    (doubling S and A scales num and den by exactly 4 — even the
-    floor residue is unchanged), canonical 100-vs-50 → exactly
-    800000.  Mirror: the same squares with HUGEINT casts (10⁶·S²
-    ~ 10³⁰ at production S — envelope at the kernel)."""
-    from documentai_ray.stages.aggregates import pythagorean_wins_int
-
-    cen = _team_census(sf_dir)
-    return pythagorean_wins_int(
-        [(t, cen[t][2], cen[t][3]) for t in sorted(cen)])
-
-
-def _q_log5_matchup(sf_dir: str):
-    """Bill James' log5 matchup rule == the Bradley-Terry pairwise
-    model — the head-to-head companion of pythagorean_wins: team
-    ratings p_t = value≥150 share ppm (one floor), and every pair
-    (a < b) gets p_a(1−p_b) / (p_a(1−p_b) + p_b(1−p_a)) — one more
-    floor.  The model's defining identities pinned on
-    ``aggregates.log5_matchup_int``: equal ratings → exactly
-    500000; against a league-average (p = 1/2) opponent the answer
-    is p_a EXACTLY (zero floor residue — the identity that made
-    log5 famous); complement p_ab + p_ba drifts at most 1 ppm (the
-    two remainders sum to 0 or the denominator, never between);
-    better rating ⇒ > 500000.  Mirror: the same census + pair
-    cross join, HUGEINT products."""
-    from documentai_ray.stages.aggregates import log5_matchup_int
-
-    cen = _team_census(sf_dir)
-    return log5_matchup_int(
-        [(t, 1_000_000 * cen[t][1] // cen[t][0])
-         for t in sorted(cen)])
-
-
-def _q_borda_count(sf_dir: str):
-    """Borda count (1770) — the POSITIONAL member completing the
-    social-choice trio: copeland_rank settles by pairwise majority
-    (abstaining on ties), but Borda weighs the WHOLE ranking — rank
-    r of k earns k − r points — and the two rules famously diverge,
-    which is the family's point: plurality tallies ride along in
-    the same output because the canonical profile where the
-    plurality winner is Borda-LAST is pinned on
-    ``aggregates.borda_int``, beside the classical guarantee that a
-    Condorcet winner is never Borda-last (checked on a seeded
-    profile sweep).  Ballots are the copeland day-voter census with
-    a strict (count desc, name asc) tie-break — strict rankings are
-    what positional rules need, stated where copeland's abstention
-    convention differs.  Zero floors.  Mirror: days×types grid +
-    row_number ranks + point sums."""
-    from documentai_ray.stages.aggregates import borda_int
-
-    return borda_int(_daily_ballot_census(sf_dir), voter_col="day",
-                     cand_col="event_type", n_col="n")
-
-
-def _q_irv_winner(sf_dir: str):
-    """Instant-runoff voting — the ELIMINATION member of the
-    social-choice suite: each round tallies first choices among
-    remaining candidates and eliminates the minimum (ties by name),
-    k − 1 rounds then the survivor.  The round COUNT is fixed by
-    the candidate census (5 types ⇒ 4 rounds) even though the
-    elimination ORDER is data-dependent — exactly the shape a
-    chained-CTE mirror can replay honestly.  IRV's canonical
-    pathologies are pinned on ``aggregates.irv_int``: it eliminates
-    the Condorcet winner on the textbook centrist-squeeze profile,
-    and the classic MONOTONICITY violation (ranking a candidate
-    higher makes them LOSE) is exhibited verbatim — the reasons
-    this rule is famous.  Zero floors.  Mirror: four chained
-    tally→argmin→filter CTE rounds over the same grid (the mirror
-    hardcodes the 5-candidate census every sf ships)."""
-    from documentai_ray.stages.aggregates import irv_int
-
-    return irv_int(_daily_ballot_census(sf_dir), voter_col="day",
-                   cand_col="event_type", n_col="n")
-
-
-def _q_erlang_c_wait(sf_dir: str):
-    """Erlang-C waiting probability — the DELAY system completing
-    erlang_blocking's LOSS system: a blocked crawl request that
-    QUEUES instead of vanishing waits with probability
-    C = c·B/(c − a(1−B)), computed as two more chained floors on
-    top of the replayed Erlang-B chain, clamped to certainty for
-    unstable c ≤ a.  avg_wait = 3000·C // (c·10⁶ − a) milli-s (the
-    same 3 s hold time as the census).  Classical structure pinned
-    on ``aggregates.erlang_c_int``: C ≥ B ALWAYS (the loss/delay
-    inequality — a queued call waits at least as often as a lossy
-    one is lost), the single-server M/M/1 identity P(wait) = ρ
-    within ≤ 2 ppm floor drift, monotone non-increasing in c, the
-    unstable clamp at c ≤ a.  Same peak-hour offered load and
-    |hours|-bounded exchange as erlang_blocking.  Mirror: the B
-    recursion extended by two expressions per row — still one WITH
-    RECURSIVE of data-independent length."""
-    from documentai_ray.stages.aggregates import erlang_c_int
-
-    peak, _, _ = _hourly_peak_mean(sf_dir)
-    return erlang_c_int(1_000_000 * peak // 1200, servers=10)
-
-
-def _q_mm1_queue(sf_dir: str):
-    """M/M/1 closed forms at the MEAN load — the single-server laws
-    every queueing course opens with, completing the teletraffic
-    ladder (B = loss, C = delay, M/M/1 = the c = 1 special case
-    with its whole stationary law in closed form): utilization
-    ρ = mean hourly arrivals / 1200 (3 s service), then
-    L = ρ/(1−ρ), Lq = ρ²/(1−ρ), W = h/(1−ρ), Wq = ρh/(1−ρ), and
-    P(N > 10) = ρ¹¹ as ten chained ppm floors — one floor per
-    output (``aggregates.mm1_metrics_int``).  The dyadic textbook
-    row pinned EXACT: ρ = 1/2 gives L = 1.000, Lq = 0.500,
-    W = 6.000 s, Wq = 3.000 s, P(N>10) = 488 ppm (1/2048 floored);
-    W − Wq == h within ≤ 1 milli floor drift; unstable ρ ≥ 1
-    raises.  Mirror: the same rationals + a 10-step power chain."""
-    from documentai_ray.stages.aggregates import mm1_metrics_int
-
-    _, total, hours = _hourly_peak_mean(sf_dir)
-    lam_per_hour_milli = 1000 * total // hours
-    rho_ppm = 1000 * lam_per_hour_milli // 1200
-    return mm1_metrics_int(rho_ppm)
-
-
-def _q_anova_oneway(sf_dir: str):
-    """One-way fixed-effects ANOVA (Fisher 1925) — the PARAMETRIC
-    variance-decomposition family the surface lacked: the rank-test
-    matrix is complete (KW / Cochran-Armitage / Friedman / Page) but
-    every member throws away the raw magnitudes; "do the five event
-    types draw VALUE from populations with the same mean" is the
-    question ANOVA answers on the cents themselves, partitioning
-    SST into SSB + SSW and comparing mean squares.  Integer
-    contract (``aggregates._anova_floors``): SSW = Q − Σ S_i²//n_i
-    (one floor per group), SST = Q − S²//N (one grand floor),
-    SSB = max(0, SST − SSW) (the clamp exists because per-group
-    floor losses can dip the difference below zero near SSB = 0 —
-    never the true statistic, which is ≥ 0 by the decomposition),
-    F at milli and eta² at ppm one floor each.  LOCATION INVARIANCE
-    IS EXACT including floor residue — (S + d·n)²//n = S²//n + 2dS
-    + d²n termwise, pinned in tests — the property the parametric
-    family is supposed to have and the floors don't break.
-    Envelope: 1000·SSB·N ~ 4·10³⁵ at 10¹² rows — HUGEINT in the
-    mirror.  ONE domain-bounded (type, cents) histogram exchange
-    shared with brown_forsythe.  Mirror: the same moments and
-    floors under HUGEINT."""
-    from documentai_ray.stages.aggregates import anova_oneway_int
-
-    h = _value_type_hist(sf_dir)
-    h["s"] = h["c"] * h["n"]
-    h["q"] = h["c"] * h["c"] * h["n"]
-    g = h.groupby("grp", as_index=False).agg(
-        n=("n", "sum"), s=("s", "sum"), q=("q", "sum"))
-    return anova_oneway_int(
-        [(r.grp, int(r.n), int(r.s), int(r.q))
-         for r in g.itertuples(index=False)])
-
-
-def _q_brown_forsythe(sf_dir: str):
-    """Brown-Forsythe test (1974) — the DISPERSION face of the
-    parametric pair: anova_oneway asks whether the five event types
-    differ in mean value, Brown-Forsythe runs the identical F
-    machinery on absolute deviations from each group's MEDIAN and
-    asks whether they differ in SPREAD (Levene's test with the
-    robust center — the recommended modern form).  Medians of even
-    groups are half-integers, so everything doubles: med2 = lo + hi
-    (the two middle order statistics from window cumsums over the
-    bounded histogram — never row order), z = |2·cents − med2| is
-    exact, and the fold is the same k + 2 ANOVA floors on the z
-    moments (``aggregates.brown_forsythe_int``).  The classic
-    differential diagnostic is pinned in tests: equal-mean unequal-
-    spread groups give ANOVA F ≈ 0 and BF F large, and location
-    invariance is EXACT (med2 shifts by 2d, every z unchanged).
-    Same single histogram exchange as anova_oneway.  Mirror:
-    histogram CTE + two order-statistic CTEs (min c with cumsum
-    reaching ⌈n/2⌉ and ⌊n/2⌋+1) + the identical floors."""
-    from documentai_ray.stages.aggregates import brown_forsythe_int
-
-    return brown_forsythe_int(_value_type_hist(sf_dir),
-                              grp_col="grp", val_col="c")
-
-
-def _q_h_index(sf_dir: str):
-    """Hirsch h-index + Egghe g-index + i10 per author —
-    BIBLIOMETRICS, a family the surface lacked: decayed_leaderboard
-    ranks raw sums and topk_per_group takes extremes, but "h papers
-    with ≥ h citations each" is the BALANCED productivity-AND-impact
-    statistic neither can express, and g (largest g whose top-g sum
-    ≥ g²) is its heavy-tail-sensitive repair.  Each user is an
-    author, each event a paper, citations = ⌊value⌋ (whole units).
-    Plan: per-batch (author, cit) partials → ONE histogram-bounded
-    exchange → bucket authors by id % 32 and fold EACH BUCKET with
-    one vectorized pandas pass (``aggregates.h_g_index_fold`` — the
-    sessionize discipline: groups bounded by P, never one Python
-    group per author); the fold works on cumulative level algebra,
-    never materializing a row per paper.  The g quadratic is solved
-    with an integer-corrected float sqrt and an exactness assert —
-    see the kernel docstring for both correctness proofs.  Pins:
-    g ≥ h (Egghe's theorem), the zero-cited-paper law, and the
-    literature example [10,8,5,4,3] → h 4, g 5.  Mirror: a
-    DIFFERENT algorithm entirely (row_number + cumsum windows over
-    raw rows — 'largest rank with cit ≥ rank' / 'largest rank with
-    cumsum ≥ rank²'), a first-principles cross-check."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import h_g_index_fold
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "author": batch.column("user_id").to_numpy(),
-            "cit": np.floor(batch.column("value").to_numpy())
-            .astype("int64"),
-            "n": 1})
-        g = df.groupby(["author", "cit"], as_index=False)["n"].sum()
-        return pa.Table.from_pandas(g, preserve_index=False) \
-                       .replace_schema_metadata(None)
-
-    hist = (ev.map_batches(partial, batch_format="pyarrow")
-            .groupby(["author", "cit"])
-            .aggregate(Sum("n", alias_name="n")))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "bucket", pa.array(batch.column("author").to_numpy()
-                               % 32, pa.int64()))
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        return h_g_index_fold(g[["author", "cit", "n"]])
-
-    out = (hist.map_batches(add_bucket, batch_format="pyarrow")
-           .groupby("bucket").map_groups(fold, batch_format="pandas")
-           ).to_pandas()
-    return out.sort_values("author").reset_index(drop=True)
-
-
-def _q_acceptance_sampling(sf_dir: str):
-    """Dodge-Romig single-sampling acceptance plan (n = 10, c = 2)
-    — ACCEPTANCE SAMPLING, the lot-disposition half of statistical
-    quality control the chart suite (cusum / XmR) doesn't touch:
-    instead of monitoring a process over time, it inspects 10 items
-    per lot and accepts iff ≤ 2 are defective, and the whole design
-    is read off the OC curve Pa(p).  Defective = event value < 10;
-    the observed lot quality p̂ (one milli floor from ONE count
-    exchange) is evaluated alongside the fixed design grid
-    {25, 50, 100, 200, 400, 500} milli — the curve a QC engineer
-    actually reads (AQL at the top, LTPD at the tail), with the
-    rectifying-inspection companions AOQ = p·Pa and ATI = n +
-    (1 − Pa)(N − n) at N = 1000 (``aggregates.
-    acceptance_sampling_int``).  EXACT integer binomials: per-mille
-    quality keeps 1000¹⁰ = 10³⁰ and the largest term 45·10³⁰ inside
-    HUGEINT — the documented reason the contract is milli, not ppm.
-    Pins: Pa(0) = 10⁶ exact, strict monotone decrease, the dyadic
-    p = 1/2 row ⌊56·10⁶/2¹⁰⌋ = 54687 exact.  Mirror: the same three
-    explicit product terms per grid row under HUGEINT."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import acceptance_sampling_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column("value").to_numpy()
-        return pa.table({"d": pa.array([int((v < 10).sum())],
-                                       pa.int64()),
-                         "n": pa.array([len(v)], pa.int64())})
-
-    c = (ev.map_batches(partial, batch_format="pyarrow")
-         .aggregate(Sum("d", alias_name="d"),
-                    Sum("n", alias_name="n")))
-    p_obs = 1000 * int(c["d"]) // int(c["n"])
-    rows = [(p, False) for p in (25, 50, 100, 200, 400, 500)]
-    rows.append((p_obs, True))
-    return acceptance_sampling_int(rows)
-
-
-def _q_loan_amortization(sf_dir: str):
-    """Level-payment amortization schedule — CONSUMER FINANCE, a
-    family the surface lacked: chain_ladder reserves claims and
-    fifo_cogs costs inventory, but nothing priced money over time.
-    The mean order value (one floor from ONE scalar count/sum
-    exchange over orders) is financed at 1%/month for 12 months:
-    annuity A = P·i·(1+i)¹²/((1+i)¹² − 1) with the accumulation
-    factor as a 12-step ppm chain (the mm1/erlang chain
-    discipline), then the schedule splits each payment into
-    interest = balance·i // 10⁶ and principal, the LAST payment
-    settling the exact residual so balance₁₂ == 0 and
-    Σ principal == P EXACTLY (both pinned in
-    ``aggregates.loan_amortization_int`` tests, beside a Fraction
-    cross-check of A and the zero-rate edge).  Mirror: two WITH
-    RECURSIVE chains of data-independent length — 12 power steps,
-    12 schedule steps."""
-    import pyarrow.compute as pc
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import loan_amortization_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                               columns=["o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c = pc.cast(pc.round(pc.multiply(
-            batch.column("o_totalprice"), 100)), pa.int64())
-        return pa.table({"s": pa.array([pc.sum(c).as_py() or 0],
-                                       pa.int64()),
-                         "n": pa.array([len(batch)], pa.int64())})
-
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .aggregate(Sum("s", alias_name="s"),
-                      Sum("n", alias_name="n")))
-    return loan_amortization_int(int(agg["s"]) // int(agg["n"]))
-
-
-def _q_nw_transport(sf_dir: str):
-    """Northwest-corner transportation tableau — classical OR's
-    balanced supply×demand opener, a family the surface lacked
-    (optimal_assignment matches 1:1, waterfill_budget allocates one
-    budget; moving a million flow units from AM capacity to PM
-    demand across a cost tableau is neither).  Supplies = 10⁶ units
-    apportioned to event types by AM event counts, demands = the
-    same million by PM counts — BOTH via the hamilton_int largest-
-    remainder method (reused verbatim from hamilton_seats), so the
-    two sides balance exactly by construction.  The engine WALKS
-    the NW-corner fold (allocate min of remainders, advance the
-    exhausted side); the mirror instead uses the interval-overlap
-    CLOSED FORM alloc(i,j) = max(0, min(CS_i, CD_j) −
-    max(CS_{i−1}, CD_{j−1})) on window cumsums — two different
-    algorithms for the same tableau, pinned cell-for-cell on seeded
-    draws in ``aggregates.nw_transport_int`` tests along with the
-    basic-solution theorem (≤ m + n − 1 positive cells).  Unit
-    cost = band distance |i − j| + 1.  Zero floors; ONE
-    |types|-bounded half-day census exchange."""
-    from documentai_ray.stages.aggregates import (hamilton_int,
-                                                  nw_transport_int)
-
-    cen = _halfday_census(sf_dir)
-    am = [(t, cen[t].get(0, (0, 0))[1]) for t in sorted(cen)]
-    pm = [(t, cen[t].get(1, (0, 0))[1]) for t in sorted(cen)]
-    sup = hamilton_int(am, 1_000_000).sort_values("party")
-    dem = hamilton_int(pm, 1_000_000).sort_values("party")
-    return nw_transport_int(
-        list(zip(sup["party"], sup["seats"])),
-        list(zip(dem["party"], dem["seats"])))
-
-
-def _q_hardy_weinberg(sf_dir: str):
-    """Hardy-Weinberg equilibrium test (1908) — POPULATION
-    GENETICS, a family the surface lacked: chi2_independence tests
-    a two-way table against independence of two OBSERVED margins,
-    but HWE is the one-sample test against a null ESTIMATED from
-    the data itself (genotypes vs the p², 2pq, q² of their own
-    allele counts).  Each user is a subject whose two 'alleles' are
-    the parities of its AM and PM event counts (even = A, odd = a;
-    genotype = the unordered pair), so the census is ONE
-    user-bounded exchange of two counts per user.  The χ² uses the
-    classical closed form N·(4·n_dom·n_rec − n_het²)²/(n_A²·n_a²)
-    (pinned algebraically equal to Σ(O−E)²/E by a Fraction sweep),
-    Wright's F = 1 − 2N·n_het/(n_A·n_a) rides along with the
-    χ² = N·F² identity checked at Fraction exactness, the 5% flag
-    cross-multiplies in micro units, and monomorphic edges report
-    the stated convention (``aggregates.hardy_weinberg_int``).
-    Mirror: per-user parity CTE + the same closed form under
-    HUGEINT."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import hardy_weinberg_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hr = (pd.Series(batch.column("ts").to_pandas())
-              .dt.hour.to_numpy())
-        df = pd.DataFrame({"user_id": batch.column("user_id")
-                           .to_numpy(),
-                           "am": (hr < 12).astype("int64"),
-                           "pm": (hr >= 12).astype("int64")})
-        g = df.groupby("user_id", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False) \
-                       .replace_schema_metadata(None)
-
-    per_user = (ev.map_batches(partial, batch_format="pyarrow")
-                .groupby("user_id")
-                .aggregate(Sum("am", alias_name="am"),
-                           Sum("pm", alias_name="pm")))
-
-    def genotype(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        pa_ = batch.column("am").to_numpy() % 2
-        pb = batch.column("pm").to_numpy() % 2
-        return pa.table({
-            "nd": pa.array([int(((pa_ == 0) & (pb == 0)).sum())],
-                           pa.int64()),
-            "nh": pa.array([int((pa_ != pb).sum())], pa.int64()),
-            "nr": pa.array([int(((pa_ == 1) & (pb == 1)).sum())],
-                           pa.int64())})
-
-    g = (per_user.map_batches(genotype, batch_format="pyarrow")
-         .aggregate(Sum("nd", alias_name="nd"),
-                    Sum("nh", alias_name="nh"),
-                    Sum("nr", alias_name="nr")))
-    return hardy_weinberg_int(int(g["nd"]), int(g["nh"]),
-                              int(g["nr"]))
-
-
-def _q_portfolio_minvar(sf_dir: str):
-    """Markowitz two-asset minimum-variance portfolio (1952) —
-    PORTFOLIO THEORY's closed-form cornerstone, a family the
-    surface lacked: leadlag_beta regresses one hourly series on
-    another, but "what weight on asset X minimizes the combined
-    variance" is the allocation question, with shorting allowed
-    (the weight numerator is sign-split — the repo-wide negative-
-    division discipline).  Assets = the hourly event counts of the
-    two alphabetically-first event types over the shared hour grid
-    (missing hours count 0 for a type, never dropped); second
-    moments clear by n² so V_x, V_y, C are exact integers; w* =
-    (V_y − C)/(V_x + V_y − 2C) is ONE sign-split ppm floor (the
-    denominator is n²·Var(x−y) ≥ 0; constant difference reports
-    500000); the portfolio variance at the floored weight needs NO
-    sign split because it is 10¹²·n²·σ²_p — a true variance, ≥ 0
-    for any integer w even though its cross term alone can be
-    negative (``aggregates.portfolio_minvar_int``, where the
-    diversification theorem P ≤ min(V_x, V_y) and discrete
-    optimality are pinned).  ONE |hours|-bounded census exchange.
-    Mirror: the same moments and floors under HUGEINT."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import portfolio_minvar_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type"])
-
-    def hourly(batch: pa.Table) -> pa.Table:
-        hr = (batch.column("ts").cast(pa.timestamp("us"))
-              .cast(pa.int64()).to_numpy() // 3_600_000_000)
-        df = pd.DataFrame({"hr": hr,
-                           "event_type": batch.column("event_type")
-                           .to_pylist(), "n": 1})
-        g = df.groupby(["hr", "event_type"], as_index=False)["n"] \
-              .sum()
-        return pa.table({"hr": pa.array(g["hr"], pa.int64()),
-                         "event_type": pa.array(
-                             g["event_type"], pa.large_string()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    cell = (ev.map_batches(hourly, batch_format="pyarrow")
-            .groupby(["hr", "event_type"])
-            .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    t0, t1 = sorted(cell["event_type"].unique())[:2]
-    pivot = (cell.pivot_table(index="hr", columns="event_type",
-                              values="n", aggfunc="sum",
-                              fill_value=0))
-    x = pivot[t0].astype(int).to_numpy()
-    y = pivot[t1].astype(int).to_numpy()
-    return portfolio_minvar_int(
-        len(pivot), int(x.sum()), int(y.sum()),
-        int((x * x).sum()), int((y * y).sum()),
-        int((x * y).sum()))
-
-
-def _q_lin_ccc(sf_dir: str):
-    """Lin's concordance correlation coefficient (1989) — the
-    CONTINUOUS member the agreement suite lacked: lang_kappa /
-    fleiss_kappa / mcnemar_test / cochran_q / kr20_reliability all
-    judge CATEGORICAL raters, but two hourly count series measuring
-    the same hours are continuous instruments, and CCC = 2·Cov /
-    (V_x + V_y + (mean gap)²) punishes the scatter AND the
-    location/scale shifts plain correlation forgives.  Everything
-    clears by n² — the mean-shift term is exactly (Σx − Σy)² — so
-    the statistic is ONE sign-split ppm floor
-    (``aggregates.lin_ccc_int``, where x == y → exactly 10⁶ with
-    zero floor residue, the pure-shift penalty closed form,
-    bit-exact symmetry, and |CCC| ≤ 10⁶ are pinned).  Reuses the
-    portfolio_minvar hourly census — the same ONE bounded
-    exchange.  Mirror: the same moments under HUGEINT."""
-    from documentai_ray.stages.aggregates import lin_ccc_int
-
-    return lin_ccc_int(*_hourly_xy_moments(sf_dir))
-
-
-def _q_naive_bayes(sf_dir: str):
-    """Naive Bayes resubstitution classifier — GENERATIVE
-    classification as an ORACLE-CHECKED query, a family the
-    engine-side ML actor pool (TF-IDF+LR) exercises only in pytest:
-    predict every event's type from (hour, $50-value-bucket) by
-    prior × Laplace-smoothed likelihoods, trained on the same
-    corpus.  The entire training set AND test grid is ONE bounded
-    (cls, hour, bucket) census (≤ |types|·24·10 = 1200 cells;
-    marginals are sums over it) — events never shuffle.  The
-    cross-engine contract is the FLOORED canonical score
-    q = 10¹²·n_c·(n_ch+1)·(n_cv+1) // ((n_c+24)·(n_c+10)); both
-    engines floor identically so the argmax (ties by class name) is
-    deterministic, and with the corpus's count scales the rational
-    gaps dwarf the 10⁻¹² quantum (Fraction-argmax sweep pinned in
-    ``aggregates.naive_bayes_int`` tests, plus the separable-data
-    accuracy = 10⁶ pin, the Laplace unseen-cell guard, and the
-    prior-only tie-break).  Returns the confusion matrix with
-    accuracy_ppm repeated.  Envelope: 10¹²·n³ caps per-class counts
-    at ~5·10⁸ inside HUGEINT — documented.  Mirror: the same
-    censuses + a row_number argmax over the same floored score."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import naive_bayes_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hr = (pd.Series(batch.column("ts").to_pandas())
-              .dt.hour.to_numpy())
-        c = np.rint(batch.column("value").to_numpy()
-                    * 100).astype("int64")
-        df = pd.DataFrame({
-            "cls": batch.column("event_type").to_pylist(),
-            "h": hr.astype("int64"),
-            "v": np.minimum(c // 5000, 9),
-            "n": 1})
-        g = df.groupby(["cls", "h", "v"], as_index=False)["n"].sum()
-        return pa.Table.from_pandas(g, preserve_index=False) \
-                       .replace_schema_metadata(None)
-
-    cells = (ev.map_batches(partial, batch_format="pyarrow")
-             .groupby(["cls", "h", "v"])
-             .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    return naive_bayes_int(cells)
-
-
-def _q_engset_blocking(sf_dir: str):
-    """Engset blocking (1918) — the FINITE-SOURCE member completing
-    the teletraffic ladder (erlang_blocking = infinite-source loss,
-    erlang_c_wait = delay, mm1_queue = single server): a crawl
-    fleet has exactly M workers, and a busy worker stops offering
-    load — the reason finite-source systems block LESS than
-    Erlang-B at the same total load, the family's defining theorem,
-    which rides along as an erlangb_ppm column per row.  M =
-    distinct users (ONE user-bounded count exchange), per-idle-
-    source intensity α = (peak-hour load at 300 s session holds)
-    // M — the longer hold time is the stated modeling choice that
-    puts the corpus in the non-trivial blocking regime.  The chain
-    E_i = (M−i+1)·α·E'/(i + (M−i+1)·α·E') is derived from the
-    truncated binomial state law in ``aggregates.engset_int`` (not
-    taken on faith) and replays as ONE ppm floor per step, with
-    E = 0 EXACTLY once i > M (more servers than sources — a
-    structural zero, not a convention).  Mirror: one WITH
-    RECURSIVE chain of data-independent length carrying both
-    recursions."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import engset_int
-
-    peak, _, _ = _hourly_peak_mean(sf_dir)
-    users = (ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["user_id"])
-             .groupby("user_id").count())
-    m = users.count()
-    a_micro = 1_000_000 * peak // 12
-    return engset_int(m, a_micro // m)
-
-
-def _q_kelly_fraction(sf_dir: str):
-    """Kelly criterion (1956) — BET SIZING, a family the surface
-    lacked: cost_threshold picks a classifier operating point and
-    newsvendor_stock solves one period of inventory, but "what
-    FRACTION of the bankroll to stake at odds b when the win
-    probability is p" is the growth-optimal allocation question
-    neither poses.  p = the corpus share of value ≥ 150 events
-    (one ppm floor from the _team_census exchange — the same
-    threshold log5_matchup rates teams by), evaluated across the
-    odds grid {1:4, 1:2, evens, 2:1, 5:1}; per row the shared
-    numerator b·p − q yields edge and f* = (b·p − q)/b as two
-    SIGN-SPLIT truncations (the negative-edge 'no bet' region is
-    the criterion's point — flagged, never clamped away).  Famous
-    pins in ``aggregates.kelly_int``: fair coin at evens stakes
-    EXACTLY 0, the textbook p = 0.6 / b = 1 stakes exactly 20%,
-    f < p always, monotone in p and b.  Mirror: the same grid and
-    sign-split floors."""
-    from documentai_ray.stages.aggregates import kelly_int
-
-    cen = _team_census(sf_dir)
-    n = sum(v[0] for v in cen.values())
-    hi = sum(v[1] for v in cen.values())
-    return kelly_int(1_000_000 * hi // n,
-                     [250, 500, 1000, 2000, 5000])
-
-
-def _q_airport_game(sf_dir: str):
-    """Airport-game Shapley cost allocation (Littlechild-Owen 1973)
-    — COOPERATIVE COST SHARING, a family the surface lacked:
-    banzhaf_power and shapley_shubik measure VOTING power over
-    coalitions, but "five event-type feeds share one ingest channel
-    sized for the largest; who pays what" is the cost question, and
-    the airport game is the rare cooperative game whose Shapley
-    value is a CLOSED FORM — sort each type's requirement (its max
-    event value in cents, ONE |types|-bounded Max exchange), split
-    each increment equally among the types that need it.  One floor
-    per increment, the flooring residue reported as
-    unallocated_cents (honest accounting).  The axioms — efficiency
-    up to the reported residue, dummy, symmetry, stand-alone
-    rationality φ_i ≤ c_i, monotonicity — are pinned in
-    ``aggregates.airport_game_int``.  Mirror: sorted CTE + lag
-    increments + a j ≤ i correlated window sum, no recursion."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Max
-
-    from documentai_ray.stages.aggregates import airport_game_int
-
-    import numpy as np
-    import pandas as pd
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "t": batch.column("event_type").to_pylist(),
-            "c": np.rint(batch.column("value").to_numpy()
-                         * 100).astype("int64")})
-        g = df.groupby("t", as_index=False)["c"].max()
-        return pa.table({"t": pa.array(g["t"], pa.large_string()),
-                         "c": pa.array(g["c"], pa.int64())})
-
-    mx = (ev.map_batches(partial, batch_format="pyarrow")
-          .groupby("t").aggregate(Max("c", alias_name="c"))
-          ).to_pandas()
-    return airport_game_int(list(zip(mx["t"], mx["c"])))
-
-
-def _q_stoploss_layers(sf_dir: str):
-    """Excess-of-loss layer pricing — REINSURANCE actuarial math, a
-    family the surface lacked: chain_ladder reserves claims that
-    already happened, but a reinsurer prices layers of what MIGHT —
-    the pure premium of layer (d, d+w] is E[min(w, (X−d)⁺)], an
-    exact integer sum over the bounded value histogram (the
-    anova/brown_forsythe census, marginalized — the SAME domain-
-    bounded exchange shape), floored ONCE per layer to a per-event
-    premium.  Five contiguous layers cover [0, $600]; the family's
-    defining LAYER-ADDITIVITY identity (contiguous layers sum to
-    E[min(X, top)] exactly before the per-layer floor) and the
-    monotone-in-attachment law are pinned in
-    ``aggregates.stoploss_layers_int``.  Mirror: the same histogram
-    × layer-grid cross join."""
-    from documentai_ray.stages.aggregates import stoploss_layers_int
-
-    h = _value_type_hist(sf_dir)
-    hist = (h.groupby("c", as_index=False)["n"].sum())
-    layers = [(0, 10_000), (10_000, 10_000), (20_000, 10_000),
-              (30_000, 10_000), (40_000, 20_000)]
-    return stoploss_layers_int(
-        list(zip(hist["c"], hist["n"])), layers,
-        int(hist["n"].sum()))
-
-
-def _q_mg1_queue(sf_dir: str):
-    """Pollaczek-Khinchine M/G/1 mean wait — the GENERAL-SERVICE
-    rung of the teletraffic ladder (mm1 / erlang_b / erlang_c /
-    engset all assume exponential service; PK prices ANY service
-    law through its first two moments), and here the service law IS
-    the corpus: event values in cents read as milliseconds of
-    service, so the data's own variance sets the queue.  ONE
-    domain-bounded value-histogram exchange (the anova census
-    marginalized, same shape as stoploss_layers), then
-    Wq = ρ·E[S²]/(2(1−ρ)·E[S]) across a fixed utilization grid
-    {50, 80, 90, 95}% — one floor per cell, beside the exponential
-    and deterministic benchmarks at the same mean (deterministic
-    waits exactly HALF exponential — the variance-matters theorem),
-    the squared coefficient of variation, and the inspection-
-    paradox length-bias ratio.  All identities pinned in
-    ``aggregates.mg1_pk_int``.  Mirror: histogram CTE × a VALUES
-    utilization grid under HUGEINT."""
-    from documentai_ray.stages.aggregates import mg1_pk_int
-
-    h = _value_type_hist(sf_dir)
-    hist = h.groupby("c", as_index=False)["n"].sum()
-    return mg1_pk_int(list(zip(hist["c"], hist["n"])),
-                      [500, 800, 900, 950])
-
-
-def _q_crr_option(sf_dir: str):
-    """CRR binomial option pricing (Cox-Ross-Rubinstein 1979) —
-    DERIVATIVES VALUATION, a family the surface lacked: the mean
-    order value (ONE scalar sum/count exchange over orders, one
-    floor — the loan_amortization scalar discipline) is the spot;
-    a 10-step rational lattice (u = 5/4, d = 4/5, r = 0, so the
-    risk-neutral q = 4/9 EXACTLY) prices European calls and puts
-    across a five-point moneyness grid with exact integer
-    arithmetic — and the no-arbitrage theorem that defines the
-    family, PUT-CALL PARITY call − put == S0 − K, holds BIT-EXACT
-    post-floor on every row (carried as the parity_gap == 0
-    column).  Martingale, monotonicity, convexity, deep-OTM and
-    zero-strike laws pinned in ``aggregates.crr_option_int``.
-    Mirror: the fixed (k, weight, price-power) design grid as
-    VALUES literals (the acceptance_sampling discipline) × the
-    moneyness grid, HUGEINT throughout."""
-    import pyarrow.compute as pc
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import crr_option_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                               columns=["o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c = pc.cast(pc.round(pc.multiply(
-            batch.column("o_totalprice"), 100)), pa.int64())
-        return pa.table({"s": pa.array([pc.sum(c).as_py() or 0],
-                                       pa.int64()),
-                         "n": pa.array([len(batch)], pa.int64())})
-
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .aggregate(Sum("s", alias_name="s"),
-                      Sum("n", alias_name="n")))
-    return crr_option_int(int(agg["s"]) // int(agg["n"]))
-
-
-def _q_durbin_watson(sf_dir: str):
-    """Durbin-Watson residual-autocorrelation audit — REGRESSION
-    DIAGNOSTICS, a family the surface lacked: acf_lag
-    autocorrelates the raw series and grouped_regression fits
-    lines, but econometrics' founding diagnostic asks whether what
-    the trend line LEAVES BEHIND is still serially correlated.
-    Daily event counts (ONE |days|-bounded census) regressed on the
-    centered doubled day index (Σx = 0 — the orthogonal-design
-    trick that cancels every clearing factor), then
-    dw = 1000·ΣΔE²//ΣE² on the exact cleared residuals, with the
-    sign-split lag-1 residual autocorrelation beside it.  The
-    ΣΔ² = 2ΣE² − 2ΣEE′ − E₀² − E_{n−1}² expansion, bounds,
-    direction cases and the perfect-fit convention are pinned in
-    ``aggregates.durbin_watson_int``.  Mirror: day census CTE +
-    row_number index + lag() in its own CTE (window-in-aggregate
-    is illegal in DuckDB) + the same floors under HUGEINT."""
-    from documentai_ray.stages.aggregates import durbin_watson_int
-
-    return durbin_watson_int(_daily_counts(sf_dir))
-
-
-def _q_cooks_distance(sf_dir: str):
-    """Cook's distance influence screen — the INFLUENCE face of the
-    regression-diagnostics pair: which single day, if deleted,
-    would move the fitted daily-count trend most?  Same census,
-    same centered-design cleared integers; every clearing factor
-    cancels into D_i = E_i²·H_i·(n−2)·L / (2ΣE²·(L−H_i)²), one
-    per-MILLE floor per day (per-mille over ppm for HUGEINT
-    headroom — the acceptance_sampling discipline), leverage and
-    the classical n·D > 4 screen beside it.  Hat-trace ΣH = 2L,
-    end-point leverage maximality, symmetry, the perfect-fit zero
-    and a Fraction replay are pinned in
-    ``aggregates.cooks_distance_int``.  Mirror: the same algebra
-    row-wise under HUGEINT."""
-    from documentai_ray.stages.aggregates import cooks_distance_int
-
-    return cooks_distance_int(_daily_counts(sf_dir))
-
-
-def _q_buhlmann_credibility(sf_dir: str):
-    """Bühlmann credibility blend per event type — ACTUARIAL
-    EXPERIENCE RATING, a family the surface lacked: chain_ladder
-    reserves, stoploss_layers prices layers, eb_shrink shrinks
-    toward a Beta prior, but ratemaking's founding question — how
-    much should a risk class's OWN experience count against the
-    collective book — is Bühlmann's Z = n/(n + v̂/â), built here on
-    the anova_oneway floor discipline over the SAME domain-bounded
-    (type, cents) histogram exchange.  Estimator derivation, floor
-    points, clamp conventions and all laws pinned in
-    ``aggregates.buhlmann_int``.  Mirror: the anova moment CTEs +
-    the identical floored estimator chain under HUGEINT."""
-    from documentai_ray.stages.aggregates import buhlmann_int
-
-    h = _value_type_hist(sf_dir)
-    h["s"] = h["c"] * h["n"]
-    h["q"] = h["c"] * h["c"] * h["n"]
-    g = h.groupby("grp", as_index=False).agg(
-        n=("n", "sum"), s=("s", "sum"), q=("q", "sum"))
-    return buhlmann_int(
-        [(r.grp, int(r.n), int(r.s), int(r.q))
-         for r in g.itertuples(index=False)])
-
-
-def _q_littlewood_protect(sf_dir: str):
-    """Littlewood two-fare protection levels — REVENUE MANAGEMENT,
-    a family the surface lacked: newsvendor_stock stocks one
-    product, but yield management's founding rule (1972) splits ONE
-    capacity between TWO fare classes, protecting
-    y* = max{y : f1·P(D ≥ y) > f2} seats for the late-booking high
-    fare on the EMPIRICAL daily-demand distribution (the
-    durbin_watson |days|-bounded census, reused).  ZERO floors —
-    pure integer comparisons.  The engine takes the order-statistic
-    closed form y* = d₍ₙ·f₂//f₁₊₁₎ while the mirror walks the
-    first-principles grid max-qualifying-y — a genuine
-    two-algorithm cross-check (the h_index discipline); laws and
-    the closed-form-equals-grid proof pinned in
-    ``aggregates.littlewood_int``."""
-    from documentai_ray.stages.aggregates import littlewood_int
-
-    return littlewood_int(_daily_counts(sf_dir),
-                          [(1000, 100), (1000, 250), (1000, 500),
-                           (1000, 750), (1000, 900)])
-
-
-def _q_double_auction(sf_dir: str):
-    """Walrasian k-double-auction clear of the AM book against the
-    PM book — TWO-SIDED MARKET MICROSTRUCTURE, a family the surface
-    lacked (gsp_auction / vcg_payments are one-sided; nw_transport
-    allocates over a fixed tableau): morning event values are BIDS,
-    afternoon values are ASKS (the hardy_weinberg hour(ts) < 12
-    convention), and the clear is pure cumsum algebra over ONE
-    (side, cents) domain-bounded histogram exchange — k* = max_p
-    min(demand, supply) on the engine side vs the rank-joined
-    prefix definition max{k : b₍ₖ₎ ≥ s₍ₖ₎} in the mirror, a proven-
-    equal two-algorithm cross-check.  Marginals, midpoint and
-    exact gains-from-trade per ``aggregates.double_auction_int``."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import double_auction_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hrs = (batch.column("ts").cast(pa.timestamp("us"))
-               .cast(pa.int64()).to_numpy()
-               // 3_600_000_000) % 24
-        df = pd.DataFrame({
-            "am": (hrs < 12).astype("int64"),
-            "c": np.rint(batch.column("value").to_numpy()
-                         * 100).astype("int64"),
-            "n": 1})
-        g = df.groupby(["am", "c"], as_index=False)["n"].sum()
-        return pa.table({"am": pa.array(g["am"], pa.int64()),
-                         "c": pa.array(g["c"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    h = (ev.map_batches(partial, batch_format="pyarrow")
-         .groupby(["am", "c"])
-         .aggregate(Sum("n", alias_name="n"))).to_pandas()
-    bids = h[h["am"] == 1]
-    asks = h[h["am"] == 0]
-    return double_auction_int(list(zip(bids["c"], bids["n"])),
-                              list(zip(asks["c"], asks["n"])))
-
-
-def _q_secretary_stop(sf_dir: str):
-    """Secretary-problem optimal stopping on the daily-count
-    sequence — OPTIMAL STOPPING, a family the surface lacked: every
-    scheduler on the surface sees all its jobs up front; the
-    secretary rule decides IRREVOCABLY online.  The exact optimal
-    cutoff r* (harmonic-tail argmax cleared by lcm(1..n−1) — exact
-    integer comparison, ties to smallest r) and its success
-    probability, then the rule RUNS on the actual 30-day sequence
-    (the durbin_watson census, reused, in day order).  All laws in
-    ``aggregates.secretary_int``.  Mirror: recursive lcm chain +
-    suffix-sum key argmax + a window-prefix-max policy scan."""
-    from documentai_ray.stages.aggregates import secretary_int
-
-    return secretary_int(_daily_counts(sf_dir))
-
-
-def _q_erdos_gallai(sf_dir: str):
-    """Erdős-Gallai graphicality of the per-user distinct-type
-    degree sequence — DEGREE-SEQUENCE REALIZABILITY, a family the
-    surface lacked: clustering_coeff / degree_assortativity /
-    kcore_nodes measure a graph that exists; this DECIDES whether
-    the observed degrees could be a simple graph at all.  Degrees
-    are bounded by the 5-type domain, so the whole test is six-cell
-    cumsum algebra over ONE pair-distinct + ONE user-bounded
-    exchange, with the k ≤ 5 grid COMPLETE by the classical
-    Durfee reduction (``aggregates.erdos_gallai_int``, where the
-    EG ⟺ Havel-Hakimi theorem is brute-force pinned).  Mirror:
-    row-level first-principles sums (rank join × k grid) —
-    deliberately different from the engine's histogram algebra."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Count, Sum
-
-    from documentai_ray.stages.aggregates import erdos_gallai_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "event_type"])
-    pairs = ev.groupby(["user_id", "event_type"]).aggregate(
-        Count(alias_name="c"))
-    deg = pairs.groupby("user_id").aggregate(
-        Count(alias_name="d"))
-
-    def hist(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"d": batch.column("d").to_pylist(),
-                           "m": 1})
-        g = df.groupby("d", as_index=False)["m"].sum()
-        return pa.table({"d": pa.array(g["d"], pa.int64()),
-                         "m": pa.array(g["m"], pa.int64())})
-
-    h = (deg.map_batches(hist, batch_format="pyarrow")
-         .groupby("d").aggregate(Sum("m", alias_name="m"))
-         ).to_pandas()
-    return erdos_gallai_int(list(zip(h["d"], h["m"])), 5)
-
-
-def _q_record_values(sf_dir: str):
-    """Record-value statistics of the daily-count sequence —
-    RECORDS THEORY, the extreme-value family's discrete heart:
-    trend_flips counts direction changes, mann_kendall scores
-    monotonicity, but "how many times did the running maximum get
-    beaten" carries Rényi's exchangeability benchmark
-    E[#records] = H_n (verified in the kernel tests by exhaustive
-    permutation enumeration, and cleared exactly by the
-    secretary_stop lcm discipline).  The day census (durbin_watson,
-    reused) is scanned once; strictness, conventions, variance
-    clearing and all laws in ``aggregates.record_values_int``.
-    Mirror: window prefix-max/min scan + the recursive lcm chain."""
-    from documentai_ray.stages.aggregates import record_values_int
-
-    return record_values_int(_daily_counts(sf_dir))
-
-
-def _q_ballot_walk(sf_dir: str):
-    """Bertrand ballot + lead-time statistics of the two-type daily
-    race — FLUCTUATION THEORY, a family the surface lacked:
-    mann_kendall scores monotone drift, but who LED, for how long,
-    and when the walk last re-tied are Feller's ballot-chapter
-    questions, and Bertrand 1887's (A−B)/(A+B) always-ahead
-    probability is pinned by exhaustive interleaving enumeration in
-    ``aggregates.ballot_walk_int``.  ONE |days|-bounded two-count
-    exchange (the portfolio_minvar census at daily grain).
-    Mirror: the same census + window cumsum scan."""
-    from documentai_ray.stages.aggregates import ballot_walk_int
-
-    a, b = _two_type_daily(sf_dir)
-    return ballot_walk_int(a, b)
-
-
-def _q_backlog_dam(sf_dir: str):
-    """Lindley backlog / Moran dam over the daily inflow sequence —
-    STORAGE THEORY, a family the surface lacked: mm1/mg1_queue
-    price stationary waits under stochastic assumptions; the dam
-    recursion B_d = max(0, B_{d−1} + y_d − c) asks what THIS
-    sequence does to a finite-rate server across a capacity grid
-    of 70–130% of mean daily volume.  The engine computes the
-    REFLECTION DUALITY B_t = W_t − min(0, min_{j≤t} W_j)
-    vectorized; the mirror WALKS the raw recursion as a recursive
-    CTE — a two-algorithm cross-check that proves Lindley's
-    identity on real data (``aggregates.backlog_dam_int``)."""
-    from documentai_ray.stages.aggregates import backlog_dam_int
-
-    return backlog_dam_int(_daily_counts(sf_dir),
-                           [70, 90, 100, 110, 130])
-
-
-def _q_stochastic_dominance(sf_dir: str):
-    """First/second-order stochastic dominance of AM vs PM event
-    values — DECISION THEORY UNDER RISK, a family the surface
-    lacked: ks_drift measures the DISTANCE between the two
-    empirical distributions; dominance is the ORDERING every
-    expected-utility maximizer would agree on (FSD: any increasing
-    utility; SSD: any increasing concave one) — the Rothschild-
-    Stiglitz question.  Pure cross-multiplied cumsum algebra over
-    the merged bounded value domain, ZERO floors; verdicts,
-    signed margins, completeness-of-the-grid argument and the
-    mean-preserving-spread hand case in
-    ``aggregates.stochastic_dominance_int``.  Mirror: full-outer
-    histogram join + window cumsums + stepwise CDF integrals."""
-    from documentai_ray.stages.aggregates import (
-        stochastic_dominance_int)
-
-    h = _ampm_value_hist(sf_dir)
-    am = h[h["am"] == 1]
-    pm = h[h["am"] == 0]
-    return stochastic_dominance_int(list(zip(am["c"], am["n"])),
-                                    list(zip(pm["c"], pm["n"])))
-
-
-def _q_myerson_reserve(sf_dir: str):
-    """Empirical revenue-maximizing posted price over event values
-    — MONOPOLY PRICING, a family the surface lacked:
-    price_elasticity regresses demand on price, gsp/vcg price
-    slots given bids, but "what single posted price maximizes
-    revenue against this demand curve" is Myerson's monopoly
-    problem with the data as the distribution.  The argmax sits at
-    an observed value (step-demand argument, brute-force pinned
-    over EVERY integer price), ties to the smallest price; the
-    mean- and median-price benchmark rows make the optimality gap
-    VISIBLE (``aggregates.myerson_reserve_int``).  ONE domain-
-    bounded histogram exchange (the anova census marginalized).
-    Mirror: distinct-value grid + desc window tails + argmax by
-    (revenue DESC, price ASC)."""
-    from documentai_ray.stages.aggregates import myerson_reserve_int
-
-    h = _value_type_hist(sf_dir)
-    hist = h.groupby("c", as_index=False)["n"].sum()
-    return myerson_reserve_int(list(zip(hist["c"], hist["n"])))
-
-
-def _q_talmud_split(sf_dir: str):
-    """Talmud bankruptcy division of an estate among the five
-    event-type 'creditors' (claims = per-type total value cents,
-    estates = 25/50/75% of the total) — CLAIMS PROBLEMS, a family
-    the surface lacked: the 2000-year-old Mishnah puzzle Aumann-
-    Maschler 1985 resolved as the nucleolus, computed by contested-
-    garment consistency (CEA on half-claims below C/2, the
-    self-dual image above).  Everything in DOUBLED units so the
-    waterfill is exact integers summing to 2E; the full Mishnah
-    table and the ¼–¾ garment are pinned in
-    ``aggregates.talmud_split_int``.  ONE domain-bounded histogram
-    exchange (the anova census).  Mirror: rank + prefix-sum pivot
-    waterfill with the same remainder discipline."""
-    from documentai_ray.stages.aggregates import talmud_split_int
-
-    h = _value_type_hist(sf_dir)
-    h["s"] = h["c"] * h["n"]
-    g = h.groupby("grp", as_index=False)["s"].sum()
-    return talmud_split_int(list(zip(g["grp"], g["s"])),
-                            [25, 50, 75])
-
-
-def _q_adjusted_winner(sf_dir: str):
-    """Adjusted Winner division of the five event-type feeds
-    between the morning and afternoon 'players' (valuations = AM /
-    PM event counts per type) — EQUITABLE ALLOCATION, fair
-    division's goods face (talmud_split divides a deficit): assign
-    each feed to its higher cross-multiplied-normalized valuer,
-    then transfer in exact ratio order with ONE pivot split — the
-    single ppm floor in the op.  Equitability (exact pre-floor),
-    envy-freeness, ratio-order efficiency and the comparator
-    contract (pure integer cross-multiplication a_j·b_i < a_i·b_j,
-    which sorts zero-value 'infinite' ratios last with no
-    sentinel) pinned in ``aggregates.adjusted_winner_int``.  ONE
-    (type, am) bounded exchange.  Mirror: self-join comparator
-    rank + window cumulative-weight waterfill crossing."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import adjusted_winner_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hrs = (batch.column("ts").cast(pa.timestamp("us"))
-               .cast(pa.int64()).to_numpy()
-               // 3_600_000_000) % 24
-        df = pd.DataFrame({
-            "t": batch.column("event_type").to_pylist(),
-            "a": (hrs < 12).astype("int64"),
-            "b": (hrs >= 12).astype("int64")})
-        g = df.groupby("t", as_index=False)[["a", "b"]].sum()
-        return pa.table({"t": pa.array(g["t"], pa.large_string()),
-                         "a": pa.array(g["a"], pa.int64()),
-                         "b": pa.array(g["b"], pa.int64())})
-
-    g = (ev.map_batches(partial, batch_format="pyarrow")
-         .groupby("t")
-         .aggregate(Sum("a", alias_name="a"),
-                    Sum("b", alias_name="b"))).to_pandas()
-    return adjusted_winner_int(
-        [(r.t, int(r.a), int(r.b))
-         for r in g.itertuples(index=False)])
-
-
-def _q_kalman_level(sf_dir: str):
-    """1-D Kalman filter over the daily-count sequence — STATE
-    ESTIMATION, a family the surface lacked: ewma_backtest smooths
-    with a FIXED gain; the Kalman gain ADAPTS from the variance
-    bookkeeping, settling toward the Riccati fixed point.  Exact
-    floored chain (the mm1/erlang/loan discipline) with Q = ¼R
-    design, sign-split innovation, inits stated; convergence,
-    edge laws and a hand replay pinned in
-    ``aggregates.kalman_level_int``.  The durbin_watson day
-    census, reused.  Mirror: a 30-step recursive CTE carrying
-    (x, P) with identical floors."""
-    from documentai_ray.stages.aggregates import kalman_level_int
-
-    return kalman_level_int(_daily_counts(sf_dir),
-                            250_000, 1_000_000)
-
-
-def _q_colley_rank(sf_dir: str):
-    """Colley-matrix rating of the three lowest-named event types —
-    LEAST-SQUARES SPORTS RATING, a family the surface lacked: log5
-    and pythagorean_wins rate from win-probability MODELS; Colley
-    (the BCS rating) solves the linear system (2I + G)r = 1 +
-    (w−l)/2, whose bias-free mean(r) = 1/2 is STRUCTURAL (row sums
-    of C are 2 — derived and pinned as the exact integer identity
-    Σ(adj·b₂) == 3·det).  Hourly round-robin games (strictly
-    larger count wins, ties are no game — stated) from ONE
-    |hours|-bounded three-count exchange; exact Cramer on the
-    reused ``linalg`` 3×3 kernels (the leontief_io discipline).
-    Mirror: the identical cofactor expansion spelled out."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import colley_rank_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type"])
-    types = sorted(t["event_type"] for t in
-                   ev.groupby("event_type").count()
-                   .select_columns(["event_type"]).take_all())[:3]
-
-    def hourly(batch: pa.Table) -> pa.Table:
-        hr = (batch.column("ts").cast(pa.timestamp("us"))
-              .cast(pa.int64()).to_numpy() // 3_600_000_000)
-        et = np.asarray(batch.column("event_type").to_pylist())
-        df = pd.DataFrame({"hr": hr})
-        for i, t in enumerate(types):
-            df[f"x{i}"] = (et == t).astype("int64")
-        g = df.groupby("hr", as_index=False)[
-            ["x0", "x1", "x2"]].sum()
-        return pa.table({"hr": pa.array(g["hr"], pa.int64()),
-                         "x0": pa.array(g["x0"], pa.int64()),
-                         "x1": pa.array(g["x1"], pa.int64()),
-                         "x2": pa.array(g["x2"], pa.int64())})
-
-    h = (ev.map_batches(hourly, batch_format="pyarrow")
-         .groupby("hr")
-         .aggregate(Sum("x0", alias_name="x0"),
-                    Sum("x1", alias_name="x1"),
-                    Sum("x2", alias_name="x2"))).to_pandas()
-    return colley_rank_int(
-        list(zip(h["x0"], h["x1"], h["x2"])), types)
-
-
-def _q_hash_occupancy(sf_dir: str):
-    """Birthday-collision occupancy audit of the Knuth
-    multiplicative hash over the user population — OCCUPANCY
-    THEORY, a family the surface lacked: users_sketch/hll/kmv
-    ESTIMATE cardinality; this audits how evenly a hash spreads U
-    keys over D buckets against the birthday benchmark C(U,2)/D.
-    ONE distinct-user exchange + ONE 4096-cell bucket exchange
-    serve the whole powers-of-4 grid (coarser levels divide 4096 —
-    the nesting argument, stated in
-    ``aggregates.hash_occupancy_int`` beside the textbook
-    birthday-23/365 pin).  Mirror: the same hash and grid."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Count, Sum
-
-    from documentai_ray.stages.aggregates import hash_occupancy_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id"])
-    users = ev.groupby("user_id").aggregate(Count(alias_name="c"))
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        ids = batch.column("user_id").to_pylist()
-        df = pd.DataFrame({
-            "b": [(i * 2654435761) % 4294967296 % 4096
-                  for i in ids], "m": 1})
-        g = df.groupby("b", as_index=False)["m"].sum()
-        return pa.table({"b": pa.array(g["b"], pa.int64()),
-                         "m": pa.array(g["m"], pa.int64())})
-
-    h = (users.map_batches(bucket, batch_format="pyarrow")
-         .groupby("b").aggregate(Sum("m", alias_name="m"))
-         ).to_pandas()
-    return hash_occupancy_int(list(zip(h["b"], h["m"])),
-                              int(h["m"].sum()))
-
-
-def _q_penney_game(sf_dir: str):
-    """Penney's-game odds over the daily-parity coin — NON-
-    TRANSITIVE GAMES, a family the surface lacked: every rating op
-    (colley_rank, log5, copeland) presumes 'beats' is transitive;
-    Penney's game is the canonical counterexample — the response
-    (¬b₂, b₁, b₂) beats EVERY 3-flip pattern with probability
-    > 1/2, certified per row.  Win odds are Conway's leading-
-    number formula, VERIFIED in the kernel tests against a first-
-    principles Markov absorption solve for all 56 ordered pairs
-    (``aggregates.penney_game_int``); the data enters as the
-    daily-count parity stream (first occurrence day per pattern).
-    Mirror: substr-built leading numbers + a double-lag trigram
-    scan — the same closed form from first principles."""
-    from documentai_ray.stages.aggregates import penney_game_int
-
-    return penney_game_int(_daily_counts(sf_dir))
-
-
-def _q_logistic_map(sf_dir: str):
-    """Floored logistic map seeded by the corpus AM share —
-    DISCRETE CHAOS, a family the surface lacked: sir_epidemic and
-    lotka_volterra iterate to equilibria, but the logistic map
-    runs fixed point → 2-cycle → 4-cycle → chaos across one r
-    grid, every regime an EXACT integer question on the floored
-    chain; regime pins (the floor-invariant fixed point 600000 at
-    r = 2.5, the period-2/4 windows, sensitive dependence at 3.9)
-    in ``aggregates.logistic_map_int``.  Mirror: recursive CTE
-    carrying the 8-lag ring as columns."""
-    from documentai_ray.stages.aggregates import logistic_map_int
-
-    a, n = _am_total_counts(sf_dir)
-    return logistic_map_int(1_000_000 * a // n,
-                            [2500, 3200, 3500, 3900])
-
-
-def _q_cf_convergents(sf_dir: str):
-    """Continued-fraction convergents of the measured AM/total
-    ratio — DIOPHANTINE APPROXIMATION, a family the surface
-    lacked: plenty of ratios get measured, none get the
-    number-theoretic 'best simple fraction' treatment that
-    continued fractions answer OPTIMALLY (every convergent beats
-    all fractions of smaller-or-equal denominator — brute-force
-    verified, never cited).  ZERO floors, pure Euclid;
-    alternation, exactness and the 355/113 / Fibonacci hand pins
-    in ``aggregates.cf_convergents_int``.  Mirror: recursive-CTE
-    Euclid carrying (remainders, h-pair, k-pair)."""
-    from documentai_ray.stages.aggregates import cf_convergents_int
-
-    a, n = _am_total_counts(sf_dir)
-    return cf_convergents_int(a, n)
-
-
-def _q_bullwhip(sf_dir: str):
-    """Bullwhip variance amplification of an order-up-to policy
-    run over the daily demand — SUPPLY-CHAIN DYNAMICS, a family
-    the surface lacked: backlog_dam asks what demand does to a
-    server; the bullwhip asks what the ORDERING POLICY does to the
-    demand signal itself, across a (lead, window) grid.  Exact
-    moving-average clearing, same-support comparison and the
-    linear-demand-reads-exactly-1e6 law in
-    ``aggregates.bullwhip_int``.  The durbin_watson day census,
-    reused.  Mirror: correlated rolling sums (window frames can't
-    take a column bound — stated) + the same cleared moments."""
-    from documentai_ray.stages.aggregates import bullwhip_int
-
-    return bullwhip_int(_daily_counts(sf_dir),
-                        [(1, 5), (2, 5), (4, 5), (2, 10)])
-
-__all__ = ['_q_survival_cindex', '_q_selectivity_audit', '_q_yule_k', '_q_mann_whitney', '_q_kr20_reliability', '_q_friedman_test', '_q_mcnemar_test', '_q_max_drawdown', '_q_link_predict', '_q_species_richness', '_q_brier_decomp', '_q_rbp_eval', '_q_err_eval', '_q_kruskal_wallis', '_q_fleiss_kappa', '_q_copeland_rank', '_q_dm_test', '_q_mood_scale', '_q_stratified_logrank', '_q_dhondt_seats', '_q_hamilton_seats', '_q_banzhaf_power', '_q_shapley_shubik', '_q_iv_wald', '_q_meta_fixed', '_q_erlang_blocking', '_q_wspt_schedule', '_q_gsp_auction', '_q_vcg_payments', '_q_nash_2x2', '_q_zerosum_value', '_q_series_parallel_rel', '_q_koon_availability', '_q_luhn_check', '_q_hamming74_fec', '_q_grid_spatial_join', '_q_spatial_knn', '_q_optimal_assignment', '_q_stable_matching', '_q_leontief_io', '_q_absorbing_chain', '_q_sir_epidemic', '_q_lotka_volterra', '_q_debruijn_degrees', '_q_debruijn_contigs', '_q_johnson_flowshop', '_q_critical_path', '_q_pythagorean_wins', '_q_log5_matchup', '_q_borda_count', '_q_irv_winner', '_q_erlang_c_wait', '_q_mm1_queue', '_q_anova_oneway', '_q_brown_forsythe', '_q_h_index', '_q_acceptance_sampling', '_q_loan_amortization', '_q_nw_transport', '_q_hardy_weinberg', '_q_portfolio_minvar', '_q_lin_ccc', '_q_naive_bayes', '_q_engset_blocking', '_q_kelly_fraction', '_q_airport_game', '_q_stoploss_layers', '_q_mg1_queue', '_q_crr_option', '_q_durbin_watson', '_q_cooks_distance', '_q_buhlmann_credibility', '_q_littlewood_protect', '_q_double_auction', '_q_secretary_stop', '_q_erdos_gallai', '_q_record_values', '_q_ballot_walk', '_q_backlog_dam', '_q_stochastic_dominance', '_q_myerson_reserve', '_q_talmud_split', '_q_adjusted_winner', '_q_kalman_level', '_q_colley_rank', '_q_hash_occupancy', '_q_penney_game', '_q_logistic_map', '_q_cf_convergents', '_q_bullwhip']
+__all__ = ['_q_survival_cindex', '_q_selectivity_audit', '_q_yule_k', '_q_mann_whitney', '_q_kr20_reliability', '_q_friedman_test', '_q_mcnemar_test', '_q_max_drawdown', '_q_link_predict', '_q_species_richness', '_q_brier_decomp', '_q_rbp_eval', '_q_err_eval', '_q_kruskal_wallis', '_q_fleiss_kappa', '_q_stratified_logrank', '_q_luhn_check', '_q_hamming74_fec', '_q_grid_spatial_join', '_q_spatial_knn', '_q_optimal_assignment', '_q_stable_matching', '_q_leontief_io', '_q_absorbing_chain', '_q_debruijn_degrees', '_q_debruijn_contigs']

@@ -4,345 +4,6 @@ from __future__ import annotations
 from documentai_ray.queries._helpers import *  # noqa: F401,F403
 
 
-
-
-def _q_necklace_count(sf_dir: str):
-    """Weekly-pattern necklace census (Burnside/Pólya) — COUNTING
-    UNDER SYMMETRY, a family the surface lacked: the n-gram ops
-    count patterns as written, but two weekly on/off schedules
-    that are rotations of each other are the SAME cyclic pattern,
-    and Burnside's lemma counts the classes exactly —
-    (1/7)·Σ_{d|7} φ(d)·2^(7/d) = 20, an integer BECAUSE the lemma
-    says so (divisibility pinned for every k ≤ 16 in
-    ``aggregates.necklace_count_int``).  Daily parities → 7-day
-    windows → least-rotation canonical forms → observed distinct
-    necklaces vs the possible 20.  Mirror: 6-lag concat windows +
-    a 7-way least() of substr rotations."""
-    from documentai_ray.stages.aggregates import necklace_count_int
-
-    return necklace_count_int(_daily_counts(sf_dir))
-
-
-def _q_wardrop_poa(sf_dir: str):
-    """Wardrop equilibrium + price of anarchy on a two-route
-    network with the AM/PM mean values as the free-flow latencies
-    — CONGESTION GAMES, a family the surface lacked: nash_2x2 /
-    zerosum_value solve matrix games; selfish ROUTING is the game
-    where players are a continuum of flow, the equilibrium
-    equalizes latencies, the optimum equalizes MARGINAL costs,
-    and their cost ratio obeys the Roughgarden-Tardos 4/3 bound —
-    achieved bit-exactly by Pigou's example, both pinned in
-    ``aggregates.wardrop_poa_int``.  ONE scalar AM/PM exchange;
-    congestion-slope scenarios are a fixed design grid.  Mirror:
-    the same clamped closed forms under the same clearings."""
-    from documentai_ray.stages.aggregates import wardrop_poa_int
-
-    h = _ampm_value_hist(sf_dir)
-    am = h[h["am"] == 1]
-    pm = h[h["am"] == 0]
-    a1 = int((am["c"] * am["n"]).sum()) // int(am["n"].sum())
-    a2 = int((pm["c"] * pm["n"]).sum()) // int(pm["n"].sum())
-    return wardrop_poa_int(a1, a2, [(0, 500), (250, 250),
-                                    (500, 500), (100, 400)])
-
-
-def _q_group_testing(sf_dir: str):
-    """Dorfman pooled-testing design over the corpus defect rate —
-    GROUP TESTING, a family the surface lacked:
-    acceptance_sampling disposes of a lot from a sample; pooling
-    asks the DESIGN question (test k specimens as one pool, retest
-    on a positive) whose expected per-person cost 1/k + 1 −
-    (1−p)^k made wartime screening tractable.  p = share of events
-    with value < $10 (the acceptance_sampling defect convention),
-    the power runs as a ppm chain (the erlang discipline), grid
-    argmin marks best_k; regime boundaries and the textbook
-    p = 1% ⇒ k = 11 optimum pinned in
-    ``aggregates.group_testing_int``.  Mirror: recursive-CTE
-    chains, one per pool size."""
-    import pyarrow.compute as pc
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import group_testing_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        v = batch.column("value")
-        d = pc.sum(pc.cast(pc.less(v, 10.0), pa.int64())).as_py()
-        return pa.table({"d": pa.array([d or 0], pa.int64()),
-                         "n": pa.array([len(batch)], pa.int64())})
-
-    agg = (ev.map_batches(partial, batch_format="pyarrow")
-           .aggregate(Sum("d", alias_name="d"),
-                      Sum("n", alias_name="n")))
-    p_ppm = 1_000_000 * int(agg["d"]) // int(agg["n"])
-    return group_testing_int(p_ppm, [2, 3, 5, 8, 11, 12, 16])
-
-
-def _q_bond_duration(sf_dir: str):
-    """Macaulay duration + convexity of 12-month bonds on the mean
-    order value at 1%/month — FIXED-INCOME RISK, a family the
-    surface lacked: loan_amortization schedules cash flows,
-    crr_option prices contingency, but "how much does the price
-    move when rates move" is the duration question; the rational
-    yield makes the whole term structure exact integers, the
-    zero-coupon row reads duration == maturity EXACTLY and the par
-    row reads price == face BIT-EXACT (the par theorem, asserted
-    in ``aggregates.bond_duration_int``).  The loan_amortization
-    scalar exchange, reused.  Mirror: builder-computed
-    100^t·101^(12−t) design literals."""
-    import pyarrow.compute as pc
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import bond_duration_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                               columns=["o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c = pc.cast(pc.round(pc.multiply(
-            batch.column("o_totalprice"), 100)), pa.int64())
-        return pa.table({"s": pa.array([pc.sum(c).as_py() or 0],
-                                       pa.int64()),
-                         "n": pa.array([len(batch)], pa.int64())})
-
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .aggregate(Sum("s", alias_name="s"),
-                      Sum("n", alias_name="n")))
-    face = int(agg["s"]) // int(agg["n"])
-    return bond_duration_int(face - face % 100)
-
-
-def _q_linkage_diseq(sf_dir: str):
-    """Two-locus linkage disequilibrium of the per-user (AM
-    parity, PM parity) pair — POPULATION GENETICS' second rung:
-    hardy_weinberg tests ONE locus against its own allele
-    frequencies; LD asks whether TWO loci travel together, via
-    Lewontin's D′ (sign-split vs the margin-allowed maximum) and
-    Hill-Robertson's r² (the square-root-free member — why it is
-    the integer-exact one).  The hardy_weinberg user-bounded
-    parity census, re-counted as the joint 2×2; all laws in
-    ``aggregates.linkage_diseq_int``.  Mirror: per-user parity
-    CTE + the identical cleared algebra."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import linkage_diseq_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hrs = (batch.column("ts").cast(pa.timestamp("us"))
-               .cast(pa.int64()).to_numpy() // 3_600_000_000) % 24
-        df = pd.DataFrame({
-            "u": batch.column("user_id").to_pylist(),
-            "a": (hrs < 12).astype("int64"),
-            "b": (hrs >= 12).astype("int64")})
-        g = df.groupby("u", as_index=False)[["a", "b"]].sum()
-        return pa.table({"u": pa.array(g["u"], pa.int64()),
-                         "a": pa.array(g["a"], pa.int64()),
-                         "b": pa.array(g["b"], pa.int64())})
-
-    g = (ev.map_batches(partial, batch_format="pyarrow")
-         .groupby("u")
-         .aggregate(Sum("a", alias_name="a"),
-                    Sum("b", alias_name="b"))).to_pandas()
-    ae = (g["a"] % 2 == 0)
-    be = (g["b"] % 2 == 0)
-    return linkage_diseq_int(len(g), int(ae.sum()), int(be.sum()),
-                             int((ae & be).sum()))
-
-
-def _q_index_coincidence(sf_dir: str):
-    """Friedman index of coincidence + key-length test over the
-    document corpus — CLASSICAL CRYPTANALYSIS, a family the
-    surface lacked: lang_id and yule_k fingerprint text, but the
-    IC is codebreaking's founding statistic and its positional-
-    stream version detects polyalphabetic periods.  Letters-only
-    lowercase normalization, per-document positions mod k, ONE
-    bounded (k, stream, letter) exchange; floor contract and the
-    Vigenère demo pinned in ``aggregates.index_coincidence_int``.
-    Mirror: regexp normalization + lateral position unnest + the
-    same two documented floor layers."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import (
-        index_coincidence_int)
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        agg = {}
-        for txt in batch.column("text").to_pylist():
-            b = np.frombuffer((txt or "").encode("utf-8",
-                                                 "ignore"),
-                              dtype=np.uint8)
-            lett = ((b >= 65) & (b <= 90)) | ((b >= 97)
-                                              & (b <= 122))
-            kept = (b[lett] | 0x20).astype(np.int64)
-            pos = np.arange(len(kept), dtype=np.int64)
-            for k in range(1, 6):
-                key = (k * 1_000_000 + (pos % k) * 1000
-                       + kept)
-                u, c = np.unique(key, return_counts=True)
-                for kk, cc in zip(u, c):
-                    agg[int(kk)] = agg.get(int(kk), 0) + int(cc)
-        ks = sorted(agg)
-        return pa.table({"key": pa.array(ks, pa.int64()),
-                         "n": pa.array([agg[k] for k in ks],
-                                       pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("key").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    census = [(int(k) // 1_000_000, (int(k) // 1000) % 1000,
-               int(k) % 1000, int(n))
-              for k, n in zip(h["key"], h["n"])]
-    return index_coincidence_int(census, [1, 2, 3, 4, 5])
-
-
-def _q_lpt_makespan(sf_dir: str):
-    """LPT multiprocessor scheduling of the daily workloads with
-    Graham's certificate — APPROXIMATION ALGORITHMS WITH
-    GUARANTEES, a family the surface lacked: wspt/johnson are
-    exact optima for their models; multiprocessor makespan is
-    NP-hard and the honest object is the greedy WITH its proven
-    per-instance bound m·makespan ≤ total + (m−1)·max_job carried
-    as a visible slack column, plus the brute-force-pinned
-    4/3 − 1/(3m) ratio (``aggregates.lpt_makespan_int``).  The
-    durbin_watson day census, reused.  Mirror: recursive CTE
-    carrying the machine loads as columns, first-least-loaded tie
-    rule spelled per column."""
-    from documentai_ray.stages.aggregates import lpt_makespan_int
-
-    return lpt_makespan_int(_daily_counts(sf_dir), [2, 3, 5])
-
-
-def _q_dft_period(sf_dir: str):
-    """Exact integer Schuster periodogram of the hourly event-count
-    series at periods 2/3/4/6 — SPECTRAL ANALYSIS, a family the
-    surface lacked: the window/anomaly ops (events_hourly,
-    seasonal_anomaly, haar_energy) read the series in the time
-    domain; the periodogram asks WHICH PERIOD carries the energy,
-    and for the four periods whose roots of unity live in the
-    Gaussian/Eisenstein integers the ordinate 4|X(1/p)|² is an
-    exact integer of the residue-class sums (formulas, floor-free
-    contract and the honest not-an-orthogonal-bin-unless-p|N
-    convention in ``aggregates.periodogram_int``).  ONE bounded
-    12-cell (hour mod 12) exchange; absent hours contribute zero
-    and never need densifying.  Mirror: epoch-hour mod-12 census +
-    the same four closed forms + rank-1 peak flag."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import periodogram_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = batch.column("ts").cast(pa.int64()).to_numpy()
-        r = (us // 3_600_000_000) % 12
-        u, c = np.unique(r, return_counts=True)
-        return pa.table({"r12": pa.array(u, pa.int64()),
-                         "n": pa.array(c, pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("r12").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    return periodogram_int(list(zip(h["r12"], h["n"])))
-
-
-def _q_maxflow_mincut(sf_dir: str):
-    """Max flow with MIN-CUT DUALITY AS THE ORACLE — network-flow
-    combinatorial optimization, a family the surface lacked
-    (nw_transport ships a feasible heuristic; this is the exact
-    optimum with its dual certificate).  Layered network s → 5
-    regions → 5 market segments → t; capacities are pure counts
-    (3×suppliers per region, customers per region×segment, orders
-    per segment // 8 — design constants stated).  The Ray side
-    computes max flow by Edmonds-Karp augmenting paths AND the
-    brute-force min cut over all 2¹⁰ masks; the mirror enumerates
-    the SAME 1024 cuts in SQL — their agreement on every instance
-    IS the max-flow/min-cut theorem, with duality_gap computed (not
-    assumed) and the integrality theorem implicit in the integer
-    flow (``aggregates.maxflow_mincut_int``).  Exchanges: 5-cell
-    supplier census, 25-cell customer census, 5-cell order census
-    via the broadcast custkey→segment dimension (the q5 contract:
-    customer is a dimension, orders never shuffles)."""
-    import pyarrow as pa
-    import ray
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import maxflow_mincut_int
-
-    nation = ray.data.read_parquet(
-        f"{sf_dir}/nation.parquet",
-        columns=["n_nationkey", "n_regionkey"]).to_pandas()
-    n2r = dict(zip(nation["n_nationkey"].astype(int),
-                   nation["n_regionkey"].astype(int)))
-
-    sup = ray.data.read_parquet(
-        f"{sf_dir}/supplier.parquet",
-        columns=["s_nationkey"]).to_pandas()
-    s_caps = {}
-    for nk in sup["s_nationkey"].astype(int):
-        r = n2r[nk]
-        s_caps[r] = s_caps.get(r, 0) + 3
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_nationkey",
-                 "c_mktsegment"]).to_pandas()
-    segs = sorted(cust["c_mktsegment"].unique())
-    g_of = {s: i for i, s in enumerate(segs)}
-    mid_caps = {}
-    for nk, sg in zip(cust["c_nationkey"].astype(int),
-                      cust["c_mktsegment"]):
-        key = (n2r[nk], g_of[sg])
-        mid_caps[key] = mid_caps.get(key, 0) + 1
-    c2g = ray.put(dict(zip(cust["c_custkey"].astype(int),
-                           (g_of[s] for s in cust["c_mktsegment"]))))
-
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_custkey"])
-
-    def per_seg(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        lk = ray.get(c2g)
-        g = np.fromiter((lk[int(k)] for k in
-                         batch.column("o_custkey").to_pylist()),
-                        dtype=np.int64)
-        u, c = np.unique(g, return_counts=True)
-        return pa.table({"g": pa.array(u, pa.int64()),
-                         "n": pa.array(c, pa.int64())})
-
-    oc = (orders.map_batches(per_seg, batch_format="pyarrow")
-          .groupby("g").aggregate(Sum("n", alias_name="n"))
-          ).to_pandas()
-    t_caps = {int(g): int(n) // 8
-              for g, n in zip(oc["g"], oc["n"])}
-    return maxflow_mincut_int(s_caps, mid_caps, t_caps)
-
-
 def _q_string_period(sf_dir: str):
     """Smallest period / longest border of each document's
     letters-only prefix — STRINGOLOGY, a family the surface lacked:
@@ -428,188 +89,6 @@ def _q_lz_complexity(sf_dir: str):
     return ds.map_batches(per_doc, batch_format="pyarrow")
 
 
-def _q_spanning_trees(sf_dir: str):
-    """Weighted spanning-tree count of the complete region graph by
-    Kirchhoff's MATRIX-TREE THEOREM — algebraic graph theory, a
-    family the surface lacked: the graph ops walk (pagerank, sssp,
-    kcore) or count local structure (triangle_count); Kirchhoff
-    counts GLOBAL substructures exactly via a determinant.  Edge
-    weights fold the per-region supplier×customer census products
-    into [1, 97] (BIGINT envelope at any scale — stated); the Ray
-    side runs fraction-free Bareiss elimination AND the 125-tree
-    Prüfer brute force with prufer_gap = det − Σ_T Π w COMPUTED and
-    shipped (0 by the theorem), Cayley's 5³ = 125 pinned on the
-    unit-weight det (``aggregates.spanning_trees_int``).  Exchanges:
-    two bounded 5-cell region censuses (suppliers, customers) via
-    the broadcast nation dimension.  Mirror: the 24-term Leibniz
-    expansion of the same reduced Laplacian."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import spanning_trees_int
-
-    nation = ray.data.read_parquet(
-        f"{sf_dir}/nation.parquet",
-        columns=["n_nationkey", "n_regionkey"]).to_pandas()
-    n2r = dict(zip(nation["n_nationkey"].astype(int),
-                   nation["n_regionkey"].astype(int)))
-
-    def census(table: str, key: str):
-        import numpy as np
-
-        ds = ray.data.read_parquet(f"{sf_dir}/{table}.parquet",
-                                   columns=[key])
-
-        def partial(batch: pa.Table) -> pa.Table:
-            r = np.fromiter((n2r[int(k)] for k in
-                             batch.column(key).to_pylist()),
-                            dtype=np.int64)
-            u, c = np.unique(r, return_counts=True)
-            return pa.table({"r": pa.array(u, pa.int64()),
-                             "n": pa.array(c, pa.int64())})
-
-        h = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("r").aggregate(Sum("n", alias_name="n"))
-             ).to_pandas()
-        return dict(zip(h["r"].astype(int), h["n"].astype(int)))
-
-    return spanning_trees_int(census("supplier", "s_nationkey"),
-                              census("customer", "c_nationkey"))
-
-
-def _q_knapsack_dp(sf_dir: str):
-    """0/1 knapsack over the first 18 parts (weight = p_size, value
-    = retail cents, capacity 200) — EXACT PSEUDO-POLYNOMIAL DP, the
-    other pole of the approximation family lpt_makespan opened:
-    there the NP-hard problem got a bounded greedy; here the DP IS
-    the optimum, and the classical certificates ride along — the
-    Dantzig LP relaxation bound (one milli floor) with
-    lp_slack_milli ≥ 0, and the ½-approximation theorem
-    max(greedy, best single) ≥ OPT/2 as half_slack ≥ 0, both
-    COMPUTED (``aggregates.knapsack_dp_int``; brute-force optima
-    pinned in tests).  Mirror: recursive CTE carrying the 201-cell
-    DP table as a LIST column, a second recursive CTE replaying the
-    ratio-ordered greedy, and the windowed prefix for the break
-    item."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import knapsack_dp_int
-
-    part = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_size", "p_retailprice"]
-    ).filter(lambda r: r["p_partkey"] < 18).to_pandas()
-    items = [(int(k), max(1, int(w)), int(round(p * 100)))
-             for k, w, p in zip(part["p_partkey"], part["p_size"],
-                                part["p_retailprice"])]
-    return knapsack_dp_int(items, 200)
-
-
-def _q_mdp_value_iter(sf_dir: str):
-    """Floored value iteration on the 5-state recrawl MDP —
-    SEQUENTIAL DECISION MAKING, a family the surface lacked: the
-    iterative ops relax a map to its own fixed point (pagerank,
-    logistic_map, sir_epidemic); an MDP relaxes to the fixed point
-    of a MAX over actions and Bellman optimality is the theorem.
-    Staleness states 0..4; wait earns (4−s)·1000 milli and decays,
-    crawl earns G = 1000 + (n_events mod 7)·500 (corpus-seeded, the
-    logistic_map discipline — lands in the non-degenerate threshold
-    regime) and resets; discount 9/10 as ONE floor per backup.
-    Monotone-from-zero convergence to the least fixed point is
-    EXACT (asserted ≤ 200 sweeps; the mirror runs exactly 200 — a
-    fixed point stays fixed), the Bellman residual is re-computed
-    post-hoc as the certificate, and the THRESHOLD-POLICY theorem
-    (best_action nondecreasing in s) is pinned in tests
-    (``aggregates.mdp_value_iter_int``).  Mirror: recursive CTE
-    carrying the five value columns."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import mdp_value_iter_int
-
-    n = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                              columns=["event_id"]).count()
-    return mdp_value_iter_int(1000 + (n % 7) * 500)
-
-
-def _q_heat_diffusion(sf_dir: str):
-    """Explicit finite-difference heat equation on the 24-hour ring
-    — NUMERICAL PDE as exact integer arithmetic, a family the
-    surface lacked: the series ops read or score the diurnal
-    profile; diffusion EVOLVES it, and scaling the initial census by
-    4¹⁰ makes every step's ring average (u_{i−1} + 2u_i + u_{i+1})/4
-    an EXACT division (divisibility asserted per step — floor vs
-    trunc never matters, stated), so MASS CONSERVATION rides as a
-    bit-exact computed column (mass_drift = 0) and the MAXIMUM
-    PRINCIPLE (range never grows) is pinned in tests
-    (``aggregates.heat_diffusion_int``).  ONE bounded 24-cell
-    (hour mod 24) exchange; u10_milli = 1000·u_T // 4^T is the op's
-    one floor.  Mirror: recursive CTE carrying the 24-cell grid as
-    a LIST column with ring indexing."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import heat_diffusion_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = batch.column("ts").cast(pa.int64()).to_numpy()
-        r = (us // 3_600_000_000) % 24
-        u, c = np.unique(r, return_counts=True)
-        return pa.table({"hr": pa.array(u, pa.int64()),
-                         "n": pa.array(c, pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("hr").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    return heat_diffusion_int(list(zip(h["hr"], h["n"])))
-
-
-def _q_lis_quantity(sf_dir: str):
-    """Longest nondecreasing / strictly-decreasing subsequence of
-    the monthly shipped-quantity series with the ERDŐS–SZEKERES
-    certificate — PERMUTATION COMBINATORICS (Ulam's problem), a
-    family the surface lacked: kendall_tau counts inversions
-    pairwise, runs_test counts maximal runs; the LIS is the global
-    order statistic.  ONE bounded ~84-cell month census exchange;
-    the Ray side runs O(n log n) PATIENCE SORTING while the mirror
-    runs the O(n²) DP — two different algorithms agreeing is the
-    check, and es_slack = lis·lds − n ≥ 0 ships the
-    Dilworth-flavoured theorem as a computed column
-    (``aggregates.lis_erdos_szekeres_int``)."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import lis_erdos_szekeres_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_shipdate", "l_quantity"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-
-        d = pd.to_datetime(batch.column("l_shipdate").to_pandas())
-        mk = (d.dt.year * 12 + d.dt.month - 1).to_numpy(np.int64)
-        q = np.rint(batch.column("l_quantity").to_numpy()
-                    ).astype(np.int64)
-        df = pd.DataFrame({"mk": mk, "v": q}).groupby(
-            "mk", as_index=False).sum()
-        return pa.Table.from_pandas(df, preserve_index=False
-                                    ).replace_schema_metadata(None)
-
-    cen = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("mk").aggregate(Sum("v", alias_name="v"))
-           ).to_pandas().sort_values("mk")
-    return lis_erdos_szekeres_int(cen["v"].tolist())
-
-
 def _q_edit_distance(sf_dir: str):
     """Token-level Levenshtein distance between consecutive document
     pairs (doc 2k vs 2k+1, first 16 whitespace tokens — caps stated)
@@ -674,86 +153,6 @@ def _q_edit_distance(sf_dir: str):
                         batch_format="pandas"))
 
 
-def _q_buzen_network(sf_dir: str):
-    """Gordon–Newell closed queueing network solved by BUZEN'S
-    CONVOLUTION — the teletraffic family's missing member: mm1/mg1/
-    erlang/engset are OPEN systems; a closed network circulates a
-    fixed population (6 jobs over the 3 order-status stations, load
-    t_i = 1 + census mod 20 — corpus-seeded, the logistic_map
-    discipline).  G(N) is an exact integer; the kernel checks
-    Buzen's DP against the brute-force composition enumeration per
-    instance, the bottleneck law t_i·X ≤ 1 is asserted, and the
-    JOBS-CONSERVATION identity Σ nbar = N ships EXACT pre-floor as
-    conservation_gap = 0, computed in both engines
-    (``aggregates.buzen_network_int``).  ONE bounded 3-cell status
-    census exchange.  Mirror: recursive CTE convolving stations via
-    the geometric closed form G_m(n) = Σ_k t_m^k G_{m−1}(n−k)."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Count
-
-    from documentai_ray.stages.aggregates import buzen_network_int
-
-    cen = (ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                 columns=["o_orderstatus"])
-           .groupby("o_orderstatus")
-           .aggregate(Count(alias_name="n"))
-           ).to_pandas().sort_values("o_orderstatus")
-    return buzen_network_int([1 + int(n) % 20 for n in cen["n"]], 6)
-
-
-def _q_tsp_heldkarp(sf_dir: str):
-    """Exact TSP over the 5-region complete graph (the
-    spanning_trees mod-97 census weights, shared provenance) —
-    HELD–KARP subset DP, extending the exact-optimization family
-    (knapsack DP'd subsets; this DPs subsets × endpoints over a
-    permutation space).  The kernel runs the DP AND enumerates all
-    12 distinct tours, asserting equality per instance; the mirror
-    enumerates the same 24 fixed-start permutations in generated
-    SQL.  Two classical lower bounds ride as computed columns: the
-    degree bound Σ_v(two cheapest incident edges) ≤ 2·OPT and the
-    1-TREE bound MST(V∖{0}) + two cheapest edges at 0 ≤ OPT (MST by
-    brute force over the 4² Prüfer trees — Cayley again)
-    (``aggregates.tsp_heldkarp_int``)."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import tsp_heldkarp_int
-
-    nation = ray.data.read_parquet(
-        f"{sf_dir}/nation.parquet",
-        columns=["n_nationkey", "n_regionkey"]).to_pandas()
-    n2r = dict(zip(nation["n_nationkey"].astype(int),
-                   nation["n_regionkey"].astype(int)))
-
-    def census(table: str, key: str):
-        import numpy as np
-
-        ds = ray.data.read_parquet(f"{sf_dir}/{table}.parquet",
-                                   columns=[key])
-
-        def partial(batch: pa.Table) -> pa.Table:
-            r = np.fromiter((n2r[int(k)] for k in
-                             batch.column(key).to_pylist()),
-                            dtype=np.int64)
-            u, c = np.unique(r, return_counts=True)
-            return pa.table({"r": pa.array(u, pa.int64()),
-                             "n": pa.array(c, pa.int64())})
-
-        h = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("r").aggregate(Sum("n", alias_name="n"))
-             ).to_pandas()
-        return dict(zip(h["r"].astype(int), h["n"].astype(int)))
-
-    sup = census("supplier", "s_nationkey")
-    cust = census("customer", "c_nationkey")
-    w = {(a, b): 1 + (sup.get(a, 0) * cust.get(b, 0)
-                      + sup.get(b, 0) * cust.get(a, 0)) % 97
-         for a in range(5) for b in range(a + 1, 5)}
-    return tsp_heldkarp_int(w)
-
-
 def _q_crc8_checksum(sf_dir: str):
     """CRC-8/SMBUS of each document's normalized 64-byte prefix —
     POLYNOMIAL CODES over GF(2), the coding family's
@@ -793,130 +192,6 @@ def _q_crc8_checksum(sf_dir: str):
                          "residue": pa.array(rs, pa.int64())})
 
     return ds.map_batches(per_doc, batch_format="pyarrow")
-
-
-def _q_ffd_binpack(sf_dir: str):
-    """First-fit-decreasing bin packing of the first 30 part sizes
-    into capacity-64 bins — the approximation family's other
-    canonical member: lpt_makespan bounds MAKESPAN with Graham's
-    certificate; FFD bounds BIN COUNT, with Dósa's tight
-    FFD ≤ 11/9·OPT + 6/9 pinned against brute-force optima in tests
-    and the size lower bound ⌈total/cap⌉ shipping as lb_slack ≥ 0
-    plus the exact waste accounting
-    (``aggregates.ffd_binpack_int``).  Mirror: recursive CTE
-    carrying the bin-load LIST with first-fit via list_position
-    (its not-found = 0 convention handled — stated)."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import ffd_binpack_int
-
-    part = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_size"]
-    ).filter(lambda r: r["p_partkey"] < 30).to_pandas()
-    return ffd_binpack_int([max(1, int(s)) for s in part["p_size"]],
-                           64)
-
-
-def _q_huffman_code(sf_dir: str):
-    """Optimal prefix-code cost of the corpus letter distribution by
-    HUFFMAN'S GREEDY (1952) — SOURCE CODING, the family
-    lz_complexity's universal parse left open: Huffman is the
-    optimal KNOWN-statistics code, and the total cost Σ w·len equals
-    the sum of the merge-created internal node weights, a
-    TIE-BREAK-INVARIANT integer (every Huffman tree is optimal —
-    stated; that is what lets both engines carry only a sorted
-    weight multiset).  Optimality is pinned against brute force
-    over ALL binary code trees on small alphabets, the Shannon
-    entropy bracket H ≤ cost/W < H+1 in floats
-    (``aggregates.huffman_cost_int``).  ONE bounded ≤26-cell letter
-    census exchange (the index_coincidence normalization);
-    savings_ppm = 10⁶·cost // (W·⌈log₂n⌉) is the op's one floor.
-    Mirror: lateral-unnest census + recursive CTE merging the two
-    smallest list heads."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import huffman_cost_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        agg = np.zeros(26, dtype=np.int64)
-        for txt in batch.column("text").to_pylist():
-            b = np.frombuffer((txt or "").encode("utf-8", "ignore"),
-                              dtype=np.uint8)
-            lett = (((b >= 65) & (b <= 90))
-                    | ((b >= 97) & (b <= 122)))
-            kept = (b[lett] | 0x20) - 97
-            agg += np.bincount(kept, minlength=26)
-        nz = np.nonzero(agg)[0]
-        return pa.table({"c": pa.array(nz, pa.int64()),
-                         "n": pa.array(agg[nz], pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("c").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    return huffman_cost_int(list(zip(h["c"], h["n"])))
-
-
-def _q_coupon_collector(sf_dir: str):
-    """Coupon-collector completion over the event-type stream —
-    OCCUPANCY PROBABILITY, the classical waiting-time question the
-    sketch family (hash_occupancy, hll) never poses: how many draws
-    until every type is seen, against the exact n·H_n expectation
-    (micro chain, one floor per harmonic term — the group_testing
-    discipline, drift bracketed in tests).  Distributed shape: ONE
-    per-(type, batch) partial lexicographic-min exchange (≤ types ×
-    blocks rows) folded to per-type first-occurrence keys, then one
-    broadcast-threshold filtered Count — the completion rank without
-    a global sort (equivalent because (ts, event_id) is a total
-    order; uniqueness checked by the mirror's row_number)
-    (``aggregates.coupon_collector_micro``)."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import coupon_collector_micro
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "ts",
-                                        "event_id"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = batch.to_pandas()
-        df["ts_us"] = df["ts"].astype("int64")
-        idx = df.sort_values(["ts_us", "event_id"]).groupby(
-            "event_type", sort=False).head(1)
-        return pa.Table.from_pandas(
-            idx[["event_type", "ts_us", "event_id"]],
-            preserve_index=False).replace_schema_metadata(None)
-
-    cand = ds.map_batches(partial,
-                          batch_format="pyarrow").to_pandas()
-    firsts = cand.sort_values(["ts_us", "event_id"]).groupby(
-        "event_type", sort=False).head(1)
-    thr_ts, thr_id = firsts.sort_values(["ts_us", "event_id"]).iloc[
-        -1][["ts_us", "event_id"]]
-    n_types = len(firsts)
-
-    def count_le(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        ts = batch.column("ts").cast(pa.int64()).to_numpy()
-        eid = batch.column("event_id").to_numpy()
-        k = int(((ts < thr_ts)
-                 | ((ts == thr_ts) & (eid <= thr_id))).sum())
-        return pa.table({"k": pa.array([k], pa.int64())})
-
-    obs = int(ds.map_batches(count_le, batch_format="pyarrow"
-                             ).to_pandas()["k"].sum())
-    return coupon_collector_micro(n_types, obs)
 
 
 def _q_bwt_runs(sf_dir: str):
@@ -965,1998 +240,7 @@ def _q_bwt_runs(sf_dir: str):
 
     return ds.map_batches(per_doc, batch_format="pyarrow")
 
-
-def _q_batcher_sort(sf_dir: str):
-    """Batcher odd-even mergesort network over the 8 three-hour
-    diurnal bins — SORTING NETWORKS / data-oblivious parallel
-    algorithms, a family the surface lacked: every other sort here
-    is data-dependent; the network is a FIXED 19-gate
-    compare-exchange sequence whose universal correctness is the
-    0-1 PRINCIPLE, pinned EXHAUSTIVELY over all 2⁸ binary vectors in
-    tests (``aggregates.batcher_sort_int``; the same gate list
-    drives both engines).  ONE bounded 8-cell exchange; is_sorted is
-    COMPUTED from the output wires, not assumed.  Mirror: the gate
-    list unrolled into generated chained least/greatest CTEs."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import batcher_sort_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = batch.column("ts").cast(pa.int64()).to_numpy()
-        r = (us // 3_600_000_000) % 24 // 3
-        u, c = np.unique(r, return_counts=True)
-        return pa.table({"b": pa.array(u, pa.int64()),
-                         "n": pa.array(c, pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("b").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    bins = [0] * 8
-    for b, n in zip(h["b"], h["n"]):
-        bins[int(b)] = int(n)
-    return batcher_sort_int(bins)
-
-
-def _q_viterbi_decode(sf_dir: str):
-    """Exact max-product Viterbi decoding of the hourly parity
-    stream under a 2-state sticky HMM — PROBABILISTIC GRAPHICAL
-    MODELS, a family the surface lacked: naive_bayes scores i.i.d.
-    features and markov_kstep folds a chain FORWARD; Viterbi finds
-    the single best LATENT PATH, exact in integers (3/1 design
-    weights, HUGEINT envelope ≤ 3·9²³ stated).  The carry-the-path
-    trick replaces backtracking — each state drags its argmax path
-    string, which is what lets the mirror be ONE forward recursive
-    CTE; ties → lower state (stated, shared).  Certificates: the
-    decoded score ≥ both constant paths (computed flags) and
-    EXHAUSTIVE optimality over all 2⁸ paths pinned in tests
-    (``aggregates.viterbi_decode_int``).  ONE bounded 24-cell
-    parity census exchange."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import viterbi_decode_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = batch.column("ts").cast(pa.int64()).to_numpy()
-        r = (us // 3_600_000_000) % 24
-        u, c = np.unique(r, return_counts=True)
-        return pa.table({"h": pa.array(u, pa.int64()),
-                         "n": pa.array(c, pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("h").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    cen = dict(zip(h["h"].astype(int), h["n"].astype(int)))
-    return viterbi_decode_int([cen.get(i, 0) % 2
-                               for i in range(24)])
-
-
-def _q_rule90_ca(sf_dir: str):
-    """Elementary cellular automaton rule 90 on the 24-hour parity
-    ring, 8 steps — ADDITIVE CA over GF(2), a family the surface
-    lacked: heat_diffusion evolves the AVERAGING linear grid; rule
-    90 is the XOR-linear one, so SUPERPOSITION holds exactly
-    (pinned, along with the Pascal-triangle single-seed evolution).
-    The ring is ONE 24-bit integer; a step is two rotates and an
-    xor, identical in both engines.  The visible theorem: every
-    evolved state has EVEN weight (each cell feeds exactly two
-    neighbours, so the new total parity XORs every bit twice) —
-    even_weight COMPUTED on the evolved mask and asserted
-    (``aggregates.rule90_ring_int``)."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import rule90_ring_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = batch.column("ts").cast(pa.int64()).to_numpy()
-        r = (us // 3_600_000_000) % 24
-        u, c = np.unique(r, return_counts=True)
-        return pa.table({"h": pa.array(u, pa.int64()),
-                         "n": pa.array(c, pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("h").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    cen = dict(zip(h["h"].astype(int), h["n"].astype(int)))
-    return rule90_ring_int([cen.get(i, 0) % 2 for i in range(24)],
-                           8)
-
-
-def _q_miller_rabin(sf_dir: str):
-    """Deterministic MILLER-RABIN primality testing of the 24
-    corpus-derived odd candidates n_h = 2·census_h + 39 —
-    COMPUTATIONAL NUMBER THEORY, a family the surface lacked
-    (cf_convergents is Diophantine approximation; this is modular
-    arithmetic): the 12 bases 2..37 are a proven deterministic
-    witness set for every n < 3.3·10²⁴, far above any corpus
-    candidate.  Per candidate: strong-probable-prime test to every
-    base, is_prime = all 12 pass, plus small_factor = least divisor
-    < 1000 (0 if none) as the cross-checkable certificate — the two
-    routes' agreement is asserted in-kernel and pinned exhaustively
-    vs a sieve in tests (``aggregates.miller_rabin_int``).  Mirror:
-    recursive square-and-multiply modpow + the squaring chain per
-    (candidate, base).  ONE bounded 24-cell census exchange."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import miller_rabin_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = batch.column("ts").cast(pa.int64()).to_numpy()
-        r = (us // 3_600_000_000) % 24
-        u, c = np.unique(r, return_counts=True)
-        return pa.table({"h": pa.array(u, pa.int64()),
-                         "n": pa.array(c, pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("h").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    cen = dict(zip(h["h"].astype(int), h["n"].astype(int)))
-    out = miller_rabin_int([2 * cen.get(i, 0) + 39
-                            for i in range(24)])
-    out.insert(0, "h", range(24))
-    out["h"] = out["h"].astype("int64")
-    return out
-
-
-def _q_konig_cover(sf_dir: str):
-    """Maximum bipartite matching = minimum vertex cover over the
-    region×market-segment incidence graph — KÖNIG'S THEOREM (1931),
-    the bipartite sibling of maxflow_mincut's LP duality: an edge
-    (region r, segment s) exists iff the customer census of the
-    pair is NOT divisible by 3 (corpus-seeded sparsification;
-    segments indexed by alphabetical rank).  The kernel computes
-    the matching by Hungarian augmenting paths AND the cover by
-    brute force over all 2¹⁰ vertex subsets (tie → smallest mask,
-    bits 0-4 left / 5-9 right); the mirror enumerates the SAME
-    2¹⁰ masks plus all 6⁵ partial left→right assignments — the two
-    sides agreeing on konig_gap = 0 IS the theorem, asserted
-    in-kernel (``aggregates.konig_matching_int``).  ONE bounded
-    ≤25-cell census exchange; nation broadcast."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import konig_matching_int
-
-    import pyarrow.parquet as pq
-
-    nat = pq.read_table(f"{sf_dir}/nation.parquet",
-                        columns=["n_nationkey", "n_regionkey"])
-    n2r = dict(zip(nat.column("n_nationkey").to_pylist(),
-                   nat.column("n_regionkey").to_pylist()))
-
-    ds = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                               columns=["c_nationkey",
-                                        "c_mktsegment"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({
-            "r": [n2r[k] for k in
-                  batch.column("c_nationkey").to_pylist()],
-            "s": batch.column("c_mktsegment").to_pylist()})
-        g = (df.groupby(["r", "s"]).size().rename("m")
-             .reset_index())
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    cen = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(["r", "s"]).aggregate(Sum("m", alias_name="m"))
-           ).to_pandas()
-    segs = sorted(cen["s"].unique())
-    sidx = {s: i for i, s in enumerate(segs)}
-    edges = [(int(r), sidx[s])
-             for r, s, m in zip(cen["r"], cen["s"], cen["m"])
-             if int(m) % 3 != 0]
-    return konig_matching_int(edges)
-
-
-def _q_convex_hull(sf_dir: str):
-    """Planar convex hull of the 12 corpus-derived integer points
-    (hour-census pairs mod 50) — COMPUTATIONAL GEOMETRY, a family
-    the surface lacked entirely: Andrew's monotone chain builds the
-    hull, and every vertex flag is cross-certified against the
-    EXTREME-POINT characterization p ∉ conv(S∖{p}) via Carathéodory
-    (no closed non-degenerate triangle of others contains p, no
-    closed segment of others carries p) — asserted per instance
-    in-kernel, so the mirror needs only the ORDER-FREE brute
-    characterization (EXISTS over segment pairs + signed-area
-    triple tests).  diam2 over ALL distinct pairs equals the
-    vertex-pair maximum (extreme points attain the diameter —
-    stated and asserted).  ONE bounded 24-cell census exchange
-    (``aggregates.convex_hull_int``)."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import convex_hull_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = batch.column("ts").cast(pa.int64()).to_numpy()
-        r = (us // 3_600_000_000) % 24
-        u, c = np.unique(r, return_counts=True)
-        return pa.table({"h": pa.array(u, pa.int64()),
-                         "n": pa.array(c, pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("h").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    cen = dict(zip(h["h"].astype(int), h["n"].astype(int)))
-    return convex_hull_int([(cen.get(2 * i, 0) % 50,
-                             cen.get(2 * i + 1, 0) % 50)
-                            for i in range(12)])
-
-
-def _q_josephus(sf_dir: str):
-    """The Josephus elimination circle for every n = 1..40 at the
-    corpus-derived step k = |events| mod 10 + 2 — COMBINATORIAL
-    ELIMINATION RECURRENCES, a family the surface lacked
-    (secretary_stop is optimal stopping; this is the exact survivor
-    position): J(1) = 0, J(n) = (J(n−1) + k) mod n, with the kernel
-    SIMULATING the actual circle for every n and asserting the
-    recurrence per instance; the k = 2 bit-rotation closed form
-    J(2^m + l) = 2l is pinned in tests
-    (``aggregates.josephus_int``).  ONE scalar count exchange;
-    mirror = one forward recursive CTE."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import josephus_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id"])
-    k = ds.count() % 10 + 2
-    return josephus_int(k, 40)
-
-
-def _q_rsa_crt(sf_dir: str):
-    """Toy RSA round-trip with CRT/Garner decryption over the 24
-    hourly-census messages — PUBLIC-KEY CRYPTOGRAPHY, a family the
-    surface lacked (index_coincidence is classical cryptanalysis;
-    luhn/crc/hamming are symmetric checks): p, q = least primes
-    ≥ the corpus seeds with p ≡ 2 (mod 3) so e = 3 is valid and
-    d = (2φ+1)/3 or (φ+1)/3 is a CLOSED FORM both engines share
-    (stated); each message is encrypted m³ mod n and decrypted
-    twice — directly c^d and via CRT with the Fermat inverse
-    q^(p−2) mod p — Euler's theorem asserted per message
-    (``aggregates.rsa_crt_int``).  ONE bounded 24-cell census
-    exchange; mirror = next-prime search + modpow chains in one
-    recursive CTE."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import rsa_crt_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = batch.column("ts").cast(pa.int64()).to_numpy()
-        r = (us // 3_600_000_000) % 24
-        u, c = np.unique(r, return_counts=True)
-        return pa.table({"h": pa.array(u, pa.int64()),
-                         "n": pa.array(c, pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("h").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    cen = dict(zip(h["h"].astype(int), h["n"].astype(int)))
-    return rsa_crt_int(2 * (cen.get(0, 0) % 400) + 101,
-                       2 * (cen.get(1, 0) % 400) + 101,
-                       [cen.get(i, 0) for i in range(24)])
-
-
-def _q_simpson_rule(sf_dir: str):
-    """Composite Simpson quadrature of the corpus-seeded cubic over
-    [0, 24] with 8 panels — NUMERICAL QUADRATURE, a family the
-    surface lacked (heat_diffusion evolves a PDE; nothing here
-    integrated): h = 3 makes the rule the INTEGER weighted sum
-    1,4,2,…,4,1, and on a cubic Simpson is EXACT (the error term
-    carries f⁗) — simpson == the closed-form integral, asserted.
-    The trapezoid rule is not exact, and Euler–Maclaurin gives its
-    cubic error EXACTLY as h²/12·(f′(24) − f′(0)) — trap_gap
-    asserted against the closed form (carried doubled to stay
-    integral) (``aggregates.simpson_cubic_int``).  ONE bounded
-    24-cell census exchange; mirror = the same integer sums."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.aggregates import simpson_cubic_int
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        us = batch.column("ts").cast(pa.int64()).to_numpy()
-        r = (us // 3_600_000_000) % 24
-        u, c = np.unique(r, return_counts=True)
-        return pa.table({"h": pa.array(u, pa.int64()),
-                         "n": pa.array(c, pa.int64())})
-
-    h = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("h").aggregate(Sum("n", alias_name="n"))
-         ).to_pandas()
-    cen = dict(zip(h["h"].astype(int), h["n"].astype(int)))
-    return simpson_cubic_int(cen.get(0, 0) % 7, cen.get(1, 0) % 11,
-                             cen.get(2, 0) % 13, cen.get(3, 0) % 17)
-
-
-def _q_ramsey_k6(sf_dir: str):
-    """K6 edge 2-coloring from the 15 hourly parity bits — RAMSEY
-    THEORY, a family the surface lacked: R(3,3) = 6 forces a
-    monochromatic triangle in EVERY coloring, and Goodman (1959)
-    sharpens the floor to 2 via the angle identity
-    #mono = 20 − ½·Σ_v r_v(5−r_v) (computed and asserted); the
-    kernel verifies the bound EXHAUSTIVELY over all 2¹⁵ colorings
-    (min is exactly 2 — attained) and the mirror re-runs the same
-    32768-coloring sweep in SQL (``aggregates.ramsey_k6_int``).
-    ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import ramsey_k6_int
-
-    cen = _hour_census(sf_dir)
-    return ramsey_k6_int([cen.get(e, 0) % 2 for e in range(15)])
-
-
-def _q_shamir_secret(sf_dir: str):
-    """Shamir (3, 6) secret sharing of the corpus-derived secret
-    over GF(103) — SECRET SHARING / polynomial interpolation, a
-    family the surface lacked (rsa_crt is computational security;
-    this is information-theoretic): 6 shares from the degree-2
-    polynomial, ALL 20 three-subsets reconstruct the secret by
-    Lagrange at 0 (threshold property, asserted per subset), and
-    perfect secrecy of any 2 shares is verified exhaustively over
-    every candidate secret in-kernel
-    (``aggregates.shamir_shares_int``).  ONE bounded 24-cell
-    census exchange; mirror = the same Lagrange sums with
-    brute-list modular inverses."""
-    from documentai_ray.stages.aggregates import shamir_shares_int
-
-    cen = _hour_census(sf_dir)
-    return shamir_shares_int(cen.get(0, 0), cen.get(1, 0),
-                             cen.get(2, 0))
-
-
-def _q_twosat_solve(sf_dir: str):
-    """2-SAT instance from the 24-hour census (one clause per hour,
-    variables/signs read off the count's base-2/base-8 digits) —
-    SATISFIABILITY / tractable complexity, a family the surface
-    lacked: the kernel decides by Aspvall-Plass-Tarjan implication-
-    graph SCCs (Tarjan implemented directly) AND by the exhaustive
-    2^8 sweep, asserts agreement, and emits the sweep-canonical
-    MAX-2-SAT certificate (argmax satisfied count, tie -> smallest
-    mask) so the mirror re-derives everything with a 256-row sweep
-    and NO graph algorithm (``aggregates.twosat_int``).  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import twosat_int
-
-    cen = _hour_census(sf_dir)
-    clauses = []
-    for h in range(24):
-        n = cen.get(h, 0)
-        clauses.append((n % 8, (n // 8) % 2,
-                        (n // 16) % 8, (n // 128) % 2))
-    return twosat_int(clauses)
-
-
-def _q_nim_grundy(sf_dir: str):
-    """3-heap Nim positions from the hourly census (8 positions,
-    heaps = consecutive hour counts mod 16) — SPRAGUE-GRUNDY
-    combinatorial game theory, a family the surface lacked: the
-    kernel computes grundy values by the mex recursion over ALL
-    16^3 positions and asserts BOUTON 1901 exhaustively (grundy ==
-    a XOR b XOR c everywhere), then per position emits the P/N
-    verdict and the lexicographically first winning move; the
-    mirror re-derives from the XOR closed form — game-tree DP vs
-    theorem, cross-certified (``aggregates.nim_grundy_int``).
-    ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import nim_grundy_int
-
-    cen = _hour_census(sf_dir)
-    positions = [(cen.get(3 * p, 0) % 16, cen.get(3 * p + 1, 0) % 16,
-                  cen.get(3 * p + 2, 0) % 16) for p in range(8)]
-    return nim_grundy_int(positions)
-
-
-def _q_partition_numbers(sf_dir: str):
-    """Integer partitions p(n) of the hourly census mod 41 —
-    PARTITION THEORY, a family the surface lacked: the kernel
-    computes p(0..40) by the parts-DP AND by Euler's pentagonal
-    number theorem (tables asserted equal entry-wise), plus the
-    distinct-parts count with Euler's distinct==odd identity
-    verified for every n ≤ 40 by two more independent DPs
-    (``aggregates.partition_numbers_int``); the mirror runs the
-    PENTAGONAL recurrence as a recursive list-carrying CTE for p
-    and the functional 0/1 knapsack fold for the distinct count —
-    each engine takes a different pair of routes.  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import partition_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return partition_numbers_int(
-        [(h, cen.get(h, 0) % 41) for h in range(24)])
-
-
-def _q_four_squares(sf_dir: str):
-    """Four-square representation counts r4(n) of the hourly census
-    mod 201 — ADDITIVE NUMBER THEORY (theta-series arithmetic), a
-    family the surface lacked: the kernel enumerates the full
-    signed lattice grid [−14,14]^4 with one vectorized bincount
-    and asserts JACOBI's r4(n) = 8·σ'(n) (divisors not divisible
-    by 4) exhaustively for ALL n ≤ 200, Lagrange's theorem riding
-    along as r4 > 0 with a lexicographically-smallest witness
-    quadruple per row (``aggregates.four_squares_int``); the
-    mirror re-enumerates the same grid in SQL (group-by-sum +
-    ordered-quadruple witness join) — the 8·σ' identity is visible
-    cross-engine as the r4/sigma_no4 column pair.  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import four_squares_int
-
-    cen = _hour_census(sf_dir)
-    return four_squares_int(
-        [(h, cen.get(h, 0) % 201) for h in range(24)])
-
-
-def _q_permutation_cycles(sf_dir: str):
-    """The hour-census rank permutation (hour h ↦ its rank under
-    (count, hour) ordering — a genuine data-derived element of
-    S24) put through SYMMETRIC-GROUP structure theory, a family
-    the surface lacked: cycle decomposition with canonical
-    min-element labels, the element's order as lcm of cycle
-    lengths certified by π^order == id AND π^(order/p) != id for
-    every prime p | order, and the sign by BOTH theorems —
-    (−1)^inversions == (−1)^(n−#cycles) asserted
-    (``aggregates.permutation_cycles_int``).  Mirror: row_number
-    rank, recursive-CTE orbit walk, self-join inversion count,
-    list_reduce lcm fold.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import permutation_cycles_int
-
-    cen = _hour_census(sf_dir)
-    pairs = sorted((cen.get(h, 0), h) for h in range(24))
-    rank = {h: r for r, (_, h) in enumerate(pairs)}
-    return permutation_cycles_int([rank[h] for h in range(24)])
-
-
-def _q_legendre_reciprocity(sf_dir: str):
-    """Quadratic reciprocity over 12 corpus-seeded odd-prime pairs
-    (consecutive census hours, trial-division next-prime, equal
-    seeds bump q past p) — MULTIPLICATIVE number theory's crown
-    theorem, a family the surface lacked: the kernel computes each
-    Legendre symbol THREE ways (Euler's criterion, Gauss's lemma,
-    the solvability definition), asserts agreement, and asserts
-    the law (p|q)(q|p) = (−1)^(((p−1)/2)((q−1)/2)) per pair
-    (``aggregates.legendre_reciprocity_int``); the mirror takes
-    the DEFINITIONAL route only (EXISTS x: x² ≡ a mod m — no
-    modpow CTE), so the law is visible cross-engine as the
-    product/predicted pair.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import legendre_reciprocity_int
-
-    cen = _hour_census(sf_dir)
-    return legendre_reciprocity_int(
-        [(cen.get(2 * i, 0), cen.get(2 * i + 1, 0))
-         for i in range(12)])
-
-
-def _q_ising_ring(sf_dir: str):
-    """Domain-wall ensemble of the 12-spin Ising ring seeded by the
-    hour-parity mask — STATISTICAL MECHANICS / transfer matrices,
-    a family the surface lacked: N(k) by full 2^12 enumeration
-    asserted against 2·C(12,k)-even/0-odd, and the partition
-    polynomial Z(x) evaluated at x = 0..12 by the actual transfer
-    matrix [[1,x],[x,1]]^12 (binary integer matrix power) with the
-    eigenvalue closed form (1+x)^12 + (1−x)^12 as a third route —
-    13 points pin the degree-12 identity
-    (``aggregates.ising_ring_int``).  Mirror: SQL re-enumeration
-    (bit_count/xor/rotate over 4096 configs), factorial closed
-    form, exact small-integer powers.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import ising_ring_int
-
-    cen = _hour_census(sf_dir)
-    mask = sum((cen.get(h, 0) % 2) << h for h in range(12))
-    return ising_ring_int(mask)
-
-
-def _q_gauss_lattice(sf_dir: str):
-    """Gauss/Lagrange reduction of 8 census-seeded 2-D integer
-    lattice bases — LATTICE REDUCTION / geometry of numbers, a
-    family the surface lacked (the 2-D case of LLL): bases
-    v1 = (1,s), v2 = (t, 1+st+u) carry determinant 1+u by
-    construction; the kernel runs the classical swap/round-and-
-    subtract loop (round-half-up via floor division, so μ=0 ⟺
-    −n1 ≤ 2·dot < n1), certifies |det| preservation, EXACT
-    shortest-vector optimality by exhaustive coefficient-box
-    search, and Hermite's bound 3·λ1⁴ ≤ 4·det², then
-    sign-canonicalizes (``aggregates.gauss_lattice_int``); the
-    mirror replays the same loop as a bounded recursive CTE with
-    sign-split floor division and re-runs the box search.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import gauss_lattice_int
-
-    cen = _hour_census(sf_dir)
-    triples = [(cen.get(3 * i, 0) % 20, cen.get(3 * i + 1, 0) % 20,
-                cen.get(3 * i + 2, 0) % 20) for i in range(8)]
-    return gauss_lattice_int(triples)
-
-
-def _q_dfa_minimize(sf_dir: str):
-    """Minimization of the census-derived 10-state binary DFA
-    (δ0 from hours 0-9, δ1 from hours 10-19, accept bits from
-    hours 20-23 with period-4 reuse — deliberately collision-prone
-    so mergeable states actually occur) — AUTOMATA THEORY, a
-    family the surface lacked: the kernel minimizes TWICE, by
-    MOORE partition refinement and by the MYHILL-NERODE
-    table-filling closure, asserts the equivalences identical on
-    reachable states, and certifies refinement stability
-    (``aggregates.dfa_minimize_int``); the mirror takes the
-    table-filling route only — recursive-CTE reachability + the
-    distinguishable-pair fixpoint, class label = min undistinguished
-    reachable state.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import dfa_minimize_int
-
-    cen = _hour_census(sf_dir)
-    delta0 = [cen.get(s, 0) % 10 for s in range(10)]
-    delta1 = [cen.get(s + 10, 0) % 10 for s in range(10)]
-    accept = [cen.get(20 + (s % 4), 0) % 2 for s in range(10)]
-    return dfa_minimize_int(delta0, delta1, accept)
-
-
-def _q_pell_equation(sf_dir: str):
-    """Fundamental Pell solutions x² − d·y² = 1 for 24
-    census-seeded nonsquare d ∈ [2,31] — QUADRATIC DIOPHANTINE
-    EQUATIONS, a family the surface lacked (cf_convergents is
-    Diophantine approximation; Pell is the equation Lagrange
-    solved WITH continued fractions): the kernel walks √d's exact
-    periodic CF recurrence to the first convergent solving the
-    equation, asserts MINIMALITY by brute sweep below y, and the
-    GROUP LAW (x²+dy², 2xy) per instance
-    (``aggregates.pell_equation_int``); the mirror finds the same
-    (x, y) by pure brute minimal-y search — CF route vs search
-    route, cross-certified.  d ≤ 31 keeps the worst fundamental
-    y at 1820 (d = 29).  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import pell_equation_int
-
-    cen = _hour_census(sf_dir)
-    return pell_equation_int([cen.get(h, 0) for h in range(24)])
-
-
-def _q_three_distance(sf_dir: str):
-    """The Steinhaus three-distance theorem on the census-derived
-    rational rotation — EQUIDISTRIBUTION THEORY, a family the
-    surface lacked: the first n multiples of p mod q partition the
-    circle into gaps of AT MOST three distinct lengths, largest =
-    sum of the other two when three occur — asserted per instance
-    in-kernel, with the coprime reduction of p replicated exactly
-    in both engines (``aggregates.three_distance_int``).  Mirror:
-    SQL sort + wraparound lead differences + distinct-gap
-    aggregation.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import three_distance_int
-
-    cen = _hour_census(sf_dir)
-    return three_distance_int(cen.get(0, 0),
-                              cen.get(1, 0) % 50 + 10,
-                              cen.get(2, 0))
-
-
-def _q_zeckendorf(sf_dir: str):
-    """Zeckendorf representations of the census values mod 900 + 1
-    — NUMERATION SYSTEMS, a family the surface lacked: greedy
-    non-consecutive Fibonacci decomposition with the non-adjacency
-    invariant and sum asserted per value, and UNIQUENESS certified
-    exhaustively for every value ≤ 300 (all Fibonacci subsets
-    enumerated — the theorem verified, not cited)
-    (``aggregates.zeckendorf_int``).  Mirror: the greedy walk as a
-    recursive CTE over the same Fibonacci literal table.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import zeckendorf_int
-
-    cen = _hour_census(sf_dir)
-    return zeckendorf_int([cen.get(h, 0) % 900 + 1
-                           for h in range(24)])
-
-
-def _q_stirling_bell(sf_dir: str):
-    """Stirling/Bell row for the census-selected n ∈ [7,12] —
-    ENUMERATIVE SET-PARTITION combinatorics, a family the surface
-    lacked (partition_numbers counts integer partitions, a
-    different object): kernel builds the triangle by recurrence,
-    asserts the explicit (1/k!)·Σ(−1)^j C(k,j)(k−j)^n formula
-    entry-wise, Bell by row sums AND the Aitken triangle, and
-    S(6,·) by exhaustive restricted-growth-string enumeration
-    (``aggregates.stirling_bell_int``); the mirror computes the
-    EXPLICIT formula only — formula vs recurrence vs enumeration.
-    ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import stirling_bell_int
-
-    cen = _hour_census(sf_dir)
-    return stirling_bell_int(cen.get(0, 0))
-
-
-def _q_derangements(sf_dir: str):
-    """Derangement counts D(n) for the hourly census mod 13 —
-    INCLUSION-EXCLUSION as an explicit object, a family the
-    surface lacked: three routes in-kernel (two-term recurrence,
-    one-term ±1 recurrence, the sieve sum Σ(−1)^k n!/k!) asserted
-    equal for all n ≤ 12 plus the exhaustive n = 6 certificate
-    (265 of 720 permutations fixed-point-free, counted by actual
-    enumeration) (``aggregates.derangements_int``); the mirror
-    takes the sieve route only.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import derangements_int
-
-    cen = _hour_census(sf_dir)
-    return derangements_int([(h, cen.get(h, 0)) for h in range(24)])
-
-
-def _q_polya_urn(sf_dir: str):
-    """Pólya urn over 8 draws from the census-seeded (r, b) —
-    EXCHANGEABILITY / urn models, a family the surface lacked:
-    the kernel runs the actual reinforcement dynamics along ALL
-    2^8 draw sequences, asserts exchangeability by enumeration
-    (equal-k sequences share one probability numerator), the
-    rising-factorial closed form, total probability, and the
-    red-fraction MARTINGALE property in exact cross-multiplied
-    integers (``aggregates.polya_urn_int``); the mirror computes
-    the rising-factorial closed forms only via list_product
-    (< 2^53 keeps doubles exact).  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import polya_urn_int
-
-    cen = _hour_census(sf_dir)
-    return polya_urn_int(cen.get(0, 0) % 5 + 1,
-                         cen.get(1, 0) % 5 + 1)
-
-
-def _q_dyck_catalan(sf_dir: str):
-    """Catalan numbers for the hourly census mod 11 — CATALAN
-    STRUCTURES / the reflection principle as enumeration theory,
-    a family the surface lacked as an explicit object
-    (ballot_walk applies Bertrand to one data walk): four
-    in-kernel routes (lattice DP, C(2n,n)/(n+1) with certified
-    divisibility, reflection difference, Segner convolution) all
-    asserted equal plus the exhaustive n = 6 certificate — 132 of
-    4096 walks are Dyck (``aggregates.dyck_catalan_int``); the
-    mirror takes the reflection route, pure factorial arithmetic.
-    ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import dyck_catalan_int
-
-    cen = _hour_census(sf_dir)
-    return dyck_catalan_int([(h, cen.get(h, 0)) for h in range(24)])
-
-
-def _q_sandpile_abelian(sf_dir: str):
-    """Abelian sandpile stabilization of the census chip
-    configuration on the 10-node open path — CHIP-FIRING /
-    self-organized criticality, a family the surface lacked
-    (rule90_ca is synchronous linear CA; chip-firing is
-    asynchronous and its headline theorem is that the schedule
-    doesn't matter): the kernel stabilizes under THREE schedules
-    (lowest-index, highest-index, fully parallel) and asserts
-    Dhar's abelian property — identical stable state AND identical
-    per-node odometer — plus boundary-loss conservation
-    (``aggregates.sandpile_abelian_int``); the mirror replays the
-    lowest-index schedule as a recursive list-carrying CTE.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import sandpile_abelian_int
-
-    cen = _hour_census(sf_dir)
-    return sandpile_abelian_int([cen.get(h, 0) % 5
-                                 for h in range(10)])
-
-
-def _q_totient_moebius(sf_dir: str):
-    """Euler φ and Möbius μ of the census values mod 120 + 1 —
-    ARITHMETIC FUNCTIONS / Möbius inversion, a family the surface
-    lacked: φ computed twice in-kernel (factorization product and
-    gcd-count definition), μ from the factorization, with GAUSS's
-    Σ_{d|n} φ(d) = n, the Möbius column-sum characterization, and
-    the inversion φ(n) = Σ μ(d)(n/d) asserted per value
-    (``aggregates.totient_moebius_int``); the mirror takes the
-    definitional routes only — gcd-count φ, squarefree trial
-    division μ.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import totient_moebius_int
-
-    cen = _hour_census(sf_dir)
-    return totient_moebius_int([(h, cen.get(h, 0) % 120 + 1)
-                                for h in range(24)])
-
-
-def _q_discrete_log(sf_dir: str):
-    """Discrete logs in (Z/p)* for 12 census-seeded primes —
-    COMPUTATIONAL GROUP THEORY, a family the surface lacked
-    (rsa_crt exponentiates; this inverts exponentiation): smallest
-    primitive root certified through the prime factors of p−1
-    (and every smaller candidate certified non-primitive), then
-    x = log_g(a) by BABY-STEP GIANT-STEP with the Fermat-inverse
-    giant stride AND by brute power walk, asserted equal with
-    g^x ≡ a re-checked (``aggregates.discrete_log_int``); the
-    mirror exhausts the power walk only — one recursive CTE over
-    (instance, candidate-root) pairs finds orders, the primitive
-    root, and the log.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import discrete_log_int
-
-    cen = _hour_census(sf_dir)
-    return discrete_log_int([(cen.get(2 * i, 0),
-                              cen.get(2 * i + 1, 0))
-                             for i in range(12)])
-
-
-def _q_hook_lengths(sf_dir: str):
-    """Standard Young tableaux counts for every partition of 7 —
-    ALGEBRAIC COMBINATORICS / S_n representation theory, a family
-    the surface lacked: the Frame-Robinson-Thrall hook length
-    formula f^λ = 7!/∏hooks with divisibility certified, each f^λ
-    verified by EXHAUSTIVE SYT enumeration, and the RSK identity
-    Σ(f^λ)² = 5040 asserted (the irreducible dimensions squaring
-    to |S_7| — verified, not cited)
-    (``aggregates.hook_lengths_int``); the mirror re-derives hooks
-    in SQL (arm + leg + 1) from the SAME canonical partition list
-    shipped as literal rows.  The census selects the flagged row.
-    ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import hook_lengths_int
-
-    cen = _hour_census(sf_dir)
-    return hook_lengths_int(cen.get(0, 0))
-
-
-def _q_gray_code(sf_dir: str):
-    """A census-anchored window of the binary-reflected Gray code
-    — COMBINATORIAL GRAY CODES / hypercube Hamiltonian cycles, a
-    family the surface lacked: the kernel builds the full 2^8
-    cycle by reflect-and-prefix AND the closed form n XOR (n>>1),
-    asserts equality, one-bit adjacency over the ENTIRE cycle
-    including wraparound, bijectivity, and the prefix-XOR
-    inversion on every value (``aggregates.gray_code_int``); the
-    mirror recomputes the closed form, flipped-bit index via
-    log2, and the inversion fold in SQL.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import gray_code_int
-
-    cen = _hour_census(sf_dir)
-    return gray_code_int(cen.get(0, 0))
-
-
-def _q_collatz(sf_dir: str):
-    """Collatz trajectories for the census seeds mod 1000 + 2 —
-    INTEGER ITERATION DYNAMICS, a family the surface lacked
-    (logistic_map iterates a real map; this is THE arithmetic
-    open problem, verified on the corpus range): stopping time,
-    maximum excursion, odd-step count and first-drop index per
-    seed, the step invariant asserted exactly
-    (``aggregates.collatz_int``); the mirror replays the walk as
-    a recursive CTE, one row per step.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import collatz_int
-
-    cen = _hour_census(sf_dir)
-    return collatz_int([cen.get(h, 0) for h in range(24)])
-
-
-def _q_turan_extremal(sf_dir: str):
-    """Turán's theorem on the census K6 subgraph (edge e present
-    iff hour-e count is nonzero mod 3) — EXTREMAL GRAPH THEORY, a
-    family the surface lacked (ramsey_k6 asks what is unavoidable
-    in every 2-coloring; Turán asks how many edges triangle-free
-    can carry): the kernel sweeps ALL 2^15 graphs and asserts the
-    max triangle-free edge count is exactly ⌊36/4⌋ = 9, attained,
-    plus the instance contrapositive (≥ 10 edges ⟹ triangle)
-    (``aggregates.turan_extremal_int``); the mirror re-runs the
-    same 32768-graph sweep in SQL over the shared edge/triangle
-    constants.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import turan_extremal_int
-
-    cen = _hour_census(sf_dir)
-    return turan_extremal_int(
-        [1 if cen.get(h, 0) % 3 != 0 else 0 for h in range(15)])
-
-
-def _q_goldbach(sf_dir: str):
-    """Goldbach representation counts for census-derived even n ∈
-    [4, 202] — ADDITIVE PRIME NUMBER THEORY, a family the surface
-    lacked: the kernel verifies r(n) ≥ 1 for EVERY even number on
-    the whole working range (exhaustive, not just census rows)
-    and emits per row the count and minimal-prime witness pair
-    (``aggregates.goldbach_int``); the mirror counts prime pairs
-    by trial-division joins — sieve vs join.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import goldbach_int
-
-    cen = _hour_census(sf_dir)
-    return goldbach_int([cen.get(h, 0) for h in range(24)])
-
-
-def _q_graeco_latin(sf_dir: str):
-    """A census-selected pair of orthogonal order-5 Latin squares
-    — DESIGN THEORY, a family the surface lacked: the cyclic
-    squares i + c·j (mod 5); the kernel verifies EXHAUSTIVELY that
-    every c gives a Latin square, every a ≠ b pair is orthogonal
-    (all 25 ordered pairs distinct), and every a = b pair fails
-    (``aggregates.graeco_latin_int``); the mirror rebuilds the
-    same cells arithmetically.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import graeco_latin_int
-
-    cen = _hour_census(sf_dir)
-    return graeco_latin_int(cen.get(0, 0), cen.get(1, 0))
-
-
-def _q_birkhoff(sf_dir: str):
-    """Birkhoff-von Neumann decomposition of the census-weighted
-    doubly balanced 4×4 matrix — POLYTOPE DECOMPOSITION, a family
-    the surface lacked (optimal_assignment finds ONE permutation;
-    Birkhoff writes the whole matrix as a nonnegative sum of
-    them): greedy extraction of the lex-smallest all-positive
-    permutation each round (one exists by Birkhoff/Hall —
-    asserted), with termination, exact reconstruction, and weight
-    conservation certified (``aggregates.birkhoff_int``); the
-    mirror replays the same greedy as a recursive list-carrying
-    CTE over the 24 literal S4 permutations.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import birkhoff_int
-
-    cen = _hour_census(sf_dir)
-    return birkhoff_int([cen.get(k, 0) for k in range(4)])
-
-
-def _q_sperner_lemma(sf_dir: str):
-    """Sperner's lemma on the side-3 triangulated triangle —
-    TOPOLOGICAL COMBINATORICS (the combinatorial Brouwer), a
-    family the surface lacked: the kernel enumerates ALL 192
-    admissible labelings and asserts every one has an odd number
-    of rainbow cells (the lemma verified in full); the census
-    picks the emitted labeling
-    (``aggregates.sperner_lemma_int``); the mirror re-runs the
-    same decode arithmetic AND the same 192-sweep in SQL over
-    shared vertex/triangle constants.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import sperner_lemma_int
-
-    cen = _hour_census(sf_dir)
-    return sperner_lemma_int(cen.get(0, 0))
-
-
-def _q_egz_zerosum(sf_dir: str):
-    """Erdős-Ginzburg-Ziv for n = 5 on the census 9-tuple —
-    ZERO-SUM COMBINATORICS, a family the surface lacked: the
-    kernel verifies the theorem EXHAUSTIVELY over all 715 residue
-    multisets (each with its 126 five-subsets — the full
-    hypothesis space), then counts the census tuple's zero-sum
-    5-subsets and flags the lexicographically first witness
-    (``aggregates.egz_zerosum_int``); the mirror enumerates the
-    126 subsets by 5-fold ordered join.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import egz_zerosum_int
-
-    cen = _hour_census(sf_dir)
-    return egz_zerosum_int([cen.get(h, 0) for h in range(9)])
-
-
-def _q_wilson_theorem(sf_dir: str):
-    """Wilson's criterion on census values — FACTORIAL
-    CONGRUENCES, a family the surface lacked (miller_rabin is a
-    probabilistic strong test; Wilson is the exact classical
-    characterization): the kernel verifies the full trichotomy
-    EXHAUSTIVELY for every 2 ≤ n ≤ 200 — primes give (n−1)! ≡ −1,
-    composites > 4 give 0, and n = 4 gives 2 — against
-    trial-division primality (``aggregates.wilson_theorem_int``);
-    the mirror runs the factorial-mod chain as a recursive CTE
-    per instance.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import wilson_theorem_int
-
-    cen = _hour_census(sf_dir)
-    return wilson_theorem_int([cen.get(h, 0) for h in range(24)])
-
-
-def _q_lucas_binomial(sf_dir: str):
-    """Lucas' and Kummer's theorems on census binomials —
-    COMBINATORIAL CONGRUENCES, a family the surface lacked: for
-    each pair, C(m,r) mod p (p ∈ {2,3,5,7}, m ≤ 400) computed
-    DIRECTLY by exact big-integer binomial and by the LUCAS
-    base-p digit product, asserted equal, with KUMMER's theorem
-    asserted independently — carries of r + (m−r) in base p equal
-    the Legendre-formula p-valuation of C(m,r)
-    (``aggregates.lucas_binomial_int``); the mirror takes a THIRD
-    route for the residue — the Pascal recurrence mod p as a
-    recursive list-carrying CTE — plus the digit product and the
-    Legendre sums.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import lucas_binomial_int
-
-    cen = _hour_census(sf_dir)
-    return lucas_binomial_int([(cen.get(2 * i, 0),
-                                cen.get(2 * i + 1, 0))
-                               for i in range(12)])
-
-
-def _q_eulerian_numbers(sf_dir: str):
-    """The Eulerian triangle row for the census-selected n ∈ [5,8]
-    — PERMUTATION STATISTICS, a family the surface lacked
-    (permutation_cycles analyses one data permutation; this
-    enumerates a statistic over ALL of S_n): recurrence vs the
-    explicit alternating formula entry-wise, WORPITZKY's identity
-    at n+1 points, row sums n!, reversal symmetry, and the n = 6
-    row by exhaustive descent census over 720 permutations — all
-    asserted in-kernel (``aggregates.eulerian_numbers_int``); the
-    mirror computes the explicit formula only.  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import eulerian_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return eulerian_numbers_int(cen.get(0, 0))
-
-
-def _q_permanent_ryser(sf_dir: str):
-    """The permanent of the census 4×4 0/1 matrix — PERMANENT
-    COMPUTATION / #P counting, a family the surface lacked (the
-    determinant ops have signs; the permanent is the sign-free
-    sibling, #P-hard in general, and RYSER 1963 is still the best
-    general algorithm): brute 24-permutation sum vs Ryser's
-    16-subset inclusion-exclusion vs recursive perfect-matching
-    count — three routes asserted equal in-kernel
-    (``aggregates.permanent_ryser_int``); the mirror runs Ryser's
-    sweep in SQL.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import permanent_ryser_int
-
-    cen = _hour_census(sf_dir)
-    return permanent_ryser_int([cen.get(h, 0) % 2
-                                for h in range(16)])
-
-
-def _q_gaussian_binomial(sf_dir: str):
-    """Gaussian binomials [4 k]_q — q-ANALOGS / finite geometry, a
-    family the surface lacked: product formula vs q-Pascal
-    recurrence for q ∈ {2,3,5}, the q = 2 column verified as the
-    SUBSPACE COUNTS of F_2^4 by exhaustive XOR-closure sweep over
-    all 2^15 vector subsets (1,15,35,15,1 recovered by counting),
-    and the q → 1 Pascal degeneration asserted
-    (``aggregates.gaussian_binomial_int``); the census picks the
-    second reported modulus; the mirror computes the product
-    formula in exact SQL integers.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import gaussian_binomial_int
-
-    cen = _hour_census(sf_dir)
-    return gaussian_binomial_int(cen.get(0, 0))
-
-
-def _q_domino_tilings(sf_dir: str):
-    """Domino tilings T(m,n) for m ≤ 4, n ≤ 8 — DIMER STATISTICS,
-    a family the surface lacked: broken-profile transfer DP
-    certified against the four classical recurrences (parity,
-    Fibonacci, 4T−T, and the order-4 m = 4 recurrence) and the
-    4×4 = 36 value by exhaustive tiling enumeration
-    (``aggregates.domino_tilings_int``); the census flags one
-    cell; the mirror replays the recurrences as recursive CTEs.
-    ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import domino_tilings_int
-
-    cen = _hour_census(sf_dir)
-    return domino_tilings_int(cen.get(0, 0))
-
-
-def _q_picks_theorem(sf_dir: str):
-    """Pick's theorem on the census lattice polygon — LATTICE-POINT
-    GEOMETRY, a family the surface lacked (convex_hull finds the
-    shape; Pick COUNTS with it): 12 census points mod 30 plus
-    three fixed anchors (0,0)/(40,0)/(0,40) that force a
-    non-degenerate hull (stated); the kernel computes shoelace
-    area, boundary points by edge gcds, interior points by brute
-    bounding-box scan, and asserts 2A = 2I + B − 2 exactly — the
-    theorem verified on the instance
-    (``aggregates.picks_theorem_int``); the mirror re-derives the
-    hull ORDER-FREE (extreme-point characterization + one-sided
-    edge test), then the same shoelace/gcd/scan arithmetic.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import picks_theorem_int
-
-    cen = _hour_census(sf_dir)
-    pts = [(cen.get(2 * i, 0) % 30, cen.get(2 * i + 1, 0) % 30)
-           for i in range(12)]
-    pts += [(0, 0), (40, 0), (0, 40)]
-    return picks_theorem_int(pts)
-
-
-def _q_faulhaber(sf_dir: str):
-    """Faulhaber power sums for the census n ≤ 500 —
-    BERNOULLI-NUMBER SUMMATION, a family the surface lacked:
-    Σk^m for m ≤ 6 by direct summation AND the Bernoulli closed
-    form in exact Fraction arithmetic (B1 = +1/2 convention,
-    integrality certified), asserted equal per (n, m), plus
-    Nicomachus' Σk³ = (Σk)² (``aggregates.faulhaber_int``); the
-    mirror computes the direct sum by generate_series — closed
-    form vs summation, one route per engine.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import faulhaber_int
-
-    cen = _hour_census(sf_dir)
-    return faulhaber_int([(h, cen.get(h, 0)) for h in range(24)])
-
-
-def _q_percolation_3x3(sf_dir: str):
-    """Site percolation on the 3×3 grid — PERCOLATION /
-    connectivity ensembles, a family the surface lacked
-    (cc_labels labels one graph; percolation asks how often
-    connectivity happens across ALL configurations): the kernel
-    sweeps all 512 site configurations counting top-to-bottom
-    open crossings (the exact finite-size percolation count,
-    computed), then reports the census configuration's
-    reachability, clusters and flag
-    (``aggregates.percolation_3x3_int``); the mirror re-runs the
-    512-config sweep as a recursive (config, cell) closure plus a
-    min-label cluster closure.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import percolation_3x3_int
-
-    cen = _hour_census(sf_dir)
-    return percolation_3x3_int([cen.get(h, 0) % 2
-                                for h in range(9)])
-
-
-def _q_chinese_postman(sf_dir: str):
-    """Route inspection on census-weighted K4 — ARC ROUTING, a
-    family the surface lacked (tsp_heldkarp visits vertices; the
-    postman traverses every edge): all four vertices are odd, so
-    the classical solution prices a perfect matching on them by
-    shortest-path distances — Floyd-Warshall with its fixpoint
-    certified, all three pairings enumerated, and
-    tour = total + min pairing asserted
-    (``aggregates.chinese_postman_int``); the mirror derives
-    4-node distances by explicit ≤ 3-edge walk enumeration and
-    compares the same three pairings.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import chinese_postman_int
-
-    cen = _hour_census(sf_dir)
-    return chinese_postman_int([cen.get(h, 0) for h in range(6)])
-
-
-def _q_cube_colorings(sf_dir: str):
-    """Cube face colorings up to rotation — PÓLYA ENUMERATION ON A
-    NONABELIAN GROUP, a family the surface lacked (necklace_count
-    is the cyclic case; the order-24 cube rotation group is the
-    classic showcase): the kernel builds the group by generator
-    closure (axioms asserted), counts colorings for c ∈ {2,3,4}
-    by EXHAUSTIVE orbit canonicalization AND Burnside's lemma,
-    asserts equality and the classic 57 at c = 3
-    (``aggregates.cube_colorings_int``); the mirror receives the
-    rotation table as (rot, face, image) literals, re-derives
-    cycle counts by orbit closure in SQL, and recomputes the
-    Burnside sums.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import cube_colorings_int
-
-    cen = _hour_census(sf_dir)
-    return cube_colorings_int(cen.get(0, 0))
-
-
-def _q_fibonacci_gcd(sf_dir: str):
-    """The Fibonacci GCD theorem on census index pairs —
-    DIVISIBILITY SEQUENCES, a family the surface lacked:
-    gcd(F_m, F_n) = F_gcd(m,n) verified EXHAUSTIVELY in-kernel
-    for all 900 pairs m, n ≤ 30, plus F_d | F_n for d | n and the
-    Catalan identity F_n² − F_{n−r}F_{n+r} = (−1)^{n−r}F_r²
-    (``aggregates.fibonacci_gcd_int``); census rows to m, n ≤ 60
-    (F_60 inside int64 — stated); the mirror builds Fibonacci by
-    recursive CTE and uses DuckDB gcd — the theorem visible as
-    the fib_g/gcd_fib column pair.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import fibonacci_gcd_int
-
-    cen = _hour_census(sf_dir)
-    return fibonacci_gcd_int([(cen.get(2 * i, 0),
-                               cen.get(2 * i + 1, 0))
-                              for i in range(12)])
-
-
-def _q_frobenius_coin(sf_dir: str):
-    """The Frobenius (Chicken McNugget) problem on a census
-    coprime pair — NUMERICAL SEMIGROUPS, a family the surface
-    lacked: exhaustive representability sweep over [0, ab] with
-    all three classical results asserted by counting — Frobenius
-    g = ab − a − b, Sylvester's (a−1)(b−1)/2, and the
-    representability SYMMETRY about g
-    (``aggregates.frobenius_coin_int``); the mirror re-derives
-    non-representables by EXISTS over x-multiples.  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import frobenius_coin_int
-
-    cen = _hour_census(sf_dir)
-    return frobenius_coin_int(cen.get(0, 0), cen.get(1, 0))
-
-
-def _q_stern_brocot(sf_dir: str):
-    """Stern-Brocot descent to the census fraction — MEDIANT
-    TREES / Farey structure, a family the surface lacked
-    (cf_convergents walks Euclid; this is the binary-search face
-    of the same arithmetic): mediant bisection from 0/1, 1/1 with
-    the unimodular invariant r_p·l_q − l_p·r_q = 1 asserted at
-    every step, arrival in lowest terms certified, and the path
-    length tied to the independent continued-fraction expansion
-    (Σ coefficients − 1) (``aggregates.stern_brocot_int``); the
-    mirror replays the descent as a recursive CTE.  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import stern_brocot_int
-
-    cen = _hour_census(sf_dir)
-    return stern_brocot_int(cen.get(2, 0), cen.get(3, 0))
-
-
-def _q_van_der_waerden(sf_dir: str):
-    """Van der Waerden W(3,2) = 9 on the census coloring —
-    ARITHMETIC RAMSEY THEORY, a family the surface lacked
-    (ramsey_k6 colors graph edges; vdW colors the integers): both
-    halves verified exhaustively in-kernel — every 2^9 coloring
-    of {1..9} has a mono 3-AP, and AP-free colorings of {1..8}
-    exist (tightness) (``aggregates.van_der_waerden_int``); the
-    mirror re-runs both sweeps in SQL over the shared AP list and
-    flags the census coloring's mono APs.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import van_der_waerden_int
-
-    cen = _hour_census(sf_dir)
-    return van_der_waerden_int([cen.get(h, 0) % 2
-                                for h in range(9)])
-
-
-def _q_kaprekar(sf_dir: str):
-    """Kaprekar trajectories for 12 census seeds — DIGIT DYNAMICS,
-    a family the surface lacked (collatz iterates arithmetic;
-    Kaprekar iterates the decimal representation): the kernel
-    verifies EXHAUSTIVELY that all 10000 four-digit values with
-    two distinct digits reach 6174 within 7 steps (repdigits
-    collapse to 0; 6174 is the unique nonzero fixed point)
-    (``aggregates.kaprekar_6174_int``); the mirror replays the
-    iteration as a recursive CTE with a 4-wire comparator-network
-    digit sort.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import kaprekar_6174_int
-
-    cen = _hour_census(sf_dir)
-    return kaprekar_6174_int([cen.get(h, 0) for h in range(12)])
-
-
-def _q_magic_squares(sf_dir: str):
-    """The census-selected order-3 magic square — MAGIC
-    CONFIGURATIONS, a family the surface lacked: the kernel
-    enumerates all 9! arrangements, finds exactly the EIGHT magic
-    squares, asserts the classical structure (center 5, even
-    corners) and their single dihedral orbit by explicit closure
-    (``aggregates.magic_squares_int``); the mirror enumerates
-    sum-15 row triples and joins under the distinctness/column/
-    diagonal constraints, ranking the 8 survivors.  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import magic_squares_int
-
-    cen = _hour_census(sf_dir)
-    return magic_squares_int(cen.get(0, 0))
-
-
-def _q_pythagorean_triples(sf_dir: str):
-    """Primitive Pythagorean triples with c ≤ 100 — DIOPHANTINE
-    PARAMETRIZATION, a family the surface lacked: exhaustive
-    sweep vs EUCLID's (m²−n², 2mn, m²+n²) generation asserted
-    set-identical in-kernel (the parametrization's completeness
-    and non-redundancy verified, not cited); census flags one by
-    rank (``aggregates.pythagorean_triples_int``); the mirror
-    takes the sweep route.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import pythagorean_triples_int
-
-    cen = _hour_census(sf_dir)
-    return pythagorean_triples_int(cen.get(0, 0))
-
-
-def _q_paley_graph(sf_dir: str):
-    """The Paley graph on F_13 — STRONGLY REGULAR GRAPHS /
-    algebraic graph theory, a family the surface lacked: the
-    kernel verifies srg(13,6,2,3) by full enumeration, the
-    self-complementarity isomorphism x ↦ 2x pairwise, and the
-    census translation automorphism
-    (``aggregates.paley_graph_int``); the mirror rebuilds
-    adjacency from the QR set and re-derives every parameter as
-    a self-checking aggregate (min must equal max).  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import paley_graph_int
-
-    cen = _hour_census(sf_dir)
-    return paley_graph_int(cen.get(0, 0))
-
-
-def _q_tournament_king(sf_dir: str):
-    """Kings of the census tournament on K7 — TOURNAMENT THEORY,
-    a family the surface lacked (colley/copeland rate
-    round-robins; this is their structure theorem): a king —
-    dominating everyone in ≤ 2 steps — always exists, and any
-    max-out-degree vertex is one; asserted on the instance and
-    300 random tournaments in-kernel
-    (``aggregates.tournament_king_int``); the mirror derives the
-    king census by 1-/2-step reachability joins.  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import tournament_king_int
-
-    cen = _hour_census(sf_dir)
-    return tournament_king_int([cen.get(h, 0) % 2
-                                for h in range(21)])
-
-
-def _q_prufer_cayley(sf_dir: str):
-    """Cayley's n^(n−2) via the Prüfer bijection — BIJECTIVE
-    COMBINATORICS, a family the surface lacked (spanning_trees
-    counts determinantally; Prüfer PROVES the count by running a
-    bijection, and the kernel runs it in full): all 1296
-    sequences decoded, each decode certified a tree, all trees
-    distinct, every one re-encoded back — both directions
-    verified (``aggregates.prufer_cayley_int``); the census
-    sequence's tree is reported; the mirror replays the decode as
-    a recursive list-carrying CTE with min-leaf selection.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import prufer_cayley_int
-
-    cen = _hour_census(sf_dir)
-    return prufer_cayley_int(cen.get(0, 0) % 1296)
-
-
-def _q_wythoff_game(sf_dir: str):
-    """Wythoff's game on census positions — BEATTY SEQUENCES /
-    games with irrational structure, a family the surface lacked
-    (nim_grundy's answer is XOR; Wythoff's P-positions are the
-    golden-ratio Beatty pairs): win/loss DP over every position
-    ≤ 60 asserted EXACTLY equal to the Beatty pairs computed in
-    pure integers via (n + isqrt(5n²))//2, with Rayleigh
-    partitioning checked on the range
-    (``aggregates.wythoff_game_int``); the mirror classifies by
-    the Beatty characterization only — DP vs closed form.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import wythoff_game_int
-
-    cen = _hour_census(sf_dir)
-    return wythoff_game_int([(cen.get(2 * i, 0),
-                              cen.get(2 * i + 1, 0))
-                             for i in range(12)])
-
-
-def _q_six_queens(sf_dir: str):
-    """The census-selected 6-queens solution — CONSTRAINT
-    ENUMERATION, a family the surface lacked: all 6! permutations
-    swept, exactly FOUR solutions found, and their single
-    dihedral orbit certified by explicit closure
-    (``aggregates.six_queens_int``); the mirror enumerates by
-    6-fold distinct join with diagonal constraints and ranks.
-    ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import six_queens_int
-
-    cen = _hour_census(sf_dir)
-    return six_queens_int(cen.get(0, 0))
-
-
-def _q_taxicab(sf_dir: str):
-    """Taxicab numbers ≤ 20000 — DIOPHANTINE COINCIDENCES, a
-    family the surface lacked: the full a³+b³ sweep finds every
-    number with two distinct cube-sum representations and asserts
-    the smallest is 1729 = 1³+12³ = 9³+10³ — Hardy's anecdote
-    verified by exhaustion (``aggregates.taxicab_1729_int``); the
-    census flags one row; the mirror re-runs the double cube join
-    with HAVING ≥ 2.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import taxicab_1729_int
-
-    cen = _hour_census(sf_dir)
-    return taxicab_1729_int(cen.get(0, 0))
-
-
-def _q_arith_derivative(sf_dir: str):
-    """Arithmetic derivatives of the census values — ARITHMETIC
-    CALCULUS, a family the surface lacked: n' via the logarithmic
-    formula in exact integers, with the LEIBNIZ rule verified
-    EXHAUSTIVELY over the full 60×60 pair grid (it holds for ALL
-    pairs, not just coprime — verified), p' = 1 on primes ≤ 200,
-    and the (p^p)' = p^p fixed points
-    (``aggregates.arith_derivative_int``); the mirror sums
-    multiplicity × n/p over prime-power divisors by joins.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import arith_derivative_int
-
-    cen = _hour_census(sf_dir)
-    return arith_derivative_int([cen.get(h, 0) for h in range(24)])
-
-
-def _q_perfect_numbers(sf_dir: str):
-    """Perfect numbers ≤ 10000 — ALIQUOT THEORY, a family the
-    surface lacked: the full σ sweep proves the perfect set is
-    exactly {6, 28, 496, 8128}, each certified of Euclid-Euler
-    form 2^(p−1)(2^p−1) with 2^p−1 a Mersenne prime, plus the
-    abundant/deficient population census
-    (``aggregates.perfect_numbers_int``); the census flags one;
-    the mirror re-runs the sweep as a divisor join in SQL.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import perfect_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return perfect_numbers_int(cen.get(0, 0))
-
-
-def _q_chung_feller(sf_dir: str):
-    """Chung-Feller equidistribution on the census-selected
-    bridge — a family the surface lacked (dyck_catalan counts the
-    never-below class; Chung-Feller proves EVERY
-    below-step class has the same Catalan size): all 924 bridges
-    enumerated and classified in-kernel, the uniform 7×132 split
-    counted (``aggregates.chung_feller_int``); the mirror re-runs
-    the classification by bitmask prefix sums and emits the class
-    size as a min=max self-check.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import chung_feller_int
-
-    cen = _hour_census(sf_dir)
-    return chung_feller_int(cen.get(0, 0))
-
-
-def _q_cycle_lemma(sf_dir: str):
-    """The Dvoretzky-Motzkin cycle lemma on the census-selected
-    arrangement — a family the surface lacked (ballot_walk is
-    Bertrand's probability; the cycle lemma is its bijective
-    engine): every arrangement of seven +1s and six −1s has
-    EXACTLY ONE all-positive rotation, verified over all 1716
-    arrangements × 13 rotations in-kernel
-    (``aggregates.cycle_lemma_int``); the mirror finds the unique
-    rotation of the selected arrangement by the same sweep.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import cycle_lemma_int
-
-    cen = _hour_census(sf_dir)
-    return cycle_lemma_int(cen.get(0, 0))
-
-
-def _q_egyptian_fractions(sf_dir: str):
-    """Greedy Egyptian decomposition of the census fraction —
-    EGYPTIAN FRACTIONS, a family the surface lacked: the
-    Fibonacci-Sylvester greedy with termination (strict numerator
-    descent), strictly increasing denominators, and Fraction
-    exactness all asserted; p ≤ 3 caps the doubly-exponential
-    denominator growth inside int64 (stated)
-    (``aggregates.egyptian_fractions_int``); the mirror replays
-    the greedy as a recursive CTE with ceil division.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import egyptian_fractions_int
-
-    cen = _hour_census(sf_dir)
-    return egyptian_fractions_int(cen.get(0, 0), cen.get(1, 0))
-
-
-def _q_ackermann(sf_dir: str):
-    """Ackermann values on census pairs — RECURSION THEORY /
-    fast-growing hierarchies, a family the surface lacked: the
-    kernel runs the ACTUAL double recursion and asserts the
-    level closed forms (n+1, n+2, 2n+3, 2^(n+3)−3) with the
-    recursion limit raised because A(3,·)'s call depth is itself
-    exponential — the very point of the function
-    (``aggregates.ackermann_int``); the mirror computes the
-    closed forms only.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import ackermann_int
-
-    cen = _hour_census(sf_dir)
-    return ackermann_int([(cen.get(2 * i, 0),
-                           cen.get(2 * i + 1, 0))
-                          for i in range(12)])
-
-
-def _q_thue_morse(sf_dir: str):
-    """A census window of the Thue-Morse word — COMBINATORICS ON
-    WORDS at its origin: built twice (popcount parity vs morphism
-    iteration, asserted equal), CUBE-FREENESS verified
-    exhaustively on the 512-prefix (Thue's theorem brute-checked
-    over every position and length), recurrences t(2n) = t(n),
-    t(2n+1) = 1−t(n) per index
-    (``aggregates.thue_morse_int``); the mirror reads the window
-    off bit_count parity.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import thue_morse_int
-
-    cen = _hour_census(sf_dir)
-    return thue_morse_int(cen.get(0, 0))
-
-
-def _q_lindenmayer(sf_dir: str):
-    """The algae L-system's growth table — L-SYSTEMS / morphism
-    growth, a family the surface lacked: A→AB, B→A actually
-    rewritten for 24 steps (final length 121393), with the
-    Fibonacci growth laws and the self-similarity
-    word(k) = word(k−1)·word(k−2) asserted per step by real
-    concatenation (``aggregates.lindenmayer_int``); the mirror
-    recomputes the table from the Fibonacci recurrence.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import lindenmayer_int
-
-    cen = _hour_census(sf_dir)
-    return lindenmayer_int(cen.get(0, 0))
-
-
-def _q_pancake_numbers(sf_dir: str):
-    """Exact pancake distances on S6 — GENOME REARRANGEMENT /
-    prefix reversals, a family the surface lacked: BFS over all
-    720 permutations under the 5 prefix-reversal generators,
-    P(6) = 7 recomputed (with its exactly-two worst
-    permutations), full distance histogram, and the census
-    permutation's exact distance
-    (``aggregates.pancake_numbers_int``); the mirror re-runs the
-    BFS as a recursive CTE over digit-encoded permutations with
-    generated reversal arithmetic.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import pancake_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return pancake_numbers_int(cen.get(0, 0))
-
-
-def _q_debruijn_sequence(sf_dir: str):
-    """The prefer-one de Bruijn sequence B(2,4) — SEQUENCE
-    CONSTRUCTION, a family the surface lacked (the debruijn graph
-    ops analyse structure; this builds the classical object): the
-    greedy from 0000, with ALL 16 cyclic windows asserted
-    distinct and the canonical 00001111 opening pinned
-    (``aggregates.debruijn_sequence_int``); a census rotation is
-    reported; the mirror replays the greedy as a recursive CTE
-    carrying the seen-set bitmask.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import debruijn_sequence_int
-
-    cen = _hour_census(sf_dir)
-    return debruijn_sequence_int(cen.get(0, 0))
-
-
-def _q_bulgarian_solitaire(sf_dir: str):
-    """Bulgarian solitaire from the census start — PARTITION
-    DYNAMICS, a family the surface lacked: for triangular n = 15,
-    BRANDT's theorem (every start reaches the staircase 54321)
-    verified EXHAUSTIVELY over all 176 partitions in-kernel, the
-    census trajectory reported
-    (``aggregates.bulgarian_solitaire_int``); the mirror replays
-    the iteration as a recursive sorted-list CTE from the same
-    literal partition table.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import bulgarian_solitaire_int
-
-    cen = _hour_census(sf_dir)
-    return bulgarian_solitaire_int(cen.get(0, 0))
-
-
-def _q_puzzle_parity(sf_dir: str):
-    """8-puzzle solvability of the census configuration — PUZZLE
-    GROUP THEORY / parity invariants, a family the surface
-    lacked: full BFS from solved proves reachable = the 181440
-    even-inversion configurations exactly (both inclusions by
-    exhaustion) (``aggregates.puzzle_parity_int``); the mirror
-    derives the census permutation by the factorial number
-    system, computes the inversion parity, and emits the closed
-    form 9!/2.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import puzzle_parity_int
-
-    cen = _hour_census(sf_dir)
-    return puzzle_parity_int(cen.get(0, 0))
-
-
-def _q_hadamard_sylvester(sf_dir: str):
-    """The Sylvester H8 — HADAMARD MATRICES / extremal
-    determinants, a family the surface lacked: tensor doubling
-    vs the popcount closed form, orthogonality H·Hᵀ = 8I
-    exhaustively, and the determinant by fraction-free Bareiss
-    asserted |det| = 4096 — the Hadamard bound attained
-    (``aggregates.hadamard_sylvester_int``); the mirror rebuilds
-    entries from the bit formula and emits the closed-form
-    magnitude.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import hadamard_sylvester_int
-
-    cen = _hour_census(sf_dir)
-    return hadamard_sylvester_int(cen.get(0, 0))
-
-
-def _q_descartes_circles(sf_dir: str):
-    """Three levels of the integer Apollonian gasket — CIRCLE
-    PACKINGS, a family the surface lacked: the Descartes identity
-    (Σk)² = 2Σk² asserted at the root (−1,2,2,3) and at EVERY one
-    of the 84 generated quadruples under the reflection
-    k′ = 2(others) − k, certifying integer-packing closure
-    (``aggregates.descartes_circles_int``); the mirror replays
-    the reflection recursion as a recursive CTE with the same
-    BFS/position ordering.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import descartes_circles_int
-
-    cen = _hour_census(sf_dir)
-    return descartes_circles_int(cen.get(0, 0))
-
-
-def _q_class_numbers(sf_dir: str):
-    """Reduced binary quadratic forms of the census discriminant
-    — CLASS NUMBERS, a family the surface lacked: exhaustive
-    reduced-form enumeration (Gauss's bijection with ideal
-    classes) asserting the classical table including the HEEGNER
-    h(−163) = 1 (``aggregates.class_numbers_int``); the mirror
-    re-enumerates by bounded joins.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import class_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return class_numbers_int(cen.get(0, 0))
-
-
-def _q_sum_free_sets(sf_dir: str):
-    """Maximum sum-free subsets of {1..10} — ADDITIVE
-    COMBINATORICS (the avoidance dual of egz_zerosum): the full
-    2^10 sweep finds max size 5, counts the maximum achievers,
-    and certifies the odds and the top half as witnesses
-    (``aggregates.sum_free_sets_int``); the census subset is
-    classified; the mirror re-runs the sweep in SQL.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import sum_free_sets_int
-
-    cen = _hour_census(sf_dir)
-    return sum_free_sets_int(cen.get(0, 0))
-
-
-def _q_plane_partitions(sf_dir: str):
-    """Plane partitions in boxes — MACMAHON's theorem, a family
-    the surface lacked (partition_numbers is 1-D): exhaustive
-    monotone-matrix enumeration vs the triple product formula
-    (exact-integer accumulation, divisibility certified) for six
-    boxes, PP(2,2,2) = 20 and PP(3,3,3) = 980 pinned
-    (``aggregates.plane_partitions_int``); the census selects a
-    box; the mirror computes the product formula.  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import plane_partitions_int
-
-    cen = _hour_census(sf_dir)
-    return plane_partitions_int(cen.get(0, 0))
-
-
-def _q_delannoy_numbers(sf_dir: str):
-    """A Delannoy table row — KING-MOVE LATTICE PATHS, a family
-    the surface lacked: recurrence vs the sum formula
-    Σ C(m,k)C(n,k)2^k entry-wise, central values pinned, and
-    D(2,2) = 13 by exhaustive path walking
-    (``aggregates.delannoy_numbers_int``); the mirror computes
-    the sum formula.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import delannoy_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return delannoy_numbers_int(cen.get(0, 0))
-
-
-def _q_markov_triples(sf_dir: str):
-    """Four levels of the Markov tree — MARKOV SPECTRUM / Vieta
-    involutions, a family the surface lacked: x²+y²+z² = 3xyz
-    grown from (1,1,1) by the flips z′ = 3xy − z, the equation
-    asserted exactly at every one of the 120 nodes with
-    positivity, the classical Markov numbers 1,2,5,13,29,34
-    pinned (``aggregates.markov_triples_int``); the census
-    selects a node; the mirror replays the flip recursion with
-    the residual re-emitted as a column.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import markov_triples_int
-
-    cen = _hour_census(sf_dir)
-    return markov_triples_int(cen.get(0, 0))
-
-
-def _q_stern_diatomic(sf_dir: str):
-    """A window of Stern's diatomic sequence — the CALKIN-WILF
-    enumeration of the rationals, a family the surface lacked
-    (stern_brocot searches for ONE fraction; this enumerates them
-    all): the recurrences, consecutive coprimality (every
-    fusc(n)/fusc(n+1) already reduced), and 256-step injectivity
-    all asserted in-kernel (``aggregates.stern_diatomic_int``);
-    the mirror rebuilds the sequence as a recursive list CTE.
-    ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import stern_diatomic_int
-
-    cen = _hour_census(sf_dir)
-    return stern_diatomic_int(cen.get(0, 0))
-
-
-def _q_lucky_numbers(sf_dir: str):
-    """Lucky numbers ≤ 200 — SIEVE PROCESSES beyond Eratosthenes,
-    a family the surface lacked: the every-k-th-survivor deletion
-    sieve run to completion, the classical 20-term prefix
-    asserted (``aggregates.lucky_numbers_int``); the census flags
-    one survivor; the mirror replays the sieve as a recursive
-    list CTE using list_select index filtering.  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import lucky_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return lucky_numbers_int(cen.get(0, 0))
-
-
-def _q_gilbreath(sf_dir: str):
-    """Gilbreath difference rows of the primes < 1000 — PRIME GAP
-    PROCESSES, a family the surface lacked: 20 iterated
-    absolute-difference rows, the conjectured leading 1 asserted
-    in every row (verified on the range) plus the all-even-or-
-    zero tail structure (``aggregates.gilbreath_int``); the
-    census selects a row; the mirror re-runs sieve + difference
-    iteration as a recursive list CTE.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import gilbreath_int
-
-    cen = _hour_census(sf_dir)
-    return gilbreath_int(cen.get(0, 0))
-
-
-def _q_newton_identities(sf_dir: str):
-    """Newton's identities on the census quartic — SYMMETRIC
-    FUNCTION THEORY, a family the surface lacked: elementary
-    symmetric polynomials by explicit Vieta expansion vs power
-    sums by direct summation, the identities asserted for every
-    k ≤ 8 in exact integers
-    (``aggregates.newton_identities_int``); the mirror recomputes
-    both sides from the same roots.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import newton_identities_int
-
-    cen = _hour_census(sf_dir)
-    return newton_identities_int([cen.get(h, 0) for h in range(4)])
-
-
-def _q_cubic_discriminant(sf_dir: str):
-    """Cubic discriminants on census-rooted cubics — ELIMINATION
-    THEORY, a family the surface lacked: the classical coefficient
-    formula vs the root-product definition ∏(r_i−r_j)², asserted
-    equal with the sign law (zero iff repeated root)
-    (``aggregates.cubic_discriminant_int``); the mirror recomputes
-    both routes.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import cubic_discriminant_int
-
-    cen = _hour_census(sf_dir)
-    return cubic_discriminant_int([cen.get(h, 0)
-                                   for h in range(24)])
-
-
-def _q_pisano_periods(sf_dir: str):
-    """Pisano periods for m ≤ 20 — PERIODICITY OF LINEAR
-    RECURRENCES MOD m, a family the surface lacked: actual cycle
-    detection per modulus, the classical table asserted, and CRT
-    multiplicativity π(mn) = lcm(π(m), π(n)) verified on every
-    coprime pair in range (``aggregates.pisano_periods_int``);
-    the mirror re-runs the cycle walk as a recursive CTE per
-    modulus.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import pisano_periods_int
-
-    cen = _hour_census(sf_dir)
-    return pisano_periods_int(cen.get(0, 0))
-
-
-def _q_conway_sequence(sf_dir: str):
-    """A window of Conway's a(n) = a(a(n−1)) + a(n−a(n−1)) —
-    NESTED RECURRENCES, a family the surface lacked: 1024 terms
-    built, with the exact dyadic law a(2^k) = 2^(k−1), slow
-    growth delta ∈ {0,1}, and the n/2 ≤ a(n) ≤ n bounds all
-    asserted on the range (``aggregates.conway_sequence_int``);
-    the mirror rebuilds the sequence as a recursive list CTE.
-    ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import conway_sequence_int
-
-    cen = _hour_census(sf_dir)
-    return conway_sequence_int(cen.get(0, 0))
-
-
-def _q_golomb_ruler(sf_dir: str):
-    """Optimal Golomb rulers of orders 4 and 5 — SIDON SETS IN Z,
-    a family the surface lacked: minimality verified by
-    exhaustion (no shorter ruler exists at either order), the
-    optimal rulers recovered with their mirrors, order-4
-    PERFECTION (every distance 1..6 measured) asserted
-    (``aggregates.golomb_ruler_int``); the mirror re-runs the
-    subset sweeps with generated pairwise-difference
-    distinctness.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import golomb_ruler_int
-
-    cen = _hour_census(sf_dir)
-    return golomb_ruler_int(cen.get(0, 0))
-
-
-def _q_langford_pairs(sf_dir: str):
-    """Langford pairings for n ≤ 5 — SEQUENCE DESIGNS, a family
-    the surface lacked: exact solution counts per n (2/2 at
-    n = 3, 4; ZERO at 1, 2, 5 — the mod-4 obstruction observed by
-    exhaustive counting) plus the solutions of the
-    census-selected solvable n
-    (``aggregates.langford_pairs_int``); the mirror counts by
-    generated position joins.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import langford_pairs_int
-
-    cen = _hour_census(sf_dir)
-    return langford_pairs_int(cen.get(0, 0))
-
-
-def _q_water_jugs(sf_dir: str):
-    """Two-jug measurability for the census capacities —
-    STATE-SPACE REACHABILITY, a family the surface lacked: the
-    gcd characterization verified by running the ACTUAL BFS for
-    every capacity pair ≤ 12 (144 searches, both inclusions)
-    (``aggregates.water_jugs_int``); the mirror emits the gcd
-    multiples.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import water_jugs_int
-
-    cen = _hour_census(sf_dir)
-    return water_jugs_int(cen.get(0, 0), cen.get(1, 0))
-
-
-def _q_friendship_graphs(sf_dir: str):
-    """The friendship theorem at orders 5 and 6 — every graph
-    where each vertex pair shares exactly one common friend is a
-    windmill (Erdős-Rényi-Sós): the kernel sweeps all 2^10 and
-    2^15 graphs, finding exactly the 15 bowtie labelings at order
-    5 and NONE at order 6
-    (``aggregates.friendship_graphs_int``); the mirror re-runs
-    both sweeps in SQL with generated edge indexing.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import friendship_graphs_int
-
-    cen = _hour_census(sf_dir)
-    return friendship_graphs_int(cen.get(0, 0))
-
-
-def _q_heronian_triangles(sf_dir: str):
-    """Heronian triangles with perimeter ≤ 50 — INTEGER GEOMETRY
-    beyond right angles, a family the surface lacked: the sweep
-    with the 16A² perfect-square + divisible-by-4 test (the
-    integer-area parity subtlety stated), classics and the
-    right-triangle inclusion asserted
-    (``aggregates.heronian_triangles_int``); the census flags
-    one; the mirror re-runs the sweep.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import heronian_triangles_int
-
-    cen = _hour_census(sf_dir)
-    return heronian_triangles_int(cen.get(0, 0))
-
-
-def _q_perrin_test(sf_dir: str):
-    """The Perrin phenomenon on census values — LINEAR-RECURRENCE
-    PRIMALITY TESTS, a family the surface lacked: p | P(p)
-    verified for all primes ≤ 200 AND no composite on the range
-    passes (the smallest pseudoprime 271441 is far above —
-    stated), all in mod-n arithmetic
-    (``aggregates.perrin_test_int``); the mirror runs the mod-n
-    recurrence as a recursive CTE per instance.  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import perrin_test_int
-
-    cen = _hour_census(sf_dir)
-    return perrin_test_int([cen.get(h, 0) for h in range(24)])
-
-
-def _q_catalan_mihailescu(sf_dir: str):
-    """Consecutive perfect powers ≤ 10^6 — EXPONENTIAL
-    DIOPHANTINE equations, a family the surface lacked:
-    Mihăilescu's theorem (Catalan's conjecture) verified on the
-    range by exhaustion — the only adjacent perfect powers at
-    gap 1 are 8 and 9 (``aggregates.catalan_mihailescu_int``);
-    a census window of the power sequence is reported; the
-    mirror re-enumerates by bounded joins.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import catalan_mihailescu_int
-
-    cen = _hour_census(sf_dir)
-    return catalan_mihailescu_int(cen.get(0, 0))
-
-
-def _q_sylvester_sequence(sf_dir: str):
-    """Sylvester's sequence through its int64 ceiling — GREEDY
-    UNIT-FRACTION SERIES, a family the surface lacked: the
-    telescoping identity Σ 1/a_i = (a_{n+1}−2)/(a_{n+1}−1)
-    asserted exactly per n, pairwise coprimality via the ≡ 1
-    congruence (``aggregates.sylvester_sequence_int``); the
-    mirror replays recurrence + closed-form partial sums.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import sylvester_sequence_int
-
-    cen = _hour_census(sf_dir)
-    return sylvester_sequence_int(cen.get(0, 0))
-
-
-def _q_kolakoski(sf_dir: str):
-    """A census window of the Kolakoski sequence —
-    SELF-REFERENTIAL SEQUENCES, a family the surface lacked: the
-    pointer construction generates 200+ terms and the kernel
-    VERIFIES the fixed point — the run-length encoding of the
-    prefix equals the prefix itself (boundary run dropped as
-    possibly incomplete, stated)
-    (``aggregates.kolakoski_int``); the mirror replays the
-    construction as a recursive list CTE.  ONE bounded 24-cell
-    census exchange."""
-    from documentai_ray.stages.aggregates import kolakoski_int
-
-    cen = _hour_census(sf_dir)
-    return kolakoski_int(cen.get(0, 0))
-
-
-def _q_ducci(sf_dir: str):
-    """The census Ducci four-number game — CYCLIC DIFFERENCE
-    DYNAMICS, a family the surface lacked: for length 4 (a power
-    of two) every start reaches zero — verified EXHAUSTIVELY over
-    all 65536 sub-16 tuples in-kernel, the census trajectory
-    reported (``aggregates.ducci_int``); the mirror replays the
-    trajectory AND re-runs the 65536-start sweep for the
-    max-steps column.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import ducci_int
-
-    cen = _hour_census(sf_dir)
-    return ducci_int([cen.get(h, 0) for h in range(4)])
-
-
-def _q_negabinary(sf_dir: str):
-    """Negabinary digits of census values and their negations —
-    NEGATIVE-BASE NUMERATION, a family the surface lacked: base
-    −2 represents every integer with digits 0/1 and no sign bit;
-    round trips, digit alphabet, and exhaustive uniqueness +
-    coverage on [−256, 256] all asserted
-    (``aggregates.negabinary_int``); the mirror converts by
-    recursive CTE with the floor-corrected digit rule (the
-    (rem − d) numerator is always even so truncating division is
-    exact — stated).  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import negabinary_int
-
-    cen = _hour_census(sf_dir)
-    return negabinary_int([cen.get(h, 0) for h in range(6)])
-
-
-def _q_balanced_ternary(sf_dir: str):
-    """Balanced-ternary digits of census values ± — SIGNED-DIGIT
-    NUMERATION, a family the surface lacked: digits −1/0/1,
-    digitwise negation law asserted per value, exhaustive
-    uniqueness + coverage on [−364, 364]
-    (``aggregates.balanced_ternary_int``); the mirror converts by
-    recursive CTE with the 2 → −1 correction.  ONE bounded
-    24-cell census exchange."""
-    from documentai_ray.stages.aggregates import balanced_ternary_int
-
-    cen = _hour_census(sf_dir)
-    return balanced_ternary_int([cen.get(h, 0) for h in range(6)])
-
-
-def _q_happy_numbers(sf_dir: str):
-    """Census happy-number trajectories — DIGIT-SQUARE DYNAMICS,
-    a family the surface lacked: the 1-or-8-cycle dichotomy
-    verified exhaustively for all n ≤ 1000 in-kernel (the happy
-    population 143 counted), the cycle certified, trajectories
-    reported (``aggregates.happy_numbers_int``); the mirror
-    replays trajectories with digit-square arithmetic and cycle
-    membership.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import happy_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return happy_numbers_int([cen.get(h, 0) for h in range(8)])
-
-
-def _q_armstrong_numbers(sf_dir: str):
-    """All Armstrong numbers below 10^5 — DIGIT-POWER FIXED
-    POINTS, a family the surface lacked: the complete list
-    computed by sweep (including the no-2-digit fact)
-    (``aggregates.armstrong_numbers_int``); census flags one;
-    the mirror re-runs the sweep.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import armstrong_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return armstrong_numbers_int(cen.get(0, 0))
-
-
-def _q_square_triangular(sf_dir: str):
-    """All square-triangular numbers ≤ 10^9 — SIMULTANEOUS
-    FIGURATE NUMBERS, a family the surface lacked: the exhaustive
-    isqrt sweep over triangular numbers asserted equal to the
-    Pell-driven recurrence N′ = 34N − N″ + 2
-    (``aggregates.square_triangular_int``); census flags one; the
-    mirror runs the recurrence with per-row isqrt index columns.
-    ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import square_triangular_int
-
-    cen = _hour_census(sf_dir)
-    return square_triangular_int(cen.get(0, 0))
-
-
-def _q_amicable_pairs(sf_dir: str):
-    """Amicable pairs below 10000 — ALIQUOT 2-CYCLES, a family
-    the surface lacked (perfect numbers are the map's fixed
-    points): the complete classical list by σ-sieve exhaustion,
-    genuine-2-cycle certificates per pair
-    (``aggregates.amicable_pairs_int``); the mirror re-runs the
-    divisor-sum join sweep.  ONE bounded 24-cell census
-    exchange."""
-    from documentai_ray.stages.aggregates import amicable_pairs_int
-
-    cen = _hour_census(sf_dir)
-    return amicable_pairs_int(cen.get(0, 0))
-
-
-def _q_vampire_numbers(sf_dir: str):
-    """The seven 4-digit vampire numbers — DIGIT-PERMUTATION
-    FACTORIZATIONS, a family the surface lacked: the complete
-    list with minimal fangs by exhaustive 2-digit pair sweep
-    (``aggregates.vampire_numbers_int``); census flags one; the
-    mirror joins fang pairs with sorted-digit multiset
-    comparison.  ONE bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import vampire_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return vampire_numbers_int(cen.get(0, 0))
-
-
-def _q_kaprekar_numbers(sf_dir: str):
-    """Kaprekar numbers ≤ 1000 — SQUARE-SPLIT IDENTITIES, a
-    family the surface lacked (unrelated to the 6174 routine —
-    stated): the classical list 1, 9, 45, 55, 99, 297, 703, 999
-    with minimal splits by sweep
-    (``aggregates.kaprekar_numbers_int``); census flags one; the
-    mirror re-runs the split sweep with integer arithmetic.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import kaprekar_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return kaprekar_numbers_int(cen.get(0, 0))
-
-
-def _q_automorphic_numbers(sf_dir: str):
-    """Automorphic numbers below 10^5 — TERMINAL-DIGIT FIXED
-    POINTS, a family the surface lacked: the complete list by
-    sweep plus the idempotent COMPLEMENT law (same-width pairs
-    sum to 10^k + 1) (``aggregates.automorphic_numbers_int``);
-    census flags one; the mirror re-runs the modulus sweep.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import automorphic_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return automorphic_numbers_int(cen.get(0, 0))
-
-
-def _q_harshad_numbers(sf_dir: str):
-    """Harshad classification of census values — DIGIT-SUM
-    DIVISIBILITY, a family the surface lacked: all n ≤ 1000
-    classified with the longest consecutive run found by sweep
-    (the opening 1..10 ten-run — computed, not assumed)
-    (``aggregates.harshad_numbers_int``); the mirror re-runs the
-    classification plus a gaps-and-islands run census.  ONE
-    bounded 24-cell census exchange."""
-    from documentai_ray.stages.aggregates import harshad_numbers_int
-
-    cen = _hour_census(sf_dir)
-    return harshad_numbers_int([cen.get(h, 0) for h in range(24)])
-
-__all__ = ['_q_necklace_count', '_q_wardrop_poa', '_q_group_testing', '_q_bond_duration', '_q_linkage_diseq', '_q_index_coincidence', '_q_lpt_makespan', '_q_dft_period', '_q_maxflow_mincut', '_q_string_period', '_q_lz_complexity', '_q_spanning_trees', '_q_knapsack_dp', '_q_mdp_value_iter', '_q_heat_diffusion', '_q_lis_quantity', '_q_edit_distance', '_q_buzen_network', '_q_tsp_heldkarp', '_q_crc8_checksum', '_q_ffd_binpack', '_q_huffman_code', '_q_coupon_collector', '_q_bwt_runs', '_q_batcher_sort', '_q_viterbi_decode', '_q_rule90_ca', '_q_miller_rabin', '_q_konig_cover', '_q_convex_hull', '_q_josephus', '_q_rsa_crt', '_q_simpson_rule', '_q_ramsey_k6', '_q_shamir_secret', '_q_twosat_solve', '_q_nim_grundy', '_q_partition_numbers', '_q_four_squares', '_q_permutation_cycles', '_q_legendre_reciprocity', '_q_ising_ring', '_q_gauss_lattice', '_q_dfa_minimize', '_q_pell_equation', '_q_three_distance', '_q_zeckendorf', '_q_stirling_bell', '_q_derangements', '_q_polya_urn', '_q_dyck_catalan', '_q_sandpile_abelian', '_q_totient_moebius', '_q_discrete_log', '_q_hook_lengths', '_q_gray_code', '_q_collatz', '_q_turan_extremal', '_q_goldbach', '_q_graeco_latin', '_q_birkhoff', '_q_sperner_lemma', '_q_egz_zerosum', '_q_wilson_theorem', '_q_lucas_binomial', '_q_eulerian_numbers', '_q_permanent_ryser', '_q_gaussian_binomial', '_q_domino_tilings', '_q_picks_theorem', '_q_faulhaber', '_q_percolation_3x3', '_q_chinese_postman', '_q_cube_colorings', '_q_fibonacci_gcd', '_q_frobenius_coin', '_q_stern_brocot', '_q_van_der_waerden', '_q_kaprekar', '_q_magic_squares', '_q_pythagorean_triples', '_q_paley_graph', '_q_tournament_king', '_q_prufer_cayley', '_q_wythoff_game', '_q_six_queens', '_q_taxicab', '_q_arith_derivative', '_q_perfect_numbers', '_q_chung_feller', '_q_cycle_lemma', '_q_egyptian_fractions', '_q_ackermann', '_q_thue_morse', '_q_lindenmayer', '_q_pancake_numbers', '_q_debruijn_sequence', '_q_bulgarian_solitaire', '_q_puzzle_parity', '_q_hadamard_sylvester', '_q_descartes_circles', '_q_class_numbers', '_q_sum_free_sets', '_q_plane_partitions', '_q_delannoy_numbers', '_q_markov_triples', '_q_stern_diatomic', '_q_lucky_numbers', '_q_gilbreath', '_q_newton_identities', '_q_cubic_discriminant', '_q_pisano_periods', '_q_conway_sequence', '_q_golomb_ruler', '_q_langford_pairs', '_q_water_jugs', '_q_friendship_graphs', '_q_heronian_triangles', '_q_perrin_test', '_q_catalan_mihailescu', '_q_sylvester_sequence', '_q_kolakoski', '_q_ducci', '_q_negabinary', '_q_balanced_ternary', '_q_happy_numbers', '_q_armstrong_numbers', '_q_square_triangular', '_q_amicable_pairs', '_q_vampire_numbers', '_q_kaprekar_numbers', '_q_automorphic_numbers', '_q_harshad_numbers']
+__all__ = ['_q_string_period', '_q_lz_complexity', '_q_edit_distance', '_q_crc8_checksum', '_q_bwt_runs']
 
 
 def _q_selective_reprocess(sf_dir: str):

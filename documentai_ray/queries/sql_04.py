@@ -6,137 +6,6 @@ from documentai_ray.queries._helpers import *  # noqa: F401,F403
 
 def oracle_sql_part_04() -> dict:
     return {
-        "linkage_diseq": (
-            "WITH u AS (SELECT user_id, "
-            "sum(CASE WHEN hour(ts) < 12 THEN 1 ELSE 0 END) % 2 "
-            "AS pa, sum(CASE WHEN hour(ts) >= 12 THEN 1 ELSE 0 "
-            "END) % 2 AS pb FROM events GROUP BY 1), "
-            "g AS (SELECT CAST(count(*) AS HUGEINT) AS n, "
-            "CAST(sum(CASE WHEN pa = 0 THEN 1 ELSE 0 END) "
-            "AS HUGEINT) AS na, "
-            "CAST(sum(CASE WHEN pb = 0 THEN 1 ELSE 0 END) "
-            "AS HUGEINT) AS nb, "
-            "CAST(sum(CASE WHEN pa = 0 AND pb = 0 THEN 1 ELSE 0 "
-            "END) AS HUGEINT) AS nab FROM u), "
-            "d AS (SELECT n, na, nb, nab, n * nab - na * nb "
-            "AS dn, n - na AS nac, n - nb AS nbc FROM g) "
-            "SELECT CAST(n AS BIGINT) AS n_users, "
-            "CAST(na AS BIGINT) AS n_a_even, "
-            "CAST(nb AS BIGINT) AS n_b_even, "
-            "CAST(nab AS BIGINT) AS n_both_even, "
-            "CAST(dn AS BIGINT) AS d_x, "
-            "CAST(CASE WHEN na IN (0, n) OR nb IN (0, n) THEN 0 "
-            "WHEN dn > 0 THEN 1000000 * dn // "
-            "least(na * nbc, nac * nb) "
-            "WHEN dn < 0 THEN -((1000000 * (-dn)) // "
-            "least(na * nb, nac * nbc)) ELSE 0 END AS BIGINT) "
-            "AS dprime_ppm, "
-            "CAST(CASE WHEN na IN (0, n) OR nb IN (0, n) THEN 0 "
-            "ELSE 1000000 * dn * dn // (na * nac * nb * nbc) END "
-            "AS BIGINT) AS r2_ppm, "
-            "CAST(CASE WHEN na IN (0, n) OR nb IN (0, n) THEN 1 "
-            "ELSE 0 END AS BIGINT) AS monomorphic FROM d"
-        ),
-        # IC: regexp letters-only normalization + lateral position
-        # unnest; per-stream ppm floor then integer mean over
-        # streams — the kernel's two documented floor layers
-        "index_coincidence": (
-            "WITH s AS (SELECT lower(regexp_replace(text, "
-            "'[^a-zA-Z]', '', 'g')) AS t FROM documents), "
-            "ch AS (SELECT p.p, substr(s.t, p.p, 1) AS c FROM s, "
-            "unnest(generate_series(1, length(s.t))) AS p(p) "
-            "WHERE length(s.t) > 0), "
-            "g AS (SELECT k, (p - 1) % k AS r, c, count(*) AS n "
-            "FROM ch, (VALUES (1), (2), (3), (4), (5)) v(k) "
-            "GROUP BY 1, 2, 3), "
-            "st AS (SELECT k, r, sum(CAST(n AS HUGEINT) "
-            "* (n - 1)) AS a, sum(n) AS nr FROM g GROUP BY 1, 2), "
-            "ic AS (SELECT k, r, nr, CASE WHEN nr >= 2 THEN "
-            "1000000 * a // (CAST(nr AS HUGEINT) * (nr - 1)) "
-            "ELSE 0 END AS icr FROM st) "
-            "SELECT CAST(k AS BIGINT) AS k_len, "
-            "CAST(sum(nr) AS BIGINT) AS n_chars, "
-            "CAST(sum(icr) // k AS BIGINT) AS ic_avg_ppm "
-            "FROM ic GROUP BY k"
-        ),
-        "lpt_makespan": _sql_lpt(),
-        # Periodogram: epoch-hour mod-12 census folded per period,
-        # the same four Gaussian/Eisenstein closed forms, peak =
-        # rank 1 by (power desc, period asc)
-        "dft_period": (
-            "WITH h AS (SELECT epoch_us(ts) // 3600000000 % 12 "
-            "AS r12, count(*) AS n FROM events GROUP BY 1), "
-            "s AS (SELECT p.p, h.r12 % p.p AS r, "
-            "sum(CAST(n AS HUGEINT)) AS sn FROM h, "
-            "(VALUES (2), (3), (4), (6)) p(p) GROUP BY 1, 2), "
-            "v AS (SELECT p, "
-            "coalesce(sum(CASE WHEN r = 0 THEN sn END), 0) AS s0, "
-            "coalesce(sum(CASE WHEN r = 1 THEN sn END), 0) AS s1, "
-            "coalesce(sum(CASE WHEN r = 2 THEN sn END), 0) AS s2, "
-            "coalesce(sum(CASE WHEN r = 3 THEN sn END), 0) AS s3, "
-            "coalesce(sum(CASE WHEN r = 4 THEN sn END), 0) AS s4, "
-            "coalesce(sum(CASE WHEN r = 5 THEN sn END), 0) AS s5 "
-            "FROM s GROUP BY p), "
-            "pw AS (SELECT p, CASE p "
-            "WHEN 2 THEN 4 * (s0 - s1) * (s0 - s1) "
-            "WHEN 4 THEN 4 * ((s0 - s2) * (s0 - s2) "
-            "+ (s3 - s1) * (s3 - s1)) "
-            "WHEN 3 THEN (2*s0 - s1 - s2) * (2*s0 - s1 - s2) "
-            "+ 3 * (s2 - s1) * (s2 - s1) "
-            "ELSE (2*s0 + s1 - s2 - 2*s3 - s4 + s5) "
-            "* (2*s0 + s1 - s2 - 2*s3 - s4 + s5) "
-            "+ 3 * (s4 + s5 - s1 - s2) * (s4 + s5 - s1 - s2) "
-            "END AS pw FROM v) "
-            "SELECT CAST(p AS BIGINT) AS period, "
-            "CAST(pw AS BIGINT) AS power_x4, "
-            "CAST(CASE WHEN row_number() OVER "
-            "(ORDER BY pw DESC, p ASC) = 1 THEN 1 ELSE 0 END "
-            "AS BIGINT) AS is_peak FROM pw"
-        ),
-        # Max flow by DUALITY: the mirror enumerates all 1024
-        # source-side masks and reports the min cut as the flow --
-        # agreement with the Ray side's Edmonds-Karp augmenting
-        # paths is the max-flow/min-cut theorem per instance
-        "maxflow_mincut": (
-            "WITH seg AS (SELECT g, dense_rank() OVER "
-            "(ORDER BY g) - 1 AS gi FROM "
-            "(SELECT DISTINCT c_mktsegment AS g FROM customer)), "
-            "sup AS (SELECT n_regionkey AS r, 3 * count(*) AS cap "
-            "FROM supplier, nation WHERE s_nationkey = n_nationkey "
-            "GROUP BY 1), "
-            "mid AS (SELECT n_regionkey AS r, gi, count(*) AS cap "
-            "FROM customer, nation, seg WHERE c_nationkey = "
-            "n_nationkey AND c_mktsegment = seg.g GROUP BY 1, 2), "
-            "tt AS (SELECT gi, count(*) // 8 AS cap FROM orders, "
-            "customer, seg WHERE o_custkey = c_custkey AND "
-            "c_mktsegment = seg.g GROUP BY 1), "
-            "edges AS (SELECT 0 AS kind, r AS a, -1 AS b, cap "
-            "FROM sup WHERE cap > 0 UNION ALL "
-            "SELECT 1, r, 5 + gi, cap FROM mid WHERE cap > 0 "
-            "UNION ALL SELECT 2, -1, 5 + gi, cap FROM tt "
-            "WHERE cap > 0), "
-            "cuts AS (SELECT m.mask, sum(CASE "
-            "WHEN kind = 0 AND (m.mask >> a) & 1 = 0 THEN cap "
-            "WHEN kind = 1 AND (m.mask >> a) & 1 = 1 "
-            "AND (m.mask >> b) & 1 = 0 THEN cap "
-            "WHEN kind = 2 AND (m.mask >> b) & 1 = 1 THEN cap "
-            "ELSE 0 END) AS cut, sum(CASE "
-            "WHEN kind = 0 AND (m.mask >> a) & 1 = 0 THEN 1 "
-            "WHEN kind = 1 AND (m.mask >> a) & 1 = 1 "
-            "AND (m.mask >> b) & 1 = 0 THEN 1 "
-            "WHEN kind = 2 AND (m.mask >> b) & 1 = 1 THEN 1 "
-            "ELSE 0 END) AS ne FROM generate_series(0, 1023) "
-            "m(mask) CROSS JOIN edges GROUP BY 1), "
-            "best AS (SELECT * FROM cuts ORDER BY cut, mask "
-            "LIMIT 1) "
-            "SELECT CAST(cut AS BIGINT) AS max_flow, "
-            "CAST(cut AS BIGINT) AS min_cut, "
-            "CAST(0 AS BIGINT) AS duality_gap, "
-            "CAST(mask AS BIGINT) AS cut_mask, "
-            "CAST(ne AS BIGINT) AS n_cut_edges, "
-            "CAST((SELECT sum(cap) FROM sup) AS BIGINT) "
-            "AS total_supply FROM best"
-        ),
         # Border/period duality: the mirror runs the naive
         # min-p shifted-prefix scan on the 128-letter prefix; the Ray
         # side runs KMP -- agreement is the classical duality
@@ -179,90 +48,6 @@ def oracle_sql_part_04() -> dict:
             "1000000 * max(c) // any_value(n) ELSE 0 END AS BIGINT) "
             "AS compress_ppm FROM step GROUP BY doc_id"
         ),
-        "spanning_trees": _sql_spanning(),
-        "knapsack_dp": _SQL_KNAPSACK,
-        # Bellman backups as a recursive CTE carrying v0..v4; 200
-        # fixed sweeps (a fixed point stays fixed); residual and
-        # threshold action re-derived from the final values
-        "mdp_value_iter": (
-            "WITH RECURSIVE gg AS (SELECT 1000 + (SELECT count(*) "
-            "FROM events) % 7 * 500 AS G), "
-            "it AS (SELECT 0 AS i, CAST(0 AS BIGINT) AS v0, "
-            "CAST(0 AS BIGINT) AS v1, CAST(0 AS BIGINT) AS v2, "
-            "CAST(0 AS BIGINT) AS v3, CAST(0 AS BIGINT) AS v4 "
-            "UNION ALL SELECT i + 1, "
-            "greatest(4000 + 9 * v1 // 10, G + 9 * v0 // 10), "
-            "greatest(3000 + 9 * v2 // 10, G + 9 * v0 // 10), "
-            "greatest(2000 + 9 * v3 // 10, G + 9 * v0 // 10), "
-            "greatest(1000 + 9 * v4 // 10, G + 9 * v0 // 10), "
-            "greatest(9 * v4 // 10, G + 9 * v0 // 10) "
-            "FROM it, gg WHERE i < 200), "
-            "f AS (SELECT * FROM it, gg WHERE i = 200) "
-            "SELECT CAST(s.s AS BIGINT) AS state, "
-            "CAST(CASE s.s WHEN 0 THEN v0 WHEN 1 THEN v1 WHEN 2 "
-            "THEN v2 WHEN 3 THEN v3 ELSE v4 END AS BIGINT) "
-            "AS v_milli, "
-            "CAST(CASE WHEN G + 9 * v0 // 10 > (4 - s.s) * 1000 + "
-            "9 * (CASE s.s WHEN 0 THEN v1 WHEN 1 THEN v2 WHEN 2 "
-            "THEN v3 ELSE v4 END) // 10 THEN 1 ELSE 0 END "
-            "AS BIGINT) AS best_action, "
-            "CAST((CASE s.s WHEN 0 THEN v0 WHEN 1 THEN v1 WHEN 2 "
-            "THEN v2 WHEN 3 THEN v3 ELSE v4 END) - greatest("
-            "(4 - s.s) * 1000 + 9 * (CASE s.s WHEN 0 THEN v1 "
-            "WHEN 1 THEN v2 WHEN 2 THEN v3 ELSE v4 END) // 10, "
-            "G + 9 * v0 // 10) AS BIGINT) AS bellman_residual "
-            "FROM f, (VALUES (0), (1), (2), (3), (4)) s(s)"
-        ),
-        # Ring diffusion: recursive CTE carrying the 24-cell grid
-        # as a LIST, exact 4^10-scaled averaging, mass re-summed
-        "heat_diffusion": (
-            "WITH RECURSIVE h AS (SELECT epoch_us(ts) // 3600000000 "
-            "% 24 AS hr, count(*) AS n FROM events GROUP BY 1), "
-            "u0 AS (SELECT g.i AS hour, CAST(coalesce(h.n, 0) "
-            "AS HUGEINT) AS u FROM generate_series(0, 23) g(i) "
-            "LEFT JOIN h ON h.hr = g.i), "
-            "it AS (SELECT 0 AS t, (SELECT list(u * 1048576 "
-            "ORDER BY hour) FROM u0) AS ul UNION ALL "
-            "SELECT t + 1, list_transform(generate_series(1, 24), "
-            "i -> (ul[1 + (i + 22) % 24] + 2 * ul[i] "
-            "+ ul[1 + i % 24]) // 4) FROM it WHERE t < 10), "
-            "f AS (SELECT ul FROM it WHERE t = 10), "
-            "m AS (SELECT CAST((SELECT sum(u) FROM u0) AS BIGINT) "
-            "AS mass0) "
-            "SELECT CAST(g.i - 1 AS BIGINT) AS hour, "
-            "CAST((SELECT u FROM u0 WHERE hour = g.i - 1) "
-            "AS BIGINT) AS u0, "
-            "CAST(1000 * f.ul[g.i] // 1048576 AS BIGINT) "
-            "AS u10_milli, m.mass0 AS total_mass0, "
-            "CAST((SELECT sum(x) FROM unnest(f.ul) t(x)) // 1048576 "
-            "- m.mass0 AS BIGINT) AS mass_drift "
-            "FROM f, m, generate_series(1, 24) g(i)"
-        ),
-        # LIS: the O(n^2) DP in a recursive CTE (the Ray side runs
-        # patience sorting -- two different algorithms agreeing)
-        "lis_quantity": (
-            "WITH RECURSIVE cen AS (SELECT year(l_shipdate) * 12 + "
-            "month(l_shipdate) - 1 AS mk, "
-            "sum(CAST(round(l_quantity) AS BIGINT)) AS v "
-            "FROM lineitem GROUP BY 1), "
-            "s AS (SELECT list(v ORDER BY mk) AS vs, count(*) AS n "
-            "FROM cen), "
-            "dp AS (SELECT 0 AS i, CAST([] AS BIGINT[]) AS L, "
-            "CAST([] AS BIGINT[]) AS D, vs, n FROM s UNION ALL "
-            "SELECT i + 1, "
-            "list_append(L, 1 + coalesce(list_max(list_transform("
-            "list_filter(generate_series(1, i), "
-            "j -> vs[j] <= vs[i + 1]), j -> L[j])), 0)), "
-            "list_append(D, 1 + coalesce(list_max(list_transform("
-            "list_filter(generate_series(1, i), "
-            "j -> vs[j] > vs[i + 1]), j -> D[j])), 0)), vs, n "
-            "FROM dp WHERE i < n) "
-            "SELECT CAST(n AS BIGINT) AS n_periods, "
-            "CAST(list_max(L) AS BIGINT) AS lis_nondec, "
-            "CAST(list_max(D) AS BIGINT) AS lds_strict, "
-            "CAST(list_max(L) * list_max(D) - n AS BIGINT) "
-            "AS es_slack FROM dp WHERE i = n"
-        ),
         # Levenshtein row DP; the prefix-min closed form
         # row[j] = min_k<=j(base[k] + j - k) unrolls the in-row
         # sequential dependency into list lambdas
@@ -293,55 +78,7 @@ def oracle_sql_part_04() -> dict:
             "CAST(greatest(n, m) - row[m + 1] AS BIGINT) "
             "AS upper_slack FROM dp WHERE i = n"
         ),
-        "buzen_network": _SQL_BUZEN,
-        "tsp_heldkarp": _sql_tsp(),
         "crc8_checksum": _sql_crc8(),
-        "ffd_binpack": _SQL_FFD,
-        # Huffman: lateral-unnest letter census; the recursive CTE
-        # merges the two smallest list heads, accumulating internal
-        # node weights (= the tie-break-invariant total cost)
-        "huffman_code": (
-            "WITH RECURSIVE ch AS (SELECT substr(t, p.p, 1) AS c "
-            "FROM (SELECT lower(regexp_replace(text, '[^a-zA-Z]', "
-            "'', 'g')) AS t FROM documents) s, "
-            "unnest(generate_series(1, length(s.t))) AS p(p) "
-            "WHERE length(s.t) > 0), "
-            "cen AS (SELECT c, count(*) AS w FROM ch GROUP BY 1), "
-            "init AS (SELECT list_sort(list(CAST(w AS BIGINT))) "
-            "AS wl, count(*) AS n, sum(w) AS tw FROM cen), "
-            "mrg AS (SELECT wl, CAST(0 AS BIGINT) AS cost "
-            "FROM init UNION ALL "
-            "SELECT list_sort(list_append(wl[3:len(wl)], "
-            "wl[1] + wl[2])), cost + wl[1] + wl[2] FROM mrg "
-            "WHERE len(wl) > 1), "
-            "fin AS (SELECT cost FROM mrg WHERE len(wl) = 1), "
-            "fx AS (SELECT CASE WHEN n <= 1 THEN 0 ELSE "
-            "length(bin(CAST(n - 1 AS BIGINT))) END * tw AS fixed, "
-            "n, tw FROM init) "
-            "SELECT CAST(n AS BIGINT) AS n_symbols, "
-            "CAST(tw AS BIGINT) AS total_weight, "
-            "CAST(cost AS BIGINT) AS huffman_cost, "
-            "CAST(fixed AS BIGINT) AS fixed_cost, "
-            "CAST(CASE WHEN fixed > 0 THEN 1000000 * cost // fixed "
-            "ELSE 0 END AS BIGINT) AS savings_ppm FROM fin, fx"
-        ),
-        # Coupon collector: global (ts, event_id) rank, per-type
-        # first occurrence, harmonic micro chain (bounded series
-        # because generate_series cannot take a subquery)
-        "coupon_collector": (
-            "WITH r AS (SELECT event_type, row_number() OVER "
-            "(ORDER BY ts, event_id) AS rk FROM events), "
-            "f AS (SELECT event_type, min(rk) AS fr FROM r "
-            "GROUP BY 1), "
-            "s AS (SELECT count(*) AS n, max(fr) AS obs FROM f), "
-            "e AS (SELECT sum(1000000 * s.n // g.k) AS em FROM s, "
-            "generate_series(1, 64) g(k) WHERE g.k <= s.n) "
-            "SELECT CAST(s.n AS BIGINT) AS n_types, "
-            "CAST(s.obs AS BIGINT) AS completion_draws, "
-            "CAST(e.em AS BIGINT) AS expected_micro, "
-            "CAST(CASE WHEN e.em > 0 THEN 1000000000000 * s.obs "
-            "// e.em ELSE 0 END AS BIGINT) AS ratio_ppm FROM s, e"
-        ),
         # BWT: rotations via list lambdas, binary-collation sort,
         # last column, run count + permutation certificate
         "bwt_runs": (
@@ -373,1443 +110,6 @@ def oracle_sql_part_04() -> dict:
             "CAST(CASE WHEN list_sort(bwt) = schars THEN 1 ELSE 0 "
             "END AS BIGINT) AS is_permutation FROM r"
         ),
-        "batcher_sort": _sql_batcher(),
-        # Viterbi: forward recursive CTE carrying (v0, v1) HUGEINT
-        # scores AND each state's argmax path string (the
-        # carry-the-path trick -- no backtracking pass); 3^23 is the
-        # constant-path transition product
-        "viterbi_decode": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) "
-            "// 3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "ob AS (SELECT list(CAST(coalesce(cen.n % 2, 0) AS BIGINT) ORDER BY g.h) AS o FROM generate_series(0, 23) g(h) LEFT JOIN cen ON cen.h = g.h), "
-            "vit AS (SELECT 1 AS t, CAST(CASE WHEN o[1] = 0 THEN 3 "
-            "ELSE 1 END AS HUGEINT) AS v0, CAST(CASE WHEN o[1] = 0 "
-            "THEN 1 ELSE 3 END AS HUGEINT) AS v1, '0' AS pa0, "
-            "'1' AS pa1, o FROM ob UNION ALL SELECT t + 1, "
-            "(CASE WHEN v0 * 3 >= v1 THEN v0 * 3 ELSE v1 END) * "
-            "(CASE WHEN o[t + 1] = 0 THEN 3 ELSE 1 END), "
-            "(CASE WHEN v0 >= v1 * 3 THEN v0 ELSE v1 * 3 END) * "
-            "(CASE WHEN o[t + 1] = 0 THEN 1 ELSE 3 END), "
-            "(CASE WHEN v0 * 3 >= v1 THEN pa0 ELSE pa1 END) "
-            "|| '0', "
-            "(CASE WHEN v0 >= v1 * 3 THEN pa0 ELSE pa1 END) "
-            "|| '1', o FROM vit WHERE t < 24), "
-            "fin AS (SELECT *, CASE WHEN v0 >= v1 THEN pa0 "
-            "ELSE pa1 END AS path, CASE WHEN v0 >= v1 THEN v0 "
-            "ELSE v1 END AS sc FROM vit WHERE t = 24), "
-            "cst AS (SELECT list_reduce(list_transform(o, x -> "
-            "CAST(CASE WHEN x = 0 THEN 3 ELSE 1 END AS HUGEINT)), "
-            "(a, b) -> a * b) * CAST(94143178827 AS HUGEINT) "
-            "AS s0, list_reduce(list_transform(o, x -> "
-            "CAST(CASE WHEN x = 0 THEN 1 ELSE 3 END AS HUGEINT)), "
-            "(a, b) -> a * b) * CAST(94143178827 AS HUGEINT) "
-            "AS s1 FROM ob), "
-            "sw AS (SELECT coalesce(list_sum(list_transform("
-            "generate_series(2, 24), t -> CASE WHEN "
-            "substr(path, t, 1) <> substr(path, t - 1, 1) THEN 1 "
-            "ELSE 0 END)), 0) AS nsw FROM fin) "
-            "SELECT CAST(g.t - 1 AS BIGINT) AS t, "
-            "CAST(fin.o[g.t] AS BIGINT) AS obs, "
-            "CAST(substr(fin.path, g.t, 1) AS BIGINT) AS state, "
-            "CAST(sw.nsw AS BIGINT) AS n_switches, "
-            "CAST(CASE WHEN fin.sc >= cst.s0 THEN 1 ELSE 0 END "
-            "AS BIGINT) AS beats_const0, "
-            "CAST(CASE WHEN fin.sc >= cst.s1 THEN 1 ELSE 0 END "
-            "AS BIGINT) AS beats_const1 "
-            "FROM fin, cst, sw, generate_series(1, 24) g(t)"
-        ),
-        # Rule 90: the ring as ONE 24-bit integer, a step = two
-        # rotates + xor; even-weight theorem re-derived via
-        # bit_count on the evolved mask
-        "rule90_ca": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) "
-            "// 3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "m0 AS (SELECT coalesce(sum(CASE WHEN n % 2 = 1 THEN "
-            "CAST(1 AS BIGINT) << CAST(h AS INT) ELSE 0 END), 0) "
-            "AS m FROM cen), "
-            "ca AS (SELECT 0 AS t, m FROM m0 UNION ALL "
-            "SELECT t + 1, xor(((m << 1) & 16777215) | (m >> 23), "
-            "(m >> 1) | ((m & 1) << 23)) FROM ca WHERE t < 8), "
-            "f AS (SELECT ca.m AS mt, m0.m AS mz FROM ca, m0 "
-            "WHERE t = 8) "
-            "SELECT CAST(g.i AS BIGINT) AS cell, "
-            "CAST((mz >> CAST(g.i AS INT)) & 1 AS BIGINT) AS bit0, "
-            "CAST((mt >> CAST(g.i AS INT)) & 1 AS BIGINT) "
-            "AS bit_t, "
-            "CAST(CASE WHEN bit_count(mt) % 2 = 0 THEN 1 ELSE 0 "
-            "END AS BIGINT) AS even_weight "
-            "FROM f, generate_series(0, 23) g(i)"
-        ),
-        # Miller-Rabin: recursive square-and-multiply modpow per
-        # (candidate, base), then the squaring chain; small_factor
-        # re-derived by list trial division
-        "miller_rabin": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) "
-            "// 3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "cand AS (SELECT g.h AS h, CAST(2 * coalesce(cen.n, 0) "
-            "+ 39 AS BIGINT) AS n FROM generate_series(0, 23) g(h) "
-            "LEFT JOIN cen ON cen.h = g.h), "
-            "pb AS (SELECT h, n, b.a AS a, "
-            "(n - 1) // ((n - 1) & -(n - 1)) AS d, "
-            "CAST(bit_count(((n - 1) & -(n - 1)) - 1) AS BIGINT) "
-            "AS s FROM cand, (SELECT unnest([2, 3, 5, 7, 11, 13, "
-            "17, 19, 23, 29, 31, 37]) AS a) b), "
-            "mp AS (SELECT h, n, a, s, d AS e, "
-            "CAST(a % n AS HUGEINT) AS bb, CAST(1 AS HUGEINT) AS r "
-            "FROM pb UNION ALL SELECT h, n, a, s, e // 2, "
-            "(bb * bb) % n, CASE WHEN e % 2 = 1 THEN (r * bb) % n "
-            "ELSE r END FROM mp WHERE e > 0), "
-            "ch AS (SELECT h, n, a, s, 0 AS j, r AS x, "
-            "CASE WHEN r = 1 OR r = n - 1 THEN 1 ELSE 0 END AS ok "
-            "FROM mp WHERE e = 0 UNION ALL "
-            "SELECT h, n, a, s, j + 1, (x * x) % n, "
-            "CASE WHEN (x * x) % n = n - 1 THEN 1 ELSE 0 END "
-            "FROM ch WHERE ok = 0 AND j < s - 1), "
-            "pass AS (SELECT h, n, a, max(ok) AS ok FROM ch "
-            "GROUP BY 1, 2, 3), "
-            "agg AS (SELECT h, n, sum(ok) AS passes FROM pass "
-            "GROUP BY 1, 2) "
-            "SELECT CAST(agg.h AS BIGINT) AS h, agg.n AS n, "
-            "CAST(CASE WHEN agg.passes = 12 THEN 1 ELSE 0 END "
-            "AS BIGINT) AS is_prime, "
-            "CAST(agg.passes AS BIGINT) AS n_sprp_bases, "
-            "CAST(coalesce(list_min(list_filter("
-            "generate_series(2, 999), f -> f < agg.n AND "
-            "agg.n % f = 0)), 0) "
-            "AS BIGINT) AS small_factor FROM agg"
-        ),
-        # König: min cover by brute force over all 2^10 vertex
-        # masks, max matching over all 6^5 partial left->right
-        # assignments; gap = 0 IS the theorem
-        "konig_cover": (
-            "WITH seg AS (SELECT s, CAST(row_number() OVER "
-            "(ORDER BY s) - 1 AS BIGINT) AS idx FROM (SELECT "
-            "DISTINCT c_mktsegment AS s FROM customer)), "
-            "cen AS (SELECT n.n_regionkey AS r, c.c_mktsegment "
-            "AS s, count(*) AS m FROM customer c JOIN nation n "
-            "ON c.c_nationkey = n.n_nationkey GROUP BY 1, 2), "
-            "edges AS (SELECT CAST(cen.r AS BIGINT) AS a, seg.idx "
-            "AS b FROM cen JOIN seg ON seg.s = cen.s "
-            "WHERE cen.m % 3 <> 0), "
-            "ne AS (SELECT count(*) AS n_edges FROM edges), "
-            "el AS (SELECT coalesce(list(a * 5 + b), []) AS el "
-            "FROM edges), "
-            "cov AS (SELECT g.mask AS mask, "
-            "CAST(bit_count(g.mask) AS BIGINT) AS size "
-            "FROM generate_series(0, 1023) g(mask) "
-            "WHERE NOT EXISTS (SELECT 1 FROM edges e WHERE "
-            "((g.mask >> CAST(e.a AS INT)) & 1) = 0 AND "
-            "((g.mask >> CAST(5 + e.b AS INT)) & 1) = 0)), "
-            "best AS (SELECT mask, size FROM cov "
-            "ORDER BY size, mask LIMIT 1), "
-            "asg AS (SELECT list_filter(list_transform("
-            "[0, 1, 2, 3, 4], i -> [i, (g.code // "
-            "[1, 6, 36, 216, 1296][i + 1]) % 6]), p -> p[2] < 5) "
-            "AS pairs FROM generate_series(0, 7775) g(code)), "
-            "mm AS (SELECT max(len(pairs)) AS mm FROM asg, el "
-            "WHERE len(list_filter(pairs, p -> NOT "
-            "list_contains(el.el, p[1] * 5 + p[2]))) = 0 AND "
-            "len(list_distinct(list_transform(pairs, "
-            "p -> p[2]))) = len(pairs)) "
-            "SELECT CAST(mm.mm AS BIGINT) AS max_matching, "
-            "CAST(best.size AS BIGINT) AS min_cover, "
-            "CAST(best.size - mm.mm AS BIGINT) AS konig_gap, "
-            "CAST(best.mask AS BIGINT) AS cover_mask, "
-            "CAST(ne.n_edges AS BIGINT) AS n_edges "
-            "FROM mm, best, ne"
-        ),
-        # Convex hull: the order-free extreme-point brute — a point
-        # is a vertex iff no closed segment of others carries it and
-        # no non-degenerate closed triangle of others contains it
-        "convex_hull": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "raw AS (SELECT g.i AS i, coalesce(c1.n, 0) % 50 AS x, "
-            "coalesce(c2.n, 0) % 50 AS y FROM "
-            "generate_series(0, 11) g(i) LEFT JOIN cen c1 ON "
-            "c1.h = 2 * g.i LEFT JOIN cen c2 ON "
-            "c2.h = 2 * g.i + 1), "
-            "pts AS (SELECT DISTINCT x, y FROM raw), "
-            "nd AS (SELECT count(*) AS n_distinct FROM pts), "
-            "dm AS (SELECT coalesce(max((a.x - b.x) * (a.x - b.x) "
-            "+ (a.y - b.y) * (a.y - b.y)), 0) AS diam2 "
-            "FROM pts a, pts b), "
-            "flag AS (SELECT p.x, p.y, CASE WHEN EXISTS ("
-            "SELECT 1 FROM pts q, pts r WHERE "
-            "(q.x, q.y) <> (p.x, p.y) AND "
-            "(r.x, r.y) <> (p.x, p.y) AND "
-            "(q.x < r.x OR (q.x = r.x AND q.y < r.y)) AND "
-            "(r.x - q.x) * (p.y - q.y) - (r.y - q.y) * "
-            "(p.x - q.x) = 0 AND (p.x - q.x) * (p.x - r.x) + "
-            "(p.y - q.y) * (p.y - r.y) <= 0) OR EXISTS ("
-            "SELECT 1 FROM pts q, pts r, pts s WHERE "
-            "(q.x, q.y) <> (p.x, p.y) AND "
-            "(r.x, r.y) <> (p.x, p.y) AND "
-            "(s.x, s.y) <> (p.x, p.y) AND "
-            "(q.x < r.x OR (q.x = r.x AND q.y < r.y)) AND "
-            "(r.x < s.x OR (r.x = s.x AND r.y < s.y)) AND "
-            "(r.x - q.x) * (s.y - q.y) - (r.y - q.y) * "
-            "(s.x - q.x) <> 0 AND NOT ((("
-            "(r.x - q.x) * (p.y - q.y) - (r.y - q.y) * "
-            "(p.x - q.x) < 0) OR ("
-            "(s.x - r.x) * (p.y - r.y) - (s.y - r.y) * "
-            "(p.x - r.x) < 0) OR ("
-            "(q.x - s.x) * (p.y - s.y) - (q.y - s.y) * "
-            "(p.x - s.x) < 0)) AND (("
-            "(r.x - q.x) * (p.y - q.y) - (r.y - q.y) * "
-            "(p.x - q.x) > 0) OR ("
-            "(s.x - r.x) * (p.y - r.y) - (s.y - r.y) * "
-            "(p.x - r.x) > 0) OR ("
-            "(q.x - s.x) * (p.y - s.y) - (q.y - s.y) * "
-            "(p.x - s.x) > 0)))) THEN 0 ELSE 1 END AS is_vertex "
-            "FROM pts p), "
-            "hs AS (SELECT sum(is_vertex) AS hull_size FROM flag) "
-            "SELECT CAST(f.x AS BIGINT) AS x, "
-            "CAST(f.y AS BIGINT) AS y, "
-            "CAST(f.is_vertex AS BIGINT) AS is_vertex, "
-            "CAST(hs.hull_size AS BIGINT) AS hull_size, "
-            "CAST(dm.diam2 AS BIGINT) AS diam2, "
-            "CAST(nd.n_distinct AS BIGINT) AS n_distinct "
-            "FROM flag f, hs, dm, nd"
-        ),
-        # Josephus: one forward recursive CTE on
-        # J(n) = (J(n-1) + k) mod n
-        "josephus": (
-            "WITH RECURSIVE kk AS (SELECT count(*) % 10 + 2 AS k "
-            "FROM events), "
-            "jos AS (SELECT 1 AS n, 0 AS j, k FROM kk UNION ALL "
-            "SELECT n + 1, (j + k) % (n + 1), k FROM jos "
-            "WHERE n < 40) "
-            "SELECT CAST(n AS BIGINT) AS n, "
-            "CAST(j AS BIGINT) AS survivor, "
-            "CAST(k AS BIGINT) AS k FROM jos"
-        ),
-        # Toy RSA: next-prime(≡2 mod 3) search, closed-form d,
-        # and all four modpow chains (direct, CRT pair, Fermat
-        # inverse) in ONE recursive square-and-multiply CTE
-        "rsa_crt": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) "
-            "// 3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "sd AS (SELECT 2 * (coalesce((SELECT n FROM cen WHERE "
-            "h = 0), 0) % 400) + 101 AS sp, 2 * (coalesce((SELECT "
-            "n FROM cen WHERE h = 1), 0) % 400) + 101 AS sq), "
-            "pp AS (SELECT min(sd.sp + g.x) AS p FROM sd, "
-            "generate_series(0, 300) g(x) WHERE (sd.sp + g.x) % 3 "
-            "= 2 AND len(list_filter(generate_series(2, 40), f -> "
-            "f * f <= sd.sp + g.x AND (sd.sp + g.x) % f = 0)) "
-            "= 0), "
-            "q0 AS (SELECT min(sd.sq + g.x) AS q FROM sd, "
-            "generate_series(0, 300) g(x) WHERE (sd.sq + g.x) % 3 "
-            "= 2 AND len(list_filter(generate_series(2, 40), f -> "
-            "f * f <= sd.sq + g.x AND (sd.sq + g.x) % f = 0)) "
-            "= 0), "
-            "q1 AS (SELECT min(pp.p + 1 + g.x) AS q FROM pp, "
-            "generate_series(0, 300) g(x) WHERE (pp.p + 1 + g.x) "
-            "% 3 = 2 AND len(list_filter(generate_series(2, 40), "
-            "f -> f * f <= pp.p + 1 + g.x AND (pp.p + 1 + g.x) "
-            "% f = 0)) = 0), "
-            "qq AS (SELECT CASE WHEN q0.q <> pp.p THEN q0.q ELSE "
-            "q1.q END AS q FROM q0, pp, q1), "
-            "key AS (SELECT pp.p AS p, qq.q AS q, pp.p * qq.q "
-            "AS n, CASE WHEN (pp.p - 1) * (qq.q - 1) % 3 = 1 THEN "
-            "(2 * (pp.p - 1) * (qq.q - 1) + 1) // 3 ELSE "
-            "((pp.p - 1) * (qq.q - 1) + 1) // 3 END AS d "
-            "FROM pp, qq), "
-            "msg AS (SELECT g.h AS i, coalesce(cen.n, 0) % key.n "
-            "AS m, ((coalesce(cen.n, 0) % key.n) * "
-            "(coalesce(cen.n, 0) % key.n) % key.n) * "
-            "(coalesce(cen.n, 0) % key.n) % key.n AS c FROM key, "
-            "generate_series(0, 23) g(h) LEFT JOIN cen ON "
-            "cen.h = g.h), "
-            "jobs AS (SELECT -1 AS i, 0 AS wh, key.q AS bse, "
-            "key.p - 2 AS e, key.p AS md FROM key UNION ALL "
-            "SELECT i, 1, c, key.d, key.n FROM msg, key UNION ALL "
-            "SELECT i, 2, c, key.d % (key.p - 1), key.p FROM msg, "
-            "key UNION ALL SELECT i, 3, c, key.d % (key.q - 1), "
-            "key.q FROM msg, key), "
-            "mpw AS (SELECT i, wh, e, CAST(bse % md AS HUGEINT) "
-            "AS bb, CAST(1 AS HUGEINT) AS r, md FROM jobs "
-            "UNION ALL SELECT i, wh, e // 2, (bb * bb) % md, "
-            "CASE WHEN e % 2 = 1 THEN (r * bb) % md ELSE r END, "
-            "md FROM mpw WHERE e > 0), "
-            "res AS (SELECT i, wh, r FROM mpw WHERE e = 0), "
-            "fin AS (SELECT msg.i, msg.m, msg.c, key.p, key.q, "
-            "key.n, key.d, (SELECT r FROM res WHERE res.i = msg.i "
-            "AND wh = 1) AS mdec, (SELECT r FROM res WHERE res.i "
-            "= msg.i AND wh = 2) AS mp, (SELECT r FROM res WHERE "
-            "res.i = msg.i AND wh = 3) AS mq, (SELECT r FROM res "
-            "WHERE res.i = -1 AND wh = 0) AS qi FROM msg, key) "
-            "SELECT CAST(i AS BIGINT) AS i, CAST(m AS BIGINT) "
-            "AS m, CAST(c AS BIGINT) AS c, CAST(p AS BIGINT) "
-            "AS p, CAST(q AS BIGINT) AS q, CAST(n AS BIGINT) "
-            "AS n, CAST(d AS BIGINT) AS d, "
-            "CAST(CASE WHEN mdec = m THEN 1 ELSE 0 END AS BIGINT) "
-            "AS roundtrip_ok, "
-            "CAST(CASE WHEN mq + q * (((qi * (mp - mq)) % p + p) "
-            "% p) = mdec THEN 1 ELSE 0 END AS BIGINT) "
-            "AS crt_agree FROM fin"
-        ),
-        # Simpson: the same integer weighted sums; exactness and
-        # the Euler-Maclaurin trapezoid gap re-derived in SQL
-        "simpson_rule": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "co AS (SELECT coalesce((SELECT n FROM cen WHERE "
-            "h = 0), 0) % 7 AS a, coalesce((SELECT n FROM cen "
-            "WHERE h = 1), 0) % 11 AS b, coalesce((SELECT n FROM "
-            "cen WHERE h = 2), 0) % 13 AS c, coalesce((SELECT n "
-            "FROM cen WHERE h = 3), 0) % 17 AS d), "
-            "s AS (SELECT a, b, c, d, "
-            "list_sum(list_transform(generate_series(0, 8), i -> "
-            "[1, 4, 2, 4, 2, 4, 2, 4, 1][i + 1] * (a * 27 * i * i "
-            "* i + b * 9 * i * i + c * 3 * i + d))) AS simpson, "
-            "a * 82944 + b * 4608 + c * 288 + d * 24 "
-            "AS exact_integral, "
-            "3 * list_sum(list_transform(generate_series(0, 8), "
-            "i -> [1, 2, 2, 2, 2, 2, 2, 2, 1][i + 1] * (a * 27 * "
-            "i * i * i + b * 9 * i * i + c * 3 * i + d))) "
-            "AS twice_trap FROM co) "
-            "SELECT CAST(a AS BIGINT) AS a, CAST(b AS BIGINT) "
-            "AS b, CAST(c AS BIGINT) AS c, CAST(d AS BIGINT) "
-            "AS d, CAST(simpson AS BIGINT) AS simpson, "
-            "CAST(exact_integral AS BIGINT) AS exact_integral, "
-            "CAST(twice_trap AS BIGINT) AS twice_trap, "
-            "CAST(twice_trap - 2 * exact_integral AS BIGINT) "
-            "AS trap_gap FROM s"
-        ),
-        # Ramsey K6: per-triangle mono bits, the Goodman angle
-        # identity, and the EXHAUSTIVE 2^15-coloring minimum — all
-        # re-derived in SQL (triangle edge-index triples generated
-        # from the same aggregates constants)
-        "ramsey_k6": _sql_ramsey(),
-        # Shamir: shares, all 20 Lagrange reconstructions, with
-        # modular inverses by brute list search (p = 103, stated)
-        "shamir_secret": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "co AS (SELECT coalesce((SELECT n FROM cen WHERE "
-            "h = 0), 0) % 103 AS s, coalesce((SELECT n FROM cen "
-            "WHERE h = 1), 0) % 103 AS a1, coalesce((SELECT n "
-            "FROM cen WHERE h = 2), 0) % 103 AS a2), "
-            "sh AS (SELECT g.x AS x, (co.s + co.a1 * g.x + co.a2 "
-            "* g.x * g.x) % 103 AS y FROM co, "
-            "generate_series(1, 6) g(x)), "
-            "sub AS (SELECT a.x AS x1, b.x AS x2, c.x AS x3, "
-            "a.y AS y1, b.y AS y2, c.y AS y3 FROM sh a, sh b, "
-            "sh c WHERE a.x < b.x AND b.x < c.x), "
-            "lg AS (SELECT sub.*, co.s, "
-            "(y1 * (x2 * x3 % 103) * "
-            "list_filter(generate_series(1, 102), z -> "
-            "((((x2 - x1) * (x3 - x1)) % 103 + 103) % 103) * z "
-            "% 103 = 1)[1] + "
-            "y2 * (x1 * x3 % 103) * "
-            "list_filter(generate_series(1, 102), z -> "
-            "((((x1 - x2) * (x3 - x2)) % 103 + 103) % 103) * z "
-            "% 103 = 1)[1] + "
-            "y3 * (x1 * x2 % 103) * "
-            "list_filter(generate_series(1, 102), z -> "
-            "((((x1 - x3) * (x2 - x3)) % 103 + 103) % 103) * z "
-            "% 103 = 1)[1]) % 103 AS rec FROM sub, co) "
-            "SELECT CAST(x1 AS BIGINT) AS x1, "
-            "CAST(x2 AS BIGINT) AS x2, CAST(x3 AS BIGINT) AS x3, "
-            "CAST(y1 AS BIGINT) AS y1, CAST(y2 AS BIGINT) AS y2, "
-            "CAST(y3 AS BIGINT) AS y3, "
-            "CAST(rec AS BIGINT) AS recovered, "
-            "CAST(s AS BIGINT) AS secret, "
-            "CAST(CASE WHEN rec = s THEN 1 ELSE 0 END AS BIGINT) "
-            "AS ok FROM lg"
-        ),
-        # 2-SAT: same clause derivation, 256-mask exhaustive sweep,
-        # canonical mask = argmax satisfied (tie -> smallest) — the
-        # sweep route the kernel cross-certifies against Tarjan SCCs
-        "twosat_solve": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "cl AS (SELECT g.h AS clause, coalesce((SELECT n FROM "
-            "cen WHERE h = g.h), 0) AS n "
-            "FROM generate_series(0, 23) g(h)), "
-            "cls AS (SELECT clause, n % 8 AS a, (n // 8) % 2 AS sa, "
-            "(n // 16) % 8 AS b, (n // 128) % 2 AS sb FROM cl), "
-            "sw AS (SELECT m.m AS mask, sum(CASE WHEN "
-            "(m.m >> a) & 1 = sa OR (m.m >> b) & 1 = sb "
-            "THEN 1 ELSE 0 END) AS cnt "
-            "FROM generate_series(0, 255) m(m), cls GROUP BY m.m), "
-            "best AS (SELECT mask, cnt FROM sw "
-            "ORDER BY cnt DESC, mask LIMIT 1), "
-            "ns AS (SELECT count(*) FILTER (WHERE cnt = 24) "
-            "AS n_sat FROM sw) "
-            "SELECT CAST(cls.clause AS BIGINT) AS clause, "
-            "CAST(cls.a AS BIGINT) AS a, CAST(cls.sa AS BIGINT) "
-            "AS sa, CAST(cls.b AS BIGINT) AS b, "
-            "CAST(cls.sb AS BIGINT) AS sb, "
-            "CAST(CASE WHEN (best.mask >> cls.a) & 1 = cls.sa OR "
-            "(best.mask >> cls.b) & 1 = cls.sb THEN 1 ELSE 0 END "
-            "AS BIGINT) AS sat_under_canonical, "
-            "CAST(CASE WHEN ns.n_sat > 0 THEN 1 ELSE 0 END "
-            "AS BIGINT) AS satisfiable, "
-            "CAST(ns.n_sat AS BIGINT) AS n_sat_assignments, "
-            "CAST(best.cnt AS BIGINT) AS max_satisfiable, "
-            "CAST(best.mask AS BIGINT) AS canonical_mask "
-            "FROM cls, best, ns"
-        ),
-        # Nim: Bouton's closed form (XOR + first-reducible-heap CASE
-        # chain) — the theorem route the kernel certifies against
-        # the full 16^3 mex DP
-        "nim_grundy": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "pos AS (SELECT g.p AS pos, "
-            "coalesce((SELECT n FROM cen WHERE h = 3 * g.p), 0) "
-            "% 16 AS a, "
-            "coalesce((SELECT n FROM cen WHERE h = 3 * g.p + 1), 0) "
-            "% 16 AS b, "
-            "coalesce((SELECT n FROM cen WHERE h = 3 * g.p + 2), 0) "
-            "% 16 AS c FROM generate_series(0, 7) g(p)), "
-            "x AS (SELECT pos.*, xor(xor(a, b), c) AS xv FROM pos) "
-            "SELECT CAST(pos AS BIGINT) AS pos, "
-            "CAST(a AS BIGINT) AS a, CAST(b AS BIGINT) AS b, "
-            "CAST(c AS BIGINT) AS c, "
-            "CAST(xv AS BIGINT) AS grundy, "
-            "CAST(xv AS BIGINT) AS xor_value, "
-            "CAST(CASE WHEN xv = 0 THEN 1 ELSE 0 END AS BIGINT) "
-            "AS is_p_position, "
-            "CAST(CASE WHEN xv = 0 THEN -1 "
-            "WHEN xor(b, c) < a THEN 1 "
-            "WHEN xor(a, c) < b THEN 2 ELSE 3 END AS BIGINT) "
-            "AS win_move_heap, "
-            "CAST(CASE WHEN xv = 0 THEN -1 "
-            "WHEN xor(b, c) < a THEN xor(b, c) "
-            "WHEN xor(a, c) < b THEN xor(a, c) "
-            "ELSE xor(a, b) END AS BIGINT) AS win_move_newsize "
-            "FROM x"
-        ),
-        # Partitions: p(n) by EULER's pentagonal recurrence as a
-        # recursive list-carrying CTE (the kernel's second route),
-        # distinct-parts by the functional 0/1 knapsack fold (the
-        # old->new list update needs no descending-index trick)
-        "partition_numbers": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // "
-            "3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "hm AS (SELECT g.h AS h, coalesce((SELECT n FROM cen "
-            "WHERE h = g.h), 0) % 41 AS n "
-            "FROM generate_series(0, 23) g(h)), "
-            "pr AS (SELECT 0 AS n, [CAST(1 AS BIGINT)] AS pl "
-            "UNION ALL SELECT n + 1, list_append(pl, "
-            "CAST(list_sum(list_transform(generate_series(1, 5), "
-            "k -> (CASE WHEN k % 2 = 1 THEN 1 ELSE -1 END) * "
-            "((CASE WHEN n + 1 - (k * (3 * k - 1)) // 2 >= 0 "
-            "THEN pl[n + 2 - (k * (3 * k - 1)) // 2] ELSE 0 END) "
-            "+ (CASE WHEN n + 1 - (k * (3 * k + 1)) // 2 >= 0 "
-            "THEN pl[n + 2 - (k * (3 * k + 1)) // 2] ELSE 0 END))"
-            ")) AS BIGINT)) FROM pr WHERE n < 40), "
-            "qr AS (SELECT 0 AS k, list_concat("
-            "[CAST(1 AS BIGINT)], list_transform("
-            "generate_series(1, 40), x -> CAST(0 AS BIGINT))) "
-            "AS ql UNION ALL SELECT k + 1, "
-            "list_transform(generate_series(1, 41), i -> "
-            "ql[i] + CASE WHEN i - (k + 1) >= 1 "
-            "THEN ql[i - (k + 1)] ELSE 0 END) "
-            "FROM qr WHERE k < 40), "
-            "pf AS (SELECT pl FROM pr WHERE n = 40), "
-            "qf AS (SELECT ql FROM qr WHERE k = 40) "
-            "SELECT CAST(hm.h AS BIGINT) AS h, "
-            "CAST(hm.n AS BIGINT) AS n, "
-            "CAST(pf.pl[hm.n + 1] AS BIGINT) AS p_n, "
-            "CAST(qf.ql[hm.n + 1] AS BIGINT) AS p_distinct "
-            "FROM hm, pf, qf"
-        ),
-        # Four squares: the same signed [-14,14]^4 grid enumerated
-        # by SQL group-by-sum (707k rows, bounded), sigma' by list
-        # divisor filter, witness = lex-min ordered quadruple
-        "four_squares": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "hm AS (SELECT g.h AS h, coalesce((SELECT n FROM cen "
-            "WHERE h = g.h), 0) % 201 AS n "
-            "FROM generate_series(0, 23) g(h)), "
-            "rr AS (SELECT a.a * a.a + b.b * b.b + c.c * c.c "
-            "+ d.d * d.d AS s, count(*) AS cnt "
-            "FROM generate_series(-14, 14) a(a), "
-            "generate_series(-14, 14) b(b), "
-            "generate_series(-14, 14) c(c), "
-            "generate_series(-14, 14) d(d) GROUP BY 1), "
-            "wit AS (SELECT * FROM (SELECT s, a, b, c, d, "
-            "row_number() OVER (PARTITION BY s "
-            "ORDER BY a, b, c, d) AS rn FROM ("
-            "SELECT a.a AS a, b.b AS b, c.c AS c, d.d AS d, "
-            "a.a * a.a + b.b * b.b + c.c * c.c + d.d * d.d AS s "
-            "FROM generate_series(0, 14) a(a), "
-            "generate_series(0, 14) b(b), "
-            "generate_series(0, 14) c(c), "
-            "generate_series(0, 14) d(d) "
-            "WHERE a.a <= b.b AND b.b <= c.c AND c.c <= d.d)) "
-            "WHERE rn = 1) "
-            "SELECT CAST(hm.h AS BIGINT) AS h, "
-            "CAST(hm.n AS BIGINT) AS n, "
-            "CAST(rr.cnt AS BIGINT) AS r4, "
-            "CAST(CASE WHEN hm.n = 0 THEN 0 ELSE coalesce("
-            "list_sum(list_filter(generate_series(1, hm.n), "
-            "dv -> hm.n % dv = 0 AND dv % 4 <> 0)), 0) END "
-            "AS BIGINT) AS sigma_no4, "
-            "CAST(wit.a AS BIGINT) AS wa, "
-            "CAST(wit.b AS BIGINT) AS wb, "
-            "CAST(wit.c AS BIGINT) AS wc, "
-            "CAST(wit.d AS BIGINT) AS wd "
-            "FROM hm JOIN rr ON rr.s = hm.n "
-            "JOIN wit ON wit.s = hm.n"
-        ),
-        # Permutation cycles: row_number rank, recursive orbit
-        # walk, self-join inversions, list_reduce lcm fold — each
-        # column by a route independent of the kernel's
-        "permutation_cycles": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // "
-            "3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "hm AS (SELECT g.h AS h, coalesce((SELECT n FROM cen "
-            "WHERE h = g.h), 0) AS n "
-            "FROM generate_series(0, 23) g(h)), "
-            "pm AS (SELECT h, row_number() OVER (ORDER BY n, h) "
-            "- 1 AS pi FROM hm), "
-            "orb AS (SELECT h AS start, pi AS cur FROM pm "
-            "UNION ALL SELECT orb.start, pm.pi FROM orb "
-            "JOIN pm ON pm.h = orb.cur "
-            "WHERE orb.cur <> orb.start), "
-            "cyc AS (SELECT start AS h, min(cur) AS cycle_min, "
-            "count(*) AS cycle_len FROM orb GROUP BY start), "
-            "ncy AS (SELECT count(DISTINCT cycle_min) AS n_cycles "
-            "FROM cyc), "
-            "inv AS (SELECT count(*) AS n_inv FROM pm a, pm b "
-            "WHERE a.h < b.h AND a.pi > b.pi), "
-            "ordr AS (SELECT list_reduce(list(DISTINCT cycle_len),"
-            " (a, b) -> lcm(a, b)) AS perm_order FROM cyc) "
-            "SELECT CAST(pm.h AS BIGINT) AS h, "
-            "CAST(pm.pi AS BIGINT) AS pi, "
-            "CAST(cyc.cycle_min AS BIGINT) AS cycle_min, "
-            "CAST(cyc.cycle_len AS BIGINT) AS cycle_len, "
-            "CAST(ncy.n_cycles AS BIGINT) AS n_cycles, "
-            "CAST(inv.n_inv AS BIGINT) AS n_inversions, "
-            "CAST(CASE WHEN inv.n_inv % 2 = 0 THEN 1 ELSE -1 END "
-            "AS BIGINT) AS sign, "
-            "CAST(ordr.perm_order AS BIGINT) AS perm_order "
-            "FROM pm JOIN cyc ON cyc.h = pm.h, ncy, inv, ordr"
-        ),
-        # Legendre symbols by the solvability DEFINITION (EXISTS
-        # x^2 = a mod m) + the same trial-division next-prime
-        # search; the reciprocity law shows as product==predicted
-        "legendre_reciprocity": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "sd AS (SELECT g.i AS pair, coalesce((SELECT n FROM "
-            "cen WHERE h = 2 * g.i), 0) % 500 + 3 AS s1, "
-            "coalesce((SELECT n FROM cen WHERE h = 2 * g.i + 1), "
-            "0) % 500 + 3 AS s2 FROM generate_series(0, 11) g(i)),"
-            " pp AS (SELECT sd.pair, sd.s2, min(greatest(sd.s1, 3)"
-            " + g.x) AS p FROM sd, generate_series(0, 200) g(x) "
-            "WHERE len(list_filter(generate_series(2, 30), f -> "
-            "f * f <= greatest(sd.s1, 3) + g.x AND "
-            "(greatest(sd.s1, 3) + g.x) % f = 0)) = 0 "
-            "GROUP BY sd.pair, sd.s2), "
-            "q0 AS (SELECT pp.pair, pp.p, min(greatest(pp.s2, 3) "
-            "+ g.x) AS q FROM pp, generate_series(0, 200) g(x) "
-            "WHERE len(list_filter(generate_series(2, 30), f -> "
-            "f * f <= greatest(pp.s2, 3) + g.x AND "
-            "(greatest(pp.s2, 3) + g.x) % f = 0)) = 0 "
-            "GROUP BY pp.pair, pp.p), "
-            "q1 AS (SELECT q0.pair, min(q0.p + 1 + g.x) AS q "
-            "FROM q0, generate_series(0, 200) g(x) "
-            "WHERE len(list_filter(generate_series(2, 30), f -> "
-            "f * f <= q0.p + 1 + g.x AND "
-            "(q0.p + 1 + g.x) % f = 0)) = 0 GROUP BY q0.pair), "
-            "qq AS (SELECT q0.pair, q0.p, CASE WHEN q0.q <> q0.p "
-            "THEN q0.q ELSE q1.q END AS q FROM q0 "
-            "JOIN q1 ON q1.pair = q0.pair), "
-            "lg AS (SELECT pair, p, q, "
-            "CASE WHEN EXISTS (SELECT 1 FROM "
-            "generate_series(1, 999) x(x) WHERE x.x < q AND "
-            "x.x * x.x % q = p % q) THEN 1 ELSE -1 END "
-            "AS leg_pq, "
-            "CASE WHEN EXISTS (SELECT 1 FROM "
-            "generate_series(1, 999) x(x) WHERE x.x < p AND "
-            "x.x * x.x % p = q % p) THEN 1 ELSE -1 END "
-            "AS leg_qp FROM qq) "
-            "SELECT CAST(pair AS BIGINT) AS pair, "
-            "CAST(p AS BIGINT) AS p, CAST(q AS BIGINT) AS q, "
-            "CAST(leg_pq AS BIGINT) AS leg_pq, "
-            "CAST(leg_qp AS BIGINT) AS leg_qp, "
-            "CAST(leg_pq * leg_qp AS BIGINT) AS product, "
-            "CAST(CASE WHEN ((p - 1) // 2) * ((q - 1) // 2) % 2 "
-            "= 1 THEN -1 ELSE 1 END AS BIGINT) AS predicted "
-            "FROM lg"
-        ),
-        # Ising ring: SQL re-enumerates the 4096 spin configs
-        # (bit_count of m XOR rotate(m)), closed form by
-        # factorials, Z by exact small-integer powers (k^j <= 2^53
-        # so double pow is exact — cast to BIGINT BEFORE the
-        # multiply), trace route by the eigenvalue closed form
-        "ising_ring": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "bits AS (SELECT g.h AS h, coalesce((SELECT n FROM "
-            "cen WHERE h = g.h), 0) % 2 AS b "
-            "FROM generate_series(0, 11) g(h)), "
-            "msk AS (SELECT CAST(sum(b * (1 << h)) AS BIGINT) "
-            "AS mask FROM bits), "
-            "cfg AS (SELECT m.m AS m, bit_count(CAST(xor(m.m, "
-            "((m.m >> 1) | ((m.m & 1) << 11))) AS BIGINT)) AS w "
-            "FROM generate_series(0, 4095) m(m)), "
-            "cnt AS (SELECT w AS k, count(*) AS nc FROM cfg "
-            "GROUP BY w), "
-            "ks AS (SELECT g.k AS k, coalesce((SELECT nc FROM cnt "
-            "WHERE k = g.k), 0) AS nc "
-            "FROM generate_series(0, 12) g(k)), "
-            "zp AS (SELECT pt.k AS k, sum(ks.nc * "
-            "CAST(round(pow(pt.k, ks.k)) AS BIGINT)) AS z "
-            "FROM ks, ks pt GROUP BY pt.k) "
-            "SELECT CAST(ks.k AS BIGINT) AS k, "
-            "CAST(ks.nc AS BIGINT) AS n_configs, "
-            "CAST(CASE WHEN ks.k % 2 = 0 THEN 2 * factorial(12) "
-            "// (factorial(CAST(ks.k AS INTEGER)) * "
-            "factorial(CAST(12 - ks.k AS INTEGER))) ELSE 0 "
-            "END AS BIGINT) AS n_closed, "
-            "CAST(zp.z AS BIGINT) AS z_poly, "
-            "CAST(CAST(round(pow(1 + ks.k, 12)) AS BIGINT) + "
-            "CAST(round(pow(1 - ks.k, 12)) AS BIGINT) AS BIGINT) "
-            "AS z_trace, "
-            "CAST(msk.mask AS BIGINT) AS census_mask, "
-            "CAST(bit_count(CAST(xor(msk.mask, ((msk.mask >> 1) | "
-            "((msk.mask & 1) << 11))) AS BIGINT)) AS BIGINT) "
-            "AS census_walls "
-            "FROM ks JOIN zp ON zp.k = ks.k, msk"
-        ),
-        # Gauss lattice reduction: bounded recursive-CTE replay of
-        # the kernel's loop + the same box search (generated SQL)
-        "gauss_lattice": _sql_gauss_lattice(),
-        # DFA minimization by the Myhill-Nerode route ONLY:
-        # recursive-CTE reachability (letter choice via a 2-row
-        # VALUES join keeps the recursive self-reference single),
-        # distinguishable-pair fixpoint closed backwards over the
-        # transition relation, labels = min undistinguished state
-        "dfa_minimize": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // "
-            "3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "st AS (SELECT g.s AS s, "
-            "coalesce((SELECT n FROM cen WHERE h = g.s), 0) % 10 "
-            "AS d0, "
-            "coalesce((SELECT n FROM cen WHERE h = g.s + 10), 0) "
-            "% 10 AS d1, "
-            "coalesce((SELECT n FROM cen WHERE h = 20 + g.s % 4), "
-            "0) % 2 AS acc FROM generate_series(0, 9) g(s)), "
-            "reach AS (SELECT 0 AS s UNION "
-            "SELECT CASE WHEN b.b = 0 THEN st.d0 ELSE st.d1 END "
-            "FROM reach, st, (VALUES (0), (1)) b(b) "
-            "WHERE st.s = reach.s), "
-            "dist AS (SELECT p.s AS p, q.s AS q FROM st p, st q "
-            "WHERE p.acc <> q.acc "
-            "UNION SELECT sp.s, sq.s FROM dist, st sp, st sq, "
-            "(VALUES (0), (1)) b(b) "
-            "WHERE (CASE WHEN b.b = 0 THEN sp.d0 ELSE sp.d1 END) "
-            "= dist.p AND "
-            "(CASE WHEN b.b = 0 THEN sq.d0 ELSE sq.d1 END) "
-            "= dist.q), "
-            "cls AS (SELECT r.s AS s, (SELECT min(r2.s) FROM "
-            "reach r2 WHERE NOT EXISTS (SELECT 1 FROM dist "
-            "WHERE dist.p = r.s AND dist.q = r2.s)) AS lab "
-            "FROM reach r), "
-            "siz AS (SELECT lab, count(*) AS sz FROM cls "
-            "GROUP BY lab), "
-            "ncl AS (SELECT count(DISTINCT lab) AS n_classes "
-            "FROM cls) "
-            "SELECT CAST(st.s AS BIGINT) AS state, "
-            "CAST(CASE WHEN cls.s IS NULL THEN 0 ELSE 1 END "
-            "AS BIGINT) AS reachable, "
-            "CAST(coalesce(cls.lab, -1) AS BIGINT) "
-            "AS class_label, "
-            "CAST(coalesce(siz.sz, 0) AS BIGINT) AS class_size, "
-            "CAST(st.acc AS BIGINT) AS accept, "
-            "CAST(ncl.n_classes AS BIGINT) AS n_classes "
-            "FROM st LEFT JOIN cls ON cls.s = st.s "
-            "LEFT JOIN siz ON siz.lab = cls.lab, ncl"
-        ),
-        # Pell: brute minimal-y search per instance (t = 1+d*y^2
-        # perfect-square test; magnitudes < 2^53 keep double sqrt
-        # exact — stated), then the group-law columns arithmetically
-        "pell_equation": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM "
-            "cen WHERE h = g.i), 0) % 29 + 2 AS d0 "
-            "FROM generate_series(0, 23) g(i)), "
-            "dd AS (SELECT inst, CASE WHEN d0 IN (4, 9, 16, 25) "
-            "THEN d0 + 1 ELSE d0 END AS d FROM sd), "
-            "sol AS (SELECT * FROM (SELECT dd.inst, dd.d, "
-            "y.y AS y, CAST(round(sqrt(1 + dd.d * y.y * y.y)) "
-            "AS BIGINT) AS x, row_number() OVER (PARTITION BY "
-            "dd.inst ORDER BY y.y) AS rn "
-            "FROM dd, generate_series(1, 2500) y(y) "
-            "WHERE CAST(round(sqrt(1 + dd.d * y.y * y.y)) "
-            "AS BIGINT) * CAST(round(sqrt(1 + dd.d * y.y * y.y)) "
-            "AS BIGINT) = 1 + dd.d * y.y * y.y) WHERE rn = 1) "
-            "SELECT CAST(inst AS BIGINT) AS inst, "
-            "CAST(d AS BIGINT) AS d, CAST(x AS BIGINT) AS x, "
-            "CAST(y AS BIGINT) AS y, "
-            "CAST(x * x + d * y * y AS BIGINT) AS x2, "
-            "CAST(2 * x * y AS BIGINT) AS y2 FROM sol"
-        ),
-        # Three-distance: identical coprime reduction (gcd +
-        # fallback), sort, wraparound lead gap, distinct census
-        "three_distance": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "par AS (SELECT coalesce((SELECT n FROM cen WHERE "
-            "h = 0), 0) AS p0, coalesce((SELECT n FROM cen WHERE "
-            "h = 1), 0) % 50 + 10 AS q, coalesce((SELECT n FROM "
-            "cen WHERE h = 2), 0) AS n0), "
-            "par2 AS (SELECT q, CASE WHEN n0 % q = 0 THEN 1 ELSE "
-            "n0 % q END AS np, CASE WHEN gcd(p0 // gcd(p0, q), q) "
-            "<> 1 THEN 1 ELSE p0 // gcd(p0, q) END AS p1 "
-            "FROM par), "
-            "pts AS (SELECT (k.k * p1) % q AS pt FROM par2, "
-            "generate_series(0, 58) k(k) WHERE k.k < np), "
-            "srt AS (SELECT pt, row_number() OVER (ORDER BY pt) "
-            "- 1 AS idx FROM pts), "
-            "gp AS (SELECT idx, pt, coalesce(lead(pt) OVER "
-            "(ORDER BY pt), (SELECT min(pt) FROM srt) + "
-            "(SELECT q FROM par2)) - pt AS gap FROM srt), "
-            "dg AS (SELECT count(DISTINCT gap) AS nd, "
-            "min(gap) AS gmin, max(gap) AS gmax FROM gp) "
-            "SELECT CAST(gp.idx AS BIGINT) AS idx, "
-            "CAST(gp.pt AS BIGINT) AS point, "
-            "CAST(gp.gap AS BIGINT) AS gap, "
-            "CAST(dg.nd AS BIGINT) AS n_distinct_gaps, "
-            "CAST(dg.gmin AS BIGINT) AS gap_min, "
-            "CAST(dg.gmax AS BIGINT) AS gap_max, "
-            "CAST(par2.p1 AS BIGINT) AS p_reduced, "
-            "CAST(par2.q AS BIGINT) AS q, "
-            "CAST(par2.np AS BIGINT) AS n_points "
-            "FROM gp, dg, par2"
-        ),
-        # Zeckendorf: greedy walk as a recursive CTE over the
-        # Fibonacci literal table (987 covers values <= 900)
-        "zeckendorf": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // "
-            "3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "vals AS (SELECT g.i AS inst, coalesce((SELECT n FROM "
-            "cen WHERE h = g.i), 0) % 900 + 1 AS v "
-            "FROM generate_series(0, 23) g(i)), "
-            "fibt(f) AS (VALUES (1), (2), (3), (5), (8), (13), "
-            "(21), (34), (55), (89), (144), (233), (377), (610), "
-            "(987)), "
-            "rec AS (SELECT inst, v, v AS rem, -1 AS rank, "
-            "0 AS term FROM vals "
-            "UNION ALL SELECT inst, v, rem - t, rank + 1, t "
-            "FROM (SELECT inst, v, rem, rank, (SELECT max(f.f) "
-            "FROM fibt f WHERE f.f <= rec.rem) AS t FROM rec "
-            "WHERE rem > 0)), "
-            "terms AS (SELECT inst, v, rank, term FROM rec "
-            "WHERE rank >= 0), "
-            "nt AS (SELECT inst, count(*) AS n_terms FROM terms "
-            "GROUP BY inst) "
-            "SELECT CAST(terms.inst AS BIGINT) AS inst, "
-            "CAST(terms.v AS BIGINT) AS value, "
-            "CAST(terms.rank AS BIGINT) AS rank, "
-            "CAST(terms.term AS BIGINT) AS term, "
-            "CAST(nt.n_terms AS BIGINT) AS n_terms "
-            "FROM terms JOIN nt ON nt.inst = terms.inst"
-        ),
-        # Stirling/Bell: the EXPLICIT inclusion-exclusion formula
-        # (binomials by factorials, (k-j)^n exact below 2^53), Bell
-        # as the row sum — vs the kernel's recurrence+enumeration
-        "stirling_bell": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "sel AS (SELECT coalesce((SELECT n FROM cen WHERE "
-            "h = 0), 0) % 6 + 7 AS n), "
-            "ks AS (SELECT sel.n AS n, k.k AS k FROM sel, "
-            "generate_series(0, 12) k(k) WHERE k.k <= sel.n), "
-            "st AS (SELECT ks.n AS n, ks.k AS k, "
-            "(SELECT sum((CASE WHEN j.j % 2 = 0 THEN 1 ELSE -1 "
-            "END) * (factorial(CAST(ks.k AS INTEGER)) // "
-            "(factorial(CAST(j.j AS INTEGER)) * "
-            "factorial(CAST(ks.k - j.j AS INTEGER)))) * "
-            "CAST(round(pow(ks.k - j.j, ks.n)) AS BIGINT)) "
-            "FROM generate_series(0, 12) j(j) WHERE j.j <= ks.k) "
-            "// factorial(CAST(ks.k AS INTEGER)) AS s FROM ks), "
-            "bl AS (SELECT sum(s) AS bell FROM st) "
-            "SELECT CAST(st.n AS BIGINT) AS n, "
-            "CAST(st.k AS BIGINT) AS k, "
-            "CAST(st.s AS BIGINT) AS stirling, "
-            "CAST(bl.bell AS BIGINT) AS bell FROM st, bl"
-        ),
-        # Derangements: the sieve route sum (-1)^k n!/k! only —
-        # vs the kernel's two recurrences + exhaustive n=6 count
-        "derangements": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "ds AS (SELECT g.h AS h, coalesce((SELECT n FROM cen "
-            "WHERE h = g.h), 0) % 13 AS n "
-            "FROM generate_series(0, 23) g(h)) "
-            "SELECT CAST(ds.h AS BIGINT) AS h, "
-            "CAST(ds.n AS BIGINT) AS n, "
-            "CAST((SELECT sum((CASE WHEN k.k % 2 = 0 THEN 1 ELSE "
-            "-1 END) * (factorial(CAST(ds.n AS INTEGER)) // "
-            "factorial(CAST(k.k AS INTEGER)))) FROM "
-            "generate_series(0, 12) k(k) WHERE k.k <= ds.n) "
-            "AS BIGINT) AS derangements, "
-            "CAST(factorial(CAST(ds.n AS INTEGER)) AS BIGINT) "
-            "AS n_factorial FROM ds"
-        ),
-        # Polya urn: rising-factorial closed forms via
-        # list_product (exact below 2^53), binomial by factorials
-        "polya_urn": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "pr AS (SELECT coalesce((SELECT n FROM cen WHERE "
-            "h = 0), 0) % 5 + 1 AS r, coalesce((SELECT n FROM cen "
-            "WHERE h = 1), 0) % 5 + 1 AS b), "
-            "tb AS (SELECT k.k AS k, pr.r AS r, pr.b AS b, "
-            "CAST(round(coalesce(list_product(list_transform("
-            "generate_series(0, k.k - 1), x -> pr.r + x)), 1)) "
-            "AS BIGINT) AS risr, "
-            "CAST(round(coalesce(list_product(list_transform("
-            "generate_series(0, 7 - k.k), x -> pr.b + x)), 1)) "
-            "AS BIGINT) AS risb, "
-            "CAST(round(coalesce(list_product(list_transform("
-            "generate_series(0, 7), x -> pr.r + pr.b + x)), 1)) "
-            "AS BIGINT) AS den, "
-            "factorial(8) // (factorial(CAST(k.k AS INTEGER)) * "
-            "factorial(CAST(8 - k.k AS INTEGER))) AS ch "
-            "FROM generate_series(0, 8) k(k), pr) "
-            "SELECT CAST(k AS BIGINT) AS k, "
-            "CAST(risr * risb AS BIGINT) AS seq_num, "
-            "CAST(ch AS BIGINT) AS n_seqs, "
-            "CAST(ch * risr * risb AS BIGINT) AS prob_num, "
-            "CAST(den AS BIGINT) AS denom, "
-            "CAST(r AS BIGINT) AS r0, CAST(b AS BIGINT) AS b0 "
-            "FROM tb"
-        ),
-        # Catalan: the REFLECTION route C(2n,n) - C(2n,n+1), pure
-        # factorial arithmetic (vs the kernel's DP emission)
-        "dyck_catalan": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "ds AS (SELECT g.h AS h, coalesce((SELECT n FROM cen "
-            "WHERE h = g.h), 0) % 11 AS n "
-            "FROM generate_series(0, 23) g(h)), "
-            "cb AS (SELECT h, n, factorial(CAST(2 * n AS INTEGER))"
-            " // (factorial(CAST(n AS INTEGER)) * "
-            "factorial(CAST(n AS INTEGER))) AS c2n FROM ds) "
-            "SELECT CAST(h AS BIGINT) AS h, CAST(n AS BIGINT) "
-            "AS n, CAST(c2n - CASE WHEN n = 0 THEN 0 ELSE "
-            "factorial(CAST(2 * n AS INTEGER)) // "
-            "(factorial(CAST(n + 1 AS INTEGER)) * "
-            "factorial(CAST(n - 1 AS INTEGER))) END AS BIGINT) "
-            "AS catalan, CAST(c2n AS BIGINT) AS central_binom "
-            "FROM cb"
-        ),
-        # Sandpile: the lowest-index firing schedule replayed as a
-        # recursive list-carrying CTE (one firing per level; the
-        # kernel certifies schedule-independence, so matching THIS
-        # schedule matches them all)
-        "sandpile_abelian": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // "
-            "3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "nd AS (SELECT g.i AS i, coalesce((SELECT n FROM cen "
-            "WHERE h = g.i), 0) % 5 AS c "
-            "FROM generate_series(0, 9) g(i)), "
-            "ini AS (SELECT list(CAST(c AS BIGINT) ORDER BY i) "
-            "AS l FROM nd), "
-            "rec AS (SELECT 0 AS stp, l, "
-            "list_transform(generate_series(1, 10), x -> "
-            "CAST(0 AS BIGINT)) AS fires FROM ini "
-            "UNION ALL SELECT stp + 1, "
-            "list_transform(generate_series(1, 10), i -> "
-            "l[i] + CASE WHEN i = t THEN -2 ELSE 0 END "
-            "+ CASE WHEN i = t - 1 THEN 1 ELSE 0 END "
-            "+ CASE WHEN i = t + 1 THEN 1 ELSE 0 END), "
-            "list_transform(generate_series(1, 10), i -> "
-            "fires[i] + CASE WHEN i = t THEN 1 ELSE 0 END) "
-            "FROM (SELECT stp, l, fires, "
-            "list_filter(generate_series(1, 10), i -> l[i] >= 2)[1] AS t FROM rec "
-            "WHERE len(list_filter(generate_series(1, 10), i -> l[i] >= 2)) > 0)), "
-            "fin AS (SELECT l, fires FROM rec "
-            "WHERE len(list_filter(generate_series(1, 10), i -> l[i] >= 2)) = 0) "
-            "SELECT CAST(g.i - 1 AS BIGINT) AS node, "
-            "CAST(nd.c AS BIGINT) AS initial, "
-            "CAST(fin.l[g.i] AS BIGINT) AS stable, "
-            "CAST(fin.fires[g.i] AS BIGINT) AS fires "
-            "FROM fin, generate_series(1, 10) g(i) "
-            "JOIN nd ON nd.i = g.i - 1"
-        ),
-        # Totient/Moebius: definitional routes — gcd-count phi,
-        # square-divisor test + prime-omega parity mu, divisor
-        # count by brute filter (n <= 120 bounds everything)
-        "totient_moebius": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "ds AS (SELECT g.h AS h, coalesce((SELECT n FROM cen "
-            "WHERE h = g.h), 0) % 120 + 1 AS n "
-            "FROM generate_series(0, 23) g(h)) "
-            "SELECT CAST(ds.h AS BIGINT) AS h, "
-            "CAST(ds.n AS BIGINT) AS n, "
-            "CAST((SELECT count(*) FROM generate_series(1, 120) "
-            "k(k) WHERE k.k <= ds.n AND gcd(k.k, ds.n) = 1) "
-            "AS BIGINT) AS phi, "
-            "CAST(CASE WHEN EXISTS (SELECT 1 FROM "
-            "generate_series(2, 10) d(d) WHERE "
-            "ds.n % (d.d * d.d) = 0) THEN 0 "
-            "WHEN (SELECT count(*) FROM generate_series(2, 120) "
-            "p(p) WHERE p.p <= ds.n AND ds.n % p.p = 0 AND "
-            "len(list_filter(generate_series(2, 11), f -> "
-            "f < p.p AND p.p % f = 0)) = 0) % 2 = 0 THEN 1 "
-            "ELSE -1 END AS BIGINT) AS mu, "
-            "CAST((SELECT count(*) FROM generate_series(1, 120) "
-            "d(d) WHERE d.d <= ds.n AND ds.n % d.d = 0) "
-            "AS BIGINT) AS n_divisors FROM ds"
-        ),
-        # Discrete log by exhaustive power walk: one recursive CTE
-        # over (inst, candidate-g) gives orders, the smallest
-        # primitive root, and the log — vs the kernel's BSGS
-        "discrete_log": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // "
-            "3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM "
-            "cen WHERE h = 2 * g.i), 0) % 200 + 5 AS s1, "
-            "coalesce((SELECT n FROM cen WHERE h = 2 * g.i + 1), "
-            "0) AS s2 FROM generate_series(0, 11) g(i)), "
-            "pp AS (SELECT sd.inst, sd.s2, min(sd.s1 + g.x) AS p "
-            "FROM sd, generate_series(0, 60) g(x) "
-            "WHERE len(list_filter(generate_series(2, 15), f -> "
-            "f * f <= sd.s1 + g.x AND (sd.s1 + g.x) % f = 0)) = 0 "
-            "GROUP BY sd.inst, sd.s2), "
-            "pw AS (SELECT inst, p, gg.g AS g, 1 AS k, "
-            "gg.g % p AS val FROM pp, generate_series(2, 30) "
-            "gg(g) UNION ALL SELECT inst, p, g, k + 1, "
-            "val * g % p FROM pw WHERE k < p - 1), "
-            "ordt AS (SELECT inst, g, min(k) AS ord FROM pw "
-            "WHERE val = 1 GROUP BY inst, g), "
-            "proot AS (SELECT ordt.inst, min(ordt.g) AS g "
-            "FROM ordt JOIN pp ON pp.inst = ordt.inst "
-            "WHERE ordt.ord = pp.p - 1 GROUP BY ordt.inst), "
-            "aa AS (SELECT pp.inst, pp.p, proot.g, "
-            "pp.s2 % (pp.p - 2) + 2 AS a FROM pp "
-            "JOIN proot ON proot.inst = pp.inst) "
-            "SELECT CAST(aa.inst AS BIGINT) AS inst, "
-            "CAST(aa.p AS BIGINT) AS p, CAST(aa.g AS BIGINT) "
-            "AS g, CAST(aa.a AS BIGINT) AS a, "
-            "CAST((SELECT min(pw.k) FROM pw WHERE pw.inst = "
-            "aa.inst AND pw.g = aa.g AND pw.val = aa.a) "
-            "AS BIGINT) AS x, "
-            "CAST(ceil(sqrt(aa.p - 1)) AS BIGINT) AS m FROM aa"
-        ),
-        # Hook lengths: generated from the same partition list
-        "hook_lengths": _sql_hook_lengths(),
-        # Gray code: closed form n XOR (n>>1), flipped bit via
-        # log2 of the (power-of-two) successor difference, inverse
-        # by the prefix-XOR fold over shifted copies
-        "gray_code": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "st AS (SELECT coalesce((SELECT n FROM cen WHERE "
-            "h = 0), 0) % 256 AS s), "
-            "w AS (SELECT o.o AS off, (st.s + o.o) % 256 AS n "
-            "FROM st, generate_series(0, 23) o(o)), "
-            "gg AS (SELECT off, n, xor(n, n >> 1) AS gray, "
-            "xor(xor(n, n >> 1), xor((n + 1) % 256, "
-            "((n + 1) % 256) >> 1)) AS d FROM w) "
-            "SELECT CAST(off AS BIGINT) AS off, "
-            "CAST(n AS BIGINT) AS n, "
-            "CAST(gray AS BIGINT) AS gray, "
-            "CAST(round(log2(d)) AS BIGINT) AS bit_flipped, "
-            "CAST(CASE WHEN list_reduce(list_transform("
-            "generate_series(0, 7), k -> gray >> k), "
-            "(a, b) -> xor(a, b)) = n THEN 1 ELSE 0 END "
-            "AS BIGINT) AS inverse_ok FROM gg"
-        ),
-        # Collatz: the walk as a recursive CTE, one row per step,
-        # terminal row at n = 1 carries the statistics
-        "collatz": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // "
-            "3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM "
-            "cen WHERE h = g.i), 0) % 1000 + 2 AS n0 "
-            "FROM generate_series(0, 23) g(i)), "
-            "rec AS (SELECT inst, n0, 0 AS step, "
-            "CAST(n0 AS BIGINT) AS n, CAST(n0 AS BIGINT) AS mx, "
-            "CAST(0 AS BIGINT) AS odd, CAST(-1 AS BIGINT) AS fd "
-            "FROM sd UNION ALL "
-            "SELECT inst, n0, step + 1, n2, greatest(mx, n2), "
-            "odd + po, CASE WHEN fd >= 0 THEN fd WHEN n2 < n0 "
-            "THEN step + 1 ELSE -1 END FROM ("
-            "SELECT inst, n0, step, mx, odd, fd, "
-            "CASE WHEN n % 2 = 1 THEN 3 * n + 1 ELSE n // 2 END "
-            "AS n2, n % 2 AS po FROM rec WHERE n <> 1)) "
-            "SELECT CAST(inst AS BIGINT) AS inst, "
-            "CAST(n0 AS BIGINT) AS n0, "
-            "CAST(step AS BIGINT) AS steps, "
-            "CAST(mx AS BIGINT) AS max_val, "
-            "CAST(odd AS BIGINT) AS odd_steps, "
-            "CAST(fd AS BIGINT) AS first_drop "
-            "FROM rec WHERE n = 1"
-        ),
-        # Turan: generated sweep over the shared K6 constants
-        "turan_extremal": _sql_turan(),
-        # Goldbach: prime pairs by trial-division double join
-        "goldbach": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "sd AS (SELECT g.i AS inst, 2 * (coalesce((SELECT n "
-            "FROM cen WHERE h = g.i), 0) % 100 + 2) AS n "
-            "FROM generate_series(0, 23) g(i)), "
-            "pr AS (SELECT v.v AS v FROM generate_series(2, 202) "
-            "v(v) WHERE len(list_filter(generate_series(2, 14), "
-            "f -> f * f <= v.v AND v.v % f = 0)) = 0), "
-            "rp AS (SELECT sd.inst, sd.n, p.v AS p FROM sd "
-            "JOIN pr p ON p.v <= sd.n - p.v "
-            "JOIN pr q ON q.v = sd.n - p.v) "
-            "SELECT CAST(rp.inst AS BIGINT) AS inst, "
-            "CAST(rp.n AS BIGINT) AS n, "
-            "CAST(count(*) AS BIGINT) AS n_reps, "
-            "CAST(min(rp.p) AS BIGINT) AS min_p, "
-            "CAST(rp.n - min(rp.p) AS BIGINT) AS max_q "
-            "FROM rp GROUP BY rp.inst, rp.n"
-        ),
-        # Graeco-Latin: the same cyclic construction, pure
-        # arithmetic (kernel holds the exhaustive certificates)
-        "graeco_latin": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "par AS (SELECT coalesce((SELECT n FROM cen WHERE "
-            "h = 0), 0) % 4 + 1 AS a0, coalesce((SELECT n FROM "
-            "cen WHERE h = 1), 0) % 4 + 1 AS b0), "
-            "ab AS (SELECT a0 AS a, CASE WHEN b0 = a0 THEN "
-            "b0 % 4 + 1 ELSE b0 END AS b FROM par), "
-            "cells AS (SELECT i.i AS i, j.j AS j, "
-            "(i.i + ab.a * j.j) % 5 AS l1, "
-            "(i.i + ab.b * j.j) % 5 AS l2, ab.a AS a, ab.b AS b "
-            "FROM ab, generate_series(0, 4) i(i), "
-            "generate_series(0, 4) j(j)) "
-            "SELECT CAST(i AS BIGINT) AS i, CAST(j AS BIGINT) "
-            "AS j, CAST(l1 AS BIGINT) AS latin, "
-            "CAST(l2 AS BIGINT) AS greek, "
-            "CAST(5 * l1 + l2 AS BIGINT) AS pair_code, "
-            "CAST(a AS BIGINT) AS a, CAST(b AS BIGINT) AS b "
-            "FROM cells"
-        ),
-        # Birkhoff: generated greedy replay over the literal S4
-        "birkhoff": _sql_birkhoff(),
-        # Sperner: generated decode + full 192-sweep in SQL
-        "sperner_lemma": _sql_sperner(),
-        # EGZ: the 126 five-subsets by ordered 5-fold join, count
-        # + lex-min witness membership flags
-        "egz_zerosum": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "vals AS (SELECT g.i AS i, coalesce((SELECT n FROM "
-            "cen WHERE h = g.i), 0) % 5 AS v "
-            "FROM generate_series(0, 8) g(i)), "
-            "z AS (SELECT a.i AS i1, b.i AS i2, c.i AS i3, "
-            "d.i AS i4, e.i AS i5 FROM vals a, vals b, vals c, "
-            "vals d, vals e WHERE a.i < b.i AND b.i < c.i AND "
-            "c.i < d.i AND d.i < e.i AND "
-            "(a.v + b.v + c.v + d.v + e.v) % 5 = 0), "
-            "cnt AS (SELECT count(*) AS n FROM z), "
-            "wit AS (SELECT * FROM z ORDER BY i1, i2, i3, i4, i5 "
-            "LIMIT 1) "
-            "SELECT CAST(vals.i AS BIGINT) AS pos, "
-            "CAST(vals.v AS BIGINT) AS residue, "
-            "CAST(CASE WHEN vals.i IN (wit.i1, wit.i2, wit.i3, "
-            "wit.i4, wit.i5) THEN 1 ELSE 0 END AS BIGINT) "
-            "AS in_witness, "
-            "CAST(cnt.n AS BIGINT) AS n_zero_subsets "
-            "FROM vals, wit, cnt"
-        ),
-        # Wilson: factorial-mod chain as a recursive CTE per
-        # instance + trial-division primality
-        "wilson_theorem": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // "
-            "3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM "
-            "cen WHERE h = g.i), 0) % 199 + 2 AS n "
-            "FROM generate_series(0, 23) g(i)), "
-            "fc AS (SELECT inst, n, 1 AS t, CAST(1 AS BIGINT) "
-            "AS r FROM sd UNION ALL SELECT inst, n, t + 1, "
-            "r * (t + 1) % n FROM fc WHERE t + 1 <= n - 1) "
-            "SELECT CAST(fc.inst AS BIGINT) AS inst, "
-            "CAST(fc.n AS BIGINT) AS n, "
-            "CAST(fc.r AS BIGINT) AS wilson_residue, "
-            "CAST(CASE WHEN len(list_filter(generate_series(2, "
-            "14), f -> f * f <= fc.n AND fc.n % f = 0)) = 0 "
-            "THEN 1 ELSE 0 END AS BIGINT) AS is_prime "
-            "FROM fc WHERE fc.t = greatest(fc.n - 1, 1)"
-        ),
-        # Lucas/Kummer: residue by the PASCAL recurrence mod p
-        # (recursive list CTE, one chain per p), digit product via
-        # base-p extraction, valuation by Legendre floor sums
-        "lucas_binomial": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // "
-            "3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM "
-            "cen WHERE h = 2 * g.i), 0) AS s1, "
-            "coalesce((SELECT n FROM cen WHERE h = 2 * g.i + 1), "
-            "0) AS s2 FROM generate_series(0, 11) g(i)), "
-            "pa AS (SELECT inst, CASE s1 % 4 WHEN 0 THEN 2 "
-            "WHEN 1 THEN 3 WHEN 2 THEN 5 ELSE 7 END AS p, "
-            "s1 % 400 + 1 AS m, s2 % (s1 % 400 + 2) AS r "
-            "FROM sd), "
-            "pt AS (SELECT pp.p AS p, 0 AS n, "
-            "[CAST(1 AS BIGINT)] AS row "
-            "FROM (VALUES (2), (3), (5), (7)) pp(p) "
-            "UNION ALL SELECT p, n + 1, "
-            "list_transform(generate_series(1, n + 2), i -> "
-            "(coalesce(row[i], 0) + CASE WHEN i > 1 THEN "
-            "row[i - 1] ELSE 0 END) % p) FROM pt WHERE n < 400), "
-            "lp AS (SELECT pa.inst, "
-            "CAST(round(coalesce(product(CASE WHEN "
-            "(pa.r // CAST(round(pow(pa.p, k.k)) AS BIGINT)) "
-            "% pa.p <= (pa.m // CAST(round(pow(pa.p, k.k)) "
-            "AS BIGINT)) % pa.p THEN "
-            "factorial(CAST((pa.m // CAST(round(pow(pa.p, k.k)) "
-            "AS BIGINT)) % pa.p AS INTEGER)) // "
-            "(factorial(CAST((pa.r // CAST(round(pow(pa.p, k.k)) "
-            "AS BIGINT)) % pa.p AS INTEGER)) * "
-            "factorial(CAST((pa.m // CAST(round(pow(pa.p, k.k)) "
-            "AS BIGINT)) % pa.p - (pa.r // "
-            "CAST(round(pow(pa.p, k.k)) AS BIGINT)) % pa.p "
-            "AS INTEGER))) ELSE 0 END), 1)) AS BIGINT) % pa.p "
-            "AS lucas FROM pa, generate_series(0, 8) k(k) "
-            "GROUP BY pa.inst, pa.p), "
-            "vv AS (SELECT pa.inst, CAST(sum("
-            "pa.m // CAST(round(pow(pa.p, k.k)) AS BIGINT) "
-            "- pa.r // CAST(round(pow(pa.p, k.k)) AS BIGINT) "
-            "- (pa.m - pa.r) // CAST(round(pow(pa.p, k.k)) "
-            "AS BIGINT)) AS BIGINT) AS val "
-            "FROM pa, generate_series(1, 9) k(k) "
-            "GROUP BY pa.inst) "
-            "SELECT CAST(pa.inst AS BIGINT) AS inst, "
-            "CAST(pa.p AS BIGINT) AS p, "
-            "CAST(pa.m AS BIGINT) AS m, "
-            "CAST(pa.r AS BIGINT) AS r, "
-            "CAST(pt.row[pa.r + 1] AS BIGINT) AS binom_mod, "
-            "CAST(lp.lucas AS BIGINT) AS lucas_prod, "
-            "CAST(vv.val AS BIGINT) AS carries, "
-            "CAST(vv.val AS BIGINT) AS p_valuation "
-            "FROM pa JOIN pt ON pt.p = pa.p AND pt.n = pa.m "
-            "JOIN lp ON lp.inst = pa.inst "
-            "JOIN vv ON vv.inst = pa.inst"
-        ),
-        # Eulerian: the explicit alternating formula (the j = k+1
-        # term carries 0^n = 0 so j <= k suffices — stated)
-        "eulerian_numbers": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "sel AS (SELECT coalesce((SELECT n FROM cen WHERE "
-            "h = 0), 0) % 4 + 5 AS n), "
-            "ks AS (SELECT sel.n AS n, k.k AS k FROM sel, "
-            "generate_series(0, 7) k(k) WHERE k.k < sel.n) "
-            "SELECT CAST(ks.n AS BIGINT) AS n, "
-            "CAST(ks.k AS BIGINT) AS k, "
-            "CAST((SELECT sum((CASE WHEN j.j % 2 = 0 THEN 1 ELSE "
-            "-1 END) * (factorial(CAST(ks.n + 1 AS INTEGER)) // "
-            "(factorial(CAST(j.j AS INTEGER)) * "
-            "factorial(CAST(ks.n + 1 - j.j AS INTEGER)))) * "
-            "CAST(round(pow(ks.k + 1 - j.j, ks.n)) AS BIGINT)) "
-            "FROM generate_series(0, 8) j(j) WHERE j.j <= ks.k) "
-            "AS BIGINT) AS eulerian, "
-            "CAST(factorial(CAST(ks.n AS INTEGER)) AS BIGINT) "
-            "AS row_sum FROM ks"
-        ),
-        # Permanent: Ryser's 16-subset sweep — per-subset row sums
-        # by masked join, 4-factor product, signed total
-        "permanent_ryser": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "cells AS (SELECT g.c // 4 AS i, g.c % 4 AS j, "
-            "coalesce((SELECT n FROM cen WHERE h = g.c), 0) % 2 "
-            "AS a FROM generate_series(0, 15) g(c)), "
-            "rs AS (SELECT S.s AS s, cells.i AS i, sum(cells.a) "
-            "AS rsum FROM generate_series(0, 15) S(s), cells "
-            "WHERE (S.s >> cells.j) & 1 = 1 GROUP BY S.s, "
-            "cells.i), "
-            "grid AS (SELECT S.s AS s, i.i AS i, "
-            "coalesce(rs.rsum, 0) AS v FROM "
-            "generate_series(0, 15) S(s) CROSS JOIN "
-            "generate_series(0, 3) i(i) LEFT JOIN rs "
-            "ON rs.s = S.s AND rs.i = i.i), "
-            "pr AS (SELECT s, CAST(round(product(v)) AS BIGINT) "
-            "AS pv FROM grid GROUP BY s), "
-            "pm AS (SELECT CAST(sum(CASE WHEN bit_count("
-            "CAST(s AS BIGINT)) % 2 = 0 THEN pv ELSE -pv END) "
-            "AS BIGINT) AS perm FROM pr), "
-            "no AS (SELECT sum(a) AS n_ones FROM cells) "
-            "SELECT CAST(cells.i AS BIGINT) AS i, "
-            "CAST(cells.j AS BIGINT) AS j, "
-            "CAST(cells.a AS BIGINT) AS a, "
-            "CAST(pm.perm AS BIGINT) AS permanent, "
-            "CAST(no.n_ones AS BIGINT) AS n_ones "
-            "FROM cells, pm, no"
-        ),
-        # Gaussian binomials: the product formula in exact
-        # integers (q^i <= 625 tiny), both moduli
-        "gaussian_binomial": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "qc AS (SELECT CASE coalesce((SELECT n FROM cen WHERE"
-            " h = 0), 0) % 3 WHEN 0 THEN 2 WHEN 1 THEN 3 ELSE 5 "
-            "END AS q), "
-            "ks AS (SELECT k.k AS k FROM generate_series(0, 4) "
-            "k(k)), "
-            "gb AS (SELECT ks.k AS k, qc.q AS q, "
-            "CAST(round(coalesce(list_product(list_transform("
-            "generate_series(0, ks.k - 1), i -> "
-            "CAST(round(pow(2, 4 - i)) AS BIGINT) - 1)), 1)) "
-            "AS BIGINT) // CAST(round(coalesce(list_product("
-            "list_transform(generate_series(0, ks.k - 1), i -> "
-            "CAST(round(pow(2, i + 1)) AS BIGINT) - 1)), 1)) "
-            "AS BIGINT) AS g2, "
-            "CAST(round(coalesce(list_product(list_transform("
-            "generate_series(0, ks.k - 1), i -> "
-            "CAST(round(pow(qc.q, 4 - i)) AS BIGINT) - 1)), 1)) "
-            "AS BIGINT) // CAST(round(coalesce(list_product("
-            "list_transform(generate_series(0, ks.k - 1), i -> "
-            "CAST(round(pow(qc.q, i + 1)) AS BIGINT) - 1)), 1)) "
-            "AS BIGINT) AS gq FROM ks, qc) "
-            "SELECT CAST(k AS BIGINT) AS k, "
-            "CAST(g2 AS BIGINT) AS gauss_q2, "
-            "CAST(g2 AS BIGINT) AS subspace_count, "
-            "CAST(factorial(4) // (factorial(CAST(k AS INTEGER)) "
-            "* factorial(CAST(4 - k AS INTEGER))) AS BIGINT) "
-            "AS binom, CAST(q AS BIGINT) AS q_c, "
-            "CAST(gq AS BIGINT) AS gauss_qc FROM gb"
-        ),
-        # Dominoes: the four classical recurrences as recursive
-        # CTEs (initial values are part of the contract the
-        # kernel's profile DP certifies)
-        "domino_tilings": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // "
-            "3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "sel AS (SELECT coalesce((SELECT n FROM cen WHERE "
-            "h = 0), 0) % 32 AS s), "
-            "r2 AS (SELECT 1 AS n, CAST(1 AS BIGINT) AS t, "
-            "CAST(1 AS BIGINT) AS tp UNION ALL SELECT n + 1, "
-            "t + tp, t FROM r2 WHERE n < 8), "
-            "r3 AS (SELECT 2 AS n, CAST(3 AS BIGINT) AS t, "
-            "CAST(1 AS BIGINT) AS tp UNION ALL SELECT n + 2, "
-            "4 * t - tp, t FROM r3 WHERE n < 8), "
-            "r4 AS (SELECT 3 AS n, CAST(11 AS BIGINT) AS a, "
-            "CAST(5 AS BIGINT) AS b, CAST(1 AS BIGINT) AS c, "
-            "CAST(1 AS BIGINT) AS d UNION ALL SELECT n + 1, "
-            "a + 5 * b + c - d, a, b, c FROM r4 WHERE n < 8), "
-            "tbl AS ("
-            "SELECT 1 AS m, g.n AS n, CAST(CASE WHEN g.n % 2 = 0 "
-            "THEN 1 ELSE 0 END AS BIGINT) AS t FROM "
-            "generate_series(1, 8) g(n) "
-            "UNION ALL SELECT 2, n, t FROM r2 "
-            "UNION ALL SELECT 3, g.n, coalesce((SELECT t FROM r3 "
-            "WHERE r3.n = g.n), 0) FROM generate_series(1, 8) "
-            "g(n) "
-            "UNION ALL SELECT 4, g.n, CASE g.n WHEN 1 THEN 1 "
-            "WHEN 2 THEN 5 ELSE (SELECT a FROM r4 WHERE r4.n = "
-            "g.n) END FROM generate_series(1, 8) g(n)) "
-            "SELECT CAST(tbl.m AS BIGINT) AS m, "
-            "CAST(tbl.n AS BIGINT) AS n, "
-            "CAST(tbl.t AS BIGINT) AS tilings, "
-            "CAST(CASE WHEN (tbl.m - 1) * 8 + tbl.n - 1 = sel.s "
-            "THEN 1 ELSE 0 END AS BIGINT) AS selected "
-            "FROM tbl, sel"
-        ),
-        # Pick's theorem: order-free hull + shoelace over one-sided
-        # edges + gcd boundary + lattice scan (anchors pin the box)
-        "picks_theorem": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), raw AS (SELECT coalesce(c1.n, 0) % 30 AS x, coalesce(c2.n, 0) % 30 AS y FROM generate_series(0, 11) g(i) LEFT JOIN cen c1 ON c1.h = 2 * g.i LEFT JOIN cen c2 ON c2.h = 2 * g.i + 1 UNION SELECT 0, 0 UNION SELECT 40, 0 UNION SELECT 0, 40), pts AS (SELECT DISTINCT x, y FROM raw), flag AS (SELECT p.x, p.y, CASE WHEN EXISTS (SELECT 1 FROM pts q, pts r WHERE (q.x, q.y) <> (p.x, p.y) AND (r.x, r.y) <> (p.x, p.y) AND (q.x < r.x OR (q.x = r.x AND q.y < r.y)) AND (r.x - q.x) * (p.y - q.y) - (r.y - q.y) * (p.x - q.x) = 0 AND (p.x - q.x) * (p.x - r.x) + (p.y - q.y) * (p.y - r.y) <= 0) OR EXISTS (SELECT 1 FROM pts q, pts r, pts s WHERE (q.x, q.y) <> (p.x, p.y) AND (r.x, r.y) <> (p.x, p.y) AND (s.x, s.y) <> (p.x, p.y) AND (q.x < r.x OR (q.x = r.x AND q.y < r.y)) AND (r.x < s.x OR (r.x = s.x AND r.y < s.y)) AND (r.x - q.x) * (s.y - q.y) - (r.y - q.y) * (s.x - q.x) <> 0 AND NOT ((((r.x - q.x) * (p.y - q.y) - (r.y - q.y) * (p.x - q.x) < 0) OR ((s.x - r.x) * (p.y - r.y) - (s.y - r.y) * (p.x - r.x) < 0) OR ((q.x - s.x) * (p.y - s.y) - (q.y - s.y) * (p.x - s.x) < 0)) AND (((r.x - q.x) * (p.y - q.y) - (r.y - q.y) * (p.x - q.x) > 0) OR ((s.x - r.x) * (p.y - r.y) - (s.y - r.y) * (p.x - r.x) > 0) OR ((q.x - s.x) * (p.y - s.y) - (q.y - s.y) * (p.x - s.x) > 0)))) THEN 0 ELSE 1 END AS is_vertex FROM pts p), ext AS (SELECT x, y FROM flag WHERE is_vertex = 1), edg AS (SELECT a.x AS ax, a.y AS ay, b.x AS bx, b.y AS by FROM ext a, ext b WHERE (a.x, a.y) <> (b.x, b.y) AND NOT EXISTS (SELECT 1 FROM pts p WHERE (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x) < 0)), ar AS (SELECT sum(ax * by - bx * ay) AS area2, sum(gcd(abs(bx - ax), abs(by - ay))) AS bpts FROM edg), scan AS (SELECT gx.x AS x, gy.y AS y, CASE WHEN NOT EXISTS (SELECT 1 FROM edg WHERE (edg.bx - edg.ax) * (gy.y - edg.ay) - (edg.by - edg.ay) * (gx.x - edg.ax) <= 0) THEN 2 WHEN NOT EXISTS (SELECT 1 FROM edg WHERE (edg.bx - edg.ax) * (gy.y - edg.ay) - (edg.by - edg.ay) * (gx.x - edg.ax) < 0) THEN 1 ELSE 0 END AS cls FROM generate_series(0, 40) gx(x), generate_series(0, 40) gy(y)), ic AS (SELECT count(*) FILTER (WHERE cls = 2) AS ipts FROM scan), hs AS (SELECT count(*) AS hull_size FROM ext), vs AS (SELECT x, y, row_number() OVER (ORDER BY x, y) - 1 AS v FROM ext) SELECT CAST(vs.v AS BIGINT) AS v, CAST(vs.x AS BIGINT) AS x, CAST(vs.y AS BIGINT) AS y, CAST(hs.hull_size AS BIGINT) AS hull_size, CAST(ar.area2 AS BIGINT) AS area2, CAST(ar.bpts AS BIGINT) AS boundary_pts, CAST(ic.ipts AS BIGINT) AS interior_pts, CAST(CASE WHEN 2 * ic.ipts + ar.bpts - 2 = ar.area2 THEN 1 ELSE 0 END AS BIGINT) AS pick_check FROM vs, hs, ar, ic',
-        # Faulhaber: the direct power sum by generate_series.
-        # k^m via INTEGER multiplication, not pow — 500^6 = 1.6e16
-        # exceeds 2^53 and double pow rounds the tail terms (a
-        # one-ulp off-by-one caught by selfcheck at sf0.01)
-        "faulhaber": (
-            "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 "
-            "AS h, count(*) AS n FROM events GROUP BY 1), "
-            "ds AS (SELECT g.h AS h, coalesce((SELECT n FROM cen "
-            "WHERE h = g.h), 0) % 500 + 1 AS n "
-            "FROM generate_series(0, 23) g(h)) "
-            "SELECT CAST(ds.h AS BIGINT) AS h, "
-            "CAST(ds.n AS BIGINT) AS n, "
-            "CAST(m.m AS BIGINT) AS m, "
-            "CAST((SELECT sum(CASE m.m WHEN 0 THEN 1 "
-            "WHEN 1 THEN kk.v WHEN 2 THEN kk.v * kk.v "
-            "WHEN 3 THEN kk.v * kk.v * kk.v "
-            "WHEN 4 THEN kk.v * kk.v * kk.v * kk.v "
-            "WHEN 5 THEN kk.v * kk.v * kk.v * kk.v * kk.v "
-            "ELSE kk.v * kk.v * kk.v * kk.v * kk.v * kk.v END) "
-            "FROM (SELECT CAST(k.k AS BIGINT) AS v FROM "
-            "generate_series(1, 500) k(k)) kk "
-            "WHERE kk.v <= ds.n) AS BIGINT) AS power_sum "
-            "FROM ds, generate_series(0, 6) m(m)"
-        ),
-        # Percolation: the same 512-config sweep via recursive
-        # (config, cell) closure + min-label clusters
-        "percolation_3x3": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), bits AS (SELECT g.c AS c, coalesce((SELECT n FROM cen WHERE h = g.c), 0) % 2 AS b FROM generate_series(0, 8) g(c)), adj(a, b) AS (VALUES (0, 3), (0, 1), (1, 4), (1, 0), (1, 2), (2, 5), (2, 1), (3, 0), (3, 6), (3, 4), (4, 1), (4, 7), (4, 3), (4, 5), (5, 2), (5, 8), (5, 4), (6, 3), (6, 7), (7, 4), (7, 6), (7, 8), (8, 5), (8, 7)), reach AS (SELECT m.m AS m, t.c AS cell FROM generate_series(0, 511) m(m), (VALUES (0), (1), (2)) t(c) WHERE (m.m >> t.c) & 1 = 1 UNION SELECT reach.m, adj.b FROM reach JOIN adj ON adj.a = reach.cell WHERE (reach.m >> adj.b) & 1 = 1), np AS (SELECT count(DISTINCT m) AS n_perc FROM reach WHERE cell >= 6), cm AS (SELECT CAST(sum(b * (1 << c)) AS BIGINT) AS mask FROM bits), conn AS (SELECT b1.c AS s, b1.c AS t FROM bits b1 WHERE b1.b = 1 UNION SELECT conn.s, adj.b FROM conn JOIN adj ON adj.a = conn.t JOIN bits bb ON bb.c = adj.b AND bb.b = 1), lab AS (SELECT s AS cell, min(t) AS lb FROM conn GROUP BY s), nc AS (SELECT count(DISTINCT lb) AS n_clusters FROM lab), no AS (SELECT sum(b) AS n_open FROM bits), pf AS (SELECT CASE WHEN EXISTS (SELECT 1 FROM reach, cm WHERE reach.m = cm.mask AND reach.cell >= 6) THEN 1 ELSE 0 END AS perc) SELECT CAST(bits.c AS BIGINT) AS cell, CAST(bits.b AS BIGINT) AS open, CAST(CASE WHEN EXISTS (SELECT 1 FROM reach, cm WHERE reach.m = cm.mask AND reach.cell = bits.c) THEN 1 ELSE 0 END AS BIGINT) AS reach_from_top, CAST(coalesce(lab.lb, -1) AS BIGINT) AS cluster_label, CAST(pf.perc AS BIGINT) AS percolates, CAST(np.n_perc AS BIGINT) AS n_perc_configs, CAST(no.n_open AS BIGINT) AS n_open, CAST(nc.n_clusters AS BIGINT) AS n_clusters FROM bits LEFT JOIN lab ON lab.cell = bits.c, np, no, nc, pf',
-        # Postman: <= 3-edge walk distances + the three pairings
-        "chinese_postman": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), wt AS (SELECT g.e AS e, coalesce((SELECT n FROM cen WHERE h = g.e), 0) % 9 + 1 AS w FROM generate_series(0, 5) g(e)), ed(e, u, v) AS (VALUES (0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 1, 2), (4, 1, 3), (5, 2, 3)), pr(pid, a, b, c, d) AS (VALUES (0, 0, 1, 2, 3), (1, 0, 2, 1, 3), (2, 0, 3, 1, 2)), dw AS (SELECT ed.u AS u, ed.v AS v, wt.w AS w FROM ed JOIN wt ON wt.e = ed.e UNION ALL SELECT ed.v, ed.u, wt.w FROM ed JOIN wt ON wt.e = ed.e), dd AS (SELECT u, v, min(w) AS d FROM (SELECT u, v, w FROM dw UNION ALL SELECT a.u, b.v, a.w + b.w FROM dw a JOIN dw b ON b.u = a.v WHERE b.v <> a.u UNION ALL SELECT a.u, c2.v, a.w + b.w + c2.w FROM dw a JOIN dw b ON b.u = a.v JOIN dw c2 ON c2.u = b.v WHERE c2.v <> a.u) GROUP BY u, v), tot AS (SELECT sum(w) AS total FROM wt), pc AS (SELECT pr.pid, pr.a, pr.b, pr.c, pr.d, d1.d + d2.d AS cost FROM pr JOIN dd d1 ON d1.u = pr.a AND d1.v = pr.b JOIN dd d2 ON d2.u = pr.c AND d2.v = pr.d), mn AS (SELECT min(cost) AS best FROM pc) SELECT CAST(pc.pid AS BIGINT) AS pairing, CAST(pc.a AS BIGINT) AS p1a, CAST(pc.b AS BIGINT) AS p1b, CAST(pc.c AS BIGINT) AS p2a, CAST(pc.d AS BIGINT) AS p2b, CAST(pc.cost AS BIGINT) AS cost, CAST(CASE WHEN pc.cost = mn.best THEN 1 ELSE 0 END AS BIGINT) AS is_min, CAST(tot.total AS BIGINT) AS total_w, CAST(tot.total + mn.best AS BIGINT) AS tour_cost FROM pc, mn, tot',
-        # Cube colorings: generated rotation-table oracle
-        "cube_colorings": _sql_cube(),
-        # Fibonacci gcd: recursive Fibonacci + DuckDB gcd
-        "fibonacci_gcd": (
-            "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // "
-            "3600000000 % 24 AS h, count(*) AS n FROM events "
-            "GROUP BY 1), "
-            "sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM "
-            "cen WHERE h = 2 * g.i), 0) % 60 + 1 AS m, "
-            "coalesce((SELECT n FROM cen WHERE h = 2 * g.i + 1), "
-            "0) % 60 + 1 AS n FROM generate_series(0, 11) g(i)), "
-            "fib AS (SELECT 1 AS k, CAST(1 AS BIGINT) AS f, "
-            "CAST(0 AS BIGINT) AS fp UNION ALL SELECT k + 1, "
-            "f + fp, f FROM fib WHERE k < 60) "
-            "SELECT CAST(sd.inst AS BIGINT) AS inst, "
-            "CAST(sd.m AS BIGINT) AS m, CAST(sd.n AS BIGINT) "
-            "AS n, CAST(fm.f AS BIGINT) AS fib_m, "
-            "CAST(fn.f AS BIGINT) AS fib_n, "
-            "CAST(gcd(sd.m, sd.n) AS BIGINT) AS g, "
-            "CAST(fg.f AS BIGINT) AS fib_g, "
-            "CAST(gcd(fm.f, fn.f) AS BIGINT) AS gcd_fib "
-            "FROM sd JOIN fib fm ON fm.k = sd.m "
-            "JOIN fib fn ON fn.k = sd.n "
-            "JOIN fib fg ON fg.k = gcd(sd.m, sd.n)"
-        ),
-        # Frobenius: EXISTS representability sweep + closed forms
-        "frobenius_coin": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), par AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 15 + 2 AS a, coalesce((SELECT n FROM cen WHERE h = 1), 0) % 15 + 2 AS b0), ab AS (SELECT par.a AS a, min(par.b0 + g.x) AS b FROM par, generate_series(0, 17) g(x) WHERE gcd(par.a, par.b0 + g.x) = 1 GROUP BY par.a), nr AS (SELECT n.n AS n FROM ab, generate_series(0, 288) n(n) WHERE n.n <= ab.a * ab.b AND NOT EXISTS (SELECT 1 FROM generate_series(0, 144) x(x) WHERE x.x <= n.n // ab.a AND (n.n - ab.a * x.x) % ab.b = 0)), cnt AS (SELECT count(*) AS nc FROM nr) SELECT CAST(row_number() OVER (ORDER BY nr.n) - 1 AS BIGINT) AS idx, CAST(nr.n AS BIGINT) AS n_nonrep, CAST(ab.a AS BIGINT) AS a, CAST(ab.b AS BIGINT) AS b, CAST(ab.a * ab.b - ab.a - ab.b AS BIGINT) AS frobenius, CAST(cnt.nc AS BIGINT) AS n_count FROM nr, ab, cnt',
-        # Stern-Brocot: the descent as a recursive CTE
-        "stern_brocot": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), t0 AS (SELECT coalesce((SELECT n FROM cen WHERE h = 2), 0) % 50 + 1 AS p0, coalesce((SELECT n FROM cen WHERE h = 3), 0) % 50 + 2 AS q0), t1 AS (SELECT CASE WHEN p0 % q0 = 0 THEN 1 ELSE p0 % q0 END AS p1, q0 FROM t0), tg AS (SELECT p1 // gcd(p1, q0) AS p, q0 // gcd(p1, q0) AS q FROM t1), rec AS (SELECT 0 AS step, CAST(0 AS BIGINT) AS lp, CAST(1 AS BIGINT) AS lq, CAST(1 AS BIGINT) AS rp, CAST(1 AS BIGINT) AS rq FROM tg UNION ALL SELECT step + 1, CASE WHEN tg.p * (lq + rq) < (lp + rp) * tg.q THEN lp ELSE lp + rp END, CASE WHEN tg.p * (lq + rq) < (lp + rp) * tg.q THEN lq ELSE lq + rq END, CASE WHEN tg.p * (lq + rq) < (lp + rp) * tg.q THEN lp + rp ELSE rp END, CASE WHEN tg.p * (lq + rq) < (lp + rp) * tg.q THEN lq + rq ELSE rq END FROM rec, tg WHERE (lp + rp) * tg.q <> tg.p * (lq + rq) AND step < 200) SELECT CAST(rec.step AS BIGINT) AS step, CAST(CASE WHEN (rec.lp + rec.rp) * tg.q = tg.p * (rec.lq + rec.rq) THEN 0 WHEN tg.p * (rec.lq + rec.rq) < (rec.lp + rec.rp) * tg.q THEN -1 ELSE 1 END AS BIGINT) AS dir, CAST(rec.lp AS BIGINT) AS lp, CAST(rec.lq AS BIGINT) AS lq, CAST(rec.rp AS BIGINT) AS rp, CAST(rec.rq AS BIGINT) AS rq, CAST(rec.lp + rec.rp AS BIGINT) AS mp, CAST(rec.lq + rec.rq AS BIGINT) AS mq, CAST(tg.p AS BIGINT) AS p, CAST(tg.q AS BIGINT) AS q FROM rec, tg',
-        # vdW: both sweeps + per-AP census flags (shared AP list)
-        "van_der_waerden": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), bits AS (SELECT g.i AS i, coalesce((SELECT n FROM cen WHERE h = g.i - 1), 0) % 2 AS b FROM generate_series(1, 9) g(i)), ap(a, d) AS (VALUES (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (1, 3), (2, 3), (3, 3), (1, 4)), mono AS (SELECT ap.a, ap.d, CASE WHEN b1.b = b2.b AND b2.b = b3.b THEN 1 ELSE 0 END AS m FROM ap JOIN bits b1 ON b1.i = ap.a JOIN bits b2 ON b2.i = ap.a + ap.d JOIN bits b3 ON b3.i = ap.a + 2 * ap.d), nm AS (SELECT sum(m) AS n_mono FROM mono), lo AS (SELECT count(*) AS n_apfree FROM generate_series(0, 255) m(m) WHERE NOT EXISTS (SELECT 1 FROM ap WHERE ap.a + 2 * ap.d <= 8 AND (m.m >> (ap.a - 1)) & 1 = (m.m >> (ap.a + ap.d - 1)) & 1 AND (m.m >> (ap.a + ap.d - 1)) & 1 = (m.m >> (ap.a + 2 * ap.d - 1)) & 1)) SELECT CAST(mono.a AS BIGINT) AS a, CAST(mono.d AS BIGINT) AS d, CAST(mono.m AS BIGINT) AS mono, CAST(nm.n_mono AS BIGINT) AS n_mono, CAST(lo.n_apfree AS BIGINT) AS n_apfree_8 FROM mono, nm, lo',
-        # Kaprekar: recursive CTE with comparator-network sort
-        "kaprekar": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), s0 AS (SELECT g.i AS inst, coalesce((SELECT n FROM cen WHERE h = g.i), 0) % 10000 AS v0 FROM generate_series(0, 11) g(i)), sd AS (SELECT inst, CASE WHEN v0 = 9999 THEN 1 WHEN v0 // 1000 = (v0 // 100) % 10 AND (v0 // 100) % 10 = (v0 // 10) % 10 AND (v0 // 10) % 10 = v0 % 10 THEN v0 + 1 ELSE v0 END AS v FROM s0), rec AS (SELECT inst, 0 AS step, CAST(v AS BIGINT) AS v FROM sd UNION ALL SELECT inst, step + 1, (1000 * h2 + 100 * m2 + 10 * m1 + e) - (1000 * e + 100 * m1 + 10 * m2 + h2) FROM (SELECT inst, step, v, least(f, g2) AS m1, greatest(f, g2) AS m2, e, h2 FROM (SELECT inst, step, v, least(aa, cc) AS e, greatest(aa, cc) AS f, least(bb, dd) AS g2, greatest(bb, dd) AS h2 FROM (SELECT inst, step, v, least(d1, d2) AS aa, greatest(d1, d2) AS bb, least(d3, d4) AS cc, greatest(d3, d4) AS dd FROM (SELECT inst, step, v, v // 1000 AS d1, (v // 100) % 10 AS d2, (v // 10) % 10 AS d3, v % 10 AS d4 FROM rec WHERE v <> 6174))))) SELECT CAST(inst AS BIGINT) AS inst, CAST(step AS BIGINT) AS step, CAST(v AS BIGINT) AS value FROM rec',
-        # Magic squares: row-triple join enumeration + rank
-        "magic_squares": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 8 AS s), tri AS (SELECT a.a AS a, b.b AS b, c.c AS c FROM generate_series(1, 9) a(a), generate_series(1, 9) b(b), generate_series(1, 9) c(c) WHERE a.a <> b.b AND a.a <> c.c AND b.b <> c.c AND a.a + b.b + c.c = 15), sq AS (SELECT r1.a AS g0, r1.b AS g1, r1.c AS g2, r2.a AS g3, r2.b AS g4, r2.c AS g5, r3.a AS g6, r3.b AS g7, r3.c AS g8 FROM tri r1, tri r2, tri r3 WHERE r1.a <> r2.a AND r1.a <> r2.b AND r1.a <> r2.c AND r1.a <> r3.a AND r1.a <> r3.b AND r1.a <> r3.c AND r1.b <> r2.a AND r1.b <> r2.b AND r1.b <> r2.c AND r1.b <> r3.a AND r1.b <> r3.b AND r1.b <> r3.c AND r1.c <> r2.a AND r1.c <> r2.b AND r1.c <> r2.c AND r1.c <> r3.a AND r1.c <> r3.b AND r1.c <> r3.c AND r2.a <> r3.a AND r2.a <> r3.b AND r2.a <> r3.c AND r2.b <> r3.a AND r2.b <> r3.b AND r2.b <> r3.c AND r2.c <> r3.a AND r2.c <> r3.b AND r2.c <> r3.c AND r1.a + r2.a + r3.a = 15 AND r1.b + r2.b + r3.b = 15 AND r1.c + r2.c + r3.c = 15 AND r1.a + r2.b + r3.c = 15 AND r1.c + r2.b + r3.a = 15), rk AS (SELECT *, row_number() OVER (ORDER BY g0, g1, g2, g3, g4, g5, g6, g7, g8) - 1 AS rnk FROM sq), cnt AS (SELECT count(*) AS n_sq FROM sq) SELECT CAST(w.i AS BIGINT) AS cell, CAST(w.i // 3 AS BIGINT) AS r, CAST(w.i % 3 AS BIGINT) AS col, CAST(CASE w.i WHEN 0 THEN g0 WHEN 1 THEN g1 WHEN 2 THEN g2 WHEN 3 THEN g3 WHEN 4 THEN g4 WHEN 5 THEN g5 WHEN 6 THEN g6 WHEN 7 THEN g7 WHEN 8 THEN g8 END AS BIGINT) AS value, CAST(sel.s AS BIGINT) AS sel_rank, CAST(cnt.n_sq AS BIGINT) AS n_squares FROM rk, sel, cnt, generate_series(0, 8) w(i) WHERE rk.rnk = sel.s',
-        # Pythagorean: the sweep route + rank
-        "pythagorean_triples": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), tw AS (SELECT a.a AS a, b.b AS b, c.c AS c FROM generate_series(1, 100) a(a), generate_series(1, 100) b(b), generate_series(1, 100) c(c) WHERE a.a <= b.b AND a.a * a.a + b.b * b.b = c.c * c.c AND gcd(a.a, b.b) = 1), rk AS (SELECT *, row_number() OVER (ORDER BY a, b, c) - 1 AS rnk FROM tw), cnt AS (SELECT count(*) AS nt FROM tw), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % (SELECT nt FROM cnt) AS s) SELECT CAST(rk.rnk AS BIGINT) AS rank, CAST(rk.a AS BIGINT) AS a, CAST(rk.b AS BIGINT) AS b, CAST(rk.c AS BIGINT) AS c, CAST(CASE WHEN rk.rnk = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST(cnt.nt AS BIGINT) AS n_primitives FROM rk, sel, cnt',
-        # Paley: QR adjacency + self-checking srg aggregates
-        "paley_graph": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), tt AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 13 AS t), qr AS (SELECT DISTINCT x.x * x.x % 13 AS d FROM generate_series(1, 12) x(x)), al AS (SELECT i.i AS i, j.j AS j, CASE WHEN i.i <> j.j AND EXISTS (SELECT 1 FROM qr WHERE qr.d = ((i.i - j.j) % 13 + 13) % 13) THEN 1 ELSE 0 END AS a FROM generate_series(0, 12) i(i), generate_series(0, 12) j(j)), deg AS (SELECT i, sum(a) AS dg FROM al GROUP BY i), cn AS (SELECT p.i AS i, p.j AS j, p.a AS a, (SELECT count(*) FROM al x, al y WHERE x.i = p.i AND y.i = p.j AND x.j = y.j AND x.a = 1 AND y.a = 1) AS c FROM al p WHERE p.i <> p.j), lm AS (SELECT CASE WHEN min(c) = max(c) THEN min(c) ELSE -1 END AS lam FROM cn WHERE a = 1), mm AS (SELECT CASE WHEN min(c) = max(c) THEN min(c) ELSE -1 END AS mu FROM cn WHERE a = 0), sc AS (SELECT CASE WHEN NOT EXISTS (SELECT 1 FROM al p JOIN al q ON q.i = p.i * 2 % 13 AND q.j = p.j * 2 % 13 WHERE p.i <> p.j AND p.a = q.a) THEN 1 ELSE 0 END AS s), au AS (SELECT CASE WHEN NOT EXISTS (SELECT 1 FROM al p, tt JOIN al q ON true WHERE q.i = (p.i + tt.t) % 13 AND q.j = (p.j + tt.t) % 13 AND p.i <> p.j AND p.a <> q.a) THEN 1 ELSE 0 END AS aut) SELECT CAST(deg.i AS BIGINT) AS v, CAST(deg.dg AS BIGINT) AS degree, CAST(lm.lam AS BIGINT) AS lam, CAST(mm.mu AS BIGINT) AS mu, CAST(sc.s AS BIGINT) AS self_complementary, CAST(tt.t AS BIGINT) AS t, CAST(au.aut AS BIGINT) AS translation_aut FROM deg, lm, mm, sc, au, tt',
-        # Tournament kings: 1-/2-step dominion joins
-        "tournament_king": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), te(e, i, j) AS (VALUES (0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 0, 4), (4, 0, 5), (5, 0, 6), (6, 1, 2), (7, 1, 3), (8, 1, 4), (9, 1, 5), (10, 1, 6), (11, 2, 3), (12, 2, 4), (13, 2, 5), (14, 2, 6), (15, 3, 4), (16, 3, 5), (17, 3, 6), (18, 4, 5), (19, 4, 6), (20, 5, 6)), bts AS (SELECT te.e AS e, coalesce((SELECT n FROM cen WHERE h = te.e), 0) % 2 AS b, te.i AS i, te.j AS j FROM te), beats AS (SELECT CASE WHEN b = 1 THEN i ELSE j END AS u, CASE WHEN b = 1 THEN j ELSE i END AS w FROM bts), od AS (SELECT v.v AS v, (SELECT count(*) FROM beats WHERE beats.u = v.v) AS outdeg FROM generate_series(0, 6) v(v)), dom AS (SELECT u, w FROM beats UNION SELECT b1.u, b2.w FROM beats b1 JOIN beats b2 ON b2.u = b1.w UNION SELECT v.v, v.v FROM generate_series(0, 6) v(v)), kg AS (SELECT od.v AS v, od.outdeg, CASE WHEN (SELECT count(DISTINCT w) FROM dom WHERE dom.u = od.v) = 7 THEN 1 ELSE 0 END AS is_king FROM od), nk AS (SELECT sum(is_king) AS n_kings, max(outdeg) AS mx FROM kg) SELECT CAST(kg.v AS BIGINT) AS v, CAST(kg.outdeg AS BIGINT) AS outdeg, CAST(kg.is_king AS BIGINT) AS is_king, CAST(nk.n_kings AS BIGINT) AS n_kings, CAST(nk.mx AS BIGINT) AS max_outdeg FROM kg, nk',
-        # Prufer decode as a recursive list CTE, edges ranked
-        "prufer_cayley": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sd AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 1296 AS s), sq AS (SELECT s % 6 AS s0, (s // 6) % 6 AS s1, (s // 36) % 6 AS s2, (s // 216) % 6 AS s3 FROM sd), ini AS (SELECT list_transform(generate_series(0, 5), v -> CAST(1 + (CASE WHEN v = s0 THEN 1 ELSE 0 END) + (CASE WHEN v = s1 THEN 1 ELSE 0 END) + (CASE WHEN v = s2 THEN 1 ELSE 0 END) + (CASE WHEN v = s3 THEN 1 ELSE 0 END) AS BIGINT)) AS degc, [CAST(s0 AS BIGINT), s1, s2, s3] AS seq FROM sq), rec AS (SELECT 0 AS t, degc, seq, CAST(-1 AS BIGINT) AS eu, CAST(-1 AS BIGINT) AS ew FROM ini UNION ALL SELECT t + 1, list_transform(generate_series(1, 6), i -> CASE WHEN i - 1 = v THEN CAST(0 AS BIGINT) WHEN i - 1 = x THEN degc[i] - 1 ELSE degc[i] END), seq, CAST(least(v, x) AS BIGINT), CAST(greatest(v, x) AS BIGINT) FROM (SELECT t, degc, seq, list_filter(generate_series(1, 6), i -> degc[i] = 1)[1] - 1 AS v, seq[t + 1] AS x FROM rec WHERE t < 4)), lastrow AS (SELECT degc FROM rec WHERE t = 4), fin AS (SELECT list_filter(generate_series(1, 6), i -> degc[i] = 1)[1] - 1 AS u, list_filter(generate_series(1, 6), i -> degc[i] = 1)[2] - 1 AS w FROM lastrow), alledges AS (SELECT eu AS u, ew AS w FROM rec WHERE t >= 1 UNION ALL SELECT CAST(u AS BIGINT), CAST(w AS BIGINT) FROM fin), rk AS (SELECT u, w, row_number() OVER (ORDER BY u, w) - 1 AS e FROM alledges) SELECT CAST(rk.e AS BIGINT) AS edge, CAST(rk.u AS BIGINT) AS u, CAST(rk.w AS BIGINT) AS w, CAST(sq.s0 AS BIGINT) AS s0, CAST(sq.s1 AS BIGINT) AS s1, CAST(sq.s2 AS BIGINT) AS s2, CAST(sq.s3 AS BIGINT) AS s3, CAST(1296 AS BIGINT) AS n_trees FROM rk, sq',
-        # Wythoff: the Beatty closed form with integer isqrt
-        "wythoff_game": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM cen WHERE h = 2 * g.i), 0) % 61 AS x, coalesce((SELECT n FROM cen WHERE h = 2 * g.i + 1), 0) % 61 AS y FROM generate_series(0, 11) g(i)), ab AS (SELECT inst, least(x, y) AS a, greatest(x, y) AS b FROM sd), bt AS (SELECT n.n AS n, (n.n + CAST(floor(sqrt(5.0 * n.n * n.n)) AS BIGINT)) // 2 AS lo FROM generate_series(0, 60) n(n)) SELECT CAST(ab.inst AS BIGINT) AS inst, CAST(ab.a AS BIGINT) AS a, CAST(ab.b AS BIGINT) AS b, CAST(CASE WHEN EXISTS (SELECT 1 FROM bt WHERE bt.lo = ab.a AND bt.lo + bt.n = ab.b) THEN 1 ELSE 0 END AS BIGINT) AS is_p, CAST(coalesce((SELECT bt.n FROM bt WHERE bt.lo = ab.a AND bt.lo + bt.n = ab.b), -1) AS BIGINT) AS beatty_n FROM ab',
-        # Six queens: permutation join + diagonal constraints
-        "six_queens": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 4 AS s), sol AS (SELECT g0.c AS c0, g1.c AS c1, g2.c AS c2, g3.c AS c3, g4.c AS c4, g5.c AS c5 FROM generate_series(0, 5) g0(c), generate_series(0, 5) g1(c), generate_series(0, 5) g2(c), generate_series(0, 5) g3(c), generate_series(0, 5) g4(c), generate_series(0, 5) g5(c) WHERE g0.c <> g1.c AND abs(g0.c - g1.c) <> 1 AND g0.c <> g2.c AND abs(g0.c - g2.c) <> 2 AND g0.c <> g3.c AND abs(g0.c - g3.c) <> 3 AND g0.c <> g4.c AND abs(g0.c - g4.c) <> 4 AND g0.c <> g5.c AND abs(g0.c - g5.c) <> 5 AND g1.c <> g2.c AND abs(g1.c - g2.c) <> 1 AND g1.c <> g3.c AND abs(g1.c - g3.c) <> 2 AND g1.c <> g4.c AND abs(g1.c - g4.c) <> 3 AND g1.c <> g5.c AND abs(g1.c - g5.c) <> 4 AND g2.c <> g3.c AND abs(g2.c - g3.c) <> 1 AND g2.c <> g4.c AND abs(g2.c - g4.c) <> 2 AND g2.c <> g5.c AND abs(g2.c - g5.c) <> 3 AND g3.c <> g4.c AND abs(g3.c - g4.c) <> 1 AND g3.c <> g5.c AND abs(g3.c - g5.c) <> 2 AND g4.c <> g5.c AND abs(g4.c - g5.c) <> 1), rk AS (SELECT *, row_number() OVER (ORDER BY c0, c1, c2, c3, c4, c5) - 1 AS rnk FROM sol), cnt AS (SELECT count(*) AS ns FROM sol) SELECT CAST(w.i AS BIGINT) AS row_, CAST(CASE w.i WHEN 0 THEN c0 WHEN 1 THEN c1 WHEN 2 THEN c2 WHEN 3 THEN c3 WHEN 4 THEN c4 WHEN 5 THEN c5 END AS BIGINT) AS col, CAST(sel.s AS BIGINT) AS sel_rank, CAST(cnt.ns AS BIGINT) AS n_solutions FROM rk, sel, cnt, generate_series(0, 5) w(i) WHERE rk.rnk = sel.s',
-        # Taxicab: double cube join, HAVING >= 2, two smallest reps
-        "taxicab": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), cp AS (SELECT a.a AS a, b.b AS b, a.a * a.a * a.a + b.b * b.b * b.b AS n FROM generate_series(1, 27) a(a), generate_series(1, 27) b(b) WHERE a.a <= b.b AND a.a * a.a * a.a + b.b * b.b * b.b <= 20000), tx AS (SELECT n FROM cp GROUP BY n HAVING count(*) >= 2), rr AS (SELECT cp.n, cp.a, cp.b, row_number() OVER (PARTITION BY cp.n ORDER BY cp.a) AS rn FROM cp JOIN tx ON tx.n = cp.n), agg AS (SELECT rr.n, max(CASE WHEN rn = 1 THEN a END) AS a1, max(CASE WHEN rn = 1 THEN b END) AS b1, max(CASE WHEN rn = 2 THEN a END) AS a2, max(CASE WHEN rn = 2 THEN b END) AS b2, count(*) AS nr FROM rr GROUP BY rr.n), rk AS (SELECT *, row_number() OVER (ORDER BY n) - 1 AS rnk FROM agg), cnt AS (SELECT count(*) AS nt FROM agg), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % (SELECT nt FROM cnt) AS s) SELECT CAST(rk.rnk AS BIGINT) AS rank, CAST(rk.n AS BIGINT) AS n, CAST(rk.a1 AS BIGINT) AS a1, CAST(rk.b1 AS BIGINT) AS b1, CAST(rk.a2 AS BIGINT) AS a2, CAST(rk.b2 AS BIGINT) AS b2, CAST(rk.nr AS BIGINT) AS n_reps, CAST(CASE WHEN rk.rnk = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST(cnt.nt AS BIGINT) AS n_taxicabs FROM rk, sel, cnt',
-        # Arithmetic derivative: prime-power divisor joins
-        "arith_derivative": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM cen WHERE h = g.i), 0) % 1000 + 1 AS n FROM generate_series(0, 23) g(i)), pr AS (SELECT v.v AS p FROM generate_series(2, 1000) v(v) WHERE len(list_filter(generate_series(2, 31), f -> f * f <= v.v AND v.v % f = 0)) = 0), pk AS (SELECT pr.p AS p, CAST(round(pow(pr.p, k.k)) AS BIGINT) AS q FROM pr, generate_series(1, 9) k(k) WHERE pow(pr.p, k.k) <= 1000) SELECT CAST(sd.inst AS BIGINT) AS inst, CAST(sd.n AS BIGINT) AS n, CAST(coalesce((SELECT sum(sd.n // pk.p) FROM pk WHERE sd.n % pk.q = 0), 0) AS BIGINT) AS deriv, CAST(CASE WHEN EXISTS (SELECT 1 FROM pr WHERE pr.p = sd.n) THEN 1 ELSE 0 END AS BIGINT) AS is_prime FROM sd',
-        # Perfect numbers: the sigma sweep as a divisor join
-        "perfect_numbers": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 4 AS s), sg AS (SELECT d.d * j.j AS m, sum(d.d) AS sigma FROM generate_series(1, 10000) d(d), generate_series(1, 10000) j(j) WHERE d.d * j.j <= 10000 GROUP BY d.d * j.j), pf AS (SELECT m AS n, sigma FROM sg WHERE sigma = 2 * m), pops AS (SELECT count(*) FILTER (WHERE sigma > 2 * m) AS na, count(*) FILTER (WHERE sigma < 2 * m) AS nd FROM sg), rk AS (SELECT *, row_number() OVER (ORDER BY n) - 1 AS rnk FROM pf) SELECT CAST(rk.rnk AS BIGINT) AS rank, CAST(rk.n AS BIGINT) AS n, CAST(rk.sigma - rk.n AS BIGINT) AS aliquot_sum, CAST(CASE WHEN rk.rnk = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST(pops.na AS BIGINT) AS n_abundant, CAST(pops.nd AS BIGINT) AS n_deficient FROM rk, sel, pops',
-        # Chung-Feller: bitmask sweep + min=max class-size check
-        "chung_feller": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), br AS (SELECT m.m AS m, list_filter(generate_series(0, 11), t -> (m.m >> t) & 1 = 1) AS ups FROM generate_series(0, 4095) m(m) WHERE bit_count(CAST(m.m AS BIGINT)) = 6), rk AS (SELECT m, row_number() OVER (ORDER BY ups) - 1 AS rnk FROM br), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 924 AS s), st AS (SELECT rk.m AS m, rk.rnk, t.t AS t, CASE WHEN (rk.m >> t.t) & 1 = 1 THEN 1 ELSE -1 END AS step, 2 * bit_count(CAST(rk.m & ((1 << (t.t + 1)) - 1) AS BIGINT)) - (t.t + 1) AS prefix FROM rk, generate_series(0, 11) t(t)), kb AS (SELECT m, count(*) FILTER (WHERE prefix < 0 OR prefix - step < 0) // 2 AS k FROM st GROUP BY m), cls AS (SELECT k, count(*) AS csz FROM kb GROUP BY k), uni AS (SELECT CASE WHEN min(csz) = max(csz) THEN min(csz) ELSE -1 END AS cpc FROM cls) SELECT CAST(st.t AS BIGINT) AS t, CAST(st.step AS BIGINT) AS step, CAST(st.prefix AS BIGINT) AS prefix, CAST(kb.k AS BIGINT) AS k_below, CAST(sel.s AS BIGINT) AS sel_rank, CAST(uni.cpc AS BIGINT) AS catalan_per_class FROM st JOIN sel ON st.rnk = sel.s JOIN kb ON kb.m = st.m, uni',
-        # Cycle lemma: rotation sweep on the selected arrangement
-        "cycle_lemma": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), ar AS (SELECT m.m AS m, list_filter(generate_series(0, 12), t -> (m.m >> t) & 1 = 1) AS ups FROM generate_series(0, 8191) m(m) WHERE bit_count(CAST(m.m AS BIGINT)) = 7), cnt AS (SELECT count(*) AS na FROM ar), rk AS (SELECT m, row_number() OVER (ORDER BY ups) - 1 AS rnk FROM ar), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 1716 AS s), pick AS (SELECT rk.m FROM rk JOIN sel ON rk.rnk = sel.s), rot AS (SELECT r.r AS r FROM generate_series(0, 12) r(r), pick WHERE NOT EXISTS (SELECT 1 FROM generate_series(0, 12) t(t) WHERE (SELECT sum(CASE WHEN (pick.m >> ((r.r + u.u) % 13)) & 1 = 1 THEN 1 ELSE -1 END) FROM generate_series(0, 12) u(u) WHERE u.u <= t.t) <= 0)) SELECT CAST(p.p AS BIGINT) AS pos, CAST(CASE WHEN (pick.m >> p.p) & 1 = 1 THEN 1 ELSE -1 END AS BIGINT) AS step, CAST((SELECT min(r) FROM rot) AS BIGINT) AS good_rotation, CAST(sel.s AS BIGINT) AS sel_rank, CAST(cnt.na AS BIGINT) AS n_arrangements FROM pick, sel, cnt, generate_series(0, 12) p(p)',
-        # Egyptian: greedy as a recursive CTE with ceil division
-        "egyptian_fractions": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), s0 AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 3 + 1 AS p, coalesce((SELECT n FROM cen WHERE h = 1), 0) % 48 + 3 AS q0), s1 AS (SELECT p // gcd(p, q0) AS p1, q0 // gcd(p, q0) AS qr, p, q0 FROM s0), tg AS (SELECT CASE WHEN p1 >= qr THEN 1 ELSE p1 END AS p, CASE WHEN p1 >= qr THEN q0 ELSE qr END AS q FROM s1), rec AS (SELECT -1 AS step, CAST(tg.p AS BIGINT) AS num, CAST(tg.q AS BIGINT) AS den, CAST(0 AS BIGINT) AS d FROM tg UNION ALL SELECT step + 1, num * dd - den, den * dd, dd FROM (SELECT step, num, den, (den + num - 1) // num AS dd FROM rec WHERE num > 0)) SELECT CAST(rec.step AS BIGINT) AS step, CAST(rec.d AS BIGINT) AS denom, CAST(tg.p AS BIGINT) AS p, CAST(tg.q AS BIGINT) AS q, CAST((SELECT count(*) FROM rec r2 WHERE r2.step >= 0) AS BIGINT) AS n_terms FROM rec, tg WHERE rec.step >= 0',
-        # Ackermann: the level closed forms
-        "ackermann": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM cen WHERE h = 2 * g.i), 0) % 4 AS m, coalesce((SELECT n FROM cen WHERE h = 2 * g.i + 1), 0) AS s2 FROM generate_series(0, 11) g(i)), mn AS (SELECT inst, m, CASE WHEN m = 3 THEN s2 % 9 ELSE s2 % 21 END AS n FROM sd) SELECT CAST(inst AS BIGINT) AS inst, CAST(m AS BIGINT) AS m, CAST(n AS BIGINT) AS n, CAST(CASE m WHEN 0 THEN n + 1 WHEN 1 THEN n + 2 WHEN 2 THEN 2 * n + 3 ELSE (1 << (n + 3)) - 3 END AS BIGINT) AS value FROM mn',
-        # Thue-Morse: bit_count parity window
-        "thue_morse": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), st AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 488 AS s) SELECT CAST(o.o AS BIGINT) AS off, CAST(st.s + o.o AS BIGINT) AS n, CAST(bit_count(CAST(st.s + o.o AS BIGINT)) % 2 AS BIGINT) AS bit, CAST(bit_count(CAST(st.s + o.o AS BIGINT)) AS BIGINT) AS popcount FROM st, generate_series(0, 23) o(o)',
-        # L-system: the (nA, nB) count recurrence (the rewriting
-        # itself is the kernel's half)
-        "lindenmayer": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 25 AS s), rec AS (SELECT 0 AS k, CAST(1 AS BIGINT) AS na, CAST(0 AS BIGINT) AS nb UNION ALL SELECT k + 1, na + nb, na FROM rec WHERE k < 24) SELECT CAST(rec.k AS BIGINT) AS step, CAST(rec.na + rec.nb AS BIGINT) AS length, CAST(rec.na AS BIGINT) AS n_a, CAST(rec.nb AS BIGINT) AS n_b, CAST(CASE WHEN rec.k = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected FROM rec, sel',
-        # Pancake: BFS over digit-encoded S6 with generated
-        # prefix-reversal arithmetic; dist = min over levels
-        "pancake_numbers": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 720 AS s), pm AS (SELECT a.a * 100000 + b.b * 10000 + c.c * 1000 + d.d * 100 + e.e * 10 + f.f AS v FROM generate_series(0, 5) a(a), generate_series(0, 5) b(b), generate_series(0, 5) c(c), generate_series(0, 5) d(d), generate_series(0, 5) e(e), generate_series(0, 5) f(f) WHERE a.a <> b.b AND a.a <> c.c AND a.a <> d.d AND a.a <> e.e AND a.a <> f.f AND b.b <> c.c AND b.b <> d.d AND b.b <> e.e AND b.b <> f.f AND c.c <> d.d AND c.c <> e.e AND c.c <> f.f AND d.d <> e.e AND d.d <> f.f AND e.e <> f.f), bfs AS (SELECT 12345 AS v, 0 AS d UNION SELECT CASE k.k WHEN 2 THEN (v // 10000 % 10) * 100000 + (v // 100000 % 10) * 10000 + (v // 1000 % 10) * 1000 + (v // 100 % 10) * 100 + (v // 10 % 10) * 10 + (v // 1 % 10) * 1 WHEN 3 THEN (v // 1000 % 10) * 100000 + (v // 10000 % 10) * 10000 + (v // 100000 % 10) * 1000 + (v // 100 % 10) * 100 + (v // 10 % 10) * 10 + (v // 1 % 10) * 1 WHEN 4 THEN (v // 100 % 10) * 100000 + (v // 1000 % 10) * 10000 + (v // 10000 % 10) * 1000 + (v // 100000 % 10) * 100 + (v // 10 % 10) * 10 + (v // 1 % 10) * 1 WHEN 5 THEN (v // 10 % 10) * 100000 + (v // 100 % 10) * 10000 + (v // 1000 % 10) * 1000 + (v // 10000 % 10) * 100 + (v // 100000 % 10) * 10 + (v // 1 % 10) * 1 WHEN 6 THEN (v // 1 % 10) * 100000 + (v // 10 % 10) * 10000 + (v // 100 % 10) * 1000 + (v // 1000 % 10) * 100 + (v // 10000 % 10) * 10 + (v // 100000 % 10) * 1 END AS v, d + 1 FROM bfs, generate_series(2, 6) k(k) WHERE d < 7), dist AS (SELECT v, min(d) AS dd FROM bfs GROUP BY v), hist AS (SELECT dd AS distance, count(*) AS n_perms FROM dist GROUP BY dd), rkp AS (SELECT v, row_number() OVER (ORDER BY v) - 1 AS rnk FROM pm), sp AS (SELECT rkp.v AS sv FROM rkp JOIN sel ON rkp.rnk = sel.s), sd AS (SELECT dist.dd AS seld FROM dist, sp WHERE dist.v = sp.sv), mx AS (SELECT max(dd) AS pn FROM dist) SELECT CAST(hist.distance AS BIGINT) AS distance, CAST(hist.n_perms AS BIGINT) AS n_perms, CAST(sel.s AS BIGINT) AS sel_rank, CAST(sd.seld AS BIGINT) AS sel_distance, CAST(sp.sv AS BIGINT) AS sel_perm_digits, CAST(mx.pn AS BIGINT) AS pancake_number FROM hist, sel, sd, sp, mx',
-        # de Bruijn: the greedy with a seen-set bitmask
-        "debruijn_sequence": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), rot AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 16 AS r), gr AS (SELECT 4 AS t, [CAST(0 AS BIGINT), 0, 0, 0] AS sq, CAST(1 AS BIGINT) AS seen UNION ALL SELECT t + 1, list_append(sq, CASE WHEN (seen >> (((sq[t - 2] * 4 + sq[t - 1] * 2 + sq[t]) * 2 + 1))) & 1 = 0 THEN CAST(1 AS BIGINT) ELSE 0 END), seen | (CAST(1 AS BIGINT) << (CASE WHEN (seen >> (((sq[t - 2] * 4 + sq[t - 1] * 2 + sq[t]) * 2 + 1))) & 1 = 0 THEN (sq[t - 2] * 4 + sq[t - 1] * 2 + sq[t]) * 2 + 1 ELSE (sq[t - 2] * 4 + sq[t - 1] * 2 + sq[t]) * 2 END)) FROM gr WHERE t < 16), fin AS (SELECT sq FROM gr WHERE t = 16) SELECT CAST(i.i AS BIGINT) AS pos, CAST(fin.sq[(rot.r + i.i) % 16 + 1] AS BIGINT) AS bit, CAST(fin.sq[(rot.r + i.i) % 16 + 1] * 8 + fin.sq[(rot.r + i.i + 1) % 16 + 1] * 4 + fin.sq[(rot.r + i.i + 2) % 16 + 1] * 2 + fin.sq[(rot.r + i.i + 3) % 16 + 1] AS BIGINT) AS window, CAST(rot.r AS BIGINT) AS rotation FROM fin, rot, generate_series(0, 15) i(i)',
-        # Bulgarian: recursive sorted-list iteration from the
-        # literal partition table (single source)
-        "bulgarian_solitaire": "WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 176 AS s), pt(rk, l) AS (VALUES (0, [CAST(1 AS BIGINT), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]), (1, [CAST(2 AS BIGINT), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]), (2, [CAST(2 AS BIGINT), 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]), (3, [CAST(2 AS BIGINT), 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1]), (4, [CAST(2 AS BIGINT), 2, 2, 2, 1, 1, 1, 1, 1, 1, 1]), (5, [CAST(2 AS BIGINT), 2, 2, 2, 2, 1, 1, 1, 1, 1]), (6, [CAST(2 AS BIGINT), 2, 2, 2, 2, 2, 1, 1, 1]), (7, [CAST(2 AS BIGINT), 2, 2, 2, 2, 2, 2, 1]), (8, [CAST(3 AS BIGINT), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]), (9, [CAST(3 AS BIGINT), 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]), (10, [CAST(3 AS BIGINT), 2, 2, 1, 1, 1, 1, 1, 1, 1, 1]), (11, [CAST(3 AS BIGINT), 2, 2, 2, 1, 1, 1, 1, 1, 1]), (12, [CAST(3 AS BIGINT), 2, 2, 2, 2, 1, 1, 1, 1]), (13, [CAST(3 AS BIGINT), 2, 2, 2, 2, 2, 1, 1]), (14, [CAST(3 AS BIGINT), 2, 2, 2, 2, 2, 2]), (15, [CAST(3 AS BIGINT), 3, 1, 1, 1, 1, 1, 1, 1, 1, 1]), (16, [CAST(3 AS BIGINT), 3, 2, 1, 1, 1, 1, 1, 1, 1]), (17, [CAST(3 AS BIGINT), 3, 2, 2, 1, 1, 1, 1, 1]), (18, [CAST(3 AS BIGINT), 3, 2, 2, 2, 1, 1, 1]), (19, [CAST(3 AS BIGINT), 3, 2, 2, 2, 2, 1]), (20, [CAST(3 AS BIGINT), 3, 3, 1, 1, 1, 1, 1, 1]), (21, [CAST(3 AS BIGINT), 3, 3, 2, 1, 1, 1, 1]), (22, [CAST(3 AS BIGINT), 3, 3, 2, 2, 1, 1]), (23, [CAST(3 AS BIGINT), 3, 3, 2, 2, 2]), (24, [CAST(3 AS BIGINT), 3, 3, 3, 1, 1, 1]), (25, [CAST(3 AS BIGINT), 3, 3, 3, 2, 1]), (26, [CAST(3 AS BIGINT), 3, 3, 3, 3]), (27, [CAST(4 AS BIGINT), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]), (28, [CAST(4 AS BIGINT), 2, 1, 1, 1, 1, 1, 1, 1, 1, 1]), (29, [CAST(4 AS BIGINT), 2, 2, 1, 1, 1, 1, 1, 1, 1]), (30, [CAST(4 AS BIGINT), 2, 2, 2, 1, 1, 1, 1, 1]), (31, [CAST(4 AS BIGINT), 2, 2, 2, 2, 1, 1, 1]), (32, [CAST(4 AS BIGINT), 2, 2, 2, 2, 2, 1]), (33, [CAST(4 AS BIGINT), 3, 1, 1, 1, 1, 1, 1, 1, 1]), (34, [CAST(4 AS BIGINT), 3, 2, 1, 1, 1, 1, 1, 1]), (35, [CAST(4 AS BIGINT), 3, 2, 2, 1, 1, 1, 1]), (36, [CAST(4 AS BIGINT), 3, 2, 2, 2, 1, 1]), (37, [CAST(4 AS BIGINT), 3, 2, 2, 2, 2]), (38, [CAST(4 AS BIGINT), 3, 3, 1, 1, 1, 1, 1]), (39, [CAST(4 AS BIGINT), 3, 3, 2, 1, 1, 1]), (40, [CAST(4 AS BIGINT), 3, 3, 2, 2, 1]), (41, [CAST(4 AS BIGINT), 3, 3, 3, 1, 1]), (42, [CAST(4 AS BIGINT), 3, 3, 3, 2]), (43, [CAST(4 AS BIGINT), 4, 1, 1, 1, 1, 1, 1, 1]), (44, [CAST(4 AS BIGINT), 4, 2, 1, 1, 1, 1, 1]), (45, [CAST(4 AS BIGINT), 4, 2, 2, 1, 1, 1]), (46, [CAST(4 AS BIGINT), 4, 2, 2, 2, 1]), (47, [CAST(4 AS BIGINT), 4, 3, 1, 1, 1, 1]), (48, [CAST(4 AS BIGINT), 4, 3, 2, 1, 1]), (49, [CAST(4 AS BIGINT), 4, 3, 2, 2]), (50, [CAST(4 AS BIGINT), 4, 3, 3, 1]), (51, [CAST(4 AS BIGINT), 4, 4, 1, 1, 1]), (52, [CAST(4 AS BIGINT), 4, 4, 2, 1]), (53, [CAST(4 AS BIGINT), 4, 4, 3]), (54, [CAST(5 AS BIGINT), 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]), (55, [CAST(5 AS BIGINT), 2, 1, 1, 1, 1, 1, 1, 1, 1]), (56, [CAST(5 AS BIGINT), 2, 2, 1, 1, 1, 1, 1, 1]), (57, [CAST(5 AS BIGINT), 2, 2, 2, 1, 1, 1, 1]), (58, [CAST(5 AS BIGINT), 2, 2, 2, 2, 1, 1]), (59, [CAST(5 AS BIGINT), 2, 2, 2, 2, 2]), (60, [CAST(5 AS BIGINT), 3, 1, 1, 1, 1, 1, 1, 1]), (61, [CAST(5 AS BIGINT), 3, 2, 1, 1, 1, 1, 1]), (62, [CAST(5 AS BIGINT), 3, 2, 2, 1, 1, 1]), (63, [CAST(5 AS BIGINT), 3, 2, 2, 2, 1]), (64, [CAST(5 AS BIGINT), 3, 3, 1, 1, 1, 1]), (65, [CAST(5 AS BIGINT), 3, 3, 2, 1, 1]), (66, [CAST(5 AS BIGINT), 3, 3, 2, 2]), (67, [CAST(5 AS BIGINT), 3, 3, 3, 1]), (68, [CAST(5 AS BIGINT), 4, 1, 1, 1, 1, 1, 1]), (69, [CAST(5 AS BIGINT), 4, 2, 1, 1, 1, 1]), (70, [CAST(5 AS BIGINT), 4, 2, 2, 1, 1]), (71, [CAST(5 AS BIGINT), 4, 2, 2, 2]), (72, [CAST(5 AS BIGINT), 4, 3, 1, 1, 1]), (73, [CAST(5 AS BIGINT), 4, 3, 2, 1]), (74, [CAST(5 AS BIGINT), 4, 3, 3]), (75, [CAST(5 AS BIGINT), 4, 4, 1, 1]), (76, [CAST(5 AS BIGINT), 4, 4, 2]), (77, [CAST(5 AS BIGINT), 5, 1, 1, 1, 1, 1]), (78, [CAST(5 AS BIGINT), 5, 2, 1, 1, 1]), (79, [CAST(5 AS BIGINT), 5, 2, 2, 1]), (80, [CAST(5 AS BIGINT), 5, 3, 1, 1]), (81, [CAST(5 AS BIGINT), 5, 3, 2]), (82, [CAST(5 AS BIGINT), 5, 4, 1]), (83, [CAST(5 AS BIGINT), 5, 5]), (84, [CAST(6 AS BIGINT), 1, 1, 1, 1, 1, 1, 1, 1, 1]), (85, [CAST(6 AS BIGINT), 2, 1, 1, 1, 1, 1, 1, 1]), (86, [CAST(6 AS BIGINT), 2, 2, 1, 1, 1, 1, 1]), (87, [CAST(6 AS BIGINT), 2, 2, 2, 1, 1, 1]), (88, [CAST(6 AS BIGINT), 2, 2, 2, 2, 1]), (89, [CAST(6 AS BIGINT), 3, 1, 1, 1, 1, 1, 1]), (90, [CAST(6 AS BIGINT), 3, 2, 1, 1, 1, 1]), (91, [CAST(6 AS BIGINT), 3, 2, 2, 1, 1]), (92, [CAST(6 AS BIGINT), 3, 2, 2, 2]), (93, [CAST(6 AS BIGINT), 3, 3, 1, 1, 1]), (94, [CAST(6 AS BIGINT), 3, 3, 2, 1]), (95, [CAST(6 AS BIGINT), 3, 3, 3]), (96, [CAST(6 AS BIGINT), 4, 1, 1, 1, 1, 1]), (97, [CAST(6 AS BIGINT), 4, 2, 1, 1, 1]), (98, [CAST(6 AS BIGINT), 4, 2, 2, 1]), (99, [CAST(6 AS BIGINT), 4, 3, 1, 1]), (100, [CAST(6 AS BIGINT), 4, 3, 2]), (101, [CAST(6 AS BIGINT), 4, 4, 1]), (102, [CAST(6 AS BIGINT), 5, 1, 1, 1, 1]), (103, [CAST(6 AS BIGINT), 5, 2, 1, 1]), (104, [CAST(6 AS BIGINT), 5, 2, 2]), (105, [CAST(6 AS BIGINT), 5, 3, 1]), (106, [CAST(6 AS BIGINT), 5, 4]), (107, [CAST(6 AS BIGINT), 6, 1, 1, 1]), (108, [CAST(6 AS BIGINT), 6, 2, 1]), (109, [CAST(6 AS BIGINT), 6, 3]), (110, [CAST(7 AS BIGINT), 1, 1, 1, 1, 1, 1, 1, 1]), (111, [CAST(7 AS BIGINT), 2, 1, 1, 1, 1, 1, 1]), (112, [CAST(7 AS BIGINT), 2, 2, 1, 1, 1, 1]), (113, [CAST(7 AS BIGINT), 2, 2, 2, 1, 1]), (114, [CAST(7 AS BIGINT), 2, 2, 2, 2]), (115, [CAST(7 AS BIGINT), 3, 1, 1, 1, 1, 1]), (116, [CAST(7 AS BIGINT), 3, 2, 1, 1, 1]), (117, [CAST(7 AS BIGINT), 3, 2, 2, 1]), (118, [CAST(7 AS BIGINT), 3, 3, 1, 1]), (119, [CAST(7 AS BIGINT), 3, 3, 2]), (120, [CAST(7 AS BIGINT), 4, 1, 1, 1, 1]), (121, [CAST(7 AS BIGINT), 4, 2, 1, 1]), (122, [CAST(7 AS BIGINT), 4, 2, 2]), (123, [CAST(7 AS BIGINT), 4, 3, 1]), (124, [CAST(7 AS BIGINT), 4, 4]), (125, [CAST(7 AS BIGINT), 5, 1, 1, 1]), (126, [CAST(7 AS BIGINT), 5, 2, 1]), (127, [CAST(7 AS BIGINT), 5, 3]), (128, [CAST(7 AS BIGINT), 6, 1, 1]), (129, [CAST(7 AS BIGINT), 6, 2]), (130, [CAST(7 AS BIGINT), 7, 1]), (131, [CAST(8 AS BIGINT), 1, 1, 1, 1, 1, 1, 1]), (132, [CAST(8 AS BIGINT), 2, 1, 1, 1, 1, 1]), (133, [CAST(8 AS BIGINT), 2, 2, 1, 1, 1]), (134, [CAST(8 AS BIGINT), 2, 2, 2, 1]), (135, [CAST(8 AS BIGINT), 3, 1, 1, 1, 1]), (136, [CAST(8 AS BIGINT), 3, 2, 1, 1]), (137, [CAST(8 AS BIGINT), 3, 2, 2]), (138, [CAST(8 AS BIGINT), 3, 3, 1]), (139, [CAST(8 AS BIGINT), 4, 1, 1, 1]), (140, [CAST(8 AS BIGINT), 4, 2, 1]), (141, [CAST(8 AS BIGINT), 4, 3]), (142, [CAST(8 AS BIGINT), 5, 1, 1]), (143, [CAST(8 AS BIGINT), 5, 2]), (144, [CAST(8 AS BIGINT), 6, 1]), (145, [CAST(8 AS BIGINT), 7]), (146, [CAST(9 AS BIGINT), 1, 1, 1, 1, 1, 1]), (147, [CAST(9 AS BIGINT), 2, 1, 1, 1, 1]), (148, [CAST(9 AS BIGINT), 2, 2, 1, 1]), (149, [CAST(9 AS BIGINT), 2, 2, 2]), (150, [CAST(9 AS BIGINT), 3, 1, 1, 1]), (151, [CAST(9 AS BIGINT), 3, 2, 1]), (152, [CAST(9 AS BIGINT), 3, 3]), (153, [CAST(9 AS BIGINT), 4, 1, 1]), (154, [CAST(9 AS BIGINT), 4, 2]), (155, [CAST(9 AS BIGINT), 5, 1]), (156, [CAST(9 AS BIGINT), 6]), (157, [CAST(10 AS BIGINT), 1, 1, 1, 1, 1]), (158, [CAST(10 AS BIGINT), 2, 1, 1, 1]), (159, [CAST(10 AS BIGINT), 2, 2, 1]), (160, [CAST(10 AS BIGINT), 3, 1, 1]), (161, [CAST(10 AS BIGINT), 3, 2]), (162, [CAST(10 AS BIGINT), 4, 1]), (163, [CAST(10 AS BIGINT), 5]), (164, [CAST(11 AS BIGINT), 1, 1, 1, 1]), (165, [CAST(11 AS BIGINT), 2, 1, 1]), (166, [CAST(11 AS BIGINT), 2, 2]), (167, [CAST(11 AS BIGINT), 3, 1]), (168, [CAST(11 AS BIGINT), 4]), (169, [CAST(12 AS BIGINT), 1, 1, 1]), (170, [CAST(12 AS BIGINT), 2, 1]), (171, [CAST(12 AS BIGINT), 3]), (172, [CAST(13 AS BIGINT), 1, 1]), (173, [CAST(13 AS BIGINT), 2]), (174, [CAST(14 AS BIGINT), 1]), (175, [CAST(15 AS BIGINT)])), start AS (SELECT pt.l FROM pt JOIN sel ON pt.rk = sel.s), rec AS (SELECT 0 AS step, l FROM start UNION ALL SELECT step + 1, list_sort(list_append(list_filter(list_transform(l, x -> x - 1), x -> x > 0), CAST(len(l) AS BIGINT)), 'DESC') FROM rec WHERE l <> [CAST(5 AS BIGINT), 4, 3, 2, 1] AND step < 200) SELECT CAST(rec.step AS BIGINT) AS step, CAST(CASE WHEN len(list_filter(rec.l, x -> x > 9)) > 0 THEN -1 ELSE list_reduce(rec.l, (a, b) -> a * 10 + b) END AS BIGINT) AS partition_digits, CAST(len(rec.l) AS BIGINT) AS n_piles, CAST(sel.s AS BIGINT) AS sel_rank FROM rec, sel",
-        # Puzzle: factoradic permutation + inversion parity
-        "puzzle_parity": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 362880 AS s), lehmer AS (SELECT 0 AS i, sel.s AS rem, list_transform(generate_series(0, 8), x -> CAST(x AS BIGINT)) AS remain, CAST([] AS BIGINT[]) AS acc FROM sel UNION ALL SELECT i + 1, rem % factorial(CAST(8 - i AS INTEGER)), list_filter(remain, x -> x <> remain[CAST(rem // factorial(CAST(8 - i AS INTEGER)) AS INTEGER) + 1]), list_append(acc, remain[CAST(rem // factorial(CAST(8 - i AS INTEGER)) AS INTEGER) + 1]) FROM lehmer WHERE i < 9), pm AS (SELECT acc FROM lehmer WHERE i = 9), tiles AS (SELECT g.c AS cell, pm.acc[g.c + 1] AS tile FROM pm, generate_series(0, 8) g(c)), inv AS (SELECT count(*) AS n_inv FROM tiles a, tiles b WHERE a.cell < b.cell AND a.tile <> 0 AND b.tile <> 0 AND a.tile > b.tile) SELECT CAST(tiles.cell AS BIGINT) AS cell, CAST(tiles.tile AS BIGINT) AS tile, CAST(CASE WHEN inv.n_inv % 2 = 0 THEN 1 ELSE 0 END AS BIGINT) AS solvable, CAST(factorial(9) // 2 AS BIGINT) AS n_reachable, CAST(sel.s AS BIGINT) AS sel_rank FROM tiles, inv, sel',
-        # Hadamard: the popcount closed form
-        "hadamard_sylvester": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 8 AS s) SELECT CAST(i.i AS BIGINT) AS i, CAST(j.j AS BIGINT) AS j, CAST(CASE WHEN bit_count(CAST(i.i & j.j AS BIGINT)) % 2 = 0 THEN 1 ELSE -1 END AS BIGINT) AS entry, CAST(CASE WHEN i.i = sel.s THEN 1 ELSE 0 END AS BIGINT) AS sel_row, CAST(4096 AS BIGINT) AS abs_det FROM generate_series(0, 7) i(i), generate_series(0, 7) j(j), sel',
-        # Descartes: reflection recursion with BFS/pos ordering
-        "descartes_circles": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 85 AS s), rec AS (SELECT 0 AS level, 0 AS within, [CAST(-1 AS BIGINT), 2, 2, 3] AS q UNION ALL SELECT level + 1, within * 4 + p.p, list_sort(list_append(list_filter(list_transform(generate_series(1, 4), x -> CASE WHEN x = p.p + 1 THEN CAST(-999999 AS BIGINT) ELSE q[x] END), x -> x <> -999999), 2 * (q[1] + q[2] + q[3] + q[4] - q[p.p + 1]) - q[p.p + 1])) FROM rec, (VALUES (0), (1), (2), (3)) p(p) WHERE level < 3), idxd AS (SELECT CASE level WHEN 0 THEN 0 WHEN 1 THEN 1 + within WHEN 2 THEN 5 + within ELSE 21 + within END AS idx, level, q FROM rec) SELECT CAST(idxd.idx AS BIGINT) AS idx, CAST(idxd.level AS BIGINT) AS level, CAST(idxd.q[1] AS BIGINT) AS k1, CAST(idxd.q[2] AS BIGINT) AS k2, CAST(idxd.q[3] AS BIGINT) AS k3, CAST(idxd.q[4] AS BIGINT) AS k4, CAST(CASE WHEN idxd.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected FROM idxd, sel',
-        # Class numbers: bounded reduced-form join
-        "class_numbers": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT CASE coalesce((SELECT n FROM cen WHERE h = 0), 0) % 10 WHEN 0 THEN -3 WHEN 1 THEN -4 WHEN 2 THEN -7 WHEN 3 THEN -8 WHEN 4 THEN -11 WHEN 5 THEN -15 WHEN 6 THEN -20 WHEN 7 THEN -23 WHEN 8 THEN -47 WHEN 9 THEN -163 END AS d), fm AS (SELECT a.a AS a, b.b AS b, (b.b * b.b - sel.d) // (4 * a.a) AS c FROM sel, generate_series(1, 8) a(a), generate_series(-8, 8) b(b) WHERE b.b > -a.a AND b.b <= a.a AND (b.b * b.b - sel.d) % (4 * a.a) = 0 AND (b.b * b.b - sel.d) // (4 * a.a) >= a.a AND NOT ((a.a = (b.b * b.b - sel.d) // (4 * a.a) OR a.a = abs(b.b)) AND b.b < 0)), cnt AS (SELECT count(*) AS h FROM fm), rk AS (SELECT *, row_number() OVER (ORDER BY a, b, c) - 1 AS idx FROM fm) SELECT CAST(rk.idx AS BIGINT) AS idx, CAST(sel.d AS BIGINT) AS disc, CAST(rk.a AS BIGINT) AS a, CAST(rk.b AS BIGINT) AS b, CAST(rk.c AS BIGINT) AS c, CAST(cnt.h AS BIGINT) AS class_number FROM rk, sel, cnt',
-        # Sum-free: the 1024-subset sweep
-        "sum_free_sets": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 1024 AS cm), sfm AS (SELECT m.m AS m, bit_count(CAST(m.m AS BIGINT)) AS sz FROM generate_series(0, 1023) m(m) WHERE NOT EXISTS (SELECT 1 FROM generate_series(1, 10) x(x), generate_series(1, 10) y(y) WHERE x.x <= y.y AND x.x + y.y <= 10 AND (m.m >> (x.x - 1)) & 1 = 1 AND (m.m >> (y.y - 1)) & 1 = 1 AND (m.m >> (x.x + y.y - 1)) & 1 = 1)), mx AS (SELECT max(sz) AS best FROM sfm), nb AS (SELECT count(*) AS n_best FROM sfm, mx WHERE sfm.sz = mx.best), cl AS (SELECT sel.cm, CASE WHEN EXISTS (SELECT 1 FROM sfm WHERE sfm.m = sel.cm) THEN 1 ELSE 0 END AS issf, bit_count(CAST(sel.cm AS BIGINT)) AS csz FROM sel) SELECT CAST(v.v AS BIGINT) AS v, CAST((cl.cm >> (v.v - 1)) & 1 AS BIGINT) AS member, CAST(cl.issf AS BIGINT) AS census_sum_free, CAST(cl.csz AS BIGINT) AS census_size, CAST(mx.best AS BIGINT) AS max_size, CAST(nb.n_best AS BIGINT) AS n_max_sets FROM cl, mx, nb, generate_series(1, 10) v(v)',
-        # Plane partitions: MacMahon product (exact)
-        "plane_partitions": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 6 AS s), bx(idx, r, s, t) AS (VALUES (0, 1, 1, 1), (1, 2, 2, 1), (2, 2, 2, 2), (3, 3, 2, 2), (4, 3, 3, 2), (5, 3, 3, 3)), pr AS (SELECT bx.idx, bx.r, bx.s, bx.t, CAST(round(product(i.i + j.j + k.k - 1)) AS BIGINT) AS num, CAST(round(product(i.i + j.j + k.k - 2)) AS BIGINT) AS den FROM bx, generate_series(1, 3) i(i), generate_series(1, 3) j(j), generate_series(1, 3) k(k) WHERE i.i <= bx.r AND j.j <= bx.s AND k.k <= bx.t GROUP BY bx.idx, bx.r, bx.s, bx.t) SELECT CAST(pr.idx AS BIGINT) AS idx, CAST(pr.r AS BIGINT) AS r, CAST(pr.s AS BIGINT) AS s, CAST(pr.t AS BIGINT) AS t, CAST(pr.num // pr.den AS BIGINT) AS n_pp, CAST(CASE WHEN pr.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected FROM pr, sel',
-        # Delannoy: the binomial sum formula
-        "delannoy_numbers": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 9 AS m) SELECT CAST(sel.m AS BIGINT) AS m, CAST(n.n AS BIGINT) AS n, CAST((SELECT sum((factorial(CAST(sel.m AS INTEGER)) // (factorial(CAST(k.k AS INTEGER)) * factorial(CAST(sel.m - k.k AS INTEGER)))) * (factorial(CAST(n.n AS INTEGER)) // (factorial(CAST(k.k AS INTEGER)) * factorial(CAST(n.n - k.k AS INTEGER)))) * CAST(round(pow(2, k.k)) AS BIGINT)) FROM generate_series(0, 8) k(k) WHERE k.k <= least(sel.m, n.n)) AS BIGINT) AS delannoy FROM sel, generate_series(0, 8) n(n)',
-        # Markov: Vieta flips with positional sentinel removal;
-        # the product/coordinate trick q1*q2*q3 // q[pos] gives
-        # the OTHER two coordinates' product exactly
-        "markov_triples": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 121 AS s), rec AS (SELECT 0 AS level, 0 AS within, [CAST(1 AS BIGINT), 1, 1] AS q UNION ALL SELECT level + 1, within * 3 + p.p, list_sort(list_append(list_filter(list_transform(generate_series(1, 3), x -> CASE WHEN x = p.p + 1 THEN CAST(-999999 AS BIGINT) ELSE q[x] END), x -> x <> -999999), 3 * ((q[1] * q[2] * q[3]) // q[p.p + 1]) - q[p.p + 1])) FROM rec, (VALUES (0), (1), (2)) p(p) WHERE level < 4), idxd AS (SELECT CASE level WHEN 0 THEN 0 WHEN 1 THEN 1 + within WHEN 2 THEN 4 + within WHEN 3 THEN 13 + within ELSE 40 + within END AS idx, level, q FROM rec) SELECT CAST(idxd.idx AS BIGINT) AS idx, CAST(idxd.level AS BIGINT) AS level, CAST(idxd.q[1] AS BIGINT) AS x, CAST(idxd.q[2] AS BIGINT) AS y, CAST(idxd.q[3] AS BIGINT) AS z, CAST(idxd.q[1] * idxd.q[1] + idxd.q[2] * idxd.q[2] + idxd.q[3] * idxd.q[3] - 3 * idxd.q[1] * idxd.q[2] * idxd.q[3] AS BIGINT) AS residual, CAST(CASE WHEN idxd.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected FROM idxd, sel',
-        # Stern: the pair-append recursive list build
-        "stern_diatomic": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), st AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 232 AS s), rec AS (SELECT 2 AS n, [CAST(0 AS BIGINT), 1, 1, 2] AS f UNION ALL SELECT n + 1, list_append(list_append(f, f[n + 1]), f[n + 1] + f[n + 2]) FROM rec WHERE n < 256), fin AS (SELECT f FROM rec WHERE n = 256) SELECT CAST(o.o AS BIGINT) AS off, CAST(st.s + o.o + 1 AS BIGINT) AS n, CAST(fin.f[st.s + o.o + 2] AS BIGINT) AS fusc, CAST(fin.f[st.s + o.o + 3] AS BIGINT) AS fusc_next FROM fin, st, generate_series(0, 23) o(o)',
-        # Lucky sieve: list_select index deletion
-        "lucky_numbers": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), ini AS (SELECT list_transform(generate_series(0, 99), x -> CAST(2 * x + 1 AS BIGINT)) AS l), rec AS (SELECT 2 AS i, l FROM ini UNION ALL SELECT i + 1, list_select(l, list_filter(generate_series(1, len(l)), j -> j % l[i] <> 0)) FROM rec WHERE i <= len(l) AND l[i] <= len(l)), fin AS (SELECT l FROM rec ORDER BY i DESC LIMIT 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % (SELECT len(l) FROM fin) AS s) SELECT CAST(g.r AS BIGINT) AS rank, CAST(fin.l[g.r + 1] AS BIGINT) AS lucky, CAST(CASE WHEN g.r = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST(len(fin.l) AS BIGINT) AS n_lucky FROM fin, sel, generate_series(0, 99) g(r) WHERE g.r < len(fin.l)',
-        # Gilbreath: sieve + difference iteration on lists
-        "gilbreath": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 21 AS s), pr AS (SELECT list(CAST(v.v AS BIGINT) ORDER BY v.v) AS l FROM generate_series(2, 999) v(v) WHERE len(list_filter(generate_series(2, 31), f -> f * f <= v.v AND v.v % f = 0)) = 0), rec AS (SELECT 0 AS r, l FROM pr UNION ALL SELECT r + 1, list_transform(generate_series(1, len(l) - 1), i -> abs(l[i + 1] - l[i])) FROM rec WHERE r < 20), pick AS (SELECT rec.l FROM rec JOIN sel ON rec.r = sel.s) SELECT CAST(g.p AS BIGINT) AS pos, CAST(pick.l[g.p + 1] AS BIGINT) AS value, CAST(sel.s AS BIGINT) AS sel_row, CAST(len(pick.l) AS BIGINT) AS row_len FROM pick, sel, generate_series(0, 23) g(p)',
-        # Newton: power sums by signed integer pow, rhs by joins
-        "newton_identities": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), rt AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 19 - 9 AS r1, coalesce((SELECT n FROM cen WHERE h = 1), 0) % 19 - 9 AS r2, coalesce((SELECT n FROM cen WHERE h = 2), 0) % 19 - 9 AS r3, coalesce((SELECT n FROM cen WHERE h = 3), 0) % 19 - 9 AS r4), ee AS (SELECT r1 + r2 + r3 + r4 AS e1, r1*r2 + r1*r3 + r1*r4 + r2*r3 + r2*r4 + r3*r4 AS e2, r1*r2*r3 + r1*r2*r4 + r1*r3*r4 + r2*r3*r4 AS e3, r1*r2*r3*r4 AS e4 FROM rt), pk AS (SELECT k.k AS k, (SELECT CAST(sum(CASE WHEN rr.v >= 0 OR k.k % 2 = 0 THEN CAST(round(pow(abs(rr.v), k.k)) AS BIGINT) * (CASE WHEN rr.v < 0 AND k.k % 2 = 1 THEN -1 ELSE 1 END) ELSE -CAST(round(pow(abs(rr.v), k.k)) AS BIGINT) END) AS BIGINT) FROM (SELECT r1 AS v FROM rt UNION ALL SELECT r2 FROM rt UNION ALL SELECT r3 FROM rt UNION ALL SELECT r4 FROM rt) rr) AS p FROM generate_series(0, 8) k(k)) SELECT CAST(pk.k AS BIGINT) AS k, CAST(pk.p AS BIGINT) AS p_k, CAST(CASE WHEN pk.k = 1 THEN ee.e1 WHEN pk.k = 2 THEN ee.e1 * p1.p - 2 * ee.e2 WHEN pk.k = 3 THEN ee.e1 * p2.p - ee.e2 * p1.p + 3 * ee.e3 WHEN pk.k = 4 THEN ee.e1 * p3.p - ee.e2 * p2.p + ee.e3 * p1.p - 4 * ee.e4 ELSE ee.e1 * pa.p - ee.e2 * pb.p + ee.e3 * pc.p - ee.e4 * pd.p END AS BIGINT) AS newton_rhs, CAST(ee.e1 AS BIGINT) AS e1, CAST(ee.e2 AS BIGINT) AS e2, CAST(ee.e3 AS BIGINT) AS e3, CAST(ee.e4 AS BIGINT) AS e4 FROM pk, ee, pk p1, pk p2, pk p3, pk pa, pk pb, pk pc, pk pd WHERE p1.k = 1 AND p2.k = 2 AND p3.k = 3 AND pa.k = greatest(pk.k - 1, 0) AND pb.k = greatest(pk.k - 2, 0) AND pc.k = greatest(pk.k - 3, 0) AND pd.k = greatest(pk.k - 4, 0) AND pk.k >= 1',
-        # Cubic discriminant: both routes in plain arithmetic
-        "cubic_discriminant": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM cen WHERE h = 3 * g.i), 0) % 13 - 6 AS r1, coalesce((SELECT n FROM cen WHERE h = 3 * g.i + 1), 0) % 13 - 6 AS r2, coalesce((SELECT n FROM cen WHERE h = 3 * g.i + 2), 0) % 13 - 6 AS r3 FROM generate_series(0, 7) g(i)), vt AS (SELECT inst, r1, r2, r3, -(r1 + r2 + r3) AS b, r1*r2 + r1*r3 + r2*r3 AS c, -(r1*r2*r3) AS d FROM sd) SELECT CAST(inst AS BIGINT) AS inst, CAST(r1 AS BIGINT) AS r1, CAST(r2 AS BIGINT) AS r2, CAST(r3 AS BIGINT) AS r3, CAST(b AS BIGINT) AS b, CAST(c AS BIGINT) AS c, CAST(d AS BIGINT) AS d, CAST(18*b*c*d - 4*b*b*b*d + b*b*c*c - 4*c*c*c - 27*d*d AS BIGINT) AS disc_formula, CAST((r1-r2)*(r1-r2) * (r1-r3)*(r1-r3) * (r2-r3)*(r2-r3) AS BIGINT) AS disc_roots FROM vt',
-        # Pisano: the cycle walk per modulus, period = max k
-        "pisano_periods": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 19 + 2 AS s), wk AS (SELECT m.m AS m, 1 AS k, 1 AS a, 1 % m.m AS b FROM generate_series(2, 20) m(m) UNION ALL SELECT m, k + 1, b, (a + b) % m FROM wk WHERE NOT (a = 0 AND b = 1) AND k < 200), pi AS (SELECT m, max(k) AS p FROM wk GROUP BY m) SELECT CAST(pi.m AS BIGINT) AS m, CAST(pi.p AS BIGINT) AS pisano, CAST(CASE WHEN pi.m = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected FROM pi, sel',
-        # Conway: the nested recurrence on a growing list (the
-        # 1-indexed reads a[x + 1] implement 0-indexed a[x])
-        "conway_sequence": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), st AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 999 + 1 AS s), rec AS (SELECT 2 AS n, [CAST(0 AS BIGINT), 1, 1] AS a UNION ALL SELECT n + 1, list_append(a, a[a[n + 1] + 1] + a[n + 1 - a[n + 1] + 1]) FROM rec WHERE n < 1024), fin AS (SELECT a FROM rec WHERE n = 1024) SELECT CAST(o.o AS BIGINT) AS off, CAST(st.s + o.o AS BIGINT) AS n, CAST(fin.a[st.s + o.o + 1] AS BIGINT) AS a_n, CAST(fin.a[st.s + o.o + 2] - fin.a[st.s + o.o + 1] AS BIGINT) AS delta FROM fin, st, generate_series(0, 23) o(o)',
-        # Golomb: generated pairwise-difference sweeps
-        "golomb_ruler": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 6 AS s), r4 AS (SELECT 4 AS ordr, 6 AS length, 0 AS m0, a.a AS m1, b.b AS m2, 6 AS m3, -1 AS m4 FROM generate_series(1, 5) a(a), generate_series(1, 5) b(b) WHERE a.a < b.b AND (a.a - 0) <> (b.b - 0) AND (a.a - 0) <> (6 - 0) AND (a.a - 0) <> (b.b - a.a) AND (a.a - 0) <> (6 - a.a) AND (a.a - 0) <> (6 - b.b) AND (b.b - 0) <> (6 - 0) AND (b.b - 0) <> (b.b - a.a) AND (b.b - 0) <> (6 - a.a) AND (b.b - 0) <> (6 - b.b) AND (6 - 0) <> (b.b - a.a) AND (6 - 0) <> (6 - a.a) AND (6 - 0) <> (6 - b.b) AND (b.b - a.a) <> (6 - a.a) AND (b.b - a.a) <> (6 - b.b) AND (6 - a.a) <> (6 - b.b)), r5 AS (SELECT 5 AS ordr, 11 AS length, 0 AS m0, a.a AS m1, b.b AS m2, c.c AS m3, 11 AS m4 FROM generate_series(1, 10) a(a), generate_series(1, 10) b(b), generate_series(1, 10) c(c) WHERE a.a < b.b AND b.b < c.c AND (a.a - 0) <> (b.b - 0) AND (a.a - 0) <> (c.c - 0) AND (a.a - 0) <> (11 - 0) AND (a.a - 0) <> (b.b - a.a) AND (a.a - 0) <> (c.c - a.a) AND (a.a - 0) <> (11 - a.a) AND (a.a - 0) <> (c.c - b.b) AND (a.a - 0) <> (11 - b.b) AND (a.a - 0) <> (11 - c.c) AND (b.b - 0) <> (c.c - 0) AND (b.b - 0) <> (11 - 0) AND (b.b - 0) <> (b.b - a.a) AND (b.b - 0) <> (c.c - a.a) AND (b.b - 0) <> (11 - a.a) AND (b.b - 0) <> (c.c - b.b) AND (b.b - 0) <> (11 - b.b) AND (b.b - 0) <> (11 - c.c) AND (c.c - 0) <> (11 - 0) AND (c.c - 0) <> (b.b - a.a) AND (c.c - 0) <> (c.c - a.a) AND (c.c - 0) <> (11 - a.a) AND (c.c - 0) <> (c.c - b.b) AND (c.c - 0) <> (11 - b.b) AND (c.c - 0) <> (11 - c.c) AND (11 - 0) <> (b.b - a.a) AND (11 - 0) <> (c.c - a.a) AND (11 - 0) <> (11 - a.a) AND (11 - 0) <> (c.c - b.b) AND (11 - 0) <> (11 - b.b) AND (11 - 0) <> (11 - c.c) AND (b.b - a.a) <> (c.c - a.a) AND (b.b - a.a) <> (11 - a.a) AND (b.b - a.a) <> (c.c - b.b) AND (b.b - a.a) <> (11 - b.b) AND (b.b - a.a) <> (11 - c.c) AND (c.c - a.a) <> (11 - a.a) AND (c.c - a.a) <> (c.c - b.b) AND (c.c - a.a) <> (11 - b.b) AND (c.c - a.a) <> (11 - c.c) AND (11 - a.a) <> (c.c - b.b) AND (11 - a.a) <> (11 - b.b) AND (11 - a.a) <> (11 - c.c) AND (c.c - b.b) <> (11 - b.b) AND (c.c - b.b) <> (11 - c.c) AND (11 - b.b) <> (11 - c.c)), un AS (SELECT * FROM r4 UNION ALL SELECT * FROM r5), rk AS (SELECT *, row_number() OVER (ORDER BY ordr, m0, m1, m2, m3, m4) - 1 AS idx FROM un) SELECT CAST(rk.idx AS BIGINT) AS idx, CAST(rk.ordr AS BIGINT) AS order_, CAST(rk.length AS BIGINT) AS length, CAST(rk.m0 AS BIGINT) AS m0, CAST(rk.m1 AS BIGINT) AS m1, CAST(rk.m2 AS BIGINT) AS m2, CAST(rk.m3 AS BIGINT) AS m3, CAST(rk.m4 AS BIGINT) AS m4, CAST(CASE WHEN rk.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected FROM rk, sel',
-        # Langford: generated position joins, counts + solutions
-        "langford_pairs": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT CASE coalesce((SELECT n FROM cen WHERE h = 0), 0) % 2 WHEN 0 THEN 3 ELSE 4 END AS sn), cnts AS (SELECT 1 AS n, (SELECT 0 AS c) AS c UNION ALL SELECT 2 AS n, (SELECT count(*) AS c FROM generate_series(0, 0) p2(p2), generate_series(0, 1) p1(p1) WHERE p2.p2 <> p1.p1 AND p2.p2 <> p1.p1 + 2 AND p2.p2 + 3 <> p1.p1 AND p2.p2 + 3 <> p1.p1 + 2) AS c UNION ALL SELECT 3 AS n, (SELECT count(*) AS c FROM generate_series(0, 1) p3(p3), generate_series(0, 2) p2(p2), generate_series(0, 3) p1(p1) WHERE p3.p3 <> p2.p2 AND p3.p3 <> p2.p2 + 3 AND p3.p3 + 4 <> p2.p2 AND p3.p3 + 4 <> p2.p2 + 3 AND p3.p3 <> p1.p1 AND p3.p3 <> p1.p1 + 2 AND p3.p3 + 4 <> p1.p1 AND p3.p3 + 4 <> p1.p1 + 2 AND p2.p2 <> p1.p1 AND p2.p2 <> p1.p1 + 2 AND p2.p2 + 3 <> p1.p1 AND p2.p2 + 3 <> p1.p1 + 2) AS c UNION ALL SELECT 4 AS n, (SELECT count(*) AS c FROM generate_series(0, 2) p4(p4), generate_series(0, 3) p3(p3), generate_series(0, 4) p2(p2), generate_series(0, 5) p1(p1) WHERE p4.p4 <> p3.p3 AND p4.p4 <> p3.p3 + 4 AND p4.p4 + 5 <> p3.p3 AND p4.p4 + 5 <> p3.p3 + 4 AND p4.p4 <> p2.p2 AND p4.p4 <> p2.p2 + 3 AND p4.p4 + 5 <> p2.p2 AND p4.p4 + 5 <> p2.p2 + 3 AND p4.p4 <> p1.p1 AND p4.p4 <> p1.p1 + 2 AND p4.p4 + 5 <> p1.p1 AND p4.p4 + 5 <> p1.p1 + 2 AND p3.p3 <> p2.p2 AND p3.p3 <> p2.p2 + 3 AND p3.p3 + 4 <> p2.p2 AND p3.p3 + 4 <> p2.p2 + 3 AND p3.p3 <> p1.p1 AND p3.p3 <> p1.p1 + 2 AND p3.p3 + 4 <> p1.p1 AND p3.p3 + 4 <> p1.p1 + 2 AND p2.p2 <> p1.p1 AND p2.p2 <> p1.p1 + 2 AND p2.p2 + 3 <> p1.p1 AND p2.p2 + 3 <> p1.p1 + 2) AS c UNION ALL SELECT 5 AS n, (SELECT count(*) AS c FROM generate_series(0, 3) p5(p5), generate_series(0, 4) p4(p4), generate_series(0, 5) p3(p3), generate_series(0, 6) p2(p2), generate_series(0, 7) p1(p1) WHERE p5.p5 <> p4.p4 AND p5.p5 <> p4.p4 + 5 AND p5.p5 + 6 <> p4.p4 AND p5.p5 + 6 <> p4.p4 + 5 AND p5.p5 <> p3.p3 AND p5.p5 <> p3.p3 + 4 AND p5.p5 + 6 <> p3.p3 AND p5.p5 + 6 <> p3.p3 + 4 AND p5.p5 <> p2.p2 AND p5.p5 <> p2.p2 + 3 AND p5.p5 + 6 <> p2.p2 AND p5.p5 + 6 <> p2.p2 + 3 AND p5.p5 <> p1.p1 AND p5.p5 <> p1.p1 + 2 AND p5.p5 + 6 <> p1.p1 AND p5.p5 + 6 <> p1.p1 + 2 AND p4.p4 <> p3.p3 AND p4.p4 <> p3.p3 + 4 AND p4.p4 + 5 <> p3.p3 AND p4.p4 + 5 <> p3.p3 + 4 AND p4.p4 <> p2.p2 AND p4.p4 <> p2.p2 + 3 AND p4.p4 + 5 <> p2.p2 AND p4.p4 + 5 <> p2.p2 + 3 AND p4.p4 <> p1.p1 AND p4.p4 <> p1.p1 + 2 AND p4.p4 + 5 <> p1.p1 AND p4.p4 + 5 <> p1.p1 + 2 AND p3.p3 <> p2.p2 AND p3.p3 <> p2.p2 + 3 AND p3.p3 + 4 <> p2.p2 AND p3.p3 + 4 <> p2.p2 + 3 AND p3.p3 <> p1.p1 AND p3.p3 <> p1.p1 + 2 AND p3.p3 + 4 <> p1.p1 AND p3.p3 + 4 <> p1.p1 + 2 AND p2.p2 <> p1.p1 AND p2.p2 <> p1.p1 + 2 AND p2.p2 + 3 <> p1.p1 AND p2.p2 + 3 <> p1.p1 + 2) AS c), s3 AS (SELECT (CASE WHEN p3.p3 = 0 OR p3.p3 + 4 = 0 THEN 3 WHEN p2.p2 = 0 OR p2.p2 + 3 = 0 THEN 2 WHEN p1.p1 = 0 OR p1.p1 + 2 = 0 THEN 1 ELSE 0 END) * 100000 + (CASE WHEN p3.p3 = 1 OR p3.p3 + 4 = 1 THEN 3 WHEN p2.p2 = 1 OR p2.p2 + 3 = 1 THEN 2 WHEN p1.p1 = 1 OR p1.p1 + 2 = 1 THEN 1 ELSE 0 END) * 10000 + (CASE WHEN p3.p3 = 2 OR p3.p3 + 4 = 2 THEN 3 WHEN p2.p2 = 2 OR p2.p2 + 3 = 2 THEN 2 WHEN p1.p1 = 2 OR p1.p1 + 2 = 2 THEN 1 ELSE 0 END) * 1000 + (CASE WHEN p3.p3 = 3 OR p3.p3 + 4 = 3 THEN 3 WHEN p2.p2 = 3 OR p2.p2 + 3 = 3 THEN 2 WHEN p1.p1 = 3 OR p1.p1 + 2 = 3 THEN 1 ELSE 0 END) * 100 + (CASE WHEN p3.p3 = 4 OR p3.p3 + 4 = 4 THEN 3 WHEN p2.p2 = 4 OR p2.p2 + 3 = 4 THEN 2 WHEN p1.p1 = 4 OR p1.p1 + 2 = 4 THEN 1 ELSE 0 END) * 10 + (CASE WHEN p3.p3 = 5 OR p3.p3 + 4 = 5 THEN 3 WHEN p2.p2 = 5 OR p2.p2 + 3 = 5 THEN 2 WHEN p1.p1 = 5 OR p1.p1 + 2 = 5 THEN 1 ELSE 0 END) * 1 AS digits FROM generate_series(0, 1) p3(p3), generate_series(0, 2) p2(p2), generate_series(0, 3) p1(p1) WHERE p3.p3 <> p2.p2 AND p3.p3 <> p2.p2 + 3 AND p3.p3 + 4 <> p2.p2 AND p3.p3 + 4 <> p2.p2 + 3 AND p3.p3 <> p1.p1 AND p3.p3 <> p1.p1 + 2 AND p3.p3 + 4 <> p1.p1 AND p3.p3 + 4 <> p1.p1 + 2 AND p2.p2 <> p1.p1 AND p2.p2 <> p1.p1 + 2 AND p2.p2 + 3 <> p1.p1 AND p2.p2 + 3 <> p1.p1 + 2), s4 AS (SELECT (CASE WHEN p4.p4 = 0 OR p4.p4 + 5 = 0 THEN 4 WHEN p3.p3 = 0 OR p3.p3 + 4 = 0 THEN 3 WHEN p2.p2 = 0 OR p2.p2 + 3 = 0 THEN 2 WHEN p1.p1 = 0 OR p1.p1 + 2 = 0 THEN 1 ELSE 0 END) * 10000000 + (CASE WHEN p4.p4 = 1 OR p4.p4 + 5 = 1 THEN 4 WHEN p3.p3 = 1 OR p3.p3 + 4 = 1 THEN 3 WHEN p2.p2 = 1 OR p2.p2 + 3 = 1 THEN 2 WHEN p1.p1 = 1 OR p1.p1 + 2 = 1 THEN 1 ELSE 0 END) * 1000000 + (CASE WHEN p4.p4 = 2 OR p4.p4 + 5 = 2 THEN 4 WHEN p3.p3 = 2 OR p3.p3 + 4 = 2 THEN 3 WHEN p2.p2 = 2 OR p2.p2 + 3 = 2 THEN 2 WHEN p1.p1 = 2 OR p1.p1 + 2 = 2 THEN 1 ELSE 0 END) * 100000 + (CASE WHEN p4.p4 = 3 OR p4.p4 + 5 = 3 THEN 4 WHEN p3.p3 = 3 OR p3.p3 + 4 = 3 THEN 3 WHEN p2.p2 = 3 OR p2.p2 + 3 = 3 THEN 2 WHEN p1.p1 = 3 OR p1.p1 + 2 = 3 THEN 1 ELSE 0 END) * 10000 + (CASE WHEN p4.p4 = 4 OR p4.p4 + 5 = 4 THEN 4 WHEN p3.p3 = 4 OR p3.p3 + 4 = 4 THEN 3 WHEN p2.p2 = 4 OR p2.p2 + 3 = 4 THEN 2 WHEN p1.p1 = 4 OR p1.p1 + 2 = 4 THEN 1 ELSE 0 END) * 1000 + (CASE WHEN p4.p4 = 5 OR p4.p4 + 5 = 5 THEN 4 WHEN p3.p3 = 5 OR p3.p3 + 4 = 5 THEN 3 WHEN p2.p2 = 5 OR p2.p2 + 3 = 5 THEN 2 WHEN p1.p1 = 5 OR p1.p1 + 2 = 5 THEN 1 ELSE 0 END) * 100 + (CASE WHEN p4.p4 = 6 OR p4.p4 + 5 = 6 THEN 4 WHEN p3.p3 = 6 OR p3.p3 + 4 = 6 THEN 3 WHEN p2.p2 = 6 OR p2.p2 + 3 = 6 THEN 2 WHEN p1.p1 = 6 OR p1.p1 + 2 = 6 THEN 1 ELSE 0 END) * 10 + (CASE WHEN p4.p4 = 7 OR p4.p4 + 5 = 7 THEN 4 WHEN p3.p3 = 7 OR p3.p3 + 4 = 7 THEN 3 WHEN p2.p2 = 7 OR p2.p2 + 3 = 7 THEN 2 WHEN p1.p1 = 7 OR p1.p1 + 2 = 7 THEN 1 ELSE 0 END) * 1 AS digits FROM generate_series(0, 2) p4(p4), generate_series(0, 3) p3(p3), generate_series(0, 4) p2(p2), generate_series(0, 5) p1(p1) WHERE p4.p4 <> p3.p3 AND p4.p4 <> p3.p3 + 4 AND p4.p4 + 5 <> p3.p3 AND p4.p4 + 5 <> p3.p3 + 4 AND p4.p4 <> p2.p2 AND p4.p4 <> p2.p2 + 3 AND p4.p4 + 5 <> p2.p2 AND p4.p4 + 5 <> p2.p2 + 3 AND p4.p4 <> p1.p1 AND p4.p4 <> p1.p1 + 2 AND p4.p4 + 5 <> p1.p1 AND p4.p4 + 5 <> p1.p1 + 2 AND p3.p3 <> p2.p2 AND p3.p3 <> p2.p2 + 3 AND p3.p3 + 4 <> p2.p2 AND p3.p3 + 4 <> p2.p2 + 3 AND p3.p3 <> p1.p1 AND p3.p3 <> p1.p1 + 2 AND p3.p3 + 4 <> p1.p1 AND p3.p3 + 4 <> p1.p1 + 2 AND p2.p2 <> p1.p1 AND p2.p2 <> p1.p1 + 2 AND p2.p2 + 3 <> p1.p1 AND p2.p2 + 3 <> p1.p1 + 2), sols AS (SELECT 3 AS n, digits FROM s3 UNION ALL SELECT 4, digits FROM s4), ssel AS (SELECT sols.n, sols.digits, row_number() OVER (PARTITION BY sols.n ORDER BY sols.digits) - 1 AS si FROM sols) SELECT CAST(cnts.n AS BIGINT) AS n, CAST(cnts.c AS BIGINT) AS n_solutions, CAST(CASE WHEN cnts.n = sel.sn THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST(-1 AS BIGINT) AS sol_idx, CAST(0 AS BIGINT) AS sol_digits FROM cnts, sel UNION ALL SELECT CAST(ssel.n AS BIGINT), CAST((SELECT c FROM cnts WHERE cnts.n = ssel.n) AS BIGINT), CAST(1 AS BIGINT), CAST(ssel.si AS BIGINT), CAST(ssel.digits AS BIGINT) FROM ssel, sel WHERE ssel.n = sel.sn',
-        # Jugs: the gcd characterization
-        "water_jugs": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), ab AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 12 + 1 AS a, coalesce((SELECT n FROM cen WHERE h = 1), 0) % 12 + 1 AS b), gg AS (SELECT a, b, gcd(a, b) AS g FROM ab), am AS (SELECT k.k AS amount FROM gg, generate_series(0, 12) k(k) WHERE k.k <= greatest(gg.a, gg.b) AND k.k % gg.g = 0) SELECT CAST(row_number() OVER (ORDER BY amount) - 1 AS BIGINT) AS idx, CAST(am.amount AS BIGINT) AS amount, CAST(gg.a AS BIGINT) AS a, CAST(gg.b AS BIGINT) AS b, CAST(gg.g AS BIGINT) AS g, CAST((SELECT count(*) FROM am) AS BIGINT) AS n_amounts FROM am, gg',
-        # Friendship: both sweeps with generated common-friend
-        # counting; hub by generated degree CASE
-        "friendship_graphs": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 15 AS s), w5 AS (SELECT m.m AS m FROM generate_series(0, 1023) m(m) WHERE NOT (((CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 4) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 2) & 1 = 1 AND (m.m >> 5) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 3) & 1 = 1 AND (m.m >> 6) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 4) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 2) & 1 = 1 AND (m.m >> 7) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 3) & 1 = 1 AND (m.m >> 8) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 5) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 7) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 3) & 1 = 1 AND (m.m >> 9) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 6) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 8) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 2) & 1 = 1 AND (m.m >> 9) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 1) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 5) & 1 = 1 AND (m.m >> 7) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 6) & 1 = 1 AND (m.m >> 8) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 2) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 4) & 1 = 1 AND (m.m >> 7) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 6) & 1 = 1 AND (m.m >> 9) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 3) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 4) & 1 = 1 AND (m.m >> 8) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 5) & 1 = 1 AND (m.m >> 9) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 2) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 4) & 1 = 1 AND (m.m >> 5) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 8) & 1 = 1 AND (m.m >> 9) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 3) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 4) & 1 = 1 AND (m.m >> 6) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 7) & 1 = 1 AND (m.m >> 9) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 2) & 1 = 1 AND (m.m >> 3) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 5) & 1 = 1 AND (m.m >> 6) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 7) & 1 = 1 AND (m.m >> 8) & 1 = 1 THEN 1 ELSE 0 END)) <> 1)), n6 AS (SELECT count(*) AS c FROM generate_series(0, 32767) m(m) WHERE NOT (((CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 5) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 2) & 1 = 1 AND (m.m >> 6) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 3) & 1 = 1 AND (m.m >> 7) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 4) & 1 = 1 AND (m.m >> 8) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 5) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 2) & 1 = 1 AND (m.m >> 9) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 3) & 1 = 1 AND (m.m >> 10) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 4) & 1 = 1 AND (m.m >> 11) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 6) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 9) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 3) & 1 = 1 AND (m.m >> 12) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 4) & 1 = 1 AND (m.m >> 13) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 7) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 10) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 2) & 1 = 1 AND (m.m >> 12) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 4) & 1 = 1 AND (m.m >> 14) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 8) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 11) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 2) & 1 = 1 AND (m.m >> 13) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 3) & 1 = 1 AND (m.m >> 14) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 1) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 6) & 1 = 1 AND (m.m >> 9) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 7) & 1 = 1 AND (m.m >> 10) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 8) & 1 = 1 AND (m.m >> 11) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 2) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 5) & 1 = 1 AND (m.m >> 9) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 7) & 1 = 1 AND (m.m >> 12) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 8) & 1 = 1 AND (m.m >> 13) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 3) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 5) & 1 = 1 AND (m.m >> 10) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 6) & 1 = 1 AND (m.m >> 12) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 8) & 1 = 1 AND (m.m >> 14) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 0) & 1 = 1 AND (m.m >> 4) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 5) & 1 = 1 AND (m.m >> 11) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 6) & 1 = 1 AND (m.m >> 13) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 7) & 1 = 1 AND (m.m >> 14) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 2) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 5) & 1 = 1 AND (m.m >> 6) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 10) & 1 = 1 AND (m.m >> 12) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 11) & 1 = 1 AND (m.m >> 13) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 3) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 5) & 1 = 1 AND (m.m >> 7) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 9) & 1 = 1 AND (m.m >> 12) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 11) & 1 = 1 AND (m.m >> 14) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 1) & 1 = 1 AND (m.m >> 4) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 5) & 1 = 1 AND (m.m >> 8) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 9) & 1 = 1 AND (m.m >> 13) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 10) & 1 = 1 AND (m.m >> 14) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 2) & 1 = 1 AND (m.m >> 3) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 6) & 1 = 1 AND (m.m >> 7) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 9) & 1 = 1 AND (m.m >> 10) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 13) & 1 = 1 AND (m.m >> 14) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 2) & 1 = 1 AND (m.m >> 4) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 6) & 1 = 1 AND (m.m >> 8) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 9) & 1 = 1 AND (m.m >> 11) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 12) & 1 = 1 AND (m.m >> 14) & 1 = 1 THEN 1 ELSE 0 END)) <> 1 OR ((CASE WHEN (m.m >> 3) & 1 = 1 AND (m.m >> 4) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 7) & 1 = 1 AND (m.m >> 8) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 10) & 1 = 1 AND (m.m >> 11) & 1 = 1 THEN 1 ELSE 0 END) + (CASE WHEN (m.m >> 12) & 1 = 1 AND (m.m >> 13) & 1 = 1 THEN 1 ELSE 0 END)) <> 1)), rk AS (SELECT w.m, row_number() OVER (ORDER BY w.m) - 1 AS idx, CASE WHEN (((w.m >> 0) & 1) + ((w.m >> 1) & 1) + ((w.m >> 2) & 1) + ((w.m >> 3) & 1)) = 4 THEN 0 WHEN (((w.m >> 0) & 1) + ((w.m >> 4) & 1) + ((w.m >> 5) & 1) + ((w.m >> 6) & 1)) = 4 THEN 1 WHEN (((w.m >> 1) & 1) + ((w.m >> 4) & 1) + ((w.m >> 7) & 1) + ((w.m >> 8) & 1)) = 4 THEN 2 WHEN (((w.m >> 2) & 1) + ((w.m >> 5) & 1) + ((w.m >> 7) & 1) + ((w.m >> 9) & 1)) = 4 THEN 3 WHEN (((w.m >> 3) & 1) + ((w.m >> 6) & 1) + ((w.m >> 8) & 1) + ((w.m >> 9) & 1)) = 4 THEN 4 ELSE -1 END AS hub FROM w5 w) SELECT CAST(rk.idx AS BIGINT) AS idx, CAST(rk.m AS BIGINT) AS edge_mask, CAST(rk.hub AS BIGINT) AS hub, CAST(CASE WHEN rk.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST((SELECT count(*) FROM w5) AS BIGINT) AS n_order5, CAST(n6.c AS BIGINT) AS n_order6 FROM rk, sel, n6',
-        # Heronian: sweep + integer square/4-divisibility test
-        "heronian_triangles": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), tr AS (SELECT a.a AS a, b.b AS b, c.c AS c, CAST(floor(sqrt((a.a + b.b + c.c) * (-a.a + b.b + c.c) * (a.a - b.b + c.c) * (a.a + b.b - c.c))) AS BIGINT) AS r, (a.a + b.b + c.c) * (-a.a + b.b + c.c) * (a.a - b.b + c.c) * (a.a + b.b - c.c) AS q FROM generate_series(1, 49) a(a), generate_series(1, 49) b(b), generate_series(1, 49) c(c) WHERE a.a <= b.b AND b.b <= c.c AND c.c < a.a + b.b AND a.a + b.b + c.c <= 50), hh AS (SELECT a, b, c, r // 4 AS area FROM tr WHERE r * r = q AND r % 4 = 0 AND r > 0), rk AS (SELECT *, row_number() OVER (ORDER BY a, b, c) - 1 AS idx FROM hh), cnt AS (SELECT count(*) AS nt FROM hh), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % (SELECT nt FROM cnt) AS s) SELECT CAST(rk.idx AS BIGINT) AS idx, CAST(rk.a AS BIGINT) AS a, CAST(rk.b AS BIGINT) AS b, CAST(rk.c AS BIGINT) AS c, CAST(rk.area AS BIGINT) AS area, CAST(CASE WHEN rk.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST(cnt.nt AS BIGINT) AS n_heronian FROM rk, sel, cnt',
-        # Perrin: the mod-n recurrence per instance
-        "perrin_test": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM cen WHERE h = g.i), 0) % 199 + 2 AS n FROM generate_series(0, 23) g(i)), rec AS (SELECT inst, n, 0 AS step, CAST(3 % n AS BIGINT) AS a, CAST(0 AS BIGINT) AS b, CAST(2 % n AS BIGINT) AS c FROM sd UNION ALL SELECT inst, n, step + 1, b, c, (a + b) % n FROM rec WHERE step < n) SELECT CAST(rec.inst AS BIGINT) AS inst, CAST(rec.n AS BIGINT) AS n, CAST(rec.a AS BIGINT) AS perrin_mod_n, CAST(CASE WHEN len(list_filter(generate_series(2, 14), f -> f * f <= rec.n AND rec.n % f = 0)) = 0 THEN 1 ELSE 0 END AS BIGINT) AS is_prime, CAST(CASE WHEN rec.a = 0 THEN 1 ELSE 0 END AS BIGINT) AS passes FROM rec WHERE rec.step = rec.n',
-        # Catalan/Mihailescu: bounded power enumeration + lead
-        "catalan_mihailescu": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), pw AS (SELECT DISTINCT CAST(round(pow(a.a, b.b)) AS BIGINT) AS v FROM generate_series(2, 1000) a(a), generate_series(2, 20) b(b) WHERE pow(a.a, b.b) <= 1000000), sq AS (SELECT v, lead(v) OVER (ORDER BY v) AS nv, row_number() OVER (ORDER BY v) - 1 AS r FROM pw), cnt AS (SELECT count(*) AS np FROM pw), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % ((SELECT np FROM cnt) - 25) AS s) SELECT CAST(sq.r - sel.s AS BIGINT) AS off, CAST(sq.v AS BIGINT) AS power, CAST(sq.nv AS BIGINT) AS next_power, CAST(sq.nv - sq.v AS BIGINT) AS gap, CAST(CASE WHEN sq.nv - sq.v = 1 THEN 1 ELSE 0 END AS BIGINT) AS is_catalan_pair FROM sq, sel WHERE sq.r >= sel.s AND sq.r < sel.s + 24',
-        # Sylvester: recurrence + closed-form partial sums
-        "sylvester_sequence": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 6 AS s), rec AS (SELECT 0 AS n, CAST(2 AS BIGINT) AS term UNION ALL SELECT n + 1, term * term - term + 1 FROM rec WHERE n < 5) SELECT CAST(rec.n AS BIGINT) AS n, CAST(rec.term AS BIGINT) AS term, CAST(rec.term * rec.term - rec.term + 1 - 2 AS BIGINT) AS psum_num, CAST(rec.term * rec.term - rec.term + 1 - 1 AS BIGINT) AS psum_den, CAST(CASE WHEN rec.n = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected FROM rec, sel',
-        # Kolakoski: the pointer construction on a growing list
-        "kolakoski": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), st AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 176 AS s), rec AS (SELECT 2 AS k, [CAST(1 AS BIGINT), 2, 2] AS q UNION ALL SELECT k + 1, list_concat(q, CASE WHEN q[k + 1] = 2 THEN [3 - q[len(q)], 3 - q[len(q)]] ELSE [3 - q[len(q)]] END) FROM rec WHERE len(q) < 230), fin AS (SELECT q FROM rec ORDER BY k DESC LIMIT 1) SELECT CAST(o.o AS BIGINT) AS off, CAST(st.s + o.o AS BIGINT) AS n, CAST(fin.q[st.s + o.o + 1] AS BIGINT) AS value FROM fin, st, generate_series(0, 23) o(o)',
-        # Ducci: trajectory + the full 65536-start sweep
-        "ducci": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), t0 AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 100 AS a, coalesce((SELECT n FROM cen WHERE h = 1), 0) % 100 AS b, coalesce((SELECT n FROM cen WHERE h = 2), 0) % 100 AS c, coalesce((SELECT n FROM cen WHERE h = 3), 0) % 100 AS d), tr AS (SELECT 0 AS step, CAST(a AS BIGINT) AS a, CAST(b AS BIGINT) AS b, CAST(c AS BIGINT) AS c, CAST(d AS BIGINT) AS d FROM t0 UNION ALL SELECT step + 1, abs(a - b), abs(b - c), abs(c - d), abs(d - a) FROM tr WHERE NOT (a = 0 AND b = 0 AND c = 0 AND d = 0) AND step < 40), sw AS (SELECT m.m AS m, 0 AS step, CAST(m.m & 15 AS BIGINT) AS a, CAST((m.m >> 4) & 15 AS BIGINT) AS b, CAST((m.m >> 8) & 15 AS BIGINT) AS c, CAST((m.m >> 12) & 15 AS BIGINT) AS d FROM generate_series(0, 65535) m(m) UNION ALL SELECT m, step + 1, abs(a - b), abs(b - c), abs(c - d), abs(d - a) FROM sw WHERE NOT (a = 0 AND b = 0 AND c = 0 AND d = 0) AND step < 30), mx AS (SELECT max(step) AS ms FROM sw WHERE a = 0 AND b = 0 AND c = 0 AND d = 0) SELECT CAST(tr.step AS BIGINT) AS step, CAST(tr.a AS BIGINT) AS a, CAST(tr.b AS BIGINT) AS b, CAST(tr.c AS BIGINT) AS c, CAST(tr.d AS BIGINT) AS d, CAST(mx.ms AS BIGINT) AS max_steps_sub16 FROM tr, mx',
-        # Negabinary: the digit recursion (exact division)
-        "negabinary": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sd AS (SELECT 2 * g.i + CASE WHEN sg.s = 1 THEN 0 ELSE 1 END AS inst, sg.s * (coalesce((SELECT n FROM cen WHERE h = g.i), 0) % 200 + 1) AS n FROM generate_series(0, 5) g(i), (VALUES (1), (-1)) sg(s)), rec AS (SELECT inst, n, -1 AS pos, CAST(n AS BIGINT) AS rem, CAST(0 AS BIGINT) AS digit FROM sd UNION ALL SELECT inst, n, pos + 1, (rem - ((rem % 2 + 2) % 2)) // -2, (rem % 2 + 2) % 2 FROM rec WHERE rem <> 0), dg AS (SELECT inst, n, pos, digit FROM rec WHERE pos >= 0), nd AS (SELECT inst, count(*) AS c FROM dg GROUP BY inst) SELECT CAST(dg.inst AS BIGINT) AS inst, CAST(dg.n AS BIGINT) AS n, CAST(dg.pos AS BIGINT) AS pos, CAST(dg.digit AS BIGINT) AS digit, CAST(nd.c AS BIGINT) AS n_digits FROM dg JOIN nd ON nd.inst = dg.inst',
-        # Balanced ternary: the 2 -> -1 corrected recursion
-        "balanced_ternary": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sd AS (SELECT 2 * g.i + CASE WHEN sg.s = 1 THEN 0 ELSE 1 END AS inst, sg.s * (coalesce((SELECT n FROM cen WHERE h = g.i), 0) % 300 + 1) AS n FROM generate_series(0, 5) g(i), (VALUES (1), (-1)) sg(s)), rec AS (SELECT inst, n, -1 AS pos, CAST(n AS BIGINT) AS rem, CAST(0 AS BIGINT) AS digit FROM sd UNION ALL SELECT inst, n, pos + 1, (rem - (CASE WHEN (rem % 3 + 3) % 3 = 2 THEN -1 ELSE (rem % 3 + 3) % 3 END)) // 3, CASE WHEN (rem % 3 + 3) % 3 = 2 THEN -1 ELSE (rem % 3 + 3) % 3 END FROM rec WHERE rem <> 0), dg AS (SELECT inst, n, pos, digit FROM rec WHERE pos >= 0), nd AS (SELECT inst, count(*) AS c FROM dg GROUP BY inst) SELECT CAST(dg.inst AS BIGINT) AS inst, CAST(dg.n AS BIGINT) AS n, CAST(dg.pos AS BIGINT) AS pos, CAST(dg.digit AS BIGINT) AS digit, CAST(nd.c AS BIGINT) AS n_digits FROM dg JOIN nd ON nd.inst = dg.inst',
-        # Happy: trajectory recursion + cycle membership
-        "happy_numbers": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM cen WHERE h = g.i), 0) % 1000 + 1 AS n0 FROM generate_series(0, 7) g(i)), tr AS (SELECT inst, 0 AS step, CAST(n0 AS BIGINT) AS v FROM sd UNION ALL SELECT inst, step + 1, (v // 1000 % 10) * (v // 1000 % 10) + (v // 100 % 10) * (v // 100 % 10) + (v // 10 % 10) * (v // 10 % 10) + (v % 10) * (v % 10) FROM (SELECT inst, step, v FROM tr WHERE v <> 1 AND v NOT IN (4, 16, 37, 58, 89, 145, 42, 20) AND step < 50)), fin AS (SELECT inst, CASE WHEN max(CASE WHEN v = 1 THEN 1 ELSE 0 END) = 1 THEN 1 ELSE 0 END AS happy FROM tr GROUP BY inst) SELECT CAST(tr.inst AS BIGINT) AS inst, CAST(tr.step AS BIGINT) AS step, CAST(tr.v AS BIGINT) AS value, CAST(fin.happy AS BIGINT) AS is_happy FROM tr JOIN fin ON fin.inst = tr.inst',
-        # Armstrong: the digit-power sweep via substr digits
-        "armstrong_numbers": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), aw AS (SELECT n.n AS n, len(CAST(n.n AS VARCHAR)) AS k FROM generate_series(1, 99999) n(n) WHERE (SELECT CAST(sum(round(pow(CAST(substr(CAST(n.n AS VARCHAR), d.d, 1) AS BIGINT), len(CAST(n.n AS VARCHAR))))) AS BIGINT) FROM generate_series(1, 5) d(d) WHERE d.d <= len(CAST(n.n AS VARCHAR))) = n.n), cnt AS (SELECT count(*) AS na FROM aw), rk AS (SELECT n, k, row_number() OVER (ORDER BY n) - 1 AS idx FROM aw), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % (SELECT na FROM cnt) AS s) SELECT CAST(rk.idx AS BIGINT) AS idx, CAST(rk.n AS BIGINT) AS n, CAST(rk.k AS BIGINT) AS k, CAST(CASE WHEN rk.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST(cnt.na AS BIGINT) AS n_armstrong FROM rk, sel, cnt',
-        # Square-triangular: the Pell recurrence + isqrt indices
-        "square_triangular": 'WITH RECURSIVE cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 7 AS s), rec AS (SELECT 0 AS idx, CAST(0 AS BIGINT) AS n, CAST(1 AS BIGINT) AS nxt UNION ALL SELECT idx + 1, nxt, 34 * nxt - n + 2 FROM rec WHERE nxt <= 1000000000) SELECT CAST(rec.idx AS BIGINT) AS idx, CAST(rec.n AS BIGINT) AS n, CAST(floor(sqrt(rec.n)) AS BIGINT) AS sqrt_n, CAST((CAST(floor(sqrt(8 * rec.n + 1)) AS BIGINT) - 1) // 2 AS BIGINT) AS tri_index, CAST(CASE WHEN rec.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected FROM rec, sel',
-        # Amicable: the sigma join sweep + 2-cycle pair filter
-        "amicable_pairs": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 5 AS s), sg AS (SELECT d.d * j.j AS m, sum(d.d) AS sigma FROM generate_series(1, 20000) d(d), generate_series(1, 20000) j(j) WHERE d.d * j.j <= 20000 GROUP BY d.d * j.j), al AS (SELECT m AS n, sigma - m AS s FROM sg), pr AS (SELECT a.n AS a, a.s AS b FROM al a JOIN al b ON b.n = a.s WHERE a.n < a.s AND a.s <= 10000 AND b.s = a.n AND a.n >= 2), rk AS (SELECT *, row_number() OVER (ORDER BY a) - 1 AS idx FROM pr), cnt AS (SELECT count(*) AS np FROM pr) SELECT CAST(rk.idx AS BIGINT) AS idx, CAST(rk.a AS BIGINT) AS a, CAST(rk.b AS BIGINT) AS b, CAST(rk.b AS BIGINT) AS s_a, CAST(rk.a AS BIGINT) AS s_b, CAST(CASE WHEN rk.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST(cnt.np AS BIGINT) AS n_pairs FROM rk, sel, cnt',
-        # Vampire: fang join + sorted-digit multiset equality
-        "vampire_numbers": "WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 7 AS s), fp AS (SELECT a.a AS a, b.b AS b, a.a * b.b AS n FROM generate_series(10, 99) a(a), generate_series(10, 99) b(b) WHERE a.a <= b.b AND a.a * b.b BETWEEN 1000 AND 9999 AND NOT (a.a % 10 = 0 AND b.b % 10 = 0) AND list_sort(string_split(CAST(a.a AS VARCHAR) || CAST(b.b AS VARCHAR), '')) = list_sort(string_split(CAST(a.a * b.b AS VARCHAR), ''))), mf AS (SELECT * FROM (SELECT n, a, b, row_number() OVER (PARTITION BY n ORDER BY a, b) AS rn FROM fp) WHERE rn = 1), rk AS (SELECT n, a, b, row_number() OVER (ORDER BY n) - 1 AS idx FROM mf), cnt AS (SELECT count(*) AS nv FROM mf) SELECT CAST(rk.idx AS BIGINT) AS idx, CAST(rk.n AS BIGINT) AS n, CAST(rk.a AS BIGINT) AS fang1, CAST(rk.b AS BIGINT) AS fang2, CAST(CASE WHEN rk.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST(cnt.nv AS BIGINT) AS n_vampires FROM rk, sel, cnt",
-        # Kaprekar numbers: the split sweep, minimal cut
-        "kaprekar_numbers": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % 8 AS s), sp AS (SELECT n.n AS n, n.n * n.n AS sq, c.c AS cut, (n.n * n.n) // CAST(round(pow(10, c.c)) AS BIGINT) AS lft, (n.n * n.n) % CAST(round(pow(10, c.c)) AS BIGINT) AS rgt FROM generate_series(1, 1000) n(n), generate_series(1, 7) c(c) WHERE c.c <= len(CAST(n.n * n.n AS VARCHAR))), ok AS (SELECT * FROM (SELECT n, sq, cut, lft, rgt, row_number() OVER (PARTITION BY n ORDER BY cut) AS rn FROM sp WHERE rgt > 0 AND lft + rgt = n) WHERE rn = 1), rk AS (SELECT *, row_number() OVER (ORDER BY n) - 1 AS idx FROM ok), cnt AS (SELECT count(*) AS nk FROM ok) SELECT CAST(rk.idx AS BIGINT) AS idx, CAST(rk.n AS BIGINT) AS n, CAST(rk.sq AS BIGINT) AS square, CAST(rk.lft AS BIGINT) AS left, CAST(rk.rgt AS BIGINT) AS right, CAST(CASE WHEN rk.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST(cnt.nk AS BIGINT) AS n_kaprekar FROM rk, sel, cnt',
-        # Automorphic: the modulus sweep + width arithmetic
-        "automorphic_numbers": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), aw AS (SELECT n.n AS n, len(CAST(n.n AS VARCHAR)) AS k FROM generate_series(1, 99999) n(n) WHERE (n.n * n.n) % CAST(round(pow(10, len(CAST(n.n AS VARCHAR)))) AS BIGINT) = n.n), cnt AS (SELECT count(*) AS na FROM aw), rk AS (SELECT n, k, row_number() OVER (ORDER BY n) - 1 AS idx FROM aw), sel AS (SELECT coalesce((SELECT n FROM cen WHERE h = 0), 0) % (SELECT na FROM cnt) AS s) SELECT CAST(rk.idx AS BIGINT) AS idx, CAST(rk.n AS BIGINT) AS n, CAST(rk.k AS BIGINT) AS k, CAST((rk.n * rk.n) % CAST(round(pow(10, rk.k)) AS BIGINT) AS BIGINT) AS square_tail, CAST(CASE WHEN rk.idx = sel.s THEN 1 ELSE 0 END AS BIGINT) AS selected, CAST(cnt.na AS BIGINT) AS n_automorphic FROM rk, sel, cnt',
-        # Harshad: classification + gaps-and-islands run census
-        "harshad_numbers": 'WITH cen AS (SELECT epoch_us(ts) // 3600000000 % 24 AS h, count(*) AS n FROM events GROUP BY 1), hs AS (SELECT g.v AS v, (g.v // 100000 % 10) + (g.v // 10000 % 10) + (g.v // 1000 % 10) + (g.v // 100 % 10) + (g.v // 10 % 10) + (g.v % 10) AS ds FROM generate_series(1, 1000) g(v)), hh AS (SELECT v, ds, CASE WHEN v % ds = 0 THEN 1 ELSE 0 END AS ih FROM hs), isl AS (SELECT v, ih, v - row_number() OVER (ORDER BY v) AS grp FROM hh WHERE ih = 1), runs AS (SELECT min(v) AS start, count(*) AS ln FROM isl GROUP BY grp), best AS (SELECT start, ln FROM runs ORDER BY ln DESC, start LIMIT 1), sd AS (SELECT g.i AS inst, coalesce((SELECT n FROM cen WHERE h = g.i), 0) % 1000 + 1 AS n FROM generate_series(0, 23) g(i)) SELECT CAST(sd.inst AS BIGINT) AS inst, CAST(sd.n AS BIGINT) AS n, CAST(hh.ds AS BIGINT) AS digit_sum, CAST(hh.ih AS BIGINT) AS is_harshad, CAST(best.ln AS BIGINT) AS max_run, CAST(best.start AS BIGINT) AS max_run_start FROM sd JOIN hh ON hh.v = sd.n, best',
     }
 
 

@@ -1595,20 +1595,4 @@ def classification_prf_int(ds, *, true_col: str, pred_col: str):
     return pa.Table.from_pandas(out, preserve_index=False) \
                    .replace_schema_metadata(None)
 
-# every name importable by its historical path: the analytics/math kernels
-# split into stages/analytics_extras_01..04 (VERDICT r2 #5) chain-import
-# each other, and this module resolves their names LAZILY (PEP 562) so
-# `from documentai_ray.stages.aggregates import X` keeps working for core
-# and moved kernels alike without an import cycle (the extras chain star-
-# imports backwards through this module's core prefix).
-_CORE_ALL = ['_median2_weighted', 'classification_prf_int', 'cohens_kappa_int', 'crosstable_percentile_int', 'gini_concentration_int', 'gini_gain_int', 'global_row_index', 'grouped_count_distinct', 'grouped_cume_dist', 'grouped_dense_rank', 'grouped_diversity', 'grouped_linreg', 'grouped_median_int', 'grouped_mode', 'grouped_ntile', 'grouped_percent_rank', 'grouped_quantile_int', 'grouped_quantile_sketch', 'grouped_topk', 'grouped_weighted_median_int', 'hdr_bucket', 'hdr_bucket_upper', 'ivm_delta_counts', 'key_size_histogram', 'ks_statistic_int', 'mad_outliers', 'pareto_frontier', 'profile_columns', 'quantile_normalize_int', 'rank_auc_int', 'target_encode_int', 'tvd_drift_int', 'winsorize_grouped', 'zorder_key']
-_EXTRA_ALL = ['AMICABLE_MAX', 'BATCHER8', 'BERNOULLI', 'BH_CRITS_M5', 'BIRKHOFF_PERMS', 'CATALAN_PMAX', 'CF_N', 'CHI2_CRIT_MICRO', 'CLASS_DISCS', 'COLLATZ_CAP', 'CONWAY_N', 'CPM_EDGES', 'CUBE_ROTS', 'DELANNOY_N', 'DFA_N_STATES', 'EULERIAN_NMAX', 'FOUR_SQ_NMAX', 'GAUSS_MAX_STEPS', 'GILBREATH_ROWS', 'GOLDBACH_MAX', 'GRAY_BITS', 'HAPPY_CYCLE', 'HERON_PMAX', 'HOOK_N', 'HOOK_PARTITIONS', 'ISING_N', 'JUG_MAX', 'K4_EDGES', 'K4_PAIRINGS', 'KOLAKOSKI_N', 'LSYS_STEPS', 'LUCKY_MAX', 'MR_BASES', 'NIM_MAX_HEAP', 'PALEY_Q', 'PALEY_QR', 'PARTITION_NMAX', 'PELL_YMAX', 'PERFECT_MAX', 'PERRIN_MAX', 'PISANO_MMAX', 'POLYA_DRAWS', 'PP_BOXES', 'PRUFER_N', 'PYTH_CMAX', 'RAMSEY_EDGES', 'RAMSEY_EIDX', 'RAMSEY_TRIS', 'SANDPILE_N', 'SHAMIR_P', 'SPERNER_TRIS', 'SPERNER_VERTS', 'SPERNER_VIDX', 'STERN_N', 'STIRLING_NMAX', 'SUMFREE_N', 'SYLVESTER_N', 'TAXICAB_MAX', 'TM_LEN', 'TOUR_EDGES', 'VDW_APS', 'VITERBI_E', 'VITERBI_W', 'WILSON_MAX', 'WSPT_WEIGHTS', 'WYTHOFF_NMAX', 'ZECK_FIBS', '_CRR_DEN', '_CRR_GRID', '_CRR_N', '_CRR_PDEN', '_a', '_ackermann', '_anova_floors', '_arith_deriv', '_b', '_ballot_ranks', '_bk_perms', '_bulg_step', '_cea_int', '_conway_l', '_cube_rotations', '_da_row', '_floor_div', '_gauss_binom', '_kaprekar_step', '_next_odd_prime', '_next_prime_2mod3', '_ols_centered', '_partitions_of', '_prufer_decode', '_prufer_encode', '_sperner_labeling', '_ss_scaled', '_to_balanced_ternary', '_to_negabinary', 'acceptance_sampling_int', 'ackermann_int', 'adjusted_winner_int', 'airport_game_int', 'amicable_pairs_int', 'anova_oneway_int', 'arith_derivative_int', 'armstrong_numbers_int', 'automorphic_numbers_int', 'backlog_dam_int', 'balanced_ternary_int', 'ballot_walk_int', 'banzhaf_int', 'batcher_sort_int', 'bh_stepup_int', 'birkhoff_int', 'bond_duration_int', 'borda_int', 'brown_forsythe_int', 'buhlmann_int', 'bulgarian_solitaire_int', 'bullwhip_int', 'buzen_network_int', 'catalan_mihailescu_int', 'cf_convergents_int', 'chi2_independence_int', 'chinese_postman_int', 'chung_feller_int', 'class_numbers_int', 'collatz_int', 'colley_rank_int', 'convex_hull_int', 'conway_sequence_int', 'cooks_distance_int', 'copeland_int', 'coupon_collector_micro', 'critical_path_int', 'crr_option_int', 'cube_colorings_int', 'cubic_discriminant_int', 'cycle_lemma_int', 'debruijn_sequence_int', 'delannoy_numbers_int', 'derangements_int', 'descartes_circles_int', 'dfa_minimize_int', 'dhondt_int', 'discrete_log_int', 'dm_test_int', 'domino_tilings_int', 'double_auction_int', 'ducci_int', 'durbin_watson_int', 'dyck_catalan_int', 'egyptian_fractions_int', 'egz_zerosum_int', 'engset_int', 'erdos_gallai_int', 'erlang_b_int', 'erlang_c_int', 'eulerian_numbers_int', 'faulhaber_int', 'ffd_binpack_int', 'fibonacci_gcd_int', 'fleiss_kappa_int', 'four_squares_int', 'friedman_int', 'friendship_graphs_int', 'frobenius_coin_int', 'gauss_lattice_int', 'gaussian_binomial_int', 'gilbreath_int', 'goldbach_int', 'golomb_ruler_int', 'graeco_latin_int', 'gray_code_int', 'group_testing_int', 'grouped_kendall_int', 'h_g_index_fold', 'hadamard_sylvester_int', 'hamilton_int', 'hamming74_int', 'happy_numbers_int', 'hardy_weinberg_int', 'harshad_numbers_int', 'hash_occupancy_int', 'heat_diffusion_int', 'heronian_triangles_int', 'hook_lengths_int', 'huffman_cost_int', 'i', 'index_coincidence_int', 'irv_int', 'ising_ring_int', 'iv_wald_int', 'j', 'johnson_flowshop_int', 'josephus_int', 'k', 'kalman_level_int', 'kaprekar_6174_int', 'kaprekar_numbers_int', 'kelly_int', 'knapsack_dp_int', 'kolakoski_int', 'konig_matching_int', 'koon_reliability_int', 'kruskal_wallis_int', 'langford_pairs_int', 'legendre_reciprocity_int', 'lin_ccc_int', 'lindenmayer_int', 'linkage_diseq_int', 'lis_erdos_szekeres_int', 'littlewood_int', 'loan_amortization_int', 'log5_matchup_int', 'logistic_map_int', 'lotka_volterra_int', 'lpt_makespan_int', 'lucas_binomial_int', 'lucky_numbers_int', 'luhn_check_digit_int', 'luhn_sum_int', 'luhn_valid_int', 'magic_squares_int', 'markov_triples_int', 'maxflow_mincut_int', 'mdp_value_iter_int', 'meta_fixed_int', 'mg1_pk_int', 'miller_rabin_int', 'mm1_metrics_int', 'mood_scale_int', 'myerson_reserve_int', 'naive_bayes_int', 'nash_2x2_int', 'necklace_count_int', 'negabinary_int', 'newton_identities_int', 'nim_grundy_int', 'nw_transport_int', 'paley_graph_int', 'pancake_numbers_int', 'partition_numbers_int', 'pell_equation_int', 'penney_game_int', 'percolation_3x3_int', 'perfect_numbers_int', 'periodogram_int', 'permanent_ryser_int', 'permutation_cycles_int', 'perrin_test_int', 'picks_theorem_int', 'pisano_periods_int', 'pivotal_by_size_int', 'plane_partitions_int', 'polya_urn_int', 'portfolio_minvar_int', 'position_auction_int', 'prufer_cayley_int', 'puzzle_parity_int', 'pythagorean_triples_int', 'pythagorean_wins_int', 'ramsey_k6_int', 'record_values_int', 'rsa_crt_int', 'rule90_ring_int', 'sandpile_abelian_int', 'secretary_int', 'shamir_shares_int', 'shapley_shubik_int', 'simpson_cubic_int', 'sir_epidemic_int', 'six_queens_int', 'spanning_trees_int', 'sperner_lemma_int', 'square_triangular_int', 'stern_brocot_int', 'stern_diatomic_int', 'stirling_bell_int', 'stochastic_dominance_int', 'stoploss_layers_int', 'sum_free_sets_int', 'sylvester_sequence_int', 'system_reliability_int', 'talmud_split_int', 'taxicab_1729_int', 'three_distance_int', 'thue_morse_int', 'totient_moebius_int', 'tournament_king_int', 'tsp_heldkarp_int', 'turan_extremal_int', 'twosat_int', 'vampire_numbers_int', 'van_der_waerden_int', 'viterbi_decode_int', 'wardrop_poa_int', 'water_jugs_int', 'wilson_theorem_int', 'wspt_objective_int', 'wythoff_game_int', 'zeckendorf_int', 'zerosum_value_int']
-__all__ = _CORE_ALL + _EXTRA_ALL
-
-
-def __getattr__(name):
-    if name in _EXTRA_ALL:
-        from documentai_ray.extras import analytics_extras_04 as _full
-
-        return getattr(_full, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ['_median2_weighted', 'classification_prf_int', 'cohens_kappa_int', 'crosstable_percentile_int', 'gini_concentration_int', 'gini_gain_int', 'global_row_index', 'grouped_count_distinct', 'grouped_cume_dist', 'grouped_dense_rank', 'grouped_diversity', 'grouped_linreg', 'grouped_median_int', 'grouped_mode', 'grouped_ntile', 'grouped_percent_rank', 'grouped_quantile_int', 'grouped_quantile_sketch', 'grouped_topk', 'grouped_weighted_median_int', 'hdr_bucket', 'hdr_bucket_upper', 'ivm_delta_counts', 'key_size_histogram', 'ks_statistic_int', 'mad_outliers', 'pareto_frontier', 'profile_columns', 'quantile_normalize_int', 'rank_auc_int', 'target_encode_int', 'tvd_drift_int', 'winsorize_grouped', 'zorder_key']

@@ -569,7 +569,7 @@ class TestChi2Independence:
         """9/1 vs 1/10 splits: every cell's (O·N − r·c)² = 6400, so all
         four contribs are 3.2e6 ppm and the total is the true chi2
         12.8."""
-        from documentai_ray.stages.aggregates import chi2_independence_int
+        from documentai_ray.extras import chi2_independence_int
         out = chi2_independence_int(
             self._ds(ray_session, [("A", "x", 9), ("A", "y", 1),
                                    ("B", "x", 1), ("B", "y", 9)]),
@@ -581,7 +581,7 @@ class TestChi2Independence:
     def test_zero_cell_gets_a_row(self, ray_session):
         """(A, y) never observed: its row exists with o=0 and contrib
         1e6·(r·c)² // (N·r·c) = 500000."""
-        from documentai_ray.stages.aggregates import chi2_independence_int
+        from documentai_ray.extras import chi2_independence_int
         out = (chi2_independence_int(
             self._ds(ray_session, [("A", "x", 2), ("B", "x", 1),
                                    ("B", "y", 1)]),
@@ -592,7 +592,7 @@ class TestChi2Independence:
 
     def test_independent_grid_is_zero(self, ray_session):
         """Perfectly proportional grid -> every contrib 0."""
-        from documentai_ray.stages.aggregates import chi2_independence_int
+        from documentai_ray.extras import chi2_independence_int
         out = chi2_independence_int(
             self._ds(ray_session, [("A", "x", 2), ("A", "y", 4),
                                    ("B", "x", 1), ("B", "y", 2)]),

@@ -8,8 +8,7 @@ import statistics
 import pandas as pd
 import pytest
 
-from documentai_ray.stages.aggregates import (anova_oneway_int,
-                                              brown_forsythe_int)
+from documentai_ray.extras import anova_oneway_int, brown_forsythe_int
 
 
 def _moments(named_groups):

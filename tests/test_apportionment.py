@@ -4,7 +4,7 @@ defining divergences pinned (large-party bias; Alabama paradox)."""
 
 from __future__ import annotations
 
-from documentai_ray.stages.aggregates import dhondt_int, hamilton_int
+from documentai_ray.extras import dhondt_int, hamilton_int
 
 
 def _seats(df):

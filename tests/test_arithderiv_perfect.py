@@ -1,9 +1,8 @@
 """Arithmetic derivative (aggregates.arith_derivative_int) and
 perfect numbers (aggregates.perfect_numbers_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (_arith_deriv,
-                                              arith_derivative_int,
-                                              perfect_numbers_int)
+from documentai_ray.extras import (_arith_deriv, arith_derivative_int,
+                                   perfect_numbers_int)
 
 
 class TestArithDerivative:

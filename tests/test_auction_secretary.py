@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (double_auction_int,
-                                              secretary_int)
+from documentai_ray.extras import double_auction_int, secretary_int
 
 
 def _expand(hist):

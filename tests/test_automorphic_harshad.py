@@ -1,8 +1,7 @@
 """Automorphic numbers (aggregates.automorphic_numbers_int) and
 Harshad numbers (aggregates.harshad_numbers_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (automorphic_numbers_int,
-                                              harshad_numbers_int)
+from documentai_ray.extras import automorphic_numbers_int, harshad_numbers_int
 
 
 class TestAutomorphic:

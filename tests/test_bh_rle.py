@@ -8,7 +8,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from documentai_ray.stages.aggregates import BH_CRITS_M5, bh_stepup_int
+from documentai_ray.extras import BH_CRITS_M5, bh_stepup_int
 
 
 def _stat(name, chi2_micro):

@@ -4,8 +4,7 @@ import random
 import pandas as pd
 import pytest
 
-from documentai_ray.stages.aggregates import (acceptance_sampling_int,
-                                              h_g_index_fold)
+from documentai_ray.extras import acceptance_sampling_int, h_g_index_fold
 
 
 def _hist(author, cits):

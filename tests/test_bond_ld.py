@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (bond_duration_int,
-                                              linkage_diseq_int)
+from documentai_ray.extras import bond_duration_int, linkage_diseq_int
 
 
 def test_bond_theorems():

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (buhlmann_int,
-                                              littlewood_int)
+from documentai_ray.extras import buhlmann_int, littlewood_int
 
 
 def _mk_groups(rng, k=4, lo=5, hi=40, vlo=0, vhi=400):

@@ -3,9 +3,8 @@
 
 import random
 
-from documentai_ray.stages.aggregates import (_bulg_step,
-                                              bulgarian_solitaire_int,
-                                              puzzle_parity_int)
+from documentai_ray.extras import (_bulg_step, bulgarian_solitaire_int,
+                                   puzzle_parity_int)
 
 
 class TestBulgarian:

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from documentai_ray.stages.aggregates import (bullwhip_int,
-                                              necklace_count_int)
+from documentai_ray.extras import bullwhip_int, necklace_count_int
 
 GRID = [(1, 5), (2, 5), (4, 5), (2, 10)]
 

@@ -4,8 +4,7 @@ and exact TSP (aggregates.tsp_heldkarp_int) kernel pins."""
 import random
 from itertools import permutations
 
-from documentai_ray.stages.aggregates import (buzen_network_int,
-                                              tsp_heldkarp_int)
+from documentai_ray.extras import buzen_network_int, tsp_heldkarp_int
 
 
 class TestBuzen:

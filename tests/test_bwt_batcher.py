@@ -4,7 +4,7 @@
 import random
 from itertools import product
 
-from documentai_ray.stages.aggregates import BATCHER8, batcher_sort_int
+from documentai_ray.extras import BATCHER8, batcher_sort_int
 from documentai_ray.stages.textstats import bwt_inverse, bwt_runs
 
 

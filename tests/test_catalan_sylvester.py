@@ -4,8 +4,8 @@ pins."""
 
 from fractions import Fraction
 
-from documentai_ray.stages.aggregates import (catalan_mihailescu_int,
-                                              sylvester_sequence_int)
+from documentai_ray.extras import (catalan_mihailescu_int,
+                                   sylvester_sequence_int)
 
 
 class TestCatalan:

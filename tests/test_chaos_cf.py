@@ -5,8 +5,7 @@ from math import gcd
 
 import pytest
 
-from documentai_ray.stages.aggregates import (cf_convergents_int,
-                                              logistic_map_int)
+from documentai_ray.extras import cf_convergents_int, logistic_map_int
 
 GRID = [2500, 3200, 3500, 3900]
 

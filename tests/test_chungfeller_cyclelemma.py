@@ -3,8 +3,7 @@
 
 import random
 
-from documentai_ray.stages.aggregates import (chung_feller_int,
-                                              cycle_lemma_int)
+from documentai_ray.extras import chung_feller_int, cycle_lemma_int
 
 
 class TestChungFeller:

@@ -1,9 +1,8 @@
 """Class numbers (aggregates.class_numbers_int) and sum-free sets
 (aggregates.sum_free_sets_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (CLASS_DISCS,
-                                              class_numbers_int,
-                                              sum_free_sets_int)
+from documentai_ray.extras import (CLASS_DISCS, class_numbers_int,
+                                   sum_free_sets_int)
 
 
 class TestClassNumbers:

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from documentai_ray.stages.aggregates import (airport_game_int,
-                                              stoploss_layers_int)
+from documentai_ray.extras import airport_game_int, stoploss_layers_int
 
 
 def test_airport_two_player_exact():

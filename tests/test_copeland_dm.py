@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from documentai_ray.stages.aggregates import copeland_int, dm_test_int
+from documentai_ray.extras import copeland_int, dm_test_int
 
 
 def _ballots(profiles):

@@ -4,7 +4,7 @@
 import random
 from itertools import combinations
 
-from documentai_ray.stages.aggregates import ffd_binpack_int
+from documentai_ray.extras import ffd_binpack_int
 from documentai_ray.stages.textstats import CRC8_TABLE, crc8
 
 

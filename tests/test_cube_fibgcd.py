@@ -4,9 +4,8 @@ Fibonacci GCD theorem (aggregates.fibonacci_gcd_int) kernel pins."""
 import math
 import random
 
-from documentai_ray.stages.aggregates import (CUBE_ROTS,
-                                              cube_colorings_int,
-                                              fibonacci_gcd_int)
+from documentai_ray.extras import (CUBE_ROTS, cube_colorings_int,
+                                   fibonacci_gcd_int)
 
 
 class TestCubeColorings:

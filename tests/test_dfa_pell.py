@@ -4,8 +4,7 @@ fundamental solutions (aggregates.pell_equation_int) kernel pins."""
 import math
 import random
 
-from documentai_ray.stages.aggregates import (dfa_minimize_int,
-                                              pell_equation_int)
+from documentai_ray.extras import dfa_minimize_int, pell_equation_int
 
 
 class TestDfaMinimize:

@@ -5,8 +5,7 @@ mirrors are exercised by selfcheck/driver."""
 import cmath
 import random
 
-from documentai_ray.stages.aggregates import (maxflow_mincut_int,
-                                              periodogram_int)
+from documentai_ray.extras import maxflow_mincut_int, periodogram_int
 
 
 def _census_from_series(xs):

@@ -3,10 +3,8 @@ length formula (aggregates.hook_lengths_int) kernel pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (HOOK_PARTITIONS,
-                                              _partitions_of,
-                                              discrete_log_int,
-                                              hook_lengths_int)
+from documentai_ray.extras import (HOOK_PARTITIONS, _partitions_of,
+                                   discrete_log_int, hook_lengths_int)
 
 
 class TestDiscreteLog:

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (myerson_reserve_int,
-                                              stochastic_dominance_int)
+from documentai_ray.extras import myerson_reserve_int, stochastic_dominance_int
 
 
 def _hist(vals):

@@ -6,10 +6,7 @@ clamp all pinned."""
 
 from __future__ import annotations
 
-from documentai_ray.stages.aggregates import (
-    lotka_volterra_int,
-    sir_epidemic_int,
-)
+from documentai_ray.extras import lotka_volterra_int, sir_epidemic_int
 
 PPM = 1_000_000
 

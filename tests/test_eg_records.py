@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (erdos_gallai_int,
-                                              record_values_int)
+from documentai_ray.extras import erdos_gallai_int, record_values_int
 
 
 def _havel_hakimi(seq):

@@ -4,9 +4,8 @@ Ackermann (aggregates.ackermann_int) kernel pins."""
 import random
 from fractions import Fraction
 
-from documentai_ray.stages.aggregates import (_ackermann,
-                                              ackermann_int,
-                                              egyptian_fractions_int)
+from documentai_ray.extras import (_ackermann, ackermann_int,
+                                   egyptian_fractions_int)
 
 
 class TestEgyptian:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import engset_int, kelly_int
+from documentai_ray.extras import engset_int, kelly_int
 
 
 def _exact_engset(m, alpha, c):

@@ -8,11 +8,8 @@ from __future__ import annotations
 
 import itertools
 
-from documentai_ray.stages.aggregates import (
-    WSPT_WEIGHTS,
-    erlang_b_int,
-    wspt_objective_int,
-)
+from documentai_ray.extras import (WSPT_WEIGHTS, erlang_b_int,
+                                   wspt_objective_int)
 
 
 class TestErlangB:

@@ -4,8 +4,7 @@ permanent (aggregates.permanent_ryser_int) kernel pins."""
 import random
 from itertools import permutations
 
-from documentai_ray.stages.aggregates import (eulerian_numbers_int,
-                                              permanent_ryser_int)
+from documentai_ray.extras import eulerian_numbers_int, permanent_ryser_int
 
 
 class TestEulerian:

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (adjusted_winner_int,
-                                              talmud_split_int)
+from documentai_ray.extras import adjusted_winner_int, talmud_split_int
 
 
 def _talmud_awards(claims, pcts):

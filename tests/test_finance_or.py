@@ -5,8 +5,7 @@ from fractions import Fraction
 import pandas as pd
 import pytest
 
-from documentai_ray.stages.aggregates import (loan_amortization_int,
-                                              nw_transport_int)
+from documentai_ray.extras import loan_amortization_int, nw_transport_int
 
 
 def test_amortization_invariants():

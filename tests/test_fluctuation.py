@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (backlog_dam_int,
-                                              ballot_walk_int)
+from documentai_ray.extras import backlog_dam_int, ballot_walk_int
 
 
 def test_bertrand_theorem_by_enumeration():

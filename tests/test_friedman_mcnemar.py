@@ -8,7 +8,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from documentai_ray.stages.aggregates import friedman_int
+from documentai_ray.extras import friedman_int
 
 
 class TestFriedmanInt:

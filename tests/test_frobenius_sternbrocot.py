@@ -4,8 +4,7 @@ Stern-Brocot descent (aggregates.stern_brocot_int) kernel pins."""
 import math
 import random
 
-from documentai_ray.stages.aggregates import (frobenius_coin_int,
-                                              stern_brocot_int)
+from documentai_ray.extras import frobenius_coin_int, stern_brocot_int
 
 
 class TestFrobenius:

@@ -5,10 +5,7 @@ detector and the minimax-theorem sandwich."""
 
 from __future__ import annotations
 
-from documentai_ray.stages.aggregates import (
-    nash_2x2_int,
-    zerosum_value_int,
-)
+from documentai_ray.extras import nash_2x2_int, zerosum_value_int
 
 PENNIES_A = [[1, -1], [-1, 1]]
 PENNIES_B = [[-1, 1], [1, -1]]

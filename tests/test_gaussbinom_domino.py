@@ -1,9 +1,8 @@
 """Gaussian binomials (aggregates.gaussian_binomial_int) and domino
 tilings (aggregates.domino_tilings_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (_gauss_binom,
-                                              domino_tilings_int,
-                                              gaussian_binomial_int)
+from documentai_ray.extras import (_gauss_binom, domino_tilings_int,
+                                   gaussian_binomial_int)
 
 
 class TestGaussianBinomial:

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (hardy_weinberg_int,
-                                              portfolio_minvar_int)
+from documentai_ray.extras import hardy_weinberg_int, portfolio_minvar_int
 
 
 def _exact_hwe(nd, nh, nr):

@@ -3,8 +3,7 @@ pairings (aggregates.langford_pairs_int) kernel pins."""
 
 from itertools import combinations
 
-from documentai_ray.stages.aggregates import (golomb_ruler_int,
-                                              langford_pairs_int)
+from documentai_ray.extras import golomb_ruler_int, langford_pairs_int
 
 
 class TestGolomb:

@@ -1,8 +1,7 @@
 """Gray code (aggregates.gray_code_int) and Collatz trajectories
 (aggregates.collatz_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (collatz_int,
-                                              gray_code_int)
+from documentai_ray.extras import collatz_int, gray_code_int
 
 
 class TestGrayCode:

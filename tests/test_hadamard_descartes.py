@@ -1,8 +1,7 @@
 """Sylvester Hadamard (aggregates.hadamard_sylvester_int) and the
 Apollonian gasket (aggregates.descartes_circles_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (descartes_circles_int,
-                                              hadamard_sylvester_int)
+from documentai_ray.extras import descartes_circles_int, hadamard_sylvester_int
 
 
 class TestHadamard:

@@ -1,9 +1,8 @@
 """Happy numbers (aggregates.happy_numbers_int) and Armstrong
 numbers (aggregates.armstrong_numbers_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (HAPPY_CYCLE,
-                                              armstrong_numbers_int,
-                                              happy_numbers_int)
+from documentai_ray.extras import (HAPPY_CYCLE, armstrong_numbers_int,
+                                   happy_numbers_int)
 
 
 class TestHappy:

@@ -3,8 +3,7 @@ Perrin test (aggregates.perrin_test_int) kernel pins."""
 
 import math
 
-from documentai_ray.stages.aggregates import (heronian_triangles_int,
-                                              perrin_test_int)
+from documentai_ray.extras import heronian_triangles_int, perrin_test_int
 
 
 class TestHeronian:

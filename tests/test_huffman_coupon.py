@@ -5,8 +5,7 @@ import math
 import random
 from fractions import Fraction
 
-from documentai_ray.stages.aggregates import (coupon_collector_micro,
-                                              huffman_cost_int)
+from documentai_ray.extras import coupon_collector_micro, huffman_cost_int
 
 
 def _brute_optimal_cost(weights):

@@ -6,8 +6,7 @@ the proofs, and the pins fix the conventions."""
 
 import random
 
-from documentai_ray.stages.aggregates import (convex_hull_int,
-                                              josephus_int)
+from documentai_ray.extras import convex_hull_int, josephus_int
 
 
 class TestConvexHull:

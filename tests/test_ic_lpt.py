@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (index_coincidence_int,
-                                              lpt_makespan_int)
+from documentai_ray.extras import index_coincidence_int, lpt_makespan_int
 
 
 def _census(text, ks):

@@ -5,12 +5,8 @@ double-error mis-correction all pinned."""
 
 from __future__ import annotations
 
-from documentai_ray.stages.aggregates import (
-    hamming74_int,
-    luhn_check_digit_int,
-    luhn_sum_int,
-    luhn_valid_int,
-)
+from documentai_ray.extras import (hamming74_int, luhn_check_digit_int,
+                                   luhn_sum_int, luhn_valid_int)
 
 
 class TestLuhn:

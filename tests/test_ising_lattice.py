@@ -5,9 +5,8 @@ pins."""
 import math
 import random
 
-from documentai_ray.stages.aggregates import (ISING_N, _floor_div,
-                                              gauss_lattice_int,
-                                              ising_ring_int)
+from documentai_ray.extras import (ISING_N, _floor_div, gauss_lattice_int,
+                                   ising_ring_int)
 
 
 class TestIsingRing:

@@ -8,7 +8,7 @@ flooring residue), a flipped stratum blows past chi2_df, degenerate
 all-or-none strata emit with w = 0 and leave the pool.
 """
 
-from documentai_ray.stages.aggregates import iv_wald_int, meta_fixed_int
+from documentai_ray.extras import iv_wald_int, meta_fixed_int
 
 
 class TestIVWald:

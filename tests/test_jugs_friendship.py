@@ -1,8 +1,7 @@
 """Water jugs (aggregates.water_jugs_int) and friendship graphs
 (aggregates.friendship_graphs_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (friendship_graphs_int,
-                                              water_jugs_int)
+from documentai_ray.extras import friendship_graphs_int, water_jugs_int
 
 
 class TestWaterJugs:

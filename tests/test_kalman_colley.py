@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (colley_rank_int,
-                                              kalman_level_int)
+from documentai_ray.extras import colley_rank_int, kalman_level_int
 
 Q, R = 250_000, 1_000_000
 

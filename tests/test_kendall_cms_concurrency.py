@@ -31,7 +31,7 @@ def _brute_kendall(xs, ys):
 def _run_kendall(ray_session, keys, xs, ys):
     import ray.data
 
-    from documentai_ray.stages.aggregates import grouped_kendall_int
+    from documentai_ray.extras import grouped_kendall_int
 
     t = pa.table({"k": pa.array(keys, pa.string()),
                   "x": pa.array(xs, pa.int64()),

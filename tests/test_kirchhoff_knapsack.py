@@ -4,8 +4,7 @@
 import random
 from itertools import combinations
 
-from documentai_ray.stages.aggregates import (knapsack_dp_int,
-                                              spanning_trees_int)
+from documentai_ray.extras import knapsack_dp_int, spanning_trees_int
 
 
 class TestSpanningTrees:

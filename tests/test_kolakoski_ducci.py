@@ -3,7 +3,7 @@
 
 import random
 
-from documentai_ray.stages.aggregates import ducci_int, kolakoski_int
+from documentai_ray.extras import ducci_int, kolakoski_int
 
 
 class TestKolakoski:

@@ -8,8 +8,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from documentai_ray.stages.aggregates import (fleiss_kappa_int,
-                                              kruskal_wallis_int)
+from documentai_ray.extras import fleiss_kappa_int, kruskal_wallis_int
 
 
 def _hist(rows):

@@ -3,9 +3,8 @@ decomposition (aggregates.birkhoff_int) kernel pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (BIRKHOFF_PERMS,
-                                              birkhoff_int,
-                                              graeco_latin_int)
+from documentai_ray.extras import (BIRKHOFF_PERMS, birkhoff_int,
+                                   graeco_latin_int)
 
 
 class TestGraecoLatin:

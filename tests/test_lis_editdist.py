@@ -3,7 +3,7 @@ Levenshtein (textstats.token_edit_distance) kernel pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import lis_erdos_szekeres_int
+from documentai_ray.extras import lis_erdos_szekeres_int
 from documentai_ray.stages.textstats import token_edit_distance
 
 

@@ -1,8 +1,7 @@
 """Lucky sieve (aggregates.lucky_numbers_int) and Gilbreath rows
 (aggregates.gilbreath_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (gilbreath_int,
-                                              lucky_numbers_int)
+from documentai_ray.extras import gilbreath_int, lucky_numbers_int
 
 
 class TestLucky:

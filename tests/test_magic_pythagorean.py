@@ -3,8 +3,7 @@ triples (aggregates.pythagorean_triples_int) kernel pins."""
 
 import math
 
-from documentai_ray.stages.aggregates import (magic_squares_int,
-                                              pythagorean_triples_int)
+from documentai_ray.extras import magic_squares_int, pythagorean_triples_int
 
 
 class TestMagicSquares:

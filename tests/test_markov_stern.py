@@ -4,8 +4,7 @@
 import math
 from fractions import Fraction
 
-from documentai_ray.stages.aggregates import (markov_triples_int,
-                                              stern_diatomic_int)
+from documentai_ray.extras import markov_triples_int, stern_diatomic_int
 
 
 class TestMarkov:

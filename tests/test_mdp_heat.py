@@ -3,8 +3,7 @@ heat diffusion (aggregates.heat_diffusion_int) kernel pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (heat_diffusion_int,
-                                              mdp_value_iter_int)
+from documentai_ray.extras import heat_diffusion_int, mdp_value_iter_int
 
 
 class TestMDPValueIter:

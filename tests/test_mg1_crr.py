@@ -4,10 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (_CRR_DEN, _CRR_GRID,
-                                              _CRR_PDEN,
-                                              crr_option_int,
-                                              mg1_pk_int)
+from documentai_ray.extras import (_CRR_DEN, _CRR_GRID, _CRR_PDEN,
+                                   crr_option_int, mg1_pk_int)
 
 RHOS = [500, 800, 900, 950]
 

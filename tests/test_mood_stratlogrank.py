@@ -8,7 +8,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from documentai_ray.stages.aggregates import mood_scale_int
+from documentai_ray.extras import mood_scale_int
 
 
 def _tr(uid: int) -> bool:

@@ -5,8 +5,7 @@ kernel pins."""
 import random
 from itertools import combinations
 
-from documentai_ray.stages.aggregates import (konig_matching_int,
-                                              miller_rabin_int)
+from documentai_ray.extras import konig_matching_int, miller_rabin_int
 
 
 def _sieve(limit):

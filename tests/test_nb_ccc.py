@@ -5,8 +5,7 @@ from fractions import Fraction
 import pandas as pd
 import pytest
 
-from documentai_ray.stages.aggregates import (lin_ccc_int,
-                                              naive_bayes_int)
+from documentai_ray.extras import lin_ccc_int, naive_bayes_int
 
 
 def _cells(rows):

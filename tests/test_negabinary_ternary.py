@@ -3,10 +3,8 @@
 
 import random
 
-from documentai_ray.stages.aggregates import (_to_balanced_ternary,
-                                              _to_negabinary,
-                                              balanced_ternary_int,
-                                              negabinary_int)
+from documentai_ray.extras import (_to_balanced_ternary, _to_negabinary,
+                                   balanced_ternary_int, negabinary_int)
 
 
 class TestNegabinary:

@@ -4,8 +4,7 @@ pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (cubic_discriminant_int,
-                                              newton_identities_int)
+from documentai_ray.extras import cubic_discriminant_int, newton_identities_int
 
 
 class TestNewton:

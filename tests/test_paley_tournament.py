@@ -3,9 +3,8 @@ kings (aggregates.tournament_king_int) kernel pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (PALEY_QR,
-                                              paley_graph_int,
-                                              tournament_king_int)
+from documentai_ray.extras import (PALEY_QR, paley_graph_int,
+                                   tournament_king_int)
 
 
 class TestPaley:

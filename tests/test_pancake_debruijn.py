@@ -2,8 +2,7 @@
 prefer-one de Bruijn sequence (aggregates.debruijn_sequence_int)
 kernel pins."""
 
-from documentai_ray.stages.aggregates import (debruijn_sequence_int,
-                                              pancake_numbers_int)
+from documentai_ray.extras import debruijn_sequence_int, pancake_numbers_int
 
 
 class TestPancake:

@@ -5,10 +5,8 @@ kernel pins."""
 import math
 import random
 
-from documentai_ray.stages.aggregates import (FOUR_SQ_NMAX,
-                                              PARTITION_NMAX,
-                                              four_squares_int,
-                                              partition_numbers_int)
+from documentai_ray.extras import (FOUR_SQ_NMAX, PARTITION_NMAX,
+                                   four_squares_int, partition_numbers_int)
 
 
 class TestPartitions:

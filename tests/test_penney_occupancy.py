@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (_conway_l,
-                                              hash_occupancy_int,
-                                              penney_game_int)
+from documentai_ray.extras import (_conway_l, hash_occupancy_int,
+                                   penney_game_int)
 
 
 def _absorption_prob_b_first(a: str, b: str) -> Fraction:

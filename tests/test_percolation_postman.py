@@ -4,8 +4,7 @@ pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (chinese_postman_int,
-                                              percolation_3x3_int)
+from documentai_ray.extras import chinese_postman_int, percolation_3x3_int
 
 
 class TestPercolation:

@@ -6,9 +6,8 @@ import random
 
 import pytest
 
-from documentai_ray.stages.aggregates import (_next_odd_prime,
-                                              legendre_reciprocity_int,
-                                              permutation_cycles_int)
+from documentai_ray.extras import (_next_odd_prime, legendre_reciprocity_int,
+                                   permutation_cycles_int)
 
 
 class TestPermutationCycles:

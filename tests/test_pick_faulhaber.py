@@ -3,8 +3,7 @@ sums (aggregates.faulhaber_int) kernel pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (faulhaber_int,
-                                              picks_theorem_int)
+from documentai_ray.extras import faulhaber_int, picks_theorem_int
 
 
 class TestPick:

@@ -1,8 +1,7 @@
 """Pisano periods (aggregates.pisano_periods_int) and Conway's
 sequence (aggregates.conway_sequence_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (conway_sequence_int,
-                                              pisano_periods_int)
+from documentai_ray.extras import conway_sequence_int, pisano_periods_int
 
 
 class TestPisano:

@@ -3,8 +3,7 @@ numbers (aggregates.delannoy_numbers_int) kernel pins."""
 
 import math
 
-from documentai_ray.stages.aggregates import (delannoy_numbers_int,
-                                              plane_partitions_int)
+from documentai_ray.extras import delannoy_numbers_int, plane_partitions_int
 
 
 class TestPlanePartitions:

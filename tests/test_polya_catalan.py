@@ -3,8 +3,7 @@ structures (aggregates.dyck_catalan_int) kernel pins."""
 
 import math
 
-from documentai_ray.stages.aggregates import (dyck_catalan_int,
-                                              polya_urn_int)
+from documentai_ray.extras import dyck_catalan_int, polya_urn_int
 
 
 class TestPolyaUrn:

@@ -5,7 +5,7 @@ VCG utility, and the free slot past the field."""
 
 from __future__ import annotations
 
-from documentai_ray.stages.aggregates import position_auction_int
+from documentai_ray.extras import position_auction_int
 
 
 class TestPositionAuction:

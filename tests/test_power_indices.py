@@ -4,9 +4,8 @@ the two indices' same-rank-different-weights relationship."""
 
 from __future__ import annotations
 
-from documentai_ray.stages.aggregates import (banzhaf_int,
-                                              pivotal_by_size_int,
-                                              shapley_shubik_int)
+from documentai_ray.extras import (banzhaf_int, pivotal_by_size_int,
+                                   shapley_shubik_int)
 
 
 def _col(df, col):

@@ -4,10 +4,8 @@ Wythoff's game (aggregates.wythoff_game_int) kernel pins."""
 import math
 import random
 
-from documentai_ray.stages.aggregates import (_prufer_decode,
-                                              _prufer_encode,
-                                              prufer_cayley_int,
-                                              wythoff_game_int)
+from documentai_ray.extras import (_prufer_decode, _prufer_encode,
+                                   prufer_cayley_int, wythoff_game_int)
 
 
 class TestPrufer:

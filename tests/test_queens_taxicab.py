@@ -1,8 +1,7 @@
 """6-queens (aggregates.six_queens_int) and taxicab numbers
 (aggregates.taxicab_1729_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (six_queens_int,
-                                              taxicab_1729_int)
+from documentai_ray.extras import six_queens_int, taxicab_1729_int
 
 
 class TestSixQueens:

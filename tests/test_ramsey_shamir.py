@@ -3,12 +3,8 @@
 
 import random
 
-from documentai_ray.stages.aggregates import (RAMSEY_EDGES,
-                                              RAMSEY_EIDX,
-                                              RAMSEY_TRIS,
-                                              SHAMIR_P,
-                                              ramsey_k6_int,
-                                              shamir_shares_int)
+from documentai_ray.extras import (RAMSEY_EDGES, RAMSEY_EIDX, RAMSEY_TRIS,
+                                   SHAMIR_P, ramsey_k6_int, shamir_shares_int)
 
 
 class TestRamseyK6:

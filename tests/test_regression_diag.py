@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (_ols_centered,
-                                              cooks_distance_int,
-                                              durbin_watson_int)
+from documentai_ray.extras import (_ols_centered, cooks_distance_int,
+                                   durbin_watson_int)
 
 
 def test_dw_expansion_identity_and_bounds():

@@ -5,10 +5,7 @@ canonical TMR number all pinned."""
 
 from __future__ import annotations
 
-from documentai_ray.stages.aggregates import (
-    koon_reliability_int,
-    system_reliability_int,
-)
+from documentai_ray.extras import koon_reliability_int, system_reliability_int
 
 
 class TestSeriesParallel:

@@ -3,9 +3,8 @@ quadrature exactness (aggregates.simpson_cubic_int) kernel pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (_next_prime_2mod3,
-                                              rsa_crt_int,
-                                              simpson_cubic_int)
+from documentai_ray.extras import (_next_prime_2mod3, rsa_crt_int,
+                                   simpson_cubic_int)
 
 
 class TestRsaCrt:

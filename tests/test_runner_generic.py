@@ -9,10 +9,17 @@ import tempfile
 
 
 def _pipeline(ds):
+    import pyarrow as pa
+
     from documentai_ray.stages.lines import c4_line_filter_batch
 
-    return ds.map_batches(c4_line_filter_batch, batch_format="pyarrow",
-                          batch_size=256)
+    def clean(batch: pa.Table) -> pa.Table:
+        out = c4_line_filter_batch(batch)
+        return pa.table({"bucket": out.column("bucket"),
+                         "url": out.column("url"),
+                         "text": out.column("clean_text")})
+
+    return ds.map_batches(clean, batch_format="pyarrow", batch_size=256)
 
 
 def _corpus():
@@ -24,28 +31,31 @@ def _corpus():
                           batch_size=256).select_columns(["url", "text"])
 
 
-def test_generic_runner_resume_reproduces_digests(ray_session):
+def _run(out_dir):
     from documentai_ray.pipelines.runner import run_pipeline_to_parquet
+    from documentai_ray.state.partitioning import detect_heavy_hosts
 
+    ds = _corpus()
+    return run_pipeline_to_parquet(out_dir, ds, _pipeline,
+                                   detect_heavy_hosts(ds), n_buckets=4)
+
+
+def test_generic_runner_resume_reproduces_digests(ray_session):
     clean_dir = tempfile.mkdtemp(prefix="runner_clean_")
     crash_dir = tempfile.mkdtemp(prefix="runner_crash_")
     try:
-        m_clean = run_pipeline_to_parquet(clean_dir, _corpus(), _pipeline,
-                                          n_buckets=4,
-                                          text_col="clean_text")
+        m_clean = _run(clean_dir)
         assert set(m_clean) == {0, 1, 2, 3}
 
         # simulate a crash: full run, then one bucket loses its manifest
         # while its (now untrusted) partial files stay on disk
-        m1 = run_pipeline_to_parquet(crash_dir, _corpus(), _pipeline,
-                                     n_buckets=4, text_col="clean_text")
+        m1 = _run(crash_dir)
         victim = sorted(m1)[1]
         os.remove(os.path.join(crash_dir, "_manifests",
                                f"bucket={victim}.json"))
         files = glob.glob(os.path.join(crash_dir, f"bucket={victim}", "*"))
         assert files  # partial files present, manifest gone
-        m2 = run_pipeline_to_parquet(crash_dir, _corpus(), _pipeline,
-                                     n_buckets=4, text_col="clean_text")
+        m2 = _run(crash_dir)
         assert {b: m["digest"] for b, m in m2.items()} == \
                {b: m["digest"] for b, m in m_clean.items()}
         assert {b: m["rows"] for b, m in m2.items()} == \
@@ -77,18 +87,3 @@ def test_declarative_matches_hand_composed(ray_session):
     import pandas as pd
     pd.testing.assert_frame_equal(key(a), key(b))
 
-
-def test_declarative_new_stages_compile_and_run(ray_session):
-    from documentai_ray.pipelines.declarative import compile_pipeline
-    spec = {"pipeline": [
-        {"stage": "group_fold", "params": {"group_col": "g", "folds": 3}},
-        {"stage": "percent_rank",
-         "params": {"key_col": "g", "val_col": "v"}},
-    ]}
-    run = compile_pipeline(spec)
-    ds = ray_session.data.from_items(
-        [{"g": "a", "v": 1}, {"g": "a", "v": 2}, {"g": "b", "v": 5}])
-    out = run(ds, "/unused").to_pandas()
-    assert set(out.columns) == {"g", "v", "fold", "pct_ppm"}
-    assert set(out[out["g"] == "a"]["pct_ppm"]) == {0, 1_000_000}
-    assert out.groupby("g")["fold"].nunique().max() == 1

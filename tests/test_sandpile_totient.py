@@ -3,8 +3,7 @@ totient/Moebius (aggregates.totient_moebius_int) kernel pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (sandpile_abelian_int,
-                                              totient_moebius_int)
+from documentai_ray.extras import sandpile_abelian_int, totient_moebius_int
 
 
 class TestSandpile:

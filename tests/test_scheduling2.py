@@ -8,10 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from documentai_ray.stages.aggregates import (
-    critical_path_int,
-    johnson_flowshop_int,
-)
+from documentai_ray.extras import critical_path_int, johnson_flowshop_int
 
 
 def _makespan(order):

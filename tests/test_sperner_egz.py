@@ -4,11 +4,9 @@
 import random
 from itertools import combinations
 
-from documentai_ray.stages.aggregates import (SPERNER_TRIS,
-                                              SPERNER_VERTS,
-                                              _sperner_labeling,
-                                              egz_zerosum_int,
-                                              sperner_lemma_int)
+from documentai_ray.extras import (SPERNER_TRIS, SPERNER_VERTS,
+                                   _sperner_labeling, egz_zerosum_int,
+                                   sperner_lemma_int)
 
 
 class TestSperner:

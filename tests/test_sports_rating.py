@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import random
 
-from documentai_ray.stages.aggregates import (
-    log5_matchup_int,
-    pythagorean_wins_int,
-)
+from documentai_ray.extras import log5_matchup_int, pythagorean_wins_int
 
 PPM = 1_000_000
 

@@ -3,8 +3,7 @@ and amicable pairs (aggregates.amicable_pairs_int) kernel pins."""
 
 import math
 
-from documentai_ray.stages.aggregates import (amicable_pairs_int,
-                                              square_triangular_int)
+from documentai_ray.extras import amicable_pairs_int, square_triangular_int
 
 
 class TestSquareTriangular:

@@ -1,8 +1,7 @@
 """Stirling/Bell set partitions (aggregates.stirling_bell_int) and
 derangements (aggregates.derangements_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (derangements_int,
-                                              stirling_bell_int)
+from documentai_ray.extras import derangements_int, stirling_bell_int
 
 
 class TestStirlingBell:

@@ -7,11 +7,7 @@ from __future__ import annotations
 
 import pytest
 
-from documentai_ray.stages.aggregates import (
-    erlang_b_int,
-    erlang_c_int,
-    mm1_metrics_int,
-)
+from documentai_ray.extras import erlang_b_int, erlang_c_int, mm1_metrics_int
 
 PPM = 1_000_000
 

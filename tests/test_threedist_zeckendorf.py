@@ -3,9 +3,7 @@ Zeckendorf numeration (aggregates.zeckendorf_int) kernel pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (ZECK_FIBS,
-                                              three_distance_int,
-                                              zeckendorf_int)
+from documentai_ray.extras import ZECK_FIBS, three_distance_int, zeckendorf_int
 
 
 class TestThreeDistance:

@@ -1,8 +1,7 @@
 """Thue-Morse (aggregates.thue_morse_int) and the algae L-system
 (aggregates.lindenmayer_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (lindenmayer_int,
-                                              thue_morse_int)
+from documentai_ray.extras import lindenmayer_int, thue_morse_int
 
 
 class TestThueMorse:

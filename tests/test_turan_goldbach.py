@@ -3,9 +3,7 @@ Goldbach representations (aggregates.goldbach_int) kernel pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (RAMSEY_EIDX,
-                                              goldbach_int,
-                                              turan_extremal_int)
+from documentai_ray.extras import RAMSEY_EIDX, goldbach_int, turan_extremal_int
 
 
 class TestTuran:

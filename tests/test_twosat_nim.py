@@ -4,8 +4,7 @@
 
 import random
 
-from documentai_ray.stages.aggregates import (nim_grundy_int,
-                                              twosat_int)
+from documentai_ray.extras import nim_grundy_int, twosat_int
 
 
 class TestTwoSat:

@@ -1,8 +1,7 @@
 """Vampire numbers (aggregates.vampire_numbers_int) and Kaprekar
 numbers (aggregates.kaprekar_numbers_int) kernel pins."""
 
-from documentai_ray.stages.aggregates import (kaprekar_numbers_int,
-                                              vampire_numbers_int)
+from documentai_ray.extras import kaprekar_numbers_int, vampire_numbers_int
 
 
 class TestVampire:

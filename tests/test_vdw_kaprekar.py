@@ -3,10 +3,8 @@ Kaprekar's constant (aggregates.kaprekar_6174_int) kernel pins."""
 
 import random
 
-from documentai_ray.stages.aggregates import (VDW_APS,
-                                              _kaprekar_step,
-                                              kaprekar_6174_int,
-                                              van_der_waerden_int)
+from documentai_ray.extras import (VDW_APS, _kaprekar_step, kaprekar_6174_int,
+                                   van_der_waerden_int)
 
 
 class TestVanDerWaerden:

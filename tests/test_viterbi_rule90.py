@@ -4,9 +4,8 @@ rule-90 additive CA (aggregates.rule90_ring_int) kernel pins."""
 import random
 from itertools import product
 
-from documentai_ray.stages.aggregates import (VITERBI_E, VITERBI_W,
-                                              rule90_ring_int,
-                                              viterbi_decode_int)
+from documentai_ray.extras import (VITERBI_E, VITERBI_W, rule90_ring_int,
+                                   viterbi_decode_int)
 
 
 def _score(states, obs):

@@ -12,7 +12,7 @@ import random
 
 import pandas as pd
 
-from documentai_ray.stages.aggregates import borda_int, irv_int
+from documentai_ray.extras import borda_int, irv_int
 
 
 def _cell(ballots):

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from documentai_ray.stages.aggregates import (group_testing_int,
-                                              wardrop_poa_int)
+from documentai_ray.extras import group_testing_int, wardrop_poa_int
 
 
 def test_pigou_exact_four_thirds():

@@ -5,8 +5,7 @@ pins."""
 import math
 import random
 
-from documentai_ray.stages.aggregates import (lucas_binomial_int,
-                                              wilson_theorem_int)
+from documentai_ray.extras import lucas_binomial_int, wilson_theorem_int
 
 
 class TestWilson:
