@@ -192,13 +192,6 @@ def run_benchmarks() -> dict:
 
     timed("minhash_lsh", run_minhash)
 
-    def run_q1():
-        import __ray_entry__ as e
-
-        return e.queries()["q1_lineitem"](SF_DIR)
-
-    timed("q1_lineitem", run_q1)
-
     # round-2 heavy corpus ops (each materializes its small result)
     def run_named(name):
         def f():
@@ -230,11 +223,9 @@ def run_benchmarks() -> dict:
     timed("repeated_passages", run_named("repeated_passages"))
     timed("web_curation", run_named("web_curation"))
     timed("ppjoin_pairs", run_named("ppjoin_pairs"))
-    # round-2 new-family representatives: retrieval scoring (two-pass
-    # stats + map-side sparse-hit scoring + grouped top-k) and survival
-    # (user exchange + histogram + 30-step fold)
+    # retrieval scoring: two-pass stats + map-side sparse-hit scoring +
+    # grouped top-k
     timed("bm25_topk", run_named("bm25_topk"))
-    timed("km_survival", run_named("km_survival"))
 
     result = {
         "metric": "flagship_e2e_sec",

@@ -26,26 +26,17 @@ __version__ = "0.1.0"
 
 
 def register_for_ray_by_value() -> None:
-    """Register every ``documentai_ray`` module for cloudpickle BY-VALUE
+    """Register the ``documentai_ray`` package for cloudpickle BY-VALUE
     serialization: Ray workers then receive UDF code inside the task spec
     and never need ``documentai_ray`` on their own ``sys.path`` (the driver
-    may have initialised Ray from an arbitrary cwd). Third-party references
-    (numpy, pyarrow, ray, …) remain by-reference. Idempotent."""
-    import importlib
-    import pkgutil
-    import sys
-
+    may have initialised Ray from an arbitrary cwd). cloudpickle treats a
+    module as by-value when any parent package is registered, so this
+    covers every submodule, including ones imported later. Third-party
+    references (numpy, pyarrow, ray, …) remain by-reference. Idempotent."""
     try:
         from ray import cloudpickle
     except ImportError:
         return
     import documentai_ray
 
-    for m in pkgutil.walk_packages(documentai_ray.__path__, "documentai_ray."):
-        importlib.import_module(m.name)
-    for name, mod in list(sys.modules.items()):
-        if name == "documentai_ray" or name.startswith("documentai_ray."):
-            try:
-                cloudpickle.register_pickle_by_value(mod)
-            except Exception:
-                pass
+    cloudpickle.register_pickle_by_value(documentai_ray)

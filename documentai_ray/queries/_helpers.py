@@ -6,15 +6,6 @@ definition order preserved; ``__all__`` exports underscore names so
 from __future__ import annotations
 
 import os
-import sys
-from collections.abc import Callable
-from typing import Any
-
-# NOTE: no register_for_ray_by_value() here — ``__ray_entry__`` owns that
-# call. Registration walk-imports every documentai_ray module; calling it
-# from THIS module would re-enter while _helpers is half-initialized and
-# the sql/qdefs modules' ``import *`` would capture an empty namespace.
-from documentai_ray.stages.sketches import HLL_ALPHA_PPM as _HLL_ALPHA_PPM
 
 # repo root (configs/ lives there) — query fns were written against
 # __ray_entry__.py's location; keep that path contract after the split
@@ -158,116 +149,6 @@ def _sql_md5_le64(col: str) -> str:
         f"+ CAST(strpos('0123456789abcdef', substr(md5({col}), 2*i+2, 1)) - 1 AS HUGEINT)) "
         f"* [{pows}][i + 1]))"
     )
-
-
-def _sql_hex_slice16(hexcol: str, i: int) -> str:
-    """BIGINT expression for the i-th 16-bit slice of a precomputed md5
-    hex column (chars [4i, 4i+4)) — the count-min row-hash convention
-    (sketches.countmin_cols): ONE md5 per token, d disjoint slices."""
-    return ("(" + " + ".join(
-        f"(strpos('0123456789abcdef', substr({hexcol}, {4 * i + j + 1}, 1))"
-        f" - 1) * {16 ** (3 - j)}" for j in range(4)) + ")")
-
-
-def _sql_hits(iters: int = 2) -> str:
-    """Unrolled integer-ppm HITS oracle over the same 3-out graph as
-    pagerank: per half-step a JOIN-groupby raw sum, a LEFT JOIN zero
-    fill, a global-sum rescale CTE (cross join) — mirroring
-    stages/graph.py::hits_int op-for-op incl. the floor division."""
-    sql = (
-        "WITH nn AS (SELECT count(*) AS cnt FROM documents), "
-        "e AS (SELECT doc_id AS src, (doc_id * 7 + 1) % cnt AS dst "
-        "FROM documents, nn UNION ALL "
-        "SELECT doc_id, (doc_id * 13 + 2) % cnt FROM documents, nn "
-        "UNION ALL "
-        "SELECT doc_id, (doc_id * 31 + 3) % cnt FROM documents, nn), "
-        "h0 AS (SELECT doc_id AS node, CAST(1000000 AS BIGINT) AS s "
-        "FROM documents), "
-    )
-    prev_h = "h0"
-    for i in range(1, iters + 1):
-        for name, jsrc, jdst, feed in ((f"a{i}", "src", "dst", prev_h),
-                                       (f"h{i}", "dst", "src", f"a{i}")):
-            sql += (
-                f"{name}r AS (SELECT e.{jdst} AS node, sum({feed}.s) AS raw "
-                f"FROM e JOIN {feed} ON e.{jsrc} = {feed}.node "
-                f"GROUP BY e.{jdst}), "
-                f"{name}f AS (SELECT d.doc_id AS node, "
-                f"coalesce({name}r.raw, 0) AS raw FROM documents d "
-                f"LEFT JOIN {name}r ON d.doc_id = {name}r.node), "
-                f"{name}t AS (SELECT greatest(sum(raw), 1) AS t "
-                f"FROM {name}f), "
-                f"{name} AS (SELECT node, CAST(raw * 1000000 // t "
-                f"AS BIGINT) AS s FROM {name}f, {name}t), "
-            )
-        prev_h = f"h{i}"
-    sql = sql.rstrip(", ")
-    sql += (f" SELECT a{iters}.node, a{iters}.s AS auth_ppm, "
-            f"h{iters}.s AS hub_ppm FROM a{iters} "
-            f"JOIN h{iters} ON a{iters}.node = h{iters}.node")
-    return sql
-
-
-def _sql_pagerank_irregular(iters: int = 2) -> str:
-    """Unrolled integer-ppm PageRank oracle over the irregular
-    1–3-out graph (edge j exists when doc_id % 3 ≥ j), mirroring
-    graph.py::pagerank_int's degree-table path op-for-op: contribution
-    is ``r // deg`` with deg joined from the per-src count."""
-    sql = (
-        "WITH nn AS (SELECT count(*) AS cnt FROM documents), "
-        "e AS (SELECT doc_id AS src, (doc_id * 7 + 1) % cnt AS dst "
-        "FROM documents, nn UNION ALL "
-        "SELECT doc_id, (doc_id * 13 + 2) % cnt FROM documents, nn "
-        "WHERE doc_id % 3 >= 1 UNION ALL "
-        "SELECT doc_id, (doc_id * 31 + 3) % cnt FROM documents, nn "
-        "WHERE doc_id % 3 = 2), "
-        "d AS (SELECT src, count(*) AS deg FROM e GROUP BY src), "
-        "e2 AS (SELECT e.src, e.dst, d.deg FROM e JOIN d USING (src)), "
-        "r0 AS (SELECT doc_id AS node, CAST(1000000 AS BIGINT) AS r "
-        "FROM documents), "
-    )
-    for i in range(1, iters + 1):
-        prev = f"r{i - 1}"
-        sql += (
-            f"s{i} AS (SELECT e2.dst AS node, sum({prev}.r // e2.deg) "
-            f"AS s FROM e2 JOIN {prev} ON e2.src = {prev}.node "
-            f"GROUP BY e2.dst), "
-            f"r{i} AS (SELECT {prev}.node, CAST(150000 + "
-            f"(850000 * coalesce(s{i}.s, 0)) // 1000000 AS BIGINT) AS r "
-            f"FROM {prev} LEFT JOIN s{i} ON {prev}.node = s{i}.node), "
-        )
-    sql = sql.rstrip(", ")
-    sql += f" SELECT node, r AS rank_ppm FROM r{iters}"
-    return sql
-
-
-def _sql_pagerank(iters: int = 2) -> str:
-    """Unrolled integer-ppm PageRank oracle over the deterministic 3-out
-    link graph dst ∈ {(i·7+1), (i·13+2), (i·31+3)} mod N — one
-    (contribution, update) CTE pair per iteration, mirroring
-    stages/graph.py::pagerank_int op-for-op (floor divisions included)."""
-    sql = (
-        "WITH nn AS (SELECT count(*) AS cnt FROM documents), "
-        "e AS (SELECT doc_id AS src, (doc_id * 7 + 1) % cnt AS dst "
-        "FROM documents, nn UNION ALL "
-        "SELECT doc_id, (doc_id * 13 + 2) % cnt FROM documents, nn "
-        "UNION ALL "
-        "SELECT doc_id, (doc_id * 31 + 3) % cnt FROM documents, nn), "
-        "r0 AS (SELECT doc_id AS node, CAST(1000000 AS BIGINT) AS r "
-        "FROM documents), "
-    )
-    for i in range(1, iters + 1):
-        prev = f"r{i - 1}"
-        sql += (
-            f"s{i} AS (SELECT e.dst AS node, sum({prev}.r // 3) AS s "
-            f"FROM e JOIN {prev} ON e.src = {prev}.node GROUP BY e.dst), "
-            f"r{i} AS (SELECT {prev}.node, CAST(150000 + "
-            f"(850000 * coalesce(s{i}.s, 0)) // 1000000 AS BIGINT) AS r "
-            f"FROM {prev} LEFT JOIN s{i} ON {prev}.node = s{i}.node), "
-        )
-    sql = sql.rstrip(", ")
-    sql += f" SELECT node, r AS rank_ppm FROM r{iters}"
-    return sql
 
 
 def _sql_pq(m: int = 4, k: int = 4, iters: int = 2, dim: int = 64) -> str:
@@ -480,9 +361,6 @@ def _extracted_pages_with_doc_id(sf_dir: str):
     return ds.map_batches(prep, batch_format="pyarrow")
 
 
-_SCD2_SEGMENTS = ("BRONZE", "SILVER", "GOLD", "PLATINUM", "TRIAL")
-
-
 _BM25_QUERIES = {
     "q_rare": ["dup", "merge"],
     "q_exec": ["window", "sort", "scan"],
@@ -647,93 +525,6 @@ def _bm25_top_rel(sf_dir: str):
     return per_q
 
 
-#: the four alphabetically-first event types are the matching-market
-#: "workers"; tasks are the four hour-of-day mod 4 classes.  Shared
-#: with the SQL mirrors.
-_MATCH_WORKERS = ["click", "error", "purchase", "signup"]
-
-
-def _match_cells(sf_dir: str) -> tuple:
-    """Shared 4×4 cell census for the matching-market pair: cell
-    (type, hour mod 4) reports (count, Σcents) — per-batch partials
-    → ONE ≤16-cell exchange → two integer matrices on the driver
-    (the _auction_bids discipline)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "w": batch.column("event_type").to_pylist(),
-            "t": pd.Series(batch.column("ts").to_pandas())
-                 .dt.hour.to_numpy() % 4,
-            "c": np.rint(batch.column("value").to_numpy()
-                         * 100).astype("int64"),
-            "n": 1})
-        df = df[df["w"].isin(_MATCH_WORKERS)]
-        g = df.groupby(["w", "t"], as_index=False).agg(
-            sc=("c", "sum"), n=("n", "sum"))
-        return pa.table({"w": pa.array(g["w"], pa.large_string()),
-                         "t": pa.array(g["t"], pa.int64()),
-                         "sc": pa.array(g["sc"], pa.int64()),
-                         "n": pa.array(g["n"], pa.int64())})
-
-    cell = (ev.map_batches(partial, batch_format="pyarrow")
-            .groupby(["w", "t"])
-            .aggregate(Sum("sc", alias_name="sc"),
-                       Sum("n", alias_name="n"))).to_pandas()
-    k = len(_MATCH_WORKERS)
-    n_cells = [[0] * k for _ in range(k)]
-    s_cells = [[0] * k for _ in range(k)]
-    for w, t, sc, n in zip(cell["w"], cell["t"], cell["sc"],
-                           cell["n"]):
-        i = _MATCH_WORKERS.index(w)
-        n_cells[i][int(t)] = int(n)
-        s_cells[i][int(t)] = int(sc)
-    return n_cells, s_cells
-
-
-def _markov_flows(sf_dir: str) -> tuple:
-    """Shared transition census for the linear-systems pair: the
-    ≤|types|² flow table from ``windows.transitions_per_key`` (one
-    key-hash exchange, per-partition pre-combine) plus the 5-row
-    type-count census (one tiny groupby).  Returns (flows dict
-    (prev, nxt) → n, counts dict type → n)."""
-    import ray.data
-    from ray.data.aggregate import Count
-
-    from documentai_ray.stages.windows import transitions_per_key
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type", "event_id"])
-    tdf = transitions_per_key(ds, key_col="user_id", ts_col="ts",
-                              type_col="event_type",
-                              tiebreak_col="event_id").to_pandas()
-    flows = {(p, n): int(c) for p, n, c in
-             zip(tdf["prev_type"], tdf["next_type"], tdf["n"])}
-    cdf = (ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                 columns=["event_type"])
-           .groupby("event_type")
-           .aggregate(Count(alias_name="n"))).to_pandas()
-    counts = {t: int(n) for t, n in zip(cdf["event_type"],
-                                        cdf["n"])}
-    return flows, counts
-
-
-_LEONTIEF_SECTORS = ["click", "purchase", "view"]
-_CHAIN_TRANSIENT = ["click", "error", "view"]
-_CHAIN_ABSORBING = ["purchase", "signup"]
-
-
-_HOUR_CENSUS_CACHE: dict = {}
-
-
 _SQL_BPE_WORDS = (
     "SELECT token AS word, CAST(count(*) AS BIGINT) AS n FROM "
     "(SELECT unnest(string_split(text, ' ')) AS token FROM documents) "
@@ -808,65 +599,6 @@ _SQL_DENSE_GRID = (
     "AND grid.hr = hc.hr)"
 )
 
-# Haar pyramid: 13 generated pairwise levels; HAVING count(*) = 2 keeps
-# only FULL pairs, so the fold terminates exactly at level L = log2(m)
-# (the lone top row can never half-pair into a spurious level); m is a
-# nested-CASE power of 2 — no float log anywhere
-_H_LEVELS = 13
-_SQL_HAAR = (
-    "WITH " + _SQL_DENSE_GRID + ", "
-    "cnt AS (SELECT count(DISTINCT hr) AS n FROM grid), "
-    "mm AS (SELECT CASE "
-    + " ".join(f"WHEN n >= {1 << k} THEN {1 << k}"
-               for k in range(_H_LEVELS, 0, -1))
-    + " END AS m FROM cnt), "
-    "lv0 AS (SELECT t.event_type, t.i, CAST(t.c AS HUGEINT) AS a, mm.m "
-    "FROM (SELECT event_type, hr, c, row_number() OVER "
-    "(PARTITION BY event_type ORDER BY hr) - 1 AS i FROM dd) t, mm "
-    "WHERE t.i < mm.m), "
-    + ", ".join(
-        f"lv{l} AS (SELECT event_type, m, i // 2 AS i, SUM(a) AS a, "
-        f"SUM(CASE WHEN i % 2 = 0 THEN a ELSE -a END) AS d "
-        f"FROM lv{l - 1} GROUP BY 1, 2, 3 HAVING count(*) = 2)"
-        for l in range(1, _H_LEVELS + 1))
-    + ", en AS ("
-    + " UNION ALL ".join(
-        f"SELECT event_type, m, {l} AS level, SUM(d * d) AS e "
-        f"FROM lv{l} GROUP BY 1, 2"
-        for l in range(1, _H_LEVELS + 1))
-    + "), sc AS (SELECT event_type, m, level, "
-    "e * (m // (1 << level)) AS es FROM en), "
-    "tot AS (SELECT event_type, SUM(es) AS t FROM sc GROUP BY 1) "
-    "SELECT sc.event_type, CAST(sc.m AS BIGINT) AS n_used, "
-    "CAST(sc.level AS BIGINT) AS level, CAST(sc.es AS BIGINT) "
-    "AS e_scaled, CAST(1000000 * sc.es // tot.t AS BIGINT) AS share_ppm "
-    "FROM sc JOIN tot ON sc.event_type = tot.event_type"
-)
-
-# k-step Markov fold: trunc-ppm rows, per-step sum-then-floor — the
-# truncation order IS the op definition; left joins keep zero-inflow
-# types alive
-_MK_STEPS = 4
-_SQL_MARKOV = (
-    "WITH tr AS (SELECT prev, next, count(*) AS n FROM "
-    "(SELECT event_type AS next, lag(event_type) OVER "
-    "(PARTITION BY user_id ORDER BY ts, event_id) AS prev FROM events) "
-    "WHERE prev IS NOT NULL GROUP BY 1, 2), "
-    "rs AS (SELECT prev, SUM(n) AS tot FROM tr GROUP BY 1), "
-    "p AS (SELECT tr.prev, tr.next, 1000000 * tr.n // rs.tot AS p "
-    "FROM tr JOIN rs USING (prev)), "
-    "t AS (SELECT DISTINCT event_type AS et FROM events), "
-    "tc AS (SELECT count(*) AS tn FROM t), "
-    "v0 AS (SELECT et, 1000000 // tn AS v FROM t, tc), "
-    + ", ".join(
-        f"v{k} AS (SELECT t.et, coalesce(SUM(v{k - 1}.v * p.p), 0) "
-        f"// 1000000 AS v FROM t LEFT JOIN p ON p.next = t.et "
-        f"LEFT JOIN v{k - 1} ON v{k - 1}.et = p.prev GROUP BY 1)"
-        for k in range(1, _MK_STEPS + 1))
-    + " SELECT v0.et AS event_type, CAST(v0.v AS BIGINT) AS p0_ppm, "
-    f"CAST(v{_MK_STEPS}.v AS BIGINT) AS pk_ppm "
-    f"FROM v0 JOIN v{_MK_STEPS} USING (et)"
-)
 
 # shared BM25 CTE chain (bm25_topk + mrr_eval): cleared-fraction
 # saturation × rational idf, positive scores ranked per query
@@ -980,22 +712,6 @@ _SQL_CIF = (
         for d in range(_KM_H))
 )
 
-# dyadic-EWMA backtest: 8 lag terms, Mersenne 255 denominator
-_SQL_EWMA = (
-    "WITH " + _SQL_DENSE_GRID + ", "
-    "r AS (SELECT event_type, hr, c, row_number() OVER "
-    "(PARTITION BY event_type ORDER BY hr) AS i FROM dd), "
-    "p AS (SELECT event_type, i, 255 * c - ("
-    + " + ".join(f"{1 << (8 - k)} * lag(c, {k}) OVER w"
-                 for k in range(1, 9))
-    + ") AS errn FROM r WINDOW w AS "
-    "(PARTITION BY event_type ORDER BY i)) "
-    "SELECT event_type, CAST(count(*) AS BIGINT) AS n_eval, "
-    "CAST(SUM(abs(errn)) AS BIGINT) AS sae_scaled, "
-    "CAST(1000 * SUM(abs(errn)) // (255 * count(*)) AS BIGINT) "
-    "AS mae_milli FROM p WHERE i > 8 GROUP BY 1"
-)
-
 
 def _sql_ss(num: str, den: str) -> str:
     """Sign-split trunc-ppm division fragment: Python floors and
@@ -1006,194 +722,6 @@ def _sql_ss(num: str, den: str) -> str:
             f"WHEN ({num} >= 0) = ({den} > 0) "
             f"THEN 1000000 * abs({num}) // abs({den}) "
             f"ELSE -(1000000 * abs({num}) // abs({den})) END")
-
-
-def _sql_det3(m: list) -> str:
-    """3×3 determinant, cofactor expansion along the first row —
-    mirrors ``linalg.mat3_det`` term for term."""
-    return (f"({m[0][0]} * ({m[1][1]} * {m[2][2]} - {m[1][2]} * "
-            f"{m[2][1]}) - {m[0][1]} * ({m[1][0]} * {m[2][2]} - "
-            f"{m[1][2]} * {m[2][0]}) + {m[0][2]} * ({m[1][0]} * "
-            f"{m[2][1]} - {m[1][1]} * {m[2][0]}))")
-
-
-def _sql_cof3(m: list, i: int, j: int) -> str:
-    rows = [r for r in range(3) if r != i]
-    cols = [c for c in range(3) if c != j]
-    sgn = "" if (i + j) % 2 == 0 else "-"
-    return (f"{sgn}({m[rows[0]][cols[0]]} * {m[rows[1]][cols[1]]} "
-            f"- {m[rows[0]][cols[1]]} * {m[rows[1]][cols[0]]})")
-
-
-def _sql_adjdot3(m: list, v: list, i: int) -> str:
-    """(adj(M) · v)_i = Σ_j C_ji · v_j — mirrors
-    ``linalg.mat3_adj_dot``."""
-    return "(" + " + ".join(f"({_sql_cof3(m, j, i)}) * ({v[j]})"
-                            for j in range(3)) + ")"
-
-
-_SQL_FLOW_CENSUS = (
-    "seq AS (SELECT event_type AS nxt, lag(event_type) OVER "
-    "(PARTITION BY user_id ORDER BY ts, event_id) AS prev "
-    "FROM events), "
-    "f AS (SELECT prev, nxt, count(*) AS n FROM seq "
-    "WHERE prev IS NOT NULL GROUP BY 1, 2)"
-)
-
-
-def _sql_leontief_io() -> str:
-    """Leontief mirror: lag() flow census → 9 ppm technology
-    scalars → HUGEINT M = 1e6·I − A → the same cofactor expansion
-    the kernel runs, one floor per sector."""
-    s = _LEONTIEF_SECTORS
-    a_exprs = ", ".join(
-        f"coalesce((SELECT 1000000 * f.n // x.xn FROM f "
-        f"JOIN x ON x.t = '{s[j]}' WHERE f.prev = '{s[i]}' "
-        f"AND f.nxt = '{s[j]}'), 0) AS a{i}{j}"
-        for i in range(3) for j in range(3))
-    m_exprs = ", ".join(
-        f"CAST({1000000 if i == j else 0} - a{i}{j} AS HUGEINT) "
-        f"AS m{i}{j}" for i in range(3) for j in range(3))
-    m = [[f"m.m{i}{j}" for j in range(3)] for i in range(3)]
-    det = _sql_det3(m)
-    hs = (f"(m.m00 > 0 AND m.m00 * m.m11 - m.m01 * m.m10 > 0 "
-          f"AND {det} > 0)")
-    rows = []
-    for k in range(3):
-        num = _sql_adjdot3(m, ["1", "1", "1"], k)
-        ii = " + ".join(f"a.a{i}{k}" for i in range(3))
-        rows.append(
-            f"SELECT '{s[k]}' AS sector, "
-            f"CAST({ii} AS BIGINT) AS input_intensity_ppm, "
-            f"CAST(1000 * 1000000 * {num} // {det} AS BIGINT) "
-            f"AS gross_output_milli, {hs} AS hs_ok FROM a, m")
-    return ("WITH " + _SQL_FLOW_CENSUS + ", "
-            "x AS (SELECT event_type AS t, count(*) AS xn "
-            "FROM events GROUP BY 1), "
-            f"a AS (SELECT {a_exprs}), "
-            f"m AS (SELECT {m_exprs} FROM a) "
-            + " UNION ALL ".join(rows))
-
-
-def _sql_absorbing_chain() -> str:
-    """Absorbing-chain mirror: same flow census, rows normalized by
-    TOTAL outflow, fundamental-matrix quantities via the identical
-    spelled-out adjugate."""
-    tr, ab = _CHAIN_TRANSIENT, _CHAIN_ABSORBING
-    q_exprs = ", ".join(
-        f"coalesce((SELECT 1000000 * f.n // rt.tot FROM f "
-        f"JOIN rt ON rt.prev = '{tr[i]}' WHERE f.prev = '{tr[i]}' "
-        f"AND f.nxt = '{tr[j]}'), 0) AS q{i}{j}"
-        for i in range(3) for j in range(3))
-    r_exprs = ", ".join(
-        f"coalesce((SELECT 1000000 * f.n // rt.tot FROM f "
-        f"JOIN rt ON rt.prev = '{tr[i]}' WHERE f.prev = '{tr[i]}' "
-        f"AND f.nxt = '{ab[a]}'), 0) AS r{i}{a}"
-        for i in range(3) for a in range(2))
-    m_exprs = ", ".join(
-        f"CAST({1000000 if i == j else 0} - q{i}{j} AS HUGEINT) "
-        f"AS m{i}{j}" for i in range(3) for j in range(3))
-    m = [[f"m.m{i}{j}" for j in range(3)] for i in range(3)]
-    det = _sql_det3(m)
-    rows = []
-    for i in range(3):
-        sn = _sql_adjdot3(m, ["1", "1", "1"], i)
-        bp = _sql_adjdot3(
-            m, [f"CAST(qr.r{k}0 AS HUGEINT)" for k in range(3)], i)
-        bs = _sql_adjdot3(
-            m, [f"CAST(qr.r{k}1 AS HUGEINT)" for k in range(3)], i)
-        rows.append(
-            f"SELECT '{tr[i]}' AS state, "
-            f"CAST(1000 * 1000000 * {sn} // {det} AS BIGINT) "
-            f"AS steps_milli, "
-            f"CAST(1000000 * {bp} // {det} AS BIGINT) "
-            f"AS absorb_purchase_ppm, "
-            f"CAST(1000000 * {bs} // {det} AS BIGINT) "
-            f"AS absorb_signup_ppm FROM qr, m")
-    return ("WITH " + _SQL_FLOW_CENSUS + ", "
-            "rt AS (SELECT prev, sum(n) AS tot FROM f "
-            "GROUP BY prev), "
-            f"qr AS (SELECT {q_exprs}, {r_exprs}), "
-            f"m AS (SELECT {m_exprs} FROM qr) "
-            + " UNION ALL ".join(rows))
-
-
-#: matching-market SQL prelude (mirrors ``_match_cells`` +
-#: ``matching.matching_market_frames``): 4×4 census, alphabetic
-#: worker index, the 24-row permutation table via 4-way cross join
-#: with distinctness (pid = base-4 encoding ⇒ numeric order ==
-#: Python's lexicographic permutation order), and the unnested
-#: (pid, worker, task) match rows.
-_SQL_MATCH_PRELUDE = (
-    "WITH c AS (SELECT event_type AS w, hour(ts) % 4 AS t, "
-    "count(*) AS n, "
-    "CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS s "
-    "FROM events WHERE event_type IN "
-    "('click', 'error', 'purchase', 'signup') GROUP BY 1, 2), "
-    "wn AS (SELECT w, row_number() OVER (ORDER BY w) - 1 AS wi "
-    "FROM (SELECT DISTINCT w FROM c)), "
-    "ix AS (SELECT j FROM (VALUES (0), (1), (2), (3)) v(j)), "
-    "perm AS (SELECT a.j AS j0, b.j AS j1, cc.j AS j2, d.j AS j3, "
-    "a.j * 64 + b.j * 16 + cc.j * 4 + d.j AS pid "
-    "FROM ix a, ix b, ix cc, ix d "
-    "WHERE a.j <> b.j AND a.j <> cc.j AND a.j <> d.j "
-    "AND b.j <> cc.j AND b.j <> d.j AND cc.j <> d.j), "
-    "m AS (SELECT pid, 0 AS wi, j0 AS t FROM perm UNION ALL "
-    "SELECT pid, 1, j1 FROM perm UNION ALL "
-    "SELECT pid, 2, j2 FROM perm UNION ALL "
-    "SELECT pid, 3, j3 FROM perm)"
-)
-
-#: spatial point hash, SQL side (mirrors ``spatial.hash_xy``):
-#: x = top 10 bits of (k*KNUTH mod 2^32); y re-multiplies the FULL
-#: 32-bit first hash (HUGEINT — product ~1.14e19 exceeds int64) then
-#: takes the top 10 bits.  Low bits would be a lattice; see kernel.
-_SQL_POINT_X = ("((({key} * 2654435761) % 4294967296) // 4194304)")
-_SQL_POINT_Y = ("CAST(((CAST(({key} * 2654435761) % 4294967296 AS "
-                "HUGEINT) * 2654435761 + 12345) % 4294967296) "
-                "// 4194304 AS BIGINT)")
-
-
-def _sql_luhn_sum(col: str, parity: int) -> str:
-    """19 unrolled Luhn digit terms (covers any int64; high zeros
-    double to zero).  ``parity`` = which position class from the
-    right gets doubled: 1 for as-is validity, 0 for the check-digit
-    prefix sum (appending shifts every digit a parity class)."""
-    terms = []
-    for i in range(19):
-        d = f"(({col} // {10 ** i}) % 10)"
-        if i % 2 == parity:
-            terms.append(f"(CASE WHEN {d} * 2 > 9 "
-                         f"THEN {d} * 2 - 9 ELSE {d} * 2 END)")
-        else:
-            terms.append(d)
-    return "(" + " + ".join(terms) + ")"
-
-
-
-
-def _sql_crc8() -> str:
-    """CRC-8 oracle: the same 256-entry table as textstats.CRC8_TABLE
-    (single source of truth — imported, not re-derived), walked by a
-    recursive CTE with xor() indexing; the residue column appends the
-    computed crc byte and walks one more step."""
-    from documentai_ray.stages.textstats import CRC8_TABLE
-
-    tab = "[" + ", ".join(str(x) for x in CRC8_TABLE) + "]"
-    return (
-        "WITH RECURSIVE s AS (SELECT doc_id, substr(substr(lower("
-        "regexp_replace(text, '[^a-zA-Z]', '', 'g')), 1, 128), 1, "
-        "64) AS t FROM documents), "
-        "b AS (SELECT doc_id, t, length(t) AS n FROM s), "
-        "walk AS (SELECT doc_id, t, n, 0 AS i, 0 AS c FROM b "
-        "UNION ALL SELECT doc_id, t, n, i + 1, "
-        f"{tab}[xor(c, ascii(substr(t, i + 1, 1))) + 1] "
-        "FROM walk WHERE i < n) "
-        "SELECT doc_id, CAST(n AS BIGINT) AS n_bytes, "
-        "CAST(c AS BIGINT) AS crc8, "
-        f"CAST({tab}[xor(c, c) + 1] AS BIGINT) AS residue "
-        "FROM walk WHERE i = n"
-    )
 
 
 def _sql_fingerprint() -> str:
@@ -1236,4 +764,4 @@ quality_inner = (
 )
 
 
-__all__ = ['_REPO_ROOT', 'quality_inner', 'Any', 'Callable', 'SIMHASH_VARIANT_MAX_HAMMING', '_BM25_QUERIES', '_CHAIN_ABSORBING', '_CHAIN_TRANSIENT', '_CONFORMANCE_MODEL', '_FD_CANDIDATES', '_GROUP_CATS', '_HLL_ALPHA_PPM', '_HOUR_CENSUS_CACHE', '_H_LEVELS', '_INV_P1', '_INV_P2', '_INV_Q1', '_INV_Q2', '_KM_H', '_LEONTIEF_SECTORS', '_MATCH_WORKERS', '_MK_STEPS', '_RAKE_STOPWORDS', '_SCD2_SEGMENTS', '_SQL_AMB_SUFFIX', '_SQL_BM25_CORE', '_SQL_BPE_SPACED', '_SQL_BPE_WORDS', '_SQL_CATEGORY', '_SQL_CIF', '_SQL_DENSE_GRID', '_SQL_EWMA', '_SQL_EXPECTED_PAGES', '_SQL_FLOW_CENSUS', '_SQL_GOLDEN_TEXT', '_SQL_HAAR', '_SQL_INV_TEXT', '_SQL_JACCARD_PAIRS', '_SQL_KM', '_SQL_MARKOV', '_SQL_MATCH_PRELUDE', '_SQL_PAGES_WITH_AMP', '_SQL_POINT_X', '_SQL_POINT_Y', '_SQL_PO_TEXT', '_SQL_QUALITY_DERIVED', '_SQL_QUALITY_METRICS', '_SQL_URL', '_SQL_VERDICT', '_SQL_VOTES', '_arm_metric_stats', '_bm25_top_rel', '_extracted_pages_with_doc_id', '_markov_flows', '_match_cells', '_minhash_verified_pairs', '_norm_strings', '_norm_strings_ds', '_score_label_hist', '_sql_absorbing_chain', '_sql_adjdot3', '_sql_bpe_encode_tokens', '_sql_bpe_train', '_sql_cof3', '_sql_crc8', '_sql_det3', '_sql_fingerprint', '_sql_hex_slice16', '_sql_hits', '_sql_kmeans', '_sql_lang_id', '_sql_leontief_io', '_sql_luhn_sum', '_sql_md5_le64', '_sql_pagerank', '_sql_pagerank_irregular', '_sql_pq', '_sql_ss', '_trunc_ppm', 'os', 'sys']
+__all__ = ['_REPO_ROOT', 'quality_inner', 'SIMHASH_VARIANT_MAX_HAMMING', '_BM25_QUERIES', '_CONFORMANCE_MODEL', '_FD_CANDIDATES', '_GROUP_CATS', '_INV_P1', '_INV_P2', '_INV_Q1', '_INV_Q2', '_KM_H', '_RAKE_STOPWORDS', '_SQL_AMB_SUFFIX', '_SQL_BM25_CORE', '_SQL_BPE_SPACED', '_SQL_BPE_WORDS', '_SQL_CATEGORY', '_SQL_CIF', '_SQL_DENSE_GRID', '_SQL_EXPECTED_PAGES', '_SQL_GOLDEN_TEXT', '_SQL_INV_TEXT', '_SQL_JACCARD_PAIRS', '_SQL_KM', '_SQL_PAGES_WITH_AMP', '_SQL_PO_TEXT', '_SQL_QUALITY_DERIVED', '_SQL_QUALITY_METRICS', '_SQL_URL', '_SQL_VERDICT', '_SQL_VOTES', '_arm_metric_stats', '_bm25_top_rel', '_extracted_pages_with_doc_id', '_minhash_verified_pairs', '_norm_strings', '_norm_strings_ds', '_score_label_hist', '_sql_bpe_encode_tokens', '_sql_bpe_train', '_sql_fingerprint', '_sql_kmeans', '_sql_lang_id', '_sql_md5_le64', '_sql_pq', '_sql_ss', '_trunc_ppm', 'os']

@@ -4,8 +4,6 @@ from __future__ import annotations
 from documentai_ray.queries._helpers import *  # noqa: F401,F403
 
 
-
-
 def _q_extract_text(sf_dir: str):
     from documentai_ray.pipelines.flagship import flagship  # noqa: F401
     from documentai_ray.sources.pages import pages_dataset
@@ -286,137 +284,6 @@ def _q_doc_quality(sf_dir: str):
         ["doc_id", "n_chars", "n_tokens", "uniq_tokens", "rep_ratio",
          "struct_ratio", "confidence", "verdict", "lang_ok"]
     )
-
-
-def _q_events_hourly(sf_dir: str):
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Count, Sum
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type", "value"])
-
-    def add_hour(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "hour", pc.floor_temporal(batch.column("ts"), unit="hour")
-        )
-
-    agg = (
-        ds.map_batches(add_hour, batch_format="pyarrow")
-        .groupby(["hour", "event_type"])
-        .aggregate(Count(alias_name="n_events"), Sum("value", alias_name="sum_value"))
-        .to_pandas()
-    )
-    agg["sum_value"] = agg["sum_value"].round(2)
-    return agg[["hour", "event_type", "n_events", "sum_value"]]
-
-
-def _q_events_sessions(sf_dir: str):
-    """Gap-based sessionization via the bucketed vectorized path (all users
-    of a hash partition sessionized in one pandas pass — group count bounded
-    by P, not by user cardinality)."""
-    import ray.data
-
-    from documentai_ray.stages.windows import session_windows
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts"])
-    return session_windows(ds, key_col="user_id", ts_col="ts",
-                           gap_minutes=30).select_columns(
-        ["user_id", "n_sessions"])
-
-
-def _q_q1_lineitem(sf_dir: str):
-    """TPC-H-Q1-style grouped aggregate with per-batch partial aggregation."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity",
-                 "l_extendedprice", "l_discount"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        df = batch.to_pandas()
-        # money in EXACT integer cents: float summation order differs
-        # between engines, and across ~10^5+ rows the drift exceeds any
-        # rounding grid — integer partial sums are order-independent.
-        # (int64 holds sums to ~9e18 ≈ 10^12 rows of 10^4-cent² values per
-        # partial; beyond that, widen to two-level partials.)
-        price_c = np.rint(df["l_extendedprice"].to_numpy() * 100).astype("int64")
-        disc_c = np.rint(df["l_discount"].to_numpy() * 100).astype("int64")
-        df["_rev_c2"] = price_c * (100 - disc_c)   # price_cents × pct → 1e-4 units
-        df["_base_c"] = price_c
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            sum_qty=("l_quantity", "sum"),
-            _base_c=("_base_c", "sum"),
-            _rev_c2=("_rev_c2", "sum"),
-            n_rows=("l_quantity", "size"),
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(Sum("sum_qty", alias_name="sum_qty"),
-                   Sum("_base_c", alias_name="_base_c"),
-                   Sum("_rev_c2", alias_name="_rev_c2"),
-                   Sum("n_rows", alias_name="n_rows"))
-        .to_pandas()
-    )
-    agg["sum_qty"] = agg["sum_qty"].round(2)
-    agg["sum_base_price"] = agg["_base_c"] / 100.0
-    agg["sum_revenue"] = agg["_rev_c2"] / 10000.0
-    return agg[["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
-                "sum_revenue", "n_rows"]]
-
-
-def _q_orders_by_nation(sf_dir: str):
-    """Broadcast join: small dims (customer⋈nation) shipped via ray.put,
-    looked up per batch — no shuffle of the fact table (SURVEY J-patterns)."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray
-    import ray.data
-    from ray.data.aggregate import Count, Sum
-
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey", "c_nationkey"]).to_pandas()
-    nation = ray.data.read_parquet(f"{sf_dir}/nation.parquet",
-                                   columns=["n_nationkey", "n_name"]).to_pandas()
-    dim = cust.merge(nation, left_on="c_nationkey", right_on="n_nationkey")
-    # broadcast as an index-keyed Series: lookups are one vectorized
-    # reindex per batch, not a per-element dict .get loop (VERDICT r2 #7)
-    lookup = ray.put(pd.Series(dim["n_name"].to_numpy(),
-                               index=dim["c_custkey"].to_numpy()))
-
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_custkey", "o_totalprice"])
-
-    def attach(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        lk = ray.get(lookup)
-        names = lk.reindex(batch.column("o_custkey").to_numpy()).to_numpy()
-        cents = np.rint(batch.column("o_totalprice").to_numpy() * 100).astype("int64")
-        out = batch.append_column("n_name", pa.array(names, pa.string()))
-        return out.append_column("_price_c", pa.array(cents, pa.int64()))
-
-    agg = (
-        orders.map_batches(attach, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Count(alias_name="n_orders"),
-                   Sum("_price_c", alias_name="_price_c"))
-        .to_pandas()
-    )
-    agg["total_price"] = agg["_price_c"] / 100.0  # exact integer-cents sum
-    return agg[["n_name", "n_orders", "total_price"]]
 
 
 def _q_minhash_neardup(sf_dir: str):
@@ -908,123 +775,6 @@ def _q_ann_ivf(sf_dir: str):
     return ivf_topk(ds, query, k=10, index=index, exclude_ids={0})[["vec_id"]]
 
 
-def _q_q5_local_revenue(sf_dir: str):
-    """TPC-H-Q5-style composition: lineitem ⋈ orders via a partitioned
-    ``hash_join`` (BOTH fact-adjacent sides large — orders is 1.5B rows at
-    sf1000, never driver-broadcastable), with only the genuinely small
-    dims (customer/supplier/nation, ≤ O(10⁵) rows) broadcast as ``ray.put``
-    lookups inside ``map_batches``. After the join, rows filter to
-    cust_nation == supp_nation and pre-aggregate per batch, so only the
-    tiny per-nation partials shuffle into the final groupby."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.joins import hash_join
-
-    def load(name, cols):
-        return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=cols).to_pandas()
-
-    customer = load("customer", ["c_custkey", "c_nationkey"])
-    supplier = load("supplier", ["s_suppkey", "s_nationkey"])
-    nation = load("nation", ["n_nationkey", "n_name"])
-
-    # index-keyed Series broadcasts → vectorized reindex per batch instead
-    # of per-element dict .get loops in the hottest map stage (VERDICT r2 #7)
-    cust_to_nation = ray.put(pd.Series(customer["c_nationkey"].to_numpy(),
-                                       index=customer["c_custkey"].to_numpy()))
-    supp_to_nation = ray.put(pd.Series(supplier["s_nationkey"].to_numpy(),
-                                       index=supplier["s_suppkey"].to_numpy()))
-    nation_name = ray.put(dict(zip(nation["n_nationkey"], nation["n_name"])))
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    )
-
-    def li_prep(batch: pa.Table) -> pa.Table:
-        price_c = np.rint(batch.column("l_extendedprice").to_numpy() * 100).astype("int64")
-        disc_c = np.rint(batch.column("l_discount").to_numpy() * 100).astype("int64")
-        sn = ray.get(supp_to_nation)
-        supp_nation = pa.array(
-            sn.reindex(batch.column("l_suppkey").to_numpy())
-            .fillna(-1).astype("int64").to_numpy(), pa.int64())
-        return pa.table({"orderkey": batch.column("l_orderkey"),
-                         "supp_nation": supp_nation,
-                         "rev_c2": pa.array(price_c * (100 - disc_c), pa.int64())})
-
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_orderkey", "o_custkey"])
-
-    def o_prep(batch: pa.Table) -> pa.Table:
-        cn = ray.get(cust_to_nation)
-        cust_nation = pa.array(
-            cn.reindex(batch.column("o_custkey").to_numpy())
-            .fillna(-2).astype("int64").to_numpy(), pa.int64())
-        return pa.table({"orderkey": batch.column("o_orderkey"),
-                         "cust_nation": cust_nation})
-
-    joined = hash_join(
-        li.map_batches(li_prep, batch_format="pyarrow"),
-        orders.map_batches(o_prep, batch_format="pyarrow"),
-        on="orderkey",
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["cust_nation"] == df["supp_nation"]]
-        if df.empty:
-            return pa.table({"n_name": pa.array([], pa.string()),
-                             "rev_c2": pa.array([], pa.int64()),
-                             "n_items": pa.array([], pa.int64())})
-        names = ray.get(nation_name)
-        df["n_name"] = df["cust_nation"].map(names)
-        g = df.groupby("n_name", as_index=False).agg(
-            rev_c2=("rev_c2", "sum"), n_items=("rev_c2", "size"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    agg = (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Sum("rev_c2", alias_name="_rev_c2"),
-                   Sum("n_items", alias_name="n_items"))
-        .to_pandas()
-    )
-    agg["revenue"] = agg["_rev_c2"] / 10000.0
-    return agg[["n_name", "n_items", "revenue"]]
-
-
-def _q_events_sliding(sf_dir: str):
-    """Sliding-window aggregate (60-min window, 15-min slide)."""
-    import ray.data
-
-    from documentai_ray.stages.windows import sliding_window_agg
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type"])
-    return sliding_window_agg(ds, window_minutes=60, slide_minutes=15)
-
-
-def _q_rnn_pairs(sf_dir: str):
-    """Reciprocal nearest neighbors under max inner product: embedding
-    pairs that are each other's best match — the mutual-best filter of
-    entity resolution / semantic dedup. Exercises
-    ``similarity.mips_rnn_pairs``: int64-quantized exact dots (no
-    cosine division anywhere), smallest-id tie-break, per-batch block ×
-    corpus matmul against the broadcast matrix, one bounded self-join
-    of the n-row best-match table for mutuality."""
-    import ray.data
-
-    from documentai_ray.stages.similarity import mips_rnn_pairs
-
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-    return mips_rnn_pairs(ds, id_col="vec_id", vec_col="embedding")
-
-
 def _q_mean_embedding(sf_dir: str):
     """Per-label embedding centroid sufficient statistics — the class-
     prototype computation behind cluster seeding / domain signatures.
@@ -1040,342 +790,6 @@ def _q_mean_embedding(sf_dir: str):
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["label", "embedding"])
     return grouped_centroid(ds, key_col="label", vec_col="embedding")
-
-
-def _q_kmv_intersect(sf_dir: str):
-    """Audience overlap via KMV θ-sketch INTERSECTION: estimated count
-    of users who both clicked AND purchased, without co-locating the
-    two sets — each side ships only its k smallest distinct user-hash
-    values, the combine is sketch algebra on ≤2k integers. Exercises
-    ``sketches.kmv_intersect_sets``; integer end to end, so the SQL
-    mirror (row_number θ, HUGEINT divisions) lands bit-identically."""
-    import ray.data
-
-    from documentai_ray.stages.sketches import kmv_intersect_sets
-
-    def side(t):
-        return ray.data.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["user_id", "event_type"],
-        ).filter(expr=f"event_type == '{t}'")
-
-    return kmv_intersect_sets(side("click"), side("purchase"),
-                              val_col="user_id", k=64)
-
-
-def _q_kmv_difference(sf_dir: str):
-    """Audience set DIFFERENCE via θ-sketch: estimated count of users
-    who clicked but never purchased (and vice versa), completing the
-    sketch set algebra (union / intersect / difference) — still no
-    co-location of the sets, ≤ k hashes per side per block. Exercises
-    ``sketches.kmv_difference_sets``; bit-identical SQL mirror."""
-    import ray.data
-
-    from documentai_ray.stages.sketches import kmv_difference_sets
-
-    def side(t):
-        return ray.data.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["user_id", "event_type"],
-        ).filter(expr=f"event_type == '{t}'")
-
-    return kmv_difference_sets(side("click"), side("purchase"),
-                               val_col="user_id", k=64)
-
-
-def _q_copurchase_pairs(sf_dir: str):
-    """Market-basket co-occurrence: part pairs ordered together in ≥ 2
-    orders — frequently-bought-together / co-citation. Exercises
-    ``graph.cooccurrence_pairs``: one basket-hash exchange, per-basket
-    vectorized distinct + self-merge pair emission pre-combined to
-    per-partition pair counts, second exchange bounded by distinct
-    pairs (not pair instances), loud ``max_basket`` skew guard."""
-    import ray.data
-
-    from documentai_ray.stages.graph import cooccurrence_pairs
-
-    ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_orderkey", "l_partkey"])
-    return cooccurrence_pairs(ds, basket_col="l_orderkey",
-                              item_col="l_partkey", min_support=2,
-                              num_partitions=32)
-
-
-def _q_grouped_mode(sf_dir: str):
-    """Per-user dominant action: statistical MODE of event_type per
-    user_id, count ties broken toward the lexicographically smallest
-    type. Exercises ``aggregates.grouped_mode``: per-batch (key, value)
-    count pre-combine, ONE key-hash exchange bounded by
-    keys × distinct values, per-partition sum + single-sort argmax."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_mode
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "event_type"])
-    return grouped_mode(ds, key_col="user_id", val_col="event_type",
-                        num_partitions=32)
-
-
-def _q_pareto_parts(sf_dir: str):
-    """Distributed skyline (Pareto frontier): parts not dominated on
-    (minimize retail price, maximize size) — the multi-objective
-    reduction behind "cheapest for its quality tier" curation picks.
-    Exercises ``aggregates.pareto_frontier``: skylines compose, so a
-    map-side vectorized dominance pass keeps each block's frontier and
-    ONE final task reduces the (small) survivor union — no shuffle.
-    Exact ties all survive, matching the SQL NOT-EXISTS strict-clause
-    skyline; price compared in exact cents."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import pareto_frontier
-
-    def prep(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        c = np.rint(batch.column("p_retailprice").to_numpy() * 100
-                    ).astype("int64")
-        return pa.table({
-            "p_partkey": batch.column("p_partkey"),
-            "p_size": batch.column("p_size").cast(pa.int64()),
-            "price_c": pa.array(c, pa.int64()),
-        })
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_size", "p_retailprice"],
-    ).map_batches(prep, batch_format="pyarrow")
-    return pareto_frontier(ds, maximize=["p_size"], minimize=["price_c"])
-
-
-def _q_band_join_balances(sf_dir: str):
-    """Numeric tolerance (band / ε) join — the non-equi join class a
-    naive plan can only express as a cross join: every (customer,
-    supplier) pair whose account balances are within $5.00.  Exercises
-    ``joins.band_join``: delta-width bucketing, right side replicated to
-    the 3 adjacent buckets so each qualifying pair meets exactly once,
-    ONE bucket-hash exchange, vectorized in-partition merge + exact
-    integer |diff| ≤ delta filter.  Balances compared in exact cents —
-    no float crosses the engine boundary."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.joins import band_join
-
-    def cents(src: str, dst: str):
-        def f(batch: pa.Table) -> pa.Table:
-            import numpy as np
-            c = np.rint(batch.column(src).to_numpy() * 100).astype("int64")
-            return (batch.drop_columns([src])
-                    .append_column(dst, pa.array(c, pa.int64())))
-        return f
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_acctbal"]
-    ).map_batches(cents("c_acctbal", "c_bal_c"), batch_format="pyarrow")
-    supp = ray.data.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_acctbal"]
-    ).map_batches(cents("s_acctbal", "s_bal_c"), batch_format="pyarrow")
-
-    out = band_join(cust, supp, left_on="c_bal_c", right_on="s_bal_c",
-                    delta=500, num_partitions=32)
-    return out.select_columns(["c_custkey", "s_suppkey",
-                               "c_bal_c", "s_bal_c"])
-
-
-def _q_overlap_join_windows(sf_dir: str):
-    """Distributed interval-overlap join (range × range, NO equi-key,
-    both sides distributed): each order's active window
-    [orderdate, orderdate + orderkey%20 days] paired with every audit
-    window it intersects. Exercises ``joins.overlap_join``: fixed-grid
-    tiling (64-day tiles), each interval replicated to the tiles it
-    touches, pairs emitted only from the tile containing
-    max(starts) — one guard predicate instead of a pair-dedup exchange.
-    All endpoints in integer epoch days; audit windows derived
-    deterministically from supplier keys (every 10th supplier)."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.joins import overlap_join
-
-    def orders_iv(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        d = batch.column("o_orderdate").to_numpy().astype(
-            "datetime64[us]").astype("int64") // 86_400_000_000
-        k = batch.column("o_orderkey").to_numpy().astype("int64")
-        return pa.table({"o_orderkey": pa.array(k, pa.int64()),
-                         "o_start": pa.array(d, pa.int64()),
-                         "o_end": pa.array(d + k % 20, pa.int64())})
-
-    def audit_iv(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        k = batch.column("s_suppkey").to_numpy().astype("int64")
-        k = k[k % 10 == 0]
-        s = 8035 + (k * 131) % 2300
-        return pa.table({"s_suppkey": pa.array(k, pa.int64()),
-                         "a_start": pa.array(s, pa.int64()),
-                         "a_end": pa.array(s + k % 30 + 5, pa.int64())})
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderdate"]
-    ).map_batches(orders_iv, batch_format="pyarrow")
-    audits = ray.data.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey"]
-    ).map_batches(audit_iv, batch_format="pyarrow")
-
-    return overlap_join(orders, audits,
-                        left_start="o_start", left_end="o_end",
-                        right_start="a_start", right_end="a_end",
-                        tile=64, num_partitions=32)
-
-
-def _q_q3_topn(sf_dir: str):
-    """TPC-H-Q3-shaped 3-table plan: BUILDING-segment customers'
-    unshipped-revenue top 10 — a distributed SEMI join (orders filtered
-    by the customer segment WITHOUT carrying customer columns), a
-    partitioned hash join of the two fact tables, map-side partial
-    aggregation in exact cents, and a global sort+limit on the tiny
-    aggregated result. The multi-join planning pattern: semi joins for
-    EXISTS-style filters, inner joins only where columns are needed."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.joins import hash_join
-
-    cutoff = np.datetime64("1995-03-15T00:00:00", "us")
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    ).filter(expr="c_mktsegment == 'BUILDING'").select_columns(["c_custkey"])
-
-    def o_prep(batch: pa.Table) -> pa.Table:
-        d = batch.column("o_orderdate").to_numpy().astype("datetime64[us]")
-        keep = d < cutoff
-        t = batch.filter(pa.array(keep))
-        return pa.table({"c_custkey": t.column("o_custkey"),
-                         "o_orderkey": t.column("o_orderkey"),
-                         "o_orderdate": t.column("o_orderdate"),
-                         "o_orderpriority": t.column("o_orderpriority")})
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                 "o_orderpriority"],
-    ).map_batches(o_prep, batch_format="pyarrow")
-    orders = hash_join(orders, cust, on="c_custkey", how="semi",
-                       num_partitions=32).drop_columns(["c_custkey"]
-                                                       ).materialize()
-
-    def li_prep(batch: pa.Table) -> pa.Table:
-        d = batch.column("l_shipdate").to_numpy().astype("datetime64[us]")
-        t = batch.filter(pa.array(d > cutoff))
-        price_c = np.rint(t.column("l_extendedprice").to_numpy() * 100
-                          ).astype("int64")
-        disc_c = np.rint(t.column("l_discount").to_numpy() * 100
-                         ).astype("int64")
-        return pa.table({"o_orderkey": t.column("l_orderkey"),
-                         "rev_c2": pa.array(price_c * (100 - disc_c),
-                                            pa.int64())})
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"],
-    ).map_batches(li_prep, batch_format="pyarrow")
-
-    joined = hash_join(li, orders, on="o_orderkey", num_partitions=32)
-    agg = (joined.groupby("o_orderkey")
-           .aggregate(Sum("rev_c2", alias_name="_rev_c2")))
-    top = (agg.sort(["_rev_c2", "o_orderkey"], descending=[True, False])
-           .limit(10).to_pandas())
-    # re-attach the order attributes for the surviving 10 keys only
-    # (orders is materialized above: both consumers reuse its blocks)
-    keys = set(top["o_orderkey"].tolist())
-
-    def keep10(batch: pa.Table) -> pa.Table:
-        mask = [k in keys for k in batch.column("o_orderkey").to_pylist()]
-        return batch.filter(pa.array(mask))
-
-    attrs = (orders.map_batches(keep10, batch_format="pyarrow")
-             .to_pandas()[["o_orderkey", "o_orderdate", "o_orderpriority"]])
-    out = top.merge(attrs, on="o_orderkey")
-    out["revenue"] = out.pop("_rev_c2") / 10000.0
-    return out[["o_orderkey", "revenue", "o_orderdate", "o_orderpriority"]]
-
-
-def _q_retention_cohorts(sf_dir: str):
-    """Weekly retention cohorts — the product-analytics staple: users
-    grouped by their FIRST event week, distinct-user counts per
-    (cohort_week, week_offset). Physical plan: per-batch distinct
-    (user, week) pre-combine shrinks the ONE user-hash exchange; each
-    partition then resolves ALL its users in one vectorized pass
-    (global distinct → per-user min → offsets → partial counts), and a
-    tiny (cohort, offset) exchange sums the partials — no join, and
-    distinctness is guaranteed where the key is co-located."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.dedup import _add_pkey
-
-    def weeks(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        wk = (batch.column("ts").to_numpy().astype("datetime64[us]")
-              .astype("int64") // (604_800 * 1_000_000))
-        # per-batch dedup shrinks the exchange; GLOBAL distinctness is
-        # established per user partition below (a batch-level dedup
-        # alone would double-count pairs that span blocks)
-        df = pd.DataFrame({"user_id": batch.column("user_id").to_numpy(),
-                           "wk": wk}).drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    pairs = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    ).map_batches(weeks, batch_format="pyarrow")
-
-    def per_partition(g):
-        import pandas as pd
-        g = g.drop_duplicates(subset=["user_id", "wk"])
-        first = g.groupby("user_id", sort=False)["wk"].transform("min")
-        out = pd.DataFrame({"cohort_week": first,
-                            "week_offset": g["wk"] - first})
-        return (out.groupby(["cohort_week", "week_offset"], sort=False)
-                .size().reset_index(name="_n"))
-
-    partials = (_add_pkey(pairs, "user_id", 32)
-                .groupby("_pkey")
-                .map_groups(lambda g: per_partition(
-                    g.drop(columns=["_pkey"])), batch_format="pandas"))
-    return (partials.groupby(["cohort_week", "week_offset"])
-            .aggregate(Sum("_n", alias_name="n_users")))
-
-
-def _q_sliding_unique_users(sf_dir: str):
-    """Trailing-24h unique users, per hour — the live-audience metric.
-    Exercises ``windows.sliding_distinct_count``: instead of expanding
-    every (user, hour) pair 24× or running COUNT DISTINCT per window,
-    each user's observed hours open [h, h+24) intervals, islands merge
-    per user, and ±1 island-boundary deltas cumsum'd over the bounded
-    hour axis give the exact distinct count per hour."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.windows import sliding_distinct_count
-
-    def hours(batch: pa.Table) -> pa.Table:
-        h = (batch.column("ts").to_numpy().astype("datetime64[us]")
-             .astype("int64") // 3_600_000_000)
-        return pa.table({"user_id": batch.column("user_id"),
-                         "hour": pa.array(h, pa.int64())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts"]
-                               ).map_batches(hours, batch_format="pyarrow")
-    return sliding_distinct_count(ds, key_col="user_id",
-                                  bucket_col="hour", width=24,
-                                  num_partitions=32)
 
 
 def _q_segment_digests(sf_dir: str):
@@ -1428,866 +842,6 @@ def _q_segment_digests(sf_dir: str):
                          "digest": pa.array(out, pa.int64())})
 
     return agg.map_batches(derive, batch_format="pyarrow")
-
-
-def _q_user_coverage(sf_dir: str):
-    """Active-time coverage per user: each event opens a 300-second
-    window; overlapping windows must not double-count, so the metric is
-    the UNION length of each user's intervals. Exercises
-    ``windows.interval_coverage`` — distributed gaps-and-islands: one
-    key-hash exchange, per-partition vectorized grouped-cummax island
-    merge, Σ(max end − min start) per island."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.windows import interval_coverage
-
-    def iv(batch: pa.Table) -> pa.Table:
-        s = (batch.column("ts").to_numpy().astype("datetime64[us]")
-             .astype("int64") // 1_000_000)
-        return pa.table({"user_id": batch.column("user_id"),
-                         "s": pa.array(s, pa.int64()),
-                         "e": pa.array(s + 300, pa.int64())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts"]
-                               ).map_batches(iv, batch_format="pyarrow")
-    return interval_coverage(ds, key_col="user_id", start_col="s",
-                             end_col="e", num_partitions=32)
-
-
-def _q_quantity_dense_rank(sf_dir: str):
-    """dense_rank() of each lineitem's quantity within its returnflag
-    group — rank over distinct values, no gaps after ties; completes
-    the distributed rank-window family. Same collapsed plan as
-    quantity_percentile: one bounded histogram exchange + broadcast
-    lookup, rows never shuffle
-    (``aggregates.grouped_dense_rank``)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_dense_rank
-
-    def prep(batch: pa.Table) -> pa.Table:
-        q = np.rint(batch.column("l_quantity").to_numpy()).astype("int64")
-        return pa.table({"l_orderkey": batch.column("l_orderkey"),
-                         "l_linenumber": batch.column("l_linenumber"),
-                         "l_returnflag": batch.column("l_returnflag"),
-                         "qty": pa.array(q, pa.int64())})
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_linenumber", "l_returnflag",
-                 "l_quantity"],
-    ).map_batches(prep, batch_format="pyarrow")
-    out = grouped_dense_rank(ds, key_col="l_returnflag", val_col="qty")
-    return out.select_columns(["l_orderkey", "l_linenumber",
-                               "dense_rank"])
-
-
-def _q_global_index(sf_dir: str):
-    """zipWithIndex: assign every document a contiguous 0-based GLOBAL
-    index under ``ORDER BY (n_chars, doc_id)`` — the stable sample-id /
-    curriculum-position assignment, computed with NO global sort
-    (``aggregates.global_row_index``): one histogram exchange bounded
-    by distinct n_chars values + one tie-group exchange with a
-    vectorized cumcount; block layout never affects the result."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import global_row_index
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "n_chars"])
-    out = global_row_index(ds, val_col="n_chars", tiebreak_col="doc_id")
-    return out.select_columns(["doc_id", "row_idx"])
-
-
-def _q_record_linkage(sf_dir: str):
-    """Record linkage / entity resolution (Fellegi–Sunter shape): match
-    the customer master against a synthesized dirty CRM extract of
-    itself (deterministic per-row perturbations: custkey%3==0 drops the
-    name's last char, %3==1 upper-cases it, balance shifts by
-    custkey%7−3 cents). Blocking on (nationkey, mktsegment) bounds
-    candidate pairs; agreement weights — exact normalized name +40,
-    else edit-distance ≤ 1 +35, |balance diff| ≤ 3¢ +25 — keep pairs at
-    score ≥ 60. ONE block-key exchange, scoring fused into the join
-    partition (``stages/linkage.py``); the ≤1-edit comparator is the
-    O(len) single-pass check, not a DP matrix."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.linkage import blocked_linkage, within_edit1
-
-    def prep_left(batch: pa.Table) -> pa.Table:
-        names = batch.column("c_name").to_pylist()
-        nk = batch.column("c_nationkey").to_numpy()
-        seg = batch.column("c_mktsegment").to_pylist()
-        bal = np.rint(batch.column("c_acctbal").to_numpy() * 100
-                      ).astype("int64")
-        return pa.table({
-            "c_custkey": batch.column("c_custkey"),
-            "name_n": pa.array([n.lower() for n in names], pa.string()),
-            "bal": pa.array(bal, pa.int64()),
-            "block": pa.array([f"{k}|{s}" for k, s in zip(nk, seg)],
-                              pa.string()),
-        })
-
-    def prep_right(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy()
-        names = batch.column("c_name").to_pylist()
-        nk = batch.column("c_nationkey").to_numpy()
-        seg = batch.column("c_mktsegment").to_pylist()
-        bal = np.rint(batch.column("c_acctbal").to_numpy() * 100
-                      ).astype("int64")
-        dirty = [n[:-1] if k % 3 == 0 else (n.upper() if k % 3 == 1 else n)
-                 for k, n in zip(ck, names)]
-        return pa.table({
-            "crm_id": pa.array(ck + 1_000_000, pa.int64()),
-            "d_name_n": pa.array([n.lower() for n in dirty], pa.string()),
-            "d_bal": pa.array(bal + ck % 7 - 3, pa.int64()),
-            "block": pa.array([f"{k}|{s}" for k, s in zip(nk, seg)],
-                              pa.string()),
-        })
-
-    cols = ["c_custkey", "c_name", "c_nationkey", "c_acctbal",
-            "c_mktsegment"]
-    left = ray.data.read_parquet(f"{sf_dir}/customer.parquet", columns=cols
-                                 ).map_batches(prep_left,
-                                               batch_format="pyarrow")
-    right = ray.data.read_parquet(f"{sf_dir}/customer.parquet", columns=cols
-                                  ).map_batches(prep_right,
-                                                batch_format="pyarrow")
-
-    def scorer(pairs):
-        a = pairs["name_n"].to_numpy()
-        b = pairs["d_name_n"].to_numpy()
-        eq = a == b
-        score = np.where(eq, 40, 0).astype(np.int64)
-        # edit-distance path only for non-equal names (O(len) each)
-        for i in np.flatnonzero(~eq):
-            if within_edit1(a[i], b[i]):
-                score[i] += 35
-        close = np.abs(pairs["bal"].to_numpy()
-                       - pairs["d_bal"].to_numpy()) <= 3
-        return score + np.where(close, 25, 0)
-
-    return blocked_linkage(left, right, block_col="block", scorer=scorer,
-                           out_cols=["c_custkey", "crm_id"], threshold=60)
-
-
-def _q_golden_record(sf_dir: str):
-    """Survivorship merge after linkage: per customer, 3 synthesized
-    observation versions with deterministic field gaps (name present
-    only in version custkey%3, segment in even-parity versions, balance
-    in versions ≠ 1) collapse to one golden record — per FIELD, the
-    latest non-null observation wins (per-row recency would let a newer
-    record's missing field erase an older value). One key-hash
-    exchange + a single vectorized groupby-last per partition
-    (``linkage.golden_record``)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.linkage import golden_record
-
-    def versions(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy()
-        names = batch.column("c_name").to_pylist()
-        segs = batch.column("c_mktsegment").to_pylist()
-        bal = np.rint(batch.column("c_acctbal").to_numpy() * 100
-                      ).astype("int64")
-        n = len(ck)
-        k3 = np.repeat(ck, 3)
-        v = np.tile(np.arange(3, dtype=np.int64), n)
-        name3 = [f"{names[i // 3]}/{v[i]}" if v[i] == ck[i // 3] % 3
-                 else None for i in range(3 * n)]
-        seg3 = [f"{segs[i // 3]}/{v[i]}" if (ck[i // 3] + v[i]) % 2 == 0
-                else None for i in range(3 * n)]
-        bal3 = pa.array([int(bal[i // 3] + v[i]) if v[i] != 1 else None
-                         for i in range(3 * n)], pa.int64())
-        return pa.table({"c_custkey": pa.array(k3, pa.int64()),
-                         "ver": pa.array(v, pa.int64()),
-                         "g_name": pa.array(name3, pa.string()),
-                         "g_seg": pa.array(seg3, pa.string()),
-                         "g_bal": bal3})
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_name", "c_mktsegment", "c_acctbal"],
-    ).map_batches(versions, batch_format="pyarrow")
-    out = golden_record(ds, key_col="c_custkey", order_col="ver",
-                        field_cols=["g_name", "g_seg", "g_bal"])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return batch.set_column(
-            batch.column_names.index("g_bal"), "g_bal",
-            batch.column("g_bal").cast(pa.int64()))
-
-    return out.map_batches(finish, batch_format="pyarrow")
-
-
-def _q_cc_labels(sf_dir: str):
-    """Standalone connected components over an explicit edge table —
-    the general union-find-as-a-dataset-op (dedup clusters, account
-    graphs, citation components), exposed directly rather than inside
-    minhash_dedup_keep. Graph: star blocks of 8 customer keys (hub =
-    ⌊k/8⌋·8) plus a bridge from every hub with k%40==16 to member
-    k+13 of the next block — component diameter ≤ 4, so the
-    distributed min-label propagation (one key-projected hash join +
-    grouped min per round, digest early-exit;
-    ``dedup.neardup_components``) converges well inside its round
-    budget. Output: (c_custkey, component = min key reachable)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.dedup import neardup_components
-
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey"])
-    maxk = int(cust.max("c_custkey"))
-
-    def mkedges(batch: pa.Table) -> pa.Table:
-        k = batch.column("c_custkey").to_numpy()
-        m1 = k % 8 != 0
-        a = ((k[m1] // 8) * 8).astype("int64")
-        b = k[m1].astype("int64")
-        m2 = (k % 40 == 16) & (k + 13 <= maxk)
-        a2 = k[m2].astype("int64")
-        b2 = (k[m2] + 13).astype("int64")
-        return pa.table({"id_a": pa.array(np.concatenate([a, a2])),
-                         "id_b": pa.array(np.concatenate([b, b2]))})
-
-    edges = cust.map_batches(mkedges, batch_format="pyarrow")
-    return neardup_components(cust, edges, id_col="c_custkey")
-
-
-def _q_dag_layers(sf_dir: str):
-    """Topological layering / critical-path depth over a DAG
-    (``graph.dag_layers``): which dependency wave does each node run
-    in. Deterministic DAG on customer keys — chain edges k→k+1 inside
-    blocks of 4 plus skip edges k→k+3 when k%9==2; every edge
-    increases the key, so acyclicity holds by construction and the
-    longest path is ≤ 7 edges (round budget 8 ⇒ exact). Max-relaxation
-    per round = one key-projected hash join + grouped max."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.graph import dag_layers
-
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey"])
-    maxk = int(cust.max("c_custkey"))
-
-    def mkedges(batch: pa.Table) -> pa.Table:
-        k = batch.column("c_custkey").to_numpy()
-        m1 = (k % 4 != 3) & (k + 1 <= maxk)
-        m2 = (k % 9 == 2) & (k + 3 <= maxk)
-        src = np.concatenate([k[m1], k[m2]]).astype("int64")
-        dst = np.concatenate([k[m1] + 1, k[m2] + 3]).astype("int64")
-        return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
-
-    edges = cust.map_batches(mkedges, batch_format="pyarrow")
-    nodes = cust.map_batches(
-        lambda b: pa.table({"node": b.column("c_custkey")}),
-        batch_format="pyarrow")
-    out = dag_layers(edges, nodes, rounds=8)
-    return out.map_batches(
-        lambda b: pa.table({"c_custkey": b.column("node"),
-                            "layer": b.column("layer")}),
-        batch_format="pyarrow")
-
-
-def _q_ks_drift(sf_dir: str):
-    """Two-sample KS drift check: do returned ('R') lineitems draw
-    their quantities from the same distribution as the rest? Exercises
-    ``aggregates.ks_statistic_int``: per-side value histograms (one
-    bounded exchange each), cross-multiplied integer CDF compare —
-    D = d_scaled / (n_a·n_b) with no float division crossing the
-    engine boundary."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import ks_statistic_int
-
-    def side(flag_eq: bool):
-        def prep(batch: pa.Table) -> pa.Table:
-            f = np.asarray(batch.column("l_returnflag").to_pylist())
-            keep = (f == "R") if flag_eq else (f != "R")
-            q = np.rint(batch.column("l_quantity").to_numpy()
-                        ).astype("int64")[keep]
-            return pa.table({"qty": pa.array(q, pa.int64())})
-        return ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_returnflag", "l_quantity"],
-        ).map_batches(prep, batch_format="pyarrow")
-
-    return ks_statistic_int(side(True), side(False), val_col="qty")
-
-
-def _q_quantity_percentile(sf_dir: str):
-    """Per-row CDF position: each lineitem's quantity percent_rank
-    within its returnflag group, exact integer ppm. Exercises
-    ``aggregates.grouped_percent_rank``: rank() min-rank tie semantics
-    collapse the window to ONE histogram exchange (keys × distinct
-    values) + a broadcast lookup — rows never shuffle."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_percent_rank
-
-    def prep(batch: pa.Table) -> pa.Table:
-        q = np.rint(batch.column("l_quantity").to_numpy()).astype("int64")
-        return pa.table({"l_orderkey": batch.column("l_orderkey"),
-                         "l_linenumber": batch.column("l_linenumber"),
-                         "l_returnflag": batch.column("l_returnflag"),
-                         "qty": pa.array(q, pa.int64())})
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_linenumber", "l_returnflag",
-                 "l_quantity"],
-    ).map_batches(prep, batch_format="pyarrow")
-    out = grouped_percent_rank(ds, key_col="l_returnflag", val_col="qty")
-    return out.select_columns(["l_orderkey", "l_linenumber", "pct_ppm"])
-
-
-def _q_quantity_cume_dist(sf_dir: str):
-    """Per-row inclusive CDF position: each lineitem quantity's
-    cume_dist within its linestatus group, exact integer ppm.
-    Exercises ``aggregates.grouped_cume_dist`` — the inclusive sibling
-    of percent_rank (fraction of the group at or BELOW the value, ties
-    share their peer group's cumulative count): ONE histogram exchange
-    bounded by keys × distinct values + a broadcast lookup, rows never
-    shuffle."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_cume_dist
-
-    def prep(batch: pa.Table) -> pa.Table:
-        q = np.rint(batch.column("l_quantity").to_numpy()).astype("int64")
-        return pa.table({"l_orderkey": batch.column("l_orderkey"),
-                         "l_linenumber": batch.column("l_linenumber"),
-                         "l_linestatus": batch.column("l_linestatus"),
-                         "qty": pa.array(q, pa.int64())})
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_linenumber", "l_linestatus",
-                 "l_quantity"],
-    ).map_batches(prep, batch_format="pyarrow")
-    out = grouped_cume_dist(ds, key_col="l_linestatus", val_col="qty")
-    return out.select_columns(["l_orderkey", "l_linenumber", "cume_ppm"])
-
-
-def _q_gini_gain(sf_dir: str):
-    """Decision-stump feature score (``aggregates.gini_gain_int``):
-    exact integer-ppm Gini impurity gain of the binary split
-    "quantity ≥ 26" over the 3-class return flag — the CART
-    feature-selection primitive, chosen over information gain because
-    Gini is rational (one cleared division in bigint/HUGEINT, bit-exact
-    in SQL; entropy's log never is). ONE exchange bounded by
-    2 × |labels| cells."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import gini_gain_int
-
-    def prep(batch: pa.Table) -> pa.Table:
-        q = np.rint(batch.column("l_quantity").to_numpy()).astype("int64")
-        return pa.table({
-            "hi_qty": pa.array((q >= 26).tolist(), pa.bool_()),
-            "flag": batch.column("l_returnflag")})
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_quantity", "l_returnflag"],
-    ).map_batches(prep, batch_format="pyarrow")
-    return gini_gain_int(ds, split_col="hi_qty", label_col="flag")
-
-
-def _q_rank_auc(sf_dir: str):
-    """Exact ROC-AUC in integer ppm (``aggregates.rank_auc_int``):
-    does quantity rank returned lineitems above kept ones? Rank-based
-    Mann–Whitney identity with the tie term kept integral in doubled
-    units (u2 = Σ p·(2·cumneg + q)) — the threshold-free score eval a
-    float trapezoid can't reproduce bit-exactly. ONE exchange bounded
-    by distinct score values, driver cumulative scan."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-
-    from documentai_ray.stages.aggregates import rank_auc_int
-
-    def prep(batch: pa.Table) -> pa.Table:
-        v = np.rint(batch.column("l_quantity").to_numpy()).astype("int64")
-        return pa.table({
-            "qty": pa.array(v, pa.int64()),
-            "returned": pc.equal(batch.column("l_returnflag"), "R")})
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_quantity", "l_returnflag"],
-    ).map_batches(prep, batch_format="pyarrow")
-    return rank_auc_int(ds, score_col="qty", label_col="returned")
-
-
-def _q_waterfill_budget(sf_dir: str):
-    """Max-min fair crawl-budget allocation
-    (``curation.waterfill_allocate``): per-user event counts are the
-    demands; a global budget of exactly 3/5 of total demand is split by
-    progressive water-filling — keys whose demand fits under the fair
-    share are fully satisfied, the rest split the remainder evenly with
-    the deterministic (demand, key)-order +1 rule for the integer
-    leftover. Exact closed form prefix + d·(n−k+1) ≤ B, integer end to
-    end; ONE exchange bounded by distinct users, driver fill over the
-    key-bounded table."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.curation import waterfill_allocate
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({"user_id": batch.column("user_id"),
-                         "one": pa.array([1] * batch.num_rows,
-                                         pa.int64())})
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id"]
-                               ).map_batches(prep, batch_format="pyarrow")
-    return waterfill_allocate(ev, key_col="user_id", demand_col="one",
-                              budget_num=3, budget_den=5)
-
-
-def _q_target_encode(sf_dir: str):
-    """Smoothed target encoding of market segment by account balance
-    (``aggregates.target_encode_int``): each category becomes the
-    smoothed mean of its target, ``(sum_c + m·prior) // (n_c + m)`` —
-    rare categories shrink toward the global mean with pseudo-count
-    weight m=10. Balance shifted to cents + 100000 so everything is
-    non-negative and floor division is unambiguous cross-engine. ONE
-    exchange bounded by distinct categories + ray.put broadcast attach;
-    rows never shuffle."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import target_encode_int
-
-    def prep(batch: pa.Table) -> pa.Table:
-        c = (np.rint(batch.column("c_acctbal").to_numpy() * 100)
-             .astype("int64") + 100_000)
-        return pa.table({"c_custkey": batch.column("c_custkey"),
-                         "c_mktsegment": batch.column("c_mktsegment"),
-                         "bal_shifted": pa.array(c, pa.int64())})
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment", "c_acctbal"],
-    ).map_batches(prep, batch_format="pyarrow")
-    out = target_encode_int(cust, cat_col="c_mktsegment",
-                            target_col="bal_shifted", m=10)
-    return out.select_columns(["c_custkey", "c_mktsegment", "enc"])
-
-
-def _q_log2_p99(sf_dir: str):
-    """Bounded-state p99 per key (``sketches.log2_quantile_sketch``):
-    order totals bucketed by octave (floor(log2) via exact np.frexp),
-    ONE exchange of keys × ≤64 bucket counts no matter the value
-    distribution — the DDSketch trade: the answer is the interval
-    [2^b, 2^(b+1)−1] with guaranteed ≤2× relative error, where the
-    exact-histogram quantile ops pay an exchange bounded by distinct
-    values. Integer rank rule cum·100 ≥ 99·n mirrors the SQL
-    bit-exactly."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.sketches import log2_quantile_sketch
-
-    def prep(batch: pa.Table) -> pa.Table:
-        c = np.rint(batch.column("o_totalprice").to_numpy() * 100
-                    ).astype("int64")
-        return pa.table({
-            "o_orderpriority": batch.column("o_orderpriority"),
-            "cents": pa.array(c, pa.int64())})
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderpriority", "o_totalprice"],
-    ).map_batches(prep, batch_format="pyarrow")
-    return log2_quantile_sketch(orders, key_col="o_orderpriority",
-                                val_col="cents", q_pct=99)
-
-
-def _q_value_histogram(sf_dir: str):
-    """Equal-width histogram of event values (20 bins) — the ANALYZE /
-    data-profiling primitive beside profile_columns' min/max/KMV: a
-    tiny global min/max aggregate fixes the domain, then binning is a
-    pure integer map ``(v − lo) · nbins // (hi − lo + 1)`` (exact in
-    any engine, last bin inclusive by construction) pre-combined per
-    batch into an exchange bounded by nbins."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Max, Min, Sum
-
-    NBINS = 20
-
-    def cents(batch: pa.Table) -> pa.Table:
-        c = np.rint(batch.column("value").to_numpy() * 100).astype("int64")
-        return pa.table({"val_c": pa.array(c, pa.int64())})
-
-    read = lambda: ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["value"]
-    ).map_batches(cents, batch_format="pyarrow")
-
-    mm = read().aggregate(Min("val_c"), Max("val_c"))
-    lo, hi = int(mm["min(val_c)"]), int(mm["max(val_c)"])
-    span = hi - lo + 1
-
-    def binify(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        v = batch.column("val_c").to_numpy()
-        b = (v - lo) * NBINS // span
-        df = (pd.DataFrame({"bin": b, "v": v})
-              .groupby("bin", sort=False)
-              .agg(n=("v", "size"), lo_c=("v", "min"), hi_c=("v", "max"))
-              .reset_index())
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    return (read().map_batches(binify, batch_format="pyarrow")
-            .groupby("bin")
-            .aggregate(Sum("n", alias_name="n"),
-                       Min("lo_c", alias_name="lo_c"),
-                       Max("hi_c", alias_name="hi_c")))
-
-
-def _q_type_share(sf_dir: str):
-    """Percent-of-total (the ratio_to_report window): each event type's
-    share of total event value, in exact integer ppm — share arithmetic
-    is where float division diverges across engines, so the grand total
-    is derived from the (tiny) grouped sums themselves and each share is
-    ``group_cents · 10⁶ // total_cents``. One pre-combined exchange; the
-    total needs no second pass over the data."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    def cents(batch: pa.Table) -> pa.Table:
-        c = np.rint(batch.column("value").to_numpy() * 100).astype("int64")
-        return pa.table({"event_type": batch.column("event_type"),
-                         "val_c": pa.array(c, pa.int64())})
-
-    grp = (ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                 columns=["event_type", "value"])
-           .map_batches(cents, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Sum("val_c", alias_name="total_c"))
-           .to_pandas())
-    total = int(grp["total_c"].sum())
-    grp["share_ppm"] = grp["total_c"] * 1_000_000 // total
-    return grp[["event_type", "total_c", "share_ppm"]]
-
-
-def _q_bag_intersect(sf_dir: str):
-    """Multiset INTERSECT ALL (bag intersection with multiplicity) —
-    completes the bag algebra beside ``bag_difference``: the high-value
-    (≥ $50) event-type stream ∩ the even-user stream, each type
-    surviving ``min(count_left, count_right)`` times. Same count-algebra
-    plan: per-side pre-combined value counts, ONE value-hash exchange,
-    survivors re-exploded by ``np.repeat`` — multiplicity arithmetic on
-    aggregates, never an n×m row pairing."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.dedup import _add_pkey
-
-    def counts(which: str):
-        def f(batch: pa.Table) -> pa.Table:
-            import pandas as pd
-            v = np.rint(batch.column("value").to_numpy() * 100
-                        ).astype("int64")
-            u = batch.column("user_id").to_numpy()
-            df = pd.DataFrame({"event_type":
-                               batch.column("event_type").to_pylist()})
-            df = df[v >= 5_000] if which == "left" else df[u % 2 == 0]
-            out = (df.groupby("event_type", sort=False)
-                   .size().reset_index(name="_n"))
-            out["_side"] = which
-            return pa.Table.from_pandas(out, preserve_index=False) \
-                           .replace_schema_metadata(None)
-        return f
-
-    read = lambda: ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_type", "value", "user_id"])
-    both = (read().map_batches(counts("left"), batch_format="pyarrow")
-            .union(read().map_batches(counts("right"),
-                                      batch_format="pyarrow")))
-
-    def isect(g):
-        import pandas as pd
-        c = (g.pivot_table(index="event_type", columns="_side",
-                           values="_n", aggfunc="sum", fill_value=0)
-             .reindex(columns=["left", "right"], fill_value=0)
-             .reset_index())
-        n = np.minimum(c["left"].to_numpy(), c["right"].to_numpy())
-        return pd.DataFrame({"event_type":
-                             np.repeat(c["event_type"].to_numpy(), n)})
-
-    return (_add_pkey(both, "event_type", 8)
-            .groupby("_pkey")
-            .map_groups(lambda g: isect(g.drop(columns=["_pkey"])),
-                        batch_format="pandas"))
-
-
-def _q_bag_difference(sf_dir: str):
-    """Multiset EXCEPT ALL (bag difference with multiplicity): the
-    event-type stream MINUS its high-value (≥ $100) sub-stream — each
-    type survives ``count_all − count_high`` times. Exercises
-    ``curation``-style count algebra instead of row matching: per-side
-    per-batch value counts pre-combine, ONE value-hash exchange joins
-    the two count tables, survivors are re-exploded by ``np.repeat`` —
-    multiplicity arithmetic on aggregates, never an n×m row pairing."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.dedup import _add_pkey
-
-    def counts(which: str):
-        def f(batch: pa.Table) -> pa.Table:
-            import pandas as pd
-            v = np.rint(batch.column("value").to_numpy() * 100
-                        ).astype("int64")
-            df = pd.DataFrame({"event_type":
-                               batch.column("event_type").to_pylist()})
-            if which == "right":
-                df = df[v >= 10_000]
-            out = (df.groupby("event_type", sort=False)
-                   .size().reset_index(name="_n"))
-            out["_side"] = which
-            return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-        return f
-
-    read = lambda: ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-    both = (read().map_batches(counts("left"), batch_format="pyarrow")
-            .union(read().map_batches(counts("right"),
-                                      batch_format="pyarrow")))
-
-    def diff(g):
-        import pandas as pd
-        c = (g.pivot_table(index="event_type", columns="_side",
-                           values="_n", aggfunc="sum", fill_value=0)
-             .reindex(columns=["left", "right"], fill_value=0)
-             .reset_index())
-        n = (c["left"] - c["right"]).clip(lower=0).to_numpy()
-        return pd.DataFrame({"event_type":
-                             np.repeat(c["event_type"].to_numpy(), n)})
-
-    return (_add_pkey(both, "event_type", 8)
-            .groupby("_pkey")
-            .map_groups(lambda g: diff(g.drop(columns=["_pkey"])),
-                        batch_format="pandas"))
-
-
-def _q_event_pairs_window(sf_dir: str):
-    """Windowed equi self-join: pairs of SAME-USER events within 600
-    seconds of each other — the temporal-proximity join behind burst /
-    co-click analysis. Exercises ``joins.band_join`` with its equi-key
-    extension: routing hash and in-partition merge both include
-    user_id, so only same-user rows pair and a hot time band splits
-    across users; the unordered pair is kept once via id_l < id_r (each
-    ordered combination meets exactly once by the band plan)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-
-    from documentai_ray.stages.joins import band_join
-
-    def prep(side: str):
-        def f(batch: pa.Table) -> pa.Table:
-            s = (batch.column("ts").to_numpy().astype("datetime64[us]")
-                 .astype("int64") // 1_000_000)
-            return pa.table({f"id_{side}": batch.column("event_id"),
-                             f"user_{side}": batch.column("user_id"),
-                             f"ts_{side}": pa.array(s, pa.int64())})
-        return f
-
-    read = lambda: ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
-    left = read().map_batches(prep("l"), batch_format="pyarrow")
-    right = read().map_batches(prep("r"), batch_format="pyarrow")
-    out = band_join(left, right, left_on="ts_l", right_on="ts_r",
-                    delta=600, num_partitions=32,
-                    left_by="user_l", right_by="user_r")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        keep = pc.less(batch.column("id_l"), batch.column("id_r"))
-        t = batch.filter(keep)
-        return pa.table({"id_l": t.column("id_l"),
-                         "id_r": t.column("id_r"),
-                         "user_id": t.column("user_l")})
-
-    return out.map_batches(finish, batch_format="pyarrow")
-
-
-def _q_path_rollup(sf_dir: str):
-    """Hierarchical path-prefix rollup — the URL-tree census a crawl
-    publishes (docs per /section, /section/lang, …): each doc's
-    4-level synthetic path contributes one count to every prefix
-    depth. Per-batch vectorized prefix construction + count pre-combine
-    keeps the ONE exchange bounded by DISTINCT prefixes (the leaf level
-    legitimately degenerates to one row per doc — the rollup's own
-    output size, documented, not a shuffle amplification)."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    def prefixes(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        ids = batch.column("doc_id").to_pylist()
-        src = batch.column("source").to_pylist()
-        lang = batch.column("lang").to_pylist()
-        rows_p, rows_d = [], []
-        for i, s, lg in zip(ids, src, lang):
-            p1 = f"/{s}"
-            p2 = f"{p1}/{lg}"
-            p3 = f"{p2}/{i % 10}"
-            p4 = f"{p3}/{i}"
-            rows_p += [p1, p2, p3, p4]
-            rows_d += [1, 2, 3, 4]
-        df = (pd.DataFrame({"depth": rows_d, "prefix": rows_p})
-              .groupby(["depth", "prefix"], sort=False)
-              .size().reset_index(name="_n"))
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "source", "lang"])
-    out = (ds.map_batches(prefixes, batch_format="pyarrow")
-           .groupby(["depth", "prefix"])
-           .aggregate(Sum("_n", alias_name="n")))
-    return out
-
-
-def _q_cumulative_users(sf_dir: str):
-    """Cumulative distinct users per day — running COUNT(DISTINCT)
-    without a quadratic window: distinct-per-day collapses to each
-    user's FIRST day (groupby-min, per-batch pre-combined), daily
-    new-user counts are a tiny aggregate, and the running sum over the
-    bounded day axis is a driver-side cumsum (days ≪ rows; the
-    documented small-axis exception)."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Count, Min
-
-    def days(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        d = (batch.column("ts").to_numpy().astype("datetime64[us]")
-             .astype("int64") // (86_400 * 1_000_000))
-        df = (pd.DataFrame({"user_id": batch.column("user_id").to_numpy(),
-                            "d": d})
-              .groupby("user_id", sort=False)["d"].min().reset_index())
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    first = (ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                                   columns=["user_id", "ts"])
-             .map_batches(days, batch_format="pyarrow")
-             .groupby("user_id").aggregate(Min("d", alias_name="day")))
-    daily = (first.groupby("day").aggregate(Count(alias_name="new_users"))
-             .to_pandas().sort_values("day"))
-    daily["cum_users"] = daily["new_users"].cumsum()
-    return daily.reset_index(drop=True)
-
-
-def _q_join_revenue(sf_dir: str):
-    """Partitioned hash join (both sides large): lineitem ⋈ orders on
-    orderkey → revenue per order priority."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Count, Sum
-
-    from documentai_ray.stages.joins import hash_join
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-    )
-
-    def li_prep(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        price_c = np.rint(batch.column("l_extendedprice").to_numpy() * 100).astype("int64")
-        disc_c = np.rint(batch.column("l_discount").to_numpy() * 100).astype("int64")
-        return pa.table({"orderkey": batch.column("l_orderkey"),
-                         "rev_c2": pa.array(price_c * (100 - disc_c), pa.int64())})
-
-    li = li.map_batches(li_prep, batch_format="pyarrow")
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_orderkey", "o_orderpriority"])
-
-    def o_prep(batch: pa.Table) -> pa.Table:
-        return pa.table({"orderkey": batch.column("o_orderkey"),
-                         "o_orderpriority": batch.column("o_orderpriority")})
-
-    orders = orders.map_batches(o_prep, batch_format="pyarrow")
-    joined = hash_join(li, orders, on="orderkey")
-    agg = (
-        joined.groupby("o_orderpriority")
-        .aggregate(Count(alias_name="n_items"), Sum("rev_c2", alias_name="_rev_c2"))
-        .to_pandas()
-    )
-    agg["revenue"] = agg["_rev_c2"] / 10000.0  # exact integer-cents sum
-    return agg[["o_orderpriority", "n_items", "revenue"]]
-
-
-def _q_events_asof(sf_dir: str):
-    """As-of join: each purchase event matched to the user's most recent
-    signup at-or-before it (bucketed ``merge_asof``; DuckDB ASOF JOIN
-    oracle)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-
-    from documentai_ray.stages.joins import asof_join
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id", "user_id", "ts", "event_type"])
-
-    def split(kind):
-        def f(batch: pa.Table) -> pa.Table:
-            t = batch.filter(pc.equal(batch.column("event_type"), kind))
-            return t.drop_columns(["event_type"])
-        return f
-
-    purchases = ev.map_batches(split("purchase"), batch_format="pyarrow")
-
-    def signup_prep(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.equal(batch.column("event_type"), "signup"))
-        return pa.table({"user_id": t.column("user_id"), "ts": t.column("ts"),
-                         "signup_ts": t.column("ts")})
-
-    signups = ev.map_batches(signup_prep, batch_format="pyarrow")
-    joined = asof_join(purchases.drop_columns([]), signups, on="ts", by="user_id")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.is_valid(batch.column("signup_ts")))
-        return t.select(["event_id", "user_id", "signup_ts"])
-
-    return joined.map_batches(finish, batch_format="pyarrow")
 
 
 def _q_entities_table(sf_dir: str):
@@ -2575,64 +1129,6 @@ def _q_curate_corpus(sf_dir: str):
         ["doc_id", "lang", "n_chars", "confidence"])
 
 
-def _q_group_split(sf_dir: str):
-    """Leakage-safe GROUP-aware fold assignment: every document of a
-    source lands in the same fold (fold = md5-LE64(source) % 5) — the
-    split a contamination-aware training pipeline needs (near-dup pages
-    of one host must never straddle train/test). Pure per-batch map,
-    deterministic at any parallelism; the SQL mirror reuses the
-    repo-standard md5 expression."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.sketches import md5_le64
-
-    def assign(batch: pa.Table) -> pa.Table:
-        folds = [md5_le64(s) % 5
-                 for s in batch.column("source").to_pylist()]
-        return batch.append_column("fold", pa.array(folds, pa.int64()))
-
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source"]
-    ).map_batches(assign, batch_format="pyarrow")
-
-
-def _q_schema_union(sf_dir: str):
-    """Schema-evolution read (UNION ALL BY NAME): an old snapshot
-    written before the ``source`` column existed (even doc_ids,
-    2 columns) unions with the evolved snapshot (odd doc_ids,
-    3 columns) — old rows null-filled. Exercises
-    ``schema.union_by_name``: ordered name-union schema, per-input
-    null-fill projection, conflicting types fail loudly."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-
-    from documentai_ray.stages.schema import union_by_name
-
-    def old_snap(batch: pa.Table) -> pa.Table:
-        keep = pc.equal(pc.bit_wise_and(batch.column("doc_id"),
-                                        pa.scalar(1)), pa.scalar(0))
-        t = batch.filter(keep)
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "lang": t.column("lang")})
-
-    def new_snap(batch: pa.Table) -> pa.Table:
-        keep = pc.equal(pc.bit_wise_and(batch.column("doc_id"),
-                                        pa.scalar(1)), pa.scalar(1))
-        t = batch.filter(keep)
-        return pa.table({"doc_id": t.column("doc_id"),
-                         "lang": t.column("lang"),
-                         "source": t.column("source")})
-
-    read = lambda: ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "lang", "source"])
-    return union_by_name([
-        read().map_batches(old_snap, batch_format="pyarrow"),
-        read().map_batches(new_snap, batch_format="pyarrow")])
-
-
 def _q_split_assign(sf_dir: str):
     """Deterministic train/val/test split: multiplicative (Knuth) hash of
     the id → stable 80/10/10 assignment, identical at any parallelism and
@@ -2654,44 +1150,6 @@ def _q_split_assign(sf_dir: str):
         return batch.append_column("split", pa.array(split.tolist(), pa.string()))
 
     return ds.map_batches(assign, batch_format="pyarrow")
-
-
-def _q_cm_counts(sf_dir: str):
-    """Count-Min point-frequency estimates for the corpus' top-20 tokens:
-    the (4×1024) counter grid merges per-batch partials (sketch-sized
-    state, same contract as KMV/HLL), est = min over the 4 salted-hash
-    rows — never under the true count, over by ≤ εN. Oracle: the
-    identical grid and min-lookup in SQL. Complements Misra-Gries
-    (exact WHICH-is-heavy) with HOW-OFTEN-is-this for any token."""
-    import collections
-
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.sketches import (cm_estimate,
-                                                cm_sketch_tokens)
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["text"]).materialize()
-    grid = cm_sketch_tokens(ds)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c = collections.Counter()
-        for t in batch.column("text").to_pylist():
-            c.update((t or "").split())
-        return pa.table({"token": pa.array(list(c.keys()), pa.string()),
-                         "n": pa.array(list(c.values()), pa.int64())})
-
-    from ray.data.aggregate import Sum
-
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("token").aggregate(Sum("n", alias_name="n_true"))
-           .to_pandas())
-    agg = agg.sort_values(["n_true", "token"], ascending=[False, True],
-                          kind="mergesort").head(20).reset_index(drop=True)
-    agg["cm_est"] = [cm_estimate(grid, t) for t in agg["token"]]
-    return agg
 
 
 def _q_feature_hash(sf_dir: str):
@@ -2866,114 +1324,6 @@ def _q_audio_frames(sf_dir: str):
     return ds.map_batches(summarize, batch_format="pyarrow")
 
 
-def _q_anti_join_customers(sf_dir: str):
-    """Partitioned ANTI join: customers with no order above 400k —
-    existence tests run as a vectorized isin per hash partition
-    (joins.hash_join how='anti'; matching keys co-locate by bucketing)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-
-    from documentai_ray.stages.joins import hash_join
-
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey", "c_mktsegment"])
-
-    def cust_prep(batch: pa.Table) -> pa.Table:
-        return pa.table({"custkey": batch.column("c_custkey"),
-                         "c_mktsegment": batch.column("c_mktsegment")})
-
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_custkey", "o_totalprice"])
-
-    def big_orders(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.greater(batch.column("o_totalprice"), 400000.0))
-        return pa.table({"custkey": t.column("o_custkey")})
-
-    return hash_join(
-        cust.map_batches(cust_prep, batch_format="pyarrow"),
-        orders.map_batches(big_orders, batch_format="pyarrow"),
-        on="custkey", how="anti",
-    )
-
-
-def _q_rollup_counts(sf_dir: str):
-    """Multi-level rollup (grouping sets): doc counts by (lang), (source)
-    and (lang, source) in ONE pass — the per-batch combiner emits partial
-    rows for every grouping level ('ALL' sentinel), so the shuffle carries
-    ≤ 3 × distinct-combination partials per batch."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["lang", "source"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        outs = []
-        for keep in ((True, False), (False, True), (True, True)):
-            g = df.copy()
-            if not keep[0]:
-                g["lang"] = "ALL"
-            if not keep[1]:
-                g["source"] = "ALL"
-            outs.append(g.groupby(["lang", "source"], as_index=False).size()
-                        .rename(columns={"size": "n"}))
-        out = pd.concat(outs, ignore_index=True)
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "source"])
-        .aggregate(Sum("n", alias_name="n_docs"))
-    )
-
-
-def _q_topk_per_group(sf_dir: str):
-    """Grouped top-k (top-3 orders by price per order priority): map-side
-    partial top-k per key, hash-partitioned final selection — never a
-    global sort, never one group call per key."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_topk
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderpriority", "o_totalprice"])
-
-    def cents(batch: pa.Table) -> pa.Table:
-        c = np.rint(batch.column("o_totalprice").to_numpy() * 100).astype("int64")
-        return batch.append_column("_price_c", pa.array(c, pa.int64()))
-
-    out = grouped_topk(
-        ds.map_batches(cents, batch_format="pyarrow"),
-        key_col="o_orderpriority",
-        sort_cols=["_price_c", "o_orderkey"], ascending=[False, True], k=3,
-    ).to_pandas()
-    out["o_totalprice"] = out["_price_c"] / 100.0
-    return out[["o_orderpriority", "o_orderkey", "o_totalprice"]]
-
-
-def _q_median_quantity(sf_dir: str):
-    """Exact distributed median per group via integer histograms (shuffle
-    volume = keys × distinct values, not rows) — matches SQL median()
-    incl. even-count averaging."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_median_int
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity"])
-    return grouped_median_int(
-        ds, key_cols=["l_returnflag", "l_linestatus"], val_col="l_quantity",
-        out_col="median_qty")
-
-
 def _q_image_quality(sf_dir: str):
     """REAL pixel-metric chain (Q1-Q10 analogs on actual pixels): PNG
     payloads decoded by the stdlib minipng codec, metrics in pure numpy.
@@ -3013,16 +1363,6 @@ def _q_image_preprocess(sf_dir: str):
     ds = ds.map_batches(ImagePreprocessStage, batch_format="pyarrow",
                         batch_size=64, concurrency=(1, 4))
     return ds.select_columns(["doc_id", "pp_ops", "new_brightness"])
-
-
-def _q_top_orders(sf_dir: str):
-    """Global sort + limit (``ds.sort``): top-20 orders by total price,
-    orderkey as the deterministic tiebreak."""
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                               columns=["o_orderkey", "o_totalprice", "o_orderdate"])
-    return ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(20)
 
 
 def _q_line_dedup(sf_dir: str):
@@ -3344,4 +1684,4 @@ def _q_warc_wire_encodings(sf_dir: str):
                         batch_size=256)
     return _norm_strings_ds(ds.select_columns(["url", "text"]))
 
-__all__ = ['_q_extract_text', '_q_charset_extract', '_q_quality_pages', '_q_classify_pages', '_q_entities_po', '_q_entities_invoice', '_q_rules_po', '_q_preprocess_decision', '_q_wordbox_match', '_q_flagship_boxes', '_q_docs_exact_dedup', '_q_token_stats', '_q_doc_quality', '_q_events_hourly', '_q_events_sessions', '_q_q1_lineitem', '_q_orders_by_nation', '_q_minhash_neardup', '_q_minhash_dedup_keep', '_q_ppjoin_pairs', '_q_containment_pairs', '_q_jaccard_pairs', '_q_embedding_neardup', '_q_topk_similarity', '_q_pdf_layout_text', '_q_real_pdf_extract', '_q_lang_id', '_q_lang_kappa', '_q_lang_prf', '_q_token_count_bpe', '_q_bpe_pair_counts', '_q_bpe_train_merges', '_q_bpe_encode', '_q_fingerprint', '_q_simhash_hamming', '_q_group_pages', '_q_category_summary', '_q_vote_distribution', '_q_ann_ivf', '_q_q5_local_revenue', '_q_events_sliding', '_q_rnn_pairs', '_q_mean_embedding', '_q_kmv_intersect', '_q_kmv_difference', '_q_copurchase_pairs', '_q_grouped_mode', '_q_pareto_parts', '_q_band_join_balances', '_q_overlap_join_windows', '_q_q3_topn', '_q_retention_cohorts', '_q_sliding_unique_users', '_q_segment_digests', '_q_user_coverage', '_q_quantity_dense_rank', '_q_global_index', '_q_record_linkage', '_q_golden_record', '_q_cc_labels', '_q_dag_layers', '_q_ks_drift', '_q_quantity_percentile', '_q_quantity_cume_dist', '_q_gini_gain', '_q_rank_auc', '_q_waterfill_budget', '_q_target_encode', '_q_log2_p99', '_q_value_histogram', '_q_type_share', '_q_bag_intersect', '_q_bag_difference', '_q_event_pairs_window', '_q_path_rollup', '_q_cumulative_users', '_q_join_revenue', '_q_events_asof', '_q_entities_table', '_q_lc_tags', '_q_lc_tags_ocr', '_q_error_census', '_q_technique_stats', '_q_curate_corpus', '_q_group_split', '_q_schema_union', '_q_split_assign', '_q_cm_counts', '_q_feature_hash', '_q_top_tokens', '_q_decontaminate', '_q_sample_weighted', '_q_gopher_repetition', '_q_redact_pii', '_q_audio_frames', '_q_anti_join_customers', '_q_rollup_counts', '_q_topk_per_group', '_q_median_quantity', '_q_image_quality', '_q_image_preprocess', '_q_top_orders', '_q_line_dedup', '_q_c4_line_filter', '_q_normalize_text', '_q_chunk_documents', '_q_pack_sequences', '_q_inverted_index', '_q_tfidf_topk', '_q_canonical_url_dedup', '_q_host_stats', '_q_skew_join', '_q_host_template_strip', '_q_warc_ingest', '_q_warc_wire_encodings']
+__all__ = ['_q_extract_text', '_q_charset_extract', '_q_quality_pages', '_q_classify_pages', '_q_entities_po', '_q_entities_invoice', '_q_rules_po', '_q_preprocess_decision', '_q_wordbox_match', '_q_flagship_boxes', '_q_docs_exact_dedup', '_q_token_stats', '_q_doc_quality', '_q_minhash_neardup', '_q_minhash_dedup_keep', '_q_ppjoin_pairs', '_q_containment_pairs', '_q_jaccard_pairs', '_q_embedding_neardup', '_q_topk_similarity', '_q_pdf_layout_text', '_q_real_pdf_extract', '_q_lang_id', '_q_lang_kappa', '_q_lang_prf', '_q_token_count_bpe', '_q_bpe_pair_counts', '_q_bpe_train_merges', '_q_bpe_encode', '_q_fingerprint', '_q_simhash_hamming', '_q_group_pages', '_q_category_summary', '_q_vote_distribution', '_q_ann_ivf', '_q_mean_embedding', '_q_segment_digests', '_q_entities_table', '_q_lc_tags', '_q_lc_tags_ocr', '_q_error_census', '_q_technique_stats', '_q_curate_corpus', '_q_split_assign', '_q_feature_hash', '_q_top_tokens', '_q_decontaminate', '_q_sample_weighted', '_q_gopher_repetition', '_q_redact_pii', '_q_audio_frames', '_q_image_quality', '_q_image_preprocess', '_q_line_dedup', '_q_c4_line_filter', '_q_normalize_text', '_q_chunk_documents', '_q_pack_sequences', '_q_inverted_index', '_q_tfidf_topk', '_q_canonical_url_dedup', '_q_host_stats', '_q_skew_join', '_q_host_template_strip', '_q_warc_ingest', '_q_warc_wire_encodings']

@@ -4,8 +4,6 @@ from __future__ import annotations
 from documentai_ray.queries._helpers import *  # noqa: F401,F403
 
 
-
-
 def _q_wet_roundtrip(sf_dir: str):
     """WET sink + source roundtrip: extract → latest-capture dedup →
     distributed WET write (url-hash bucketed ``.warc.wet.gz`` shards,
@@ -123,174 +121,6 @@ def _q_kcenter_select(sf_dir: str):
     return kcenter_select(ds, k=4)
 
 
-def _q_zorder_keys(sf_dir: str):
-    """Z-order (Morton) clustering keys over (l_orderkey, l_partkey) low
-    16 bits — the multi-dimensional layout key a storage optimizer sorts
-    by so range scans on EITHER column touch few files. Map-only
-    vectorized bit interleave; oracle mirrors the interleave bit-for-bit
-    with a list_sum over generate_series."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import zorder_key
-
-    ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_orderkey", "l_partkey",
-                                        "l_linenumber"])
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        z = zorder_key(batch.column("l_orderkey").to_numpy(),
-                       batch.column("l_partkey").to_numpy())
-        return batch.append_column("zkey", pa.array(z, pa.int64()))
-
-    return ds.map_batches(add_key, batch_format="pyarrow")
-
-
-def _q_merge_upsert(sf_dir: str):
-    """CDC MERGE over the document snapshot: a changelog of updates
-    (doc_id%3==0, ts=1, version=1) and deletes (doc_id%7==0, ts=2) is
-    applied to the base (ts=0, version=0) — one key-hash exchange, one
-    vectorized latest-wins-with-delete-priority pass per partition
-    (joins.merge_changelog). Expected state is the closed form: deleted
-    iff %7==0, else version = 1 iff %3==0."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    base = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "source"])
-
-    def base_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "source": batch.column("source"),
-                         "version": pa.array([0] * n, pa.int64()),
-                         "ts": pa.array([0] * n, pa.int64()),
-                         "op": pa.array(["I"] * n, pa.string())})
-
-    def change_rows(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("doc_id").to_pylist(), np.int64)
-        srcs = batch.column("source").to_pylist()
-        out = {"doc_id": [], "source": [], "version": [], "ts": [], "op": []}
-        for i, s in zip(ids, srcs):
-            if i % 3 == 0:
-                out["doc_id"].append(int(i)); out["source"].append(s)
-                out["version"].append(1); out["ts"].append(1)
-                out["op"].append("U")
-            if i % 7 == 0:
-                out["doc_id"].append(int(i)); out["source"].append(s)
-                out["version"].append(-1); out["ts"].append(2)
-                out["op"].append("D")
-        return pa.table({"doc_id": pa.array(out["doc_id"], pa.int64()),
-                         "source": pa.array(out["source"], pa.string()),
-                         "version": pa.array(out["version"], pa.int64()),
-                         "ts": pa.array(out["ts"], pa.int64()),
-                         "op": pa.array(out["op"], pa.string())})
-
-    from documentai_ray.stages.joins import merge_changelog
-
-    changes = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source"]
-    ).map_batches(change_rows, batch_format="pyarrow")
-    merged = merge_changelog(base.map_batches(base_rows,
-                                              batch_format="pyarrow"),
-                             changes, key_col="doc_id")
-    return merged.select_columns(["doc_id", "source", "version"])
-
-
-def _q_scd2_build(sf_dir: str):
-    """Build an SCD Type-2 dimension from the raw event stream — the
-    inverse of scd2_join's consumer side: per user, consecutive equal
-    event_type observations collapse into one [valid_from, valid_to)
-    range, a change closes the previous range, the latest stays open
-    (valid_to = 2100-01-01 epoch). Exercises ``windows.scd2_build``:
-    one key-hash exchange, all keys per partition resolved in one
-    vectorized change-mask pass; equal-ts ties resolve to the smallest
-    value globally because keys co-locate."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.windows import scd2_build
-
-    def prep(batch: pa.Table) -> pa.Table:
-        t = (batch.column("ts").to_numpy().astype("datetime64[us]")
-             .astype("int64") // 1_000_000)
-        return pa.table({"user_id": batch.column("user_id"),
-                         "t": pa.array(t, pa.int64()),
-                         "event_type": batch.column("event_type")})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts", "event_type"]
-                               ).map_batches(prep, batch_format="pyarrow")
-    return scd2_build(ds, key_col="user_id", val_col="event_type",
-                      ts_col="t", open_end=4102444800,
-                      num_partitions=32)
-
-
-def _q_asof_snapshot(sf_dir: str):
-    """Time-travel read (AS OF version 1): reconstruct the table state
-    after the updates but BEFORE the deletes of merge_upsert's
-    changelog — the lakehouse MVCC query, expressed as the same
-    merge_changelog plan over changes filtered to ``ts ≤ 1``. The
-    version cutoff is a pure pre-merge filter: snapshot isolation falls
-    out of the changelog's own ordering, no extra state. Expected
-    state: every doc present (deletes are at ts 2), version 1 iff
-    doc_id % 3 == 0."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.joins import merge_changelog
-
-    base = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "source"])
-
-    def base_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "source": batch.column("source"),
-                         "version": pa.array([0] * n, pa.int64()),
-                         "ts": pa.array([0] * n, pa.int64()),
-                         "op": pa.array(["I"] * n, pa.string())})
-
-    def change_rows_upto_v1(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("doc_id").to_pylist(), np.int64)
-        srcs = batch.column("source").to_pylist()
-        keep = ids % 3 == 0      # the ts=2 deletes are beyond the cutoff
-        return pa.table({
-            "doc_id": pa.array(ids[keep], pa.int64()),
-            "source": pa.array([s for s, k in zip(srcs, keep) if k],
-                               pa.string()),
-            "version": pa.array([1] * int(keep.sum()), pa.int64()),
-            "ts": pa.array([1] * int(keep.sum()), pa.int64()),
-            "op": pa.array(["U"] * int(keep.sum()), pa.string())})
-
-    changes = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source"]
-    ).map_batches(change_rows_upto_v1, batch_format="pyarrow")
-    merged = merge_changelog(base.map_batches(base_rows,
-                                              batch_format="pyarrow"),
-                             changes, key_col="doc_id")
-    return merged.select_columns(["doc_id", "source", "version"])
-
-
-def _q_late_events(sf_dir: str):
-    """Watermark late-event routing: per-user watermark = max(ts) − 120
-    min (one groupby-max row per key), shipped back via a bucketed
-    hash_join; late = older than the watermark — the rows a streaming
-    engine diverts to the late side-output. Oracle: the same flag via a
-    max() window."""
-    import ray.data
-
-    from documentai_ray.stages.windows import route_late_events
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id", "user_id", "ts"])
-    out = route_late_events(ds)
-    return out.select_columns(["event_id", "user_id", "is_late"])
-
-
 def _q_online_neardup(sf_dir: str):
     """Online near-dup lookup against a SHARED MUTABLE LSH INDEX — the
     one shape the Dataset API can't express (state written by the index
@@ -378,378 +208,6 @@ def _q_fetch_schedule(sf_dir: str):
                          "fetch_at_s": pa.array(at, pa.int64())})
 
     return waved.map_batches(schedule, batch_format="pyarrow")
-
-
-def _q_users_sketch(sf_dir: str):
-    """Per-event-type distinct-user KMV sketch — the scale path past
-    exact COUNT(DISTINCT) per key (users_per_event shuffles every
-    distinct pair; this ships ≤ k=128 hashes per key per batch no matter
-    how many users exist). Exact below k per group; estimator above.
-    Oracle: the identical sketch per group via a row_number window +
-    HUGEINT division."""
-    import ray.data
-
-    from documentai_ray.stages.sketches import grouped_kmv_distinct
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "user_id"])
-    return grouped_kmv_distinct(ds, key_col="event_type",
-                                val_col="user_id", k=128)
-
-
-def _q_events_anomaly(sf_dir: str):
-    """Hourly event-count spike detection per event type in EXACT integer
-    arithmetic: |x−μ| > 3σ cross-multiplied to (xn−S)² > 9(nQ−S²) so no
-    float mean/std ever reaches the compared columns (windows.
-    flag_count_anomalies). Oracle: the same integer inequality over SQL
-    window sums."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.windows import flag_count_anomalies
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "ts"])
-
-    def add_hour(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        df = batch.to_pandas()
-        df["hour"] = df["ts"].dt.floor("h")
-        return pa.Table.from_pandas(df[["event_type", "hour"]],
-                                    preserve_index=False)
-
-    hours = ds.map_batches(add_hour, batch_format="pyarrow")
-    return flag_count_anomalies(hours, key_col="event_type",
-                                bucket_col="hour")
-
-
-def _q_table_checksum(sf_dir: str):
-    """Order-independent cross-engine table digests — the data-validation
-    primitive for migrations/replication: per table, a wrapping mod-2⁶⁴
-    sum of the md5-LE64 hash of each row's canonical string.  Per-batch
-    partials carry the sum as (hi, lo) 2³²-split int64 columns so no
-    engine-side overflow is possible; one tiny groupby merges them and a
-    final map reassembles (hi·2³² + lo) mod 2⁶⁴ → signed int64 with
-    Python bignums.  Oracle: HUGEINT sum of the identical md5 expression
-    % 2⁶⁴, signed-reinterpreted."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.sketches import md5_le64
-
-    specs = {
-        "customer": (["c_custkey", "c_name", "c_mktsegment"], "customer"),
-        "orders": (["o_orderkey", "o_orderstatus", "o_orderpriority"],
-                   "orders"),
-        "nation": (["n_nationkey", "n_name"], "nation"),
-    }
-
-    def make_partial(tname: str, cols: list):
-        def partial(batch: pa.Table) -> pa.Table:
-            arrays = [batch.column(c).to_pylist() for c in cols]
-            total = 0
-            for vals in zip(*arrays):
-                s = tname + "|" + "|".join(str(v) for v in vals)
-                total = (total + md5_le64(s)) % (1 << 64)
-            return pa.table({"table_name": pa.array([tname], pa.string()),
-                             "n_rows": pa.array([batch.num_rows], pa.int64()),
-                             "hi": pa.array([total >> 32], pa.int64()),
-                             "lo": pa.array([total & 0xFFFFFFFF],
-                                            pa.int64())})
-        return partial
-
-    parts = None
-    for tname, (cols, fname) in specs.items():
-        ds = ray.data.read_parquet(f"{sf_dir}/{fname}.parquet",
-                                   columns=cols)
-        p = ds.map_batches(make_partial(tname, cols),
-                           batch_format="pyarrow")
-        parts = p if parts is None else parts.union(p)
-
-    agg = parts.groupby("table_name").aggregate(
-        Sum("n_rows", alias_name="n_rows"),
-        Sum("hi", alias_name="hi"), Sum("lo", alias_name="lo"))
-
-    def derive(batch: pa.Table) -> pa.Table:
-        out = []
-        for hi, lo in zip(batch.column("hi").to_pylist(),
-                          batch.column("lo").to_pylist()):
-            v = ((hi << 32) + lo) % (1 << 64)
-            out.append(v - (1 << 64) if v >= (1 << 63) else v)
-        return pa.table({"table_name": batch.column("table_name"),
-                         "n_rows": batch.column("n_rows"),
-                         "checksum": pa.array(out, pa.int64())})
-
-    return agg.map_batches(derive, batch_format="pyarrow")
-
-
-def _q_string_agg_topdocs(sf_dir: str):
-    """Grouped ORDERED string aggregation (string_agg ... ORDER BY): per
-    source, the comma-joined list of its 5 smallest doc_ids.  Ordered
-    concat can't pre-combine across unordered partials, so the scale-safe
-    plan bounds the per-key row count FIRST (grouped_topk: map-side
-    partial top-k, one key exchange) and concatenates only the ≤k
-    surviving rows per key."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_topk
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "source"])
-    top = grouped_topk(ds, key_col="source", sort_cols=["doc_id"],
-                       ascending=[True], k=5, num_partitions=16)
-
-    def concat(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id")
-        return pd.DataFrame({
-            "source": [g["source"].iloc[0]],
-            "doc_list": [",".join(str(d) for d in g["doc_id"])],
-            "n_top": pd.array([len(g)], dtype="int64")})
-
-    return top.groupby("source").map_groups(concat, batch_format="pandas")
-
-
-def _q_gap_fill(sf_dir: str):
-    """Time-series gap fill: the per-type hourly series densified to the
-    full global hour grid — missing hours get n_events=0 and carry the
-    last observed hourly cents total forward (LOCF); hours before a
-    type's first observation stay NULL.  Physical plan: one exchange
-    aggregates (type, hour) cells with per-batch pre-combined partials;
-    the grid construction + LOCF run on the AGGREGATED cells only
-    (|types|·|hours| rows — bounded by the time span, not the corpus, a
-    documented size contract), vectorized via reindex + groupby-ffill.
-    Oracle: generate_series grid + last_value(... IGNORE NULLS) OVER."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["hour"] = df["ts"].dt.floor("h")
-        df["cents"] = np.rint(df["value"].to_numpy() * 100).astype("int64")
-        g = (df.groupby(["event_type", "hour"], as_index=False)
-             .agg(n_events=("cents", "size"), cents=("cents", "sum")))
-        g["n_events"] = g["n_events"].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    cells = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(["event_type", "hour"])
-             .aggregate(Sum("n_events", alias_name="n_events"),
-                        Sum("cents", alias_name="cents")))
-
-    # aggregated cells are span-bounded (|types| x |hours|) — the one
-    # documented driver-side materialization, same contract as the
-    # anomaly stats broadcast.
-    from documentai_ray.stages.windows import gap_fill_locf
-
-    full = gap_fill_locf(cells.to_pandas(), key_col="event_type",
-                         bucket_col="hour", count_col="n_events",
-                         gauge_col="cents")
-    # mirror DuckDB's NULL-int convention so dtypes agree at ANY scale:
-    # a BIGINT column with NULLs reaches pandas as float64 (NaN), an
-    # all-present one as int64 — pre-first-observation hours only exist
-    # at tiny scales, where the oracle side goes float
-    c = full["cents"]
-    full["cents"] = (c.astype("float64") if c.isna().any()
-                     else c.astype("int64"))
-    return ray.data.from_arrow(
-        pa.Table.from_pandas(full, preserve_index=False))
-
-
-def _q_cube_counts(sf_dir: str):
-    """GROUPING SETS / CUBE(lang, source): counts and char totals at all
-    four aggregation levels with an 'ALL' sentinel on rolled-up axes.
-    Physical plan: ONE exchange aggregates the finest (lang, source)
-    cells (per-batch pre-combined partials); the cube expansion then runs
-    over the aggregated cells only (|langs|·|sources| rows — a flat-map
-    emitting each cell's 4 grouping-set projections plus a tiny second
-    groupby), never over the raw rows.  Oracle: GROUP BY CUBE +
-    coalesce."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["lang", "source", "n_chars"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = (df.groupby(["lang", "source"], as_index=False)
-             .agg(n_docs=("n_chars", "size"), total_chars=("n_chars", "sum")))
-        g["n_docs"] = g["n_docs"].astype("int64")
-        g["total_chars"] = g["total_chars"].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    cells = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(["lang", "source"])
-             .aggregate(Sum("n_docs", alias_name="n_docs"),
-                        Sum("total_chars", alias_name="total_chars")))
-
-    def expand(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        sets = []
-        for roll_lang, roll_src in ((False, False), (False, True),
-                                    (True, False), (True, True)):
-            p = df.copy()
-            if roll_lang:
-                p["lang"] = "ALL"
-            if roll_src:
-                p["source"] = "ALL"
-            sets.append(p)
-        out = (pd.concat(sets, ignore_index=True)
-               .groupby(["lang", "source"], as_index=False).sum())
-        out["n_docs"] = out["n_docs"].astype("int64")
-        out["total_chars"] = out["total_chars"].astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    # the cell table is tiny (|langs|·|sources|); a second 2-key groupby
-    # merges the per-block expansions into exact cube cells.
-    return (cells.map_batches(expand, batch_format="pyarrow")
-            .groupby(["lang", "source"])
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("total_chars", alias_name="total_chars")))
-
-
-def _q_scd2_join(sf_dir: str):
-    """SCD Type-2 effective-dated dimension join: each order picks the
-    customer-segment VERSION valid at its order date (valid_from ≤ date <
-    valid_to).  Because every key's versions tile time completely, this
-    is exactly a per-key backward as-of join — one bucketed exchange
-    (joins.asof_join), never a broadcast (the dimension is
-    customer-sized, i.e. fact-adjacent).  The versioned dimension is
-    synthesized deterministically from customer (3 versions per key with
-    custkey-derived boundaries); the oracle rebuilds it with
-    lead() OVER and joins on the interval."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.joins import asof_join
-
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey"])
-
-    def versions(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy()
-        n = len(ck)
-        keys = np.repeat(ck, 3)
-        ver = np.tile(np.array([1, 2, 3], np.int64), n)
-        base = np.empty(3 * n, "datetime64[us]")
-        base[0::3] = np.datetime64("1992-01-01", "us")
-        base[1::3] = (np.datetime64("1996-01-01", "us")
-                      + (ck % 365).astype("timedelta64[D]").astype(
-                          "timedelta64[us]"))
-        base[2::3] = (np.datetime64("1999-01-01", "us")
-                      + ((ck * 7) % 365).astype("timedelta64[D]").astype(
-                          "timedelta64[us]"))
-        seg = np.array(_SCD2_SEGMENTS)[(keys + ver) % 5]
-        return pa.table({"o_custkey": pa.array(keys, pa.int64()),
-                         "o_orderdate": pa.array(base,
-                                                 pa.timestamp("us")),
-                         "version": pa.array(ver, pa.int64()),
-                         "segment": pa.array(seg, pa.string())})
-
-    dim = cust.map_batches(versions, batch_format="pyarrow")
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    return asof_join(orders, dim, on="o_orderdate", by="o_custkey",
-                     direction="backward")
-
-
-def _q_grouped_regression(sf_dir: str):
-    """Per-group OLS sufficient statistics in exact integer arithmetic —
-    the corr/covar_pop/regr_slope aggregate family with no float crossing
-    the engine boundary (aggregates.grouped_linreg): quantity vs
-    extendedprice-cents per returnflag.  cov_num = n·Σxy−Σx·Σy,
-    var_num = n·Σxx−(Σx)², slope_q = trunc-division — bit-identical to
-    the HUGEINT-safe SQL mirror.  Domain bound n·max|x·y| < 2⁶³ holds
-    through sf0.1 (≈3.4e18); rescale y for bigger corpora (documented)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_linreg
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_quantity", "l_extendedprice"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        q = batch.column("l_quantity").to_numpy().astype("int64")
-        cents = np.rint(batch.column("l_extendedprice").to_numpy()
-                        * 100).astype("int64")
-        return pa.table({"l_returnflag": batch.column("l_returnflag"),
-                         "x": pa.array(q, pa.int64()),
-                         "y": pa.array(cents, pa.int64())})
-
-    return grouped_linreg(ds.map_batches(prep, batch_format="pyarrow"),
-                          key_col="l_returnflag", x_col="x", y_col="y")
-
-
-def _q_event_transitions(sf_dir: str):
-    """Markov transition matrix over per-user event streams — the LAG
-    window primitive (prev_type → next_type adjacency counts, ordered by
-    ts with event_id tiebreak). One key-hash exchange; each partition
-    pre-combines to ≤|types|² rows (windows.transitions_per_key).
-    Oracle: lag() OVER (PARTITION BY user ORDER BY ts, event_id)."""
-    import ray.data
-
-    from documentai_ray.stages.windows import transitions_per_key
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type", "event_id"])
-    return transitions_per_key(ds, key_col="user_id", ts_col="ts",
-                               type_col="event_type",
-                               tiebreak_col="event_id")
-
-
-def _q_funnel_conversion(sf_dir: str):
-    """Ordered multi-step funnel (view → click → purchase, strict time
-    order): per-user deepest completed prefix, aggregated to a depth
-    histogram. Per-partition vectorized step resolution (3 filtered
-    groupby-min + merge passes for ALL users at once), partial depth
-    counts pre-combined before the final tiny groupby
-    (windows.funnel_depth). Only high-value events (value ≥ 150) count
-    as funnel steps — the cutoff keeps every depth bucket populated
-    (otherwise the dense synthetic stream puts all users at depth 3 and
-    the check is vacuous). Oracle: chained min-ts subqueries."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.windows import funnel_depth
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type", "value"])
-    ds = (ds.filter(expr="value >= 150")
-          .select_columns(["user_id", "ts", "event_type"]))
-    per_user = funnel_depth(ds, key_col="user_id", ts_col="ts",
-                            type_col="event_type",
-                            steps=("view", "click", "purchase"))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        out = (df.groupby("depth", sort=False).size()
-               .rename("n_users").reset_index())
-        out["n_users"] = out["n_users"].astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return (per_user.map_batches(partial, batch_format="pyarrow")
-            .groupby("depth").aggregate(Sum("n_users", alias_name="n_users")))
 
 
 def _q_lang_rebalance(sf_dir: str):
@@ -892,31 +350,6 @@ def _q_ipc_roundtrip(sf_dir: str):
     paths = sorted(r["path"] for r in manifest.iter_rows())
     return _norm_strings_ds(
         read_ipc_shards(paths).select_columns(["url", "text"]))
-
-
-def _q_sorted_export(sf_dir: str):
-    """Range-partitioned sorted export of the SURT key space (the CDX
-    shard layout): explicit driver-chosen boundaries split the reversed-
-    host key space into 4 shards, each written key-sorted with atomic
-    publish — manifest (shard, n_rows, min_key, max_key) is the
-    binary-searchable index. Oracle: bucket = count of boundaries ≤ key
-    (string compare), group counts + min/max. Cross-shard global order
-    pinned in pytest by reading the shards back."""
-    import hashlib
-
-    from documentai_ray.sources.pages import pages_dataset
-    from documentai_ray.stages.curation import sorted_range_export
-    from documentai_ray.stages.dedup import surt_batch
-
-    ds = pages_dataset(sf_dir, with_dups=False).select_columns(["url"])
-    keyed = ds.map_batches(surt_batch, batch_format="pyarrow",
-                           batch_size=512)
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:8]
-    out_dir = f"/tmp/sorted_export_{tag}"
-    bounds = ["com,example,src1", "com,example,src3",
-              "com,example,src6"]
-    return sorted_range_export(keyed, out_dir, key_col="surt_key",
-                               boundaries=bounds)
 
 
 def _q_orc_roundtrip(sf_dir: str):
@@ -1158,34 +591,6 @@ def _q_recrawl_priority(sf_dir: str):
     return recrawl_priority(caps)
 
 
-def _q_price_quantiles(sf_dir: str):
-    """Approximate p50/p95/p99 of l_extendedprice (exact integer cents)
-    per returnflag via the mergeable HDR sketch (16 sub-buckets/octave,
-    ≤1/16 relative error by construction): sketch state is keys×buckets
-    regardless of value cardinality — the scale path past
-    grouped_quantile_int's keys×distinct-values histogram. Oracle: the
-    identical bucketing in SQL (length(bin()) bit-length, shift/mask
-    sub-bucket, window cumsum rank pick)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_quantile_sketch
-
-    ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_returnflag", "l_extendedprice"])
-
-    def cents(batch: pa.Table) -> pa.Table:
-        c = np.rint(batch.column("l_extendedprice").to_numpy() * 100
-                    ).astype("int64")
-        return pa.table({"l_returnflag": batch.column("l_returnflag"),
-                         "price_c": pa.array(c, pa.int64())})
-
-    return grouped_quantile_sketch(
-        ds.map_batches(cents, batch_format="pyarrow"),
-        key_cols=["l_returnflag"], val_col="price_c")
-
-
 def _q_fetch_waves(sf_dir: str):
     """Politeness-constrained fetch scheduling: assign every frontier URL
     a wave number = row_number within its host (ordered by url) so wave w
@@ -1212,220 +617,6 @@ def _q_fetch_waves(sf_dir: str):
                           key_col="host", order_cols=["url"], cum_col="_one",
                           seq_col="wave", out_col="_run")
     return out.select_columns(["url", "host", "wave"])
-
-
-def _q_profile_columns(sf_dir: str):
-    """ANALYZE-style catalog stats over lineitem dimension-ish columns:
-    one streaming pass shipping only sketch-sized per-batch partials
-    (counts, native-domain min/max, KMV hash state); n_distinct is exact
-    below k=128 — the regime these columns live in — and the oracle
-    computes the true count(DISTINCT). min/max stringified only at the
-    driver so ordering is value-domain."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import profile_columns
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_linenumber"])
-    return profile_columns(
-        ds, ["l_returnflag", "l_linestatus", "l_quantity", "l_linenumber"])
-
-
-def _q_dq_audit(sf_dir: str):
-    """Declarative data-quality constraint suite (Deequ/dbt-test-style,
-    ``stages/dq.py``) over the orders table — the attest-before-trust
-    gate a 100 TB ingest runs ahead of every downstream consumer. Seven
-    checks spanning all four physical plans: row-scope checks
-    (NOT NULL / accepted domains / numeric range) fuse into ONE
-    streaming partial-counts pass; each uniqueness check is one
-    exchange bounded by the key's distinct count (violations =
-    count(*) − count(DISTINCT)); referential integrity ships
-    pre-combined child key counts through the partitioned anti
-    hash_join against customers in good standing (c_acctbal ≥ 0) —
-    negative-balance customers make the orphan count genuinely nonzero,
-    so the audit exercises real failures, not just all-green rows."""
-    import ray.data
-
-    from documentai_ray.stages.dq import (AcceptedValues, ForeignKey,
-                                          InRange, NotNull, Unique,
-                                          dq_report)
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderstatus",
-                 "o_orderpriority", "o_totalprice"])
-
-    import pyarrow as pa
-
-    def good_standing(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keep = pc.greater_equal(batch.column("c_acctbal"), 0.0)
-        return batch.filter(keep).select(["c_custkey"])
-
-    ref = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_acctbal"]).map_batches(
-            good_standing, batch_format="pyarrow")
-
-    checks = [
-        NotNull("o_custkey"),
-        Unique("o_orderkey"),
-        Unique("o_custkey"),
-        AcceptedValues("o_orderstatus", ("O", "F", "P")),
-        AcceptedValues("o_orderpriority",
-                       ("1-URGENT", "2-HIGH", "3-MEDIUM")),
-        InRange("o_totalprice", 0.01, 300000.0),
-        ForeignKey("o_custkey", "customer_good"),
-    ]
-    return dq_report(orders, checks,
-                     ref_datasets={"customer_good": (ref, "c_custkey")})
-
-
-def _q_k_anonymity(sf_dir: str):
-    """k-anonymity suppression over customer metadata
-    (``privacy.k_anonymize``): before attribute tables ship with a
-    corpus, quasi-identifier combinations that single out fewer than
-    k=10 individuals are suppressed to '*' (the QI here is
-    (nationkey, mktsegment) — re-identification comes from the JOIN of
-    harmless columns, not any one). ONE row exchange keyed by the QI
-    tuple hash; every equivalence class lands whole in one partition,
-    which sizes all its classes in a single vectorized
-    groupby-transform. At sf0.01 class sizes span 5–21, so both the
-    suppressed and the passing population are genuinely nonempty."""
-    import ray.data
-
-    from documentai_ray.stages.privacy import k_anonymize
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_nationkey", "c_mktsegment"])
-    return k_anonymize(cust, qi_cols=["c_nationkey", "c_mktsegment"],
-                       k=10)
-
-
-def _q_l_diversity(sf_dir: str):
-    """l-diversity suppression over customer metadata
-    (``privacy.l_diversify``) — k-anonymity's homogeneity-attack
-    complement: a QI class whose members all share the SAME sensitive
-    value (here the account-in-arrears flag) leaks it regardless of
-    class size, so classes carrying < 2 distinct sensitive values get
-    their QI suppressed to '*'. Same ONE-row-exchange plan as
-    k_anonymity (classes co-locate whole, per-partition vectorized
-    nunique-transform); at sf0.01 ~9% of balances are negative, so
-    all-nonnegative classes genuinely fail while mixed ones pass."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-
-    from documentai_ray.stages.privacy import l_diversify
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_custkey": batch.column("c_custkey"),
-            "c_nationkey": batch.column("c_nationkey"),
-            "c_mktsegment": batch.column("c_mktsegment"),
-            "bal_neg": pc.less(batch.column("c_acctbal"), 0.0)})
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_nationkey", "c_mktsegment", "c_acctbal"],
-    ).map_batches(prep, batch_format="pyarrow")
-    return l_diversify(cust, qi_cols=["c_nationkey", "c_mktsegment"],
-                       sensitive_col="bal_neg", l=2)
-
-
-def _q_diversity_index(sf_dir: str):
-    """Per-source language diversity of the documents table
-    (``aggregates.grouped_diversity``): exact integer-ppm Gini–Simpson
-    index 1 − Σ(c_i/n)² — the corpus-mix concentration check run
-    before a training mix ships (a source whose diversity ≈ 0 is
-    effectively monolingual; a crawl slice dominated by one domain
-    shows the same signature). Chosen over Shannon entropy because it
-    is rational: scale − (scale·Σc²) // n² reproduces bit-exactly in
-    SQL. Two bounded exchanges (distinct (source, lang) pairs, then
-    sources); rows never shuffle."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_diversity
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["source", "lang"])
-    return grouped_diversity(docs, key_col="source", cat_col="lang")
-
-
-def _q_mad_outliers(sf_dir: str):
-    """Robust per-source length-anomaly flags over documents
-    (``aggregates.mad_outliers``): |n_chars − median| > 3·MAD, the
-    distribution-free outlier rule (mean/σ break down exactly when
-    outliers are present; median/MAD have 50% breakdown) — the
-    curation pass that catches documents anomalously long/short FOR
-    THEIR SOURCE. Doubled-unit integer arithmetic end to end (med×2,
-    MAD×4, rule ×4) so the SQL oracle reproduces every flag
-    bit-exactly; both medians read off ONE (source, n_chars)
-    histogram exchange; at sf0.01 ten documents genuinely flag."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import mad_outliers
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "source", "n_chars"])
-    return mad_outliers(docs, key_col="source", val_col="n_chars",
-                        k_num=3, k_den=1)
-
-
-def _q_unpivot_measures(sf_dir: str):
-    """Wide → long reshaping (``schema.unpivot`` — pandas melt / SQL
-    UNPIVOT): lineitem's four measure columns become
-    (l_orderkey, l_linenumber, measure, value) tall rows, 4× the input
-    row count, in a pure per-batch Arrow transform with ZERO exchange
-    — the layout the grouped/windowed ops downstream want. Cross-engine
-    value identity holds because the doubles are carried, never
-    recomputed."""
-    import ray.data
-
-    from documentai_ray.stages.schema import unpivot
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_linenumber", "l_quantity",
-                 "l_extendedprice", "l_discount", "l_tax"])
-    return unpivot(li, id_cols=["l_orderkey", "l_linenumber"],
-                   value_cols=["l_quantity", "l_extendedprice",
-                               "l_discount", "l_tax"],
-                   var_name="measure", value_name="value")
-
-
-def _q_benford_audit(sf_dir: str):
-    """First-digit Benford audit of order amounts per priority class
-    (``dq.benford_audit``): the forensic screen for fabricated or
-    unit-corrupted numeric columns — natural multi-magnitude amounts
-    lead with 1 ~30% of the time, re-scaled or invented ones don't
-    (this corpus's price generator visibly doesn't: digits 5–9 are
-    starved, dev_ppm shows it). Amounts integerized to cents with the
-    house np.rint idiom; first digit via decimal-string head (no float
-    log10); ONE exchange bounded by 9 × keys; shares in integer ppm
-    against fixed Benford constants so SQL reproduces bit-exactly."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.dq import benford_audit
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderpriority", "o_totalprice"])
-
-    def to_cents(batch: pa.Table) -> pa.Table:
-        cents = np.rint(batch.column("o_totalprice").to_numpy()
-                        * 100).astype("int64")
-        return pa.table({
-            "o_orderpriority": batch.column("o_orderpriority"),
-            "cents": pa.array(cents, pa.int64())})
-
-    return benford_audit(orders.map_batches(to_cents,
-                                            batch_format="pyarrow"),
-                         key_col="o_orderpriority", val_col="cents")
 
 
 def _q_dead_letter(sf_dir: str):
@@ -1668,96 +859,6 @@ def _q_video_frames(sf_dir: str):
     return ds
 
 
-def _q_kmv_distinct(sf_dir: str):
-    """KMV distinct-count sketch: corpus-wide distinct 3-shingle estimate
-    from the k=128 smallest md5-LE64 hashes — each batch ships ≤128
-    hashes, the estimator is pure integer math, and the oracle recomputes
-    the identical sketch in HUGEINT SQL (exact below k, (k-1)·2⁶⁴//h_k
-    above)."""
-    import ray.data
-
-    from documentai_ray.stages.sketches import kmv_distinct_shingles
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["text"])
-    return kmv_distinct_shingles(ds, k=128)
-
-
-def _q_hll_distinct(sf_dir: str):
-    """HyperLogLog distinct-count sketch over the same corpus-wide
-    3-shingle stream as kmv_distinct: per-batch register arrays merged by
-    a 1024-group max — register state is fixed-size no matter how much
-    data streams in, the scale advantage over KMV. Bit-exact oracle: the
-    harmonic sum is the integer Σ 2^(64-M_j) and the raw estimator is one
-    HUGEINT division (alpha in ppm shared from sketches.HLL_ALPHA_PPM);
-    the ln()-based small-range correction deliberately stays out of the
-    oracle surface (documented in hll_estimate_raw)."""
-    import ray.data
-
-    from documentai_ray.stages.sketches import hll_distinct_shingles
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["text"])
-    return hll_distinct_shingles(ds)
-
-
-def _q_p95_quantity(sf_dir: str):
-    """Exact p95 per group via the bounded integer histogram (the
-    grouped_median generalization): shuffle carries keys × distinct
-    values, never rows; quantile = smallest value whose cumulative count
-    reaches ceil(0.95·n) — a closed form the SQL window mirror hits
-    exactly (no interpolation)."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_quantile_int
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity"])
-    return grouped_quantile_int(ds, key_cols=["l_returnflag", "l_linestatus"],
-                                val_col="l_quantity", q=0.95,
-                                out_col="p95_qty")
-
-
-def _q_users_per_event(sf_dir: str):
-    """Exact COUNT(DISTINCT user) per event type: batch-local pair dedup
-    → distributed pair-distinct → per-key count (both exchanges carry
-    only the (type, user) projection)."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_count_distinct
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "user_id"])
-    return grouped_count_distinct(ds, key_col="event_type",
-                                  val_col="user_id")
-
-
-def _q_events_rate_windows(sf_dir: str):
-    """Range join (the join type Ray Data lacks natively): events ×
-    overlapping 60-min rate windows starting every 45 min — each event
-    matches 1-2 windows. The interval side is broadcast-small; candidates
-    come from two vectorized searchsorted calls bounded by the max
-    interval length (stages/joins.py::interval_join)."""
-    import pandas as pd
-    import ray.data
-
-    from documentai_ray.stages.joins import interval_join
-
-    base = pd.Timestamp("2024-01-01")
-    k = pd.RangeIndex(960)
-    iv = pd.DataFrame({
-        "interval_id": k.astype("int64"),
-        "start": base + pd.to_timedelta(k * 45, unit="m"),
-        "end": base + pd.to_timedelta(k * 45 + 60, unit="m"),
-        "rate_class": (k % 3).astype("int64"),
-    })
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id", "ts"])
-    out = interval_join(ds, iv, ts_col="ts", carry_cols=["rate_class"])
-    return out.select_columns(["event_id", "interval_id", "rate_class"])
-
-
 def _q_images_to_pdf(sf_dir: str):
     """REAL images→PDF sink (K2): per doc, 1+doc_id%3 constant-gray PNG
     pages → minipng decode → a genuine PDF 1.4 (real xref/XObject byte
@@ -1847,59 +948,6 @@ def _q_rasterize_pages(sf_dir: str):
     return ds.select_columns(["url", "ink_px", "raster_w", "raster_h"])
 
 
-def _q_urgent_revenue(sf_dir: str):
-    """Bloom-prefiltered join: lineitem is pre-filtered against a
-    distributed bloom bitmap of URGENT orderkeys BEFORE the all-to-all
-    join exchange (the classic shuffle-volume reducer — the fact side
-    shrinks to matches + ~1% false positives, and the exact hash_join
-    removes the false positives, so the result is exact regardless of
-    filter error). Bitmap build is a batch-bitmap OR (sketch-sized state
-    only); output matches the plain-join oracle bit-for-bit."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Count, Sum
-
-    from documentai_ray.stages.joins import (bloom_prefilter, build_bloom,
-                                             hash_join)
-
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_orderkey", "o_orderpriority"])
-
-    def urgent(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
-            pc.equal(batch.column("o_orderpriority"), "1-URGENT"))
-        return pa.table({"orderkey": batch.column("o_orderkey"),
-                         "o_orderpriority": batch.column("o_orderpriority")})
-
-    orders = orders.map_batches(urgent, batch_format="pyarrow")
-    bloom = build_bloom(orders.select_columns(["orderkey"]),
-                        key_col="orderkey", m_bits=1 << 20)
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"])
-
-    def li_prep(batch: pa.Table) -> pa.Table:
-        price_c = np.rint(batch.column("l_extendedprice").to_numpy() * 100).astype("int64")
-        disc_c = np.rint(batch.column("l_discount").to_numpy() * 100).astype("int64")
-        return pa.table({"orderkey": batch.column("l_orderkey"),
-                         "rev_c2": pa.array(price_c * (100 - disc_c), pa.int64())})
-
-    li = bloom_prefilter(li.map_batches(li_prep, batch_format="pyarrow"),
-                         bloom, key_col="orderkey")
-    joined = hash_join(li, orders, on="orderkey")
-    agg = (
-        joined.groupby("o_orderpriority")
-        .aggregate(Count(alias_name="n_items"),
-                   Sum("rev_c2", alias_name="_rev_c2"))
-        .to_pandas()
-    )
-    agg["revenue"] = agg["_rev_c2"] / 10000.0  # exact integer-cents sum
-    return agg[["o_orderpriority", "n_items", "revenue"]]
-
-
 def _q_gopher_quality(sf_dir: str):
     """The non-repetition half of the Gopher quality rules (Rae et al.
     2021 Table A1): word-count bounds, mean word length in [3,10], symbol
@@ -1944,109 +992,6 @@ def _q_dedup_passages(sf_dir: str):
                                columns=["doc_id", "text"])
     spans = repeated_spans(ds, k=8, num_partitions=16)
     return remove_repeated_spans(ds, spans, num_partitions=16)
-
-
-def _q_json_props(sf_dir: str):
-    """Semi-structured column handling: events.props (JSON string) parsed
-    ONCE into a typed int64 column at the pipeline edge, then plain
-    columnar aggregation per event type — mirrored by DuckDB
-    json_extract."""
-    import ray.data
-    from ray.data.aggregate import Count, Max, Sum
-
-    from documentai_ray.stages.jsoncol import parse_json_column
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type", "props"])
-    ds = parse_json_column(ds, col="props", fields={"k": "int64"})
-    return (ds.groupby("event_type")
-            .aggregate(Count(alias_name="n"),
-                       Sum("k", alias_name="sum_k"),
-                       Max("k", alias_name="max_k")))
-
-
-def _q_customer_running(sf_dir: str):
-    """Window functions (row_number + running sum) — the per-key ordered
-    state Ray Data lacks natively, as a bucketed vectorized pass: every
-    customer's order sequence and cumulative spend in exact integer
-    cents."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.windows import running_per_key
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        cents = np.rint(batch.column("o_totalprice").to_numpy() * 100).astype("int64")
-        return pa.table({"o_orderkey": batch.column("o_orderkey"),
-                         "o_custkey": batch.column("o_custkey"),
-                         "o_orderdate": batch.column("o_orderdate"),
-                         "cents": pa.array(cents, pa.int64())})
-
-    out = running_per_key(ds.map_batches(prep, batch_format="pyarrow"),
-                          key_col="o_custkey",
-                          order_cols=["o_orderdate", "o_orderkey"],
-                          cum_col="cents", num_partitions=16,
-                          out_col="run_cents")
-    return out.select_columns(["o_orderkey", "o_custkey", "seq", "run_cents"])
-
-
-def _q_stratified_sample(sf_dir: str):
-    """Deterministic stratified sampling: exactly 5 docs per source,
-    chosen as the 5 smallest multiplicative-hash values (grouped_topk
-    composition — map-side partial top-k, so only ≤5 rows per source per
-    block reach the shuffle). Parallelism-independent; SQL mirrors the
-    hash in integer math."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_topk
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "source"])
-
-    def h(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        hv = (ids * 2654435761 + 12345) % (1 << 32)
-        return batch.append_column("h", pa.array(hv, pa.int64()))
-
-    ds = ds.map_batches(h, batch_format="pyarrow")
-    return grouped_topk(ds, key_col="source", sort_cols=["h", "doc_id"],
-                        ascending=[True, True], k=5, num_partitions=16)
-
-
-def _q_events_pivot(sf_dir: str):
-    """Pivot (wide aggregation): hour-of-day × event-type counts as
-    columns. Map-side crosstab partials collapse each block to ≤24 rows
-    before the shuffle; the final groupby sums per-type columns."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.windows import EVENT_TYPES
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["hour"] = df["ts"].dt.hour.astype("int64")
-        ct = pd.crosstab(df["hour"], df["event_type"])
-        ct = ct.reindex(columns=EVENT_TYPES, fill_value=0).reset_index()
-        cols = {"hour": pa.array(ct["hour"].astype("int64"), pa.int64())}
-        for t in EVENT_TYPES:
-            cols[f"n_{t}"] = pa.array(ct[t].astype("int64"), pa.int64())
-        return pa.table(cols)
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("hour")
-            .aggregate(*[Sum(f"n_{t}", alias_name=f"n_{t}")
-                         for t in EVENT_TYPES]))
 
 
 def _q_category_split_pdfs(sf_dir: str):
@@ -2097,206 +1042,6 @@ def _q_category_split_pdfs(sf_dir: str):
     return ds.map_batches(split, batch_format="pyarrow", batch_size=256)
 
 
-def _q_bigram_lm(sf_dir: str):
-    """CCNet-style LM quality scoring with a corpus-fit bigram model: the
-    count fit is one distributed combiner pass, the vocabulary-sized
-    tables broadcast once, and the per-doc score is mean conditional
-    bigram probability in integer ppm (every division floors — bit-exact
-    oracle, no float log)."""
-    import ray
-    import ray.data
-
-    from documentai_ray.stages.textstats import (BigramScoreStage,
-                                                 fit_bigram_counts)
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    counts = fit_bigram_counts(ds)
-    ref = ray.put(counts)
-    out = ds.map_batches(BigramScoreStage, batch_format="pyarrow",
-                         batch_size=512, concurrency=(1, 4),
-                         fn_constructor_kwargs={"counts_ref": ref})
-    return out.select_columns(["doc_id", "lm_score_ppm"])
-
-
-def _q_pagerank(sf_dir: str):
-    """Distributed PageRank (2 damped iterations) over the deterministic
-    3-out link graph on doc ids — the join-per-iteration graph shape:
-    edges ⋈ ranks, per-target contribution sum, left-join update (nodes
-    without in-edges fall to the base term). Integer-ppm arithmetic
-    throughout, so the unrolled SQL oracle is bit-exact."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.graph import pagerank_int
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = docs.count()
-
-    def edges(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        src = list(ids) * 3
-        dst = (list((ids * 7 + 1) % n) + list((ids * 13 + 2) % n)
-               + list((ids * 31 + 3) % n))
-        return pa.table({"src": pa.array(src, pa.int64()),
-                         "dst": pa.array(dst, pa.int64())})
-
-    def nodes(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("doc_id").cast(pa.int64())})
-
-    e = docs.map_batches(edges, batch_format="pyarrow")
-    nd = docs.map_batches(nodes, batch_format="pyarrow")
-    return pagerank_int(e, nd, iters=2, out_deg=3, num_partitions=16)
-
-
-def _q_pagerank_irregular(sf_dir: str):
-    """PageRank over an IRREGULAR out-degree graph (1–3 out-edges per
-    node, degree = 1 + doc_id % 3): exercises pagerank_int's
-    degree-table path — out-degrees computed once (src-count partials →
-    one exchange bounded by distinct src nodes), joined into the edge
-    table ONCE before the loop and materialized, contribution =
-    rank // deg per edge. Every node keeps ≥ 1 out-edge so no dangling
-    mass; integer-ppm throughout so the unrolled oracle is bit-exact."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.graph import pagerank_int
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = docs.count()
-
-    def edges(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        src, dst = [ids], [(ids * 7 + 1) % n]
-        m1 = ids % 3 >= 1
-        src.append(ids[m1]); dst.append((ids[m1] * 13 + 2) % n)
-        m2 = ids % 3 == 2
-        src.append(ids[m2]); dst.append((ids[m2] * 31 + 3) % n)
-        return pa.table({
-            "src": pa.array(np.concatenate(src).astype("int64")),
-            "dst": pa.array(np.concatenate(dst).astype("int64"))})
-
-    def nodes(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("doc_id").cast(pa.int64())})
-
-    e = docs.map_batches(edges, batch_format="pyarrow")
-    nd = docs.map_batches(nodes, batch_format="pyarrow")
-    return pagerank_int(e, nd, iters=2, out_deg=None, num_partitions=16)
-
-
-def _q_windowed_paths(sf_dir: str):
-    """Time-bounded path counting (``windows.windowed_path_counts``):
-    per user, distinct view→click→purchase paths where each step
-    follows within 600 s (strictly later second) — the attribution
-    counter unbounded subsequence counting overstates when old context
-    should expire. Each DP level's windowed per-key prefix sum is one
-    global composite-key searchsorted + cumsum difference (no per-key
-    loop); SQL mirror is the stacked RANGE 600 PRECEDING AND 1
-    PRECEDING frame."""
-    import ray.data
-
-    from documentai_ray.stages.windows import windowed_path_counts
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type"])
-    return windowed_path_counts(
-        ev, key_col="user_id", ts_col="ts", type_col="event_type",
-        pattern=["view", "click", "purchase"], window_s=600)
-
-
-def _q_user_features(sf_dir: str):
-    """Feature-matrix builder (``windows.user_feature_matrix``): one
-    wide row per user — event count, per-type counts over the closed
-    vocabulary, first/last activity, active span, value sum in cents —
-    the churn/propensity model input, built in ONE fused pass
-    (per-batch pre-combined partials, a single key exchange; no
-    per-feature passes or joins)."""
-    import ray.data
-
-    from documentai_ray.stages.windows import user_feature_matrix
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type", "value"])
-    return user_feature_matrix(ev)
-
-
-def _q_user_ledger(sf_dir: str):
-    """Floor-clamped running ledger (``windows.clamped_ledger_int``):
-    per user, ordered by (ts, event_id), credits add round(value·100)
-    cents and purchase/error debits subtract them but the balance never
-    drops below zero — an overdraw is absorbed at the floor, so the
-    forgiven deficit shifts every later balance (NOT a plain sum). The
-    sequential recurrence b=max(0, b+d) clears to the Skorokhod
-    reflection closed form b_n = A_n − min(0, min A_k): two vectorized
-    grouped scans (cumsum + cummin), ONE co-locating exchange. SQL
-    mirror stacks a running SUM and a running MIN window."""
-    import ray.data
-
-    from documentai_ray.stages.windows import clamped_ledger_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type", "value"])
-    return clamped_ledger_int(ev)
-
-
-def _q_cusum_alarms(sf_dir: str):
-    """CUSUM changepoint monitor (``windows.cusum_alarms_int``): per
-    event type, S = max(0, S + (hourly_count − k)) with self-calibrated
-    target k = floor(mean)+1 and alarm line h = 3k — sustained upshifts
-    ramp S past h while one-hour spikes decay, the drift detector plain
-    threshold alerts miss. Same reflection closed form as user_ledger
-    over the tiny pre-combined (hour, key) series; at sf0.1 some keys
-    alarm and some never do, so the oracle discriminates."""
-    import ray.data
-
-    from documentai_ray.stages.windows import cusum_alarms_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return cusum_alarms_int(ev)
-
-
-def _q_mann_kendall(sf_dir: str):
-    """Mann–Kendall trend statistic (``windows.mann_kendall_int``):
-    per event type, S = Σ sgn(x_j − x_i) over all time-ordered hourly
-    pairs — monotone-drift score immune to outlier magnitude, where a
-    least-squares slope is dominated by one spike. Completes the trend
-    family (trend_flips = thrash, cusum_alarms = level shifts). One
-    pre-combined hourly exchange; the bounded-series pair count is a
-    chunked (K, T, T) broadcast; SQL mirror is the within-key
-    self-join on a.w < b.w."""
-    import ray.data
-
-    from documentai_ray.stages.windows import mann_kendall_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return mann_kendall_int(ev)
-
-
-def _q_lag_coactivity(sf_dir: str):
-    """Lagged co-activity (``windows.lag_coactivity_int``): for every
-    ordered event-type pair, the integer cross-correlation dot
-    Σ n_a(t)·n_b(t+ℓ) over lags 0..6 h and its argmax (smallest lag
-    wins ties) — "errors lead purchase drops by 2 hours" is a lag peak
-    the same-hour join can't see. One hourly exchange; the sweep is
-    L+1 K×K matmuls on the dense zero-filled series (missing hour IS
-    zero events, so dense zeros are exact)."""
-    import ray.data
-
-    from documentai_ray.stages.windows import lag_coactivity_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return lag_coactivity_int(ev, max_lag_h=6)
-
-
 def _q_vocab_growth(sf_dir: str):
     """Heaps'-law vocabulary growth (``textstats.vocab_growth``):
     distinct whitespace tokens within each doubling corpus prefix
@@ -2312,51 +1057,6 @@ def _q_vocab_growth(sf_dir: str):
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return vocab_growth(ds)
-
-
-def _q_trend_flips(sf_dir: str):
-    """Series volatility as direction-change counts
-    (``windows.trend_flips``): per event type, how often the hourly
-    volume series flips rise↔fall — the thrash statistic level-based
-    anomaly flags miss; plateaus (zero diffs) neither continue nor
-    break a trend. Bounded hourly exchange + tiny series scan; SQL
-    double-lag mirror."""
-    import ray.data
-
-    from documentai_ray.stages.windows import trend_flips
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type"])
-    return trend_flips(ev, ts_col="ts", key_col="event_type")
-
-
-def _q_skew_histogram(sf_dir: str):
-    """Group-size histogram over orders-per-customer
-    (``aggregates.key_size_histogram``): the skew-diagnosis picture a
-    shuffle planner reads before choosing partitioning. Two bounded
-    exchanges — per-key counts pre-combined, then counts-of-counts."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import key_size_histogram
-
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_custkey"])
-    return key_size_histogram(orders, key_col="o_custkey")
-
-
-def _q_gini_orders(sf_dir: str):
-    """Order-volume concentration over customers
-    (``aggregates.gini_concentration_int``): exact integer-ppm Gini of
-    rows-per-key — the one-number skew summary (0 even, → 10⁶ one key
-    owns all). Closed form Σ(2i−n−1)x_i over ascending sizes; ONE
-    per-key count exchange + driver fold."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import gini_concentration_int
-
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_custkey"])
-    return gini_concentration_int(orders, key_col="o_custkey")
 
 
 def _q_backtest_mae(sf_dir: str):
@@ -2377,23 +1077,6 @@ def _q_backtest_mae(sf_dir: str):
                               season_hours=24)
 
 
-def _q_tvd_drift(sf_dir: str):
-    """Per-source language-mix drift vs the corpus
-    (``aggregates.tvd_drift_int``): total variation distance between
-    each source's language distribution and the global one, exact
-    integer ppm via cross-multiplication — the categorical sibling of
-    ks_drift (KS needs an ordered domain; TVD doesn't), with absent
-    categories contributing their full global mass (the zero-cell term
-    skewed sources need). ONE exchange bounded by sources × langs."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import tvd_drift_int
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["source", "lang"])
-    return tvd_drift_int(docs, key_col="source", cat_col="lang")
-
-
 def _q_readability(sf_dir: str):
     """Flesch reading-ease in integer ppm
     (``textstats.readability_batch``): sentence-length × syllable-
@@ -2409,374 +1092,6 @@ def _q_readability(sf_dir: str):
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
     return docs.map_batches(readability_batch, batch_format="pyarrow")
-
-
-def _q_clustering_coeff(sf_dir: str):
-    """Global transitivity (``graph.clustering_coefficient``):
-    3·triangles/wedges in exact ppm over the same deterministic web-ish
-    link graph as triangle_count — the one-number clumpiness score (a
-    spam link-farm shows as a transitivity spike). Wedges fold as a
-    distributed Σ C(d,2) over the degree exchange; only scalars reach
-    the driver."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.graph import clustering_coefficient
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = docs.count()
-
-    def edges(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        src = list(ids) * 3
-        dst = (list((ids + 1) % n) + list((ids + 2) % n)
-               + list((ids * 7 + 1) % n))
-        return pa.table({"src": pa.array(src, pa.int64()),
-                         "dst": pa.array(dst, pa.int64())})
-
-    return clustering_coefficient(
-        docs.map_batches(edges, batch_format="pyarrow"),
-        num_partitions=16)
-
-
-def _q_unique_prefix(sf_dir: str):
-    """Shortest distinguishing prefix per distinct part name
-    (``indexing.shortest_unique_prefix``): the prefix-index sizing
-    primitive — answer depends only on lexicographic neighbours, made
-    distributed-exact WITHOUT a global sort by first-char bucketing
-    (cross-bucket LCP is exactly 0); in-bucket neighbour LCPs are one
-    padded char-matrix cumprod pass. Strict-prefix strings cap at
-    their own length."""
-    import ray.data
-
-    from documentai_ray.stages.indexing import shortest_unique_prefix
-
-    part = ray.data.read_parquet(f"{sf_dir}/part.parquet",
-                                 columns=["p_name"])
-    return shortest_unique_prefix(part, col="p_name")
-
-
-def _q_soundex_blocking(sf_dir: str):
-    """Phonetic blocking census (``fuzzy.soundex_blocking``): distinct
-    part names grouped by simplified American Soundex (letter + 3
-    class digits, runs collapsed, zeros dropped) — the sound-alike
-    blocking key symspell's edit distance misses; counts size the
-    candidate blocks before quadratic comparison. SQL mirror chains
-    seven fixed-pattern regexp_replace calls because RE2 has no
-    backreferences."""
-    import ray.data
-
-    from documentai_ray.stages.fuzzy import soundex_blocking
-
-    part = ray.data.read_parquet(f"{sf_dir}/part.parquet",
-                                 columns=["p_name"])
-    return soundex_blocking(part, col="p_name")
-
-
-def _q_zonemap_prune(sf_dir: str):
-    """Zone-map pruning audit (``indexing.zonemap_prune``): with
-    64-row buckets on doc_id and the band 1500 ≤ n_chars ≤ 3000, how
-    many buckets a min/max zone map skips and what the surviving scan
-    wastes — measures whether re-sorting on n_chars would pay
-    (zorder_keys plans layouts; this scores the current one). One
-    bucket-bounded exchange, scalars to the driver."""
-    import ray.data
-
-    from documentai_ray.stages.indexing import zonemap_prune
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "n_chars"])
-    return zonemap_prune(docs, id_col="doc_id", val_col="n_chars",
-                         bucket_size=64, lo=1500, hi=3000)
-
-
-def _q_nest_tokens(sf_dir: str):
-    """Explode→nest round trip (``schema.nest_list`` — the inverse of
-    posexplode_tokens and the fourth reshaping surface): documents
-    explode to (doc_id, pos, token) rows, then nest_list gathers each
-    doc's tokens back into ONE ordered list cell; the query certifies
-    the round trip by emitting the re-joined normalized text, which
-    must equal the whitespace-normalized original. ONE co-locating
-    exchange, per-partition vectorized groupby-agg(list) — never one
-    map_groups per key."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.schema import nest_list, posexplode_tokens
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text"])
-    toks = posexplode_tokens(docs, id_cols=["doc_id"], text_col="text")
-    nested = nest_list(toks, key_cols=["doc_id"], order_cols=["pos"],
-                       val_col="token", out_col="tokens")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        toks_col = batch.column("tokens").to_pylist()
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "n_tokens": pa.array([len(t) for t in toks_col], pa.int64()),
-            "text_norm": pa.array([" ".join(t) for t in toks_col],
-                                  pa.string())})
-
-    return nested.map_batches(finish, batch_format="pyarrow")
-
-
-def _q_longest_streak(sf_dir: str):
-    """Longest same-type event streak per user
-    (``windows.longest_streak``): value-change islands — the
-    engagement-streak / repeated-failure-run metric a plain groupby
-    can't see; run ids are cumsums of change-points, vectorized across
-    all keys of a partition. ONE 4-column row exchange; (ts, event_id)
-    total order mirrors the SQL row_number-difference trick
-    bit-exactly."""
-    import ray.data
-
-    from documentai_ray.stages.windows import longest_streak
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type"])
-    return longest_streak(ev, key_col="user_id", ts_col="ts",
-                          tie_col="event_id", type_col="event_type")
-
-
-def _q_supplier_percentile(sf_dir: str):
-    """Cross-table empirical CDF scoring
-    (``aggregates.crosstable_percentile_int``): each supplier's balance
-    placed within the CUSTOMER balance distribution in exact integer
-    ppm — the benchmark-against-reference-population op. ONE histogram
-    exchange over the reference, driver fold broadcast, probe scored by
-    vectorized searchsorted; probe rows never shuffle."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import crosstable_percentile_int
-
-    def cents(col_in, col_key, key_name):
-        def f(batch: pa.Table) -> pa.Table:
-            c = np.rint(batch.column(col_in).to_numpy() * 100
-                        ).astype("int64")
-            return pa.table({key_name: batch.column(col_key),
-                             "bal_c": pa.array(c, pa.int64())})
-        return f
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_acctbal"],
-    ).map_batches(cents("c_acctbal", "c_custkey", "c_custkey"),
-                  batch_format="pyarrow")
-    supp = ray.data.read_parquet(
-        f"{sf_dir}/supplier.parquet",
-        columns=["s_suppkey", "s_acctbal"],
-    ).map_batches(cents("s_acctbal", "s_suppkey", "s_suppkey"),
-                  batch_format="pyarrow")
-    return crosstable_percentile_int(cust, supp, ref_val_col="bal_c",
-                                     probe_val_col="bal_c")
-
-
-def _q_delta_varint(sf_dir: str):
-    """Storage-layout advisor (``schema.delta_varint_size``): exact
-    byte cost of order dates under sorted delta + LEB128 varint vs raw
-    int64 — 150k rows over 2.4k distinct days delta-encode to ~1
-    byte/row (duplicates are 1-byte zero deltas, each distinct day one
-    real delta), the measurement behind choosing a sort key. ONE
-    histogram exchange bounded by distinct values, driver scan over
-    the distinct axis only."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.schema import delta_varint_size
-
-    def prep(batch: pa.Table) -> pa.Table:
-        us = batch.column("o_orderdate").cast(pa.int64()).to_numpy()
-        days = us // 86_400_000_000
-        return pa.table({"day": pa.array(days, pa.int64())})
-
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_orderdate"]
-                                   ).map_batches(prep,
-                                                 batch_format="pyarrow")
-    return delta_varint_size(orders, val_col="day")
-
-
-def _q_impute_mode(sf_dir: str):
-    """Group-mode imputation (``dq.impute_group_mode``): customers
-    whose segment is 'missing' (deterministically: custkey % 20 == 0)
-    get their NATION's modal segment (smallest-value tie-break from
-    grouped_mode) — the standard categorical repair after a dq_audit
-    flags NULLs; group mode beats global mode exactly when the column
-    correlates with the grouping. Mode table rides one bounded
-    exchange; data rows never shuffle."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-
-    from documentai_ray.stages.dq import impute_group_mode
-
-    def knock_out(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy()
-        seg = batch.column("c_mktsegment").to_pylist()
-        seg = [None if k % 20 == 0 else s for k, s in zip(ck, seg)]
-        return pa.table({"c_custkey": batch.column("c_custkey"),
-                         "c_nationkey": batch.column("c_nationkey"),
-                         "seg": pa.array(seg, pa.string())})
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_nationkey", "c_mktsegment"],
-    ).map_batches(knock_out, batch_format="pyarrow")
-    return impute_group_mode(cust, key_col="c_nationkey", val_col="seg")
-
-
-def _q_rrf_fusion(sf_dir: str):
-    """Reciprocal Rank Fusion (``indexing.rrf_fuse``): parts ranked by
-    retail price AND by size, fused as Σ 10⁹ // (60 + rank) — the
-    standard incomparable-scores ranking combiner (BM25 + cosine in a
-    search stack), kept integer-exact by flooring each term so near-tie
-    fused orders can't flip across libms. One bounded histogram
-    exchange per ranking + broadcast min-rank maps; global top-20 as a
-    per-batch partial top-N aggregation."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.indexing import rrf_fuse
-
-    def prep(batch: pa.Table) -> pa.Table:
-        pc_ = np.rint(batch.column("p_retailprice").to_numpy() * 100
-                      ).astype("int64")
-        return pa.table({
-            "p_partkey": batch.column("p_partkey"),
-            "price_c": pa.array(pc_, pa.int64()),
-            "size_v": batch.column("p_size").cast(pa.int64())})
-
-    parts = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_retailprice", "p_size"],
-    ).map_batches(prep, batch_format="pyarrow")
-    return rrf_fuse(parts, id_col="p_partkey",
-                    score_cols=["price_c", "size_v"], k=60, top_n=20)
-
-
-def _q_quantile_normalize(sf_dir: str):
-    """Cross-source quantile normalization of document lengths
-    (``aggregates.quantile_normalize_int``): each doc's n_chars is
-    replaced by the GLOBAL length at the same within-source quantile —
-    the calibration step before mixing per-source quality scores whose
-    raw scales differ. Rank-exact integer mapping (smallest global w
-    with cum_g(w)·n_s ≥ cum_s(v)·n_g); ONE (source, value) histogram
-    exchange serves both CDFs; rows never shuffle."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import quantile_normalize_int
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "source", "n_chars"])
-    out = quantile_normalize_int(docs, key_col="source",
-                                 val_col="n_chars")
-    return out.select_columns(["doc_id", "source", "n_chars", "norm_v"])
-
-
-def _q_subsequence_counts(sf_dir: str):
-    """Order-preserving subsequence motif counting
-    (``windows.subsequence_counts``): per user, how many distinct
-    index-increasing ways the event stream spells view→click→purchase
-    — the path-multiplicity signal behind path-weighted attribution
-    (funnels only answer "converted or not"). Linear DP vectorized
-    across all keys of a partition (k levels of per-key exclusive
-    cumsums, no per-key Python loop); ONE 4-column row exchange; the
-    (ts, event_id) order is total so the nested-window SQL mirror is
-    bit-exact."""
-    import ray.data
-
-    from documentai_ray.stages.windows import subsequence_counts
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_id", "event_type"])
-    return subsequence_counts(
-        ev, key_col="user_id", ts_col="ts", tie_col="event_id",
-        type_col="event_type",
-        pattern=["view", "click", "purchase"])
-
-
-def _q_coordinated_sample(sf_dir: str):
-    """Coordinated sampling across tables
-    (``partitioning.coordinated_sample``): orders AND lineitems each
-    keep rows whose join key's md5 starts with '0'/'1'/'2' (≈18.75 %) —
-    the SAME deterministic rule on the SAME key, so referential
-    integrity survives: every sampled order keeps ALL its line items
-    (independent per-table sampling would keep only p² of joinable
-    pairs and break FK completeness). Revenue per priority over the
-    coordinated slice: two ZERO-exchange filters, one partitioned
-    hash_join, one 5-group aggregate."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Count, Sum
-
-    from documentai_ray.stages.joins import hash_join
-    from documentai_ray.state.partitioning import coordinated_sample
-
-    orders = coordinated_sample(
-        ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                              columns=["o_orderkey", "o_orderpriority"]),
-        key_col="o_orderkey")
-
-    def prep_line(batch: pa.Table) -> pa.Table:
-        rc = np.rint(batch.column("l_extendedprice").to_numpy() * 100
-                     ).astype("int64")
-        return pa.table({"o_orderkey": batch.column("l_orderkey"),
-                         "rc": pa.array(rc, pa.int64())})
-
-    line = coordinated_sample(
-        ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                              columns=["l_orderkey", "l_extendedprice"]
-                              ).map_batches(prep_line,
-                                            batch_format="pyarrow"),
-        key_col="o_orderkey")
-    j = hash_join(line, orders, on="o_orderkey", num_partitions=32)
-    return (j.groupby("o_orderpriority")
-            .aggregate(Count(alias_name="n_items"),
-                       Sum("rc", alias_name="rev_c")))
-
-
-def _q_kcore_nodes(sf_dir: str):
-    """k-core decomposition (``graph.kcore_nodes``): iterative peeling
-    of degree-<k nodes until fixpoint — the dense-backbone screen one
-    degree pass cannot compute because peeling CASCADES (removing a
-    pendant drops its neighbor below k next round). Graph: per block of
-    6 consecutive customer keys, a triangle (b0-b1-b2) with a pendant
-    chain b2-b3-b4-b5 — the 2-core is exactly the triangles and the
-    peel takes 3 cascading rounds by construction. Per round: one
-    degree groupby + two key-projected semi hash_joins; the live node
-    count is a monotone fixed-point witness (early exit)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.graph import kcore_nodes
-
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey"])
-    n_full = (cust.count() // 6) * 6
-
-    def edges(batch: pa.Table) -> pa.Table:
-        c = batch.column("c_custkey").to_numpy().astype("int64")
-        c = c[c <= n_full]
-        r = (c - 1) % 6
-        src1 = c[r <= 4]
-        src2 = c[r == 2]
-        return pa.table({
-            "src": pa.array(np.concatenate([src1, src2]), pa.int64()),
-            "dst": pa.array(np.concatenate([src1 + 1, src2 - 2]),
-                            pa.int64())})
-
-    e = cust.map_batches(edges, batch_format="pyarrow")
-    return kcore_nodes(e, k=2, rounds=6)
 
 
 def _q_rendezvous_shards(sf_dir: str):
@@ -2797,121 +1112,6 @@ def _q_rendezvous_shards(sf_dir: str):
     return rendezvous_assign(
         docs, key_col="doc_id",
         shards=["shard-a", "shard-b", "shard-c", "shard-d", "shard-e"])
-
-
-def _q_kwic_snippets(sf_dir: str):
-    """KWIC concordance (``indexing.kwic_snippets``): every exact-token
-    occurrence of 'merge' in the documents corpus becomes one
-    (doc_id, pos, snippet) row with a ±3-token context window clamped
-    at document edges — the search-result snippet surface. ZERO
-    exchange; vectorized token scan, Python assembly only on the
-    sparse hits."""
-    import ray.data
-
-    from documentai_ray.stages.indexing import kwic_snippets
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text"])
-    return kwic_snippets(docs, id_cols=["doc_id"], text_col="text",
-                         keyword="merge", before=3, after=3)
-
-
-def _q_skipgram_pairs(sf_dir: str):
-    """word2vec-style windowed co-occurrence counts
-    (``textstats.skipgram_pair_counts``): ordered (left, right) token
-    pairs at distance ≤ 3 within a document, counted corpus-wide —
-    per-batch fully vectorized shift-and-mask pairing pre-combined into
-    (pair, n) partials, ONE exchange bounded by distinct pairs (never
-    token count), Zipf tail pruned at n ≥ 3 post-exchange."""
-    import ray.data
-
-    from documentai_ray.stages.textstats import skipgram_pair_counts
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["text"])
-    return skipgram_pair_counts(docs, text_col="text", window=3,
-                                min_count=3)
-
-
-def _q_collocation_lift(sf_dir: str):
-    """Collocation mining via integer-ppm lift (the log-free PMI,
-    ``textstats.collocation_lift``): for adjacent bigrams with ≥ 5
-    occurrences, ``lift_ppm = c_ab·T·10⁶ // (c_a·c_b)`` — how much more
-    often the pair occurs than token independence predicts. Bigram
-    counts ride the skipgram exchange (window=1); unigram counts are a
-    vocab-bounded exchange broadcast via ray.put; arithmetic is Python
-    bigint / HUGEINT so the SQL mirror is bit-exact."""
-    import ray.data
-
-    from documentai_ray.stages.textstats import collocation_lift
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["text"])
-    return collocation_lift(docs, text_col="text", min_pair=5)
-
-
-def _q_posexplode_tokens(sf_dir: str):
-    """Positional token explode (``schema.posexplode_tokens`` — Spark's
-    posexplode over the repo-standard whitespace tokenization): each
-    document becomes one (doc_id, pos, token) row per token, pos
-    1-based in document order — the layout positional n-gram,
-    co-occurrence and index builds start from. Pure per-batch pandas
-    explode + vectorized offset arithmetic, ZERO exchange."""
-    import ray.data
-
-    from documentai_ray.stages.schema import posexplode_tokens
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "text"])
-    return posexplode_tokens(docs, id_cols=["doc_id"], text_col="text")
-
-
-def _q_weighted_median(sf_dir: str):
-    """Revenue-weighted median quantity per return flag
-    (``aggregates.grouped_weighted_median_int``): the quantity at which
-    half of each flag's extended-price revenue sits at or below — the
-    distribution summary a plain median misstates whenever weight and
-    value correlate. Lower-median rule (smallest v with 2·cumw ≥ W),
-    integer-exact end to end (weights in cents); ONE exchange bounded
-    by flags × 50 distinct quantities."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_weighted_median_int
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_quantity", "l_extendedprice"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        q = np.rint(batch.column("l_quantity").to_numpy()).astype("int64")
-        c = np.rint(batch.column("l_extendedprice").to_numpy()
-                    * 100).astype("int64")
-        return pa.table({"l_returnflag": batch.column("l_returnflag"),
-                         "qty": pa.array(q), "cents": pa.array(c)})
-
-    return grouped_weighted_median_int(
-        li.map_batches(prep, batch_format="pyarrow"),
-        key_col="l_returnflag", val_col="qty", weight_col="cents",
-        out_col="wmedian_qty")
-
-
-def _q_ntile_split(sf_dir: str):
-    """Exact distributed NTILE(10) per language by document size — the
-    quantile-bucketed split labeling (size-decile stratification) done
-    with two bounded exchanges (histogram offsets + tie-group cumcount)
-    instead of a global sort. Matches SQL NTILE semantics exactly,
-    including the first n%k tiles getting the extra row."""
-    import ray.data
-
-    from documentai_ray.stages.aggregates import grouped_ntile
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "lang", "n_chars"])
-    return grouped_ntile(ds, key_col="lang", val_col="n_chars",
-                         tiebreak_col="doc_id", k=10,
-                         num_partitions=16)
 
 
 def _q_fuzzy_hosts(sf_dir: str):
@@ -2950,74 +1150,6 @@ def _q_fuzzy_hosts(sf_dir: str):
     return out.select_columns(["doc_id", "dirty", "canon_host", "dist"])
 
 
-def _q_symspell_pairs(sf_dir: str):
-    """Fully-distributed edit-distance ≤ 1 join via SymSpell deletion-
-    neighborhood hashing — the scale path past fuzzy_hosts'
-    distinct-set × vocabulary quadratic: every (dirty host, canonical
-    host) pair within one edit, both sides distributed, no broadcast.
-    Candidates = pairs sharing a deletion variant (complete for ed ≤ 1
-    by the deletion-intersection property), verified with the exact DP.
-    Same planted-deletion corpus as fuzzy_hosts, compared as DISTINCT
-    value pairs."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.fuzzy import symspell_join
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "source"])
-
-    def dirty(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        srcs = batch.column("source").to_pylist()
-        out = []
-        for did, s in zip(ids, srcs):
-            host = ("heavy.example.com" if did % 3 == 0
-                    else f"{s}.example.com")
-            p = did % len(host)
-            out.append(host[:p] + host[p + 1:])
-        return pa.table({"dirty": pa.array(out, pa.string())})
-
-    def canon(batch: pa.Table) -> pa.Table:
-        hosts = sorted({f"{s}.example.com"
-                        for s in batch.column("source").to_pylist()}
-                       | {"heavy.example.com"})
-        return pa.table({"canon": pa.array(hosts, pa.string())})
-
-    dirty_ds = docs.map_batches(dirty, batch_format="pyarrow")
-    canon_ds = docs.map_batches(canon, batch_format="pyarrow")
-    return symspell_join(dirty_ds, canon_ds, left_col="dirty",
-                         right_col="canon", num_partitions=16)
-
-
-def _q_triangle_count(sf_dir: str):
-    """Per-apex triangle counting over a deterministic web-ish link graph
-    (local band edges i→i+1, i→i+2 that close ~n triangles, plus a hash
-    jump i→(7i+1) mod n): oriented wedge enumeration via edge self-join,
-    closing-edge semi-join on the composite (b,c) key — each triangle
-    counted once at its smallest node. The oracle builds the identical
-    edge set in SQL and closes wedges with a 3-way self-join."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.graph import triangle_counts
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = docs.count()
-
-    def edges(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        src = list(ids) * 3
-        dst = (list((ids + 1) % n) + list((ids + 2) % n)
-               + list((ids * 7 + 1) % n))
-        return pa.table({"src": pa.array(src, pa.int64()),
-                         "dst": pa.array(dst, pa.int64())})
-
-    return triangle_counts(docs.map_batches(edges, batch_format="pyarrow"),
-                           num_partitions=16)
-
-
 def _q_redirect_resolve(sf_dir: str):
     """HTTP-redirect chain canonicalization via pointer doubling: every
     url whose doc_id is not a multiple of 8 301-redirects to doc_id-1,
@@ -3046,75 +1178,6 @@ def _q_redirect_resolve(sf_dir: str):
         lambda b: pa.table({"node": b.column("node"),
                             "final": b.column("ptr")}),
         batch_format="pyarrow")
-
-
-def _q_khop_frontier(sf_dir: str):
-    """k-hop BFS over the directed link graph (same deterministic edge
-    synthesis as triangle_count: i→i+1, i→i+2, i→7i+1 mod n): min hop
-    depth ≤ 3 from the doc_id ≡ 0 (mod 997) seed set — the
-    crawl-frontier-expansion / blast-radius primitive (graph.bfs_khop:
-    one key-projected hash_join + groupby-min per round).  Oracle:
-    WITH RECURSIVE level-by-level expansion + final min."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.graph import bfs_khop
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = docs.count()
-
-    def edges(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        src = list(ids) * 3
-        dst = (list((ids + 1) % n) + list((ids + 2) % n)
-               + list((ids * 7 + 1) % n))
-        return pa.table({"src": pa.array(src, pa.int64()),
-                         "dst": pa.array(dst, pa.int64())})
-
-    def seeds(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        return pa.table({"node": pa.array(ids[ids % 997 == 0], pa.int64())})
-
-    return bfs_khop(docs.map_batches(edges, batch_format="pyarrow"),
-                    docs.map_batches(seeds, batch_format="pyarrow"),
-                    k=3, num_partitions=16)
-
-
-def _q_sssp_weighted(sf_dir: str):
-    """Bounded-round WEIGHTED shortest paths (Bellman-Ford, 3 rounds)
-    over the same link graph as khop_frontier, with deterministic edge
-    weights w = 1 + (src + dst) % 5 — min COST, not min hops: a 2-hop
-    path can undercut a heavy direct edge, which the oracle's
-    unrestricted ≤3-edge path expansion confirms. graph.sssp_bounded:
-    one key-projected join + monotone groupby-min fold per round."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.graph import sssp_bounded
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = docs.count()
-
-    def edges(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        ids = batch.column("doc_id").to_numpy()
-        src = np.concatenate([ids, ids, ids])
-        dst = np.concatenate([(ids + 1) % n, (ids + 2) % n,
-                              (ids * 7 + 1) % n])
-        w = 1 + (src + dst) % 5
-        return pa.table({"src": pa.array(src, pa.int64()),
-                         "dst": pa.array(dst, pa.int64()),
-                         "w": pa.array(w, pa.int64())})
-
-    def seeds(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        return pa.table({"node": pa.array(ids[ids % 997 == 0], pa.int64())})
-
-    return sssp_bounded(docs.map_batches(edges, batch_format="pyarrow"),
-                        docs.map_batches(seeds, batch_format="pyarrow"),
-                        rounds=3, num_partitions=16)
 
 
 def _q_ocr_roundtrip(sf_dir: str):
@@ -3290,4 +1353,4 @@ def _q_page_type_detect(sf_dir: str):
 
     return ds.map_batches(f, batch_format="pyarrow", batch_size=512)
 
-__all__ = ['_q_wet_roundtrip', '_q_jsonl_roundtrip', '_q_cdx_fetch', '_q_kcenter_select', '_q_zorder_keys', '_q_merge_upsert', '_q_scd2_build', '_q_asof_snapshot', '_q_late_events', '_q_online_neardup', '_q_fetch_schedule', '_q_users_sketch', '_q_events_anomaly', '_q_table_checksum', '_q_string_agg_topdocs', '_q_gap_fill', '_q_cube_counts', '_q_scd2_join', '_q_grouped_regression', '_q_event_transitions', '_q_funnel_conversion', '_q_lang_rebalance', '_q_drop_funnel', '_q_tfrecord_roundtrip', '_q_csv_roundtrip', '_q_ipc_roundtrip', '_q_sorted_export', '_q_orc_roundtrip', '_q_page_meta', '_q_robots_filter', '_q_robots_txt_rules', '_q_surt_keys', '_q_anchor_text', '_q_sitemap_frontier', '_q_recrawl_priority', '_q_price_quantiles', '_q_fetch_waves', '_q_profile_columns', '_q_dq_audit', '_q_k_anonymity', '_q_l_diversity', '_q_diversity_index', '_q_mad_outliers', '_q_unpivot_measures', '_q_benford_audit', '_q_dead_letter', '_q_curation_hostaware', '_q_snapshot_diff', '_q_host_cap', '_q_outlink_count', '_q_kmeans_clusters', '_q_video_frames', '_q_kmv_distinct', '_q_hll_distinct', '_q_p95_quantity', '_q_users_per_event', '_q_events_rate_windows', '_q_images_to_pdf', '_q_base64_pages', '_q_rasterize_pages', '_q_urgent_revenue', '_q_gopher_quality', '_q_repeated_passages', '_q_dedup_passages', '_q_json_props', '_q_customer_running', '_q_stratified_sample', '_q_events_pivot', '_q_category_split_pdfs', '_q_bigram_lm', '_q_pagerank', '_q_pagerank_irregular', '_q_windowed_paths', '_q_user_features', '_q_user_ledger', '_q_cusum_alarms', '_q_mann_kendall', '_q_lag_coactivity', '_q_vocab_growth', '_q_trend_flips', '_q_skew_histogram', '_q_gini_orders', '_q_backtest_mae', '_q_tvd_drift', '_q_readability', '_q_clustering_coeff', '_q_unique_prefix', '_q_soundex_blocking', '_q_zonemap_prune', '_q_nest_tokens', '_q_longest_streak', '_q_supplier_percentile', '_q_delta_varint', '_q_impute_mode', '_q_rrf_fusion', '_q_quantile_normalize', '_q_subsequence_counts', '_q_coordinated_sample', '_q_kcore_nodes', '_q_rendezvous_shards', '_q_kwic_snippets', '_q_skipgram_pairs', '_q_collocation_lift', '_q_posexplode_tokens', '_q_weighted_median', '_q_ntile_split', '_q_fuzzy_hosts', '_q_symspell_pairs', '_q_triangle_count', '_q_redirect_resolve', '_q_khop_frontier', '_q_sssp_weighted', '_q_ocr_roundtrip', '_q_ocr_classify', '_q_office_extract', '_q_generic_entities', '_q_layout_structure', '_q_page_type_detect']
+__all__ = ['_q_wet_roundtrip', '_q_jsonl_roundtrip', '_q_cdx_fetch', '_q_kcenter_select', '_q_online_neardup', '_q_fetch_schedule', '_q_lang_rebalance', '_q_drop_funnel', '_q_tfrecord_roundtrip', '_q_csv_roundtrip', '_q_ipc_roundtrip', '_q_orc_roundtrip', '_q_page_meta', '_q_robots_filter', '_q_robots_txt_rules', '_q_surt_keys', '_q_anchor_text', '_q_sitemap_frontier', '_q_recrawl_priority', '_q_fetch_waves', '_q_dead_letter', '_q_curation_hostaware', '_q_snapshot_diff', '_q_host_cap', '_q_outlink_count', '_q_kmeans_clusters', '_q_video_frames', '_q_images_to_pdf', '_q_base64_pages', '_q_rasterize_pages', '_q_gopher_quality', '_q_repeated_passages', '_q_dedup_passages', '_q_category_split_pdfs', '_q_vocab_growth', '_q_backtest_mae', '_q_readability', '_q_rendezvous_shards', '_q_fuzzy_hosts', '_q_redirect_resolve', '_q_ocr_roundtrip', '_q_ocr_classify', '_q_office_extract', '_q_generic_entities', '_q_layout_structure', '_q_page_type_detect']

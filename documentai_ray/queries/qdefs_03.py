@@ -4,8 +4,6 @@ from __future__ import annotations
 from documentai_ray.queries._helpers import *  # noqa: F401,F403
 
 
-
-
 def _q_table_detect(sf_dir: str):
     """M21 text→table detection (2+-space column split, ≥2-row runs) over
     synthetic texts: docs with doc_id%4==0 carry only single-column lines
@@ -1434,124 +1432,6 @@ def _q_web_curation(sf_dir: str):
                           batch_size=256)
 
 
-def _q_config_pipeline(sf_dir: str):
-    """The web-curation chain compiled from configs/pipelines/
-    web_curation.yaml by the declarative pipeline surface
-    (pipelines/declarative.py: named-stage registry, compile-time
-    validation, folds to ONE lazy Dataset) — a user re-orders or extends
-    curation without code, the reference's config-surface idea applied
-    to pipeline STRUCTURE. Must match the hand-composed web_curation
-    oracle exactly."""
-    import os
-
-    from documentai_ray.pipelines.declarative import load_yaml_pipeline
-    from documentai_ray.sources.pages import pages_dataset
-
-    run = load_yaml_pipeline(os.path.join(
-        _REPO_ROOT,
-        "configs", "pipelines", "web_curation.yaml"))
-    ds = pages_dataset(sf_dir, with_dups=True, with_near_dups=True)
-    return run(ds, sf_dir)
-
-
-def _q_ivm_counts(sf_dir: str):
-    """Incremental view maintenance of per-source token totals: the base
-    aggregate plus SIGNED changelog deltas (deletes %7: −tokens; updates
-    %3: +2 tokens from an appended " extra extra") — the delta pass
-    touches only changed docs, never re-reads the base (aggregates.
-    ivm_delta_counts). Oracle: aggregate the post-change state directly
-    — delta maintenance must land on the identical totals."""
-    import pyarrow as pa
-    import ray.data
-
-    base = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id", "source", "text"])
-
-    def base_rows(batch: pa.Table) -> pa.Table:
-        toks = [len((t or "").split(" ")) for t in
-                batch.column("text").to_pylist()]
-        return pa.table({"source": batch.column("source"),
-                         "n_tokens": pa.array(toks, pa.int64())})
-
-    def delta_rows(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        ids = np.asarray(batch.column("doc_id").to_pylist(), np.int64)
-        srcs = batch.column("source").to_pylist()
-        toks = [len((t or "").split(" ")) for t in
-                batch.column("text").to_pylist()]
-        out_s, out_d = [], []
-        for i, s, n in zip(ids, srcs, toks):
-            if i % 7 == 0:                      # delete: -old
-                out_s.append(s)
-                out_d.append(-n)
-            elif i % 3 == 0:                    # update: new - old = +2
-                out_s.append(s)
-                out_d.append(2)
-        return pa.table({"source": pa.array(out_s, pa.string()),
-                         "delta": pa.array(out_d, pa.int64())})
-
-    from documentai_ray.stages.aggregates import ivm_delta_counts
-
-    changes = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "source", "text"]).map_batches(
-        delta_rows, batch_format="pyarrow")
-    return ivm_delta_counts(base.map_batches(base_rows,
-                                             batch_format="pyarrow"),
-                            changes, key_col="source", val_col="n_tokens")
-
-
-def _q_pseudonymize(sf_dir: str):
-    """Keyed-hash pseudonymization of the events export: user_id →
-    md5-LE64("s1:<id>") — stable (joinable) but unlinkable without the
-    salt, the structured-identifier complement of redact_pii. Oracle:
-    the identical keyed hash in HUGEINT SQL."""
-    import ray.data
-
-    from documentai_ray.stages.curation import pseudonymize
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id", "user_id"])
-    return pseudonymize(ds, ["user_id"], salt="s1")
-
-
-def _q_customer_order_counts(sf_dir: str):
-    """LEFT hash_join coverage: every customer joined to its
-    pre-aggregated order count — customers with no orders survive with
-    n_orders 0 (the non-vacuous null side; ~1/3 of TPC-H customers).
-    The order side pre-aggregates BEFORE the join so the exchange
-    carries one row per customer, not per order. Oracle: LEFT JOIN +
-    coalesce."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Count
-
-    from documentai_ray.stages.joins import hash_join
-
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey", "c_mktsegment"])
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_custkey"])
-    per_cust = (orders.groupby("o_custkey")
-                .aggregate(Count(alias_name="n_orders")))
-
-    def rekey(batch: pa.Table) -> pa.Table:
-        return pa.table({"c_custkey": batch.column("o_custkey"),
-                         "n_orders": batch.column("n_orders")})
-
-    joined = hash_join(cust, per_cust.map_batches(rekey,
-                                                  batch_format="pyarrow"),
-                       on="c_custkey", how="left")
-
-    def fill(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        n = pc.fill_null(batch.column("n_orders"), 0)
-        return batch.set_column(batch.column_names.index("n_orders"),
-                                "n_orders", pc.cast(n, pa.int64()))
-
-    return joined.map_batches(fill, batch_format="pyarrow")
-
-
 def _q_incremental_session(sf_dir: str):
     """Multi-round incremental ingestion — the steady-state life of a
     crawl pipeline: three snapshots arrive where EVERY round resends all
@@ -1599,90 +1479,6 @@ def _q_incremental_session(sf_dir: str):
     for o in outs[1:]:
         result = result.union(o)
     return result.select_columns(["doc_id", "first_snapshot"])
-
-
-def _q_f2_selfjoin(sf_dir: str):
-    """AMS F2 sketch over orders.o_custkey: estimates the self-join size
-    Σ f_k² (what a planner consults before a shuffle join) from d=8
-    integer counters — each batch ships one 8-vector, the lower median
-    of the squared merged counters is the estimate (integer end to end).
-    Oracle: the identical d counters + lower median in SQL, plus the
-    TRUE F2 for reference."""
-    import ray.data
-
-    from documentai_ray.stages.sketches import ams_f2_sketch
-
-    ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                               columns=["o_custkey"])
-    import pyarrow as pa
-
-    est = ams_f2_sketch(ds, key_col="o_custkey")
-
-    true_f2 = (ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                     columns=["o_custkey"])
-               .groupby("o_custkey").count().to_pandas())
-    tf2 = int((true_f2["count()"].to_numpy().astype("int64") ** 2).sum())
-    return est.append_column("true_f2", pa.array([tf2], pa.int64()))
-
-
-def _q_winsorize(sf_dir: str):
-    """Group-wise winsorization of l_quantity per returnflag: clip to
-    the group's exact integer [p05, p95] (bounded histogram → broadcast
-    boundaries → vectorized clip) — the outlier-taming pass before
-    statistics feed a model. Oracle: window-cumsum quantile closed form
-    + least/greatest."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.aggregates import winsorize_grouped
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_linenumber", "l_returnflag",
-                 "l_quantity"])
-
-    def to_int(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        q = batch.column("l_quantity").to_numpy().astype("int64")
-        return batch.set_column(batch.column_names.index("l_quantity"),
-                                "l_quantity", pa.array(q, pa.int64()))
-
-    out = winsorize_grouped(ds.map_batches(to_int, batch_format="pyarrow"),
-                            key_cols=["l_returnflag"],
-                            val_col="l_quantity")
-    return out.select_columns(["l_orderkey", "l_linenumber",
-                               "l_returnflag", "clipped"])
-
-
-def _q_hits(sf_dir: str):
-    """HITS hubs & authorities (2 iterations, integer-ppm L1 rescale)
-    over the deterministic 3-out doc graph — the link-analysis
-    complement of pagerank (graph.py::hits_int: join + zero-injected
-    groupby + scalar-rescale per half-step). Bit-exact unrolled SQL
-    oracle."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.graph import hits_int
-
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                                 columns=["doc_id"])
-    n = docs.count()
-
-    def edges(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        src = list(ids) * 3
-        dst = (list((ids * 7 + 1) % n) + list((ids * 13 + 2) % n)
-               + list((ids * 31 + 3) % n))
-        return pa.table({"src": pa.array(src, pa.int64()),
-                         "dst": pa.array(dst, pa.int64())})
-
-    def nodes(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("doc_id").cast(pa.int64())})
-
-    e = docs.map_batches(edges, batch_format="pyarrow")
-    nd = docs.map_batches(nodes, batch_format="pyarrow")
-    return hits_int(e, nd, iters=2, num_partitions=16)
 
 
 def _q_mix_assemble(sf_dir: str):
@@ -1749,132 +1545,6 @@ def _q_mix_plan(sf_dir: str):
     return mix_plan(ds, weights, budget_factor=2)
 
 
-def _q_seasonality_strength(sf_dir: str):
-    """Hour-of-day seasonality strength per event type
-    (``windows.seasonality_strength_int``): one-way ANOVA eta² of the
-    hourly-count series grouped by hour of day, exact integer ppm — the
-    within-day STRUCTURE question (crawl-rate shaping, peak-hour
-    budgeting) where trend/cusum/changepoint ask about drift ALONG
-    time.  Balance comes free (whole-day window, dense zeros), which
-    clears every fraction: num = 24·ΣS_h² − S², den = 24D·Σc² − S² —
-    and zero cells contribute nothing, so the observed (hour, key)
-    histogram suffices without materializing the grid.  Mirror:
-    HUGEINT folds over the hourly CTE + a 24-row hour-of-day grid for
-    peak/trough."""
-    import ray.data
-
-    from documentai_ray.stages.windows import seasonality_strength_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return seasonality_strength_int(ev)
-
-
-def _q_theil_sen(sf_dir: str):
-    """Theil–Sen robust trend slope per event type
-    (``windows.theil_sen_int``): the median pairwise slope of the
-    hourly series in doubled-milli units — the MAGNITUDE companion to
-    mann_kendall's direction-only S, immune to the outlier hours OLS
-    chases.  Slopes are trunc-milli by definition (SQL ``//``) so both
-    engines rank identical integers; x = epoch hours so missing hours
-    stretch dx.  One (hour, key) exchange (calendar-bounded), numpy
-    triangle fold.  Mirror: within-key self-join + the doubled-median
-    row_number pick."""
-    import ray.data
-
-    from documentai_ray.stages.windows import theil_sen_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return theil_sen_int(ev)
-
-
-def _q_interarrival_stats(sf_dir: str):
-    """Inter-arrival gap distribution per event type
-    (``windows.interarrival_stats``): min / doubled-median / max of
-    consecutive gaps in whole seconds, ordered by (ts, event_id) — the
-    evidence behind every session-threshold and rate-limit choice
-    (events_sessions ASSUMES a cutoff; this measures the gap
-    distribution it should come from).  One key-hash exchange, one
-    vectorized grouped-shift diff for ALL keys per partition,
-    per-key gap-value histograms summed in a second tiny exchange so
-    the median is exact (the grouped_median_int plan).  Mirror: lag()
-    window + the doubled-median row_number pick."""
-    import ray.data
-
-    from documentai_ray.stages.windows import interarrival_stats
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["ts", "event_type", "event_id"])
-    return interarrival_stats(ev)
-
-
-def _q_changepoint_localize(sf_dir: str):
-    """Binary segmentation's first split per event type
-    (``windows.changepoint_binary_int``): the hour t* maximizing the
-    between-segment term S1²/n1 + S2²/n2 of the hourly-count series —
-    WHERE the level moved, where cusum_alarms only says THAT it moved.
-    Defined on the milli-floored integer score so both engines rank the
-    identical integer (fraction denominators vary with t); argmax ties
-    break toward the smallest t.  ONE pre-combined (hour, key) exchange;
-    the split scan folds the bounded series driver-side.  Mirror:
-    running-sum windows + HUGEINT score + row_number pick."""
-    import ray.data
-
-    from documentai_ray.stages.windows import changepoint_binary_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return changepoint_binary_int(ev)
-
-
-def _q_bloom_semijoin(sf_dir: str):
-    """Bloom-pushdown semi-join audit (``sketches.bloom_build_bits`` /
-    ``bloom_semijoin_stats``): the BUILDING-segment customer keys fold
-    into a 4096-bit bloom filter (one exchange bounded by m positions),
-    the filter broadcasts ONCE via ray.put, and the orders fact side is
-    screened with a vectorized distinct-key lookup — the pushdown
-    pattern for when the build side's exact key set is too big to
-    broadcast but its m-bit summary isn't.  The exact key set rides
-    along precisely to MEASURE the summary: n_fp and the false-positive
-    rate over true negatives in ppm (4096 bits vs ~thousands of keys
-    keeps fp genuinely nonzero at sf≥0.01, so the oracle
-    discriminates); the no-false-negative contract is asserted
-    engine-side.  One md5 per distinct key, kh=3 disjoint 16-bit hex
-    slices (the countmin convention) — the SQL mirror carves the same
-    nibbles."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data
-
-    from documentai_ray.stages.sketches import (bloom_build_bits,
-                                                bloom_semijoin_stats)
-
-    M, KH = 4096, 3
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment"])
-
-    def building_only(batch):
-        import pyarrow.compute as pc
-        return batch.filter(
-            pc.equal(batch.column("c_mktsegment"), "BUILDING"))
-
-    small = cust.map_batches(building_only, batch_format="pyarrow")
-    bits = bloom_build_bits(small, key_col="c_custkey", m=M, kh=KH)
-    truth = pq.read_table(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment"],
-        filters=[("c_mktsegment", "=", "BUILDING")]
-    ).column("c_custkey").to_numpy()
-    fact = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                 columns=["o_custkey"])
-    return bloom_semijoin_stats(fact, key_col="o_custkey",
-                                bits_ref=ray.put(bits),
-                                truth_ref=ray.put(truth), m=M, kh=KH)
-
-
 def _q_ngram_novelty(sf_dir: str):
     """Per-document 3-gram novelty (``textstats.ngram_novelty``): the
     fraction of each doc's distinct shingles first seen in the corpus
@@ -1894,69 +1564,6 @@ def _q_ngram_novelty(sf_dir: str):
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
     return ngram_novelty(ds, id_col="doc_id", text_col="text", n=3)
-
-
-def _q_attribution_credit(sf_dir: str):
-    """Linear multi-touch attribution (``windows.attribution_linear``):
-    each purchase splits 10⁶ ppm of credit equally (floor per
-    conversion) among the user's non-purchase events in the strict
-    half-open hour before it — the budget question (WHICH channels
-    earned the conversions) the funnel family's ordered-completion
-    counts don't answer.  One user-hash exchange; each partition
-    resolves all users with two searchsorted calls + prefix sums + the
-    range-add delta trick — no per-conversion loop.  Mirror: window
-    join + per-conversion count + floor-divided credit sum."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.windows import attribution_linear
-
-    def to_us(batch: pa.Table) -> pa.Table:
-        us = (batch.column("ts").to_numpy().astype("datetime64[us]")
-              .astype("int64"))
-        return pa.table({"user_id": batch.column("user_id"),
-                         "ts_us": pa.array(us, pa.int64()),
-                         "event_type": batch.column("event_type")})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts", "event_type"]
-                               ).map_batches(to_us, batch_format="pyarrow")
-    return attribution_linear(ds, key_col="user_id", ts_col="ts_us",
-                              type_col="event_type",
-                              conversion_type="purchase",
-                              window=3_600_000_000, num_partitions=32)
-
-
-def _q_fd_error(sf_dir: str):
-    """Approximate-FD discovery scores (``dq.fd_g3_error``): the g3
-    error — minimum deletions for lhs→rhs to hold — for three candidate
-    dependencies across three tables (custkey→orderpriority,
-    partkey→returnflag, user→event_type).  dq_audit asserts declared
-    constraints; this RANKS undeclared ones by how far they are from
-    true, the TANE-style profiling primitive.  Per FD: pair-count
-    exchange bounded by distinct (lhs, rhs), per-lhs MAX, per-block
-    scalar folds — the pair table never reaches the driver.  Mirror:
-    n − Σ max per lhs, per table."""
-    import pandas as pd
-    import ray.data
-
-    from documentai_ray.stages.dq import fd_g3_error
-
-    fds = [
-        ("orders_cust_to_priority", "orders.parquet",
-         "o_custkey", "o_orderpriority"),
-        ("lineitem_part_to_flag", "lineitem.parquet",
-         "l_partkey", "l_returnflag"),
-        ("events_user_to_type", "events.parquet",
-         "user_id", "event_type"),
-    ]
-    out = []
-    for name, table, lhs, rhs in fds:
-        ds = ray.data.read_parquet(f"{sf_dir}/{table}", columns=[lhs, rhs])
-        row = fd_g3_error(ds, lhs_col=lhs, rhs_col=rhs)
-        row.insert(0, "fd", name)
-        out.append(row)
-    return pd.concat(out, ignore_index=True)
 
 
 def _q_oov_rate(sf_dir: str):
@@ -1989,203 +1596,6 @@ def _q_oov_rate(sf_dir: str):
         ds.map_batches(slice_only, batch_format="pyarrow"),
         text_col="text")
     return oov_rate(ds, ray.put(vocab), id_col="doc_id", text_col="text")
-
-
-def _q_max_concurrency(sf_dir: str):
-    """Peak simultaneous open intervals per user — each event opens a
-    window of floor(value) seconds (floor, not round: the corpus has
-    exact-half values like x.50 where numpy's banker's rounding and
-    SQL's half-away-from-zero round() diverge); the statistic is the
-    maximum overlap DEPTH (``windows.max_concurrency``), the load metric
-    user_coverage's union length deliberately erases (ten nested
-    windows cover like one but stack depth 10).  Boundary sweep made
-    distributed: one user-hash exchange, per-partition +1/−1 explode +
-    grouped cumsum + grouped max for ALL users at once.  Half-open
-    [s, e): at equal t the −1 sorts first, so touching intervals never
-    overlap and zero-length intervals (value < 1 floors to 0 — the
-    corpus has them) contribute depth 0.  Mirror: UNION ALL boundary rows +
-    running SUM window + MAX."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.windows import max_concurrency
-
-    def iv(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        s = (batch.column("ts").to_numpy().astype("datetime64[us]")
-             .astype("int64") // 1_000_000)
-        dur = np.floor(batch.column("value").to_numpy()).astype("int64")
-        return pa.table({"user_id": batch.column("user_id"),
-                         "s": pa.array(s, pa.int64()),
-                         "e": pa.array(s + dur, pa.int64())})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts", "value"]
-                               ).map_batches(iv, batch_format="pyarrow")
-    return max_concurrency(ds, key_col="user_id", start_col="s",
-                           end_col="e", num_partitions=32)
-
-
-def _q_countmin_estimate(sf_dir: str):
-    """Count-min sketch frequency estimates for the exact top-20 corpus
-    tokens (``sketches.countmin_cells`` / ``countmin_estimate``): the
-    fixed-size (4×256 counters) mergeable frequency summary whose point
-    estimate is ALWAYS ≥ the true count — the one-sided contract the
-    output exposes as over_est = cms_est − n_true ≥ 0 per probe (256
-    columns against thousands of distinct tokens guarantees collisions,
-    so the overestimates are genuinely nonzero and the oracle
-    discriminates).  One md5 per token addresses all 4 rows (disjoint
-    16-bit hex slices), so the SQL mirror carves the same nibbles from
-    the same hex.  Physical plan: map-side token Counter → per-batch
-    (row, col) partials → ONE exchange bounded by d·w = 1024 cells;
-    exact probe counts ride the top_tokens combiner plan.  Token =
-    single-space split, empties counted (the top_tokens convention)."""
-    import collections
-
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.sketches import (countmin_cells,
-                                                countmin_estimate)
-
-    D, W = 4, 256
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c = collections.Counter()
-        for t in batch.column("text").to_pylist():
-            c.update((t or "").split(" "))
-        return pa.table({"token": pa.array(list(c.keys()), pa.string()),
-                         "n": pa.array(list(c.values()), pa.int64())})
-
-    exact = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("token")
-             .aggregate(Sum("n", alias_name="n"))
-             .to_pandas()
-             .sort_values(["n", "token"], ascending=[False, True],
-                          kind="mergesort")
-             .head(20).reset_index(drop=True))
-    cells = countmin_cells(ds, text_col="text", d=D, w=W)
-    exact["cms_est"] = countmin_estimate(cells, exact["token"].tolist(),
-                                         d=D, w=W)
-    exact["cms_est"] = exact["cms_est"].astype("int64")
-    exact["over_est"] = (exact["cms_est"] - exact["n"]).astype("int64")
-    assert (exact["over_est"] >= 0).all(), \
-        "count-min one-sided contract violated"
-    return exact.rename(columns={"n": "n_true"})
-
-
-def _q_acf_lag(sf_dir: str):
-    """Hourly-series autocorrelation at lags 1 and 24 per event type
-    (``windows.acf_lag_int``): the PERIODICITY detector the trend
-    family can't see — mann_kendall/theil_sen score monotone drift,
-    seasonality_strength scores hour-of-day bucket structure; ACF(24)
-    measures whether the series actually REPEATS at day scale (phase
-    included) and ACF(1) how sticky adjacent hours are.  Dense global
-    hour grid (zeros counted: absence is a measurement), mean-centered
-    products cleared to integers by y_t = n·x_t − S, trunc-toward-zero
-    ppm.  ONE bounded (hour, key) exchange.  Mirror: generate_series
-    hour grid + lag() windows + HUGEINT folds + sign-split division."""
-    import ray.data
-
-    from documentai_ray.stages.windows import acf_lag_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return acf_lag_int(ev, lags=(1, 24))
-
-
-def _q_runs_test(sf_dir: str):
-    """Wald–Wolfowitz runs test of the dense hourly series per event
-    type (``windows.runs_test_int``): the LEVEL-CLUSTERING question —
-    do above-median and below-median hours arrive in long blocks
-    (bursty regimes) or alternate?  trend_flips counts direction
-    thrash, cusum catches sustained shifts; this scores the run
-    structure against its exact expectation E[R] = 1 + 2n₁n₂/(n₁+n₂)
-    (rational → exact ppm).  Ties at the doubled-unit median drop (the
-    classic convention).  Same single bounded exchange.  Mirror:
-    dense grid + doubled-median row_number pick + lag() change count."""
-    import ray.data
-
-    from documentai_ray.stages.windows import runs_test_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return runs_test_int(ev)
-
-
-def _q_frequent_triples(sf_dir: str):
-    """A-priori frequent 3-itemsets over order baskets
-    (``graph.frequent_triples``): part triples ordered together in ≥ 2
-    orders — the market-basket level above copurchase_pairs, where
-    naive enumeration dies (m³/6 candidates per basket) and the
-    a-priori principle starts paying: a cheap distributed item-support
-    pass prunes the combination base BEFORE any triple materializes,
-    the surviving item set broadcasts ONCE via ray.put, baskets
-    co-locate on one hash exchange, and each partition emits triples
-    for all its baskets grouped BY SIZE in one numpy gather (no
-    per-basket loop).  Second exchange bounded by distinct candidate
-    triples.  Mirror: distinct-pair CTE three-way self-join."""
-    import ray.data
-
-    from documentai_ray.stages.graph import frequent_triples
-
-    import pandas as pd
-
-    ds = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_orderkey", "l_partkey"])
-    out = frequent_triples(ds, basket_col="l_orderkey",
-                           item_col="l_partkey", min_support=2,
-                           num_partitions=32).to_pandas()
-    if out.shape[1] == 0:
-        # Dataset.to_pandas drops schema on zero rows; at high sf the
-        # support-2 triple set is legitimately empty — keep the columns
-        out = pd.DataFrame({c: pd.Series([], dtype="int64")
-                            for c in ["item_a", "item_b", "item_c", "n"]})
-    return out
-
-
-def _q_haar_energy(sf_dir: str):
-    """Haar wavelet energy decomposition of the hourly series per event
-    type (``windows.haar_energy_int``): AT WHICH TIMESCALE does the
-    variance live — level 1 = hour-to-hour jitter, level 5 = 16–32 h ≈
-    daily structure, level 9 = 256 h regime shifts — the multi-scale
-    question acf (one lag) and seasonality (one grouping) can't answer
-    in one pass.  Dyadic truncation to m = 2^⌊log₂H⌋ leading hours is
-    the documented contract; the unnormalized-Haar Parseval identity
-    m·Σx² − A² = Σ_l E_l·(m/2^l) holds in INTEGERS and is asserted
-    per key, so every share_ppm is exact.  ONE bounded (hour, key)
-    exchange.  Mirror: a generated 13-level pairwise-CTE pyramid with
-    HAVING count(*)=2 terminating the fold exactly at the top."""
-    import ray.data
-
-    from documentai_ray.stages.windows import haar_energy_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return haar_energy_int(ev)
-
-
-def _q_ewma_backtest(sf_dir: str):
-    """Dyadic-EWMA one-step forecast backtest per event type
-    (``windows.ewma_backtest_int``): MAE of predicting each hour from
-    the 8 trailing hours with halving weights 2⁷…2⁰ — the LOCAL-
-    MOMENTUM predictor, the complement of seasonal_naive_mae's
-    same-hour-yesterday periodicity bet; comparing the two MAEs says
-    which signal the series actually carries.  Mersenne denominator
-    2⁸−1 keeps every error integer (err = |255·x_t − Σ 2^{8−k}·x_{t−k}|);
-    first 8 hours skipped (no full history).  Same single bounded
-    exchange; one vectorized shift-and-add across all keys.  Mirror:
-    8 lag() terms over the dense grid."""
-    import ray.data
-
-    from documentai_ray.stages.windows import ewma_backtest_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return ewma_backtest_int(ev, window=8)
 
 
 def _q_url_templates(sf_dir: str):
@@ -2223,27 +1633,6 @@ def _q_url_templates(sf_dir: str):
     return (tmpl.map_batches(combine, batch_format="pyarrow")
             .groupby(["host", "template"])
             .aggregate(Sum("n", alias_name="n_links")))
-
-
-def _q_conversion_lag(sf_dir: str):
-    """Funnel timing per user (``windows.conversion_lag``): whole
-    seconds from the user's FIRST signup to their first purchase
-    strictly after it — the metric LTV windows and re-engagement
-    deadlines are set from; funnel_conversion counts WHO converts,
-    attribution_credit says WHICH touches earn it, this measures HOW
-    LONG it takes.  Read-side type prefilter (nothing else shuffles),
-    ONE user-hash exchange, two vectorized groupby-min passes per
-    partition.  Mirror: first-signup CTE + strict-after min-purchase
-    join + epoch // 10⁶."""
-    import ray.data
-
-    from documentai_ray.stages.windows import conversion_lag
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type"])
-    return conversion_lag(ev, from_type="signup", to_type="purchase",
-                          num_partitions=32)
 
 
 def _q_q17_decorrelated(sf_dir: str):
@@ -2297,57 +1686,6 @@ def _q_q17_decorrelated(sf_dir: str):
     import pandas as pd
     return pd.DataFrame([{"n_small": int(out["n_small"]),
                           "revenue_cents": int(out["revenue_cents"])}])
-
-
-def _q_relational_division(sf_dir: str):
-    """Relational DIVISION (``joins.relational_division``): customers
-    with orders in EVERY priority class — the classic for-all operator
-    the inner/semi/anti family can't express without double negation,
-    done by counting: distinct (customer, priority) pairs fold on one
-    bounded exchange, a key qualifies iff its distinct-value count
-    equals the global divisor count (a scalar; the divisor set never
-    ships).  Mirror: HAVING count(DISTINCT) = scalar subquery."""
-    import ray.data
-
-    from documentai_ray.stages.joins import relational_division
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderpriority"])
-    return relational_division(orders, key_col="o_custkey",
-                               div_col="o_orderpriority")
-
-
-def _q_t_closeness(sf_dir: str):
-    """t-closeness audit over customer metadata
-    (``privacy.t_closeness_audit``): completes the privacy trio —
-    k-anonymity bounds class size, l-diversity bounds distinct
-    sensitive values, this bounds the DISTRIBUTION gap: a class that's
-    99% in-arrears against a 9% global base rate leaks membership
-    regardless of size or diversity.  TVD is rational → exact ppm via
-    Σ|c_v·N − g_v·m| / (2mN) with absent values contributing g_v·m off
-    the observed histogram (no dense grid).  ONE (QI, sensitive)
-    exchange + one QI-hash exchange, all classes per partition folded
-    vectorized.  t = 0.1 (100000 ppm)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-
-    from documentai_ray.stages.privacy import t_closeness_audit
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_nationkey": batch.column("c_nationkey"),
-            "c_mktsegment": batch.column("c_mktsegment"),
-            "bal_neg": pc.less(batch.column("c_acctbal"), 0.0)})
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_nationkey", "c_mktsegment", "c_acctbal"]
-    ).map_batches(prep, batch_format="pyarrow")
-    return t_closeness_audit(
-        cust, qi_cols=["c_nationkey", "c_mktsegment"],
-        sensitive_col="bal_neg", t_ppm=100_000, num_partitions=32)
 
 
 def _q_orders_all_ontime(sf_dir: str):
@@ -2461,26 +1799,6 @@ def _q_minmax_scale(sf_dir: str):
                          "scaled_ppm": pa.array(s, pa.int64())})
 
     return ev.map_batches(scale, batch_format="pyarrow")
-
-
-def _q_markov_kstep(sf_dir: str):
-    """k-step Markov forecast over user event streams
-    (``windows.markov_kstep_int``): where does the process concentrate
-    after 4 hops from a uniform start — the FORWARD question
-    event_transitions' adjacency census doesn't answer, with the
-    finite horizon + per-step trunc-ppm fold standing in for the
-    (irrational) stationary distribution so both engines land on the
-    identical integers.  Transition census rides transitions_per_key's
-    exchanges; the fold runs on the ≤|types|² matrix.  Mirror: k
-    generated left-join CTEs applying the same sum-then-floor step."""
-    import ray.data
-
-    from documentai_ray.stages.windows import markov_kstep_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type", "event_id"])
-    return markov_kstep_int(ev, steps=4)
 
 
 def _q_rfm_segments(sf_dir: str):
@@ -2642,71 +1960,6 @@ def _q_bm25_topk(sf_dir: str):
     return bm25_topk(ds, queries=_BM25_QUERIES, k=5)
 
 
-def _q_dispersion_index(sf_dir: str):
-    """Fano factor of the dense hourly series per event type
-    (``windows.dispersion_index_int``): the POISSON question the series
-    family doesn't ask — acf/runs/haar score time structure, this
-    scores the count distribution against the var = mean yardstick
-    (D ≫ 1: the same total arriving in clumps; D < 1: rate-limited
-    regularity).  n·Σx² − S² clears the variance to integers, so
-    D is rational → exact floor ppm, and ``overdispersed`` compares
-    the UN-truncated sides.  Dense zeros counted (dropping empty hours
-    biases D down exactly when burstiness is highest).  One bounded
-    (hour, key) exchange.  Mirror: dense grid + HUGEINT sums."""
-    import ray.data
-
-    from documentai_ray.stages.windows import dispersion_index_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return dispersion_index_int(ev)
-
-
-def _q_leadlag_beta(sf_dir: str):
-    """Lead–lag regression slope of purchases on clicks k hours earlier
-    at lags 0..3 (``windows.leadlag_beta_int``): the CENTERED
-    complement to lag_coactivity's raw dot — two busy series co-move
-    trivially through their shared baseline, so the uncentered sum
-    peaks wherever volume is high; removing full-series means (the
-    acf_lag_int convention, x̃ = n·x − S clearing every fraction)
-    leaves the signed "extra purchases per extra click, k hours later".
-    One bounded exchange; |lags| dot products on two calendar-bounded
-    vectors.  Mirror: dense grid + hr-join + lead() windows +
-    sign-split division."""
-    import ray.data
-
-    from documentai_ray.stages.windows import leadlag_beta_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return leadlag_beta_int(ev, x_type="click", y_type="purchase",
-                            lags=(0, 1, 2, 3))
-
-
-def _q_km_survival(sf_dir: str):
-    """Kaplan–Meier user-survival curve (``windows.km_survival_int``):
-    the survival-analysis question the engagement family doesn't ask —
-    retention_cohorts counts who returns in week k, but "what fraction
-    is still alive at day d" needs CENSORING: users still active near
-    the horizon haven't died, and counting them dead or immortal
-    biases the curve.  Lifetime = whole days first→last event; death
-    observed iff the user went quiet ≥ 7 days before corpus max;
-    30-day window, per-step trunc-ppm product fold (the markov_kstep
-    discipline; deaths past day 29 invisible — the haar truncation
-    analogue).  The gap is HOUR-granular (6 h): the synthetic month
-    keeps every user active into the final days, so a day-scale gap
-    observes zero deaths and the fold never exercises.  ONE user
-    exchange + a ≤ 2·horizon histogram.  Mirror: 30 generated CTEs
-    applying the identical fold."""
-    import ray.data
-
-    from documentai_ray.stages.windows import km_survival_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    return km_survival_int(ev, horizon_days=30, censor_gap_hours=6)
-
-
 def _q_mrr_eval(sf_dir: str):
     """Reciprocal-rank evaluation of the bm25_topk ranking against
     AND-relevance (doc contains EVERY query term) — the rank-POSITION
@@ -2754,24 +2007,6 @@ def _q_mrr_eval(sf_dir: str):
     for c in ("n_rel", "first_rank", "rr_ppm"):
         out[c] = out[c].astype("int64")
     return out
-
-
-def _q_decayed_leaderboard(sf_dir: str):
-    """Freshness-weighted top-10 users (``windows.decayed_sum_topk``):
-    Σ 10⁶ // 2^age_days per user — the leaderboard a plain count gets
-    wrong (a user active yesterday outranks one with twice the events
-    three weeks ago).  The half-life is DYADIC so every weight is an
-    exact shift (e^{−λt} is irrational; the ewma_backtest discipline);
-    weights vanish past day 19 (10⁶ < 2²⁰).  Vectorized shift +
-    per-batch pre-combine, ONE user-bounded exchange, partial top-k.
-    Mirror: SUM(1000000 // (1 << age)) + row_number."""
-    import ray.data
-
-    from documentai_ray.stages.windows import decayed_sum_topk
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    return decayed_sum_topk(ev, key_col="user_id", k=10)
 
 
 def _q_degree_assortativity(sf_dir: str):
@@ -2916,25 +2151,6 @@ def _q_ndcg_eval(sf_dir: str):
     for c in out.columns[1:]:
         out[c] = out[c].astype("int64")
     return out
-
-
-def _q_seasonal_anomaly(sf_dir: str):
-    """Hour-of-day-conditioned spikes (``windows.seasonal_anomaly_int``)
-    — the SEASONAL complement to events_anomaly's global 3σ: a 3 a.m.
-    burst sits inside the global band (nights are quiet; daytime drags
-    the mean up) while being ten sigma against other 3 a.m. hours.
-    Each hour competes only with its own hod peer group; the test is
-    the same cross-multiplied integer inequality
-    (m_h·x − S_h)² > 9·(m_h·Q_h − S_h²), conditioned.  Emits only the
-    bounded alert set.  One (hour, key) exchange.  Mirror: dense grid
-    + extract(hour) peer sums + the identical inequality."""
-    import ray.data
-
-    from documentai_ray.stages.windows import seasonal_anomaly_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return seasonal_anomaly_int(ev)
 
 
 def _q_did_estimator(sf_dir: str):
@@ -3247,26 +2463,6 @@ def _q_assoc_rules(sf_dir: str):
     return j.map_batches(score, batch_format="pyarrow")
 
 
-def _q_logrank_test(sf_dir: str):
-    """Log-rank test between Knuth-coin survival arms
-    (``windows.logrank_test_int``) — the A/B of survival:
-    ab_conversion compares end-state rates and km_survival draws one
-    pooled curve, but "does the treatment arm die SLOWER" needs the
-    whole time axis under censoring (two arms with identical death
-    totals differ if one front-loads its deaths — invisible to a rate
-    test).  Per-day trunc-ppm hypergeometric terms (one floor per day;
-    clearing across days needs Πn_d), O₁ exact, cross-multiplied χ²
-    significance.  A PLAIN SUM over days — no generated CTEs needed.
-    One user exchange + a ≤ 4·horizon histogram."""
-    import ray.data
-
-    from documentai_ray.stages.windows import logrank_test_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    return logrank_test_int(ev, horizon_days=30, censor_gap_hours=6)
-
-
 def _q_uplift_deciles(sf_dir: str):
     """Heterogeneous-treatment readout: conversion uplift per ACTIVITY
     decile — ab_conversion's single number hides who responds (heavy
@@ -3505,26 +2701,6 @@ def _q_fd_mine(sf_dir: str):
         out[c] = out[c].astype("int64")
     out["holds"] = out["holds"].astype(bool)
     return out
-
-
-def _q_bounce_rate(sf_dir: str):
-    """Bounce rate by landing event type
-    (``windows.bounce_rate_int``) — the landing-quality readout
-    events_sessions' per-user counts can't give: a session opening
-    with an error bounces for a different reason than one opening with
-    a view, and fixing the wrong one wastes the sprint.  Standard
-    bucketed sessionize (30-min strict gap, event_id tiebreak making
-    "first of session" well-defined under simultaneous events), per-
-    partition (landing, n, bounced) partials, |types|-bounded final
-    exchange.  Mirror: lag-window session ids + first_value."""
-    import ray.data
-
-    from documentai_ray.stages.windows import bounce_rate_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type", "event_id"])
-    return bounce_rate_int(ev, gap_minutes=30)
 
 
 def _q_rank_overlap(sf_dir: str):
@@ -4323,4 +3499,4 @@ def _q_fifo_cogs(sf_dir: str):
             .map_groups(lambda x: fifo(x.drop(columns=["_pkey"])),
                         batch_format="pandas"))
 
-__all__ = ['_q_table_detect', '_q_field_validation', '_q_doc_type_autodetect', '_q_pq_codes', '_q_jpeg_roundtrip', '_q_tiff_roundtrip', '_q_tiff_compressed_roundtrip', '_q_png_color_roundtrip', '_q_jpeg_progressive_roundtrip', '_q_pdf_modern_extract', '_q_pdf_embedded_images', '_q_scanned_pdf_ocr', '_q_pdf_encrypted_extract', '_q_pdf_password_extract', '_q_fax_pdf_ocr', '_q_pdf_g3_ocr', '_q_pdf_jbig2_ocr', '_q_pdf_jbig2_text_ocr', '_q_pdf_jbig2_globals', '_q_pdf_jpx_extract', '_q_jpeg_lossless_roundtrip', '_q_jpeg12_roundtrip', '_q_flagship_warc', '_q_pdf_cmap_extract', '_q_warc_http_charset', '_q_pdf_metadata', '_q_pdf_outline', '_q_pdf_links', '_q_incremental_dedup', '_q_bloom_dedup', '_q_url_filter', '_q_semdedup', '_q_shard_export', '_q_dsir_weights', '_q_heavy_hitters', '_q_web_curation', '_q_config_pipeline', '_q_ivm_counts', '_q_pseudonymize', '_q_customer_order_counts', '_q_incremental_session', '_q_f2_selfjoin', '_q_winsorize', '_q_hits', '_q_mix_assemble', '_q_mix_plan', '_q_seasonality_strength', '_q_theil_sen', '_q_interarrival_stats', '_q_changepoint_localize', '_q_bloom_semijoin', '_q_ngram_novelty', '_q_attribution_credit', '_q_fd_error', '_q_oov_rate', '_q_max_concurrency', '_q_countmin_estimate', '_q_acf_lag', '_q_runs_test', '_q_frequent_triples', '_q_haar_energy', '_q_ewma_backtest', '_q_url_templates', '_q_conversion_lag', '_q_q17_decorrelated', '_q_relational_division', '_q_t_closeness', '_q_orders_all_ontime', '_q_minmax_scale', '_q_markov_kstep', '_q_rfm_segments', '_q_revenue_share', '_q_bm25_topk', '_q_dispersion_index', '_q_leadlag_beta', '_q_km_survival', '_q_mrr_eval', '_q_decayed_leaderboard', '_q_degree_assortativity', '_q_ndcg_eval', '_q_seasonal_anomaly', '_q_did_estimator', '_q_laspeyres_index', '_q_ab_conversion', '_q_assoc_rules', '_q_logrank_test', '_q_uplift_deciles', '_q_paasche_index', '_q_fd_mine', '_q_bounce_rate', '_q_rank_overlap', '_q_chain_index', '_q_lorenz_deciles', '_q_rmst_summary', '_q_q10_returns', '_q_q8_market_share', '_q_pinball_eval', '_q_cohort_ltv', '_q_post_stratify', '_q_lincoln_petersen', '_q_german_tank', '_q_fifo_cogs']
+__all__ = ['_q_table_detect', '_q_field_validation', '_q_doc_type_autodetect', '_q_pq_codes', '_q_jpeg_roundtrip', '_q_tiff_roundtrip', '_q_tiff_compressed_roundtrip', '_q_png_color_roundtrip', '_q_jpeg_progressive_roundtrip', '_q_pdf_modern_extract', '_q_pdf_embedded_images', '_q_scanned_pdf_ocr', '_q_pdf_encrypted_extract', '_q_pdf_password_extract', '_q_fax_pdf_ocr', '_q_pdf_g3_ocr', '_q_pdf_jbig2_ocr', '_q_pdf_jbig2_text_ocr', '_q_pdf_jbig2_globals', '_q_pdf_jpx_extract', '_q_jpeg_lossless_roundtrip', '_q_jpeg12_roundtrip', '_q_flagship_warc', '_q_pdf_cmap_extract', '_q_warc_http_charset', '_q_pdf_metadata', '_q_pdf_outline', '_q_pdf_links', '_q_incremental_dedup', '_q_bloom_dedup', '_q_url_filter', '_q_semdedup', '_q_shard_export', '_q_dsir_weights', '_q_heavy_hitters', '_q_web_curation', '_q_incremental_session', '_q_mix_assemble', '_q_mix_plan', '_q_ngram_novelty', '_q_oov_rate', '_q_url_templates', '_q_q17_decorrelated', '_q_orders_all_ontime', '_q_minmax_scale', '_q_rfm_segments', '_q_revenue_share', '_q_bm25_topk', '_q_mrr_eval', '_q_degree_assortativity', '_q_ndcg_eval', '_q_did_estimator', '_q_laspeyres_index', '_q_ab_conversion', '_q_assoc_rules', '_q_uplift_deciles', '_q_paasche_index', '_q_fd_mine', '_q_rank_overlap', '_q_chain_index', '_q_lorenz_deciles', '_q_rmst_summary', '_q_q10_returns', '_q_q8_market_share', '_q_pinball_eval', '_q_cohort_ltv', '_q_post_stratify', '_q_lincoln_petersen', '_q_german_tank', '_q_fifo_cogs']

@@ -4,8 +4,6 @@ from __future__ import annotations
 from documentai_ray.queries._helpers import *  # noqa: F401,F403
 
 
-
-
 def _q_capture_diff(sf_dir: str):
     """Page-change detection between the earliest and latest capture
     of each multi-captured url — the CHANGE measurement the dedup
@@ -111,26 +109,6 @@ def _q_average_precision(sf_dir: str):
     for c in out.columns:
         out[c] = out[c].astype("int64")
     return out
-
-
-def _q_xmr_alarms(sf_dir: str):
-    """XmR control-chart alarms (``windows.xmr_alarms_int``) — the
-    THIRD spike rule: the 3σ band (events_anomaly) inflates under slow
-    drift and hides spikes; the hod band (seasonal_anomaly) needs a
-    daily cycle; XmR scales its limit with the MOVING RANGE
-    MR̄ = mean |x_t − x_{t−1}|, so drift-dominated series still alarm
-    on sharp jumps and noisy-but-stationary ones don't false-alarm.
-    x̄ ± 2.66·MR̄ with the Shewhart constant kept RATIONAL (266/100),
-    cross-multiplied: flag ⟺ 100·(m−1)·|m·x − S| > 266·m·ΣMR.
-    One bounded exchange; emits only alarms.  Mirror: lag() moving
-    ranges + the identical inequality."""
-    import ray.data
-
-    from documentai_ray.stages.windows import xmr_alarms_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"])
-    return xmr_alarms_int(ev)
 
 
 def _q_tukey_outliers(sf_dir: str):
@@ -3261,4 +3239,4 @@ def _q_page_trend(sf_dir: str):
         out[c] = out[c].astype("int64")
     return out
 
-__all__ = ['_q_capture_diff', '_q_youden_threshold', '_q_average_precision', '_q_xmr_alarms', '_q_tukey_outliers', '_q_mase_eval', '_q_qini_auuc', '_q_calibration_bins', '_q_srm_check', '_q_ips_policy_eval', '_q_label_shift', '_q_conformal_interval', '_q_cohort_payback', '_q_bootstrap_ci', '_q_jackknife_sources', '_q_emd_hourly', '_q_price_elasticity', '_q_permutation_test', '_q_cuped_adjust', '_q_rdd_jump', '_q_kitagawa_decomp', '_q_spillover_exposure', '_q_mh_stratified', '_q_ipf_raking', '_q_term_dispersion', '_q_chain_ladder', '_q_fe_panel', '_q_matching_att', '_q_eb_shrink', '_q_yule_q', '_q_kish_neff', '_q_cochran_armitage', '_q_cost_threshold', '_q_anomaly_ensemble', '_q_attribution_decay', '_q_exposure_fairness', '_q_qte_quantiles', '_q_newsvendor_stock', '_q_competing_risks', '_q_sequential_looks', '_q_wilcoxon_signed', '_q_nelson_aalen', '_q_rle_advisor', '_q_bh_fdr', '_q_holm_bonferroni', '_q_cdc_chunks', '_q_rake_keyphrases', '_q_cochran_q', '_q_conformance_check', '_q_page_trend']
+__all__ = ['_q_capture_diff', '_q_youden_threshold', '_q_average_precision', '_q_tukey_outliers', '_q_mase_eval', '_q_qini_auuc', '_q_calibration_bins', '_q_srm_check', '_q_ips_policy_eval', '_q_label_shift', '_q_conformal_interval', '_q_cohort_payback', '_q_bootstrap_ci', '_q_jackknife_sources', '_q_emd_hourly', '_q_price_elasticity', '_q_permutation_test', '_q_cuped_adjust', '_q_rdd_jump', '_q_kitagawa_decomp', '_q_spillover_exposure', '_q_mh_stratified', '_q_ipf_raking', '_q_term_dispersion', '_q_chain_ladder', '_q_fe_panel', '_q_matching_att', '_q_eb_shrink', '_q_yule_q', '_q_kish_neff', '_q_cochran_armitage', '_q_cost_threshold', '_q_anomaly_ensemble', '_q_attribution_decay', '_q_exposure_fairness', '_q_qte_quantiles', '_q_newsvendor_stock', '_q_competing_risks', '_q_sequential_looks', '_q_wilcoxon_signed', '_q_nelson_aalen', '_q_rle_advisor', '_q_bh_fdr', '_q_holm_bonferroni', '_q_cdc_chunks', '_q_rake_keyphrases', '_q_cochran_q', '_q_conformance_check', '_q_page_trend']

@@ -4,8 +4,6 @@ from __future__ import annotations
 from documentai_ray.queries._helpers import *  # noqa: F401,F403
 
 
-
-
 def _q_survival_cindex(sf_dir: str):
     """Harrell's concordance index — the MODEL-EVAL layer the
     survival family lacks: km_survival describes the population
@@ -885,383 +883,4 @@ def _q_fleiss_kappa(sf_dir: str):
     return out
 
 
-def _q_stratified_logrank(sf_dir: str):
-    """Stratified log-rank test — the confounder-adjusted member of
-    the survival suite (the survival edition of mh_stratified's
-    Simpson guard): logrank_test pools both arms, but when a cohort
-    factor shifts BOTH the hazard and the arm mix, the pooled test
-    sees composition as treatment.  Each stratum (user_id % 3 —
-    low-order residue, independent of the multiplicative-hash arm
-    coin's high bits) gets its own daily risk sets; the
-    hypergeometric O−E and V pool by SUMMING across strata and the
-    χ²₁ test runs on the pooled pieces — a plain sum over the
-    (stratum, day) grid, so the mirror needs no recursion.  Full
-    contract on ``windows.stratified_logrank_int``; one row per
-    stratum with the pooled statistic repeated (the kruskal_wallis
-    row-shape convention)."""
-    import ray.data
-
-    from documentai_ray.stages.windows import stratified_logrank_int
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts"])
-    return stratified_logrank_int(ev, horizon_days=30,
-                                  censor_gap_hours=6, strata_mod=3)
-
-
-def _q_luhn_check(sf_dir: str):
-    """Luhn mod-10 validation + check-digit assignment over the
-    event-id space — IDENTIFIER INTEGRITY CODES, a family the
-    surface lacked: field_validation matches FORMATS, but "does
-    this account number carry a valid checksum, and what check
-    digit would this id receive" is ISO/IEC 7812 arithmetic, the
-    code on every payment card.  Both sums are 19 fixed digit
-    positions (covers any int64; high zeros double to zero, so
-    variable length is free): as-is validity doubles ODD positions
-    from the right, the check digit doubles EVEN ones (appending
-    shifts every digit a parity class) — the detection theorems
-    live on ``aggregates.luhn_*_int``: every single-digit
-    substitution caught, every adjacent transposition caught EXCEPT
-    the documented 09↔90 blind spot (pinned with a constructed
-    witness).  Plan: vectorized per-position numpy fold per batch →
-    10-cell check-digit histogram → tiny exchange.  Mirror: the
-    same 19 unrolled terms in SQL."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id"])
-
-    def score(batch: pa.Table) -> pa.Table:
-        ids = batch.column("event_id").to_numpy().astype("int64")
-        s0 = np.zeros_like(ids)
-        s1 = np.zeros_like(ids)
-        x = ids.copy()
-        for i in range(19):
-            d = x % 10
-            dd = d * 2
-            dd = np.where(dd > 9, dd - 9, dd)
-            s0 += dd if i % 2 == 1 else d
-            s1 += dd if i % 2 == 0 else d
-            x //= 10
-        df = pd.DataFrame({
-            "check_digit": (10 - s1 % 10) % 10,
-            "v": (s0 % 10 == 0).astype("int64"), "n": 1})
-        g = df.groupby("check_digit", as_index=False).sum()
-        for c in g.columns:
-            g[c] = g[c].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False) \
-                       .replace_schema_metadata(None)
-
-    g = (ev.map_batches(score, batch_format="pyarrow")
-         .groupby("check_digit")
-         .aggregate(Sum("n", alias_name="n"),
-                    Sum("v", alias_name="v"))).to_pandas()
-    g = g.sort_values("check_digit").reset_index(drop=True)
-    tot = int(g["n"].sum())
-    out = pd.DataFrame({
-        "check_digit": g["check_digit"],
-        "n_ids": g["n"],
-        "n_valid_asis": g["v"],
-        "share_ppm": [1_000_000 * int(n) // tot for n in g["n"]]})
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return out
-
-
-def _q_hamming74_fec(sf_dir: str):
-    """Hamming(7,4) forward error correction over a synthetic
-    noisy channel — CODING THEORY, the constructive sibling of
-    luhn_check's detection-only checksum: nibble = event_id mod 16,
-    the channel flips position e = knuth(event_id) mod 8 (0 =
-    clean), and the receiver's recomputed syndrome s₄s₂s₁ IS the
-    error position in binary — Hamming's 1950 trick — so every
-    single-bit error corrects and decode_ok_ppm reads EXACTLY
-    10⁶, the SEC theorem verified cross-engine on every event
-    (the exhaustive 16×8 grid, the clean channel, and the
-    double-error MIS-correction failure mode are pinned on
-    ``aggregates.hamming74_int``).  Plan: pure vectorized bit
-    arithmetic per batch → 8-cell syndrome histogram → tiny
-    exchange.  Mirror: the identical parity sums as (a+b+c) % 2
-    CTE chains."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id"])
-
-    def channel(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        ids = batch.column("event_id").to_numpy().astype("int64")
-        nib = ids % 16
-        e = ((ids.astype(np.uint64) * np.uint64(2654435761))
-             % np.uint64(1 << 32)).astype("int64") % 8
-        d0, d1 = nib & 1, (nib >> 1) & 1
-        d2, d3 = (nib >> 2) & 1, (nib >> 3) & 1
-        p1, p2, p4 = d3 ^ d2 ^ d0, d3 ^ d1 ^ d0, d2 ^ d1 ^ d0
-        r = {1: p1 ^ (e == 1), 2: p2 ^ (e == 2),
-             3: d3 ^ (e == 3), 4: p4 ^ (e == 4),
-             5: d2 ^ (e == 5), 6: d1 ^ (e == 6),
-             7: d0 ^ (e == 7)}
-        s1 = r[1] ^ r[3] ^ r[5] ^ r[7]
-        s2 = r[2] ^ r[3] ^ r[6] ^ r[7]
-        s4 = r[4] ^ r[5] ^ r[6] ^ r[7]
-        syn = 4 * s4 + 2 * s2 + s1
-        dec = (8 * (r[3] ^ (syn == 3)) + 4 * (r[5] ^ (syn == 5))
-               + 2 * (r[6] ^ (syn == 6)) + (r[7] ^ (syn == 7)))
-        df = pd.DataFrame({"syndrome": syn, "n": 1,
-                           "ok": (dec == nib).astype("int64")})
-        g = df.groupby("syndrome", as_index=False).sum()
-        for c in g.columns:
-            g[c] = g[c].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False) \
-                       .replace_schema_metadata(None)
-
-    g = (ev.map_batches(channel, batch_format="pyarrow")
-         .groupby("syndrome")
-         .aggregate(Sum("n", alias_name="n"),
-                    Sum("ok", alias_name="ok"))).to_pandas()
-    g = g.sort_values("syndrome").reset_index(drop=True)
-    tot, tok = int(g["n"].sum()), int(g["ok"].sum())
-    out = pd.DataFrame({
-        "syndrome": g["syndrome"], "n_events": g["n"],
-        "was_corrected": g["syndrome"] > 0,
-        "n_decode_ok": g["ok"],
-        "decode_ok_ppm": 1_000_000 * tok // tot})
-    for c in out.columns:
-        if c != "was_corrected":
-            out[c] = out[c].astype("int64")
-    return out
-
-
-def _q_grid_spatial_join(sf_dir: str):
-    """Grid-partitioned spatial distance self-join (PBSM, Patel &
-    DeWitt 1996) — the DISTRIBUTED-SPATIAL family the surface lacked:
-    every similarity join so far lives in token/embedding space;
-    "which customers sit within L∞ radius 16 of each other on the
-    1024×1024 hash grid" is the geometric join every spatial engine
-    (SpatialHadoop, Sedona) decomposes the same way.  Points are
-    double-Knuth-hashed custkeys (HIGH bits — the low bits of a
-    multiplicative hash are a lattice, probed before shipping); cell
-    size = radius, each point replicates to ≤4 candidate canonical
-    cells, cells hash-bucket into 32 partitions, ONE shuffle of
-    (bucket, cell, k, x, y) rows, and each qualifying pair is
-    verified + emitted in EXACTLY ONE cell — the pair's canonical
-    min-corner cell, the classic duplicate-avoidance reference-point
-    trick, so no global dedup pass exists.  Chebyshev and Manhattan
-    distances are exact integers — the whole family has ZERO floors.
-    Exercises ``spatial.grid_pair_join``; the edge-clip, the
-    exactly-once contract, the boundary pair at exactly r, and the
-    cross-cell pair are pinned in tests.  Mirror: plain O(n²)
-    self-join with the same HUGEINT hash chain — the oracle pays the
-    quadratic cost the grid plan exists to avoid."""
-    import ray.data
-
-    from documentai_ray.stages.spatial import grid_pair_join
-
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey"])
-    return grid_pair_join(cust, "c_custkey", radius=16)
-
-
-def _q_spatial_knn(sf_dir: str):
-    """L1 (Manhattan) k-nearest-neighbour scan: the 3 closest hashed
-    customer points to each of 5 hash-derived anchor points, ties by
-    smaller key — top-k as an AGGREGATION (the ``topk_similarity``
-    discipline carried to geometric space): every batch emits only
-    its local 3 best rows per anchor, the driver merges a
-    batches×15-row partial table, nothing corpus-sized moves.
-    Anchors derive from the SAME double-Knuth point hash on keys
-    10⁹+7+j, j ∈ 0..4, so both engines compute them from one shared
-    formula rather than pasted literals.  Integer distances, zero
-    floors.  Exercises ``spatial.knn_l1``.  Mirror: cross join ×
-    row_number() over (anchor, d, key)."""
-    import numpy as np
-    import ray.data
-
-    from documentai_ray.stages.spatial import hash_xy, knn_l1
-
-    seeds = np.array([1_000_000_007 + j for j in range(5)],
-                     dtype=np.int64)
-    ax, ay = hash_xy(seeds)
-    anchors = [(j, int(ax[j]), int(ay[j])) for j in range(5)]
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey"])
-    return knn_l1(cust, "c_custkey", anchors, k=3)
-
-
-def _q_optimal_assignment(sf_dir: str):
-    """Min-cost assignment — MATCHING MARKETS, transferable-utility
-    side, a family the surface lacked: wspt_schedule sequences ONE
-    worker, but "assign each of 4 event-type pipelines to one of 4
-    maintenance windows minimizing total cents value-at-risk" is the
-    assignment problem, solved EXACTLY here by exhaustive search
-    over all 4! = 24 permutations (the wspt brute-force discipline
-    promoted to the algorithm itself — n is census-bounded, never
-    data-bounded).  Ties break lexicographically on the permutation
-    tuple = the base-4 pid a SQL ORDER BY reproduces.  Zero floors —
-    pure integer sums.  Pins on ``matching.optimal_assignment_int``:
-    Monge matrix ⇒ identity diagonal optimal, the classic greedy
-    counterexample where myopic column-min loses, permutation-matrix
-    cost recovery.  Mirror: 4-way cross join with distinctness =
-    the 24-row permutation table, joined to the pivoted census."""
-    from documentai_ray.stages.matching import matching_market_frames
-
-    n_cells, s_cells = _match_cells(sf_dir)
-    return matching_market_frames(_MATCH_WORKERS, n_cells,
-                                  s_cells)["assignment"]
-
-
-def _q_stable_matching(sf_dir: str):
-    """Gale-Shapley stable matching (1962, Nobel 2012) — the
-    NON-transferable side of the matching-market pair: workers rank
-    windows by cell COUNT, windows rank workers by cell CENTS (two
-    different metrics so the sides genuinely disagree), and the
-    worker-proposing deferred-acceptance loop runs on the driver.
-    The cross-engine contract is a THEOREM, not an implementation
-    match: GS yields the WORKER-OPTIMAL stable matching — every
-    worker weakly best off among ALL stable matchings — so it is
-    the unique stable matching minimizing Σ worker ranks, and the
-    SQL mirror selects it by 24-perm enumeration + NOT EXISTS
-    blocking-pair filter + rank-sum argmin, never running a
-    proposal loop.  n_stable (the brute-force count of ALL stable
-    matchings, ≥1 by the existence theorem) rides along.  Pins on
-    ``matching.gale_shapley``: GS ∈ stable set and == rank-sum
-    argmin on every preference profile of a seeded sweep PLUS the
-    textbook 2×2 with TWO stable matchings (worker-optimal chosen,
-    task-optimal left), existence on cyclic latin preferences.
-    Zero floors."""
-    from documentai_ray.stages.matching import matching_market_frames
-
-    n_cells, s_cells = _match_cells(sf_dir)
-    return matching_market_frames(_MATCH_WORKERS, n_cells,
-                                  s_cells)["stable"]
-
-
-def _q_leontief_io(sf_dir: str):
-    """Leontief input-output analysis (1936, Nobel 1973) — the
-    LINEAR-SYSTEMS family the surface lacked: markov_kstep POWERS a
-    transition matrix forward, but "how much gross activity must
-    each sector run to deliver one unit of final demand, counting
-    all the indirect inputs the inputs themselves consume" INVERTS
-    one — economics' oldest linear system, x = (I − A)⁻¹ d.
-    Sectors are 3 event types; the technology coefficient a_ij =
-    10⁶·flow(i→j) // count(j) (inter-sector hand-offs per unit of
-    the receiving sector's activity, one floor each).  The solve is
-    EXACT Cramer arithmetic on M = 10⁶I − A: integer adjugate and
-    determinant, one floor per sector (``linalg.leontief_int``),
-    with the Hawkins-Simon condition (all leading principal minors
-    positive — existence AND nonnegativity of the inverse) computed,
-    not assumed, and emitted as hs_ok.  Pins: A = 0 ⇒ x = d
-    exactly, diagonal A ⇒ geometric-series sector multipliers,
-    Leontief's own 2-sector worked example embedded in 3×3, Neumann
-    lower bound x ≥ d + Ad, gross ≥ demand whenever hs_ok.
-    Plan: the transitions_per_key exchange + a 5-row count census →
-    driver Cramer on ints ~1e21 (HUGEINT in the mirror).  Mirror:
-    lag() census + the identical cofactor expansion spelled out."""
-    from documentai_ray.stages.linalg import leontief_int
-
-    flows, counts = _markov_flows(sf_dir)
-    s = _LEONTIEF_SECTORS
-    a_ppm = [[1_000_000 * flows.get((s[i], s[j]), 0)
-              // counts[s[j]] for j in range(3)] for i in range(3)]
-    return leontief_int(a_ppm, s)
-
-
-def _q_absorbing_chain(sf_dir: str):
-    """Absorbing-Markov-chain fundamental matrix (Kemeny & Snell) —
-    the second face of the linear-systems pair and the funnel
-    question asked EXACTLY: funnel_conversion counts completed
-    prefixes, markov_kstep rolls k steps forward, but "starting
-    from a click, how many steps until the user converts or signs
-    up, and with what probability each" is N = (I − Q)⁻¹: expected
-    steps t = N·1 (counting the start state — Q = 0 reads exactly
-    1000 milli) and the absorption split B = N·R between the TWO
-    absorbing states (purchase vs signup — competing absorption,
-    the Markov twin of competing_risks).  Transient = {click,
-    error, view}; rows normalize by the state's TOTAL outflow, so
-    Q's rows are strictly substochastic and det(10⁶I − Q) > 0.
-    Exact Cramer arithmetic, one floor per output
-    (``linalg.absorbing_chain_int``); numerators ~3e24 — HUGEINT
-    envelope documented at the kernel.  Pins: the gambler's-ruin
-    walk on {1,2,3} absorbing at both ends lands the textbook
-    closed forms EXACTLY (steps i·(4−i) = 3000/4000/3000 milli,
-    ruin split i/4 = 250000/500000/750000 ppm — dyadic, zero floor
-    residue), Q = 0 ⇒ one step and B = R, absorb split ≤ 10⁶.
-    Same census exchange as leontief_io.  Mirror: lag() census +
-    row-total normalization + the same spelled-out adjugate."""
-    from documentai_ray.stages.linalg import absorbing_chain_int
-
-    flows, _ = _markov_flows(sf_dir)
-    tr, ab = _CHAIN_TRANSIENT, _CHAIN_ABSORBING
-    # rows normalize over ALL outflow (all 5 types)
-    all_types = sorted({n for _, n in flows})
-    rowtot = {t: sum(flows.get((t, n), 0) for n in all_types)
-              for t in tr}
-    q_ppm = [[1_000_000 * flows.get((tr[i], tr[j]), 0)
-              // rowtot[tr[i]] for j in range(3)] for i in range(3)]
-    r_ppm = [[1_000_000 * flows.get((tr[i], ab[a]), 0)
-              // rowtot[tr[i]] for a in range(2)] for i in range(3)]
-    return absorbing_chain_int(q_ppm, r_ppm, tr, ab)
-
-
-def _q_debruijn_degrees(sf_dir: str):
-    """De Bruijn graph degree-imbalance census — SEQUENCE ASSEMBLY
-    (Pevzner / Idury-Waterman), a family the surface lacked: the
-    n-gram ops count, weigh and dedup k-mers, but assembly asks
-    about the GRAPH they induce — every word 3-gram is an edge
-    2-gram → 2-gram, and (outdeg − indeg) per node is the quantity
-    Euler's 1736 theorem reads.  Imbalances sum to 0 globally by
-    construction (every edge grants one out and one in — pinned).
-    Plan: per-batch Counter partials → ONE vocabulary-bounded
-    (u, v) edge exchange → one bounded node-degree exchange →
-    imbalance histogram (``assembly.edge_census`` /
-    ``degree_table`` / ``imbalance_histogram``); documents never
-    shuffle, zero floors anywhere.  Mirror: lateral-unnest 3-gram
-    extraction + DISTINCT + the same two GROUP BYs."""
-    import ray.data
-
-    from documentai_ray.stages.assembly import (degree_table,
-                                                edge_census,
-                                                imbalance_histogram)
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["text"])
-    return imbalance_histogram(degree_table(edge_census(ds)))
-
-
-def _q_debruijn_contigs(sf_dir: str):
-    """One-row assembly summary of the corpus de Bruijn graph — the
-    statistics an assembler reads before walking anything:
-    n_nodes / n_edges (distinct spectrum) / kmer_occurrences
-    (coverage), n_branching (outdeg ≠ 1 or indeg ≠ 1),
-    n_contig_starts (distinct edges leaving branching nodes — every
-    unitig opens at one; isolated simple cycles have no branching
-    node and are NOT counted, the standard documented caveat since
-    counting them needs connectivity), and euler_path_ok (the
-    degree half of Euler's condition: no |imbalance| > 1, at most
-    one +1 source — the matching −1 sink count follows because
-    imbalances sum to zero).  Pins on constructed corpora: a single
-    linear document IS its own Eulerian path (+1/0/−1 profile, one
-    contig start), a pure cycle has zero branching nodes and a
-    degree-condition pass with zero ±1 nodes, a fork at a shared
-    prefix doubles the contig starts.  Same two bounded exchanges
-    as debruijn_degrees."""
-    import ray.data
-
-    from documentai_ray.stages.assembly import (assembly_stats,
-                                                degree_table,
-                                                edge_census)
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["text"])
-    # materialize the BOUNDED census once — it feeds two consumers
-    edges = edge_census(ds).materialize()
-    return assembly_stats(edges, degree_table(edges))
-
-__all__ = ['_q_survival_cindex', '_q_selectivity_audit', '_q_yule_k', '_q_mann_whitney', '_q_kr20_reliability', '_q_friedman_test', '_q_mcnemar_test', '_q_max_drawdown', '_q_link_predict', '_q_species_richness', '_q_brier_decomp', '_q_rbp_eval', '_q_err_eval', '_q_kruskal_wallis', '_q_fleiss_kappa', '_q_stratified_logrank', '_q_luhn_check', '_q_hamming74_fec', '_q_grid_spatial_join', '_q_spatial_knn', '_q_optimal_assignment', '_q_stable_matching', '_q_leontief_io', '_q_absorbing_chain', '_q_debruijn_degrees', '_q_debruijn_contigs']
+__all__ = ['_q_survival_cindex', '_q_selectivity_audit', '_q_yule_k', '_q_mann_whitney', '_q_kr20_reliability', '_q_friedman_test', '_q_mcnemar_test', '_q_max_drawdown', '_q_link_predict', '_q_species_richness', '_q_brier_decomp', '_q_rbp_eval', '_q_err_eval', '_q_kruskal_wallis', '_q_fleiss_kappa']

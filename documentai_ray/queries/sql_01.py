@@ -1,4 +1,4 @@
-"""Oracle-SQL dict entries (part 1/4) — split out of ``__ray_entry__.py````oracle_sql()``."""
+"""Oracle-SQL dict entries (part 1/3) — split out of ``__ray_entry__.py````oracle_sql()``."""
 from __future__ import annotations
 
 from documentai_ray.queries._helpers import *  # noqa: F401,F403
@@ -134,36 +134,6 @@ def oracle_sql_part_01() -> dict:
             f"{_SQL_QUALITY_DERIVED.strip()} FROM ("
             f"SELECT doc_id, lang, {_SQL_QUALITY_METRICS.strip()} FROM documents))"
         ),
-        "events_hourly": (
-            "SELECT date_trunc('hour', ts) AS hour, event_type, "
-            "count(*) AS n_events, round(sum(value), 2) AS sum_value "
-            "FROM events GROUP BY 1, 2"
-        ),
-        "events_sessions": (
-            "WITH gaps AS (SELECT user_id, ts - lag(ts) OVER "
-            "(PARTITION BY user_id ORDER BY ts) AS gap FROM events) "
-            "SELECT user_id, count(CASE WHEN gap IS NULL OR "
-            "gap > INTERVAL 30 MINUTE THEN 1 END) AS n_sessions "
-            "FROM gaps GROUP BY user_id"
-        ),
-        "q1_lineitem": (
-            # money summed in exact integer cents (mirrors the Ray side;
-            # float sum order differs between engines at scale)
-            "SELECT l_returnflag, l_linestatus, round(sum(l_quantity), 2) AS sum_qty, "
-            "CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)) AS DOUBLE) / 100.0 "
-            "AS sum_base_price, "
-            "CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT) * "
-            "(100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE) / 10000.0 "
-            "AS sum_revenue, "
-            "count(*) AS n_rows FROM lineitem GROUP BY l_returnflag, l_linestatus"
-        ),
-        "orders_by_nation": (
-            "SELECT n_name, count(*) AS n_orders, "
-            "CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS DOUBLE) / 100.0 "
-            "AS total_price "
-            "FROM orders JOIN customer ON o_custkey = c_custkey "
-            "JOIN nation ON c_nationkey = n_nationkey GROUP BY n_name"
-        ),
         "minhash_neardup": _SQL_JACCARD_PAIRS,
         "ppjoin_pairs": _SQL_JACCARD_PAIRS,
         "containment_pairs": (
@@ -269,42 +239,6 @@ def oracle_sql_part_01() -> dict:
             f"SELECT doc_id, {_SQL_QUALITY_METRICS.strip()} "
             f"FROM ({_SQL_EXPECTED_PAGES}))) GROUP BY 1"
         ),
-        "q5_local_revenue": (
-            "SELECT n_name, count(*) AS n_items, "
-            "CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT) * "
-            "(100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE) / 10000.0 "
-            "AS revenue "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "JOIN customer ON o_custkey = c_custkey "
-            "JOIN supplier ON l_suppkey = s_suppkey "
-            "JOIN nation ON c_nationkey = n_nationkey "
-            "WHERE c_nationkey = s_nationkey GROUP BY n_name"
-        ),
-        "events_sliding": (
-            "SELECT make_timestamp(((epoch_us(ts) // 900000000) - k) * 900000000) "
-            "AS window_start, event_type, count(*) AS n_events "
-            "FROM events CROSS JOIN (SELECT unnest(range(4)) AS k) GROUP BY 1, 2"
-        ),
-        "events_asof": (
-            "SELECT p.event_id, p.user_id, s.ts AS signup_ts "
-            "FROM (SELECT * FROM events WHERE event_type = 'purchase') p "
-            "ASOF JOIN (SELECT * FROM events WHERE event_type = 'signup') s "
-            "ON p.user_id = s.user_id AND p.ts >= s.ts"
-        ),
-        "rnn_pairs": (
-            "WITH q AS (SELECT vec_id, list_transform(embedding, "
-            "x -> CAST(round(CAST(x AS DOUBLE) * 1000000) AS BIGINT)) "
-            "AS qv FROM embeddings), "
-            "d AS (SELECT a.vec_id AS va, b.vec_id AS vb, "
-            "CAST(list_dot_product(a.qv, b.qv) AS BIGINT) AS dot "
-            "FROM q a JOIN q b ON a.vec_id <> b.vec_id), "
-            "r AS (SELECT va, vb, dot, row_number() OVER ("
-            "PARTITION BY va ORDER BY dot DESC, vb ASC) AS rn FROM d), "
-            "nn AS (SELECT va, vb, dot FROM r WHERE rn = 1) "
-            "SELECT a.va AS id_a, a.vb AS id_b, a.dot AS dot_ab "
-            "FROM nn a JOIN nn b ON a.vb = b.va AND b.vb = a.va "
-            "WHERE a.va < a.vb"
-        ),
         "mean_embedding": (
             "WITH u AS (SELECT label, "
             "unnest(generate_series(1, len(embedding))) AS dim, "
@@ -313,114 +247,6 @@ def oracle_sql_part_01() -> dict:
             "FROM embeddings) "
             "SELECT label, dim, CAST(sum(q) AS BIGINT) AS sum_q, "
             "count(*) AS n FROM u GROUP BY label, dim"
-        ),
-        "kmv_intersect": (
-            "WITH ha AS (SELECT DISTINCT "
-            + _sql_md5_le64("CAST(user_id AS VARCHAR)")
-            + " AS hv FROM events WHERE event_type = 'click'), "
-            "sa AS (SELECT hv FROM ha ORDER BY hv LIMIT 64), "
-            "hb AS (SELECT DISTINCT "
-            + _sql_md5_le64("CAST(user_id AS VARCHAR)")
-            + " AS hv FROM events WHERE event_type = 'purchase'), "
-            "sb AS (SELECT hv FROM hb ORDER BY hv LIMIT 64), "
-            "u AS (SELECT DISTINCT hv FROM "
-            "(SELECT hv FROM sa UNION ALL SELECT hv FROM sb)), "
-            "o AS (SELECT hv, row_number() OVER (ORDER BY hv) AS rn FROM u), "
-            "st AS (SELECT CASE WHEN (SELECT count(*) FROM u) >= 64 "
-            "THEN (SELECT hv FROM o WHERE rn = 64) "
-            "ELSE (SELECT max(hv) FROM u) END AS theta, "
-            "CASE WHEN (SELECT count(*) FROM u) >= 64 THEN 64 "
-            "ELSE (SELECT count(*) FROM u) END AS nu), "
-            "cm AS (SELECT count(*) AS c FROM sa, st "
-            "WHERE sa.hv <= st.theta AND sa.hv IN (SELECT hv FROM sb)), "
-            "eu AS (SELECT nu, CASE WHEN nu >= 64 "
-            "THEN CAST(63 AS HUGEINT) * "
-            "CAST(18446744073709551616 AS HUGEINT) // theta "
-            "ELSE CAST(nu AS HUGEINT) END AS est_union FROM st) "
-            "SELECT 64 AS k, CAST(nu AS BIGINT) AS n_union_kept, "
-            "CAST(c AS BIGINT) AS common, "
-            "CAST(est_union AS BIGINT) AS est_union, "
-            "CAST(CAST(c AS HUGEINT) * est_union // nu AS BIGINT) "
-            "AS est_intersect FROM eu, cm"
-        ),
-        "kmv_difference": (
-            "WITH ha AS (SELECT DISTINCT "
-            + _sql_md5_le64("CAST(user_id AS VARCHAR)")
-            + " AS hv FROM events WHERE event_type = 'click'), "
-            "sa AS (SELECT hv FROM ha ORDER BY hv LIMIT 64), "
-            "hb AS (SELECT DISTINCT "
-            + _sql_md5_le64("CAST(user_id AS VARCHAR)")
-            + " AS hv FROM events WHERE event_type = 'purchase'), "
-            "sb AS (SELECT hv FROM hb ORDER BY hv LIMIT 64), "
-            "u AS (SELECT DISTINCT hv FROM "
-            "(SELECT hv FROM sa UNION ALL SELECT hv FROM sb)), "
-            "o AS (SELECT hv, row_number() OVER (ORDER BY hv) AS rn FROM u), "
-            "st AS (SELECT CASE WHEN (SELECT count(*) FROM u) >= 64 "
-            "THEN (SELECT hv FROM o WHERE rn = 64) "
-            "ELSE (SELECT max(hv) FROM u) END AS theta, "
-            "CASE WHEN (SELECT count(*) FROM u) >= 64 THEN 64 "
-            "ELSE (SELECT count(*) FROM u) END AS nu), "
-            "cm AS (SELECT count(*) AS c FROM sa, st "
-            "WHERE sa.hv <= st.theta AND sa.hv IN (SELECT hv FROM sb)), "
-            "ab AS (SELECT count(*) AS na FROM sa, st "
-            "WHERE sa.hv <= st.theta), "
-            "bb AS (SELECT count(*) AS nb FROM sb, st "
-            "WHERE sb.hv <= st.theta), "
-            "eu AS (SELECT nu, CASE WHEN nu >= 64 "
-            "THEN CAST(63 AS HUGEINT) * "
-            "CAST(18446744073709551616 AS HUGEINT) // theta "
-            "ELSE CAST(nu AS HUGEINT) END AS est_union FROM st) "
-            "SELECT 64 AS k, CAST(nu AS BIGINT) AS n_union_kept, "
-            "CAST(est_union AS BIGINT) AS est_union, "
-            "CAST(CAST(na - c AS HUGEINT) * est_union // nu AS BIGINT) "
-            "AS est_only_a, "
-            "CAST(CAST(nb - c AS HUGEINT) * est_union // nu AS BIGINT) "
-            "AS est_only_b FROM eu, cm, ab, bb"
-        ),
-        "copurchase_pairs": (
-            "WITH d AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem) "
-            "SELECT a.l_partkey AS item_a, b.l_partkey AS item_b, "
-            "count(*) AS n FROM d a JOIN d b "
-            "ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey "
-            "GROUP BY 1, 2 HAVING count(*) >= 2"
-        ),
-        "grouped_mode": (
-            "WITH c AS (SELECT user_id, event_type AS mode, "
-            "count(*) AS n FROM events GROUP BY user_id, event_type), "
-            "r AS (SELECT *, row_number() OVER (PARTITION BY user_id "
-            "ORDER BY n DESC, mode ASC) AS rn FROM c) "
-            "SELECT user_id, mode, n FROM r WHERE rn = 1"
-        ),
-        "pareto_parts": (
-            "WITH P AS (SELECT p_partkey, CAST(p_size AS BIGINT) AS p_size, "
-            "CAST(round(p_retailprice * 100) AS BIGINT) AS price_c FROM part) "
-            "SELECT * FROM P p WHERE NOT EXISTS (SELECT 1 FROM P q "
-            "WHERE q.price_c <= p.price_c AND q.p_size >= p.p_size "
-            "AND (q.price_c < p.price_c OR q.p_size > p.p_size))"
-        ),
-        "q3_topn": (
-            "SELECT o_orderkey, "
-            "CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT) * "
-            "(100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE) "
-            "/ 10000.0 AS revenue, o_orderdate, o_orderpriority "
-            "FROM customer JOIN orders ON c_custkey = o_custkey "
-            "JOIN lineitem ON l_orderkey = o_orderkey "
-            "WHERE c_mktsegment = 'BUILDING' "
-            "AND o_orderdate < TIMESTAMP '1995-03-15' "
-            "AND l_shipdate > TIMESTAMP '1995-03-15' "
-            "GROUP BY o_orderkey, o_orderdate, o_orderpriority "
-            "ORDER BY sum(CAST(round(l_extendedprice * 100) AS BIGINT) * "
-            "(100 - CAST(round(l_discount * 100) AS BIGINT))) DESC, "
-            "o_orderkey LIMIT 10"
-        ),
-        "retention_cohorts": (
-            "WITH w AS (SELECT DISTINCT user_id, "
-            "CAST(floor(epoch(ts) / 604800) AS BIGINT) AS wk FROM events), "
-            "f AS (SELECT user_id, min(wk) AS cohort_week FROM w "
-            "GROUP BY user_id) "
-            "SELECT f.cohort_week, w.wk - f.cohort_week AS week_offset, "
-            "count(*) AS n_users FROM w JOIN f USING (user_id) "
-            "GROUP BY 1, 2"
         ),
         "segment_digests": (
             "WITH r AS (SELECT c_custkey // 100 AS segment, "
@@ -434,329 +260,6 @@ def oracle_sql_part_01() -> dict:
             "THEN chk - CAST(18446744073709551616 AS HUGEINT) "
             "ELSE chk END AS BIGINT) AS digest FROM a"
         ),
-        "sliding_unique_users": (
-            "WITH e AS (SELECT DISTINCT user_id, "
-            "CAST(floor(epoch(ts) / 3600) AS BIGINT) AS h FROM events), "
-            "grid AS (SELECT unnest(generate_series("
-            "(SELECT min(h) FROM e), (SELECT max(h) FROM e))) AS hour) "
-            "SELECT grid.hour, count(DISTINCT e.user_id) AS n_distinct "
-            "FROM grid LEFT JOIN e ON e.h BETWEEN grid.hour - 23 "
-            "AND grid.hour GROUP BY grid.hour"
-        ),
-        "user_coverage": (
-            "WITH iv AS (SELECT user_id, "
-            "CAST(floor(epoch(ts)) AS BIGINT) AS s, "
-            "CAST(floor(epoch(ts)) AS BIGINT) + 300 AS e FROM events), "
-            "m AS (SELECT *, max(e) OVER (PARTITION BY user_id "
-            "ORDER BY s, e ROWS BETWEEN UNBOUNDED PRECEDING AND "
-            "1 PRECEDING) AS prev_max FROM iv), "
-            "g AS (SELECT *, CASE WHEN prev_max IS NULL "
-            "OR s > prev_max THEN 1 ELSE 0 END AS brk FROM m), "
-            "i AS (SELECT *, sum(brk) OVER (PARTITION BY user_id "
-            "ORDER BY s, e ROWS UNBOUNDED PRECEDING) AS isl FROM g), "
-            "z AS (SELECT user_id, isl, max(e) - min(s) AS len "
-            "FROM i GROUP BY user_id, isl) "
-            "SELECT user_id, CAST(sum(len) AS BIGINT) AS covered "
-            "FROM z GROUP BY user_id"
-        ),
-        "quantity_dense_rank": (
-            "SELECT l_orderkey, l_linenumber, "
-            "CAST(dense_rank() OVER (PARTITION BY l_returnflag "
-            "ORDER BY CAST(round(l_quantity) AS BIGINT)) AS BIGINT) "
-            "AS dense_rank FROM lineitem"
-        ),
-        "global_index": (
-            "SELECT doc_id, CAST(row_number() OVER "
-            "(ORDER BY n_chars, doc_id) - 1 AS BIGINT) AS row_idx "
-            "FROM documents"
-        ),
-        "record_linkage": (
-            "WITH dirty AS (SELECT c_custkey + 1000000 AS crm_id, "
-            "lower(CASE WHEN c_custkey % 3 = 0 "
-            "THEN substr(c_name, 1, len(c_name) - 1) "
-            "WHEN c_custkey % 3 = 1 THEN upper(c_name) "
-            "ELSE c_name END) AS d_name_n, "
-            "CAST(round(c_acctbal * 100) AS BIGINT) + c_custkey % 7 - 3 "
-            "AS d_bal, c_nationkey, c_mktsegment FROM customer), "
-            "base AS (SELECT c_custkey, lower(c_name) AS name_n, "
-            "CAST(round(c_acctbal * 100) AS BIGINT) AS bal, "
-            "c_nationkey, c_mktsegment FROM customer), "
-            "p AS (SELECT b.c_custkey, d.crm_id, "
-            "(CASE WHEN b.name_n = d.d_name_n THEN 40 "
-            "WHEN levenshtein(b.name_n, d.d_name_n) <= 1 THEN 35 "
-            "ELSE 0 END "
-            "+ CASE WHEN abs(b.bal - d.d_bal) <= 3 THEN 25 ELSE 0 END) "
-            "AS score FROM base b JOIN dirty d "
-            "ON b.c_nationkey = d.c_nationkey "
-            "AND b.c_mktsegment = d.c_mktsegment) "
-            "SELECT c_custkey, crm_id, CAST(score AS BIGINT) AS score "
-            "FROM p WHERE score >= 60"
-        ),
-        "golden_record": (
-            "WITH v AS (SELECT c_custkey, t.v AS ver, "
-            "CASE WHEN t.v = c_custkey % 3 "
-            "THEN c_name || '/' || t.v END AS g_name, "
-            "CASE WHEN (c_custkey + t.v) % 2 = 0 "
-            "THEN c_mktsegment || '/' || t.v END AS g_seg, "
-            "CASE WHEN t.v <> 1 "
-            "THEN CAST(round(c_acctbal * 100) AS BIGINT) + t.v END "
-            "AS g_bal FROM customer, range(0, 3) t(v)) "
-            "SELECT c_custkey, "
-            "max_by(g_name, ver) FILTER (WHERE g_name IS NOT NULL) "
-            "AS g_name, "
-            "max_by(g_seg, ver) FILTER (WHERE g_seg IS NOT NULL) "
-            "AS g_seg, "
-            "max_by(g_bal, ver) FILTER (WHERE g_bal IS NOT NULL) "
-            "AS g_bal, "
-            "count(*) AS n_versions FROM v GROUP BY c_custkey"
-        ),
-        "cc_labels": (
-            "WITH RECURSIVE mx AS (SELECT max(c_custkey) AS m "
-            "FROM customer), "
-            "e0 AS (SELECT (c_custkey // 8) * 8 AS a, c_custkey AS b "
-            "FROM customer WHERE c_custkey % 8 <> 0 "
-            "UNION ALL "
-            "SELECT c_custkey AS a, c_custkey + 13 AS b "
-            "FROM customer, mx WHERE c_custkey % 40 = 16 "
-            "AND c_custkey + 13 <= m), "
-            "e AS (SELECT a, b FROM e0 UNION SELECT b, a FROM e0), "
-            "r AS (SELECT c_custkey AS node, c_custkey AS reach "
-            "FROM customer "
-            "UNION "
-            "SELECT r.node, e.b AS reach FROM r JOIN e ON r.reach = e.a) "
-            "SELECT node AS c_custkey, "
-            "CAST(min(reach) AS BIGINT) AS component "
-            "FROM r GROUP BY node"
-        ),
-        "dag_layers": (
-            "WITH RECURSIVE mx AS (SELECT max(c_custkey) AS m "
-            "FROM customer), "
-            "e AS (SELECT c_custkey AS a, c_custkey + 1 AS b "
-            "FROM customer, mx "
-            "WHERE c_custkey % 4 <> 3 AND c_custkey + 1 <= m "
-            "UNION ALL "
-            "SELECT c_custkey AS a, c_custkey + 3 AS b "
-            "FROM customer, mx "
-            "WHERE c_custkey % 9 = 2 AND c_custkey + 3 <= m), "
-            "r AS (SELECT c_custkey AS node, 0 AS d FROM customer "
-            "UNION "
-            "SELECT e.b AS node, r.d + 1 AS d FROM r JOIN e "
-            "ON r.node = e.a) "
-            "SELECT node AS c_custkey, CAST(max(d) AS BIGINT) AS layer "
-            "FROM r GROUP BY node"
-        ),
-        "dq_audit": (
-            "WITH n AS (SELECT CAST(count(*) AS BIGINT) AS t FROM orders), "
-            "v AS ("
-            "SELECT 'not_null:o_custkey' AS chk, "
-            "(SELECT count(*) FROM orders WHERE o_custkey IS NULL) AS v "
-            "UNION ALL SELECT 'unique:o_orderkey', "
-            "(SELECT count(*) - count(DISTINCT o_orderkey) FROM orders) "
-            "UNION ALL SELECT 'unique:o_custkey', "
-            "(SELECT count(*) - count(DISTINCT o_custkey) FROM orders) "
-            "UNION ALL SELECT 'accepted_values:o_orderstatus', "
-            "(SELECT count(*) FROM orders WHERE o_orderstatus IS NULL "
-            "OR o_orderstatus NOT IN ('O','F','P')) "
-            "UNION ALL SELECT 'accepted_values:o_orderpriority', "
-            "(SELECT count(*) FROM orders WHERE o_orderpriority IS NULL "
-            "OR o_orderpriority NOT IN ('1-URGENT','2-HIGH','3-MEDIUM')) "
-            "UNION ALL SELECT 'in_range:o_totalprice', "
-            "(SELECT count(*) FROM orders WHERE o_totalprice IS NULL "
-            "OR o_totalprice < 0.01 OR o_totalprice > 300000.0) "
-            "UNION ALL SELECT 'foreign_key:o_custkey->customer_good', "
-            "(SELECT count(*) FROM orders o LEFT JOIN "
-            "(SELECT DISTINCT c_custkey FROM customer "
-            "WHERE c_acctbal >= 0) c ON o.o_custkey = c.c_custkey "
-            "WHERE c.c_custkey IS NULL)) "
-            "SELECT v.chk AS \"check\", CAST(v.v AS BIGINT) AS violations, "
-            "n.t AS total_rows, v.v = 0 AS passed FROM v, n"
-        ),
-        "diversity_index": (
-            "WITH c AS (SELECT source, lang, count(*) AS c "
-            "FROM documents GROUP BY source, lang), "
-            "a AS (SELECT source, CAST(sum(c) AS HUGEINT) AS n, "
-            "sum(CAST(c AS HUGEINT) * c) AS ss, count(*) AS k "
-            "FROM c GROUP BY source) "
-            "SELECT source, CAST(n AS BIGINT) AS n_rows, "
-            "CAST(k AS BIGINT) AS n_cats, "
-            "CAST(1000000 - (1000000 * ss) // (n * n) AS BIGINT) "
-            "AS diversity_ppm FROM a"
-        ),
-        "benford_audit": (
-            "WITH v AS (SELECT o_orderpriority, "
-            "substr(CAST(CAST(round(o_totalprice * 100) AS BIGINT) "
-            "AS VARCHAR), 1, 1) AS digit FROM orders "
-            "WHERE round(o_totalprice * 100) > 0), "
-            "c AS (SELECT o_orderpriority, digit, count(*) AS c "
-            "FROM v GROUP BY o_orderpriority, digit), "
-            "n AS (SELECT o_orderpriority, sum(c) AS n FROM c "
-            "GROUP BY o_orderpriority), "
-            "b AS (SELECT * FROM (VALUES ('1', 301030), ('2', 176091), "
-            "('3', 124939), ('4', 96910), ('5', 79181), ('6', 66947), "
-            "('7', 57992), ('8', 51153), ('9', 45757)) "
-            "AS t(digit, benford_ppm)) "
-            "SELECT c.o_orderpriority, c.digit, "
-            "CAST(c.c AS BIGINT) AS n_values, "
-            "CAST((c.c * 1000000) // n.n AS BIGINT) AS share_ppm, "
-            "CAST(b.benford_ppm AS BIGINT) AS benford_ppm, "
-            "CAST(ABS((c.c * 1000000) // n.n - b.benford_ppm) AS BIGINT) "
-            "AS dev_ppm "
-            "FROM c JOIN n USING (o_orderpriority) JOIN b USING (digit)"
-        ),
-        "unpivot_measures": (
-            "SELECT l_orderkey, l_linenumber, 'l_quantity' AS measure, "
-            "l_quantity AS value FROM lineitem "
-            "UNION ALL SELECT l_orderkey, l_linenumber, "
-            "'l_extendedprice', l_extendedprice FROM lineitem "
-            "UNION ALL SELECT l_orderkey, l_linenumber, "
-            "'l_discount', l_discount FROM lineitem "
-            "UNION ALL SELECT l_orderkey, l_linenumber, "
-            "'l_tax', l_tax FROM lineitem"
-        ),
-        "mad_outliers": (
-            "WITH m AS (SELECT source, "
-            "CAST(2 * median(n_chars) AS BIGINT) AS med2 "
-            "FROM documents GROUP BY source), "
-            "d AS (SELECT doc.doc_id, doc.source, doc.n_chars, m.med2, "
-            "ABS(2 * doc.n_chars - m.med2) AS dd "
-            "FROM documents doc JOIN m USING (source)), "
-            "md AS (SELECT source, CAST(2 * median(dd) AS BIGINT) AS mad4 "
-            "FROM d GROUP BY source) "
-            "SELECT d.doc_id, d.source, d.n_chars, d.med2 AS med_x2, "
-            "md.mad4 AS mad_x4, 2 * d.dd * 1 > 3 * md.mad4 AS is_outlier "
-            "FROM d JOIN md USING (source)"
-        ),
-        "k_anonymity": (
-            "WITH s AS (SELECT c_custkey, c_nationkey, c_mktsegment, "
-            "count(*) OVER (PARTITION BY c_nationkey, c_mktsegment) AS n "
-            "FROM customer) "
-            "SELECT c_custkey, "
-            "CASE WHEN n >= 10 THEN CAST(c_nationkey AS VARCHAR) "
-            "ELSE '*' END AS c_nationkey_qi, "
-            "CASE WHEN n >= 10 THEN c_mktsegment ELSE '*' END "
-            "AS c_mktsegment_qi, "
-            "n >= 10 AS k_anonymous FROM s"
-        ),
-        "windowed_paths": (
-            "WITH e AS (SELECT user_id, "
-            "CAST(epoch_us(ts) // 1000000 AS BIGINT) AS s, "
-            "event_type FROM events), "
-            "l1 AS (SELECT *, coalesce(sum(CASE WHEN event_type = "
-            "'view' THEN 1 ELSE 0 END) OVER (PARTITION BY user_id "
-            "ORDER BY s RANGE BETWEEN 600 PRECEDING AND 1 PRECEDING), "
-            "0) AS w1 FROM e), "
-            "l2 AS (SELECT *, coalesce(sum(CASE WHEN event_type = "
-            "'click' THEN w1 ELSE 0 END) OVER (PARTITION BY user_id "
-            "ORDER BY s RANGE BETWEEN 600 PRECEDING AND 1 PRECEDING), "
-            "0) AS w2 FROM l1) "
-            "SELECT user_id, CAST(coalesce(sum(CASE WHEN event_type = "
-            "'purchase' THEN w2 ELSE 0 END), 0) AS BIGINT) AS n_paths "
-            "FROM l2 GROUP BY user_id"
-        ),
-        "user_ledger": (
-            "WITH e AS (SELECT user_id, ts, event_id, "
-            "CAST(round(value * 100) AS BIGINT) * "
-            "(CASE WHEN event_type IN ('purchase', 'error') "
-            "THEN -1 ELSE 1 END) AS d FROM events), "
-            "r AS (SELECT user_id, ts, event_id, d, "
-            "sum(d) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id) AS a FROM e), "
-            "m AS (SELECT *, least(min(a) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id), 0) AS mn, "
-            "coalesce(least(min(a) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id ROWS BETWEEN UNBOUNDED PRECEDING "
-            "AND 1 PRECEDING), 0), 0) AS mn_prev FROM r), "
-            "b AS (SELECT user_id, a - mn AS bal, "
-            "CASE WHEN a < mn_prev THEN 1 ELSE 0 END AS cl, "
-            "row_number() OVER (PARTITION BY user_id "
-            "ORDER BY ts DESC, event_id DESC) AS rn FROM m) "
-            "SELECT user_id, CAST(count(*) AS BIGINT) AS n_events, "
-            "CAST(max(CASE WHEN rn = 1 THEN bal END) AS BIGINT) "
-            "AS final_c, CAST(max(bal) AS BIGINT) AS peak_c, "
-            "CAST(sum(cl) AS BIGINT) AS n_clamps "
-            "FROM b GROUP BY user_id"
-        ),
-        "cusum_alarms": (
-            "WITH hr AS (SELECT event_type AS ky, "
-            "date_trunc('hour', ts) AS w, "
-            "CAST(count(*) AS BIGINT) AS n FROM events GROUP BY 1, 2), "
-            "p AS (SELECT ky, CAST(sum(n) // count(*) + 1 AS BIGINT) "
-            "AS kk FROM hr GROUP BY ky), "
-            "d AS (SELECT hr.ky, hr.w, hr.n, p.kk, 3 * p.kk AS hh, "
-            "hr.n - p.kk AS d FROM hr JOIN p ON hr.ky = p.ky), "
-            "r AS (SELECT *, sum(d) OVER (PARTITION BY ky ORDER BY w) "
-            "AS a FROM d), "
-            "m AS (SELECT *, least(min(a) OVER (PARTITION BY ky "
-            "ORDER BY w), 0) AS mn FROM r), "
-            "s AS (SELECT ky, n, kk, hh, w, a - mn AS s FROM m) "
-            "SELECT ky AS event_type, CAST(count(*) AS BIGINT) "
-            "AS n_obs, CAST(min(kk) AS BIGINT) AS k, "
-            "CAST(min(hh) AS BIGINT) AS h, "
-            "CAST(sum(CASE WHEN s >= hh THEN 1 ELSE 0 END) AS BIGINT) "
-            "AS n_alarms, CAST(max(s) AS BIGINT) AS max_s, "
-            "CAST(coalesce(min(CASE WHEN s >= hh THEN "
-            "epoch_us(w) // 1000000 END), -1) AS BIGINT) "
-            "AS first_alarm_s FROM s GROUP BY ky"
-        ),
-        "unique_prefix": (
-            "WITH d AS (SELECT DISTINCT p_name AS name FROM part), "
-            "nb AS (SELECT name, lag(name) OVER (ORDER BY name) AS pv, "
-            "lead(name) OVER (ORDER BY name) AS nx FROM d), "
-            "g AS (SELECT * FROM generate_series(1, 64) t(p)), "
-            "lp AS (SELECT nb.name, "
-            "coalesce((SELECT max(g.p) FROM g WHERE g.p <= "
-            "least(len(nb.name), len(nb.pv)) AND "
-            "substr(nb.name, 1, g.p) = substr(nb.pv, 1, g.p)), 0) "
-            "AS l1, "
-            "coalesce((SELECT max(g.p) FROM g WHERE g.p <= "
-            "least(len(nb.name), len(nb.nx)) AND "
-            "substr(nb.name, 1, g.p) = substr(nb.nx, 1, g.p)), 0) "
-            "AS l2 FROM nb) "
-            "SELECT name AS p_name, CAST(CASE WHEN len(name) = 0 "
-            "THEN 0 ELSE least(len(name), 1 + greatest(l1, l2)) END "
-            "AS BIGINT) AS plen FROM lp"
-        ),
-        "soundex_blocking": (
-            "WITH c AS (SELECT p_name AS name, count(*) AS nr "
-            "FROM part GROUP BY 1), "
-            "s0 AS (SELECT name, nr, regexp_replace(upper(name), "
-            "'[^A-Z]', '', 'g') AS up FROM c), "
-            "s1 AS (SELECT name, nr, up, translate(up, "
-            "'ABCDEFGHIJKLMNOPQRSTUVWXYZ', "
-            "'01230120022455012623010202') AS dg FROM s0), "
-            "s2 AS (SELECT name, nr, up, "
-            "regexp_replace(regexp_replace(regexp_replace("
-            "regexp_replace(regexp_replace(regexp_replace("
-            "regexp_replace(dg, '00+', '0', 'g'), '11+', '1', 'g'), "
-            "'22+', '2', 'g'), '33+', '3', 'g'), '44+', '4', 'g'), "
-            "'55+', '5', 'g'), '66+', '6', 'g') AS cl FROM s1), "
-            "s3 AS (SELECT name, nr, CASE WHEN up = '' THEN '' ELSE "
-            "substr(up, 1, 1) || substr(replace(substr(cl, 2), "
-            "'0', '') || '000', 1, 3) END AS code FROM s2) "
-            "SELECT code, CAST(count(*) AS BIGINT) AS n_names, "
-            "CAST(sum(nr) AS BIGINT) AS n_rows FROM s3 GROUP BY code"
-        ),
-        "zonemap_prune": (
-            "WITH z AS (SELECT doc_id // 64 AS b, min(n_chars) AS mn, "
-            "max(n_chars) AS mx, count(*) AS n, "
-            "sum(CASE WHEN n_chars BETWEEN 1500 AND 3000 THEN 1 "
-            "ELSE 0 END) AS m FROM documents GROUP BY 1), "
-            "f AS (SELECT count(*) AS n_buckets, "
-            "sum(CASE WHEN mx < 1500 OR mn > 3000 THEN 1 ELSE 0 END) "
-            "AS n_pruned, sum(n) AS n_rows, "
-            "sum(CASE WHEN mx < 1500 OR mn > 3000 THEN 0 ELSE n END) "
-            "AS n_scanned, sum(m) AS n_matched FROM z) "
-            "SELECT CAST(n_buckets AS BIGINT) AS n_buckets, "
-            "CAST(n_pruned AS BIGINT) AS n_pruned, "
-            "CAST(n_rows AS BIGINT) AS n_rows, "
-            "CAST(n_scanned AS BIGINT) AS n_scanned, "
-            "CAST(n_matched AS BIGINT) AS n_matched, "
-            "CAST(1000000 * n_pruned // n_buckets AS BIGINT) "
-            "AS prune_ppm, "
-            "CAST(CASE WHEN n_scanned = 0 THEN 0 ELSE 1000000 * "
-            "(n_scanned - n_matched) // n_scanned END AS BIGINT) "
-            "AS waste_ppm FROM f"
-        ),
         "readability": (
             "WITH a AS (SELECT doc_id, "
             "greatest(1, len(regexp_extract_all(lower(text), "
@@ -769,74 +272,6 @@ def oracle_sql_part_01() -> dict:
             "CAST(s AS BIGINT) AS n_sents, CAST(y AS BIGINT) AS n_syll, "
             "CAST(206835000 - 1015 * (1000 * w // s) "
             "- 84600 * (1000 * y // w) AS BIGINT) AS flesch_ppm FROM b"
-        ),
-        "clustering_coeff": (
-            "WITH nn AS (SELECT count(*) AS n FROM documents), "
-            "raw AS ("
-            "SELECT doc_id AS a, (doc_id + 1) % nn.n AS b "
-            "FROM documents, nn "
-            "UNION ALL SELECT doc_id, (doc_id + 2) % nn.n "
-            "FROM documents, nn "
-            "UNION ALL SELECT doc_id, (doc_id * 7 + 1) % nn.n "
-            "FROM documents, nn), "
-            "e AS (SELECT DISTINCT least(a, b) AS lo, greatest(a, b) "
-            "AS hi FROM raw WHERE a <> b), "
-            "w AS (SELECT e1.lo AS apex, e1.hi AS b, e2.hi AS c "
-            "FROM e e1 JOIN e e2 ON e1.lo = e2.lo AND e1.hi < e2.hi), "
-            "t AS (SELECT CAST(count(*) AS BIGINT) AS n_tri FROM w "
-            "JOIN e ON e.lo = w.b AND e.hi = w.c), "
-            "d AS (SELECT node, count(*) AS dg FROM "
-            "(SELECT lo AS node FROM e UNION ALL SELECT hi FROM e) "
-            "GROUP BY node), "
-            "wg AS (SELECT CAST(count(*) AS BIGINT) AS n_nodes, "
-            "CAST(sum(dg * (dg - 1) // 2) AS BIGINT) AS n_wedges "
-            "FROM d), "
-            "ec AS (SELECT CAST(count(*) AS BIGINT) AS n_edges FROM e) "
-            "SELECT wg.n_nodes, ec.n_edges, wg.n_wedges, t.n_tri "
-            "AS n_triangles, CAST(CASE WHEN wg.n_wedges = 0 THEN 0 "
-            "ELSE 3 * t.n_tri * 1000000 // wg.n_wedges END AS BIGINT) "
-            "AS clustering_ppm FROM wg, ec, t"
-        ),
-        "mann_kendall": (
-            "WITH h AS (SELECT event_type AS ky, "
-            "date_trunc('hour', ts) AS w, "
-            "CAST(count(*) AS BIGINT) AS n FROM events GROUP BY 1, 2), "
-            "p AS (SELECT a.ky, "
-            "CAST(sum(CASE WHEN b.n > a.n THEN 1 ELSE 0 END) "
-            "AS BIGINT) AS n_conc, "
-            "CAST(sum(CASE WHEN b.n < a.n THEN 1 ELSE 0 END) "
-            "AS BIGINT) AS n_disc "
-            "FROM h a JOIN h b ON a.ky = b.ky AND a.w < b.w "
-            "GROUP BY a.ky), "
-            "o AS (SELECT ky, CAST(count(*) AS BIGINT) AS n_obs "
-            "FROM h GROUP BY ky) "
-            "SELECT o.ky AS event_type, o.n_obs, "
-            "coalesce(p.n_conc, 0) AS n_conc, "
-            "coalesce(p.n_disc, 0) AS n_disc, "
-            "coalesce(p.n_conc, 0) - coalesce(p.n_disc, 0) AS s_stat, "
-            "CAST(sign(coalesce(p.n_conc, 0) - coalesce(p.n_disc, 0)) "
-            "AS BIGINT) AS trend FROM o LEFT JOIN p USING (ky)"
-        ),
-        "lag_coactivity": (
-            "WITH h AS (SELECT event_type AS ky, "
-            "date_trunc('hour', ts) AS w, "
-            "CAST(count(*) AS BIGINT) AS n FROM events GROUP BY 1, 2), "
-            "k AS (SELECT DISTINCT ky FROM h), "
-            "lags AS (SELECT * FROM generate_series(0, 6) AS t(lag)), "
-            "grid AS (SELECT k1.ky AS key_a, k2.ky AS key_b, lags.lag "
-            "FROM k k1, k k2, lags WHERE k1.ky <> k2.ky), "
-            "dots AS (SELECT g.key_a, g.key_b, g.lag, "
-            "CAST(coalesce(sum(a.n * b.n), 0) AS BIGINT) AS dot "
-            "FROM grid g LEFT JOIN h a ON a.ky = g.key_a "
-            "LEFT JOIN h b ON b.ky = g.key_b "
-            "AND b.w = a.w + g.lag * INTERVAL 1 HOUR GROUP BY 1, 2, 3), "
-            "r AS (SELECT *, row_number() OVER (PARTITION BY key_a, "
-            "key_b ORDER BY dot DESC, lag ASC) AS rn FROM dots), "
-            "z AS (SELECT key_a, key_b, dot AS lag0_dot FROM dots "
-            "WHERE lag = 0) "
-            "SELECT r.key_a, r.key_b, CAST(r.lag AS BIGINT) "
-            "AS best_lag, r.dot AS best_dot, z.lag0_dot "
-            "FROM r JOIN z USING (key_a, key_b) WHERE rn = 1"
         ),
         "vocab_growth": (
             "WITH tok AS (SELECT u.token, min(d.doc_id) AS mid "
@@ -856,55 +291,6 @@ def oracle_sql_part_01() -> dict:
             "WHERE db.b <= ks.k) AS BIGINT) AS prefix_docs, "
             "CAST((SELECT coalesce(sum(n), 0) FROM tb "
             "WHERE tb.b <= ks.k) AS BIGINT) AS vocab FROM ks"
-        ),
-        "user_features": (
-            "SELECT user_id, count(*) AS n_events, "
-            "CAST(min(epoch_us(ts)) AS BIGINT) AS first_us, "
-            "CAST(max(epoch_us(ts)) AS BIGINT) AS last_us, "
-            "CAST((max(epoch_us(ts)) - min(epoch_us(ts))) // 1000000 "
-            "AS BIGINT) AS span_s, "
-            "count(*) FILTER (WHERE event_type = 'click') AS n_click, "
-            "count(*) FILTER (WHERE event_type = 'error') AS n_error, "
-            "count(*) FILTER (WHERE event_type = 'purchase') "
-            "AS n_purchase, "
-            "count(*) FILTER (WHERE event_type = 'signup') AS n_signup, "
-            "count(*) FILTER (WHERE event_type = 'view') AS n_view, "
-            "CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) "
-            "AS value_c FROM events GROUP BY user_id"
-        ),
-        "trend_flips": (
-            "WITH h AS (SELECT event_type AS k, "
-            "date_trunc('hour', ts) AS w, count(*) AS n FROM events "
-            "GROUP BY 1, 2), "
-            "d AS (SELECT k, w, "
-            "n - lag(n) OVER (PARTITION BY k ORDER BY w) AS d FROM h), "
-            "nz AS (SELECT k, w, CASE WHEN d > 0 THEN 1 ELSE -1 END "
-            "AS s FROM d WHERE d IS NOT NULL AND d <> 0), "
-            "f AS (SELECT k, s, "
-            "lag(s) OVER (PARTITION BY k ORDER BY w) AS ps FROM nz), "
-            "c AS (SELECT k, count(*) FILTER (WHERE s * ps = -1) "
-            "AS n_flips FROM f GROUP BY k), "
-            "o AS (SELECT k, count(*) AS n_obs FROM h GROUP BY k) "
-            "SELECT o.k AS event_type, CAST(o.n_obs AS BIGINT) "
-            "AS n_obs, CAST(coalesce(c.n_flips, 0) AS BIGINT) "
-            "AS n_flips FROM o LEFT JOIN c USING (k)"
-        ),
-        "skew_histogram": (
-            "WITH s AS (SELECT o_custkey, count(*) AS n FROM orders "
-            "GROUP BY 1) "
-            "SELECT n AS size, count(*) AS n_keys FROM s GROUP BY 1"
-        ),
-        "gini_orders": (
-            "WITH s AS (SELECT count(*) AS x FROM orders "
-            "GROUP BY o_custkey), "
-            "r AS (SELECT CAST(x AS HUGEINT) AS x, "
-            "row_number() OVER (ORDER BY x) AS i, "
-            "count(*) OVER () AS n, sum(x) OVER () AS tot FROM s) "
-            "SELECT CAST(max(n) AS BIGINT) AS n_keys, "
-            "CAST(max(tot) AS BIGINT) AS total, "
-            "CAST(1000000 * sum((2 * i - n - 1) * x) "
-            "// (max(n) * max(CAST(tot AS HUGEINT))) AS BIGINT) "
-            "AS gini_ppm FROM r"
         ),
         "backtest_mae": (
             "WITH h AS (SELECT event_type, "
@@ -941,460 +327,6 @@ def oracle_sql_part_01() -> dict:
             "// (CAST(sae1 AS HUGEINT) * n24) ELSE 0 END AS BIGINT) "
             "AS mase_ppm "
             "FROM s JOIN o ON s.event_type = o.event_type"
-        ),
-        "tvd_drift": (
-            "WITH c AS (SELECT source, lang, count(*) AS c "
-            "FROM documents GROUP BY 1, 2), "
-            "s AS (SELECT source, sum(c) AS ns FROM c GROUP BY 1), "
-            "g AS (SELECT lang, sum(c) AS cg FROM c GROUP BY 1), "
-            "t AS (SELECT sum(cg) AS ng FROM g), "
-            "u AS (SELECT s.source, g.lang, coalesce(c.c, 0) AS cs, "
-            "g.cg, s.ns, t.ng FROM s CROSS JOIN g "
-            "LEFT JOIN c ON c.source = s.source AND c.lang = g.lang "
-            "CROSS JOIN t) "
-            "SELECT source, CAST(max(ns) AS BIGINT) AS n, "
-            "CAST(1000000 * sum(abs(CAST(cs AS HUGEINT) * ng "
-            "- CAST(cg AS HUGEINT) * ns)) "
-            "// (2 * max(ns) * max(CAST(ng AS HUGEINT))) AS BIGINT) "
-            "AS tvd_ppm FROM u GROUP BY source"
-        ),
-        "nest_tokens": (
-            "WITH t AS (SELECT doc_id, "
-            "list_filter(string_split_regex(coalesce(text, ''), '\\s+'), "
-            "x -> x <> '') AS toks FROM documents) "
-            "SELECT doc_id, CAST(len(toks) AS BIGINT) AS n_tokens, "
-            "array_to_string(toks, ' ') AS text_norm "
-            "FROM t WHERE len(toks) > 0"
-        ),
-        "longest_streak": (
-            "WITH o AS (SELECT user_id, event_type, "
-            "row_number() OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id) AS rn, "
-            "row_number() OVER (PARTITION BY user_id, event_type "
-            "ORDER BY ts, event_id) AS rnt FROM events), "
-            "l AS (SELECT user_id, count(*) AS len FROM o "
-            "GROUP BY user_id, event_type, rn - rnt) "
-            "SELECT user_id, CAST(max(len) AS BIGINT) AS longest "
-            "FROM l GROUP BY user_id"
-        ),
-        "supplier_percentile": (
-            "WITH ch AS (SELECT CAST(round(c_acctbal * 100) AS BIGINT) "
-            "AS v, count(*) AS c FROM customer GROUP BY 1), "
-            "cc AS (SELECT v, sum(c) OVER (ORDER BY v) AS cum FROM ch), "
-            "n AS (SELECT count(*) AS n FROM customer), "
-            "s AS (SELECT s_suppkey, "
-            "CAST(round(s_acctbal * 100) AS BIGINT) AS bal_c "
-            "FROM supplier) "
-            "SELECT s.s_suppkey, s.bal_c, "
-            "CAST(coalesce(cc.cum, 0) * 1000000 // n.n AS BIGINT) "
-            "AS pct_ppm "
-            "FROM s ASOF LEFT JOIN cc ON cc.v <= s.bal_c CROSS JOIN n"
-        ),
-        "delta_varint": (
-            "WITH v AS (SELECT CAST(epoch_us(o_orderdate) "
-            "// 86400000000 AS BIGINT) AS d FROM orders), "
-            "s AS (SELECT d, lag(d) OVER (ORDER BY d) AS pd FROM v), "
-            "b AS (SELECT CASE WHEN pd IS NULL THEN 8 "
-            "WHEN d = pd THEN 1 "
-            "ELSE (length(bin(d - pd)) + 6) // 7 END AS bytes FROM s) "
-            "SELECT count(*) AS n, "
-            "CAST(count(*) * 8 AS BIGINT) AS raw_bytes, "
-            "CAST(sum(bytes) AS BIGINT) AS delta_bytes, "
-            "CAST(sum(bytes) * 1000000 // (count(*) * 8) AS BIGINT) "
-            "AS ratio_ppm FROM b"
-        ),
-        "impute_mode": (
-            "WITH base AS (SELECT c_custkey, c_nationkey, "
-            "CASE WHEN c_custkey % 20 = 0 THEN NULL "
-            "ELSE c_mktsegment END AS seg FROM customer), "
-            "m AS (SELECT c_nationkey, seg AS mode_seg FROM "
-            "(SELECT c_nationkey, seg, "
-            "row_number() OVER (PARTITION BY c_nationkey "
-            "ORDER BY count(*) DESC, seg) AS rn "
-            "FROM base WHERE seg IS NOT NULL GROUP BY 1, 2) "
-            "WHERE rn = 1) "
-            "SELECT b.c_custkey, b.c_nationkey, "
-            "coalesce(b.seg, m.mode_seg) AS seg, "
-            "b.seg IS NULL AS was_imputed "
-            "FROM base b LEFT JOIN m USING (c_nationkey)"
-        ),
-        "rrf_fusion": (
-            "WITH s AS (SELECT p_partkey, "
-            "CAST(round(p_retailprice * 100) AS BIGINT) AS price_c, "
-            "CAST(p_size AS BIGINT) AS size_v FROM part), "
-            "r AS (SELECT p_partkey, "
-            "rank() OVER (ORDER BY price_c DESC) AS rank_price_c, "
-            "rank() OVER (ORDER BY size_v DESC) AS rank_size_v "
-            "FROM s) "
-            "SELECT p_partkey, "
-            "CAST(rank_price_c AS BIGINT) AS rank_price_c, "
-            "CAST(rank_size_v AS BIGINT) AS rank_size_v, "
-            "CAST(1000000000 // (60 + rank_price_c) "
-            "+ 1000000000 // (60 + rank_size_v) AS BIGINT) AS rrf "
-            "FROM r ORDER BY rrf DESC, p_partkey LIMIT 20"
-        ),
-        "quantile_normalize": (
-            "WITH h AS (SELECT source AS s, n_chars AS v, count(*) "
-            "AS c FROM documents GROUP BY 1, 2), "
-            "cs AS (SELECT s, v, "
-            "sum(c) OVER (PARTITION BY s ORDER BY v) AS cum_s, "
-            "sum(c) OVER (PARTITION BY s) AS n_s FROM h), "
-            "gg AS (SELECT v, sum(c) AS c FROM h GROUP BY 1), "
-            "cg AS (SELECT v, sum(c) OVER (ORDER BY v) AS cum_g, "
-            "sum(c) OVER () AS n_g FROM gg), "
-            "m AS (SELECT cs.s, cs.v, min(cg.v) AS w FROM cs "
-            "JOIN cg ON cg.cum_g * cs.n_s >= cs.cum_s * cg.n_g "
-            "GROUP BY 1, 2) "
-            "SELECT d.doc_id, d.source, d.n_chars, "
-            "CAST(m.w AS BIGINT) AS norm_v FROM documents d "
-            "JOIN m ON m.s = d.source AND m.v = d.n_chars"
-        ),
-        "subsequence_counts": (
-            "WITH l1 AS (SELECT user_id, ts, event_id, event_type, "
-            "coalesce(sum(CASE WHEN event_type = 'view' THEN 1 "
-            "ELSE 0 END) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) "
-            "AS c1 FROM events), "
-            "l2 AS (SELECT *, coalesce(sum(CASE WHEN event_type = "
-            "'click' THEN c1 ELSE 0 END) OVER (PARTITION BY user_id "
-            "ORDER BY ts, event_id "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) "
-            "AS c2 FROM l1) "
-            "SELECT user_id, CAST(coalesce(sum(CASE WHEN event_type = "
-            "'purchase' THEN c2 ELSE 0 END), 0) AS BIGINT) AS n_seq "
-            "FROM l2 GROUP BY user_id"
-        ),
-        "coordinated_sample": (
-            "WITH so AS (SELECT o_orderkey, o_orderpriority FROM orders "
-            "WHERE substr(md5(CAST(o_orderkey AS VARCHAR)), 1, 1) "
-            "IN ('0', '1', '2')), "
-            "sl AS (SELECT l_orderkey, "
-            "CAST(round(l_extendedprice * 100) AS BIGINT) AS rc "
-            "FROM lineitem "
-            "WHERE substr(md5(CAST(l_orderkey AS VARCHAR)), 1, 1) "
-            "IN ('0', '1', '2')) "
-            "SELECT o_orderpriority, count(*) AS n_items, "
-            "CAST(sum(rc) AS BIGINT) AS rev_c "
-            "FROM so JOIN sl ON so.o_orderkey = sl.l_orderkey "
-            "GROUP BY 1"
-        ),
-        "kcore_nodes": (
-            "WITH base AS (SELECT c_custkey AS c, "
-            "(c_custkey - 1) % 6 AS r FROM customer "
-            "WHERE c_custkey <= 6 * ((SELECT count(*) FROM customer) "
-            "// 6)), "
-            "one AS (SELECT c AS src, c + 1 AS dst FROM base "
-            "WHERE r <= 4 "
-            "UNION ALL SELECT c, c - 2 FROM base WHERE r = 2), "
-            "e0 AS (SELECT src, dst FROM one "
-            "UNION ALL SELECT dst, src FROM one), "
-            "d1 AS (SELECT src, count(*) AS c FROM e0 GROUP BY 1), "
-            "s1 AS (SELECT src AS n FROM d1 WHERE c >= 2), "
-            "e1 AS (SELECT e.src, e.dst FROM e0 e "
-            "JOIN s1 a ON e.src = a.n JOIN s1 b ON e.dst = b.n), "
-            "d2 AS (SELECT src, count(*) AS c FROM e1 GROUP BY 1), "
-            "s2 AS (SELECT src AS n FROM d2 WHERE c >= 2), "
-            "e2 AS (SELECT e.src, e.dst FROM e1 e "
-            "JOIN s2 a ON e.src = a.n JOIN s2 b ON e.dst = b.n), "
-            "d3 AS (SELECT src, count(*) AS c FROM e2 GROUP BY 1), "
-            "s3 AS (SELECT src AS n FROM d3 WHERE c >= 2), "
-            "e3 AS (SELECT e.src, e.dst FROM e2 e "
-            "JOIN s3 a ON e.src = a.n JOIN s3 b ON e.dst = b.n), "
-            "d4 AS (SELECT src, count(*) AS c FROM e3 GROUP BY 1), "
-            "s4 AS (SELECT src AS n FROM d4 WHERE c >= 2), "
-            "e4 AS (SELECT e.src, e.dst FROM e3 e "
-            "JOIN s4 a ON e.src = a.n JOIN s4 b ON e.dst = b.n) "
-            "SELECT src AS node, count(*) AS deg FROM e4 GROUP BY 1"
-        ),
-        "l_diversity": (
-            "WITH s AS (SELECT c_custkey, c_nationkey, c_mktsegment, "
-            "c_acctbal < 0 AS bal_neg FROM customer), "
-            "d AS (SELECT c_nationkey, c_mktsegment, "
-            "count(DISTINCT bal_neg) AS ld FROM s GROUP BY 1, 2) "
-            "SELECT c_custkey, bal_neg, "
-            "CASE WHEN ld >= 2 THEN CAST(c_nationkey AS VARCHAR) "
-            "ELSE '*' END AS c_nationkey_qi, "
-            "CASE WHEN ld >= 2 THEN c_mktsegment ELSE '*' END "
-            "AS c_mktsegment_qi, "
-            "ld >= 2 AS l_diverse "
-            "FROM s JOIN d USING (c_nationkey, c_mktsegment)"
-        ),
-        "ks_drift": (
-            "WITH a AS (SELECT CAST(round(l_quantity) AS BIGINT) AS v, "
-            "count(*) AS c FROM lineitem WHERE l_returnflag = 'R' "
-            "GROUP BY 1), "
-            "b AS (SELECT CAST(round(l_quantity) AS BIGINT) AS v, "
-            "count(*) AS c FROM lineitem WHERE l_returnflag <> 'R' "
-            "GROUP BY 1), "
-            "u AS (SELECT v FROM a UNION SELECT v FROM b), "
-            "j AS (SELECT u.v, coalesce(a.c, 0) AS ca, "
-            "coalesce(b.c, 0) AS cb FROM u "
-            "LEFT JOIN a USING (v) LEFT JOIN b USING (v)), "
-            "w AS (SELECT v, sum(ca) OVER (ORDER BY v) AS fa, "
-            "sum(cb) OVER (ORDER BY v) AS fb FROM j), "
-            "t AS (SELECT (SELECT sum(c) FROM a) AS na, "
-            "(SELECT sum(c) FROM b) AS nb) "
-            "SELECT CAST(na AS BIGINT) AS n_a, CAST(nb AS BIGINT) AS n_b, "
-            "CAST(max(abs(fa * nb - fb * na)) AS BIGINT) AS d_scaled "
-            "FROM w, t GROUP BY na, nb"
-        ),
-        "quantity_percentile": (
-            "SELECT l_orderkey, l_linenumber, "
-            "CAST(CASE WHEN count(*) OVER (PARTITION BY l_returnflag) = 1 "
-            "THEN 0 ELSE "
-            "(rank() OVER (PARTITION BY l_returnflag "
-            "ORDER BY CAST(round(l_quantity) AS BIGINT)) - 1) * 1000000 "
-            "// (count(*) OVER (PARTITION BY l_returnflag) - 1) END "
-            "AS BIGINT) AS pct_ppm FROM lineitem"
-        ),
-        "gini_gain": (
-            "WITH s AS (SELECT "
-            "(CAST(round(l_quantity) AS BIGINT) >= 26) AS side, "
-            "l_returnflag AS lab FROM lineitem), "
-            "cm AS (SELECT side, lab, count(*) AS c FROM s "
-            "GROUP BY 1, 2), "
-            "t AS (SELECT sum(c) AS n, "
-            "sum(CASE WHEN side THEN c ELSE 0 END) AS nl, "
-            "sum(CASE WHEN NOT side THEN c ELSE 0 END) AS nr FROM cm), "
-            "p AS (SELECT sum(cc * cc) AS sp FROM "
-            "(SELECT lab, sum(c) AS cc FROM cm GROUP BY 1)), "
-            "l AS (SELECT coalesce(sum(c * c), 0) AS sl FROM cm "
-            "WHERE side), "
-            "r AS (SELECT coalesce(sum(c * c), 0) AS sr FROM cm "
-            "WHERE NOT side) "
-            "SELECT CAST(n AS BIGINT) AS n, "
-            "CAST(nl AS BIGINT) AS n_left, "
-            "CAST(nr AS BIGINT) AS n_right, "
-            "CAST(1000000 * ((n * n - sp) * nl * nr "
-            "- (nl * nl - sl) * n * nr - (nr * nr - sr) * n * nl) "
-            "// (n * n * nl * nr) AS BIGINT) AS gain_ppm "
-            "FROM t, p, l, r"
-        ),
-        "rank_auc": (
-            "WITH s AS (SELECT CAST(round(l_quantity) AS BIGINT) AS v, "
-            "(l_returnflag = 'R') AS lab FROM lineitem), "
-            "h AS (SELECT v, "
-            "sum(CASE WHEN lab THEN 1 ELSE 0 END) AS p, "
-            "sum(CASE WHEN lab THEN 0 ELSE 1 END) AS q "
-            "FROM s GROUP BY 1), "
-            "w AS (SELECT v, p, q, coalesce(sum(q) OVER (ORDER BY v "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) "
-            "AS cq FROM h), "
-            "t AS (SELECT sum(p) AS np, sum(q) AS nq, "
-            "sum(p * (2 * cq + q)) AS u2 FROM w) "
-            "SELECT CAST(np AS BIGINT) AS n_pos, "
-            "CAST(nq AS BIGINT) AS n_neg, CAST(u2 AS BIGINT) AS u2, "
-            "CAST(u2 * 1000000 // (2 * np * nq) AS BIGINT) AS auc_ppm "
-            "FROM t"
-        ),
-        "waterfill_budget": (
-            "WITH d AS (SELECT user_id, count(*) AS dem FROM events "
-            "GROUP BY 1), "
-            "o AS (SELECT user_id, dem, "
-            "row_number() OVER (ORDER BY dem, user_id) AS rn, "
-            "coalesce(sum(dem) OVER (ORDER BY dem, user_id "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) "
-            "AS pfx, count(*) OVER () AS n, sum(dem) OVER () AS tot "
-            "FROM d), "
-            "b AS (SELECT tot * 3 // 5 AS bud FROM o LIMIT 1), "
-            "s AS (SELECT o.*, bud, "
-            "(pfx + dem * (n - rn + 1)) <= bud AS sat "
-            "FROM o CROSS JOIN b), "
-            "j AS (SELECT coalesce(min(rn), "
-            "(SELECT max(rn) FROM s) + 1) AS j0 FROM s WHERE NOT sat), "
-            "r AS (SELECT CASE WHEN j0 > (SELECT max(rn) FROM s) "
-            "THEN 0 ELSE (SELECT bud - pfx FROM s WHERE rn = j0) END "
-            "AS rem, (SELECT max(rn) FROM s) - j0 + 1 AS m FROM j), "
-            "a AS (SELECT user_id, dem, "
-            "CASE WHEN rn < j0 THEN dem "
-            "ELSE rem // m + CASE WHEN rn - j0 < rem % m "
-            "THEN 1 ELSE 0 END END AS alloc "
-            "FROM s CROSS JOIN j CROSS JOIN r) "
-            "SELECT user_id, CAST(dem AS BIGINT) AS demand, "
-            "CAST(alloc AS BIGINT) AS alloc, alloc = dem AS satisfied "
-            "FROM a"
-        ),
-        "target_encode": (
-            "WITH t AS (SELECT c_custkey, c_mktsegment, "
-            "CAST(round(c_acctbal * 100) AS BIGINT) + 100000 AS b "
-            "FROM customer), "
-            "g AS (SELECT c_mktsegment, sum(b) AS s, count(*) AS n "
-            "FROM t GROUP BY 1), "
-            "p AS (SELECT sum(s) // sum(n) AS prior FROM g) "
-            "SELECT t.c_custkey, t.c_mktsegment, "
-            "CAST((g.s + 10 * p.prior) // (g.n + 10) AS BIGINT) AS enc "
-            "FROM t JOIN g USING (c_mktsegment) CROSS JOIN p"
-        ),
-        "log2_p99": (
-            "WITH v AS (SELECT o_orderpriority AS k, "
-            "CAST(round(o_totalprice * 100) AS BIGINT) AS c FROM orders), "
-            "h AS (SELECT k, length(bin(c)) - 1 AS b, count(*) AS n "
-            "FROM v GROUP BY 1, 2), "
-            "w AS (SELECT k, b, n, "
-            "sum(n) OVER (PARTITION BY k ORDER BY b) AS cum, "
-            "sum(n) OVER (PARTITION BY k) AS tot FROM h) "
-            "SELECT k AS o_orderpriority, CAST(tot AS BIGINT) AS n, "
-            "CAST(min(b) AS BIGINT) AS q_bucket, "
-            "(CAST(1 AS BIGINT) << CAST(min(b) AS INT)) AS q_lo, "
-            "(CAST(1 AS BIGINT) << (CAST(min(b) AS INT) + 1)) - 1 "
-            "AS q_hi "
-            "FROM w WHERE cum * 100 >= 99 * tot GROUP BY k, tot"
-        ),
-        "quantity_cume_dist": (
-            "SELECT l_orderkey, l_linenumber, "
-            "CAST(count(*) OVER (PARTITION BY l_linestatus "
-            "ORDER BY CAST(round(l_quantity) AS BIGINT)) * 1000000 "
-            "// count(*) OVER (PARTITION BY l_linestatus) "
-            "AS BIGINT) AS cume_ppm FROM lineitem"
-        ),
-        "value_histogram": (
-            "WITH v AS (SELECT CAST(round(value * 100) AS BIGINT) AS c "
-            "FROM events), "
-            "mm AS (SELECT min(c) AS lo, max(c) - min(c) + 1 AS span "
-            "FROM v) "
-            "SELECT (c - lo) * 20 // span AS bin, count(*) AS n, "
-            "min(c) AS lo_c, max(c) AS hi_c "
-            "FROM v, mm GROUP BY 1"
-        ),
-        "type_share": (
-            "WITH g AS (SELECT event_type, "
-            "sum(CAST(round(value * 100) AS BIGINT)) AS total_c "
-            "FROM events GROUP BY event_type) "
-            "SELECT event_type, CAST(total_c AS BIGINT) AS total_c, "
-            "CAST(CAST(total_c AS HUGEINT) * 1000000 "
-            "// CAST(sum(total_c) OVER () AS HUGEINT) AS BIGINT) "
-            "AS share_ppm FROM g"
-        ),
-        "posexplode_tokens": (
-            "WITH t AS (SELECT doc_id, "
-            "list_filter(string_split_regex(coalesce(text, ''), '\\s+'), "
-            "x -> x <> '') AS toks FROM documents) "
-            "SELECT doc_id, CAST(generate_subscripts(toks, 1) AS BIGINT) "
-            "AS pos, unnest(toks) AS token FROM t"
-        ),
-        "kwic_snippets": (
-            "WITH t AS (SELECT doc_id, "
-            "list_filter(string_split_regex(coalesce(text, ''), '\\s+'), "
-            "x -> x <> '') AS toks FROM documents), "
-            "p AS (SELECT doc_id, toks, "
-            "CAST(generate_subscripts(toks, 1) AS BIGINT) AS pos, "
-            "unnest(toks) AS tok FROM t) "
-            "SELECT doc_id, pos, "
-            "array_to_string(list_slice(toks, greatest(pos - 3, 1), "
-            "least(pos + 3, len(toks))), ' ') AS snippet "
-            "FROM p WHERE tok = 'merge'"
-        ),
-        "skipgram_pairs": (
-            "WITH t AS (SELECT doc_id, "
-            "list_filter(string_split_regex(coalesce(text, ''), '\\s+'), "
-            "x -> x <> '') AS toks FROM documents), "
-            "p AS (SELECT doc_id, "
-            "CAST(generate_subscripts(toks, 1) AS BIGINT) AS pos, "
-            "unnest(toks) AS tok FROM t) "
-            "SELECT a.tok AS left_tok, b.tok AS right_tok, "
-            "count(*) AS n FROM p a JOIN p b ON a.doc_id = b.doc_id "
-            "AND b.pos > a.pos AND b.pos <= a.pos + 3 "
-            "GROUP BY 1, 2 HAVING count(*) >= 3"
-        ),
-        "collocation_lift": (
-            "WITH t AS (SELECT doc_id, "
-            "list_filter(string_split_regex(coalesce(text, ''), '\\s+'), "
-            "x -> x <> '') AS toks FROM documents), "
-            "p AS (SELECT doc_id, "
-            "CAST(generate_subscripts(toks, 1) AS BIGINT) AS pos, "
-            "unnest(toks) AS tok FROM t), "
-            "u AS (SELECT tok, count(*) AS c FROM p GROUP BY tok), "
-            "tot AS (SELECT count(*) AS t FROM p), "
-            "b AS (SELECT a.tok AS l, b2.tok AS r, count(*) AS c_ab "
-            "FROM p a JOIN p b2 ON a.doc_id = b2.doc_id "
-            "AND b2.pos = a.pos + 1 GROUP BY 1, 2 "
-            "HAVING count(*) >= 5) "
-            "SELECT b.l AS left_tok, b.r AS right_tok, "
-            "CAST(b.c_ab AS BIGINT) AS n_pair, "
-            "CAST(CAST(b.c_ab AS HUGEINT) * tot.t * 1000000 "
-            "// (CAST(ul.c AS HUGEINT) * ur.c) AS BIGINT) AS lift_ppm "
-            "FROM b CROSS JOIN tot "
-            "JOIN u ul ON ul.tok = b.l JOIN u ur ON ur.tok = b.r"
-        ),
-        "weighted_median": (
-            "WITH h AS (SELECT l_returnflag, "
-            "CAST(round(l_quantity) AS BIGINT) AS v, "
-            "sum(CAST(round(l_extendedprice * 100) AS BIGINT)) AS w "
-            "FROM lineitem GROUP BY l_returnflag, v), "
-            "c AS (SELECT l_returnflag, v, "
-            "sum(w) OVER (PARTITION BY l_returnflag ORDER BY v) AS cw, "
-            "sum(w) OVER (PARTITION BY l_returnflag) AS tw FROM h) "
-            "SELECT l_returnflag, CAST(min(v) AS BIGINT) AS wmedian_qty "
-            "FROM c WHERE 2 * cw >= tw GROUP BY l_returnflag"
-        ),
-        "bag_intersect": (
-            "SELECT event_type FROM events "
-            "WHERE round(value * 100) >= 5000 "
-            "INTERSECT ALL "
-            "SELECT event_type FROM events WHERE user_id % 2 = 0"
-        ),
-        "bag_difference": (
-            "SELECT event_type FROM events "
-            "EXCEPT ALL "
-            "SELECT event_type FROM events "
-            "WHERE CAST(round(value * 100) AS BIGINT) >= 10000"
-        ),
-        "event_pairs_window": (
-            "SELECT a.event_id AS id_l, b.event_id AS id_r, "
-            "a.user_id FROM events a JOIN events b "
-            "ON a.user_id = b.user_id AND a.event_id < b.event_id "
-            "AND abs(CAST(floor(epoch(a.ts)) AS BIGINT) "
-            "- CAST(floor(epoch(b.ts)) AS BIGINT)) <= 600"
-        ),
-        "path_rollup": (
-            "WITH p AS (SELECT source AS s1, lang AS s2, "
-            "CAST(doc_id % 10 AS VARCHAR) AS s3, "
-            "CAST(doc_id AS VARCHAR) AS s4 FROM documents), "
-            "u AS (SELECT 1 AS depth, '/' || s1 AS prefix FROM p "
-            "UNION ALL SELECT 2, '/' || s1 || '/' || s2 FROM p "
-            "UNION ALL SELECT 3, '/' || s1 || '/' || s2 || '/' || s3 "
-            "FROM p "
-            "UNION ALL SELECT 4, "
-            "'/' || s1 || '/' || s2 || '/' || s3 || '/' || s4 FROM p) "
-            "SELECT depth, prefix, count(*) AS n FROM u "
-            "GROUP BY depth, prefix"
-        ),
-        "cumulative_users": (
-            "WITH f AS (SELECT user_id, "
-            "min(CAST(floor(epoch(ts) / 86400) AS BIGINT)) AS day "
-            "FROM events GROUP BY user_id), "
-            "c AS (SELECT day, count(*) AS new_users FROM f GROUP BY day) "
-            "SELECT day, new_users, "
-            "CAST(sum(new_users) OVER (ORDER BY day) AS BIGINT) "
-            "AS cum_users FROM c"
-        ),
-        "overlap_join_windows": (
-            "WITH L AS (SELECT o_orderkey, "
-            "CAST(floor(epoch(o_orderdate) / 86400) AS BIGINT) AS o_start, "
-            "CAST(floor(epoch(o_orderdate) / 86400) AS BIGINT) "
-            "+ o_orderkey % 20 AS o_end FROM orders), "
-            "R AS (SELECT s_suppkey, 8035 + (s_suppkey * 131) % 2300 AS a_start, "
-            "8035 + (s_suppkey * 131) % 2300 + s_suppkey % 30 + 5 AS a_end "
-            "FROM supplier WHERE s_suppkey % 10 = 0) "
-            "SELECT o_orderkey, o_start, o_end, s_suppkey, a_start, a_end "
-            "FROM L, R WHERE o_start <= a_end AND a_start <= o_end"
-        ),
-        "band_join_balances": (
-            "SELECT c_custkey, s_suppkey, "
-            "CAST(round(c_acctbal * 100) AS BIGINT) AS c_bal_c, "
-            "CAST(round(s_acctbal * 100) AS BIGINT) AS s_bal_c "
-            "FROM customer, supplier "
-            "WHERE abs(CAST(round(c_acctbal * 100) AS BIGINT) "
-            "- CAST(round(s_acctbal * 100) AS BIGINT)) <= 500"
-        ),
-        "join_revenue": (
-            "SELECT o_orderpriority, count(*) AS n_items, "
-            "CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT) * "
-            "(100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE) / 10000.0 "
-            "AS revenue "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "GROUP BY o_orderpriority"
         ),
         # dup-shingle set over ALL positions (cross-doc AND within-doc),
         # then gaps-and-islands merge of fixed-length spans per doc
@@ -1442,61 +374,6 @@ def oracle_sql_part_01() -> dict:
             ") SELECT doc_id, category, "
             "CAST(sum(new_group) OVER (PARTITION BY doc_id ORDER BY i) - 1 AS BIGINT) "
             "AS group_id FROM flags) GROUP BY doc_id, group_id"
-        ),
-        "bigram_lm": (
-            "WITH t AS (SELECT doc_id, string_split(text, ' ') AS toks "
-            "FROM documents), "
-            "uni AS (SELECT tok, count(*) AS n FROM "
-            "(SELECT unnest(string_split(text, ' ')) AS tok FROM documents) "
-            "GROUP BY tok), "
-            "bi AS (SELECT a, b, count(*) AS n FROM "
-            "(SELECT unnest(toks[1:len(toks)-1]) AS a, "
-            "unnest(toks[2:len(toks)]) AS b FROM t WHERE len(toks) >= 2) "
-            "GROUP BY a, b), "
-            "db AS (SELECT doc_id, unnest(toks[1:len(toks)-1]) AS a, "
-            "unnest(toks[2:len(toks)]) AS b, len(toks) AS nt FROM t "
-            "WHERE len(toks) >= 2), "
-            "sc AS (SELECT db.doc_id, "
-            "sum(coalesce(bi.n, 0) * 1000000 // uni.n) AS s, "
-            "any_value(nt) AS nt FROM db "
-            "JOIN uni ON db.a = uni.tok "
-            "LEFT JOIN bi ON db.a = bi.a AND db.b = bi.b "
-            "GROUP BY db.doc_id) "
-            "SELECT t.doc_id, "
-            "CAST(coalesce(sc.s // (sc.nt - 1), 0) AS BIGINT) AS lm_score_ppm "
-            "FROM t LEFT JOIN sc ON t.doc_id = sc.doc_id"
-        ),
-        "json_props": (
-            "SELECT event_type, count(*) AS n, "
-            "CAST(sum(CAST(json_extract(props, '$.k') AS BIGINT)) AS BIGINT) "
-            "AS sum_k, "
-            "max(CAST(json_extract(props, '$.k') AS BIGINT)) AS max_k "
-            "FROM events GROUP BY event_type"
-        ),
-        "customer_running": (
-            "SELECT o_orderkey, o_custkey, "
-            "CAST(row_number() OVER w AS BIGINT) AS seq, "
-            "CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) OVER w "
-            "AS BIGINT) AS run_cents "
-            "FROM orders "
-            "WINDOW w AS (PARTITION BY o_custkey "
-            "ORDER BY o_orderdate, o_orderkey)"
-        ),
-        "stratified_sample": (
-            "SELECT doc_id, source, h FROM ("
-            "SELECT doc_id, source, "
-            "(doc_id * 2654435761 + 12345) % 4294967296 AS h, "
-            "row_number() OVER (PARTITION BY source "
-            "ORDER BY (doc_id * 2654435761 + 12345) % 4294967296, doc_id) "
-            "AS rn FROM documents) WHERE rn <= 5"
-        ),
-        "events_pivot": (
-            "SELECT CAST(hour(ts) AS BIGINT) AS hour, "
-            + ", ".join(
-                f"CAST(sum(CASE WHEN event_type = '{t}' THEN 1 ELSE 0 END) "
-                f"AS BIGINT) AS n_{t}"
-                for t in ("click", "error", "purchase", "signup", "view"))
-            + " FROM events GROUP BY 1"
         ),
         "dedup_passages": (
             "WITH t AS (SELECT doc_id, "
@@ -1551,15 +428,6 @@ def oracle_sql_part_01() -> dict:
             "AND mean_word_len_ppm BETWEEN 3000000 AND 10000000 "
             "AND symbol_ppm <= 100000 AND bullet_ppm <= 900000 AS gq_keep "
             "FROM s"
-        ),
-        "urgent_revenue": (
-            "SELECT o_orderpriority, count(*) AS n_items, "
-            "CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT) * "
-            "(100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE) / 10000.0 "
-            "AS revenue "
-            "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "WHERE o_orderpriority = '1-URGENT' "
-            "GROUP BY o_orderpriority"
         ),
         "entities_table": (
             f"SELECT {_SQL_URL} AS url, 'PO-' || (10000 + doc_id) AS tag_po, "
@@ -1659,36 +527,9 @@ def oracle_sql_part_01() -> dict:
             "FROM tot, planted, "
             "(SELECT unnest(['keyword','ml','regex','tokenset']) AS technique)"
         ),
-        "top_orders": (
-            "SELECT o_orderkey, o_totalprice, o_orderdate FROM orders "
-            "ORDER BY o_totalprice DESC, o_orderkey LIMIT 20"
-        ),
         "audio_frames": (
             "SELECT doc_id, 4 AS n_frames, "
             "CAST(1000 + doc_id % 9000 AS DOUBLE) AS frame_rms FROM documents"
-        ),
-        "anti_join_customers": (
-            "SELECT c_custkey AS custkey, c_mktsegment FROM customer "
-            "WHERE c_custkey NOT IN "
-            "(SELECT o_custkey FROM orders WHERE o_totalprice > 400000.0)"
-        ),
-        "rollup_counts": (
-            "SELECT coalesce(lang, 'ALL') AS lang, "
-            "coalesce(source, 'ALL') AS source, count(*) AS n_docs "
-            "FROM documents GROUP BY GROUPING SETS "
-            "((lang), (source), (lang, source))"
-        ),
-        "topk_per_group": (
-            "SELECT o_orderpriority, o_orderkey, "
-            "CAST(CAST(round(o_totalprice * 100) AS BIGINT) AS DOUBLE) / 100.0 "
-            "AS o_totalprice FROM orders "
-            "QUALIFY row_number() OVER (PARTITION BY o_orderpriority "
-            "ORDER BY round(o_totalprice * 100) DESC, o_orderkey) <= 3"
-        ),
-        "median_quantity": (
-            "SELECT l_returnflag, l_linestatus, "
-            "median(CAST(l_quantity AS BIGINT)) AS median_qty "
-            "FROM lineitem GROUP BY 1, 2"
         ),
         # synthetic image archetypes (sources/images.py): closed-form
         # integer pixel sums per pattern; float ops mirror
@@ -1783,18 +624,6 @@ def oracle_sql_part_01() -> dict:
             "'\\d{2}\\.\\d{2}\\.\\d{4}', '<DATE>', 'g'), "
             "'[A-Z]{3} [\\d,]+\\.\\d{2}', '<AMT>', 'g') AS redacted "
             f"FROM ({_SQL_EXPECTED_PAGES})"
-        ),
-        "group_split": (
-            "SELECT doc_id, source, "
-            f"CAST({_sql_md5_le64('source')} % 5 AS BIGINT) AS fold "
-            "FROM documents"
-        ),
-        "schema_union": (
-            "SELECT doc_id, lang, CAST(NULL AS VARCHAR) AS source "
-            "FROM documents WHERE doc_id % 2 = 0 "
-            "UNION ALL "
-            "SELECT doc_id, lang, source FROM documents "
-            "WHERE doc_id % 2 = 1"
         ),
         "split_assign": (
             "SELECT doc_id, CASE "
@@ -1989,51 +818,11 @@ def oracle_sql_part_01() -> dict:
             "WHEN n_changes > 0 THEN 'warm' ELSE 'cold' END "
             "AS recrawl_bucket FROM a"
         ),
-        "price_quantiles": (
-            "WITH v AS (SELECT l_returnflag, "
-            "CAST(round(l_extendedprice * 100) AS BIGINT) AS v FROM lineitem), "
-            "b AS (SELECT l_returnflag, CASE WHEN v < 16 THEN v "
-            "ELSE 16 * (length(bin(CAST(v AS UBIGINT))) - 4) "
-            "+ ((v >> (length(bin(CAST(v AS UBIGINT))) - 5)) & 15) END "
-            "AS idx FROM v), "
-            "h AS (SELECT l_returnflag, idx, count(*) AS n FROM b "
-            "GROUP BY l_returnflag, idx), "
-            "c AS (SELECT l_returnflag, idx, "
-            "sum(n) OVER (PARTITION BY l_returnflag ORDER BY idx) AS cum, "
-            "sum(n) OVER (PARTITION BY l_returnflag) AS tot FROM h), "
-            "q(q_ppm) AS (VALUES (500000), (950000), (990000)), "
-            "sel AS (SELECT c.l_returnflag, q.q_ppm, min(c.idx) AS bidx "
-            "FROM c, q WHERE c.cum >= "
-            "CAST(ceil(q.q_ppm / 1000000.0 * c.tot) AS BIGINT) "
-            "GROUP BY c.l_returnflag, q.q_ppm) "
-            "SELECT l_returnflag, q_ppm, CAST(CASE WHEN bidx < 32 THEN bidx "
-            "ELSE ((bidx % 16 + 17) << (bidx // 16 - 1)) - 1 END AS BIGINT) "
-            "AS est FROM sel"
-        ),
         "fetch_waves": (
             f"WITH p AS (SELECT {_SQL_URL} AS url FROM documents), "
             "h AS (SELECT url, string_split(url, '/')[3] AS host FROM p) "
             "SELECT url, host, CAST(row_number() OVER "
             "(PARTITION BY host ORDER BY url) AS BIGINT) AS wave FROM h"
-        ),
-        "profile_columns": (
-            "SELECT 'l_returnflag' AS \"column\", CAST(count(*) AS BIGINT) "
-            "AS n_rows, CAST(count(*) - count(l_returnflag) AS BIGINT) "
-            "AS n_null, CAST(count(DISTINCT l_returnflag) AS BIGINT) "
-            "AS n_distinct, CAST(min(l_returnflag) AS VARCHAR) AS min_v, "
-            "CAST(max(l_returnflag) AS VARCHAR) AS max_v FROM lineitem "
-            "UNION ALL SELECT 'l_linestatus', count(*), "
-            "count(*) - count(l_linestatus), count(DISTINCT l_linestatus), "
-            "CAST(min(l_linestatus) AS VARCHAR), "
-            "CAST(max(l_linestatus) AS VARCHAR) FROM lineitem "
-            "UNION ALL SELECT 'l_quantity', count(*), "
-            "count(*) - count(l_quantity), count(DISTINCT l_quantity), "
-            "CAST(CAST(min(l_quantity) AS BIGINT) AS VARCHAR), "
-            "CAST(CAST(max(l_quantity) AS BIGINT) AS VARCHAR) FROM lineitem "
-            "UNION ALL SELECT 'l_linenumber', count(*), "
-            "count(*) - count(l_linenumber), count(DISTINCT l_linenumber), "
-            "CAST(CAST(min(l_linenumber) AS BIGINT) AS VARCHAR), "
-            "CAST(CAST(max(l_linenumber) AS BIGINT) AS VARCHAR) FROM lineitem"
         ),
         "dead_letter": (
             "SELECT CASE WHEN doc_id % 3 = 0 THEN 'heavy.example.com' "
@@ -2055,187 +844,6 @@ def oracle_sql_part_01() -> dict:
             "SELECT url, host, wave, CAST((wave - 1) * delay AS BIGINT) "
             "AS fetch_at_s FROM w"
         ),
-        "users_sketch": (
-            f"WITH h AS (SELECT DISTINCT event_type, "
-            f"{_sql_md5_le64('CAST(user_id AS VARCHAR)')} AS hv FROM events), "
-            "r AS (SELECT event_type, hv, row_number() OVER "
-            "(PARTITION BY event_type ORDER BY hv) AS rn FROM h), "
-            "o AS (SELECT event_type, hv FROM r WHERE rn <= 128), "
-            "a AS (SELECT event_type, count(*) AS m, max(hv) AS hk "
-            "FROM o GROUP BY event_type) "
-            "SELECT event_type, CAST(m AS BIGINT) AS n_kept, "
-            "CAST(CASE WHEN m < 128 THEN CAST(m AS HUGEINT) "
-            "ELSE CAST(127 AS HUGEINT) * "
-            "CAST(18446744073709551616 AS HUGEINT) // hk END AS BIGINT) "
-            "AS est_distinct FROM a"
-        ),
-        "events_anomaly": (
-            "WITH c AS (SELECT event_type, date_trunc('hour', ts) AS hour, "
-            "CAST(count(*) AS BIGINT) AS x FROM events "
-            "GROUP BY event_type, hour), "
-            "w AS (SELECT event_type, hour, x, "
-            "CAST(count(*) OVER (PARTITION BY event_type) AS BIGINT) AS n, "
-            "CAST(sum(x) OVER (PARTITION BY event_type) AS BIGINT) AS s, "
-            "CAST(sum(x * x) OVER (PARTITION BY event_type) AS BIGINT) AS q "
-            "FROM c) "
-            "SELECT event_type, hour, x, "
-            "(x * n - s) > 0 AND (x * n - s) * (x * n - s) "
-            "> 9 * (n * q - s * s) AS is_spike FROM w"
-        ),
-        "khop_frontier": (
-            "WITH RECURSIVE nn AS (SELECT count(*) AS n FROM documents), "
-            "e AS ("
-            "SELECT doc_id AS src, (doc_id + 1) % nn.n AS dst "
-            "FROM documents, nn "
-            "UNION ALL SELECT doc_id, (doc_id + 2) % nn.n "
-            "FROM documents, nn "
-            "UNION ALL SELECT doc_id, (doc_id * 7 + 1) % nn.n "
-            "FROM documents, nn), "
-            "bfs(node, depth) AS ("
-            "SELECT doc_id, 0 FROM documents WHERE doc_id % 997 = 0 "
-            "UNION ALL "
-            "SELECT e.dst, b.depth + 1 FROM bfs b "
-            "JOIN e ON b.node = e.src WHERE b.depth < 3) "
-            "SELECT node, CAST(min(depth) AS BIGINT) AS depth "
-            "FROM bfs GROUP BY node"
-        ),
-        "sssp_weighted": (
-            "WITH RECURSIVE nn AS (SELECT count(*) AS n FROM documents), "
-            "e AS ("
-            "SELECT doc_id AS src, (doc_id + 1) % nn.n AS dst "
-            "FROM documents, nn "
-            "UNION ALL SELECT doc_id, (doc_id + 2) % nn.n "
-            "FROM documents, nn "
-            "UNION ALL SELECT doc_id, (doc_id * 7 + 1) % nn.n "
-            "FROM documents, nn), "
-            "we AS (SELECT src, dst, 1 + (src + dst) % 5 AS w FROM e), "
-            "sp(node, dist, hops) AS ("
-            "SELECT doc_id, 0, 0 FROM documents WHERE doc_id % 997 = 0 "
-            "UNION ALL "
-            "SELECT we.dst, s.dist + we.w, s.hops + 1 FROM sp s "
-            "JOIN we ON s.node = we.src WHERE s.hops < 3) "
-            "SELECT node, CAST(min(dist) AS BIGINT) AS dist "
-            "FROM sp GROUP BY node"
-        ),
-        "table_checksum": (
-            "WITH rows_c AS (SELECT 'customer' AS table_name, "
-            f"{_sql_md5_le64(chr(39) + 'customer|' + chr(39) + ' || CAST(c_custkey AS VARCHAR) || ' + chr(39) + '|' + chr(39) + ' || c_name || ' + chr(39) + '|' + chr(39) + ' || c_mktsegment')} AS hv FROM customer), "
-            "rows_o AS (SELECT 'orders' AS table_name, "
-            f"{_sql_md5_le64(chr(39) + 'orders|' + chr(39) + ' || CAST(o_orderkey AS VARCHAR) || ' + chr(39) + '|' + chr(39) + ' || o_orderstatus || ' + chr(39) + '|' + chr(39) + ' || o_orderpriority')} AS hv FROM orders), "
-            "rows_n AS (SELECT 'nation' AS table_name, "
-            f"{_sql_md5_le64(chr(39) + 'nation|' + chr(39) + ' || CAST(n_nationkey AS VARCHAR) || ' + chr(39) + '|' + chr(39) + ' || n_name')} AS hv FROM nation), "
-            "u AS (SELECT * FROM rows_c UNION ALL SELECT * FROM rows_o "
-            "UNION ALL SELECT * FROM rows_n), "
-            "a AS (SELECT table_name, CAST(count(*) AS BIGINT) AS n_rows, "
-            "sum(hv) % CAST(18446744073709551616 AS HUGEINT) AS chk "
-            "FROM u GROUP BY table_name) "
-            "SELECT table_name, n_rows, "
-            "CAST(CASE WHEN chk >= CAST(9223372036854775808 AS HUGEINT) "
-            "THEN chk - CAST(18446744073709551616 AS HUGEINT) "
-            "ELSE chk END AS BIGINT) AS checksum FROM a"
-        ),
-        "string_agg_topdocs": (
-            "SELECT source, string_agg(CAST(doc_id AS VARCHAR), ',' "
-            "ORDER BY doc_id) AS doc_list, "
-            "CAST(count(*) AS BIGINT) AS n_top FROM ("
-            "SELECT source, doc_id, row_number() OVER ("
-            "PARTITION BY source ORDER BY doc_id) AS rn FROM documents) "
-            "WHERE rn <= 5 GROUP BY source"
-        ),
-        "gap_fill": (
-            "WITH c AS (SELECT event_type, date_trunc('hour', ts) AS hour, "
-            "CAST(count(*) AS BIGINT) AS n_events, "
-            "CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) "
-            "AS cents FROM events GROUP BY event_type, hour), "
-            "span AS (SELECT min(hour) AS h0, max(hour) AS h1 FROM c), "
-            "grid AS (SELECT t.event_type, g.hour FROM "
-            "(SELECT DISTINCT event_type FROM events) t CROSS JOIN "
-            "(SELECT unnest(generate_series(h0, h1, INTERVAL 1 HOUR)) "
-            "AS hour FROM span) g), "
-            "j AS (SELECT grid.event_type, grid.hour, "
-            "coalesce(c.n_events, 0) AS n_events, c.cents AS obs "
-            "FROM grid LEFT JOIN c "
-            "ON grid.event_type = c.event_type AND grid.hour = c.hour) "
-            "SELECT event_type, hour, n_events, "
-            "last_value(obs IGNORE NULLS) OVER (PARTITION BY event_type "
-            "ORDER BY hour ROWS BETWEEN UNBOUNDED PRECEDING AND "
-            "CURRENT ROW) AS cents FROM j"
-        ),
-        "cube_counts": (
-            "SELECT coalesce(lang, 'ALL') AS lang, "
-            "coalesce(source, 'ALL') AS source, "
-            "CAST(count(*) AS BIGINT) AS n_docs, "
-            "CAST(sum(n_chars) AS BIGINT) AS total_chars "
-            "FROM documents GROUP BY CUBE (lang, source)"
-        ),
-        "scd2_join": (
-            "WITH v AS ("
-            "SELECT c_custkey, CAST(1 AS BIGINT) AS version, "
-            "TIMESTAMP '1992-01-01' AS valid_from FROM customer "
-            "UNION ALL SELECT c_custkey, 2, "
-            "TIMESTAMP '1996-01-01' + INTERVAL (c_custkey % 365) DAY "
-            "FROM customer "
-            "UNION ALL SELECT c_custkey, 3, "
-            "TIMESTAMP '1999-01-01' + INTERVAL ((c_custkey * 7) % 365) DAY "
-            "FROM customer), "
-            "d AS (SELECT c_custkey, version, valid_from, "
-            "coalesce(lead(valid_from) OVER (PARTITION BY c_custkey "
-            "ORDER BY valid_from), TIMESTAMP '9999-01-01') AS valid_to, "
-            "CASE (c_custkey + version) % 5 WHEN 0 THEN 'BRONZE' WHEN 1 THEN 'SILVER' WHEN 2 THEN 'GOLD' WHEN 3 THEN 'PLATINUM' ELSE 'TRIAL' END AS segment FROM v) "
-            "SELECT o.o_orderkey, o.o_custkey, o.o_orderdate, "
-            "d.version, d.segment FROM orders o JOIN d "
-            "ON o.o_custkey = d.c_custkey "
-            "AND o.o_orderdate >= d.valid_from "
-            "AND o.o_orderdate < d.valid_to"
-        ),
-        "grouped_regression": (
-            "WITH b AS (SELECT l_returnflag, "
-            "CAST(l_quantity AS BIGINT) AS x, "
-            "CAST(round(l_extendedprice * 100) AS BIGINT) AS y "
-            "FROM lineitem), "
-            "a AS (SELECT l_returnflag, CAST(count(*) AS BIGINT) AS n, "
-            "CAST(sum(x) AS BIGINT) AS sum_x, "
-            "CAST(sum(y) AS BIGINT) AS sum_y, "
-            "CAST(sum(x * x) AS BIGINT) AS sum_xx, "
-            "CAST(sum(x * y) AS BIGINT) AS sum_xy "
-            "FROM b GROUP BY l_returnflag) "
-            "SELECT l_returnflag, n, sum_x, sum_y, sum_xx, sum_xy, "
-            "CAST(n * sum_xy - sum_x * sum_y AS BIGINT) AS cov_num, "
-            "CAST(n * sum_xx - sum_x * sum_x AS BIGINT) AS var_num, "
-            "CAST(CASE WHEN n * sum_xx - sum_x * sum_x = 0 THEN 0 "
-            "ELSE (n * sum_xy - sum_x * sum_y) "
-            "// (n * sum_xx - sum_x * sum_x) END AS BIGINT) AS slope_q "
-            "FROM a"
-        ),
-        "event_transitions": (
-            "SELECT prev_type, event_type AS next_type, "
-            "CAST(count(*) AS BIGINT) AS n FROM ("
-            "SELECT event_type, lag(event_type) OVER "
-            "(PARTITION BY user_id ORDER BY ts, event_id) AS prev_type "
-            "FROM events) WHERE prev_type IS NOT NULL "
-            "GROUP BY prev_type, next_type"
-        ),
-        "funnel_conversion": (
-            "WITH f AS (SELECT * FROM events WHERE value >= 150), "
-            "s1 AS (SELECT user_id, min(ts) AS t1 FROM f "
-            "WHERE event_type = 'view' GROUP BY user_id), "
-            "s2 AS (SELECT e.user_id, min(e.ts) AS t2 FROM f e "
-            "JOIN s1 ON e.user_id = s1.user_id AND e.ts > s1.t1 "
-            "WHERE e.event_type = 'click' GROUP BY e.user_id), "
-            "s3 AS (SELECT e.user_id, min(e.ts) AS t3 FROM f e "
-            "JOIN s2 ON e.user_id = s2.user_id AND e.ts > s2.t2 "
-            "WHERE e.event_type = 'purchase' GROUP BY e.user_id), "
-            "d AS (SELECT u.user_id, CAST(CASE "
-            "WHEN s3.user_id IS NOT NULL THEN 3 "
-            "WHEN s2.user_id IS NOT NULL THEN 2 "
-            "WHEN s1.user_id IS NOT NULL THEN 1 ELSE 0 END AS BIGINT) "
-            "AS depth FROM (SELECT DISTINCT user_id FROM f) u "
-            "LEFT JOIN s1 ON u.user_id = s1.user_id "
-            "LEFT JOIN s2 ON u.user_id = s2.user_id "
-            "LEFT JOIN s3 ON u.user_id = s3.user_id) "
-            "SELECT depth, CAST(count(*) AS BIGINT) AS n_users "
-            "FROM d GROUP BY depth"
-        ),
         "lang_rebalance": (
             "SELECT doc_id, lang, n_chars FROM ("
             "SELECT doc_id, lang, CAST(length(text) AS BIGINT) AS n_chars, "
@@ -2253,22 +861,6 @@ def oracle_sql_part_01() -> dict:
             f"{_SQL_QUALITY_DERIVED.strip()} FROM ("
             f"SELECT doc_id, lang, {_SQL_QUALITY_METRICS.strip()} "
             "FROM documents))"
-        ),
-        "cm_counts": (
-            "WITH toks AS (SELECT unnest(list_filter(string_split_regex("
-            "text, '\\s+'), x -> x <> '')) AS tok FROM documents), "
-            "top AS (SELECT tok, CAST(count(*) AS BIGINT) AS n_true "
-            "FROM toks GROUP BY tok ORDER BY n_true DESC, tok LIMIT 20), "
-            "b AS (SELECT i, CAST(list_sum(list_transform(generate_series(0, 7), j -> (CAST(strpos('0123456789abcdef', substr(md5(CAST(i AS VARCHAR) || ':' || tok), 2*j+1, 1)) - 1 AS HUGEINT) * 16 + CAST(strpos('0123456789abcdef', substr(md5(CAST(i AS VARCHAR) || ':' || tok), 2*j+2, 1)) - 1 AS HUGEINT)) * [CAST(1 AS HUGEINT), CAST(256 AS HUGEINT), CAST(65536 AS HUGEINT), CAST(16777216 AS HUGEINT), CAST(4294967296 AS HUGEINT), CAST(1099511627776 AS HUGEINT), CAST(281474976710656 AS HUGEINT), CAST(72057594037927936 AS HUGEINT)][j + 1])) % 1024 AS BIGINT) AS bucket, "
-            "CAST(count(*) AS BIGINT) AS n FROM toks, "
-            "(SELECT unnest(range(0, 4)) AS i) GROUP BY 1, 2), "
-            "q AS (SELECT tok, n_true, i, "
-            "CAST(list_sum(list_transform(generate_series(0, 7), j -> (CAST(strpos('0123456789abcdef', substr(md5(CAST(i AS VARCHAR) || ':' || tok), 2*j+1, 1)) - 1 AS HUGEINT) * 16 + CAST(strpos('0123456789abcdef', substr(md5(CAST(i AS VARCHAR) || ':' || tok), 2*j+2, 1)) - 1 AS HUGEINT)) * [CAST(1 AS HUGEINT), CAST(256 AS HUGEINT), CAST(65536 AS HUGEINT), CAST(16777216 AS HUGEINT), CAST(4294967296 AS HUGEINT), CAST(1099511627776 AS HUGEINT), CAST(281474976710656 AS HUGEINT), CAST(72057594037927936 AS HUGEINT)][j + 1])) % 1024 AS BIGINT) AS bucket FROM top, "
-            "(SELECT unnest(range(0, 4)) AS i)) "
-            "SELECT q.tok AS token, q.n_true, "
-            "CAST(min(coalesce(b.n, 0)) AS BIGINT) AS cm_est "
-            "FROM q LEFT JOIN b ON q.i = b.i AND q.bucket = b.bucket "
-            "GROUP BY q.tok, q.n_true"
         ),
         "robots_txt_rules": (
             # mirrors the deterministic per-host policies in the query:
@@ -2332,42 +924,6 @@ def oracle_sql_part_01() -> dict:
             "UNION ALL SELECT 2, vec_id FROM p2 "
             "UNION ALL SELECT 3, vec_id FROM p3"
         ),
-        "zorder_keys": (
-            "SELECT l_orderkey, l_partkey, l_linenumber, "
-            "CAST(list_sum(list_transform(generate_series(0, 15), i -> "
-            "(((l_orderkey >> i) & 1) << (2 * i)) "
-            "+ (((l_partkey >> i) & 1) << (2 * i + 1)))) AS BIGINT) "
-            "AS zkey FROM lineitem"
-        ),
-        "merge_upsert": (
-            "SELECT doc_id, source, CAST(CASE WHEN doc_id % 3 = 0 THEN 1 "
-            "ELSE 0 END AS BIGINT) AS version FROM documents "
-            "WHERE doc_id % 7 <> 0"
-        ),
-        "asof_snapshot": (
-            "SELECT doc_id, source, CAST(CASE WHEN doc_id % 3 = 0 THEN 1 "
-            "ELSE 0 END AS BIGINT) AS version FROM documents"
-        ),
-        "scd2_build": (
-            "WITH o AS (SELECT user_id, "
-            "CAST(floor(epoch(ts)) AS BIGINT) AS t, "
-            "min(event_type) AS event_type FROM events "
-            "GROUP BY user_id, t), "
-            "s AS (SELECT *, lag(event_type) OVER (PARTITION BY user_id "
-            "ORDER BY t) AS pv FROM o), "
-            "st AS (SELECT user_id, t, event_type FROM s "
-            "WHERE pv IS NULL OR event_type <> pv), "
-            "r AS (SELECT user_id, event_type, t AS valid_from, "
-            "lead(t) OVER (PARTITION BY user_id ORDER BY t) AS nxt "
-            "FROM st) "
-            "SELECT user_id, event_type, valid_from, "
-            "coalesce(nxt, 4102444800) AS valid_to FROM r"
-        ),
-        "late_events": (
-            "SELECT event_id, user_id, "
-            "ts < max(ts) OVER (PARTITION BY user_id) "
-            "- INTERVAL 120 MINUTE AS is_late FROM events"
-        ),
         # the TRUE amp-side Jaccard pair set (same ground-truth machinery
         # as minhash_neardup): at larger scales template-heavy pages make
         # an amp variant a genuine >=0.8 match of MORE than its original,
@@ -2393,18 +949,6 @@ def oracle_sql_part_01() -> dict:
         ),
         "ipc_roundtrip": (
             f"SELECT url, text FROM ({_SQL_EXPECTED_PAGES})"
-        ),
-        "sorted_export": (
-            f"WITH p AS (SELECT {_SQL_URL} AS url FROM documents), "
-            "k AS (SELECT lower(array_to_string(list_reverse(string_split("
-            "string_split(url, '/')[3], '.')), ',') || ')' || "
-            "substr(url, 9 + length(string_split(url, '/')[3]))) AS key "
-            "FROM p), "
-            "b AS (SELECT key, CAST((key >= 'com,example,src1')::INT "
-            "+ (key >= 'com,example,src3')::INT "
-            "+ (key >= 'com,example,src6')::INT AS BIGINT) AS shard FROM k) "
-            "SELECT shard, CAST(count(*) AS BIGINT) AS n_rows, "
-            "min(key) AS min_key, max(key) AS max_key FROM b GROUP BY shard"
         ),
         "orc_roundtrip": (
             f"SELECT url, text FROM ({_SQL_EXPECTED_PAGES})"
@@ -2504,8 +1048,6 @@ def oracle_sql_part_01() -> dict:
             "SELECT p.url, p.host, h.host_docs FROM p JOIN h USING (host)"
         ),
         "kmeans_clusters": _sql_kmeans(k=4, iters=2),
-        "pagerank": _sql_pagerank(iters=2),
-        "pagerank_irregular": _sql_pagerank_irregular(iters=2),
         "rendezvous_shards": (
             "WITH s AS (SELECT unnest(['shard-a', 'shard-b', 'shard-c', "
             "'shard-d', 'shard-e']) AS shard), "
@@ -2522,11 +1064,6 @@ def oracle_sql_part_01() -> dict:
         "redirect_resolve": (
             "SELECT doc_id AS node, (doc_id // 8) * 8 AS final "
             "FROM documents"
-        ),
-        "ntile_split": (
-            "SELECT doc_id, lang, n_chars, "
-            "ntile(10) OVER (PARTITION BY lang "
-            "ORDER BY n_chars, doc_id) AS tile FROM documents"
         ),
         # keep-in-sync: mirrors _q_fuzzy_hosts' planted deletion
         # (position doc_id % len, 0-based) and the argmin/tie-break
@@ -2547,56 +1084,7 @@ def oracle_sql_part_01() -> dict:
             "SELECT doc_id, dirty, chost AS canon_host, dist "
             "FROM r WHERE rn = 1 AND dist <= 2"
         ),
-        "symspell_pairs": (
-            "WITH d AS (SELECT doc_id, CASE WHEN doc_id % 3 = 0 "
-            "THEN 'heavy.example.com' "
-            "ELSE source || '.example.com' END AS host FROM documents), "
-            "t AS (SELECT DISTINCT "
-            "substr(host, 1, CAST(doc_id % length(host) AS INT)) || "
-            "substr(host, CAST(doc_id % length(host) AS INT) + 2) "
-            "AS dirty FROM d), "
-            "c AS (SELECT DISTINCT source || '.example.com' AS canon "
-            "FROM documents UNION SELECT 'heavy.example.com') "
-            "SELECT t.dirty, c.canon, "
-            "CAST(levenshtein(t.dirty, c.canon) AS BIGINT) AS dist "
-            "FROM t CROSS JOIN c WHERE levenshtein(t.dirty, c.canon) <= 1"
-        ),
-        # keep-in-sync: mirrors _q_triangle_count's edge generator
-        # (i -> i+1, i+2, 7i+1 mod n); wedge a<b<c closed by a 3-way
-        # self-join over the oriented-distinct edge set
-        "triangle_count": (
-            "WITH nn AS (SELECT count(*) AS n FROM documents), "
-            "raw AS ("
-            "SELECT doc_id AS a, (doc_id + 1) % nn.n AS b "
-            "FROM documents, nn "
-            "UNION ALL SELECT doc_id, (doc_id + 2) % nn.n "
-            "FROM documents, nn "
-            "UNION ALL SELECT doc_id, (doc_id * 7 + 1) % nn.n "
-            "FROM documents, nn), "
-            "e AS (SELECT DISTINCT least(a, b) AS lo, greatest(a, b) AS hi "
-            "FROM raw WHERE a <> b), "
-            "w AS (SELECT e1.lo AS apex, e1.hi AS b, e2.hi AS c "
-            "FROM e e1 JOIN e e2 ON e1.lo = e2.lo AND e1.hi < e2.hi) "
-            "SELECT w.apex AS node, count(*) AS n_triangles "
-            "FROM w JOIN e ON e.lo = w.b AND e.hi = w.c GROUP BY 1"
-        ),
         "pq_codes": _sql_pq(m=4, k=4, iters=2, dim=64),
-        "p95_quantity": (
-            "WITH c AS (SELECT l_returnflag, l_linestatus, "
-            "CAST(l_quantity AS BIGINT) AS v, count(*) AS n FROM lineitem "
-            "GROUP BY 1, 2, 3), "
-            "w AS (SELECT l_returnflag, l_linestatus, v, "
-            "sum(n) OVER (PARTITION BY l_returnflag, l_linestatus "
-            "ORDER BY v) AS cum, "
-            "sum(n) OVER (PARTITION BY l_returnflag, l_linestatus) AS tot "
-            "FROM c) "
-            "SELECT l_returnflag, l_linestatus, min(v) AS p95_qty FROM w "
-            "WHERE cum >= ceil(0.95 * tot) GROUP BY 1, 2"
-        ),
-        "users_per_event": (
-            "SELECT event_type, count(DISTINCT user_id) AS n_distinct "
-            "FROM events GROUP BY event_type"
-        ),
         "images_to_pdf": (
             "SELECT doc_id, 1 + doc_id % 3 AS n_pages, true AS pdf_valid "
             "FROM documents"
@@ -2928,15 +1416,6 @@ def oracle_sql_part_01() -> dict:
             "CASE WHEN doc_id % 97 = 0 THEN 0 ELSE 792 END AS raster_h "
             "FROM t"
         ),
-        "events_rate_windows": (
-            "WITH iv AS (SELECT k AS interval_id, "
-            "TIMESTAMP '2024-01-01' + k * INTERVAL 45 MINUTE AS s, "
-            "TIMESTAMP '2024-01-01' + k * INTERVAL 45 MINUTE "
-            "+ INTERVAL 60 MINUTE AS e, k % 3 AS rate_class "
-            "FROM (SELECT unnest(range(0, 960)) AS k)) "
-            "SELECT ev.event_id, iv.interval_id, iv.rate_class "
-            "FROM events ev JOIN iv ON ev.ts >= iv.s AND ev.ts < iv.e"
-        ),
         "video_frames": (
             "WITH d AS (SELECT doc_id, 4 + doc_id % 5 AS n_frames "
             "FROM documents), "
@@ -2945,48 +1424,6 @@ def oracle_sql_part_01() -> dict:
             "SELECT doc_id, n_frames, frame_idx, "
             "(((doc_id * 7 + frame_idx * 13) % 256) * 1000000) // 255 "
             "AS brightness_ppm FROM f"
-        ),
-        "kmv_distinct": (
-            "WITH t AS (SELECT list_filter(string_split_regex(text, '\\s+'), "
-            "x -> x <> '') AS toks FROM documents), "
-            "s AS (SELECT DISTINCT sh FROM (SELECT "
-            "unnest(list_transform(generate_series(1, len(toks) - 2), "
-            "i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2])) AS sh "
-            "FROM t)), "
-            f"h AS (SELECT {_sql_md5_le64('sh')} AS hv FROM s), "
-            "o AS (SELECT hv FROM h ORDER BY hv LIMIT 128), "
-            "a AS (SELECT count(*) AS m, max(hv) AS hk FROM o) "
-            "SELECT 128 AS k, m AS n_kept, "
-            "CAST(CASE WHEN m < 128 THEN CAST(m AS HUGEINT) "
-            "ELSE CAST(127 AS HUGEINT) * "
-            "CAST(18446744073709551616 AS HUGEINT) // hk END AS BIGINT) "
-            "AS est_distinct FROM a"
-        ),
-        # HLL: bucket = low 10 hash bits, rho = leftmost-1 position of the
-        # 54-bit remainder (exact via length(bin(r)), no float log2);
-        # Σ 2^-M_j carried as the integer Σ 2^(64-M_j); alpha_ppm is the
-        # shared sketches.HLL_ALPHA_PPM constant. DISTINCT on shingles is
-        # a no-op for register state (duplicates can't raise a max).
-        "hll_distinct": (
-            "WITH t AS (SELECT list_filter(string_split_regex(text, '\\s+'), "
-            "x -> x <> '') AS toks FROM documents), "
-            "s AS (SELECT DISTINCT sh FROM (SELECT "
-            "unnest(list_transform(generate_series(1, len(toks) - 2), "
-            "i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2])) AS sh "
-            "FROM t)), "
-            f"h AS (SELECT {_sql_md5_le64('sh')} AS hv FROM s), "
-            "b AS (SELECT CAST(hv % 1024 AS BIGINT) AS bucket, "
-            "CAST(hv // 1024 AS UBIGINT) AS r FROM h), "
-            "rr AS (SELECT bucket, CASE WHEN r = 0 THEN 55 "
-            "ELSE 55 - length(bin(r)) END AS rho FROM b), "
-            "mx AS (SELECT bucket, max(rho) AS mrho FROM rr GROUP BY bucket), "
-            "a AS (SELECT count(*) AS npres, "
-            "sum(CAST(1 AS HUGEINT) << (64 - mrho)) AS s_present FROM mx) "
-            "SELECT 1024 AS m, CAST(1024 - npres AS BIGINT) AS n_zero, "
-            f"CAST(CAST({_HLL_ALPHA_PPM} AS HUGEINT) * 1048576 "
-            "* (CAST(1 AS HUGEINT) << 64) // (CAST(1000000 AS HUGEINT) "
-            "* (s_present + (1024 - npres) * (CAST(1 AS HUGEINT) << 64))) "
-            "AS BIGINT) AS est_raw FROM a"
         ),
         "curate_corpus": (
             "SELECT doc_id, lang, n_chars, confidence FROM ("

@@ -15,7 +15,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pandas as pd
@@ -329,91 +328,6 @@ def zorder_key(x: np.ndarray, y: np.ndarray, bits: int = 16) -> np.ndarray:
         out |= ((x >> i) & 1) << (2 * i)
         out |= ((y >> i) & 1) << (2 * i + 1)
     return out
-
-
-def ivm_delta_counts(base_ds, changes_ds, *, key_col: str, val_col: str,
-                     out_col: str = "total"):
-    """Incremental view maintenance for a grouped SUM: the materialized
-    per-key totals of the BASE state plus the changelog's SIGNED deltas
-    (insert → +v, delete → −v_old, update → v_new − v_old) — the daily
-    10 TB delta updates the corpus-wide aggregate without re-reading the
-    100 TB base. Both inputs pre-combine per batch; one bounded
-    (key)-exchange sums base partials and deltas together. The result is
-    EXACTLY the aggregate of the post-change state (integer values), so
-    the oracle just aggregates the final state directly.
-
-    ``changes_ds`` rows carry ``(key, delta)`` already signed by the
-    caller (the CDC extractor knows old and new values)."""
-    from ray.data.aggregate import Sum
-
-    def base_partial(batch: pa.Table) -> pa.Table:
-        df = batch.select([key_col, val_col]).to_pandas()
-        g = df.groupby(key_col, as_index=False)[val_col].sum()
-        g = g.rename(columns={val_col: "_d"})
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def delta_partial(batch: pa.Table) -> pa.Table:
-        df = batch.select([key_col, "delta"]).to_pandas()
-        g = df.groupby(key_col, as_index=False)["delta"].sum()
-        g = g.rename(columns={"delta": "_d"})
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    parts = base_ds.map_batches(base_partial, batch_format="pyarrow").union(
-        changes_ds.map_batches(delta_partial, batch_format="pyarrow"))
-    return (parts.groupby(key_col)
-            .aggregate(Sum("_d", alias_name=out_col)))
-
-
-def winsorize_grouped(ds, *, key_cols: list[str], val_col: str,
-                      q_lo: float = 0.05, q_hi: float = 0.95,
-                      out_col: str = "clipped"):
-    """Group-wise winsorization: clip an integer column to its group's
-    exact [q_lo, q_hi] quantiles — the outlier-taming step before
-    length/price statistics feed a model. Two passes: the bounded
-    keys×distinct-values histogram yields both boundaries (same closed
-    form as grouped_quantile_int: smallest value whose cumulative count
-    reaches ceil(q·n)), the boundary table broadcasts (groups ≪ rows),
-    and the clip is one vectorized map. Appends ``out_col``; boundaries
-    and clipped values are integers, so the SQL mirror (window cumsum +
-    least/greatest) is exact."""
-    import math
-
-    import ray
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["_v"] = df[val_col].astype("int64")
-        g = df.groupby(key_cols + ["_v"], as_index=False).size()
-        g = g.rename(columns={"size": "_n"})
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    hist = (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(key_cols + ["_v"])
-            .aggregate(Sum("_n", alias_name="_n")).to_pandas())
-
-    bounds: dict = {}
-    for key, g in hist.groupby(key_cols):
-        g = g.sort_values("_v", kind="mergesort")
-        n = int(g["_n"].sum())
-        cum = g["_n"].cumsum().to_numpy()
-        vals = g["_v"].to_numpy()
-        lo = int(vals[np.searchsorted(cum, math.ceil(q_lo * n))])
-        hi = int(vals[np.searchsorted(cum, math.ceil(q_hi * n))])
-        bounds[key if isinstance(key, tuple) else (key,)] = (lo, hi)
-    ref = ray.put(bounds)
-
-    def clip(batch: pa.Table) -> pa.Table:
-        b = ray.get(ref)
-        df = batch.to_pandas()
-        keys = list(zip(*(df[k] for k in key_cols)))
-        lo = np.array([b[k][0] for k in keys], np.int64)
-        hi = np.array([b[k][1] for k in keys], np.int64)
-        v = df[val_col].to_numpy().astype(np.int64)
-        df[out_col] = np.minimum(np.maximum(v, lo), hi)
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    return ds.map_batches(clip, batch_format="pyarrow")
 
 
 def grouped_ntile(ds, *, key_col: str, val_col: str, tiebreak_col: str,
@@ -1595,4 +1509,4 @@ def classification_prf_int(ds, *, true_col: str, pred_col: str):
     return pa.Table.from_pandas(out, preserve_index=False) \
                    .replace_schema_metadata(None)
 
-__all__ = ['_median2_weighted', 'classification_prf_int', 'cohens_kappa_int', 'crosstable_percentile_int', 'gini_concentration_int', 'gini_gain_int', 'global_row_index', 'grouped_count_distinct', 'grouped_cume_dist', 'grouped_dense_rank', 'grouped_diversity', 'grouped_linreg', 'grouped_median_int', 'grouped_mode', 'grouped_ntile', 'grouped_percent_rank', 'grouped_quantile_int', 'grouped_quantile_sketch', 'grouped_topk', 'grouped_weighted_median_int', 'hdr_bucket', 'hdr_bucket_upper', 'ivm_delta_counts', 'key_size_histogram', 'ks_statistic_int', 'mad_outliers', 'pareto_frontier', 'profile_columns', 'quantile_normalize_int', 'rank_auc_int', 'target_encode_int', 'tvd_drift_int', 'winsorize_grouped', 'zorder_key']
+__all__ = ['_median2_weighted', 'classification_prf_int', 'cohens_kappa_int', 'crosstable_percentile_int', 'gini_concentration_int', 'gini_gain_int', 'global_row_index', 'grouped_count_distinct', 'grouped_cume_dist', 'grouped_dense_rank', 'grouped_diversity', 'grouped_linreg', 'grouped_median_int', 'grouped_mode', 'grouped_ntile', 'grouped_percent_rank', 'grouped_quantile_int', 'grouped_quantile_sketch', 'grouped_topk', 'grouped_weighted_median_int', 'hdr_bucket', 'hdr_bucket_upper', 'key_size_histogram', 'ks_statistic_int', 'mad_outliers', 'pareto_frontier', 'profile_columns', 'quantile_normalize_int', 'rank_auc_int', 'target_encode_int', 'tvd_drift_int', 'zorder_key']

@@ -150,7 +150,6 @@ class _FastPathBail(Exception):
 
 
 _RAWTEXT_TAGS = {"script", "style"}
-_TAGNAME_RE = re.compile(r"[a-zA-Z][^\t\n\r\f />\x00]*")
 # One C-level match per tag: optional close slash, tag name, quote-aware
 # body. Quotes only quote when they directly follow '=' (html.parser's
 # locatestarttagend rule) — a '>' inside such a value never terminates

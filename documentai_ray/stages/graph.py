@@ -141,91 +141,6 @@ def pagerank_int(edges_ds, nodes_ds, *, iters: int = 2,
     return ranks
 
 
-def hits_int(edges_ds, nodes_ds, *, iters: int = 2,
-             num_partitions: int = 32):
-    """HITS hubs & authorities (Kleinberg 1999) in integer ppm — the
-    link-analysis complement of PageRank (which ranks by endorsement
-    flow; HITS separates "points at good pages" from "is pointed at by
-    good hubs"). Per iteration: authority = Σ hub over in-edges, then
-    hub = Σ authority over out-edges, each rescaled to Σ = 10⁶ by one
-    global integer floor-division (the L1 step that keeps values bounded
-    AND bit-exact — float L2 normalization would drift by summation
-    order across engines).
-
-    Physical plan per half-step: one key-projected hash_join (edges ⋈
-    scores), one per-target groupby-sum with zero-row injection so
-    scoreless nodes survive, one scalar aggregate for the rescale
-    denominator (broadcast, never a driver table). Returns
-    ``(node, auth_ppm, hub_ppm)``.
-
-    Cost note: 2 iterations = 4 half-steps = ~9 exchanges — at toy graph
-    sizes wall time is pure barrier/scheduling overhead (the label-prop
-    shape); per-exchange data is only (node, score) projections, so at
-    real graph sizes compute dominates. Scores are int64; ``raw·10⁶``
-    must fit, i.e. Σscores ≤ ~9·10¹² (rescale keeps Σ = 10⁶ · n_nodes,
-    so the bound is ~9M nodes per connected normalization domain — shard
-    by component above that)."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.joins import hash_join
-
-    def init(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        return pa.table({"node": batch.column("node").cast(pa.int64()),
-                         "score": pa.array(np.full(n, SCALE), pa.int64())})
-
-    def half_step(scores, src_col: str, dst_col: str):
-        tagged = edges_ds.map_batches(
-            lambda b, _s=src_col, _d=dst_col: pa.table(
-                {"node": b.column(_s).cast(pa.int64()),
-                 "tgt": b.column(_d).cast(pa.int64())}),
-            batch_format="pyarrow")
-        joined = hash_join(tagged, scores, on="node",
-                           num_partitions=num_partitions)
-
-        def contrib(batch: pa.Table) -> pa.Table:
-            return pa.table({"node": batch.column("tgt"),
-                             "c": batch.column("score")})
-
-        zeros = nodes_ds.map_batches(
-            lambda b: pa.table({"node": b.column("node").cast(pa.int64()),
-                                "c": pa.array([0] * len(b), pa.int64())}),
-            batch_format="pyarrow")
-        summed = (joined.map_batches(contrib, batch_format="pyarrow")
-                  .union(zeros).groupby("node")
-                  .aggregate(Sum("c", alias_name="raw")))
-        summed = _bound_blocks(summed, num_partitions).materialize()
-        total = int(summed.aggregate(Sum("raw", alias_name="t"))["t"])
-        tref = ray.put(max(total, 1))
-
-        def rescale(batch: pa.Table) -> pa.Table:
-            t = ray.get(tref)
-            raw = batch.column("raw").to_numpy().astype(np.int64)
-            return pa.table({"node": batch.column("node"),
-                             "score": pa.array(raw * SCALE // t, pa.int64())})
-
-        return summed.map_batches(rescale, batch_format="pyarrow")
-
-    hubs = nodes_ds.map_batches(init, batch_format="pyarrow")
-    auths = None
-    for _ in range(iters):
-        auths = half_step(hubs, "src", "dst")       # auth ← hubs over in-edges
-        hubs = half_step(auths, "dst", "src")       # hub ← auths over out-edges
-
-    def a_cols(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("node"),
-                         "auth_ppm": batch.column("score")})
-
-    def h_cols(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch.column("node"),
-                         "hub_ppm": batch.column("score")})
-
-    return hash_join(auths.map_batches(a_cols, batch_format="pyarrow"),
-                     hubs.map_batches(h_cols, batch_format="pyarrow"),
-                     on="node", num_partitions=num_partitions)
-
-
 def resolve_pointers(ptr_ds, *, iters: int, num_partitions: int = 32):
     """Pointer doubling (parallel pointer jumping): resolve every node of
     a functional graph ``node → ptr`` to the end of its chain in

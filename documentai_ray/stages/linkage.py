@@ -29,8 +29,6 @@ the engine surfaces rather than silently grinding through.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa

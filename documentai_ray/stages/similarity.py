@@ -563,120 +563,3 @@ def grouped_centroid(ds, *, key_col: str = "label",
             .groupby("_pkey")
             .map_groups(lambda g: combine(g.drop(columns=["_pkey"])),
                         batch_format="pandas"))
-
-
-def mips_rnn_pairs(ds, *, id_col: str = "vec_id",
-                   vec_col: str = "embedding", scale: int = 1_000_000,
-                   num_partitions: int = 16, broadcast_limit: int = 200_000):
-    """Reciprocal nearest neighbors under MAX INNER PRODUCT (MIPS) —
-    the mutual-best-match filter entity resolution and semantic dedup
-    run after retrieval: keep (a, b) only when b is a's best match AND
-    a is b's. Components quantize to ``round(x·scale)`` int64 first, so
-    every dot product is exact integer arithmetic (64 products ≤ 10¹²
-    sum to < 2⁵³ — even a double-based engine computes it exactly) and
-    argmax ties break toward the smaller id: bit-identical in any
-    engine, no cosine division anywhere.
-
-    Physical plan: the quantized matrix broadcasts once via ``ray.put``
-    when it fits (``count ≤ broadcast_limit``); each batch computes its
-    block × corpus int64 matmul and emits one best-match row per vector.
-    Beyond the limit the corpus is split into C chunks of
-    ``≤ broadcast_limit`` rows, each chunk broadcast in turn; every
-    chunk pass emits per-vector partial best rows and ONE bounded
-    (va)-hash reduce takes the global max (ties → smaller id) — exact
-    reciprocal NN at any corpus size, with peak driver/heap memory
-    bounded by one chunk. Finally ONE bounded hash-join of the n-row
-    best-match table against itself keeps the mutual pairs (a < b).
-    Returns (id_a, id_b, dot_ab)."""
-    import ray
-
-    from documentai_ray.stages.joins import hash_join
-
-    mat_ds = ds.materialize()
-    n = mat_ds.count()
-
-    def chunk_ref(rows):
-        ids_all = np.asarray([r[id_col] for r in rows], np.int64)
-        Q_all = np.rint(np.asarray([r[vec_col] for r in rows],
-                                   np.float64) * scale).astype(np.int64)
-        return ray.put((ids_all, Q_all))
-
-    def best_vs(ref):
-        def best(batch: pa.Table) -> pa.Table:
-            ids_a, Q = ray.get(ref)
-            bids = batch.column(id_col).to_numpy(zero_copy_only=False)
-            M = np.rint(_as_matrix(batch.column(vec_col)) * scale
-                        ).astype(np.int64)
-            dots = M @ Q.T                      # exact int64
-            self_mask = bids[:, None] == ids_a[None, :]
-            dots_masked = np.where(self_mask, np.iinfo(np.int64).min, dots)
-            bestv = dots_masked.max(axis=1)
-            big = np.iinfo(np.int64).max
-            cand = np.where(dots_masked == bestv[:, None],
-                            ids_a[None, :], big)
-            nn = cand.min(axis=1)               # smallest id among ties
-            return pa.table({"va": pa.array(bids, pa.int64()),
-                             "vb": pa.array(nn, pa.int64()),
-                             "dot": pa.array(bestv, pa.int64())})
-        return best
-
-    if n <= broadcast_limit:
-        nn_tbl = mat_ds.map_batches(best_vs(chunk_ref(mat_ds.take_all())),
-                                    batch_format="pyarrow")
-    else:
-        # chunked-broadcast exact plan: C = ceil(n / broadcast_limit)
-        # passes, each against one corpus chunk; partial bests reduce
-        # per vector with the same tie-break as the single-pass path
-        # (max dot, ties -> smallest neighbor id), so both plans are
-        # bit-identical.
-        import pandas as pd
-
-        from documentai_ray.stages.dedup import _add_pkey
-
-        C = -(-n // broadcast_limit)
-        partial = None
-        for chunk in mat_ds.split(C):
-            rows = chunk.take_all()
-            if not rows:        # split() may deal an empty chunk
-                continue
-            p = mat_ds.map_batches(best_vs(chunk_ref(rows)),
-                                   batch_format="pyarrow")
-            partial = p if partial is None else partial.union(p)
-
-        def reduce_best(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(["va", "dot", "vb"],
-                              ascending=[True, False, True],
-                              kind="mergesort")
-            return g.drop_duplicates(subset=["va"], keep="first")
-
-        nn_tbl = (_add_pkey(partial, "va", num_partitions)
-                  .groupby("_pkey")
-                  .map_groups(lambda g: reduce_best(
-                      g.drop(columns=["_pkey"])), batch_format="pandas"))
-
-    def left_side(batch: pa.Table) -> pa.Table:
-        return pa.table({"va": batch.column("va"),
-                         "join_key": batch.column("vb"),
-                         "dot": batch.column("dot")})
-
-    def right_side(batch: pa.Table) -> pa.Table:
-        return pa.table({"join_key": batch.column("va"),
-                         "vb_nn": batch.column("vb")})
-
-    joined = hash_join(
-        nn_tbl.map_batches(left_side, batch_format="pyarrow"),
-        nn_tbl.map_batches(right_side, batch_format="pyarrow"),
-        on="join_key", num_partitions=num_partitions)
-
-    def mutual(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        keep = pc.and_(pc.equal(batch.column("vb_nn"),
-                                batch.column("va")),
-                       pc.less(batch.column("va"),
-                               batch.column("join_key")))
-        t = batch.filter(keep)
-        return pa.table({"id_a": t.column("va"),
-                         "id_b": t.column("join_key"),
-                         "dot_ab": t.column("dot")})
-
-    return joined.map_batches(mutual, batch_format="pyarrow")

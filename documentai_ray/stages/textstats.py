@@ -223,21 +223,6 @@ def bigram_score_batch(batch: pa.Table, unigram: dict, bigram: dict, *,
     return batch.append_column("lm_score_ppm", pa.array(scores, pa.int64()))
 
 
-class BigramScoreStage:
-    """Actor/task-pool scorer: the fitted count tables ship once via the
-    object store ref, not per batch."""
-
-    def __init__(self, counts_ref, text_col: str = "text"):
-        import ray
-
-        self.uni, self.bi = ray.get(counts_ref)
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return bigram_score_batch(batch, self.uni, self.bi,
-                                  text_col=self.text_col)
-
-
 # ---------------------------------------------------------------------------
 # windowed co-occurrence (skip-gram pairs) and collocation lift
 # ---------------------------------------------------------------------------

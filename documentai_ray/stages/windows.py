@@ -154,37 +154,6 @@ def running_per_key(ds, *, key_col: str, order_cols: list[str],
 EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
 
 
-def route_late_events(ds, *, key_col: str = "user_id", ts_col: str = "ts",
-                      lateness_minutes: int = 120,
-                      num_partitions: int = 64):
-    """Watermark-style late-event routing for batch-replayed streams:
-    an event is LATE if it is older than its key's watermark (the key's
-    max observed ts minus the allowed lateness) — the rows a streaming
-    engine would divert to a late side-output instead of mutating closed
-    windows.
-
-    Two bounded steps: (1) per-key max-ts via ``groupby().max()`` (state
-    = one row per key); (2) a bucketed hash_join ships only
-    ``(key, watermark)`` back onto the event stream and the flag is one
-    vectorized compare. Appends ``is_late:bool``; split/filter
-    downstream as needed."""
-    from ray.data.aggregate import Max
-
-    from documentai_ray.stages.joins import hash_join
-
-    wm = (ds.groupby(key_col)
-          .aggregate(Max(ts_col, alias_name="_max_ts")))
-    joined = hash_join(ds, wm, on=key_col, num_partitions=num_partitions)
-
-    late = pd.Timedelta(minutes=lateness_minutes)
-
-    def flag(g: pd.DataFrame) -> pd.DataFrame:
-        g["is_late"] = g[ts_col] < (g["_max_ts"] - late)
-        return g.drop(columns=["_max_ts"])
-
-    return joined.map_batches(flag, batch_format="pandas")
-
-
 def flag_count_anomalies(ds, *, key_col: str, bucket_col: str,
                          sigma: int = 3):
     """Spike detection over per-(key, bucket) event counts in EXACT

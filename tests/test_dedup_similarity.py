@@ -533,29 +533,6 @@ class TestContainmentPairs:
         assert ("sup", "sub") not in subs  # and it is NOT symmetric
 
 
-class TestMipsRnnPairs:
-    def test_mutual_best_only(self, ray_session):
-        import numpy as np
-        from documentai_ray.stages.similarity import mips_rnn_pairs
-        # 0 and 1 mutually closest; 2's best is 1 but 1's best is 0
-        vecs = {0: [1.0, 0.0], 1: [0.9, 0.1], 2: [0.5, 0.6],
-                3: [-1.0, -1.0]}
-        rows = [{"vec_id": i, "embedding": v} for i, v in vecs.items()]
-        ds = ray_session.data.from_items(rows).repartition(2)
-        out = mips_rnn_pairs(ds).to_pandas()
-        got = {(r.id_a, r.id_b) for r in out.itertuples()}
-        # brute-force mutual-best under integer-quantized dot
-        q = {i: np.rint(np.array(v) * 1e6).astype(np.int64)
-             for i, v in vecs.items()}
-        def best(i):
-            dots = {j: int(q[i] @ q[j]) for j in q if j != i}
-            m = max(dots.values())
-            return min(j for j, d in dots.items() if d == m)
-        brute = {(a, b) for a in q for b in q
-                 if a < b and best(a) == b and best(b) == a}
-        assert got == brute and got  # non-vacuous
-
-
 class TestDistributedVerifyPaths:
     """Above-broadcast-limit plans must equal the broadcast plans exactly
     (VERDICT r3 #4: the NotImplementedError guards are now real plans)."""
@@ -585,18 +562,3 @@ class TestDistributedVerifyPaths:
             ds, cand, id_col="url", threshold_ppm=800_000,
             broadcast_limit=10))  # forces the two-hash-join plan
         assert dist == broad and broad  # non-vacuous
-
-    def test_mips_rnn_chunked_equals_broadcast(self, ray_session):
-        import numpy as np
-        from documentai_ray.stages.similarity import mips_rnn_pairs
-        rng = np.random.default_rng(7)
-        n, d = 60, 8
-        rows = [{"vec_id": i,
-                 "embedding": rng.normal(size=d).tolist()}
-                for i in range(n)]
-        ds = ray_session.data.from_items(rows).repartition(4)
-        key = lambda df: {(r.id_a, r.id_b, r.dot_ab)
-                          for r in df.itertuples()}
-        broad = key(mips_rnn_pairs(ds, broadcast_limit=200_000).to_pandas())
-        chunked = key(mips_rnn_pairs(ds, broadcast_limit=13).to_pandas())
-        assert chunked == broad and broad  # non-vacuous

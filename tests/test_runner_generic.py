@@ -63,27 +63,3 @@ def test_generic_runner_resume_reproduces_digests(ray_session):
     finally:
         shutil.rmtree(clean_dir, ignore_errors=True)
         shutil.rmtree(crash_dir, ignore_errors=True)
-
-
-def test_declarative_compile_validates_up_front():
-    import pytest
-
-    from documentai_ray.pipelines.declarative import compile_pipeline
-
-    with pytest.raises(KeyError, match="unknown stage 'nope'"):
-        compile_pipeline({"pipeline": [{"stage": "nope"}]})
-
-
-def test_declarative_matches_hand_composed(ray_session):
-    import importlib.util as u
-
-    spec = u.spec_from_file_location("e", "/root/repo/__ray_entry__.py")
-    m = u.module_from_spec(spec)
-    spec.loader.exec_module(m)
-    sf = "/root/testdata/sf0.001"
-    a = m.queries()["web_curation"](sf).to_pandas()
-    b = m.queries()["config_pipeline"](sf).to_pandas()
-    key = lambda df: df.sort_values("url").reset_index(drop=True)
-    import pandas as pd
-    pd.testing.assert_frame_equal(key(a), key(b))
-
