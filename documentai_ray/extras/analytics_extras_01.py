@@ -19,8 +19,8 @@ _PREV_ALL = list(_agg_core.__all__)
 
 def chi2_independence_int(ds, *, key_col: str, cat_col: str):
     """Pearson χ² independence decomposition over a contingency grid,
-    in exact integer ppm — completes the drift-test family: tvd_drift
-    is the L1 view, ks_drift the sup view on ordered domains, this is
+    in exact integer ppm — completes the drift-test family: total variation
+    is the L1 view, Kolmogorov–Smirnov the sup view on ordered domains, this is
     the classic variance-weighted view that amplifies deviations in
     RARE cells (a 10-count surplus in a 20-expected cell screams where
     TVD barely moves). χ² itself is irrational only through division:
@@ -716,7 +716,7 @@ def meta_fixed_int(strata: list) -> pd.DataFrame:
 
 def erlang_b_int(a_micro: int, servers: int = 10) -> pd.DataFrame:
     """Erlang-B blocking probability chain — TELETRAFFIC capacity
-    planning as exact chained floors (the km_survival discipline:
+    planning as exact chained floors (the ``windows.km_survival_int`` discipline:
     sequential folds keep ONE floor per step and both engines replay
     the identical chain).  Offered load a (micro-erlangs); for
     c = 1..servers:
@@ -1131,7 +1131,7 @@ def sir_epidemic_int(beta_ppm: int, gamma_ppm: int, i0_ppm: int,
                      steps: int = 24) -> pd.DataFrame:
     """Discrete Kermack-McKendrick SIR epidemic (1927) on a ppm
     population — POPULATION DYNAMICS as an exact chained integer
-    fold (the km_survival / erlang_blocking sequential discipline:
+    fold (the ``windows.km_survival_int`` / erlang_blocking sequential discipline:
     fixed, data-INdependent length, so a recursive SQL mirror is
     honest).  Per step, with S, I, R in ppm of the population:
 
@@ -1696,7 +1696,7 @@ def acceptance_sampling_int(p_rows: list, *, n: int = 10, c: int = 2,
                             lot: int = 1000) -> pd.DataFrame:
     """Dodge-Romig single-sampling acceptance plan — STATISTICAL
     QUALITY CONTROL's lot-disposition face, which the control-chart
-    suite (cusum_alarms, xmr_alarms) doesn't cover: inspect n items
+    suite (``cusum_alarms_int``, ``xmr_alarms_int``) doesn't cover: inspect n items
     from the lot, accept iff defects ≤ c.  At lot quality p (milli),
     P(accept) = Σ_{d≤c} C(n,d) p^d q^(n−d) / 1000^n — EXACT integer
     binomials (math.comb, q = 1000 − p), one ppm floor per row;
@@ -1780,7 +1780,7 @@ def loan_amortization_int(p_cents: int, *, i_ppm: int = 10_000,
 def nw_transport_int(supplies: list, demands: list) -> pd.DataFrame:
     """Northwest-corner initial solution of the balanced
     TRANSPORTATION PROBLEM — classical OR's tableau opener, a family
-    the surface lacked (optimal_assignment matches 1:1, waterfill
+    the surface lacked (an optimal assignment matches 1:1, waterfill
     allocates a single budget; moving Σ supply across a supply ×
     demand tableau is neither): walk from the NW cell, allocate
     min(remaining supply, remaining demand), advance the exhausted
@@ -1873,7 +1873,7 @@ def portfolio_minvar_int(n: int, sx: int, sy: int, sxx: int,
                          syy: int, sxy: int) -> pd.DataFrame:
     """Two-asset minimum-variance portfolio (Markowitz 1952) —
     PORTFOLIO THEORY's closed-form cornerstone, a family the surface
-    lacked (leadlag_beta regresses one series on another; choosing
+    lacked (``leadlag_beta_int`` regresses one series on another; choosing
     the weight that minimizes combined variance is the allocation
     question).  All second moments clear by n²: V_x = n·Σx² − (Σx)²,
     V_y likewise, C = n·Σxy − Σx·Σy (exact integers), and the
@@ -2287,8 +2287,8 @@ def _ols_centered(ys: list) -> tuple:
 
 def durbin_watson_int(ys: list) -> pd.DataFrame:
     """Durbin-Watson statistic (1950) — REGRESSION DIAGNOSTICS, a
-    family the surface lacked: acf_lag autocorrelates a raw series
-    and grouped_regression fits lines, but the founding question of
+    family the surface lacked: ``acf_lag_int`` autocorrelates a raw series
+    and grouped OLS fits lines, but the founding question of
     econometric diagnostics is about the RESIDUALS of a fit — "is
     what the trend line leaves behind still serially correlated?"
     DW = Σ(e_t − e_{t−1})² / Σe_t² on the exact cleared residuals
@@ -2599,7 +2599,7 @@ def secretary_int(counts: list) -> pd.DataFrame:
 
 def erdos_gallai_int(degree_hist: list, kmax: int) -> pd.DataFrame:
     """Erdős-Gallai graphicality test (1960) — DEGREE-SEQUENCE
-    REALIZABILITY, a family the surface lacked: clustering_coeff,
+    REALIZABILITY, a family the surface lacked: the clustering coefficient,
     degree_assortativity and kcore_nodes MEASURE a graph that
     exists, but "could these degrees be a simple graph at all" is
     the inverse question, and Erdős-Gallai answers it with n
@@ -2659,7 +2659,7 @@ def erdos_gallai_int(degree_hist: list, kmax: int) -> pd.DataFrame:
 def record_values_int(ys: list) -> pd.DataFrame:
     """Record-value statistics (Rényi 1962) — RECORDS THEORY, the
     extreme-value family's discrete heart, which the surface
-    lacked: trend_flips counts direction changes and mann_kendall
+    lacked: trend_flips counts direction changes and ``mann_kendall_int``
     scores monotonicity, but "how many times did the running
     maximum get beaten" is the records question, with the founding
     exchangeability theorem E[#records] = H_n = Σ 1/j for
@@ -2712,7 +2712,7 @@ def record_values_int(ys: list) -> pd.DataFrame:
 def ballot_walk_int(a_counts: list, b_counts: list) -> pd.DataFrame:
     """Bertrand ballot probability + lead-time statistics of the
     two-type daily race — FLUCTUATION THEORY, a family the surface
-    lacked: mann_kendall and page_trend score MONOTONE drift, but
+    lacked: ``mann_kendall_int`` and page_trend score MONOTONE drift, but
     fluctuation theory asks about the WALK — who led, for how
     long, when was the last tie — the questions Feller's ballot/
     arcsine chapter owns.  S_t = Σ_{d≤t}(a_d − b_d) over the day
@@ -2807,7 +2807,7 @@ def backlog_dam_int(ys: list, ratios: list) -> pd.DataFrame:
 def stochastic_dominance_int(a_hist: list, b_hist: list) -> pd.DataFrame:
     """First- and second-order stochastic dominance verdicts —
     DECISION THEORY UNDER RISK, a family the surface lacked:
-    ks_drift measures the DISTANCE between two empirical
+    the Kolmogorov–Smirnov statistic measures the DISTANCE between two empirical
     distributions, but dominance is an ORDERING — "would every
     expected-utility maximizer (FSD: any increasing u; SSD: any
     increasing concave u) prefer A?" — the Rothschild-Stiglitz
@@ -2953,7 +2953,7 @@ def _cea_int(caps: list, budget: int) -> dict:
 def talmud_split_int(claims: list, pcts: list) -> pd.DataFrame:
     """The Talmud bankruptcy rule (Aumann-Maschler 1985) — CLAIMS
     PROBLEMS, a family the surface lacked: airport_game shares a
-    COST by the Shapley closed form, waterfill_budget splits a
+    COST by the Shapley closed form, water-filling splits a
     budget max-min fair, but "an estate smaller than the claims
     against it" is the 2000-year-old division puzzle whose Mishnah
     table (claims 100/200/300 vs estates 100/200/300) stumped
@@ -3078,7 +3078,7 @@ def adjusted_winner_int(items: list) -> pd.DataFrame:
 
 def kalman_level_int(ys: list, q_ppm: int, r_ppm: int) -> pd.DataFrame:
     """1-D Kalman filter, local-level model (Kalman 1960) — STATE
-    ESTIMATION, a family the surface lacked: ewma_backtest smooths
+    ESTIMATION, a family the surface lacked: ``ewma_backtest_int`` smooths
     with a FIXED gain, but the Kalman filter derives its gain from
     the variance bookkeeping P, and the gain ADAPTS — large while
     uncertain, settling toward the Riccati fixed point.  Exact
@@ -3139,8 +3139,8 @@ def colley_rank_int(counts: list, names: list) -> pd.DataFrame:
     identity Σ(adj(C)·b₂)ᵢ == 3·det(C)).  Games: each hour, each
     pair of the three types plays; strictly larger hourly count
     wins, ties are NO GAME (stated).  Exact Cramer arithmetic on
-    the reused ``linalg.mat3_det`` / ``mat3_adj_dot`` (the
-    leontief_io discipline) with b DOUBLED so b₂ = 2 + w − l is
+    the reused ``linalg.mat3_det`` / ``mat3_adj_dot``
+    with b DOUBLED so b₂ = 2 + w − l is
     integer; rating_ppm = 10⁶·(adj·b₂)ᵢ // (2·det), SIGN-SPLIT
     for safety though Colley ratings live in (0,1).  Pinned: the
     no-games corpus reads exactly 500000 each, the
@@ -3190,7 +3190,7 @@ def hash_occupancy_int(bucket4096: list, n_users: int,
                        ) -> pd.DataFrame:
     """Birthday-collision occupancy audit of the Knuth
     multiplicative hash — OCCUPANCY THEORY, a family the surface
-    lacked: users_sketch/hll/kmv ESTIMATE cardinality, but "how
+    lacked: HLL/KMV sketches ESTIMATE cardinality, but "how
     evenly does a hash spread U keys over D buckets, against the
     birthday-problem benchmark E[colliding pairs] = C(U,2)/D" is
     the occupancy question.  ``bucket4096`` is the (h % 4096,

@@ -688,7 +688,7 @@ def knapsack_dp_int(items, capacity):
 def mdp_value_iter_int(g_milli):
     """Floored VALUE ITERATION on the 5-state recrawl MDP —
     SEQUENTIAL DECISION MAKING, a family the surface lacked: the
-    iterative ops relax a map to ITS OWN fixed point (pagerank,
+    iterative ops relax a map to ITS OWN fixed point (PageRank,
     logistic_map); an MDP relaxes to the fixed point of a MAX over
     actions, and Bellman optimality is the visible theorem.  States
     s = 0..4 are staleness levels; wait earns (4−s)·1000 milli and
@@ -772,7 +772,7 @@ def lis_erdos_szekeres_int(values):
     """Longest nondecreasing + longest strictly-decreasing subsequence
     of an integer series, with the ERDŐS–SZEKERES/DILWORTH certificate
     — PERMUTATION COMBINATORICS, a family the surface lacked:
-    kendall_tau counts inversions pairwise and runs_test counts
+    kendall_tau counts inversions pairwise and ``runs_test_int`` counts
     maximal runs; the LIS is the global order statistic (Ulam's
     problem).  Patience sorting gives both lengths in O(n log n); the
     mirror runs the O(n²) DP — two DIFFERENT algorithms agreeing is
@@ -1003,7 +1003,7 @@ def ffd_binpack_int(sizes, capacity):
 
 def huffman_cost_int(letter_census):
     """Optimal prefix-code cost by HUFFMAN'S GREEDY (1952) — SOURCE
-    CODING, a family the surface lacked: lz_complexity measures a
+    CODING, a family the surface lacked: Lempel–Ziv complexity measures a
     UNIVERSAL parse; Huffman is the optimal KNOWN-statistics code,
     and its total cost Σ w_i·len_i equals the sum of the internal
     node weights created by the merges — a tie-break-invariant
@@ -1104,7 +1104,7 @@ def viterbi_decode_int(obs):
     """Exact MAX-PRODUCT Viterbi decoding of a 2-state HMM over the
     hourly parity observations — PROBABILISTIC GRAPHICAL MODELS, a
     family the surface lacked: naive_bayes scores i.i.d. features
-    and markov_kstep folds a chain forward; Viterbi finds the single
+    and ``markov_kstep_int`` folds a chain forward; Viterbi finds the single
     best LATENT PATH, and integer weights (sticky 3/1 transitions,
     3/1 emissions — design constants shared with the mirror) make
     every score an exact integer (≤ 3·9²³ < 2¹²⁸, HUGEINT envelope
@@ -1301,7 +1301,7 @@ def konig_matching_int(edges):
 def convex_hull_int(points):
     """Planar convex hull over the corpus-derived integer points —
     COMPUTATIONAL GEOMETRY, a family the surface lacked entirely
-    (spatial_knn/grid_spatial_join bucket coordinates, no geometric
+    (grid bucketing of coordinates, no geometric
     structure): Andrew's monotone chain (1979) builds the hull in
     O(n log n), and every vertex flag is cross-certified against
     the EXTREME-POINT characterization p is a vertex iff
@@ -2255,7 +2255,7 @@ DFA_N_STATES = 10
 
 def dfa_minimize_int(delta0, delta1, accept):
     """DFA minimization — AUTOMATA THEORY, a family the surface
-    lacked (string_period / bwt_runs are combinatorics on words;
+    lacked (periodicity / bwt_runs are combinatorics on words;
     this is the machine side of Kleene's theorem): a 10-state
     binary-alphabet DFA (start 0) is minimized TWO independent
     ways — MOORE's partition refinement (split classes by
@@ -2468,7 +2468,7 @@ while _a <= 10 ** 6:
 def zeckendorf_int(values):
     """Zeckendorf representation — NUMERATION SYSTEMS, a family
     the surface lacked (huffman_code is optimal coding,
-    delta_varint is wire format; this is the arithmetic of
+    delta+varint is wire format; this is the arithmetic of
     non-standard positional systems): every n ≥ 1 is UNIQUELY a
     sum of non-consecutive Fibonacci numbers (F2=1, F3=2, …); the
     kernel computes the greedy representation, asserts the
@@ -2632,7 +2632,7 @@ POLYA_DRAWS = 8
 
 def polya_urn_int(r0, b0):
     """Pólya urn exchangeability — URN MODELS / exchangeable
-    sequences, a family the surface lacked (absorbing_chain is
+    sequences, a family the surface lacked (an absorbing chain is
     Markov with fixed transitions; the urn's reinforcement makes
     the PATH matter — except, by de Finetti-flavoured magic, it
     doesn't): starting from (r, b) with unit reinforcement, the
@@ -3326,7 +3326,7 @@ BIRKHOFF_PERMS = _bk_perms()
 def birkhoff_int(weights):
     """Birkhoff-von Neumann decomposition of an integer doubly
     stochastic matrix — POLYTOPE DECOMPOSITION, a family the
-    surface lacked (optimal_assignment finds ONE best permutation;
+    surface lacked (an optimal assignment finds ONE best permutation;
     Birkhoff writes the whole matrix as a sum of them): the 4×4
     matrix is BUILT as a census-weighted sum of four fixed
     permutation matrices (doubly-balanced by construction), then

@@ -278,7 +278,7 @@ def eulerian_numbers_int(n_census):
 def permanent_ryser_int(bits):
     """The matrix PERMANENT via Ryser's formula — PERMANENT
     COMPUTATION / #P counting, a family the surface lacked
-    (_sql_det3 and leontief_io do determinants; the permanent is
+    (``linalg.mat3_det`` does determinants; the permanent is
     the sign-free sibling whose computation is #P-hard, and Ryser
     1963 is still the best general algorithm): the census bits
     form a 4×4 0/1 matrix; the kernel computes perm(A) by BRUTE
@@ -625,7 +625,7 @@ def faulhaber_int(hour_mods):
 def percolation_3x3_int(bits):
     """Site percolation on the 3×3 grid — PERCOLATION /
     connectivity statistics, a family the surface lacked
-    (cc_labels labels ONE graph; percolation asks how often
+    (connected-component labelling covers ONE graph; percolation asks how often
     connectivity HAPPENS across a configuration ensemble): the
     kernel sweeps ALL 2^9 site configurations, counting those
     where an open top-row site reaches an open bottom-row site
@@ -1219,7 +1219,7 @@ PALEY_QR = sorted({x * x % 13 for x in range(1, 13)})
 def paley_graph_int(t_census):
     """The Paley graph on F_13 — STRONGLY REGULAR GRAPHS /
     algebraic graph theory, a family the surface lacked
-    (clustering_coeff measures A graph; Paley graphs are the
+    (the clustering coefficient measures A graph; Paley graphs are the
     algebraic construction whose regularity is a THEOREM): vertex
     set Z_13, i ~ j iff i−j is a nonzero quadratic residue
     (symmetric because −1 is a QR for q ≡ 1 mod 4 — asserted);
@@ -1521,7 +1521,7 @@ def wythoff_game_int(seeds):
 
 def six_queens_int(sel_census):
     """The 6-queens problem — CONSTRAINT ENUMERATION, a family the
-    surface lacked as an explicit object (optimal_assignment
+    surface lacked as an explicit object (an optimal assignment
     optimizes one matching; n-queens counts ALL constraint-
     satisfying configurations): the kernel enumerates all 6!
     column permutations, finds EXACTLY FOUR solutions (the known
@@ -1943,7 +1943,7 @@ TM_LEN = 512
 
 def thue_morse_int(start_census):
     """The Thue-Morse word — COMBINATORICS ON WORDS at its
-    historical origin (string_period is Fine-Wilf, bwt_runs is
+    historical origin (periodicity is Fine-Wilf, bwt_runs is
     modern indexing; Thue 1906/1912 FOUNDED the field with this
     word): the kernel builds the 512-prefix TWICE — by the
     bit-parity formula t(n) = popcount(n) mod 2 and by iterating
@@ -2087,7 +2087,7 @@ def pancake_numbers_int(sel_census):
 def debruijn_sequence_int(start_census):
     """The prefer-one de Bruijn sequence B(2,4) — DE BRUIJN
     SEQUENCE CONSTRUCTION, a family the surface lacked
-    (debruijn_degrees/contigs analyse the GRAPH; this constructs
+    (de Bruijn graph analysis studies the GRAPH; this constructs
     the classical object the graph's Eulerian cycle promises):
     the greedy prefer-one rule from 0000 builds a 16-bit cyclic
     sequence; the kernel asserts the DEFINING property — all 16
@@ -2822,7 +2822,7 @@ def newton_identities_int(seeds):
 
 def cubic_discriminant_int(seeds):
     """Cubic discriminants — ELIMINATION THEORY, a family the
-    surface lacked (_sql_det3 does determinants; the discriminant
+    surface lacked (``linalg.mat3_det`` does determinants; the discriminant
     is the resultant's square-free shadow): for the monic cubic
     with census integer roots r1, r2, r3 the kernel computes the
     coefficients by Vieta, evaluates the classical formula

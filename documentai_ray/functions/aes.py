@@ -192,14 +192,6 @@ def ecb_encrypt(key: bytes, data: bytes) -> bytes:
                     for i in range(0, len(data), 16))
 
 
-def ecb_decrypt(key: bytes, data: bytes) -> bytes:
-    if len(data) % 16:
-        raise ValueError("ECB needs a block multiple")
-    words = key_expansion(key)
-    return b"".join(decrypt_block(data[i:i + 16], words)
-                    for i in range(0, len(data), 16))
-
-
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
     if len(ciphertext) % 16 or not ciphertext:
         raise ValueError("CBC ciphertext must be a positive block multiple")

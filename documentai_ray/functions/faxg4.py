@@ -248,9 +248,6 @@ _fill(_BLACK_CODES, _EXT)
 _WHITE_DEC = {(ln, code): run for run, (ln, code) in _WHITE_CODES.items()}
 _BLACK_DEC = {(ln, code): run for run, (ln, code) in _BLACK_CODES.items()}
 
-_EOFB_BITS = "000000000001" * 2
-
-
 class _BitW:
     __slots__ = ("buf", "acc", "nb")
 

@@ -1188,12 +1188,6 @@ def _inv_dwt97(ll: np.ndarray, bands) -> np.ndarray:
     return out
 
 
-def _q97_delta(band_gain_log2: int, base_exp: int = 10) -> float:
-    """Quantization step per band: Delta = 2^(R - eps) with R = 8 +
-    gain; a single knob (base_exp) trades rate for PSNR."""
-    return float(2.0 ** (8 + band_gain_log2 - base_exp))
-
-
 def encode_jp2k_lossy(img: np.ndarray, levels: int = 2,
                       base_exp: int = 10,
                       derived: bool = False) -> bytes:

@@ -54,9 +54,6 @@ _PROG_AC_SYMS = ([r << 4 for r in range(15)] + [0xF0]
 _PROG_AC_BITS = [0] * 7 + [128, len(_PROG_AC_SYMS) - 128] + [0] * 7
 _PROG_AC_VALS = list(_PROG_AC_SYMS)
 
-_INV_ZZ = np.argsort(ZIGZAG)
-
-
 def _decode_table(bits: list[int], vals: list[int]) -> dict:
     return {(ln, code): v
             for v, (code, ln) in _build_codes(bits, vals).items()}

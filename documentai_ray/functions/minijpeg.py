@@ -92,10 +92,6 @@ def _dct2(block: np.ndarray) -> np.ndarray:
     return _C @ block @ _C.T
 
 
-def _idct2(coef: np.ndarray) -> np.ndarray:
-    return _C.T @ coef @ _C
-
-
 class _BitWriter:
     def __init__(self) -> None:
         self.out = bytearray()

@@ -5,12 +5,14 @@ Reference parity (cited file:line are under /root/reference/):
 - ``normalize_alnum_lower``: alnum-lowercase normalization used by every
   keyword classifier (document_classification_updated/documentClassifier.py:404,
   645, 727, 806).
-- ``clean_ml_text``: whitespace collapse + punctuation strip used before ML
-  scoring (documentClassifier.py:344-355).
 - ``collapse_ws``: the canonical whitespace policy of the extraction tier —
   runs of whitespace become one space, leading/trailing stripped.
 - ``tokenize`` / ``word_re``: ``\\w+`` tokenization used by the token-set
-  classifier (documentClassifier.py:512-574) and quality checks.
+  classifier (documentClassifier.py:512-574), the NB featurizer and quality
+  checks. The reference cleans text before ML scoring (whitespace collapse
+  + punctuation strip, documentClassifier.py:344-355); the ``\\w+`` tokens
+  of cleaned and raw text are the same, except where a stripped character
+  decides Greek final-sigma lowercasing.
 - ``numeric_clean``: ``replace(',','')`` numeric cleanup used by validators
   (microservices/rule-engine-service/validation_engine.py:64).
 
@@ -26,7 +28,6 @@ import re
 
 word_re = re.compile(r"\w+", re.UNICODE)
 _ws_re = re.compile(r"\s+")
-_ml_junk_re = re.compile(r"[^\w\s\-.,:()/]")
 _alnum_re = re.compile(r"[^0-9a-z]+")
 
 
@@ -48,11 +49,6 @@ def normalize_alnum_lower(s: str) -> str:
     if low.isascii():
         return _alnum_re.sub("", low)
     return "".join(c for c in low if c.isalnum())
-
-
-def clean_ml_text(s: str) -> str:
-    """Whitespace collapse + junk-char strip (documentClassifier.py:344-355)."""
-    return collapse_ws(_ml_junk_re.sub(" ", s))
 
 
 def tokenize(s: str) -> list[str]:

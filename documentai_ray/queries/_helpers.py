@@ -383,7 +383,7 @@ def _trunc_ppm(num: int, den: int) -> int:
 
 def _score_label_hist(sf_dir: str):
     """Shared (score, label) bounded histogram for the threshold-eval
-    pair (rank_auc's conventions: score = quantity 1..50, label =
+    pair (conventions: score = quantity 1..50, label =
     returned 'R') — ONE exchange bounded by |scores|×2."""
     import numpy as np
     import pyarrow as pa
@@ -583,8 +583,7 @@ def _sql_bpe_encode_tokens(word_expr: str) -> str:
 
 
 # dense global hour grid over events — shared by the dense-series
-# statistics (acf_lag / runs_test inline the same text; haar / ewma
-# build on this constant)
+# statistics of the oracle SQL
 _SQL_DENSE_GRID = (
     "span AS (SELECT date_trunc('hour', min(ts)) AS h0, "
     "date_trunc('hour', max(ts)) AS h1 FROM events), "

@@ -482,7 +482,7 @@ def _q_lang_kappa(sf_dir: str):
 def _q_lang_prf(sf_dir: str):
     """Per-class precision/recall/F1 of the lang_id prediction against
     the stored label (``aggregates.classification_prf_int``) — the
-    class-level eval completing rank_auc (ranking) and lang_kappa
+    class-level eval completing AUC (ranking) and lang_kappa
     (agreement): WHERE does the model fail. F1's harmonic mean clears
     to one integer division (2·tp·10⁶ // (2·tp+fp+fn)), so all three
     metrics are bit-exact in the nested lang_id SQL mirror. ONE
@@ -794,8 +794,8 @@ def _q_mean_embedding(sf_dir: str):
 
 def _q_segment_digests(sf_dir: str):
     """Merkle-style SEGMENT digests — the anti-entropy primitive behind
-    replica reconciliation: instead of one whole-table checksum
-    (table_checksum), a digest per key-range segment (custkey // 100)
+    replica reconciliation: instead of one whole-table checksum,
+    a digest per key-range segment (custkey // 100)
     so two replicas can binary-search WHICH ranges differ and resync
     only those. Same wrapping mod-2⁶⁴ sum of md5-LE64 row hashes,
     2³²-split (hi, lo) partials so no engine-side overflow, one

@@ -792,7 +792,7 @@ def _q_outlink_count(sf_dir: str):
     oracle is the template closed form: article/report pages carry
     nav(3)+aside(2)+footer(3)=8 links, link farms 3+12+3=18, PO/invoice/
     LC 6, blank 0 (no row), malformed pages decode-fail (no row). The
-    flat-map edge stream is the input the host link graph / pagerank
+    flat-map edge stream is the input the host link graph / link-analysis
     stage consumes at crawl scale."""
     import ray.data
     from ray.data.aggregate import Count

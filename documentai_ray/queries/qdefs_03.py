@@ -1755,8 +1755,8 @@ def _q_orders_all_ontime(sf_dir: str):
 
 def _q_minmax_scale(sf_dir: str):
     """Per-key min-max feature scaling in exact ppm — the affine
-    member of the featurizer family (target_encode handles categorical,
-    quantile_normalize rank; this is the plain (v − min)/(max − min)
+    member of the featurizer family (target encoding handles categorical,
+    quantile normalization rank; this is the plain (v − min)/(max − min)
     every feature pipeline starts with), exact because value cents are
     integers: scaled_ppm = 10⁶·(v_c − lo) // (hi − lo).  Per-key
     (lo, hi) folds on one bounded exchange and broadcasts in a closure
@@ -1963,7 +1963,7 @@ def _q_bm25_topk(sf_dir: str):
 def _q_mrr_eval(sf_dir: str):
     """Reciprocal-rank evaluation of the bm25_topk ranking against
     AND-relevance (doc contains EVERY query term) — the rank-POSITION
-    metric the eval family lacks: rank_auc scores pairwise order,
+    metric the eval family lacks: AUC scores pairwise order,
     lang_prf set overlap, cohens_kappa agreement; none says "how far
     down is the first right answer".  rr_ppm = 10⁶ // first relevant
     rank (0 when none lands in the top-k); MRR is the mean of the
@@ -2013,8 +2013,8 @@ def _q_degree_assortativity(sf_dir: str):
     """Degree assortativity of the irregular link graph as Kendall
     concordance over edge endpoints (in-deg(src) vs in-deg(dst)) — the
     MIXING question the rest of the graph family doesn't ask:
-    pagerank scores importance, clustering_coeff local closure,
-    kcore peeling depth; this asks whether well-linked pages link TO
+    PageRank scores importance, the clustering coefficient local
+    closure, k-core peeling depth; this asks whether well-linked pages link TO
     well-linked pages (assortative, tau > 0) or to obscure ones
     (disassortative) — the hub-wiring signature.  tau_a with the full
     tie decomposition rides ``grouped_kendall_int``'s joint-histogram
@@ -2321,7 +2321,7 @@ def _q_ab_conversion(sf_dir: str):
     the hypothesis-test step did_estimator's point estimate and
     chi2_independence's grid audit both stop short of: arms from the
     Knuth-hash coin, conversion = user has a high-value purchase
-    (≥ 150 — funnel_conversion's cutoff, keeping the rate off the
+    (≥ 150, keeping the rate off the
     boundary), and the χ² test cross-multiplied so NO float ever
     decides: significant ⟺ 10⁶·N·(ad−bc)² > 3841459·n₁·n₀·(a+c)·(b+d)
     (χ²₍₀.₀₅,1₎ = 3.841459 as the exact rational contract constant;
@@ -2377,7 +2377,7 @@ def _q_ab_conversion(sf_dir: str):
 
 def _q_assoc_rules(sf_dir: str):
     """Directional association rules from the co-purchase relation —
-    the RULE step copurchase_pairs' symmetric support stops short of:
+    the RULE step a symmetric co-purchase support stops short of:
     support says dup-bought-together; only confidence says WHICH WAY
     to recommend (conf(a→b) = P(b|a) differs from conf(b→a) exactly
     when the items' popularities differ), and lift vs the consequent's
@@ -2642,7 +2642,7 @@ def _q_paasche_index(sf_dir: str):
 
 def _q_fd_mine(sf_dir: str):
     """Functional-dependency DISCOVERY over a candidate list — the
-    mining side of fd_error's single-FD check (profiling asks "which
+    mining side of a single-FD error check (profiling asks "which
     dependencies hold?" before anyone can assert one): for each
     candidate A→B, violations = |distinct(A,B)| − |distinct(A)| (zero
     ⟺ every A value maps to one B), with the key column as the planted
@@ -2709,8 +2709,8 @@ def _q_rank_overlap(sf_dir: str):
     behind every 'top terms' dashboard (if two random halves disagree,
     the list is noise, not signal), which per-item drift tests
     (tvd/ks) can't answer because rank lists weight the TOP.  Depth-
-    weighted agreement is RBO with the persistence DYADIC (p = 1/2, the
-    decayed_leaderboard discipline): rbo_ppm = Σ_{d=1..20}
+    weighted agreement is RBO with the persistence DYADIC (p = 1/2, so each
+    weight is an exact shift): rbo_ppm = Σ_{d=1..20}
     10⁶·overlap@d // (d·2^d), one floor per depth (identical lists
     score 999980, not 10⁶ — the truncation residue, documented);
     jaccard@20 rides along as the unweighted check.  Token counts per
@@ -2778,7 +2778,7 @@ def _q_chain_index(sf_dir: str):
     links on parts traded in both (v₀ = Σs_{k−1} exact, v₁ floors once
     per part — the laspeyres_index contract), then the chain is the
     sequential trunc-ppm product c_k = c_{k−1}·link_k // 10⁶ (the
-    markov_kstep discipline).  One (part, quarter) exchange, bucketed
+    ``windows.markov_kstep_int`` discipline).  One (part, quarter) exchange, bucketed
     per-part pivot, per-partition (k, n, v₀, v₁) partials, 3-row
     driver fold.  Mirror: VALUES-join links + 3 chained CTEs."""
     import numpy as np
@@ -2868,7 +2868,7 @@ def _q_chain_index(sf_dir: str):
 
 def _q_lorenz_deciles(sf_dir: str):
     """Lorenz curve of customer revenue by decile — the CURVE behind
-    gini_orders' single number (two populations can share a Gini while
+    the Gini coefficient's single number (two populations can share a Gini while
     concentrating in different tails; budget and fairness decisions
     read the curve, not the scalar).  Customers rank ASCENDING by
     whole-dollar revenue (the rfm_segments trick: the dollar domain is
@@ -2933,14 +2933,14 @@ def _q_lorenz_deciles(sf_dir: str):
 
 
 def _q_rmst_summary(sf_dir: str):
-    """Survival summary scalars over the km_survival fold: RMST
+    """Survival summary scalars over the Kaplan–Meier fold (``windows.km_survival_int``): RMST
     (restricted mean survival time — the AREA under the 30-day curve,
     in ppm·days: the 'average user-days alive per user' number a
     retention budget multiplies) and the median survival day (first
     day the curve drops below 500000 ppm; −1 = not reached inside the
     window — the standard censoring-honest answer, NOT a guess).
     Derived driver-side from the same one-exchange fold.  Mirror:
-    the km_survival CTE chain wrapped in one aggregate."""
+    the Kaplan–Meier CTE chain wrapped in one aggregate."""
     import pandas as pd
     import ray.data
 
@@ -3146,8 +3146,8 @@ def _q_q8_market_share(sf_dir: str):
 
 def _q_pinball_eval(sf_dir: str):
     """Quantile (pinball) loss of the hour-of-day median predictor —
-    the ASYMMETRIC loss the MAE backtests (backtest_mae /
-    ewma_backtest / seasonal variants) can't express: a capacity
+    the ASYMMETRIC loss the MAE backtests (backtest_mae and
+    its seasonal variants) can't express: a capacity
     planner who under-provisions pays 9× what over-provisioning costs,
     which is exactly the q = 0.9 pinball weighting; q = 0.5 rides
     along (pinball@0.5 ≡ MAE/2, the consistency anchor).  Predictor =
@@ -3202,7 +3202,7 @@ def _q_pinball_eval(sf_dir: str):
 
 def _q_cohort_ltv(sf_dir: str):
     """Cohort LTV accumulation — the MONEY dimension
-    retention_cohorts' distinct-user counts deliberately erase: users
+    weekly distinct-user retention counts erase: users
     grouped by first-event week (the retention convention), purchase
     revenue per (cohort_week, week_offset) and its running total —
     the curve a payback-period decision reads ("cohort X recovers
@@ -3410,8 +3410,8 @@ def _q_german_tank(sf_dir: str):
 
 def _q_fifo_cogs(sf_dir: str):
     """FIFO cost basis of returned stock per part — inventory
-    accounting, the family the ledger ops (user_ledger /
-    customer_running) don't touch: treat non-'R' lines as BUYS in
+    accounting, the family running per-customer
+    ledgers don't touch: treat non-'R' lines as BUYS in
     shipdate order and the part's 'R' quantity as the SELL; FIFO
     consumes the earliest buys first, so the cost of goods returned
     differs from the weighted-average basis exactly when prices

@@ -34,15 +34,15 @@ def _q_capture_diff(sf_dir: str):
 
 def _q_youden_threshold(sf_dir: str):
     """Operating-point selection by Youden's J — the decision AUC
-    refuses to make: rank_auc says HOW WELL quantity ranks returns,
+    refuses to make: AUC says HOW WELL quantity ranks returns,
     but a filter needs ONE threshold, and J = TPR − FPR picks the
     point where the classifier beats chance by the most (the
     sensitivity+specificity−1 maximizer).  Classifier: positive ⟺
     score ≥ t, candidates = distinct scores; per candidate
     tpr_ppm = 10⁶·tp // P and fpr_ppm = 10⁶·fp // N (one floor each —
     the contract), J = tpr − fpr, ties → SMALLEST threshold (the more
-    sensitive operating point).  Same bounded histogram exchange as
-    rank_auc; the sweep is a cumulative scan over ≤|scores| rows.
+    sensitive operating point).  Same bounded histogram exchange
+    (``_score_label_hist``); the sweep is a cumulative scan over ≤|scores| rows.
     Mirror: histogram + window sums + ORDER BY LIMIT 1."""
     import pandas as pd
 
@@ -77,7 +77,7 @@ def _q_youden_threshold(sf_dir: str):
 
 def _q_average_precision(sf_dir: str):
     """Average precision (PR-curve area) under the BLOCK tie contract
-    — the eval for imbalanced problems where ROC flatters (rank_auc's
+    — the eval for imbalanced problems where ROC flatters (AUC's
     denominator P·N barely moves when negatives dominate; AP weights
     by precision, which collapses): scores sweep DESCENDING in
     distinct-value blocks (ties are physical — every equal score is
@@ -300,7 +300,7 @@ def _q_qini_auuc(sf_dir: str):
 
 def _q_calibration_bins(sf_dir: str):
     """Probability CALIBRATION — the eval axis the discrimination ops
-    (rank_auc, youden_threshold, average_precision) can't see: a score
+    (youden_threshold, average_precision) can't see: a score
     can rank perfectly yet lie about the probabilities (say 90% when
     35% convert), and any system that THRESHOLDS on the raw score or
     multiplies it into an expected value needs the reliability
@@ -387,7 +387,7 @@ def _q_srm_check(sf_dir: str):
     collapses to χ² = (n_t − n_c)²/N — exact integer numerator, ONE
     floor at milli precision — and the flag cross-multiplies against
     the χ²₁ 5% critical value: (n_t − n_c)²·10⁶ > 3841459·N (the
-    logrank_test discipline).  Scalars only; the user exchange is the
+    ``windows.logrank_test_int`` discipline).  Scalars only; the user exchange is the
     plan's single shuffle.  Mirror: the same coin + cross-multiplied
     inequality."""
     import numpy as np
@@ -1197,7 +1197,7 @@ def _q_rdd_jump(sf_dir: str):
     below and just above are exchangeable, so the outcome gap between
     the two side-local regression intercepts AT the cutoff estimates
     the effect.  Local-linear on each side within bandwidth 20
-    (u = x−66 ∈ [−20,−1] left, [0,19] right), the grouped_regression
+    (u = x−66 ∈ [−20,−1] left, [0,19] right), the grouped-OLS
     integer contract: den = n·Σuu − (Σu)² (non-negative by
     Cauchy-Schwarz), intercept num = Σy·Σuu − Σu·Σuy, slope num =
     n·Σuy − Σu·Σy, each sign-split floored once to ppm;
@@ -1706,10 +1706,10 @@ def _q_chain_ladder(sf_dir: str):
         f_j_ppm = 10⁶·Σ_i C_{i,j+1} // Σ_i C_{i,j}   (i ≤ CAL−j−1)
 
     and each immature cohort chains its latest cumulative through the
-    remaining factors with the markov_kstep trunc discipline
+    remaining factors with the ``windows.markov_kstep_int`` trunc discipline
     (u ← u·f // 10⁶ per step).  ibnr = ultimate − latest is the
     revenue still to ship.  Physical plan: ONE partitioned hash_join
-    (lineitem→orders, the join_revenue pattern) + ONE
+    (lineitem→orders) + ONE
     (cohort, delay) exchange bounded by months×4; the triangle fold
     is a driver pass over ≤ months×4 cells.  Mirror: identical join +
     window cumulative + 3 factor scalars + the unrolled trunc
@@ -1802,12 +1802,12 @@ def _q_chain_ladder(sf_dir: str):
 
 def _q_fe_panel(sf_dir: str):
     """Pooled vs fixed-effects (within) slope over the customer×month
-    revenue panel — the panel-econometrics readout grouped_regression
+    revenue panel — the panel-econometrics readout a per-group regression
     can't give: the pooled slope of revenue on time mixes the real
     within-customer trend with COMPOSITION (big spenders entering or
     leaving the panel), and the within estimator demeans per customer
     to remove every time-invariant customer effect.  Integer
-    contract: pooled is the grouped_regression formula on totals (one
+    contract: pooled is the grouped-OLS formula on totals (one
     sign-split floor); within needs per-group rationals
     (Σxy_i − Σx_iΣy_i/n_i), so each group's numerator and denominator
     term floors once at micro precision
@@ -2250,7 +2250,7 @@ def _q_cost_threshold(sf_dir: str):
     confusion and profit, with the all-positive baseline profit
     riding along (a threshold must beat classifying everything
     positive, or the queue is pointless).  Same bounded histogram
-    exchange as rank_auc/youden.  Mirror: window sums + ORDER BY
+    exchange as youden_threshold.  Mirror: window sums + ORDER BY
     LIMIT 1."""
     import pandas as pd
 
@@ -2287,10 +2287,10 @@ def _q_cost_threshold(sf_dir: str):
 def _q_anomaly_ensemble(sf_dir: str):
     """Detector-consensus alerts (``windows.anomaly_ensemble_int``):
     the alert-fatigue fix production monitoring actually runs — each
-    spike rule in this repo has a known blind spot (events_anomaly's
-    global 3σ inflates under drift, xmr_alarms under-reacts when the
-    jump inflates its own moving range, seasonal_anomaly needs a real
-    daily cycle), so an hour pages only when ≥ 2 of the 3 UPWARD
+    spike rule in this repo has a known blind spot (a global 3σ band
+    inflates under drift, ``xmr_alarms_int`` under-reacts when the
+    jump inflates its own moving range, ``seasonal_anomaly_int`` needs
+    a real daily cycle), so an hour pages only when ≥ 2 of the 3 UPWARD
     rules agree, with the individual votes exposed.  Same bounded
     dense-grid exchange as the single rules.  Mirror: the dense grid
     + the three cross-multiplied inequalities + a votes filter."""
@@ -2305,7 +2305,7 @@ def _q_anomaly_ensemble(sf_dir: str):
 
 def _q_attribution_decay(sf_dir: str):
     """Time-decay multi-touch attribution
-    (``windows.attribution_time_decay``): attribution_credit's equal
+    (``windows.attribution_time_decay``): an equal-credit
     split ignores RECENCY — a touch 5 minutes before the purchase
     deserves more than one 55 minutes before — and the decay is
     dyadic so everything stays exact: 6 ten-minute buckets across the
@@ -2353,7 +2353,7 @@ def _q_exposure_fairness(sf_dir: str):
     (> 0: the group's items cluster at the TOP of the list — it gets
     more attention than its item count earns; the equal-exposure
     baseline is item share by construction).  Top-k is a global
-    sort+limit (the top_orders pattern, k bounded); the fold is a
+    sort+limit (k bounded); the fold is a
     k-row driver pass.  Mirror: row_number + identical floors."""
     import pandas as pd
     import ray.data
@@ -2387,7 +2387,7 @@ def _q_qte_quantiles(sf_dir: str):
     can leave the mean flat while fattening the tail (heavy buyers
     spend more, light buyers less), and the QTE reads the arm gap at
     each quantile.  Purchase values in exact cents per Knuth arm, the
-    p95_quantity rank discipline (smallest value whose cumulative
+    nearest-rank quantile (smallest value whose cumulative
     count reaches ⌈p·n⌉ — no interpolation) at p ∈ {25, 50, 75, 90}:
 
         qte_cents(p) = v_treat(p) − v_ctrl(p)
@@ -2457,7 +2457,7 @@ def _q_newsvendor_stock(sf_dir: str):
     co = 1 (holding cost per unit over), and the newsvendor solution
     is the critical fractile cu/(cu+co) = 3/4 — stock = smallest
     demand value whose cumulative count reaches ⌈3n/4⌉ (the
-    p95_quantity rank discipline).  The expected cost is EXACT on the
+    nearest-rank quantile).  The expected cost is EXACT on the
     demand histogram (Σ n_d·(co·(s−d)⁺ + cu·(d−s)⁺), integer), and
     the MEDIAN stock's cost rides along — the gap is what the
     fractile optimization buys over the naive mid pick (cost_opt ≤
@@ -2521,11 +2521,11 @@ def _q_newsvendor_stock(sf_dir: str):
 def _q_competing_risks(sf_dir: str):
     """Aalen-Johansen cumulative incidence
     (``windows.competing_risks_int``): the two-cause exit question
-    km_survival can't pose — a user who goes quiet either exits
+    one Kaplan–Meier curve can't pose — a user who goes quiet either exits
     CONVERTED (last event a purchase) or ABANDONS, and per-cause
     1−KM overestimates both because a cause-1 exit removes the user
     from cause-2 risk; AJ shares s_{d−1}/n_d correctly.  Same
-    lifetime/censoring contract as km_survival, per-step trunc fold
+    lifetime/censoring contract as ``windows.km_survival_int``, per-step trunc fold
     carrying (s, cif1, cif2).  ONE key-hash exchange; ≤ horizon×3
     histogram.  Mirror: row_number last-event + the generated 30-step
     3-accumulator CTE chain."""
@@ -2744,11 +2744,11 @@ def _q_wilcoxon_signed(sf_dir: str):
 
 def _q_nelson_aalen(sf_dir: str):
     """Nelson-Aalen cumulative hazard — the SUM companion to
-    km_survival's product: KM multiplies survival factors (one
+    Kaplan–Meier's product: KM multiplies survival factors (one
     pessimistic floor per step compounds), NA adds hazard increments
     Σ d_k/n_k, the estimator actuaries integrate risk over and the
     one whose increments are additive across strata.  Same lifetime
-    / 6 h-censoring / 30-day-horizon contracts as km_survival
+    / 6 h-censoring / 30-day-horizon contracts as Kaplan–Meier
     (shared kernel ``windows.km_survival_int`` supplies the
     (day, at_risk, deaths, hazard_ppm) table); the NA layer is the
     running sum of the per-day hazard floors:
@@ -2758,7 +2758,7 @@ def _q_nelson_aalen(sf_dir: str):
     — floors SUM here rather than compound, so (unlike the KM chain)
     the mirror needs NO recursive CTE, just a window cumsum: the
     structural difference between the two estimators is visible in
-    the two oracles' shapes.  Cost: identical to km_survival."""
+    the two oracles' shapes.  Cost: identical to the Kaplan–Meier fold."""
     import ray.data
 
     from documentai_ray.stages.windows import km_survival_int
@@ -2774,7 +2774,7 @@ def _q_nelson_aalen(sf_dir: str):
 
 def _q_rle_advisor(sf_dir: str):
     """RLE/dictionary encoding advisor under a candidate sort key —
-    the layout question delta_varint answers for integers, asked for
+    the layout question delta+varint coding answers for integers, asked for
     the LOW-CARDINALITY string columns: if the table were sorted by
     (ship-day, column), how many runs would each flag column
     collapse to, and does run-length or dictionary encoding win?
@@ -3112,7 +3112,7 @@ def _q_cochran_q(sf_dir: str):
 
 def _q_conformance_check(sf_dir: str):
     """Process-mining log conformance — the REFERENCE-MODEL judgment
-    event_transitions refuses to make: the transition matrix says
+    a transition census refuses to make: the transition matrix says
     what users DO, conformance says how much of it the designed
     funnel (signup→view→click→purchase with view loops and
     click/purchase returns) ALLOWS.  Every observed (prev → next)

@@ -6,12 +6,12 @@ from documentai_ray.queries._helpers import *  # noqa: F401,F403
 
 def _q_survival_cindex(sf_dir: str):
     """Harrell's concordance index — the MODEL-EVAL layer the
-    survival family lacks: km_survival describes the population
+    survival family lacks: Kaplan–Meier describes the population
     curve, competing_risks splits it by cause, but "does per-user
     activity PREDICT who goes quiet sooner" scores a risk score
-    against censored outcomes, and no ROC applies (rank_auc needs
+    against censored outcomes, and no ROC applies (AUC needs
     uncensored labels).  Conventions shared verbatim with
-    km_survival: lifetime T = whole days first→last event, death
+    ``windows.km_survival_int``: lifetime T = whole days first→last event, death
     observed iff the user went quiet ≥ 6 h before corpus max; risk
     score S = the user's event count.  The pair contract:
 
@@ -235,7 +235,7 @@ def _q_yule_k(sf_dir: str):
 
 def _q_mann_whitney(sf_dir: str):
     """Mann-Whitney U with tie-corrected normal significance — the
-    INFERENCE layer rank_auc deliberately lacks: AUC = U/(n₁n₂) says
+    INFERENCE layer a bare AUC lacks: AUC = U/(n₁n₂) says
     HOW WELL quantity ranks returns, but not whether the separation
     beats chance at this sample size; the U test is that answer, and
     every piece is rational.  Doubled midranks (the kruskal_wallis
@@ -253,7 +253,7 @@ def _q_mann_whitney(sf_dir: str):
     D ≤ n₁n₂ keeps 3·10⁶·D² ≲ 2·10³² at sf1 — HUGEINT, documented.
     All-tied corpora have var12 = 0 → z2 = 0, not significant (the
     guard).  Same ONE bounded (qty, returned) histogram exchange as
-    rank_auc/youden.  Mirror: histogram + window midranks +
+    youden_threshold.  Mirror: histogram + window midranks +
     identical HUGEINT fold."""
     import pandas as pd
 
@@ -462,7 +462,7 @@ def _q_mcnemar_test(sf_dir: str):
 
 def _q_max_drawdown(sf_dir: str):
     """Maximum drawdown of cumulative NET revenue — the PATH-risk
-    readout the level ops can't see: cohort_ltv and customer_running
+    readout the level ops can't see: cohort_ltv and running totals
     sum flows, trend ops fit slopes, but "how deep under its own
     high-water mark did the book go, and for how long" is a statement
     about the running-max PATH.  Gross revenue only rises, so the
@@ -526,10 +526,10 @@ def _q_max_drawdown(sf_dir: str):
 
 def _q_link_predict(sf_dir: str):
     """Common-neighbor link prediction over the deterministic web-ish
-    link graph (the triangle_count edge set: i→i+1, i→i+2,
-    i→(7i+1) mod n) — the FORECAST the triangle family only audits:
-    triangle_count counts wedges that DID close, clustering_coeff
-    scores the closure rate; "which missing links have the most
+    link graph (edge set: i→i+1, i→i+2,
+    i→(7i+1) mod n) — the FORECAST triangle counting only audits:
+    a triangle count counts wedges that DID close, the clustering
+    coefficient scores the closure rate; "which missing links have the most
     shared neighbors" ranks the wedges most likely to close next
     (the classic triadic-closure baseline).  Runs
     ``graph.common_neighbor_predict``: the wedge fan-out rides
@@ -715,7 +715,7 @@ def _q_rbp_eval(sf_dir: str):
     discount is a convention, MRR stops at the first hit; RBP models
     a user who inspects rank r with probability p^(r−1) and scores
     Σ (1−p)·p^(r−1)·rel_r.  With the dyadic p = 1/2 (the
-    rank_overlap / decayed_leaderboard discipline) the weight at
+    rank_overlap discipline) the weight at
     rank r is exactly 10⁶ // 2^r ppm — and 10⁶ is divisible by 2⁵,
     so the top-5 sum has ZERO flooring loss: a fully relevant list
     reads exactly 968750 (the 31/32 truncation-at-k residue, not a
@@ -771,7 +771,7 @@ def _q_err_eval(sf_dir: str):
 
 def _q_kruskal_wallis(sf_dir: str):
     """Kruskal-Wallis k-sample rank test — the K-GROUP location
-    question the two-sample family can't pose: rank_auc scores how
+    question the two-sample family can't pose: AUC scores how
     well quantity separates TWO outcomes, cochran_armitage needs
     ORDERED groups; "do the three return-flag populations draw
     quantity from the same distribution" is unordered and k-ary, and
@@ -792,8 +792,8 @@ def _q_kruskal_wallis(sf_dir: str):
     on chi²₂ cross-multiplies the SHARED floored S so both engines
     flag identically: 3·10⁶·S − 3·10⁶·n(n+1)² > 5991465·n(n+1).
     Magnitude: R'_j² ≲ 4n⁴ ≈ 5·10²³ at sf1 — HUGEINT territory,
-    documented.  ONE bounded (qty, flag) histogram exchange (the
-    rank_auc discipline); the ≤150-cell fold is driver-side.
+    documented.  ONE bounded (qty, flag) histogram exchange; the
+    ≤150-cell fold runs in the calling process.
     Mirror: histogram CTE + window cumsum midranks + the identical
     floors under HUGEINT."""
     import numpy as np

@@ -20,7 +20,6 @@ magic (DOCX/XLSX are PK-zip: ``PK\\x03\\x04``) + member names.
 from __future__ import annotations
 
 import io
-import re
 import zipfile
 import xml.etree.ElementTree as ET
 
@@ -60,9 +59,6 @@ def read_docx_text(payload: bytes) -> str:
         runs = [t.text or "" for t in p.iter(f"{_W_NS}t")]
         paras.append("".join(runs))
     return "\n".join(paras)
-
-
-_CELL_REF_RE = re.compile(r"([A-Z]+)(\d+)")
 
 
 def read_xlsx_text(payload: bytes, *, max_rows: int = XLSX_MAX_ROWS,

@@ -461,17 +461,6 @@ def payload_for(doc_id: int, text: str, *, pdf_mode: bool = False,
 # corpus builders
 # ---------------------------------------------------------------------------
 
-PAGES_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("warc_ts", pa.timestamp("us")),
-        ("html", pa.large_binary()),
-        ("text", pa.large_string()),
-        ("lang", pa.string()),
-    ]
-)
-
-
 def synth_pages_table(
     sf_dir: str,
     *,

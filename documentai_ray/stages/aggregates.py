@@ -1462,7 +1462,7 @@ def gini_concentration_int(ds, *, key_col: str):
 
 def classification_prf_int(ds, *, true_col: str, pred_col: str):
     """Per-class precision / recall / F1 in integer ppm — the
-    class-level eval completing the trio (rank_auc = ranking quality,
+    class-level eval completing the trio (AUC = ranking quality,
     cohens_kappa = overall chance-corrected agreement, this = WHERE the
     model fails): every metric is a ratio of confusion-matrix counts,
     and F1's harmonic mean clears to one division —

@@ -297,7 +297,7 @@ def impute_group_mode(ds, *, key_col: str, val_col: str,
                       flag_col: str = "was_imputed",
                       num_partitions: int = 32):
     """Mode imputation per group — the standard categorical repair
-    after a dq_audit flags NULLs: each missing ``val_col`` is filled
+    after a data-quality audit flags NULLs: each missing ``val_col`` is filled
     with its GROUP's most frequent non-missing value (a customer's
     missing segment becomes their nation's modal segment — the group
     mode beats the global mode exactly when the column correlates with
@@ -345,7 +345,7 @@ def fd_g3_error(ds, *, lhs_col: str, rhs_col: str):
     of ``lhs → rhs`` — the minimum number of rows you must DELETE for
     the dependency to hold exactly, ``n − Σ_lhs max_rhs count(lhs,
     rhs)`` (Kivinen–Mannila; the standard profiling measure TANE-style
-    FD miners rank candidates by).  dq_audit asserts declared
+    FD miners rank candidates by).  A data-quality audit asserts declared
     constraints; this MEASURES how far an undeclared one is from true.
 
     Fully distributed — the pair table never reaches the driver: per-

@@ -442,7 +442,7 @@ def extract_outlinks(base_url: str, html_text: str) -> list[str]:
     against the page url (relative paths, ``../``, protocol-relative
     ``//host/…`` all resolve), keep http(s) only — ``mailto:``,
     ``javascript:`` and fragment-only hrefs drop. The edge list feeds the
-    host link graph (pagerank / crawl-frontier expansion)."""
+    host link graph (link analysis / crawl-frontier expansion)."""
     from urllib.parse import urljoin
 
     out: list[str] = []

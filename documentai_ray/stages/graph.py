@@ -770,7 +770,7 @@ def common_neighbor_predict(edges_ds, *, top_k: int = 20,
                             max_degree: int = 10_000):
     """Common-neighbor link prediction: for every NON-adjacent node
     pair at distance 2, count the shared neighbors (the triadic-closure
-    score — the open wedges triangle_count refuses to close) and return
+    score — the open wedges a triangle count leaves open) and return
     the top-k candidates by (cn desc, a, b).
 
     Physical plan: symmetrize + drop self-loops (map-only), then the
@@ -782,7 +782,7 @@ def common_neighbor_predict(edges_ds, *, top_k: int = 20,
     are removed WITHOUT a join: undirected edges ride the same pair
     exchange as (cn=0, adj=1) marker rows, one groupby folds
     (Σcn, max adj), and the filter keeps adj = 0.  The k-row result is
-    a global sort+limit (the top_orders pattern, k bounded).
+    a global sort+limit (k bounded).
 
     Partitioning assumption: wedge count per middle is C(deg, 2) —
     a hub beyond ``max_degree`` raises loudly (cap upstream), the

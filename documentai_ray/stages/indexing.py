@@ -356,7 +356,7 @@ def zonemap_prune(ds, *, id_col: str, val_col: str,
     ``lo ≤ val ≤ hi``, how many buckets a min/max zone map would skip
     and how many rows the surviving scan touches vs actually match —
     the number that tells you whether re-sorting the table on
-    ``val_col`` is worth it (zorder_keys plans the layout; this
+    ``val_col`` is worth it (a Z-order key plans the layout; this
     measures what the CURRENT layout wastes). One exchange bounded by
     buckets, each carrying pre-combined (min, max, count, matched);
     scalars fold on the driver. Returns one row (n_buckets, n_pruned,

@@ -697,7 +697,7 @@ def crc8(data: bytes) -> int:
 
 def bwt_runs(s: str):
     """Burrows–Wheeler transform + run count — COMPRESSED INDEXING,
-    the modern-stringology family member (string_period is classical
+    the modern-stringology family member (periodicity is classical
     combinatorics on words; the BWT's run count r is THE parameter
     of FM-indexes/r-indexes, and repetitive text collapses to few
     runs).  Full rotation sort with '$' sentinel (byte order '$' <

@@ -423,7 +423,7 @@ def sliding_distinct_count(ds, *, key_col: str, bucket_col: str,
 def scd2_build(ds, *, key_col: str, val_col: str, ts_col: str,
                open_end: int, num_partitions: int = 32):
     """BUILD an SCD Type-2 dimension from an observation stream — the
-    inverse of the scd2_join consumer: per key, consecutive equal
+    inverse of an SCD2 point-in-time join: per key, consecutive equal
     values collapse into one validity range ``[valid_from, valid_to)``;
     a value change closes the previous range at the new observation's
     timestamp; the latest range stays open until ``open_end``. Repeated
@@ -944,7 +944,7 @@ def user_feature_matrix(ds, *, key_col: str = "user_id",
     feature pipelines.
 
     Types outside ``type_vocab`` count toward ``n_events`` but get no
-    per-type column (closed-vocabulary contract, as events_pivot).
+    per-type column (closed-vocabulary contract).
     Returns (key, n_events, first_us, last_us, span_s,
     n_<type>..., value_c)."""
     from ray.data.aggregate import Max, Min, Sum
@@ -1441,7 +1441,7 @@ def changepoint_binary_int(ds, *, key_col: str = "event_type",
     first split: the hour t* that maximizes the between-segment term
     B(t) = S1²/n1 + S2²/n2 of the hourly-count series (equivalently,
     the split with the largest SSE reduction; S²/n is constant in t).
-    cusum_alarms DETECTS that a sustained shift happened and when the
+    ``cusum_alarms_int`` DETECTS that a sustained shift happened and when the
     statistic crossed the line; this answers WHERE the level actually
     moved, the estimator binary segmentation recurses on.
 
@@ -1581,7 +1581,7 @@ def _median2(sorted_vals: np.ndarray) -> int:
 def theil_sen_int(ds, *, key_col: str = "event_type", ts_col: str = "ts",
                   max_obs: int = 4096):
     """Theil–Sen robust trend slope per key, in exact doubled-milli
-    units — the MAGNITUDE companion to mann_kendall's direction-only S:
+    units — the MAGNITUDE companion to ``mann_kendall_int``'s direction-only S:
     the median of all pairwise slopes (c_j − c_i)/(x_j − x_i) over the
     hourly-count series, immune to outlier hours the OLS slope chases.
     Slopes are DEFINED trunc-milli (sign · 1000|dy| // dx, the SQL
@@ -1591,7 +1591,7 @@ def theil_sen_int(ds, *, key_col: str = "event_type", ts_col: str = "ts",
 
     ONE pre-combined (hour, key) exchange bounded by hours × keys
     (documented calendar bound: T ≤ ``max_obs`` per key — raises
-    beyond, the mann_kendall contract); the T² pair fold is a
+    beyond, the ``mann_kendall_int`` contract); the T² pair fold is a
     vectorized numpy triangle per key on the driver histogram.
 
     Returns per key: (key, n_obs, n_pairs, slope_med_x2_milli)."""
@@ -1739,8 +1739,8 @@ def acf_lag_int(ds, *, key_col: str = "event_type", ts_col: str = "ts",
                 lags: tuple = (1, 24), max_obs: int = 8784):
     """Autocorrelation of the dense hourly series per key at fixed
     lags, exact integer ppm — the PERIODICITY detector the trend family
-    can't see: mann_kendall/theil_sen score monotone drift,
-    seasonality_strength scores hour-of-day structure via ANOVA
+    can't see: ``mann_kendall_int``/``theil_sen_int`` score monotone
+    drift, ``seasonality_strength_int`` scores hour-of-day structure via ANOVA
     buckets; ACF(24) measures whether the series actually REPEATS at
     day scale (and ACF(1) how sticky adjacent hours are), phase and
     all, which bucket variance analysis erases.
@@ -1790,7 +1790,7 @@ def runs_test_int(ds, *, key_col: str = "event_type", ts_col: str = "ts",
     """Wald–Wolfowitz runs test of the dense hourly series against its
     own median, exact integers — the LEVEL-CLUSTERING question none of
     the trend family asks: trend_flips counts direction thrash,
-    mann_kendall scores monotone drift; this asks whether
+    ``mann_kendall_int`` scores monotone drift; this asks whether
     above-median and below-median hours arrive in long blocks (bursty
     regimes, R far below expectation) or alternate (R above).
 
@@ -1837,7 +1837,7 @@ def haar_energy_int(ds, *, key_col: str = "event_type",
     hourly series per key, exact integers — the MULTI-SCALE variance
     question nothing else in the series family asks: AT WHICH TIMESCALE
     does the variance live?  acf probes one lag at a time,
-    seasonality_strength one fixed grouping; the Haar pyramid splits
+    ``seasonality_strength_int`` one fixed grouping; the Haar pyramid splits
     the total centered energy into per-octave detail energies (level 1
     = hour-to-hour jitter, level 5 = 16–32 h ≈ daily structure, level 9
     = 256 h regime shifts) in one pass.
@@ -1934,11 +1934,11 @@ def conversion_lag(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     """First-touch conversion lag per user: seconds from the user's
     FIRST ``from_type`` event to their first ``to_type`` event strictly
     after it — the funnel-TIMING metric the funnel family leaves out
-    (funnel_conversion counts who converts, attribution says which
+    (a conversion funnel counts who converts, attribution says which
     touches earn it; this measures HOW LONG conversion takes, the
     number LTV windows and re-engagement deadlines are set from).
     Users who never convert after their first touch emit no row — the
-    denominator lives in funnel_conversion, by design.
+    denominator lives in the conversion funnel, by design.
 
     ONE key-hash exchange of the (key, ts, type) projection filtered
     to the two event types AT THE READ-side map (everything else never
@@ -1984,7 +1984,7 @@ def markov_kstep_int(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                      tiebreak_col: str = "event_id", steps: int = 4,
                      num_partitions: int = 64):
     """k-step Markov forecast from the per-key transition counts —
-    the FORWARD question event_transitions' adjacency census doesn't
+    the FORWARD question the ``transitions_per_key`` census doesn't
     answer: starting from a uniform state mix, where does the process
     concentrate after k hops?  (The k-step distribution is the finite-
     horizon stand-in for the stationary distribution, which is
@@ -2136,8 +2136,8 @@ def km_survival_int(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                     num_partitions: int = 64):
     """Kaplan–Meier survival curve over user lifetimes, exact integer
     ppm — the survival-analysis question none of the engagement family
-    asks: retention_cohorts counts who RETURNS in week k,
-    events_sessions cuts activity into visits, but neither estimates
+    asks: weekly retention counts who RETURNS in week k,
+    ``session_windows`` cuts activity into visits, but neither estimates
     "what fraction of users are still alive at day d" under CENSORING
     — users still active at the horizon haven't died, and counting
     them as either dead or immortal biases the curve (the exact error
@@ -2155,7 +2155,7 @@ def km_survival_int(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     - at day d: at_risk n_d = #{lifetime ≥ d} (censored users count
       while they last — the KM point), deaths d_d = #{observed ∧
       lifetime = d};
-    - the curve is the per-step trunc-ppm fold (the markov_kstep
+    - the curve is the per-step trunc-ppm fold (the ``markov_kstep_int``
       discipline: the truncation order IS the op): s_{−1} = 10⁶,
       s_d = s_{d−1}·(n_d − d_d) // n_d, carried unchanged when
       n_d = 0.  Deaths past ``horizon_days`` are invisible (the haar
@@ -2233,7 +2233,7 @@ def competing_risks_int(ds, *, key_col: str = "user_id",
                         censor_gap_hours: int = 6,
                         num_partitions: int = 64):
     """Aalen-Johansen cumulative incidence under COMPETING risks — the
-    two-cause question km_survival can't pose: a user who goes quiet
+    two-cause question ``km_survival_int`` can't pose: a user who goes quiet
     either exits CONVERTED (last event a purchase — cause 1) or
     ABANDONS (cause 2), and running one-cause KM per cause
     overestimates both (a cause-1 exit removes the user from cause-2
@@ -2326,7 +2326,7 @@ def decayed_sum_topk(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     ranking a plain count can't give (a user active yesterday outranks
     one with twice the events three weeks ago), with the half-life
     chosen DYADIC so the weight is exact integer division (e^{−λt} is
-    irrational; 2^{−days} is a shift — the ewma_backtest discipline).
+    irrational; 2^{−days} is a shift — the ``ewma_backtest_int`` discipline).
     Weights vanish past day 19 (10⁶ < 2²⁰), so the ``max_age_days``
     shift cap bounds the arithmetic, not the semantics.
 
@@ -2448,7 +2448,7 @@ def logrank_test_int(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                      hash_mult: int = 2654435761):
     """Log-rank test between two survival arms, exact integers — the
     A/B of survival: ab_conversion compares END-STATE rates and
-    km_survival draws one pooled curve, but "does the treatment arm
+    ``km_survival_int`` draws one pooled curve, but "does the treatment arm
     die SLOWER" needs the whole time axis compared under censoring —
     two arms with identical 30-day death totals differ if one front-
     loads its deaths, which a rate test cannot see and the log-rank
@@ -2611,8 +2611,8 @@ def xmr_alarms_int(ds, *, key_col: str = "event_type", ts_col: str = "ts",
                    max_obs: int = 8784):
     """XmR (individuals / moving-range) control chart over the dense
     hourly series, exact integers — the SPC classic and the THIRD
-    spike rule next to the 3σ band (events_anomaly) and the hod-peer
-    band (seasonal_anomaly): the XmR limit scales with the MOVING
+    spike rule next to the 3σ band and the hod-peer band
+    (``seasonal_anomaly_int``): the XmR limit scales with the MOVING
     RANGE MR̄ = mean |x_t − x_{t−1}| instead of the global σ, so a
     series whose variance comes from slow drift (inflating σ, hiding
     spikes) still alarms on sharp hour-to-hour jumps — and a noisy-

@@ -54,7 +54,7 @@ class TestChainLadder:
 
     def test_trunc_chain_discipline(self, ray_session, tmp_path):
         """A factor that doesn't divide evenly must truncate at EACH
-        chain step (the markov_kstep discipline), not once at the end:
+        chain step (the ``markov_kstep_int`` discipline), not once at the end:
         latest 100, f0 = 350/300 -> 100*1166666//1e6 = 116 (not
         116.67), then f1 = 1 -> ultimate 116."""
         import __ray_entry__ as entrymod

@@ -67,7 +67,7 @@ def test_lorenz_deciles_shares(ray_session, tmp_path):
 def test_rmst_summary_area_and_median(ray_session, tmp_path):
     import __ray_entry__ as entrymod
 
-    # the km_survival hand corpus: curve 750000 (days 0-1), 500000
+    # the Kaplan–Meier hand corpus: curve 750000 (days 0-1), 500000
     # (day 2), then 250000 carried days 3..29 (27 days) → rmst =
     # 8.75e6 ppm·days, median day 3 (first below half), end 250000
     base = pd.Timestamp("2024-01-01")
