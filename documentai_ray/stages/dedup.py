@@ -28,6 +28,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # 2^31-1: products a*x stay < 2^62, so (a*x+b) % p is exact in uint64
 _MERSENNE = (1 << 31) - 1
@@ -41,8 +42,9 @@ def _add_pkey(ds, col: str, num_partitions: int, out: str = "_pkey"):
     """Hash-partition key column: ``hash(col) % P``. P is bounded (≈2-4×
     cores), so the downstream ``groupby(_pkey).map_groups`` sees few, large
     groups — per-group Python overhead amortizes and the group body stays
-    vectorized pandas. (One ``map_groups`` call per *row-key* group is the
-    classic Ray Data anti-pattern: ~ms of overhead × millions of keys.)
+    vectorized (Arrow or pandas). (One ``map_groups`` call per *row-key*
+    group is the classic Ray Data anti-pattern: ~ms of overhead × millions
+    of keys.)
 
     The hash is polars' vectorized 64-bit xxhash (seeded, process-stable —
     every worker maps the same key to the same partition); the per-row
@@ -76,27 +78,37 @@ def _add_pkey(ds, col: str, num_partitions: int, out: str = "_pkey"):
     return ds.map_batches(f, batch_format="pyarrow")
 
 
+def _keep_latest(g: pa.Table, key: str, ts: str) -> pa.Table:
+    """``dedup_latest``'s group body: one stable sort on ``(key, ts)``, then
+    the last row of each run of equal keys."""
+    g = g.drop_columns(["_pkey"])
+    if g.num_rows < 2:
+        return g
+    order = pc.sort_indices(g, sort_keys=[(key, "ascending"), (ts, "ascending")],
+                            null_placement="at_end")
+    k = g.column(key).take(order)
+    head, tail = k[:-1], k[1:]
+    same = pc.or_(pc.fill_null(pc.equal(head, tail), False),
+                  pc.and_(pc.is_null(head), pc.is_null(tail)))
+    return g.take(order.filter(pa.array(np.append(~same.to_numpy(), True))))
+
+
 def dedup_latest(ds, key: str = "url", ts: str = "warc_ts",
                  num_partitions: int = 64):
     """Keep the latest capture per key.
 
-    One shuffle, hash-partitioned on ``crc32(key) % P`` (all captures of a
-    key land in one partition); within each partition a vectorized
-    ``sort_values + drop_duplicates(keep='last')``. Keys are near-unique
-    (dup rate a few %), so partitions are balanced. Ties on equal ``ts``
-    resolve to an arbitrary but single row (captures carry distinct
-    timestamps by contract)."""
-
-    def latest(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values([key, ts], kind="mergesort")
-        out = g.drop_duplicates(subset=[key], keep="last").drop(columns=["_pkey"])
-        # emit Arrow so downstream pyarrow stages stay zero-copy
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
+    One shuffle, hash-partitioned on ``hash(key) % P`` (all captures of a
+    key land in one partition); within each partition an Arrow body
+    (``_keep_latest``). Keys are near-unique (dup rate a few %), so
+    partitions are balanced. Nulls sort last: all null keys form one
+    group, and a null ``ts`` wins its group. On equal ``ts`` the row later
+    in the partition's input order wins. Output rows come in key order,
+    and column types stay as they came in."""
     return (
         _add_pkey(ds, key, num_partitions)
         .groupby("_pkey")
-        .map_groups(latest, batch_format="pandas")
+        .map_groups(_keep_latest, batch_format="pyarrow",
+                    fn_kwargs={"key": key, "ts": ts})
     )
 
 

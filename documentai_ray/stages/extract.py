@@ -11,6 +11,11 @@ payload bytes:
   dropped). This plays the role of the reference's native text extraction
   ``page.get_text()`` joined with ``"\\n"``
   (/root/reference/microservices/entity-extraction-service/app.py:515-533).
+  A single-pass fast path (``_fast_main_content``) takes one compiled
+  regex step per text run plus tag and keeps the block state in local
+  variables, in linear time; html.parser driving ``_BlockParser`` is the
+  spec, and it runs instead whenever the fast path bails on markup whose
+  reading needs its recovery rules.
 - **MINIPDF binary** → page→block→line→span walk with reading-order sort
   (reference layout walk, app.py:547-593), emitting word boxes.
 
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from html import unescape as _unescape
 from html.parser import HTMLParser
 from typing import Any
 
@@ -60,11 +66,16 @@ class _Block:
     parts: list[str] = field(default_factory=list)
     link_parts: list[str] = field(default_factory=list)
 
-    def text(self) -> str:
-        return collapse_ws("".join(self.parts))
 
-    def link_chars(self) -> int:
-        return len(collapse_ws("".join(self.link_parts)))
+def _block_text(parts: list[str], link_parts: list[str]) -> str | None:
+    """A block's whitespace-collapsed text, or None if it is boilerplate
+    (too short, or too much of it is link text)."""
+    t = collapse_ws("".join(parts))
+    if len(t) < MIN_BLOCK_CHARS:
+        return None
+    if len(collapse_ws("".join(link_parts))) / max(1, len(t)) > MAX_LINK_DENSITY:
+        return None
+    return t
 
 
 class _BlockParser(HTMLParser):
@@ -125,127 +136,177 @@ class _BlockParser(HTMLParser):
         self._flush()
 
 
-def _select_blocks(parser: _BlockParser) -> str:
-    out: list[str] = []
-    for b in parser.blocks:
-        t = b.text()
-        if len(t) < MIN_BLOCK_CHARS:
-            continue
-        if b.link_chars() / max(1, len(t)) > MAX_LINK_DENSITY:
-            continue
-        out.append(t)
-    return "\n".join(out)
-
-
 def _extract_with_htmlparser(html_text: str) -> str:
+    """The spec: html.parser drives ``_BlockParser``."""
     parser = _BlockParser()
     parser.feed(html_text)
     parser.close()
-    return _select_blocks(parser)
+    blocks = (_block_text(b.parts, b.link_parts) for b in parser.blocks)
+    return "\n".join(t for t in blocks if t is not None)
 
 
-class _FastPathBail(Exception):
-    """Raised by the fast tokenizer on any construct whose recovery
-    semantics belong to html.parser (malformed tags, CDATA, …)."""
+# Per-tag action codes for the fast path: the handler semantics of
+# ``_BlockParser`` as bits. Void tags other than ``br`` (and every tag in
+# no set) have no action, so they are absent.
+_BR, _IGNORE, _RAWTEXT, _STRIP, _LINK, _BLOCK = 1, 2, 4, 8, 16, 32
+_TAG_ACTIONS: dict[str, int] = {
+    t: ((_IGNORE if t in IGNORE_TAGS else 0)
+        | (_RAWTEXT if t in ("script", "style") else 0)  # CDATA content
+        | (_STRIP if t in STRIP_TAGS else 0)
+        | (_LINK if t == "a" else 0)
+        | (_BLOCK if t in BLOCK_TAGS else 0))
+    for t in IGNORE_TAGS | STRIP_TAGS | BLOCK_TAGS | {"a"}
+}
+_TAG_ACTIONS["br"] = _BR
+
+_COMMENT_CLOSE = re.compile(r"--\s*>")  # html.parser's comment close
+# html.parser's CDATA-mode close tag (``</\s*script\s*>``, any ASCII
+# case); re.IGNORECASE would also take ``</ſcript>``, which html.parser
+# then reads as text
+_RAWTEXT_CLOSE = {
+    t: re.compile(r"</\s*" + "".join(f"[{c}{c.upper()}]" for c in t) + r"\s*>")
+    for t in ("script", "style")}
+
+# One step of the fast path: the text run up to the next '<', then the
+# whole tag if it is one whose extent, name and self-closing flag
+# html.parser reads the same way (pinned by tests/test_extract_fast.py):
+# - an end tag ``</name`` with a name html.parser's ``endtagfind`` and
+#   ``tagfind_tolerant`` agree on, ending at the first '>' (quotes do not
+#   quote in end tags);
+# - a start tag: name, then attributes after whitespace or '/' (``b``,
+#   ``b=v``, ``b="v"``, ``b='v'``), then an optional '/' and '>'. A quote
+#   only opens a value right after the ``=`` run; a bare value runs to
+#   whitespace or '>' and takes a final '/' with it (``<a href=/x/>`` is
+#   not self-closing, as in html.parser).
+# Anything else (a quote elsewhere, an unterminated tag or value, a name
+# ending in NUL) fails the tag part, and the fast path bails. Every
+# quantifier is possessive, so a failing tag costs one linear scan.
+_ATTR = (r"[^\s/>=\"'][^\s/>=\"']*+"
+         r"(?:\s*+=++\s*+(?:\"[^\"]*+\"|'[^']*+'|[^\s>\"']*+))?+")
+_SEP = r"(?:\s|/(?!>))"
+_STEP_RE = re.compile(
+    r"([^<]*+)<(?:"
+    r"/([a-zA-Z][-.a-zA-Z0-9:_]*+)(?:[\t\n\r\f /\x00][^>]*+)?+>"
+    rf"|([a-zA-Z][^\t\n\r\f />\x00]*+)(?:{_SEP}++{_ATTR})*+{_SEP}*+(/?)>"
+    r")?")
 
 
-_RAWTEXT_TAGS = {"script", "style"}
-# One C-level match per tag: optional close slash, tag name, quote-aware
-# body. Quotes only quote when they directly follow '=' (html.parser's
-# locatestarttagend rule) — a '>' inside such a value never terminates
-# the tag; a BARE quote elsewhere in the body fails the match → bail to
-# html.parser (whose tolerant recovery would end the tag at the first
-# '>', unlike a naive any-quote scan — caught by the 30k-case tag-soup
-# fuzz). Unterminated quote/tag likewise fails → bail. Terminates at the
-# first unquoted '>'.
-_FULLTAG_RE = re.compile(
-    r"<(/?)([a-zA-Z][^\t\n\r\f />\x00]*)"
-    r"((?:[^>\"'=]|=\s*\"[^\"]*\"|=\s*'[^']*'|=)*)>")
+def _fast_main_content(html_text: str) -> str | None:
+    """Main content of well-formed HTML in one pass, or None to bail.
 
-
-def _fast_tokenize(html_text: str, parser: _BlockParser) -> None:
-    """Positional HTML tokenizer ~10× faster than html.parser, driving the
-    SAME handler (so block semantics are shared, not duplicated). Mirrors
-    html.parser behavior for well-formed markup: lowercased tag names,
-    quote-aware attribute scanning, comment/doctype/PI skipping, CDATA-mode
-    script/style content, HTML5 charref unescaping of text. Anything
-    irregular raises ``_FastPathBail`` → caller reruns with html.parser."""
-    import html as _html
-
+    One ``_STEP_RE`` match per text run plus tag; the block state of
+    ``_BlockParser`` lives in local variables and each tag's effect comes
+    from ``_TAG_ACTIONS``. Mirrors html.parser on well-formed markup:
+    lowercased tag names, comment/doctype/PI skipping, CDATA-mode
+    script/style content, HTML5 charref unescaping of each text run.
+    Anything else (CDATA sections, malformed or unterminated tags and
+    comments, a '<' that opens no tag) returns None, and the caller runs
+    html.parser, the spec. Linear time: every step either advances past
+    what it scanned or bails."""
     s = html_text
-    n = len(s)
+    out: list[str] = []
+    parts: list[str] = []
+    links: list[str] = []
+    ignore = strip = link = 0
+
+    def flush() -> None:
+        t = _block_text(parts, links)
+        if t is not None:
+            out.append(t)
+        parts.clear()
+        links.clear()
+
+    step = _STEP_RE.match
+    actions = _TAG_ACTIONS.get
     pos = 0
-    while pos < n:
-        lt = s.find("<", pos)
-        if lt == -1:
-            data = s[pos:]
-            if data:
-                parser.handle_data(_html.unescape(data) if "&" in data else data)
-            break
-        if lt > pos:
-            data = s[pos:lt]
-            parser.handle_data(_html.unescape(data) if "&" in data else data)
-        # first-char dispatch (one index op instead of a startswith chain)
-        c1 = s[lt + 1] if lt + 1 < n else ""
-        if c1 == "!":
-            if s.startswith("<!--", lt):
-                end = s.find("-->", lt + 4)
-                if end == -1:
-                    raise _FastPathBail("unterminated comment")
-                pos = end + 3
-                continue
-            if s.startswith("<![CDATA[", lt):
-                raise _FastPathBail("cdata section")
-            end = s.find(">", lt + 2)
-            if end == -1:
-                raise _FastPathBail("unterminated decl")
-            pos = end + 1
-            continue
-        if c1 == "?":
-            end = s.find(">", lt + 2)
-            if end == -1:
-                raise _FastPathBail("unterminated decl")
-            pos = end + 1
-            continue
-        m = _FULLTAG_RE.match(s, lt)
+    while True:
+        m = step(s, pos)
         if m is None:
-            raise _FastPathBail("invalid or unterminated tag")
-        name = m.group(2).lower()
-        gt = m.end() - 1
-        pos = m.end()
-        if m.group(1):
-            parser.handle_endtag(name)
+            data = s[pos:]
+        else:
+            data, end_name, name, slash = m.groups()
+            pos = m.end()
+        if data and not ignore and not strip:
+            if "&" in data:
+                data = _unescape(data)
+            if data:
+                parts.append(data)
+                if link:
+                    links.append(data)
+        if m is None:
+            break
+        if end_name is not None:
+            act = actions(end_name.lower(), 0)
+            if act & _IGNORE:
+                if ignore:
+                    ignore -= 1
+                continue
+            if act & _BLOCK and parts:
+                flush()
+            if act & _STRIP and strip:
+                strip -= 1
+            if act & _LINK and link:
+                link -= 1
             continue
-        parser.handle_starttag(name, [])
-        if s[gt - 1] == "/":  # self-closing ('/' can't end a tag NAME)
-            parser.handle_endtag(name)
+        if name is None:  # a '<' that opens no well-formed tag
+            c1 = s[pos:pos + 1]
+            if c1 == "!":
+                if s.startswith("!--", pos):
+                    mm = _COMMENT_CLOSE.search(s, pos + 3)
+                    if mm is None:
+                        return None  # unterminated comment
+                    pos = mm.end()
+                    continue
+                if s.startswith("![", pos):
+                    return None  # marked section, CDATA
+            elif c1 != "?":
+                return None  # invalid or unterminated tag
+            end = s.find(">", pos + 1)
+            if end == -1:
+                return None  # unterminated declaration
+            pos = end + 1
             continue
-        if name in _RAWTEXT_TAGS:
-            # CDATA content mode: everything until the matching close tag
-            mm = re.compile(rf"</\s*{name}", re.IGNORECASE).search(s, pos)
+        act = actions(name.lower(), 0)
+        if act & _BR:
+            parts.append(" ")
+        elif slash:
+            # self-closing: a start then an end tag, so only a block
+            # boundary is left (every depth goes up and back down)
+            if act & _BLOCK and parts:
+                flush()
+        elif act & _RAWTEXT:
+            # CDATA content mode up to the close tag; the start and end
+            # tags leave the ignore depth where it was
+            mm = _RAWTEXT_CLOSE[name.lower()].search(s, pos)
             if mm is None:
-                raise _FastPathBail("unterminated rawtext element")
-            gt = s.find(">", mm.end())
-            if gt == -1:
-                raise _FastPathBail("unterminated rawtext close tag")
-            parser.handle_endtag(name)
-            pos = gt + 1
+                return None  # unterminated rawtext element
+            pos = mm.end()
+        elif act & _IGNORE:
+            ignore += 1
+        elif act:
+            if act & _STRIP:
+                strip += 1
+            if act & _LINK:
+                link += 1
+            if act & _BLOCK and parts:
+                flush()
+    if parts:
+        flush()
+    return "\n".join(out)
 
 
 def html_main_content(html_text: str) -> str:
     """Extract main content from an HTML string per the canonical spec.
 
-    Fast tokenizer first; transparent fallback to html.parser whenever the
-    markup needs its recovery semantics — output is identical either way
-    (equivalence pinned by tests/test_extract_fast.py over the full corpus,
-    the golden cases, and hypothesis fuzz)."""
-    parser = _BlockParser()
-    try:
-        _fast_tokenize(html_text, parser)
-    except _FastPathBail:
+    The single-pass fast path serves well-formed markup; whenever the
+    markup needs html.parser's recovery semantics, html.parser (the spec,
+    ``_extract_with_htmlparser``) runs instead. Output is identical either
+    way (pinned by tests/test_extract_fast.py over the corpus, the golden
+    cases, generated pages and hypothesis fuzz)."""
+    out = _fast_main_content(html_text)
+    if out is None:
         return _extract_with_htmlparser(html_text)
-    parser._flush()  # trailing text block (html.parser does this in close())
-    return _select_blocks(parser)
+    return out
 
 
 # ---------------------------------------------------------------------------

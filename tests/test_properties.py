@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,20 @@ class TestTextFunctions:
         assert collapse_ws(once) == once
         assert once == once.strip()
         assert "  " not in once
+
+    @given(st.text(max_size=200))
+    def test_collapse_ws_equals_regex_form(self, s):
+        assert collapse_ws(s) == re.sub(r"\s+", " ", s).strip()
+
+    def test_collapse_ws_every_code_point(self):
+        # str.split() and the regex \s agree on every code point
+        s = "".join(f"a{chr(c)}" for c in range(0x110000) if not 0xD800 <= c < 0xE000)
+        assert collapse_ws(s) == re.sub(r"\s+", " ", s).strip()
+
+    @given(st.text(max_size=200))
+    def test_normalize_alnum_lower_matches_per_char_filter(self, s):
+        low = s.lower()
+        assert normalize_alnum_lower(s) == "".join(c for c in low if c.isalnum())
 
     @given(st.text(max_size=200))
     def test_normalize_alnum_lower_closed(self, s):
