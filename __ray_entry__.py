@@ -1,11 +1,12 @@
 """Driver contract for the graft builder (Ray Data target).
 
 ``queries()`` exposes the SURVEY.md §2 operators and the steps of the
-crawl → extract → dedup → quality → curation → tokenize → mix chain, plus
-the off-chain analytics queries whose ``_q_*`` bodies unit tests still
-call; ``oracle_sql()`` gives the DuckDB-equivalent SQL over the same
-parquet tables, one entry per query. The pages corpus is synthesized
-deterministically from ``documents.parquet``
+crawl → extract → dedup → quality → curation → tokenize → mix chain;
+``oracle_sql()`` gives the DuckDB-equivalent SQL over the same parquet
+tables, one entry per query. The off-chain analytics bodies in
+``queries/qdefs_02..05`` are not registry keys and have no oracle twin;
+they are re-exported here only because unit tests call them. The pages
+corpus is synthesized deterministically from ``documents.parquet``
 (documentai_ray/sources/pages.py), and every derived
 value is a closed-form function of ``doc_id``/``source``/``text`` — so the
 oracle SQL reconstructs expected pipeline outputs independently, making the
@@ -211,113 +212,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "tfrecord_roundtrip": _q_tfrecord_roundtrip,
         "ipc_roundtrip": _q_ipc_roundtrip,
         "orc_roundtrip": _q_orc_roundtrip,
-        "backtest_mae": _q_backtest_mae,
-        "mase_eval": _q_mase_eval,
-        "qini_auuc": _q_qini_auuc,
-        "calibration_bins": _q_calibration_bins,
-        "srm_check": _q_srm_check,
-        "ips_policy_eval": _q_ips_policy_eval,
-        "label_shift": _q_label_shift,
-        "conformal_interval": _q_conformal_interval,
-        "cohort_payback": _q_cohort_payback,
-        "bootstrap_ci": _q_bootstrap_ci,
-        "jackknife_sources": _q_jackknife_sources,
-        "emd_hourly": _q_emd_hourly,
-        "price_elasticity": _q_price_elasticity,
-        "permutation_test": _q_permutation_test,
-        "cuped_adjust": _q_cuped_adjust,
-        "rdd_jump": _q_rdd_jump,
-        "kitagawa_decomp": _q_kitagawa_decomp,
-        "spillover_exposure": _q_spillover_exposure,
-        "mh_stratified": _q_mh_stratified,
-        "ipf_raking": _q_ipf_raking,
-        "term_dispersion": _q_term_dispersion,
-        "chain_ladder": _q_chain_ladder,
-        "fe_panel": _q_fe_panel,
-        "matching_att": _q_matching_att,
-        "eb_shrink": _q_eb_shrink,
-        "yule_q": _q_yule_q,
-        "kish_neff": _q_kish_neff,
-        "cochran_armitage": _q_cochran_armitage,
-        "cost_threshold": _q_cost_threshold,
-        "anomaly_ensemble": _q_anomaly_ensemble,
-        "attribution_decay": _q_attribution_decay,
-        "exposure_fairness": _q_exposure_fairness,
-        "qte_quantiles": _q_qte_quantiles,
-        "newsvendor_stock": _q_newsvendor_stock,
-        "competing_risks": _q_competing_risks,
-        "sequential_looks": _q_sequential_looks,
-        "holm_bonferroni": _q_holm_bonferroni,
-        "kruskal_wallis": _q_kruskal_wallis,
-        "fleiss_kappa": _q_fleiss_kappa,
-        "rbp_eval": _q_rbp_eval,
-        "err_eval": _q_err_eval,
-        "species_richness": _q_species_richness,
-        "brier_decomp": _q_brier_decomp,
-        "max_drawdown": _q_max_drawdown,
-        "link_predict": _q_link_predict,
-        "friedman_test": _q_friedman_test,
-        "mcnemar_test": _q_mcnemar_test,
-        "mann_whitney": _q_mann_whitney,
-        "kr20_reliability": _q_kr20_reliability,
-        "selectivity_audit": _q_selectivity_audit,
-        "yule_k": _q_yule_k,
-        "page_trend": _q_page_trend,
-        "survival_cindex": _q_survival_cindex,
-        "cochran_q": _q_cochran_q,
-        "conformance_check": _q_conformance_check,
-        "cdc_chunks": _q_cdc_chunks,
-        "rake_keyphrases": _q_rake_keyphrases,
-        "bh_fdr": _q_bh_fdr,
-        "rle_advisor": _q_rle_advisor,
-        "wilcoxon_signed": _q_wilcoxon_signed,
-        "nelson_aalen": _q_nelson_aalen,
-        "segment_digests": _q_segment_digests,
         "dead_letter": _q_dead_letter,
         "drop_funnel": _q_drop_funnel,
         "incremental_session": _q_incremental_session,
         "rendezvous_shards": _q_rendezvous_shards,
-        "q17_decorrelated": _q_q17_decorrelated,
-        "orders_all_ontime": _q_orders_all_ontime,
-        "minmax_scale": _q_minmax_scale,
-        "rfm_segments": _q_rfm_segments,
-        "revenue_share": _q_revenue_share,
-        "mrr_eval": _q_mrr_eval,
-        "degree_assortativity": _q_degree_assortativity,
-        "ndcg_eval": _q_ndcg_eval,
-        "did_estimator": _q_did_estimator,
-        "laspeyres_index": _q_laspeyres_index,
-        "ab_conversion": _q_ab_conversion,
-        "assoc_rules": _q_assoc_rules,
-        "uplift_deciles": _q_uplift_deciles,
-        "paasche_index": _q_paasche_index,
-        "fd_mine": _q_fd_mine,
-        "rank_overlap": _q_rank_overlap,
-        "chain_index": _q_chain_index,
-        "lorenz_deciles": _q_lorenz_deciles,
-        "rmst_summary": _q_rmst_summary,
-        "q10_returns": _q_q10_returns,
-        "q8_market_share": _q_q8_market_share,
-        "pinball_eval": _q_pinball_eval,
-        "cohort_ltv": _q_cohort_ltv,
-        "post_stratify": _q_post_stratify,
-        "lincoln_petersen": _q_lincoln_petersen,
-        "german_tank": _q_german_tank,
-        "fifo_cogs": _q_fifo_cogs,
-        "capture_diff": _q_capture_diff,
-        "youden_threshold": _q_youden_threshold,
-        "average_precision": _q_average_precision,
-        "tukey_outliers": _q_tukey_outliers,
     }
 
 
 def oracle_sql() -> dict[str, str]:
     from documentai_ray.queries.sql_01 import oracle_sql_part_01
     from documentai_ray.queries.sql_02 import oracle_sql_part_02
-    from documentai_ray.queries.sql_03 import oracle_sql_part_03
 
     out: dict[str, str] = {}
     out.update(oracle_sql_part_01())
     out.update(oracle_sql_part_02())
-    out.update(oracle_sql_part_03())
     return out

@@ -582,24 +582,7 @@ def _sql_bpe_encode_tokens(word_expr: str) -> str:
     return f"len(string_split({e}, ' '))"
 
 
-# dense global hour grid over events — shared by the dense-series
-# statistics of the oracle SQL
-_SQL_DENSE_GRID = (
-    "span AS (SELECT date_trunc('hour', min(ts)) AS h0, "
-    "date_trunc('hour', max(ts)) AS h1 FROM events), "
-    "hc AS (SELECT event_type, date_trunc('hour', ts) AS hr, "
-    "count(*) AS c FROM events GROUP BY 1, 2), "
-    "grid AS (SELECT k.event_type, g.hr FROM "
-    "(SELECT DISTINCT event_type FROM events) k, "
-    "(SELECT unnest(generate_series(h0, h1, INTERVAL 1 HOUR)) "
-    "AS hr FROM span) g), "
-    "dd AS (SELECT grid.event_type, grid.hr, coalesce(hc.c, 0) AS c "
-    "FROM grid LEFT JOIN hc ON grid.event_type = hc.event_type "
-    "AND grid.hr = hc.hr)"
-)
-
-
-# shared BM25 CTE chain (bm25_topk + mrr_eval): cleared-fraction
+# BM25 CTE chain of the bm25_topk oracle: cleared-fraction
 # saturation × rational idf, positive scores ranked per query
 _SQL_BM25_CORE = (
     "dl AS (SELECT doc_id, "
@@ -628,99 +611,6 @@ _SQL_BM25_CORE = (
     "(PARTITION BY query_id ORDER BY score DESC, doc_id) AS rnk "
     "FROM sc WHERE score > 0)"
 )
-
-# Kaplan-Meier: 30 generated CTEs apply the per-step trunc-ppm product
-# s_d = s_{d-1}*(n_d - d_d) // n_d (carried unchanged when n_d = 0)
-_KM_H = 30
-_SQL_KM = (
-    "WITH u AS (SELECT user_id, min(epoch_us(ts)) AS f, "
-    "max(epoch_us(ts)) AS l FROM events GROUP BY 1), "
-    "mx AS (SELECT max(epoch_us(ts)) AS m FROM events), "
-    "lt AS (SELECT (l - f) // 86400000000 AS ld, "
-    "(mx.m - l) >= 21600000000 AS obs FROM u, mx), "
-    f"dd AS (SELECT unnest(generate_series(0, {_KM_H - 1})) AS day), "
-    "g AS (SELECT dd.day, "
-    "count(*) FILTER (WHERE lt.ld >= dd.day) AS atrisk, "
-    "count(*) FILTER (WHERE lt.obs AND lt.ld = dd.day) AS deaths "
-    "FROM dd, lt GROUP BY 1), "
-    "s0 AS (SELECT CASE WHEN atrisk > 0 THEN "
-    "1000000 * (atrisk - deaths) // atrisk ELSE 1000000 END AS s "
-    "FROM g WHERE day = 0), "
-    + ", ".join(
-        f"s{d} AS (SELECT CASE WHEN g.atrisk > 0 THEN "
-        f"s{d - 1}.s * (g.atrisk - g.deaths) // g.atrisk "
-        f"ELSE s{d - 1}.s END AS s FROM g, s{d - 1} WHERE g.day = {d})"
-        for d in range(1, _KM_H))
-    + " " + " UNION ALL ".join(
-        f"SELECT CAST({d} AS BIGINT) AS day, "
-        "CAST(g.atrisk AS BIGINT) AS at_risk, "
-        "CAST(g.deaths AS BIGINT) AS deaths, "
-        "CAST(CASE WHEN g.atrisk > 0 THEN "
-        "1000000 * g.deaths // g.atrisk ELSE 0 END AS BIGINT) "
-        "AS hazard_ppm, "
-        f"CAST(s{d}.s AS BIGINT) AS s_ppm FROM g, s{d} "
-        f"WHERE g.day = {d}"
-        for d in range(_KM_H))
-)
-
-# Aalen-Johansen: the KM chain with THREE carried accumulators
-# (s, cif1, cif2); cause from the row_number last event
-_SQL_CIF = (
-    "WITH u AS (SELECT user_id, min(epoch_us(ts)) AS f, "
-    "max(epoch_us(ts)) AS l FROM events GROUP BY 1), "
-    "le AS (SELECT user_id, event_type FROM "
-    "(SELECT user_id, event_type, row_number() OVER "
-    "(PARTITION BY user_id ORDER BY ts DESC, event_id DESC) AS rn "
-    "FROM events) WHERE rn = 1), "
-    "mx AS (SELECT max(epoch_us(ts)) AS m FROM events), "
-    "lt AS (SELECT (u.l - u.f) // 86400000000 AS ld, "
-    "(mx.m - u.l) >= 21600000000 AS obs, "
-    "CASE WHEN le.event_type = 'purchase' THEN 1 ELSE 2 END AS cz "
-    "FROM u JOIN le USING (user_id), mx), "
-    f"dd AS (SELECT unnest(generate_series(0, {_KM_H - 1})) AS day), "
-    "g AS (SELECT dd.day, "
-    "count(*) FILTER (WHERE lt.ld >= dd.day) AS atrisk, "
-    "count(*) FILTER (WHERE lt.obs AND lt.ld = dd.day AND lt.cz = 1) "
-    "AS d1, "
-    "count(*) FILTER (WHERE lt.obs AND lt.ld = dd.day AND lt.cz = 2) "
-    "AS d2 FROM dd, lt GROUP BY 1), "
-    "c0 AS (SELECT CASE WHEN atrisk > 0 THEN "
-    "1000000 * (atrisk - d1 - d2) // atrisk ELSE 1000000 END AS s, "
-    "CASE WHEN atrisk > 0 THEN 1000000 * d1 // atrisk ELSE 0 END "
-    "AS c1, "
-    "CASE WHEN atrisk > 0 THEN 1000000 * d2 // atrisk ELSE 0 END "
-    "AS c2 FROM g WHERE day = 0), "
-    + ", ".join(
-        f"c{d} AS (SELECT CASE WHEN g.atrisk > 0 THEN "
-        f"c{d - 1}.s * (g.atrisk - g.d1 - g.d2) // g.atrisk "
-        f"ELSE c{d - 1}.s END AS s, "
-        f"c{d - 1}.c1 + CASE WHEN g.atrisk > 0 THEN "
-        f"c{d - 1}.s * g.d1 // g.atrisk ELSE 0 END AS c1, "
-        f"c{d - 1}.c2 + CASE WHEN g.atrisk > 0 THEN "
-        f"c{d - 1}.s * g.d2 // g.atrisk ELSE 0 END AS c2 "
-        f"FROM g, c{d - 1} WHERE g.day = {d})"
-        for d in range(1, _KM_H))
-    + " " + " UNION ALL ".join(
-        f"SELECT CAST({d} AS BIGINT) AS day, "
-        "CAST(g.atrisk AS BIGINT) AS at_risk, "
-        "CAST(g.d1 AS BIGINT) AS d1, CAST(g.d2 AS BIGINT) AS d2, "
-        f"CAST(c{d}.s AS BIGINT) AS s_ppm, "
-        f"CAST(c{d}.c1 AS BIGINT) AS cif1_ppm, "
-        f"CAST(c{d}.c2 AS BIGINT) AS cif2_ppm FROM g, c{d} "
-        f"WHERE g.day = {d}"
-        for d in range(_KM_H))
-)
-
-
-def _sql_ss(num: str, den: str) -> str:
-    """Sign-split trunc-ppm division fragment: Python floors and
-    DuckDB truncates on negatives, so every possibly-negative division
-    routes through abs() with an explicit re-sign (the repo-wide
-    discipline)."""
-    return (f"CASE WHEN {den} = 0 THEN 0 "
-            f"WHEN ({num} >= 0) = ({den} > 0) "
-            f"THEN 1000000 * abs({num}) // abs({den}) "
-            f"ELSE -(1000000 * abs({num}) // abs({den})) END")
 
 
 def _sql_fingerprint() -> str:
@@ -763,4 +653,4 @@ quality_inner = (
 )
 
 
-__all__ = ['_REPO_ROOT', 'quality_inner', 'SIMHASH_VARIANT_MAX_HAMMING', '_BM25_QUERIES', '_CONFORMANCE_MODEL', '_FD_CANDIDATES', '_GROUP_CATS', '_INV_P1', '_INV_P2', '_INV_Q1', '_INV_Q2', '_KM_H', '_RAKE_STOPWORDS', '_SQL_AMB_SUFFIX', '_SQL_BM25_CORE', '_SQL_BPE_SPACED', '_SQL_BPE_WORDS', '_SQL_CATEGORY', '_SQL_CIF', '_SQL_DENSE_GRID', '_SQL_EXPECTED_PAGES', '_SQL_GOLDEN_TEXT', '_SQL_INV_TEXT', '_SQL_JACCARD_PAIRS', '_SQL_KM', '_SQL_PAGES_WITH_AMP', '_SQL_PO_TEXT', '_SQL_QUALITY_DERIVED', '_SQL_QUALITY_METRICS', '_SQL_URL', '_SQL_VERDICT', '_SQL_VOTES', '_arm_metric_stats', '_bm25_top_rel', '_extracted_pages_with_doc_id', '_minhash_verified_pairs', '_norm_strings', '_norm_strings_ds', '_score_label_hist', '_sql_bpe_encode_tokens', '_sql_bpe_train', '_sql_fingerprint', '_sql_kmeans', '_sql_lang_id', '_sql_md5_le64', '_sql_pq', '_sql_ss', '_trunc_ppm', 'os']
+__all__ = ['_REPO_ROOT', 'quality_inner', 'SIMHASH_VARIANT_MAX_HAMMING', '_BM25_QUERIES', '_CONFORMANCE_MODEL', '_FD_CANDIDATES', '_GROUP_CATS', '_INV_P1', '_INV_P2', '_INV_Q1', '_INV_Q2', '_RAKE_STOPWORDS', '_SQL_AMB_SUFFIX', '_SQL_BM25_CORE', '_SQL_BPE_SPACED', '_SQL_BPE_WORDS', '_SQL_CATEGORY', '_SQL_EXPECTED_PAGES', '_SQL_GOLDEN_TEXT', '_SQL_INV_TEXT', '_SQL_JACCARD_PAIRS', '_SQL_PAGES_WITH_AMP', '_SQL_PO_TEXT', '_SQL_QUALITY_DERIVED', '_SQL_QUALITY_METRICS', '_SQL_URL', '_SQL_VERDICT', '_SQL_VOTES', '_arm_metric_stats', '_bm25_top_rel', '_extracted_pages_with_doc_id', '_minhash_verified_pairs', '_norm_strings', '_norm_strings_ds', '_score_label_hist', '_sql_bpe_encode_tokens', '_sql_bpe_train', '_sql_fingerprint', '_sql_kmeans', '_sql_lang_id', '_sql_md5_le64', '_sql_pq', '_trunc_ppm', 'os']

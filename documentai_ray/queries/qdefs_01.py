@@ -792,58 +792,6 @@ def _q_mean_embedding(sf_dir: str):
     return grouped_centroid(ds, key_col="label", vec_col="embedding")
 
 
-def _q_segment_digests(sf_dir: str):
-    """Merkle-style SEGMENT digests — the anti-entropy primitive behind
-    replica reconciliation: instead of one whole-table checksum,
-    a digest per key-range segment (custkey // 100)
-    so two replicas can binary-search WHICH ranges differ and resync
-    only those. Same wrapping mod-2⁶⁴ sum of md5-LE64 row hashes,
-    2³²-split (hi, lo) partials so no engine-side overflow, one
-    segment-keyed exchange, Python-bignum reassembly."""
-    import pyarrow as pa
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.sketches import md5_le64
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-        keys = batch.column("c_custkey").to_pylist()
-        names = batch.column("c_name").to_pylist()
-        segs = [k // 100 for k in keys]
-        acc: dict[int, list] = {}
-        for sg, k, nm in zip(segs, keys, names):
-            h = md5_le64(f"{k}|{nm}")
-            st = acc.setdefault(sg, [0, 0])
-            st[0] = (st[0] + h) % (1 << 64)
-            st[1] += 1
-        out = pd.DataFrame(
-            [(sg, st[1], st[0] >> 32, st[0] & 0xFFFFFFFF)
-             for sg, st in acc.items()],
-            columns=["segment", "n_rows", "hi", "lo"])
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
-    agg = (ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey", "c_name"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("segment")
-           .aggregate(Sum("n_rows", alias_name="n_rows"),
-                      Sum("hi", alias_name="hi"),
-                      Sum("lo", alias_name="lo")))
-
-    def derive(batch: pa.Table) -> pa.Table:
-        out = []
-        for hi, lo in zip(batch.column("hi").to_pylist(),
-                          batch.column("lo").to_pylist()):
-            v = ((hi << 32) + lo) % (1 << 64)
-            out.append(v - (1 << 64) if v >= (1 << 63) else v)
-        return pa.table({"segment": batch.column("segment"),
-                         "n_rows": batch.column("n_rows"),
-                         "digest": pa.array(out, pa.int64())})
-
-    return agg.map_batches(derive, batch_format="pyarrow")
-
-
 def _q_entities_table(sf_dir: str):
     """HTML-table tag extraction (M19/LC analog): label→value dicts from the
     PO pages' summary tables, straight off the raw html payload."""
@@ -1684,4 +1632,4 @@ def _q_warc_wire_encodings(sf_dir: str):
                         batch_size=256)
     return _norm_strings_ds(ds.select_columns(["url", "text"]))
 
-__all__ = ['_q_extract_text', '_q_charset_extract', '_q_quality_pages', '_q_classify_pages', '_q_entities_po', '_q_entities_invoice', '_q_rules_po', '_q_preprocess_decision', '_q_wordbox_match', '_q_flagship_boxes', '_q_docs_exact_dedup', '_q_token_stats', '_q_doc_quality', '_q_minhash_neardup', '_q_minhash_dedup_keep', '_q_ppjoin_pairs', '_q_containment_pairs', '_q_jaccard_pairs', '_q_embedding_neardup', '_q_topk_similarity', '_q_pdf_layout_text', '_q_real_pdf_extract', '_q_lang_id', '_q_lang_kappa', '_q_lang_prf', '_q_token_count_bpe', '_q_bpe_pair_counts', '_q_bpe_train_merges', '_q_bpe_encode', '_q_fingerprint', '_q_simhash_hamming', '_q_group_pages', '_q_category_summary', '_q_vote_distribution', '_q_ann_ivf', '_q_mean_embedding', '_q_segment_digests', '_q_entities_table', '_q_lc_tags', '_q_lc_tags_ocr', '_q_error_census', '_q_technique_stats', '_q_curate_corpus', '_q_split_assign', '_q_feature_hash', '_q_top_tokens', '_q_decontaminate', '_q_sample_weighted', '_q_gopher_repetition', '_q_redact_pii', '_q_audio_frames', '_q_image_quality', '_q_image_preprocess', '_q_line_dedup', '_q_c4_line_filter', '_q_normalize_text', '_q_chunk_documents', '_q_pack_sequences', '_q_inverted_index', '_q_tfidf_topk', '_q_canonical_url_dedup', '_q_host_stats', '_q_skew_join', '_q_host_template_strip', '_q_warc_ingest', '_q_warc_wire_encodings']
+__all__ = ['_q_extract_text', '_q_charset_extract', '_q_quality_pages', '_q_classify_pages', '_q_entities_po', '_q_entities_invoice', '_q_rules_po', '_q_preprocess_decision', '_q_wordbox_match', '_q_flagship_boxes', '_q_docs_exact_dedup', '_q_token_stats', '_q_doc_quality', '_q_minhash_neardup', '_q_minhash_dedup_keep', '_q_ppjoin_pairs', '_q_containment_pairs', '_q_jaccard_pairs', '_q_embedding_neardup', '_q_topk_similarity', '_q_pdf_layout_text', '_q_real_pdf_extract', '_q_lang_id', '_q_lang_kappa', '_q_lang_prf', '_q_token_count_bpe', '_q_bpe_pair_counts', '_q_bpe_train_merges', '_q_bpe_encode', '_q_fingerprint', '_q_simhash_hamming', '_q_group_pages', '_q_category_summary', '_q_vote_distribution', '_q_ann_ivf', '_q_mean_embedding', '_q_entities_table', '_q_lc_tags', '_q_lc_tags_ocr', '_q_error_census', '_q_technique_stats', '_q_curate_corpus', '_q_split_assign', '_q_feature_hash', '_q_top_tokens', '_q_decontaminate', '_q_sample_weighted', '_q_gopher_repetition', '_q_redact_pii', '_q_audio_frames', '_q_image_quality', '_q_image_preprocess', '_q_line_dedup', '_q_c4_line_filter', '_q_normalize_text', '_q_chunk_documents', '_q_pack_sequences', '_q_inverted_index', '_q_tfidf_topk', '_q_canonical_url_dedup', '_q_host_stats', '_q_skew_join', '_q_host_template_strip', '_q_warc_ingest', '_q_warc_wire_encodings']

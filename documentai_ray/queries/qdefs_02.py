@@ -1059,24 +1059,6 @@ def _q_vocab_growth(sf_dir: str):
     return vocab_growth(ds)
 
 
-def _q_backtest_mae(sf_dir: str):
-    """Seasonal-naive forecast backtest (``windows.seasonal_naive_mae``):
-    MAE of predicting each event type's hourly volume with the same
-    hour yesterday — the baseline every forecasting model must beat and
-    the day-over-day predictability metric. Exact integer error sums,
-    pairs only where both hours observed; the hourly aggregate rides
-    ONE bounded exchange and the 24h-lag join runs over the tiny
-    series table."""
-    import ray.data
-
-    from documentai_ray.stages.windows import seasonal_naive_mae
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["ts", "event_type"])
-    return seasonal_naive_mae(ev, ts_col="ts", key_col="event_type",
-                              season_hours=24)
-
-
 def _q_readability(sf_dir: str):
     """Flesch reading-ease in integer ppm
     (``textstats.readability_batch``): sentence-length × syllable-
@@ -1352,5 +1334,30 @@ def _q_page_type_detect(sf_dir: str):
                          "page_type": pa.array(kinds, pa.string())})
 
     return ds.map_batches(f, batch_format="pyarrow", batch_size=512)
+
+
+# ---------------------------------------------------------------------------
+# Off-chain bodies below: not registry keys and without an oracle twin;
+# unit tests call them, and each goes with those tests. Their "oracle"
+# notes describe DuckDB twins that were deleted with the keys.
+# ---------------------------------------------------------------------------
+
+def _q_backtest_mae(sf_dir: str):
+    """Seasonal-naive forecast backtest (``windows.seasonal_naive_mae``):
+    MAE of predicting each event type's hourly volume with the same
+    hour yesterday — the baseline every forecasting model must beat and
+    the day-over-day predictability metric. Exact integer error sums,
+    pairs only where both hours observed; the hourly aggregate rides
+    ONE bounded exchange and the 24h-lag join runs over the tiny
+    series table."""
+    import ray.data
+
+    from documentai_ray.stages.windows import seasonal_naive_mae
+
+    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                               columns=["ts", "event_type"])
+    return seasonal_naive_mae(ev, ts_col="ts", key_col="event_type",
+                              season_hours=24)
+
 
 __all__ = ['_q_wet_roundtrip', '_q_jsonl_roundtrip', '_q_cdx_fetch', '_q_kcenter_select', '_q_online_neardup', '_q_fetch_schedule', '_q_lang_rebalance', '_q_drop_funnel', '_q_tfrecord_roundtrip', '_q_csv_roundtrip', '_q_ipc_roundtrip', '_q_orc_roundtrip', '_q_page_meta', '_q_robots_filter', '_q_robots_txt_rules', '_q_surt_keys', '_q_anchor_text', '_q_sitemap_frontier', '_q_recrawl_priority', '_q_fetch_waves', '_q_dead_letter', '_q_curation_hostaware', '_q_snapshot_diff', '_q_host_cap', '_q_outlink_count', '_q_kmeans_clusters', '_q_video_frames', '_q_images_to_pdf', '_q_base64_pages', '_q_rasterize_pages', '_q_gopher_quality', '_q_repeated_passages', '_q_dedup_passages', '_q_category_split_pdfs', '_q_vocab_growth', '_q_backtest_mae', '_q_readability', '_q_rendezvous_shards', '_q_fuzzy_hosts', '_q_redirect_resolve', '_q_ocr_roundtrip', '_q_ocr_classify', '_q_office_extract', '_q_generic_entities', '_q_layout_structure', '_q_page_type_detect']

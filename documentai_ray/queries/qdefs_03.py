@@ -1635,6 +1635,33 @@ def _q_url_templates(sf_dir: str):
             .aggregate(Sum("n", alias_name="n_links")))
 
 
+def _q_bm25_topk(sf_dir: str):
+    """Integer-exact BM25 retrieval (``indexing.bm25_topk``): top-5
+    docs per fixed query under the Okapi shape — tf saturation
+    (k₁ = 6/5) and length normalization (b = 3/4) cleared to the exact
+    rational 22·tf·L / (10·tf·L + 3·L + 9·dl·N), weighted by the
+    RATIONAL idf 10⁶·(N−df+1)//(df+1) (log idf is irrational; libm ulp
+    noise would flip near-tie ranks across engines) — the two scoring
+    behaviors tfidf_topk's raw tf·10⁶//df deliberately lacks.  Pass 1
+    folds (N, L, per-term df) through one P·(|terms|+1)-row exchange;
+    pass 2 is map-side flat-token scan with Python-int exact division
+    on the sparse hits only; grouped_topk selects.  Mirror: the same
+    cleared fractions over unnest + VALUES query table + row_number."""
+    import ray.data
+
+    from documentai_ray.stages.indexing import bm25_topk
+
+    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
+                               columns=["doc_id", "text"])
+    return bm25_topk(ds, queries=_BM25_QUERIES, k=5)
+
+
+# ---------------------------------------------------------------------------
+# Off-chain bodies below: not registry keys and without an oracle twin;
+# unit tests call them, and each goes with those tests. Their "oracle"
+# notes describe DuckDB twins that were deleted with the keys.
+# ---------------------------------------------------------------------------
+
 def _q_q17_decorrelated(sf_dir: str):
     """TPC-H Q17-style correlated aggregate, decorrelated: revenue
     locked in small-quantity line items (quantity below 20% of the
@@ -1937,27 +1964,6 @@ def _q_revenue_share(sf_dir: str):
          for r in df["revenue_cents"]], dtype="int64")
     return df[["n_name", "r_name", "revenue_cents",
                "share_region_ppm", "share_global_ppm"]]
-
-
-def _q_bm25_topk(sf_dir: str):
-    """Integer-exact BM25 retrieval (``indexing.bm25_topk``): top-5
-    docs per fixed query under the Okapi shape — tf saturation
-    (k₁ = 6/5) and length normalization (b = 3/4) cleared to the exact
-    rational 22·tf·L / (10·tf·L + 3·L + 9·dl·N), weighted by the
-    RATIONAL idf 10⁶·(N−df+1)//(df+1) (log idf is irrational; libm ulp
-    noise would flip near-tie ranks across engines) — the two scoring
-    behaviors tfidf_topk's raw tf·10⁶//df deliberately lacks.  Pass 1
-    folds (N, L, per-term df) through one P·(|terms|+1)-row exchange;
-    pass 2 is map-side flat-token scan with Python-int exact division
-    on the sparse hits only; grouped_topk selects.  Mirror: the same
-    cleared fractions over unnest + VALUES query table + row_number."""
-    import ray.data
-
-    from documentai_ray.stages.indexing import bm25_topk
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
-    return bm25_topk(ds, queries=_BM25_QUERIES, k=5)
 
 
 def _q_mrr_eval(sf_dir: str):

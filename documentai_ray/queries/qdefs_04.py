@@ -1,4 +1,8 @@
-"""Driver query functions (part 4/6) — split out of ``__ray_entry__.py``."""
+"""Off-chain query bodies (part 4/6 of the split ``__ray_entry__.py``).
+
+None of these is a registry key or has an oracle twin: unit tests call
+them through ``__ray_entry__``, and each goes with those tests. Their
+"oracle" notes describe DuckDB twins that were deleted with the keys."""
 from __future__ import annotations
 
 from documentai_ray.queries._helpers import *  # noqa: F401,F403
@@ -1819,7 +1823,7 @@ def _q_fe_panel(sf_dir: str):
     flooring, mirrored op-for-op.  gap = pooled − within is the
     composition bias.  Exchanges: one (customer, month) rollup + one
     customer rollup of 5 sums; scalars to the driver.  Mirror:
-    two-level GROUP BY + the identical _sql_ss floors under
+    two-level GROUP BY + the identical sign-split floors under
     HUGEINT."""
     import numpy as np
     import pandas as pd
@@ -2041,7 +2045,7 @@ def _q_yule_q(sf_dir: str):
 
     over the per-source 2×2 of (lang = en) × (n_chars ≥ 300, the
     corpus median cut).  ONE source-bounded exchange of 4 cell
-    counts.  Mirror: FILTER cells + the identical _sql_ss floor under
+    counts.  Mirror: FILTER cells + the identical sign-split floor under
     HUGEINT."""
     import pandas as pd
     import pyarrow as pa
@@ -2303,40 +2307,6 @@ def _q_anomaly_ensemble(sf_dir: str):
     return anomaly_ensemble_int(ev)
 
 
-def _q_attribution_decay(sf_dir: str):
-    """Time-decay multi-touch attribution
-    (``windows.attribution_time_decay``): an equal-credit
-    split ignores RECENCY — a touch 5 minutes before the purchase
-    deserves more than one 55 minutes before — and the decay is
-    dyadic so everything stays exact: 6 ten-minute buckets across the
-    hour window, bucket-k weight 2^(5−k), one floor per touch
-    (10⁶·w // Σw per conversion).  The per-(conversion, touch) weight
-    structure dissolves into 6 range-adds per conversion (the
-    attribution_linear searchsorted pass, generalized) — no pair loop.
-    Mirror: window join + the identical (diff−1)//600s bucket rule +
-    per-conversion weight sums + the same floor."""
-    import pyarrow as pa
-    import ray.data
-
-    from documentai_ray.stages.windows import attribution_time_decay
-
-    def to_us(batch: pa.Table) -> pa.Table:
-        us = (batch.column("ts").to_numpy().astype("datetime64[us]")
-              .astype("int64"))
-        return pa.table({"user_id": batch.column("user_id"),
-                         "ts_us": pa.array(us, pa.int64()),
-                         "event_type": batch.column("event_type")})
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts", "event_type"]
-                               ).map_batches(to_us,
-                                             batch_format="pyarrow")
-    return attribution_time_decay(
-        ds, key_col="user_id", ts_col="ts_us", type_col="event_type",
-        conversion_type="purchase", window=3_600_000_000,
-        bucket=600_000_000, num_partitions=32)
-
-
 def _q_exposure_fairness(sf_dir: str):
     """Ranking-exposure fairness audit — the question retrieval eval
     (ndcg/mrr) never asks: a ranker can be accurate AND starve a
@@ -2516,27 +2486,6 @@ def _q_newsvendor_stock(sf_dir: str):
     for c in out.columns[1:]:
         out[c] = out[c].astype("int64")
     return out
-
-
-def _q_competing_risks(sf_dir: str):
-    """Aalen-Johansen cumulative incidence
-    (``windows.competing_risks_int``): the two-cause exit question
-    one Kaplan–Meier curve can't pose — a user who goes quiet either exits
-    CONVERTED (last event a purchase) or ABANDONS, and per-cause
-    1−KM overestimates both because a cause-1 exit removes the user
-    from cause-2 risk; AJ shares s_{d−1}/n_d correctly.  Same
-    lifetime/censoring contract as ``windows.km_survival_int``, per-step trunc fold
-    carrying (s, cif1, cif2).  ONE key-hash exchange; ≤ horizon×3
-    histogram.  Mirror: row_number last-event + the generated 30-step
-    3-accumulator CTE chain."""
-    import ray.data
-
-    from documentai_ray.stages.windows import competing_risks_int
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type", "event_id"])
-    return competing_risks_int(ev)
 
 
 def _q_sequential_looks(sf_dir: str):
@@ -3239,4 +3188,4 @@ def _q_page_trend(sf_dir: str):
         out[c] = out[c].astype("int64")
     return out
 
-__all__ = ['_q_capture_diff', '_q_youden_threshold', '_q_average_precision', '_q_tukey_outliers', '_q_mase_eval', '_q_qini_auuc', '_q_calibration_bins', '_q_srm_check', '_q_ips_policy_eval', '_q_label_shift', '_q_conformal_interval', '_q_cohort_payback', '_q_bootstrap_ci', '_q_jackknife_sources', '_q_emd_hourly', '_q_price_elasticity', '_q_permutation_test', '_q_cuped_adjust', '_q_rdd_jump', '_q_kitagawa_decomp', '_q_spillover_exposure', '_q_mh_stratified', '_q_ipf_raking', '_q_term_dispersion', '_q_chain_ladder', '_q_fe_panel', '_q_matching_att', '_q_eb_shrink', '_q_yule_q', '_q_kish_neff', '_q_cochran_armitage', '_q_cost_threshold', '_q_anomaly_ensemble', '_q_attribution_decay', '_q_exposure_fairness', '_q_qte_quantiles', '_q_newsvendor_stock', '_q_competing_risks', '_q_sequential_looks', '_q_wilcoxon_signed', '_q_nelson_aalen', '_q_rle_advisor', '_q_bh_fdr', '_q_holm_bonferroni', '_q_cdc_chunks', '_q_rake_keyphrases', '_q_cochran_q', '_q_conformance_check', '_q_page_trend']
+__all__ = ['_q_capture_diff', '_q_youden_threshold', '_q_average_precision', '_q_tukey_outliers', '_q_mase_eval', '_q_qini_auuc', '_q_calibration_bins', '_q_srm_check', '_q_ips_policy_eval', '_q_label_shift', '_q_conformal_interval', '_q_cohort_payback', '_q_bootstrap_ci', '_q_jackknife_sources', '_q_emd_hourly', '_q_price_elasticity', '_q_permutation_test', '_q_cuped_adjust', '_q_rdd_jump', '_q_kitagawa_decomp', '_q_spillover_exposure', '_q_mh_stratified', '_q_ipf_raking', '_q_term_dispersion', '_q_chain_ladder', '_q_fe_panel', '_q_matching_att', '_q_eb_shrink', '_q_yule_q', '_q_kish_neff', '_q_cochran_armitage', '_q_cost_threshold', '_q_anomaly_ensemble', '_q_exposure_fairness', '_q_qte_quantiles', '_q_newsvendor_stock', '_q_sequential_looks', '_q_wilcoxon_signed', '_q_nelson_aalen', '_q_rle_advisor', '_q_bh_fdr', '_q_holm_bonferroni', '_q_cdc_chunks', '_q_rake_keyphrases', '_q_cochran_q', '_q_conformance_check', '_q_page_trend']

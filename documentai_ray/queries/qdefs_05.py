@@ -1,4 +1,8 @@
-"""Driver query functions (part 5/6) — split out of ``__ray_entry__.py``."""
+"""Off-chain query bodies (part 5/6 of the split ``__ray_entry__.py``).
+
+None of these is a registry key or has an oracle twin: unit tests call
+them through ``__ray_entry__``, and each goes with those tests. Their
+"oracle" notes describe DuckDB twins that were deleted with the keys."""
 from __future__ import annotations
 
 from documentai_ray.queries._helpers import *  # noqa: F401,F403
@@ -7,7 +11,7 @@ from documentai_ray.queries._helpers import *  # noqa: F401,F403
 def _q_survival_cindex(sf_dir: str):
     """Harrell's concordance index — the MODEL-EVAL layer the
     survival family lacks: Kaplan–Meier describes the population
-    curve, competing_risks splits it by cause, but "does per-user
+    curve, but "does per-user
     activity PREDICT who goes quiet sooner" scores a risk score
     against censored outcomes, and no ROC applies (AUC needs
     uncensored labels).  Conventions shared verbatim with

@@ -1,4 +1,4 @@
-"""Oracle-SQL dict entries (part 1/3) — split out of ``__ray_entry__.py````oracle_sql()``."""
+"""Oracle-SQL dict entries (part 1/2) — split out of ``__ray_entry__.py````oracle_sql()``."""
 from __future__ import annotations
 
 from documentai_ray.queries._helpers import *  # noqa: F401,F403
@@ -248,18 +248,6 @@ def oracle_sql_part_01() -> dict:
             "SELECT label, dim, CAST(sum(q) AS BIGINT) AS sum_q, "
             "count(*) AS n FROM u GROUP BY label, dim"
         ),
-        "segment_digests": (
-            "WITH r AS (SELECT c_custkey // 100 AS segment, "
-            + _sql_md5_le64("CAST(c_custkey AS VARCHAR) || '|' || c_name")
-            + " AS hv FROM customer), "
-            "a AS (SELECT segment, CAST(count(*) AS BIGINT) AS n_rows, "
-            "sum(hv) % CAST(18446744073709551616 AS HUGEINT) AS chk "
-            "FROM r GROUP BY segment) "
-            "SELECT segment, n_rows, "
-            "CAST(CASE WHEN chk >= CAST(9223372036854775808 AS HUGEINT) "
-            "THEN chk - CAST(18446744073709551616 AS HUGEINT) "
-            "ELSE chk END AS BIGINT) AS digest FROM a"
-        ),
         "readability": (
             "WITH a AS (SELECT doc_id, "
             "greatest(1, len(regexp_extract_all(lower(text), "
@@ -291,42 +279,6 @@ def oracle_sql_part_01() -> dict:
             "WHERE db.b <= ks.k) AS BIGINT) AS prefix_docs, "
             "CAST((SELECT coalesce(sum(n), 0) FROM tb "
             "WHERE tb.b <= ks.k) AS BIGINT) AS vocab FROM ks"
-        ),
-        "backtest_mae": (
-            "WITH h AS (SELECT event_type, "
-            "date_trunc('hour', ts) AS w, count(*) AS n FROM events "
-            "GROUP BY 1, 2) "
-            "SELECT a.event_type, count(*) AS n_pairs, "
-            "CAST(sum(abs(a.n - b.n)) AS BIGINT) AS sum_abs_err, "
-            "CAST(sum(abs(a.n - b.n)) // count(*) AS BIGINT) AS mae "
-            "FROM h a JOIN h b ON a.event_type = b.event_type "
-            "AND b.w = a.w - INTERVAL 24 HOURS GROUP BY 1"
-        ),
-        # MASE: seasonal-naive MAE scaled by one-step naive MAE, both
-        # means cleared in one floor; observed-hour join semantics at
-        # both lags
-        "mase_eval": (
-            "WITH h AS (SELECT event_type, "
-            "date_trunc('hour', ts) AS w, count(*) AS n FROM events "
-            "GROUP BY 1, 2), "
-            "s AS (SELECT a.event_type, count(*) AS n24, "
-            "sum(abs(a.n - b.n)) AS sae24 "
-            "FROM h a JOIN h b ON a.event_type = b.event_type "
-            "AND b.w = a.w - INTERVAL 24 HOURS GROUP BY 1), "
-            "o AS (SELECT a.event_type, count(*) AS n1, "
-            "sum(abs(a.n - b.n)) AS sae1 "
-            "FROM h a JOIN h b ON a.event_type = b.event_type "
-            "AND b.w = a.w - INTERVAL 1 HOUR GROUP BY 1) "
-            "SELECT s.event_type, "
-            "CAST(n24 AS BIGINT) AS n_pairs_season, "
-            "CAST(sae24 AS BIGINT) AS sae_season, "
-            "CAST(n1 AS BIGINT) AS n_pairs_naive, "
-            "CAST(sae1 AS BIGINT) AS sae_naive, "
-            "CAST(CASE WHEN sae1 * n24 > 0 THEN "
-            "1000000 * CAST(sae24 AS HUGEINT) * n1 "
-            "// (CAST(sae1 AS HUGEINT) * n24) ELSE 0 END AS BIGINT) "
-            "AS mase_ppm "
-            "FROM s JOIN o ON s.event_type = o.event_type"
         ),
         # dup-shingle set over ALL positions (cross-doc AND within-doc),
         # then gaps-and-islands merge of fixed-length spans per doc

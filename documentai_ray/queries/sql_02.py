@@ -1,4 +1,4 @@
-"""Oracle-SQL dict entries (part 2/3) — split out of ``__ray_entry__.py````oracle_sql()``."""
+"""Oracle-SQL dict entries (part 2/2) — split out of ``__ray_entry__.py````oracle_sql()``."""
 from __future__ import annotations
 
 from documentai_ray.queries._helpers import *  # noqa: F401,F403
@@ -247,42 +247,6 @@ def oracle_sql_part_02() -> dict:
             "UNION ALL SELECT fm.host, '/cat/{n}/{n}', "
             "CAST(12 * fm.n AS BIGINT) FROM farm fm"
         ),
-        # q < 0.2·avg ⟺ 5·q·n < Σq — no float average anywhere
-        "q17_decorrelated": (
-            "WITH f AS (SELECT l_partkey, "
-            "CAST(round(l_quantity) AS BIGINT) AS qty, "
-            "CAST(round(l_extendedprice * 100) AS BIGINT) AS price_c "
-            "FROM lineitem), "
-            "a AS (SELECT l_partkey, SUM(qty) AS sq, count(*) AS n "
-            "FROM f GROUP BY 1) "
-            "SELECT CAST(count(*) AS BIGINT) AS n_small, "
-            "CAST(SUM(f.price_c) AS BIGINT) AS revenue_cents "
-            "FROM f JOIN a ON f.l_partkey = a.l_partkey "
-            "WHERE 5 * f.qty * a.n < a.sq"
-        ),
-        # min(CASE) per order = the for-all flag; no-lineitem orders
-        # drop on the inner join (both engines)
-        "orders_all_ontime": (
-            "WITH j AS (SELECT o_orderkey, "
-            "any_value(o_orderpriority) AS o_orderpriority, "
-            "min(CASE WHEN l_shipdate <= o_orderdate + INTERVAL 30 DAY "
-            "THEN 1 ELSE 0 END) AS ontime FROM orders "
-            "JOIN lineitem ON l_orderkey = o_orderkey GROUP BY 1) "
-            "SELECT o_orderpriority, CAST(count(*) AS BIGINT) "
-            "AS n_orders, CAST(SUM(ontime) AS BIGINT) AS n_all_ontime, "
-            "CAST(1000000 * SUM(ontime) // count(*) AS BIGINT) "
-            "AS ontime_ppm FROM j GROUP BY 1"
-        ),
-        # cents are integers → the affine scale is exact ppm
-        "minmax_scale": (
-            "WITH c AS (SELECT event_id, event_type, "
-            "CAST(round(value * 100) AS BIGINT) AS vc FROM events), "
-            "mm AS (SELECT event_type, min(vc) AS lo, max(vc) AS hi "
-            "FROM c GROUP BY 1) "
-            "SELECT c.event_id, c.event_type, "
-            "CAST(1000000 * (c.vc - mm.lo) // (mm.hi - mm.lo) AS BIGINT) "
-            "AS scaled_ppm FROM c JOIN mm USING (event_type)"
-        ),
         # BM25 with every fraction cleared: saturation 22·tf·L /
         # (10·tf·L + 3·L + 9·dl·N), rational idf 10⁶·(N−df+1)//(df+1)
         "bm25_topk": (
@@ -290,1534 +254,6 @@ def oracle_sql_part_02() -> dict:
             "SELECT query_id, CAST(rnk AS BIGINT) AS \"rank\", doc_id, "
             "CAST(score AS BIGINT) AS score_ppm FROM r WHERE rnk <= 5"
         ),
-        # AND-relevance: matched-distinct-term count per (q, doc)
-        # equals |q|; first relevant rank → 10⁶ // rank
-        "mrr_eval": (
-            "WITH " + _SQL_BM25_CORE + ", "
-            "qn AS (SELECT query_id, count(*) AS nt FROM qt GROUP BY 1), "
-            "tm AS (SELECT qt.query_id, tf.doc_id, count(*) AS nmatch "
-            "FROM qt JOIN tf ON tf.t = qt.t GROUP BY 1, 2), "
-            "rel AS (SELECT r.query_id, r.rnk FROM r "
-            "JOIN tm ON tm.query_id = r.query_id "
-            "AND tm.doc_id = r.doc_id "
-            "JOIN qn ON qn.query_id = r.query_id "
-            "WHERE r.rnk <= 5 AND tm.nmatch = qn.nt) "
-            "SELECT q.query_id, "
-            "CAST(count(rel.rnk) AS BIGINT) AS n_rel, "
-            "CAST(coalesce(min(rel.rnk), 0) AS BIGINT) AS first_rank, "
-            "CAST(CASE WHEN min(rel.rnk) IS NULL THEN 0 "
-            "ELSE 1000000 // min(rel.rnk) END AS BIGINT) AS rr_ppm "
-            "FROM (SELECT DISTINCT query_id FROM qt) q "
-            "LEFT JOIN rel ON rel.query_id = q.query_id GROUP BY 1"
-        ),
-        # Kendall over edge-endpoint in-degrees: histogram self-join,
-        # single group; // truncates toward zero = the engine rule
-        "degree_assortativity": (
-            "WITH nn AS (SELECT count(*) AS n FROM documents), "
-            "e AS (SELECT doc_id AS src, (doc_id * 7 + 1) % nn.n AS dst "
-            "FROM documents, nn "
-            "UNION ALL SELECT doc_id, (doc_id * 13 + 2) % nn.n "
-            "FROM documents, nn WHERE doc_id % 3 >= 1 "
-            "UNION ALL SELECT doc_id, (doc_id * 31 + 3) % nn.n "
-            "FROM documents, nn WHERE doc_id % 3 = 2), "
-            "ind AS (SELECT dst AS node, count(*) AS deg FROM e "
-            "GROUP BY 1), "
-            "p AS (SELECT coalesce(i1.deg, 0) AS x, "
-            "coalesce(i2.deg, 0) AS y FROM e "
-            "LEFT JOIN ind i1 ON i1.node = e.src "
-            "LEFT JOIN ind i2 ON i2.node = e.dst), "
-            "j AS (SELECT x, y, CAST(count(*) AS HUGEINT) AS c FROM p "
-            "GROUP BY 1, 2), "
-            "cd AS (SELECT coalesce(SUM(CASE WHEN a.x < b.x AND "
-            "a.y < b.y THEN a.c * b.c END), 0) AS conc, "
-            "coalesce(SUM(CASE WHEN a.x < b.x AND a.y > b.y "
-            "THEN a.c * b.c END), 0) AS disc FROM j a, j b), "
-            "mx2 AS (SELECT x, SUM(c) AS cx FROM j GROUP BY 1), "
-            "tx AS (SELECT SUM(cx * (cx - 1) // 2) AS tied_x FROM mx2), "
-            "my2 AS (SELECT y, SUM(c) AS cy FROM j GROUP BY 1), "
-            "ty AS (SELECT SUM(cy * (cy - 1) // 2) AS tied_y FROM my2), "
-            "nz AS (SELECT SUM(c) AS n, SUM(c * (c - 1) // 2) "
-            "AS tied_xy FROM j) "
-            "SELECT 'all' AS g, CAST(nz.n AS BIGINT) AS n, "
-            "CAST(cd.conc AS BIGINT) AS concordant, "
-            "CAST(cd.disc AS BIGINT) AS discordant, "
-            "CAST(tx.tied_x AS BIGINT) AS tied_x, "
-            "CAST(ty.tied_y AS BIGINT) AS tied_y, "
-            "CAST(nz.tied_xy AS BIGINT) AS tied_xy, "
-            "CAST((cd.conc - cd.disc) * 1000000 "
-            "// (nz.n * (nz.n - 1) // 2) AS BIGINT) AS tau_a_ppm "
-            "FROM nz, cd, tx, ty"
-        ),
-        # trunc milli-cent cell means (one floor per cell); Knuth-hash
-        # treatment coin, integer-midpoint period split
-        "did_estimator": (
-            "WITH p AS (SELECT "
-            "(user_id * 2654435761) % 4294967296 < 2147483648 AS treat, "
-            "epoch_us(ts) AS t, "
-            "CAST(round(value * 100) AS BIGINT) AS c FROM events "
-            "WHERE event_type = 'purchase'), "
-            "md AS (SELECT (min(t) + max(t)) // 2 AS mid FROM p), "
-            "g AS (SELECT treat, t >= md.mid AS post, SUM(c) AS s, "
-            "count(*) AS n FROM p, md GROUP BY 1, 2), "
-            "m AS (SELECT treat, post, n, 1000 * s // n AS mm FROM g) "
-            "SELECT "
-            "CAST(max(CASE WHEN NOT treat AND NOT post THEN n END) "
-            "AS BIGINT) AS n_ctrl_pre, "
-            "CAST(max(CASE WHEN NOT treat AND post THEN n END) "
-            "AS BIGINT) AS n_ctrl_post, "
-            "CAST(max(CASE WHEN treat AND NOT post THEN n END) "
-            "AS BIGINT) AS n_treat_pre, "
-            "CAST(max(CASE WHEN treat AND post THEN n END) "
-            "AS BIGINT) AS n_treat_post, "
-            "CAST(max(CASE WHEN NOT treat AND NOT post THEN mm END) "
-            "AS BIGINT) AS m_ctrl_pre_mc, "
-            "CAST(max(CASE WHEN NOT treat AND post THEN mm END) "
-            "AS BIGINT) AS m_ctrl_post_mc, "
-            "CAST(max(CASE WHEN treat AND NOT post THEN mm END) "
-            "AS BIGINT) AS m_treat_pre_mc, "
-            "CAST(max(CASE WHEN treat AND post THEN mm END) "
-            "AS BIGINT) AS m_treat_post_mc, "
-            "CAST((max(CASE WHEN treat AND post THEN mm END) "
-            "- max(CASE WHEN treat AND NOT post THEN mm END)) "
-            "- (max(CASE WHEN NOT treat AND post THEN mm END) "
-            "- max(CASE WHEN NOT treat AND NOT post THEN mm END)) "
-            "AS BIGINT) AS did_mc FROM m"
-        ),
-        # cross-multiplied χ² significance: no float ever decides;
-        # χ²₍₀.₀₅,1₎ = 3.841459 as the exact rational constant
-        "ab_conversion": (
-            "WITH u AS (SELECT user_id, max(CASE WHEN event_type = "
-            "'purchase' AND value >= 150 THEN 1 ELSE 0 END) AS conv "
-            "FROM events GROUP BY 1), "
-            "t AS (SELECT (user_id * 2654435761) % 4294967296 "
-            "< 2147483648 AS treat, conv FROM u), "
-            "cells AS (SELECT "
-            "count(*) FILTER (WHERE treat AND conv = 1) AS a, "
-            "count(*) FILTER (WHERE treat AND conv = 0) AS b, "
-            "count(*) FILTER (WHERE NOT treat AND conv = 1) AS c, "
-            "count(*) FILTER (WHERE NOT treat AND conv = 0) AS d "
-            "FROM t), "
-            "x AS (SELECT a, b, c, d, a + b AS n1, c + d AS n0, "
-            "CAST(a AS HUGEINT) * d - CAST(b AS HUGEINT) * c AS det, "
-            "CAST(a + b AS HUGEINT) * (c + d) * (a + c) * (b + d) "
-            "AS den FROM cells) "
-            "SELECT CAST(n1 AS BIGINT) AS n_treat, "
-            "CAST(n0 AS BIGINT) AS n_ctrl, "
-            "CAST(a AS BIGINT) AS conv_treat, "
-            "CAST(c AS BIGINT) AS conv_ctrl, "
-            "CAST(1000000 * a // n1 AS BIGINT) AS rate_treat_ppm, "
-            "CAST(1000000 * c // n0 AS BIGINT) AS rate_ctrl_ppm, "
-            "CAST(1000000 * a // n1 - 1000000 * c // n0 AS BIGINT) "
-            "AS uplift_ppm, "
-            "CAST(CASE WHEN den = 0 THEN 0 ELSE "
-            "1000 * (n1 + n0) * det * det // den END AS BIGINT) "
-            "AS chi2_milli, "
-            "CASE WHEN den = 0 THEN FALSE ELSE "
-            "1000000 * (n1 + n0) * det * det > 3841459 * den END "
-            "AS significant FROM x"
-        ),
-        # directional rules: conf(a→b) ≠ conf(b→a) exactly when
-        # popularities differ; lift vs the consequent's base rate
-        "assoc_rules": (
-            "WITH d AS (SELECT DISTINCT l_orderkey, l_partkey "
-            "FROM lineitem), "
-            "p AS (SELECT a.l_partkey AS item_a, b.l_partkey AS item_b, "
-            "count(*) AS n FROM d a JOIN d b "
-            "ON a.l_orderkey = b.l_orderkey "
-            "AND a.l_partkey < b.l_partkey GROUP BY 1, 2 "
-            "HAVING count(*) >= 2), "
-            "s AS (SELECT l_partkey, count(*) AS supp FROM d "
-            "GROUP BY 1), "
-            "bb AS (SELECT count(DISTINCT l_orderkey) AS nb FROM d), "
-            "r AS (SELECT item_a AS antecedent, item_b AS consequent, "
-            "n FROM p UNION ALL SELECT item_b, item_a, n FROM p) "
-            "SELECT r.antecedent, r.consequent, "
-            "CAST(r.n AS BIGINT) AS supp_ab, "
-            "CAST(sa.supp AS BIGINT) AS supp_a, "
-            "CAST(1000000 * r.n // sa.supp AS BIGINT) AS conf_ppm, "
-            "CAST(1000000 * CAST(r.n AS HUGEINT) * bb.nb "
-            "// (CAST(sa.supp AS HUGEINT) * sb.supp) AS BIGINT) "
-            "AS lift_ppm "
-            "FROM r JOIN s sa ON sa.l_partkey = r.antecedent "
-            "JOIN s sb ON sb.l_partkey = r.consequent, bb"
-        ),
-        # dyadic RBO: one floor per depth; identical lists score
-        # 999980 (the truncation residue), never 10⁶
-        "rank_overlap": (
-            "WITH tok AS (SELECT (doc_id * 2654435761) % 4294967296 "
-            "< 2147483648 AS h, unnest(string_split(text, ' ')) "
-            "AS token FROM documents), "
-            "c AS (SELECT h, token, count(*) AS n FROM tok "
-            "GROUP BY 1, 2), "
-            "ra AS (SELECT token, row_number() OVER "
-            "(ORDER BY n DESC, token) AS r FROM c WHERE h), "
-            "rb AS (SELECT token, row_number() OVER "
-            "(ORDER BY n DESC, token) AS r FROM c WHERE NOT h), "
-            "ta AS (SELECT token, r FROM ra WHERE r <= 20), "
-            "tb AS (SELECT token, r FROM rb WHERE r <= 20), "
-            "j AS (SELECT ta.r AS raa, tb.r AS rbb FROM ta "
-            "JOIN tb USING (token)), "
-            "dd AS (SELECT unnest(generate_series(1, 20)) AS d), "
-            "ov AS (SELECT d, count(*) FILTER (WHERE raa <= d "
-            "AND rbb <= d) AS o FROM dd LEFT JOIN j ON TRUE "
-            "GROUP BY 1), "
-            "rbo AS (SELECT SUM(1000000 * o // (d * (1 << d))) AS rbo "
-            "FROM ov), "
-            "inter AS (SELECT count(*) AS i FROM j), "
-            "uni AS (SELECT count(DISTINCT token) AS u FROM "
-            "(SELECT token FROM ta UNION ALL SELECT token FROM tb)), "
-            "o5 AS (SELECT count(*) AS o FROM j "
-            "WHERE raa <= 5 AND rbb <= 5) "
-            "SELECT CAST(20 AS BIGINT) AS k, "
-            "CAST(o5.o AS BIGINT) AS overlap_at_5, "
-            "CAST(inter.i AS BIGINT) AS overlap_at_20, "
-            "CAST(1000000 * inter.i // uni.u AS BIGINT) "
-            "AS jaccard20_ppm, CAST(rbo.rbo AS BIGINT) AS rbo_ppm "
-            "FROM rbo, inter, uni, o5"
-        ),
-        # generated UNION of distinct-count probes; violations =
-        # |distinct(A,B)| − |distinct(A)|
-        "fd_mine": " UNION ALL ".join(
-            f"SELECT '{a}' AS lhs, '{b}' AS rhs, "
-            f"CAST((SELECT count(*) FROM (SELECT DISTINCT {a} "
-            f"FROM orders)) AS BIGINT) AS n_lhs, "
-            f"CAST((SELECT count(*) FROM (SELECT DISTINCT {a}, {b} "
-            f"FROM orders)) AS BIGINT) AS n_pairs, "
-            f"CAST((SELECT count(*) FROM (SELECT DISTINCT {a}, {b} "
-            f"FROM orders)) - (SELECT count(*) FROM (SELECT DISTINCT "
-            f"{a} FROM orders)) AS BIGINT) AS violations, "
-            f"(SELECT count(*) FROM (SELECT DISTINCT {a}, {b} "
-            f"FROM orders)) = (SELECT count(*) FROM (SELECT DISTINCT "
-            f"{a} FROM orders)) AS holds"
-            for a, b in _FD_CANDIDATES),
-        # activity deciles via the deterministic 1 + 10·row_number//n
-        # rule; per-decile Knuth-arm conversion rates
-        "uplift_deciles": (
-            "WITH u AS (SELECT user_id, count(*) AS n_ev, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS conv FROM events GROUP BY 1), "
-            "nn AS (SELECT count(*) AS n FROM u), "
-            "r AS (SELECT user_id, conv, "
-            "(user_id * 2654435761) % 4294967296 < 2147483648 AS tr, "
-            "row_number() OVER (ORDER BY n_ev DESC, user_id) - 1 "
-            "AS ri FROM u), "
-            "d AS (SELECT 1 + 10 * ri // nn.n AS decile, tr, conv "
-            "FROM r, nn), "
-            "g AS (SELECT decile, "
-            "count(*) FILTER (WHERE tr) AS nt, "
-            "SUM(conv) FILTER (WHERE tr) AS ct, "
-            "count(*) FILTER (WHERE NOT tr) AS nc, "
-            "SUM(conv) FILTER (WHERE NOT tr) AS cc "
-            "FROM d GROUP BY 1), "
-            "f AS (SELECT decile, coalesce(nt, 0) AS nt, "
-            "coalesce(ct, 0) AS ct, coalesce(nc, 0) AS nc, "
-            "coalesce(cc, 0) AS cc FROM g) "
-            "SELECT CAST(decile AS BIGINT) AS decile, "
-            "CAST(nt AS BIGINT) AS n_treat, "
-            "CAST(ct AS BIGINT) AS conv_treat, "
-            "CAST(nc AS BIGINT) AS n_ctrl, "
-            "CAST(cc AS BIGINT) AS conv_ctrl, "
-            "CAST(CASE WHEN nt > 0 THEN 1000000 * ct // nt ELSE 0 END "
-            "AS BIGINT) AS rate_treat_ppm, "
-            "CAST(CASE WHEN nc > 0 THEN 1000000 * cc // nc ELSE 0 END "
-            "AS BIGINT) AS rate_ctrl_ppm, "
-            "CAST(CASE WHEN nt > 0 THEN 1000000 * ct // nt ELSE 0 END "
-            "- CASE WHEN nc > 0 THEN 1000000 * cc // nc ELSE 0 END "
-            "AS BIGINT) AS uplift_ppm FROM f"
-        ),
-        # Qini/AUUC: cumulative fold over the uplift_deciles cells;
-        # qini floors once (counts >= 0), the random diagonal is
-        # sign-split because qini_10 may be negative
-        "qini_auuc": (
-            "WITH u AS (SELECT user_id, count(*) AS n_ev, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS conv FROM events GROUP BY 1), "
-            "nn AS (SELECT count(*) AS n FROM u), "
-            "r AS (SELECT user_id, conv, "
-            "(user_id * 2654435761) % 4294967296 < 2147483648 AS tr, "
-            "row_number() OVER (ORDER BY n_ev DESC, user_id) - 1 "
-            "AS ri FROM u), "
-            "d AS (SELECT 1 + 10 * ri // nn.n AS decile, tr, conv "
-            "FROM r, nn), "
-            "g AS (SELECT decile, "
-            "count(*) FILTER (WHERE tr) AS nt, "
-            "coalesce(SUM(conv) FILTER (WHERE tr), 0) AS ct, "
-            "count(*) FILTER (WHERE NOT tr) AS nc, "
-            "coalesce(SUM(conv) FILTER (WHERE NOT tr), 0) AS cc "
-            "FROM d GROUP BY 1), "
-            "c AS (SELECT decile, SUM(nt) OVER w AS cnt, "
-            "SUM(ct) OVER w AS cct, SUM(nc) OVER w AS cnc, "
-            "SUM(cc) OVER w AS ccc FROM g "
-            "WINDOW w AS (ORDER BY decile)), "
-            "q AS (SELECT decile, cnt, cct, cnc, ccc, "
-            "CASE WHEN cnc > 0 THEN cct - ccc * cnt // cnc "
-            "ELSE cct END AS qini FROM c), "
-            "ql AS (SELECT qini AS q10 FROM q "
-            "ORDER BY decile DESC LIMIT 1), "
-            "f AS (SELECT q.*, SUM(qini) OVER (ORDER BY decile) "
-            "AS auuc, CASE WHEN ql.q10 >= 0 "
-            "THEN (decile * ql.q10) // 10 "
-            "ELSE -((decile * (-ql.q10)) // 10) END AS rand_base "
-            "FROM q, ql) "
-            "SELECT CAST(decile AS BIGINT) AS decile, "
-            "CAST(cnt AS BIGINT) AS cum_n_treat, "
-            "CAST(cct AS BIGINT) AS cum_conv_treat, "
-            "CAST(cnc AS BIGINT) AS cum_n_ctrl, "
-            "CAST(ccc AS BIGINT) AS cum_conv_ctrl, "
-            "CAST(qini AS BIGINT) AS qini, "
-            "CAST(auuc AS BIGINT) AS auuc_cum, "
-            "CAST(rand_base AS BIGINT) AS rand_base, "
-            "CAST(qini - rand_base AS BIGINT) AS gain FROM f"
-        ),
-        # reliability bins over the deterministic activity score;
-        # gap of the two FLOORED ppm values; ECE floors once over N
-        "calibration_bins": (
-            "WITH u AS (SELECT user_id, count(*) AS n_ev, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS conv FROM events GROUP BY 1), "
-            "s AS (SELECT greatest(0, least(1000000, "
-            "(n_ev - 40) * 20000)) AS p, conv FROM u), "
-            "b AS (SELECT least(9, p // 100000) AS bin, "
-            "count(*) AS n, SUM(conv) AS n_conv, SUM(p) AS sum_p, "
-            "SUM((p - 1000000 * conv) * (p - 1000000 * conv)) "
-            "AS brier_sum FROM s GROUP BY 1), "
-            "c AS (SELECT bin, n, n_conv, brier_sum, "
-            "sum_p // n AS conf_ppm, "
-            "1000000 * n_conv // n AS acc_ppm FROM b), "
-            "e AS (SELECT SUM(n * abs(acc_ppm - conf_ppm)) "
-            "// SUM(n) AS ece FROM c) "
-            "SELECT CAST(bin AS BIGINT) AS bin, "
-            "CAST(n AS BIGINT) AS n, CAST(n_conv AS BIGINT) AS n_conv, "
-            "CAST(conf_ppm AS BIGINT) AS conf_ppm, "
-            "CAST(acc_ppm AS BIGINT) AS acc_ppm, "
-            "CAST(abs(acc_ppm - conf_ppm) AS BIGINT) AS gap_ppm, "
-            "CAST(brier_sum AS BIGINT) AS brier_sum, "
-            "CAST(e.ece AS BIGINT) AS ece_ppm FROM c, e"
-        ),
-        # SRM: chi-square of the Knuth arms vs the 50/50 design,
-        # collapsed to (nt-nc)^2/N; cross-multiplied 5% critical value
-        "srm_check": (
-            "WITH u AS (SELECT DISTINCT user_id FROM events), "
-            "a AS (SELECT count(*) FILTER (WHERE "
-            "(user_id * 2654435761) % 4294967296 < 2147483648) AS nt, "
-            "count(*) FILTER (WHERE "
-            "(user_id * 2654435761) % 4294967296 >= 2147483648) AS nc "
-            "FROM u) "
-            "SELECT CAST(nt AS BIGINT) AS n_treat, "
-            "CAST(nc AS BIGINT) AS n_ctrl, "
-            "CAST(nt - nc AS BIGINT) AS delta, "
-            "CAST(1000 * (nt - nc) * (nt - nc) // (nt + nc) "
-            "AS BIGINT) AS chi2_milli, "
-            "(nt - nc) * (nt - nc) * 1000000 > 3841459 * (nt + nc) "
-            "AS srm_flag FROM a"
-        ),
-        # IPS/SNIPS off-policy estimate: propensity exactly 1/2 ->
-        # rational weight 2; match = logged coin == policy arm
-        "ips_policy_eval": (
-            "WITH u AS (SELECT user_id, count(*) AS n_ev, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS conv FROM events GROUP BY 1), "
-            "c AS (SELECT conv AS y, CASE WHEN "
-            "((user_id * 2654435761) % 4294967296 < 2147483648) "
-            "= (n_ev >= 66) THEN 1 ELSE 0 END AS m FROM u), "
-            "a AS (SELECT count(*) AS n, SUM(y) AS y, SUM(m) AS m, "
-            "SUM(y * m) AS my FROM c) "
-            "SELECT CAST(n AS BIGINT) AS n, "
-            "CAST(m AS BIGINT) AS n_match, "
-            "CAST(my AS BIGINT) AS n_match_conv, "
-            "CAST(1000000 * y // n AS BIGINT) AS logged_ppm, "
-            "CAST(2000000 * my // n AS BIGINT) AS ips_ppm, "
-            "CAST(CASE WHEN m > 0 THEN 1000000 * my // m ELSE 0 END "
-            "AS BIGINT) AS snips_ppm FROM a"
-        ),
-        # BBSE: confusion-rate inversion cleared to one sign-split
-        # floor; target = coin-false users with >= 12 purchases
-        "label_shift": (
-            "WITH u AS (SELECT user_id, count(*) AS n_ev, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS y, "
-            "count(*) FILTER (WHERE event_type = 'purchase') AS np "
-            "FROM events GROUP BY 1), "
-            "f AS (SELECT (user_id * 2654435761) % 4294967296 "
-            "< 2147483648 AS src, np >= 12 AS seg, n_ev >= 66 AS yh, "
-            "y = 1 AS yy FROM u), "
-            "a AS (SELECT "
-            "count(*) FILTER (WHERE src AND yy AND yh) AS tp, "
-            "count(*) FILTER (WHERE src AND yy AND NOT yh) AS fn, "
-            "count(*) FILTER (WHERE src AND NOT yy AND yh) AS fp, "
-            "count(*) FILTER (WHERE src AND NOT yy AND NOT yh) AS tn, "
-            "count(*) FILTER (WHERE NOT src AND seg) AS m, "
-            "count(*) FILTER (WHERE NOT src AND seg AND yh) AS m1, "
-            "count(*) FILTER (WHERE NOT src AND seg AND yy) AS t1 "
-            "FROM f), "
-            "b AS (SELECT *, tp + fn AS p, fp + tn AS nn, "
-            "CAST(tp + fn AS HUGEINT) * (m1 * CAST(fp + tn AS HUGEINT) "
-            "- CAST(fp AS HUGEINT) * m) AS num, "
-            "CAST(m AS HUGEINT) * (CAST(tp AS HUGEINT) * (fp + tn) "
-            "- CAST(fp AS HUGEINT) * (tp + fn)) AS den FROM a) "
-            "SELECT CAST(p + nn AS BIGINT) AS n_src, "
-            "CAST(tp AS BIGINT) AS tp, CAST(fp AS BIGINT) AS fp, "
-            "CAST(fn AS BIGINT) AS fn, CAST(tn AS BIGINT) AS tn, "
-            "CAST(m AS BIGINT) AS n_tgt, CAST(m1 AS BIGINT) AS m1, "
-            "CAST(CASE WHEN m > 0 THEN 1000000 * m1 // m ELSE 0 END "
-            "AS BIGINT) AS mu_ppm, "
-            "CAST(CASE WHEN p > 0 THEN 1000000 * tp // p ELSE 0 END "
-            "AS BIGINT) AS tpr_ppm, "
-            "CAST(CASE WHEN nn > 0 THEN 1000000 * fp // nn ELSE 0 END "
-            "AS BIGINT) AS fpr_ppm, "
-            "CAST(CASE WHEN den = 0 THEN 0 "
-            "WHEN (num >= 0) = (den > 0) "
-            "THEN 1000000 * abs(num) // abs(den) "
-            "ELSE -(1000000 * abs(num) // abs(den)) END AS BIGINT) "
-            "AS est_prior_ppm, "
-            "CAST(CASE WHEN m > 0 THEN 1000000 * t1 // m ELSE 0 END "
-            "AS BIGINT) AS true_prior_ppm FROM b"
-        ),
-        # split conformal: epoch-hour Knuth coin calibration split,
-        # finite-sample rank (9n+18)//10 clamped, held-out coverage
-        "conformal_interval": (
-            "WITH h AS (SELECT event_type, "
-            "date_trunc('hour', ts) AS w, count(*) AS n FROM events "
-            "GROUP BY 1, 2), "
-            "p AS (SELECT a.event_type, a.w, abs(a.n - b.n) AS s, "
-            "(CAST(epoch_ms(a.w) AS BIGINT) // 3600000 * 2654435761) "
-            "% 4294967296 < 2147483648 AS cal "
-            "FROM h a JOIN h b ON a.event_type = b.event_type "
-            "AND b.w = a.w - INTERVAL 24 HOURS), "
-            "c AS (SELECT event_type, count(*) AS n_cal FROM p "
-            "WHERE cal GROUP BY 1), "
-            "k AS (SELECT event_type, n_cal, "
-            "least((9 * n_cal + 18) // 10, n_cal) AS k FROM c), "
-            "r AS (SELECT event_type, s, row_number() OVER "
-            "(PARTITION BY event_type ORDER BY s) AS rn FROM p "
-            "WHERE cal), "
-            "q AS (SELECT k.event_type, k.n_cal, k.k, r.s AS thr "
-            "FROM k JOIN r ON r.event_type = k.event_type "
-            "AND r.rn = k.k), "
-            "cov AS (SELECT q.event_type, max(q.n_cal) AS n_cal, "
-            "max(q.k) AS k, max(q.thr) AS thr, count(*) AS n_test, "
-            "count(*) FILTER (WHERE p.s <= q.thr) AS n_cov "
-            "FROM q JOIN p ON p.event_type = q.event_type "
-            "AND NOT p.cal GROUP BY 1) "
-            "SELECT event_type, CAST(n_cal AS BIGINT) AS n_cal, "
-            "CAST(n_test AS BIGINT) AS n_test, CAST(k AS BIGINT) AS k, "
-            "CAST(thr AS BIGINT) AS threshold, "
-            "CAST(n_cov AS BIGINT) AS n_covered, "
-            "CAST(1000000 * n_cov // n_test AS BIGINT) "
-            "AS coverage_ppm FROM cov"
-        ),
-        # payback: min-day join + window cumsum + first CAC crossing;
-        # cohorts that never pay back coalesce to -1
-        "cohort_payback": (
-            "WITH e AS (SELECT user_id, "
-            "CAST(epoch_ms(ts) AS BIGINT) // 86400000 AS dd, "
-            "event_type, CAST(round(value * 100) AS BIGINT) AS cents "
-            "FROM events), "
-            "f AS (SELECT user_id, min(dd) AS fd FROM e GROUP BY 1), "
-            "u AS (SELECT fd // 7 AS cw, count(*) AS n_users FROM f "
-            "GROUP BY 1), "
-            "p AS (SELECT f.fd // 7 AS cw, e.dd - f.fd AS off, "
-            "SUM(e.cents) AS rev FROM e JOIN f USING (user_id) "
-            "WHERE e.event_type = 'purchase' GROUP BY 1, 2), "
-            "c AS (SELECT cw, off, SUM(rev) OVER "
-            "(PARTITION BY cw ORDER BY off) AS cum FROM p), "
-            "pb AS (SELECT c.cw, min(c.off) AS pd FROM c "
-            "JOIN u ON u.cw = c.cw WHERE c.cum >= 30000 * u.n_users "
-            "GROUP BY 1), "
-            "t AS (SELECT cw, SUM(rev) AS total FROM p GROUP BY 1) "
-            "SELECT CAST(u.cw AS BIGINT) AS cohort_week, "
-            "CAST(u.n_users AS BIGINT) AS n_users, "
-            "CAST(coalesce(t.total, 0) AS BIGINT) "
-            "AS total_revenue_cents, "
-            "CAST(30000 * u.n_users AS BIGINT) AS cac_cents, "
-            "CAST(coalesce(pb.pd, -1) AS BIGINT) AS payback_day "
-            "FROM u LEFT JOIN t ON t.cw = u.cw "
-            "LEFT JOIN pb ON pb.cw = u.cw"
-        ),
-        # multiplier bootstrap: two hash bits per (row, replicate) give
-        # w in {0,1,2} mean 1; rank-picked 2nd/31st replicate means
-        "bootstrap_ci": (
-            "WITH r AS (SELECT 8 * l_orderkey + l_linenumber AS rid, "
-            "CAST(round(l_quantity) AS BIGINT) AS v FROM lineitem), "
-            "bb AS (SELECT unnest(generate_series(0, 31)) AS b), "
-            "w AS (SELECT bb.b, r.v, "
-            "(((r.rid * 32 + bb.b) % 1048573) * 2654435761) "
-            "% 4294967296 AS h FROM r, bb), "
-            "m AS (SELECT b, "
-            "SUM((((h // 1073741824) % 2) + ((h // 2147483648) % 2)) "
-            "* v) AS swv, "
-            "SUM(((h // 1073741824) % 2) + ((h // 2147483648) % 2)) "
-            "AS sw FROM w GROUP BY 1), "
-            "mm AS (SELECT CASE WHEN sw > 0 "
-            "THEN 1000000 * swv // sw ELSE 0 END AS m FROM m), "
-            "rk AS (SELECT m, row_number() OVER (ORDER BY m) AS rn "
-            "FROM mm), "
-            "t AS (SELECT count(*) AS n, SUM(v) AS sv FROM r) "
-            "SELECT CAST(t.n AS BIGINT) AS n, "
-            "CAST(32 AS BIGINT) AS n_reps, "
-            "CAST(1000000 * t.sv // t.n AS BIGINT) AS mean_ppm, "
-            "(SELECT CAST(m AS BIGINT) FROM rk WHERE rn = 2) "
-            "AS ci_lo_ppm, "
-            "(SELECT CAST(m AS BIGINT) FROM rk WHERE rn = 31) "
-            "AS ci_hi_ppm FROM t"
-        ),
-        # jackknife: closed-form deletion statistics from per-source
-        # totals; influence vs the full-corpus share
-        "jackknife_sources": (
-            "WITH c AS (SELECT source, count(*) AS n_docs, "
-            "count(*) FILTER (WHERE lang = 'en') AS n_en "
-            "FROM documents GROUP BY 1), "
-            "t AS (SELECT SUM(n_docs) AS nn, SUM(n_en) AS ee FROM c) "
-            "SELECT c.source, CAST(n_docs AS BIGINT) AS n_docs, "
-            "CAST(n_en AS BIGINT) AS n_en, "
-            "CAST(1000000 * ee // nn AS BIGINT) AS share_full_ppm, "
-            "CAST(CASE WHEN nn > n_docs THEN "
-            "1000000 * (ee - n_en) // (nn - n_docs) ELSE 0 END "
-            "AS BIGINT) AS share_wo_ppm, "
-            "CAST(CASE WHEN nn > n_docs THEN "
-            "1000000 * (ee - n_en) // (nn - n_docs) ELSE 0 END "
-            "- 1000000 * ee // nn AS BIGINT) AS influence_ppm "
-            "FROM c, t"
-        ),
-        # EMD = sum |CDF diff| over the ordered 24-hour domain,
-        # cross-multiplied; weekday/weekend via (dd+4)%7 arithmetic
-        "emd_hourly": (
-            "WITH e AS (SELECT event_type, "
-            "epoch_us(ts) // 86400000000 AS dd, "
-            "(epoch_us(ts) // 3600000000) % 24 AS hod FROM events), "
-            "c AS (SELECT event_type, CASE WHEN (dd + 4) % 7 IN (0, 6) "
-            "THEN 1 ELSE 0 END AS cls, hod, count(*) AS n FROM e "
-            "GROUP BY 1, 2, 3), "
-            "grid AS (SELECT t.event_type, cc.cls, h.hod FROM "
-            "(SELECT DISTINCT event_type FROM e) t, "
-            "(VALUES (0), (1)) cc(cls), "
-            "(SELECT unnest(generate_series(0, 23)) AS hod) h), "
-            "d AS (SELECT grid.event_type, grid.cls, grid.hod, "
-            "coalesce(c.n, 0) AS n FROM grid LEFT JOIN c "
-            "USING (event_type, cls, hod)), "
-            "cum AS (SELECT event_type, cls, hod, SUM(n) OVER "
-            "(PARTITION BY event_type, cls ORDER BY hod) AS cn "
-            "FROM d), "
-            "tot AS (SELECT event_type, "
-            "SUM(CASE WHEN cls = 0 THEN n ELSE 0 END) AS na, "
-            "SUM(CASE WHEN cls = 1 THEN n ELSE 0 END) AS nb "
-            "FROM d GROUP BY 1), "
-            "x AS (SELECT c0.event_type, "
-            "SUM(abs(CAST(c0.cn AS HUGEINT) * t.nb "
-            "- CAST(c1.cn AS HUGEINT) * t.na)) AS s, "
-            "max(t.na) AS na, max(t.nb) AS nb "
-            "FROM cum c0 JOIN cum c1 ON c0.event_type = c1.event_type "
-            "AND c0.hod = c1.hod AND c0.cls = 0 AND c1.cls = 1 "
-            "JOIN tot t ON t.event_type = c0.event_type GROUP BY 1) "
-            "SELECT event_type, CAST(na AS BIGINT) AS n_weekday, "
-            "CAST(nb AS BIGINT) AS n_weekend, "
-            "CAST(CASE WHEN na > 0 AND nb > 0 THEN "
-            "1000 * s // (CAST(na AS HUGEINT) * nb) ELSE 0 END "
-            "AS BIGINT) AS emd_milli FROM x"
-        ),
-        # arc elasticity cleared to integers; midpoint split mirrors
-        # laspeyres; full sign-split floor; den=0 parts drop
-        "price_elasticity": (
-            "WITH d AS (SELECT l_partkey AS pk, "
-            "epoch_us(l_shipdate) // 86400000000 AS dd, "
-            "CAST(l_quantity AS BIGINT) AS q, "
-            "CAST(round(l_extendedprice * 100) AS BIGINT) AS rc "
-            "FROM lineitem), "
-            "md AS (SELECT (min(dd) + max(dd)) // 2 AS mid FROM d), "
-            "g AS (SELECT pk, CASE WHEN dd >= md.mid THEN 1 ELSE 0 END "
-            "AS post, SUM(q) AS q, SUM(rc) AS rc FROM d, md "
-            "GROUP BY 1, 2), "
-            "w AS (SELECT g0.pk, g0.q AS q0, g0.rc AS r0, "
-            "g1.q AS q1, g1.rc AS r1 FROM g g0 JOIN g g1 "
-            "ON g0.pk = g1.pk AND g0.post = 0 AND g1.post = 1), "
-            "x AS (SELECT pk, q0, q1, r0, r1, "
-            "CAST(q1 - q0 AS HUGEINT) * (CAST(r1 AS HUGEINT) * q0 "
-            "+ CAST(r0 AS HUGEINT) * q1) AS num, "
-            "CAST(q1 + q0 AS HUGEINT) * (CAST(r1 AS HUGEINT) * q0 "
-            "- CAST(r0 AS HUGEINT) * q1) AS den FROM w) "
-            "SELECT CAST(pk AS BIGINT) AS partkey, "
-            "CAST(q0 AS BIGINT) AS q0, CAST(q1 AS BIGINT) AS q1, "
-            "CAST(r0 AS BIGINT) AS r0_cents, "
-            "CAST(r1 AS BIGINT) AS r1_cents, "
-            "CAST(CASE WHEN (num >= 0) = (den > 0) "
-            "THEN 1000000 * abs(num) // abs(den) "
-            "ELSE -(1000000 * abs(num) // abs(den)) END AS BIGINT) "
-            "AS elasticity_ppm FROM x WHERE den <> 0"
-        ),
-        # permutation p: 32 hash re-coins (top bit, prime reduction),
-        # cross-multiplied extremeness, add-one rule
-        "permutation_test": (
-            "WITH u AS (SELECT user_id, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS y FROM events GROUP BY 1), "
-            "t AS (SELECT count(*) AS n, SUM(y) AS cy, "
-            "count(*) FILTER (WHERE (user_id * 2654435761) "
-            "% 4294967296 < 2147483648) AS ont, "
-            "coalesce(SUM(y) FILTER (WHERE (user_id * 2654435761) "
-            "% 4294967296 < 2147483648), 0) AS octv FROM u), "
-            "bb AS (SELECT unnest(generate_series(0, 31)) AS b), "
-            "r AS (SELECT bb.b, count(*) FILTER (WHERE "
-            "(((u.user_id * 32 + bb.b) % 1048573) * 2654435761) "
-            "% 4294967296 >= 2147483648) AS nt, "
-            "coalesce(SUM(u.y) FILTER (WHERE "
-            "(((u.user_id * 32 + bb.b) % 1048573) * 2654435761) "
-            "% 4294967296 >= 2147483648), 0) AS ct "
-            "FROM u, bb GROUP BY 1), "
-            "e AS (SELECT count(*) FILTER (WHERE "
-            "nt * (t.n - nt) = 0 OR "
-            "abs(CAST(ct AS HUGEINT) * (t.n - nt) "
-            "- (t.cy - ct) * nt) "
-            "* (CAST(t.ont AS HUGEINT) * (t.n - t.ont)) >= "
-            "abs(CAST(t.octv AS HUGEINT) * (t.n - t.ont) "
-            "- (t.cy - t.octv) * t.ont) "
-            "* (CAST(nt AS HUGEINT) * (t.n - nt))) AS n_ext "
-            "FROM r, t) "
-            "SELECT CAST(t.n AS BIGINT) AS n, "
-            "CAST(32 AS BIGINT) AS b_reps, "
-            "CAST(CASE WHEN t.ont * (t.n - t.ont) = 0 THEN 0 "
-            "WHEN CAST(t.octv AS HUGEINT) * (t.n - t.ont) "
-            "- (t.cy - t.octv) * t.ont >= 0 THEN "
-            "1000000 * abs(CAST(t.octv AS HUGEINT) * (t.n - t.ont) "
-            "- (t.cy - t.octv) * t.ont) "
-            "// (CAST(t.ont AS HUGEINT) * (t.n - t.ont)) ELSE "
-            "-(1000000 * abs(CAST(t.octv AS HUGEINT) * (t.n - t.ont) "
-            "- (t.cy - t.octv) * t.ont) "
-            "// (CAST(t.ont AS HUGEINT) * (t.n - t.ont))) END "
-            "AS BIGINT) AS obs_gap_ppm, "
-            "CAST(e.n_ext AS BIGINT) AS n_extreme, "
-            "CAST(1000000 * (e.n_ext + 1) // 33 AS BIGINT) AS p_ppm "
-            "FROM t, e"
-        ),
-        # CUPED: cleared theta, ppm arm means, documented double-floor
-        # correction, all sign-split
-        "cuped_adjust": (
-            "WITH d0 AS (SELECT min(epoch_us(ts) // 86400000000) + 15 "
-            "AS cut FROM events), "
-            "u AS (SELECT user_id, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS y, "
-            "SUM(CASE WHEN epoch_us(ts) // 86400000000 < d0.cut "
-            "THEN 1 ELSE 0 END) AS x FROM events, d0 GROUP BY 1), "
-            "a AS (SELECT count(*) AS n, SUM(x) AS sx, SUM(y) AS sy, "
-            "SUM(x * y) AS sxy, SUM(x * x) AS sxx, "
-            "count(*) FILTER (WHERE (user_id * 2654435761) "
-            "% 4294967296 < 2147483648) AS nt, "
-            "coalesce(SUM(y) FILTER (WHERE (user_id * 2654435761) "
-            "% 4294967296 < 2147483648), 0) AS ct, "
-            "coalesce(SUM(x) FILTER (WHERE (user_id * 2654435761) "
-            "% 4294967296 < 2147483648), 0) AS xt FROM u), "
-            "b AS (SELECT n, nt, "
-            "CAST(n AS HUGEINT) * sxy - CAST(sx AS HUGEINT) * sy "
-            "AS tnum, "
-            "CAST(n AS HUGEINT) * sxx - CAST(sx AS HUGEINT) * sx "
-            "AS tden, "
-            "(CASE WHEN nt > 0 THEN 1000000 * ct // nt ELSE 0 END) "
-            "- (CASE WHEN n - nt > 0 THEN "
-            "1000000 * (sy - ct) // (n - nt) ELSE 0 END) AS uplift, "
-            "CAST(xt AS HUGEINT) * (n - nt) "
-            "- CAST(sx - xt AS HUGEINT) * nt AS gnum, "
-            "CAST(nt AS HUGEINT) * (n - nt) AS gden FROM a), "
-            "c AS (SELECT n, nt, uplift, "
-            "CASE WHEN tden = 0 THEN 0 WHEN tnum >= 0 THEN "
-            "1000000 * tnum // tden ELSE "
-            "-(1000000 * (-tnum) // tden) END AS theta, "
-            "CASE WHEN gden = 0 THEN 0 WHEN gnum >= 0 THEN "
-            "1000000 * gnum // gden ELSE "
-            "-(1000000 * (-gnum) // gden) END AS xgap FROM b), "
-            "f AS (SELECT *, CASE WHEN theta * xgap >= 0 THEN "
-            "(theta * xgap) // 1000000 ELSE "
-            "-((-(theta * xgap)) // 1000000) END AS corr FROM c) "
-            "SELECT CAST(n AS BIGINT) AS n, "
-            "CAST(nt AS BIGINT) AS n_treat, "
-            "CAST(theta AS BIGINT) AS theta_ppm, "
-            "CAST(uplift AS BIGINT) AS uplift_ppm, "
-            "CAST(xgap AS BIGINT) AS xgap_ppm, "
-            "CAST(corr AS BIGINT) AS correction_ppm, "
-            "CAST(uplift - corr AS BIGINT) AS adj_uplift_ppm FROM f"
-        ),
-        # sharp RDD: side-local OLS intercepts at the cutoff,
-        # grouped-OLS contract, jump = a_R - a_L
-        "rdd_jump": (
-            "WITH u AS (SELECT user_id, count(*) AS n_ev, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS y FROM events GROUP BY 1), "
-            "v AS (SELECT n_ev - 66 AS ux, y FROM u), "
-            "a AS (SELECT "
-            "count(*) FILTER (WHERE ux BETWEEN -20 AND -1) AS nl, "
-            "coalesce(SUM(ux) FILTER (WHERE ux BETWEEN -20 AND -1), 0)"
-            " AS sul, "
-            "coalesce(SUM(y) FILTER (WHERE ux BETWEEN -20 AND -1), 0)"
-            " AS syl, "
-            "coalesce(SUM(ux * y) FILTER "
-            "(WHERE ux BETWEEN -20 AND -1), 0) AS suyl, "
-            "coalesce(SUM(ux * ux) FILTER "
-            "(WHERE ux BETWEEN -20 AND -1), 0) AS suul, "
-            "count(*) FILTER (WHERE ux BETWEEN 0 AND 19) AS nr, "
-            "coalesce(SUM(ux) FILTER (WHERE ux BETWEEN 0 AND 19), 0)"
-            " AS sur, "
-            "coalesce(SUM(y) FILTER (WHERE ux BETWEEN 0 AND 19), 0)"
-            " AS syr, "
-            "coalesce(SUM(ux * y) FILTER "
-            "(WHERE ux BETWEEN 0 AND 19), 0) AS suyr, "
-            "coalesce(SUM(ux * ux) FILTER "
-            "(WHERE ux BETWEEN 0 AND 19), 0) AS suur FROM v), "
-            "b AS (SELECT nl, nr, "
-            "CAST(nl AS HUGEINT) * suul - CAST(sul AS HUGEINT) * sul "
-            "AS denl, "
-            "CAST(syl AS HUGEINT) * suul - CAST(sul AS HUGEINT) * suyl"
-            " AS anl, "
-            "CAST(nl AS HUGEINT) * suyl - CAST(sul AS HUGEINT) * syl "
-            "AS bnl, "
-            "CAST(nr AS HUGEINT) * suur - CAST(sur AS HUGEINT) * sur "
-            "AS denr, "
-            "CAST(syr AS HUGEINT) * suur - CAST(sur AS HUGEINT) * suyr"
-            " AS anr, "
-            "CAST(nr AS HUGEINT) * suyr - CAST(sur AS HUGEINT) * syr "
-            "AS bnr FROM a), "
-            "c AS (SELECT nl, nr, "
-            + _sql_ss("anl", "denl") + " AS al, "
-            + _sql_ss("bnl", "denl") + " AS bl, "
-            + _sql_ss("anr", "denr") + " AS ar, "
-            + _sql_ss("bnr", "denr") + " AS br FROM b) "
-            "SELECT CAST(nl AS BIGINT) AS n_left, "
-            "CAST(nr AS BIGINT) AS n_right, "
-            "CAST(al AS BIGINT) AS a_left_ppm, "
-            "CAST(bl AS BIGINT) AS b_left_ppm, "
-            "CAST(ar AS BIGINT) AS a_right_ppm, "
-            "CAST(br AS BIGINT) AS b_right_ppm, "
-            "CAST(ar - al AS BIGINT) AS jump_ppm FROM c"
-        ),
-        # Kitagawa: per-segment mix / rate / interaction terms, each a
-        # single sign-split floor; midpoint period split
-        "kitagawa_decomp": (
-            "WITH md AS (SELECT (min(epoch_us(ts) // 86400000000) "
-            "+ max(epoch_us(ts) // 86400000000)) // 2 AS mid "
-            "FROM events), "
-            "e AS (SELECT (epoch_us(ts) // 3600000000) % 24 // 6 "
-            "AS seg, CASE WHEN epoch_us(ts) // 86400000000 >= md.mid "
-            "THEN 1 ELSE 0 END AS per, "
-            "CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END "
-            "AS pp FROM events, md), "
-            "g AS (SELECT seg, per, count(*) AS c, SUM(pp) AS p "
-            "FROM e GROUP BY 1, 2), "
-            "t AS (SELECT "
-            "SUM(CASE WHEN per = 0 THEN c ELSE 0 END) AS n0, "
-            "SUM(CASE WHEN per = 1 THEN c ELSE 0 END) AS n1 FROM g), "
-            "w AS (SELECT s.seg, coalesce(g0.c, 0) AS c0, "
-            "coalesce(g0.p, 0) AS p0, coalesce(g1.c, 0) AS c1, "
-            "coalesce(g1.p, 0) AS p1, t.n0, t.n1 "
-            "FROM (SELECT DISTINCT seg FROM g) s "
-            "LEFT JOIN g g0 ON g0.seg = s.seg AND g0.per = 0 "
-            "LEFT JOIN g g1 ON g1.seg = s.seg AND g1.per = 1 "
-            "CROSS JOIN t), "
-            "x AS (SELECT seg, c0, p0, c1, p1, "
-            "CAST(c1 AS HUGEINT) * n0 - CAST(c0 AS HUGEINT) * n1 "
-            "AS wnum, "
-            "CAST(p1 AS HUGEINT) * c0 - CAST(p0 AS HUGEINT) * c1 "
-            "AS rnum, "
-            "CAST(n1 AS HUGEINT) * n0 * c0 AS dmix, "
-            "CAST(n0 AS HUGEINT) * c1 AS drate, "
-            "CAST(n0 AS HUGEINT) * n1 * c1 * c0 AS dinter FROM w) "
-            "SELECT CAST(seg AS BIGINT) AS seg, "
-            "CAST(c0 AS BIGINT) AS c0, CAST(p0 AS BIGINT) AS p0, "
-            "CAST(c1 AS BIGINT) AS c1, CAST(p1 AS BIGINT) AS p1, "
-            "CAST(" + _sql_ss("wnum * p0", "dmix") + " AS BIGINT) "
-            "AS mix_ppm, "
-            "CAST(" + _sql_ss("rnum", "drate") + " AS BIGINT) "
-            "AS rate_ppm, "
-            "CAST(" + _sql_ss("wnum * rnum", "dinter") + " AS BIGINT) "
-            "AS inter_ppm FROM x"
-        ),
-        # spillover: id-adjacency neighbors via IN-list self-join,
-        # coin of the surviving neighbor, interior users only
-        "spillover_exposure": (
-            "WITH u AS (SELECT user_id, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS y FROM events GROUP BY 1), "
-            "p AS (SELECT a.user_id AS uid, a.y, b.user_id AS nbr "
-            "FROM u a JOIN u b ON b.user_id IN "
-            "(a.user_id - 2, a.user_id - 1, a.user_id + 1, "
-            "a.user_id + 2)), "
-            "g AS (SELECT uid, max(y) AS y, count(*) AS nn, "
-            "SUM(CASE WHEN (nbr * 2654435761) % 4294967296 "
-            "< 2147483648 THEN 1 ELSE 0 END) AS expo FROM p "
-            "GROUP BY 1), "
-            "f AS (SELECT expo, count(*) AS n_users, SUM(y) AS n_conv "
-            "FROM g WHERE nn = 4 GROUP BY 1) "
-            "SELECT CAST(expo AS BIGINT) AS exposure, "
-            "CAST(n_users AS BIGINT) AS n_users, "
-            "CAST(n_conv AS BIGINT) AS n_conv, "
-            "CAST(1000000 * n_conv // n_users AS BIGINT) AS rate_ppm "
-            "FROM f"
-        ),
-        # MH: per-stratum sign-split RD terms + nt*nc/n weights pooled
-        # over the activity deciles; crude gap rides along
-        "mh_stratified": (
-            "WITH u AS (SELECT user_id, count(*) AS n_ev, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS conv FROM events GROUP BY 1), "
-            "nn AS (SELECT count(*) AS n FROM u), "
-            "r AS (SELECT user_id, conv, "
-            "(user_id * 2654435761) % 4294967296 < 2147483648 AS tr, "
-            "row_number() OVER (ORDER BY n_ev DESC, user_id) - 1 "
-            "AS ri FROM u), "
-            "d AS (SELECT 1 + 10 * ri // nn.n AS s, tr, conv "
-            "FROM r, nn), "
-            "g AS (SELECT s, count(*) FILTER (WHERE tr) AS nt, "
-            "coalesce(SUM(conv) FILTER (WHERE tr), 0) AS ct, "
-            "count(*) FILTER (WHERE NOT tr) AS nc, "
-            "coalesce(SUM(conv) FILTER (WHERE NOT tr), 0) AS cc "
-            "FROM d GROUP BY 1), "
-            "a AS (SELECT SUM(nt) AS bnt, SUM(ct) AS bct, "
-            "SUM(nc) AS bnc, SUM(cc) AS bcc, count(*) AS ns, "
-            "SUM(CASE WHEN nt + nc > 0 THEN "
-            + _sql_ss("CAST(ct AS HUGEINT) * nc "
-                      "- CAST(cc AS HUGEINT) * nt", "nt + nc")
-            + " ELSE 0 END) AS sum_t, "
-            "SUM(CASE WHEN nt + nc > 0 THEN "
-            "1000000 * CAST(nt AS HUGEINT) * nc // (nt + nc) "
-            "ELSE 0 END) AS sum_w FROM g), "
-            "b AS (SELECT bnt + bnc AS n, ns, "
-            "(CASE WHEN bnt > 0 THEN 1000000 * bct // bnt ELSE 0 END) "
-            "- (CASE WHEN bnc > 0 THEN 1000000 * bcc // bnc "
-            "ELSE 0 END) AS crude, "
-            + _sql_ss("sum_t", "sum_w") + " AS mh FROM a) "
-            "SELECT CAST(n AS BIGINT) AS n, "
-            "CAST(ns AS BIGINT) AS n_strata, "
-            "CAST(crude AS BIGINT) AS crude_uplift_ppm, "
-            "CAST(mh AS BIGINT) AS mh_uplift_ppm, "
-            "CAST(crude - mh AS BIGINT) AS gap_ppm FROM b"
-        ),
-        # IPF raking: row floor then col floor, two chained CTEs;
-        # only sampled cells emit
-        "ipf_raking": (
-            "WITH c AS (SELECT source, lang, count(*) AS n_full, "
-            "count(*) FILTER (WHERE (doc_id * 2654435761) "
-            "% 4294967296 < 2147483648) AS n_samp "
-            "FROM documents GROUP BY 1, 2), "
-            "r AS (SELECT source, SUM(n_full) AS rs, "
-            "SUM(n_samp) AS ms FROM c GROUP BY 1), "
-            "l AS (SELECT lang, SUM(n_full) AS cl FROM c GROUP BY 1), "
-            "w1 AS (SELECT c.source, c.lang, c.n_samp, "
-            "CASE WHEN r.ms > 0 THEN 1000000 * r.rs // r.ms "
-            "ELSE 0 END AS w1 FROM c JOIN r USING (source) "
-            "WHERE c.n_samp > 0), "
-            "t AS (SELECT lang, SUM(n_samp * w1) AS tl FROM w1 "
-            "GROUP BY 1) "
-            "SELECT w1.source, w1.lang, "
-            "CAST(n_samp AS BIGINT) AS n_samp, "
-            "CAST(CAST(w1 AS HUGEINT) * 1000000 * l.cl // t.tl "
-            "AS BIGINT) AS w2_ppm "
-            "FROM w1 JOIN l USING (lang) JOIN t USING (lang)"
-        ),
-        # Gries DP over the top-10 tokens: |obs - expected| source
-        # shares cross-multiplied, halved denominator
-        "term_dispersion": (
-            "WITH tk AS (SELECT source, "
-            "unnest(string_split(coalesce(text, ''), ' ')) AS token "
-            "FROM documents), "
-            "c AS (SELECT source, token, count(*) AS n FROM tk "
-            "GROUP BY 1, 2), "
-            "vs AS (SELECT source, SUM(n) AS v FROM c GROUP BY 1), "
-            "vv AS (SELECT SUM(v) AS vt FROM vs), "
-            "tt AS (SELECT token, SUM(n) AS o FROM c GROUP BY 1), "
-            "top AS (SELECT token, o FROM tt "
-            "ORDER BY o DESC, token LIMIT 10), "
-            "x AS (SELECT top.token, top.o, vs.source, vs.v, "
-            "coalesce(c.n, 0) AS osn FROM top CROSS JOIN vs "
-            "LEFT JOIN c ON c.token = top.token "
-            "AND c.source = vs.source), "
-            "f AS (SELECT token, max(o) AS o, "
-            "SUM(abs(CAST(osn AS HUGEINT) * vv.vt "
-            "- CAST(v AS HUGEINT) * o)) AS s, "
-            "max(vv.vt) AS vt FROM x, vv GROUP BY 1) "
-            "SELECT token, CAST(o AS BIGINT) AS n_total, "
-            "CAST(1000000 * s // (2 * CAST(vt AS HUGEINT) * o) "
-            "AS BIGINT) AS dp_ppm FROM f"
-        ),
-        # chain ladder: filter-then-bucket delays, window cumulative,
-        # pooled factors, unrolled trunc chain per immature cohort
-        "chain_ladder": (
-            "WITH o AS (SELECT o_orderkey AS ok, "
-            "epoch_us(o_orderdate) // 86400000000 AS odd FROM orders), "
-            "l AS (SELECT l_orderkey AS ok, "
-            "epoch_us(l_shipdate) // 86400000000 AS sdd, "
-            "CAST(round(l_extendedprice * 100) AS BIGINT) AS rc "
-            "FROM lineitem), "
-            "jx AS (SELECT l.sdd - o.odd AS dd, o.odd, l.rc "
-            "FROM l JOIN o USING (ok)), "
-            "cell AS (SELECT odd // 30 AS i, dd // 30 AS j, "
-            "SUM(rc) AS rc FROM jx WHERE dd BETWEEN 0 AND 119 "
-            "GROUP BY 1, 2), "
-            "cal AS (SELECT max(i + j) AS cal FROM cell), "
-            "grid AS (SELECT ii.i, jj.j FROM "
-            "(SELECT DISTINCT i FROM cell) ii, "
-            "(SELECT unnest(generate_series(0, 3)) AS j) jj), "
-            "dense AS (SELECT grid.i, grid.j, coalesce(cell.rc, 0) "
-            "AS rc FROM grid LEFT JOIN cell USING (i, j)), "
-            "cm AS (SELECT i, j, SUM(rc) OVER "
-            "(PARTITION BY i ORDER BY j) AS c FROM dense), "
-            "fr AS (SELECT cur.j AS j, CASE WHEN SUM(cur.c) > 0 THEN "
-            "1000000 * SUM(nx.c) // SUM(cur.c) ELSE 1000000 END AS fp "
-            "FROM cm cur JOIN cm nx ON nx.i = cur.i "
-            "AND nx.j = cur.j + 1 CROSS JOIN cal "
-            "WHERE cur.j <= 2 AND cur.i <= cal.cal - cur.j - 1 "
-            "GROUP BY 1), "
-            "fg AS (SELECT jj.j, coalesce(fr.fp, 1000000) AS fp FROM "
-            "(SELECT unnest(generate_series(0, 2)) AS j) jj "
-            "LEFT JOIN fr USING (j)), "
-            "fx AS (SELECT "
-            "max(CASE WHEN j = 0 THEN fp END) AS f0, "
-            "max(CASE WHEN j = 1 THEN fp END) AS f1, "
-            "max(CASE WHEN j = 2 THEN fp END) AS f2 FROM fg), "
-            "lat AS (SELECT cm.i, least(3, cal.cal - cm.i) AS age, "
-            "CAST(cm.c AS HUGEINT) AS c FROM cm CROSS JOIN cal "
-            "WHERE cm.j = least(3, cal.cal - cm.i)), "
-            "ult AS (SELECT i, age, c AS latest, CASE age "
-            "WHEN 3 THEN c "
-            "WHEN 2 THEN c * f2 // 1000000 "
-            "WHEN 1 THEN ((c * f1 // 1000000) * f2) // 1000000 "
-            "ELSE ((((c * f0 // 1000000) * f1) // 1000000) * f2) "
-            "// 1000000 END AS u FROM lat CROSS JOIN fx) "
-            "SELECT CAST(i AS BIGINT) AS cohort_month, "
-            "CAST(age AS BIGINT) AS age, "
-            "CAST(latest AS BIGINT) AS latest_cum_cents, "
-            "CAST(u AS BIGINT) AS ultimate_cents, "
-            "CAST(u - latest AS BIGINT) AS ibnr_cents FROM ult"
-        ),
-        # FE panel: per-group micro-floored within terms vs the pooled
-        # totals slope; gap = composition bias
-        "fe_panel": (
-            "WITH p AS (SELECT o_custkey AS cust, "
-            "epoch_us(o_orderdate) // 86400000000 // 30 AS m, "
-            "CAST(SUM(round(o_totalprice * 100)) AS BIGINT) AS y "
-            "FROM orders GROUP BY 1, 2), "
-            "g AS (SELECT cust, count(*) AS n, SUM(m) AS sx, "
-            "SUM(y) AS sy, SUM(m * y) AS sxy, SUM(m * m) AS sxx "
-            "FROM p GROUP BY 1), "
-            "w AS (SELECT cust, n, sx, sy, sxy, sxx, "
-            "CAST(n AS HUGEINT) * sxy - CAST(sx AS HUGEINT) * sy "
-            "AS wn, "
-            "CAST(n AS HUGEINT) * sxx - CAST(sx AS HUGEINT) * sx "
-            "AS wd FROM g), "
-            "a AS (SELECT SUM(n) AS nn, SUM(sx) AS tsx, "
-            "SUM(sy) AS tsy, SUM(sxy) AS tsxy, SUM(sxx) AS tsxx, "
-            "count(*) AS ng, "
-            "SUM(CASE WHEN wn >= 0 THEN 1000000 * wn // n "
-            "ELSE -(1000000 * (-wn) // n) END) AS sum_t, "
-            "SUM(1000000 * wd // n) AS sum_d FROM w), "
-            "b AS (SELECT nn, ng, "
-            + _sql_ss("CAST(nn AS HUGEINT) * tsxy "
-                      "- CAST(tsx AS HUGEINT) * tsy",
-                      "CAST(nn AS HUGEINT) * tsxx "
-                      "- CAST(tsx AS HUGEINT) * tsx")
-            + " AS pooled, "
-            + _sql_ss("sum_t", "sum_d") + " AS within FROM a) "
-            "SELECT CAST(nn AS BIGINT) AS n_obs, "
-            "CAST(ng AS BIGINT) AS n_groups, "
-            "CAST(pooled AS BIGINT) AS pooled_slope_ppm, "
-            "CAST(within AS BIGINT) AS within_slope_ppm, "
-            "CAST(pooled - within AS BIGINT) AS gap_ppm FROM b"
-        ),
-        # matching on the bounded (x, arm) histogram: nearest ctrl
-        # value (tie -> smaller), per-value rate floors, final ss
-        "matching_att": (
-            "WITH u AS (SELECT user_id, count(*) AS n_ev, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS conv FROM events GROUP BY 1), "
-            "v AS (SELECT n_ev AS x, (user_id * 2654435761) "
-            "% 4294967296 < 2147483648 AS t, conv FROM u), "
-            "h AS (SELECT x, t, count(*) AS n, SUM(conv) AS c "
-            "FROM v GROUP BY 1, 2), "
-            "tr AS (SELECT x, n, c FROM h WHERE t), "
-            "ctl AS (SELECT x, n, c, 1000000 * c // n AS rc "
-            "FROM h WHERE NOT t), "
-            "m AS (SELECT tr.x, tr.n, ctl.rc, row_number() OVER "
-            "(PARTITION BY tr.x ORDER BY abs(tr.x - ctl.x), ctl.x) "
-            "AS rn FROM tr CROSS JOIN ctl), "
-            "mm AS (SELECT x, n, rc FROM m WHERE rn = 1), "
-            "tot AS (SELECT coalesce(SUM(tr.n), 0) AS nt, "
-            "coalesce(SUM(tr.c), 0) AS ct FROM tr), "
-            "ctot AS (SELECT coalesce(SUM(n), 0) AS nc, "
-            "coalesce(SUM(c), 0) AS cc FROM ctl), "
-            "s AS (SELECT coalesce(SUM(CAST(n AS HUGEINT) * rc), 0) "
-            "AS msum FROM mm), "
-            "f AS (SELECT nt, ct, nc, cc, msum, "
-            + _sql_ss("1000000 * CAST(ct AS HUGEINT) - msum",
-                      "1000000 * CAST(nt AS HUGEINT)")
-            + " AS att, "
-            "(CASE WHEN nt > 0 THEN 1000000 * ct // nt ELSE 0 END) "
-            "- (CASE WHEN nc > 0 THEN 1000000 * cc // nc ELSE 0 END) "
-            "AS naive FROM tot, ctot, s) "
-            "SELECT CAST(nt AS BIGINT) AS n_treat, "
-            "CAST(nc AS BIGINT) AS n_ctrl, "
-            "CAST(att AS BIGINT) AS att_ppm, "
-            "CAST(naive AS BIGINT) AS naive_diff_ppm, "
-            "CAST(naive - att AS BIGINT) AS bias_removed_ppm FROM f"
-        ),
-        # add-k shrinkage toward the rational corpus mean, one floor
-        "eb_shrink": (
-            "WITH c AS (SELECT source, count(*) AS n_docs, "
-            "count(*) FILTER (WHERE lang = 'en') AS n_en "
-            "FROM documents GROUP BY 1), "
-            "t AS (SELECT SUM(n_docs) AS nn, SUM(n_en) AS ee FROM c) "
-            "SELECT source, CAST(n_docs AS BIGINT) AS n_docs, "
-            "CAST(n_en AS BIGINT) AS n_en, "
-            "CAST(1000000 * n_en // n_docs AS BIGINT) AS raw_ppm, "
-            "CAST(1000000 * (CAST(n_en AS HUGEINT) * nn + 50 * ee) "
-            "// (CAST(nn AS HUGEINT) * (n_docs + 50)) AS BIGINT) "
-            "AS shrunk_ppm, "
-            "CAST(1000000 * (CAST(n_en AS HUGEINT) * nn + 50 * ee) "
-            "// (CAST(nn AS HUGEINT) * (n_docs + 50)) "
-            "- 1000000 * n_en // n_docs AS BIGINT) AS move_ppm "
-            "FROM c, t"
-        ),
-        # Yule's Q: odds-ratio effect size, one sign-split floor
-        "yule_q": (
-            "WITH c AS (SELECT source, "
-            "count(*) FILTER (WHERE lang = 'en' AND n_chars >= 300) "
-            "AS a, "
-            "count(*) FILTER (WHERE lang = 'en' AND n_chars < 300) "
-            "AS b, "
-            "count(*) FILTER (WHERE lang <> 'en' AND n_chars >= 300) "
-            "AS c, "
-            "count(*) FILTER (WHERE lang <> 'en' AND n_chars < 300) "
-            "AS d FROM documents GROUP BY 1), "
-            "x AS (SELECT source, a, b, c, d, "
-            "CAST(a AS HUGEINT) * d - CAST(b AS HUGEINT) * c AS num, "
-            "CAST(a AS HUGEINT) * d + CAST(b AS HUGEINT) * c AS den "
-            "FROM c) "
-            "SELECT source, CAST(a AS BIGINT) AS a, "
-            "CAST(b AS BIGINT) AS b, CAST(c AS BIGINT) AS c, "
-            "CAST(d AS BIGINT) AS d, "
-            "CAST(" + _sql_ss("num", "den") + " AS BIGINT) AS q_ppm "
-            "FROM x"
-        ),
-        # Kish n_eff over the IPF weights: the ppm scales cancel in
-        # (S1)^2/S2; deff is its reciprocal times n
-        "kish_neff": (
-            "WITH c AS (SELECT source, lang, count(*) AS n_full, "
-            "count(*) FILTER (WHERE (doc_id * 2654435761) "
-            "% 4294967296 < 2147483648) AS n_samp "
-            "FROM documents GROUP BY 1, 2), "
-            "r AS (SELECT source, SUM(n_full) AS rs, "
-            "SUM(n_samp) AS ms FROM c GROUP BY 1), "
-            "l AS (SELECT lang, SUM(n_full) AS cl FROM c GROUP BY 1), "
-            "w1 AS (SELECT c.source, c.lang, c.n_samp, "
-            "CASE WHEN r.ms > 0 THEN 1000000 * r.rs // r.ms "
-            "ELSE 0 END AS w1 FROM c JOIN r USING (source) "
-            "WHERE c.n_samp > 0), "
-            "t AS (SELECT lang, SUM(n_samp * w1) AS tl FROM w1 "
-            "GROUP BY 1), "
-            "w2 AS (SELECT w1.n_samp, "
-            "CAST(w1.w1 AS HUGEINT) * 1000000 * l.cl // t.tl AS w "
-            "FROM w1 JOIN l USING (lang) JOIN t USING (lang)), "
-            "s AS (SELECT SUM(n_samp) AS n, "
-            "SUM(CAST(n_samp AS HUGEINT) * w) AS s1, "
-            "SUM(CAST(n_samp AS HUGEINT) * w * w) AS s2 FROM w2) "
-            "SELECT CAST(n AS BIGINT) AS n_samp, "
-            "CAST(1000 * s1 * s1 // s2 AS BIGINT) AS n_eff_milli, "
-            "CAST(1000 * n * s2 // (s1 * s1) AS BIGINT) "
-            "AS deff_milli FROM s"
-        ),
-        # CA trend: one-df ordered-proportions test, fully cleared
-        "cochran_armitage": (
-            "WITH u AS (SELECT user_id, count(*) AS n_ev, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS conv FROM events GROUP BY 1), "
-            "nn AS (SELECT count(*) AS n FROM u), "
-            "rk AS (SELECT conv, row_number() OVER "
-            "(ORDER BY n_ev DESC, user_id) - 1 AS ri FROM u), "
-            "d AS (SELECT 1 + 10 * ri // nn.n AS x, conv "
-            "FROM rk, nn), "
-            "gg AS (SELECT x, count(*) AS m, SUM(conv) AS rr "
-            "FROM d GROUP BY 1), "
-            "a AS (SELECT SUM(m) AS n, SUM(rr) AS rt, "
-            "SUM(x * rr) AS sxr, SUM(x * m) AS sxn, "
-            "SUM(x * x * m) AS sxxn FROM gg), "
-            "b AS (SELECT n, rt, "
-            "CAST(n AS HUGEINT) * sxr - CAST(rt AS HUGEINT) * sxn "
-            "AS t, "
-            "CAST(n AS HUGEINT) * sxxn - CAST(sxn AS HUGEINT) * sxn "
-            "AS bb FROM a), "
-            "c AS (SELECT n, rt, t, "
-            "CAST(rt AS HUGEINT) * (n - rt) * bb AS den FROM b) "
-            "SELECT CAST(n AS BIGINT) AS n, CAST(rt AS BIGINT) AS r, "
-            "CAST(CASE WHEN t > 0 THEN 1 WHEN t < 0 THEN -1 "
-            "ELSE 0 END AS BIGINT) AS trend_sign, "
-            "CAST(CASE WHEN den > 0 THEN 1000 * n * t * t // den "
-            "ELSE 0 END AS BIGINT) AS chi2_milli, "
-            "CASE WHEN den > 0 THEN "
-            "n * t * t * 1000000 > 3841459 * den ELSE FALSE END "
-            "AS significant FROM c"
-        ),
-        # profit argmax over the descending score sweep; integer
-        # objective, smallest threshold on ties
-        "cost_threshold": (
-            "WITH t AS (SELECT CAST(round(l_quantity) AS BIGINT) AS "
-            "qty, SUM(CASE WHEN l_returnflag = 'R' THEN 1 ELSE 0 END) "
-            "AS p, SUM(CASE WHEN l_returnflag = 'R' THEN 0 ELSE 1 END) "
-            "AS ng FROM lineitem GROUP BY 1), "
-            "tot AS (SELECT SUM(p) AS pt, SUM(ng) AS nt FROM t), "
-            "c AS (SELECT qty, SUM(p) OVER (ORDER BY qty DESC "
-            "ROWS UNBOUNDED PRECEDING) AS tp, SUM(ng) OVER "
-            "(ORDER BY qty DESC ROWS UNBOUNDED PRECEDING) AS fp "
-            "FROM t) "
-            "SELECT CAST(qty AS BIGINT) AS threshold, "
-            "CAST(tp AS BIGINT) AS tp, CAST(fp AS BIGINT) AS fp, "
-            "CAST(tot.pt - tp AS BIGINT) AS fn, "
-            "CAST(tot.nt - fp AS BIGINT) AS tn, "
-            "CAST(3 * tp - fp AS BIGINT) AS profit, "
-            "CAST(3 * tot.pt - tot.nt AS BIGINT) AS profit_all "
-            "FROM c, tot ORDER BY 3 * tp - fp DESC, qty ASC LIMIT 1"
-        ),
-        # 2-of-3 detector consensus on the dense grid; upward
-        # breaches only, votes exposed
-        "anomaly_ensemble": (
-            "WITH " + _SQL_DENSE_GRID + ", "
-            "st AS (SELECT event_type, count(*) AS m, SUM(c) AS s, "
-            "SUM(c * c) AS q FROM dd GROUP BY 1), "
-            "lg AS (SELECT event_type, abs(c - lag(c) OVER "
-            "(PARTITION BY event_type ORDER BY hr)) AS d FROM dd), "
-            "mr AS (SELECT event_type, SUM(d) AS mrsum FROM lg "
-            "GROUP BY 1), "
-            "hh AS (SELECT event_type, hr, c, "
-            "(epoch_us(hr) // 3600000000) % 24 AS hod FROM dd), "
-            "hstat AS (SELECT event_type, hod, count(*) AS mh, "
-            "SUM(c) AS sh, SUM(c * c) AS qh FROM hh GROUP BY 1, 2), "
-            "v AS (SELECT hh.event_type, hh.hr, hh.c, "
-            "CASE WHEN st.m * hh.c - st.s > 0 AND "
-            "(st.m * CAST(hh.c AS HUGEINT) - st.s) "
-            "* (st.m * hh.c - st.s) "
-            "> 9 * (st.m * CAST(st.q AS HUGEINT) "
-            "- CAST(st.s AS HUGEINT) * st.s) THEN 1 ELSE 0 END AS vg, "
-            "CASE WHEN st.m * hh.c - st.s > 0 AND "
-            "100 * (st.m - 1) * (st.m * CAST(hh.c AS HUGEINT) - st.s) "
-            "> 266 * st.m * CAST(mr.mrsum AS HUGEINT) "
-            "THEN 1 ELSE 0 END AS vx, "
-            "CASE WHEN h.mh * hh.c - h.sh > 0 AND "
-            "(h.mh * CAST(hh.c AS HUGEINT) - h.sh) "
-            "* (h.mh * hh.c - h.sh) "
-            "> 9 * (h.mh * CAST(h.qh AS HUGEINT) "
-            "- CAST(h.sh AS HUGEINT) * h.sh) THEN 1 ELSE 0 END AS vh "
-            "FROM hh JOIN st USING (event_type) "
-            "JOIN mr USING (event_type) "
-            "JOIN hstat h ON h.event_type = hh.event_type "
-            "AND h.hod = hh.hod) "
-            "SELECT event_type, hr, CAST(c AS BIGINT) AS c, "
-            "CAST(vg AS BIGINT) AS vote_global, "
-            "CAST(vx AS BIGINT) AS vote_xmr, "
-            "CAST(vh AS BIGINT) AS vote_hod, "
-            "CAST(vg + vx + vh AS BIGINT) AS votes FROM v "
-            "WHERE vg + vx + vh >= 2"
-        ),
-        # dyadic time-decay attribution: (diff-1)//600s bucket,
-        # weight 2^(5-k), one floor per touch
-        "attribution_decay": (
-            "WITH conv AS (SELECT event_id AS cid, user_id, ts "
-            "FROM events WHERE event_type = 'purchase'), "
-            "tch AS (SELECT c.cid, e.event_type, "
-            "(epoch_us(c.ts) - epoch_us(e.ts) - 1) // 600000000 AS k "
-            "FROM events e JOIN conv c ON e.user_id = c.user_id "
-            "AND e.event_type <> 'purchase' "
-            "AND e.ts >= c.ts - INTERVAL 1 HOUR AND e.ts < c.ts), "
-            "w AS (SELECT cid, event_type, "
-            "CAST(1 AS BIGINT) << (5 - k) AS wt FROM tch), "
-            "sw AS (SELECT cid, SUM(wt) AS swt FROM w GROUP BY 1) "
-            "SELECT w.event_type, "
-            "CAST(count(*) AS BIGINT) AS n_touches, "
-            "CAST(SUM(1000000 * w.wt // sw.swt) AS BIGINT) "
-            "AS credit_ppm FROM w JOIN sw USING (cid) GROUP BY 1"
-        ),
-        # harmonic exposure share vs item share over the top-100
-        "exposure_fairness": (
-            "WITH r AS (SELECT source, row_number() OVER "
-            "(ORDER BY n_chars DESC, doc_id) AS rnk FROM documents "
-            "QUALIFY rnk <= 100), "
-            "t AS (SELECT source, count(*) AS n_topk, "
-            "SUM(1000000 // rnk) AS exposure FROM r GROUP BY 1), "
-            "tot AS (SELECT SUM(exposure) AS tw, SUM(n_topk) AS n "
-            "FROM t) "
-            "SELECT source, CAST(n_topk AS BIGINT) AS n_topk, "
-            "CAST(exposure AS BIGINT) AS exposure, "
-            "CAST(1000000 * exposure // tot.tw AS BIGINT) "
-            "AS exp_share_ppm, "
-            "CAST(1000000 * n_topk // tot.n AS BIGINT) "
-            "AS item_share_ppm, "
-            "CAST(1000000 * exposure // tot.tw "
-            "- 1000000 * n_topk // tot.n AS BIGINT) AS disparity_ppm "
-            "FROM t, tot"
-        ),
-        # QTE: per-arm exact histogram quantiles at ceil(p*n)
-        "qte_quantiles": (
-            "WITH p AS (SELECT CAST(round(value * 100) AS BIGINT) "
-            "AS cents, (user_id * 2654435761) % 4294967296 "
-            "< 2147483648 AS t FROM events "
-            "WHERE event_type = 'purchase'), "
-            "h AS (SELECT cents, t, count(*) AS n FROM p "
-            "GROUP BY 1, 2), "
-            "c AS (SELECT cents, t, SUM(n) OVER "
-            "(PARTITION BY t ORDER BY cents) AS cum, "
-            "SUM(n) OVER (PARTITION BY t) AS tot FROM h), "
-            "q AS (SELECT pp.p, c.t, min(c.cents) AS v "
-            "FROM (VALUES (25), (50), (75), (90)) pp(p) "
-            "JOIN c ON c.cum >= (pp.p * c.tot + 99) // 100 "
-            "GROUP BY 1, 2) "
-            "SELECT CAST(q.p AS BIGINT) AS p_pct, "
-            "CAST(max(CASE WHEN t THEN v END) AS BIGINT) "
-            "AS v_treat_cents, "
-            "CAST(max(CASE WHEN NOT t THEN v END) AS BIGINT) "
-            "AS v_ctrl_cents, "
-            "CAST(max(CASE WHEN t THEN v END) "
-            "- max(CASE WHEN NOT t THEN v END) AS BIGINT) "
-            "AS qte_cents FROM q GROUP BY 1"
-        ),
-        # newsvendor: critical-fractile rank picks + exact histogram
-        # cost sums at both stock levels
-        "newsvendor_stock": (
-            "WITH h AS (SELECT l_returnflag AS flag, "
-            "CAST(round(l_quantity) AS BIGINT) AS d, count(*) AS n "
-            "FROM lineitem GROUP BY 1, 2), "
-            "t AS (SELECT flag, SUM(n) AS tot FROM h GROUP BY 1), "
-            "c AS (SELECT flag, d, n, SUM(n) OVER "
-            "(PARTITION BY flag ORDER BY d) AS cum FROM h), "
-            "so AS (SELECT c.flag, min(c.d) AS s FROM c "
-            "JOIN t USING (flag) "
-            "WHERE c.cum >= (3 * t.tot + 3) // 4 GROUP BY 1), "
-            "sm AS (SELECT c.flag, min(c.d) AS s FROM c "
-            "JOIN t USING (flag) "
-            "WHERE c.cum >= (t.tot + 1) // 2 GROUP BY 1), "
-            "xo AS (SELECT h.flag, SUM(h.n * "
-            "(1 * greatest(so.s - h.d, 0) "
-            "+ 3 * greatest(h.d - so.s, 0))) AS cost FROM h "
-            "JOIN so USING (flag) GROUP BY 1), "
-            "xm AS (SELECT h.flag, SUM(h.n * "
-            "(1 * greatest(sm.s - h.d, 0) "
-            "+ 3 * greatest(h.d - sm.s, 0))) AS cost FROM h "
-            "JOIN sm USING (flag) GROUP BY 1) "
-            "SELECT t.flag, CAST(t.tot AS BIGINT) AS n, "
-            "CAST(so.s AS BIGINT) AS stock_opt, "
-            "CAST(xo.cost AS BIGINT) AS cost_opt, "
-            "CAST(sm.s AS BIGINT) AS stock_median, "
-            "CAST(xm.cost AS BIGINT) AS cost_median "
-            "FROM t JOIN so USING (flag) JOIN sm USING (flag) "
-            "JOIN xo USING (flag) JOIN xm USING (flag)"
-        ),
-        "competing_risks": _SQL_CIF,
-        # 5 interim looks on the corpus-day grid, Bonferroni boundary
-        "sequential_looks": (
-            "WITH sp AS (SELECT min(epoch_us(ts) // 86400000000) "
-            "AS d0, max(epoch_us(ts) // 86400000000) AS d1 "
-            "FROM events), "
-            "u AS (SELECT user_id, "
-            "min(epoch_us(ts) // 86400000000) AS fd, "
-            "min(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN epoch_us(ts) // 86400000000 "
-            "ELSE 1099511627776 END) AS cd, "
-            "(user_id * 2654435761) % 4294967296 < 2147483648 AS tr "
-            "FROM events GROUP BY 1, 4), "
-            "lk AS (SELECT k, sp.d0 + ((sp.d1 - sp.d0 + 1) * k + 4) "
-            "// 5 - 1 AS cut FROM "
-            "(SELECT unnest(generate_series(1, 5)) AS k), sp), "
-            "g AS (SELECT lk.k AS look, "
-            "count(*) FILTER (WHERE u.fd <= lk.cut AND u.tr "
-            "AND u.cd <= lk.cut) AS a, "
-            "count(*) FILTER (WHERE u.fd <= lk.cut AND u.tr "
-            "AND u.cd > lk.cut) AS b, "
-            "count(*) FILTER (WHERE u.fd <= lk.cut AND NOT u.tr "
-            "AND u.cd <= lk.cut) AS c, "
-            "count(*) FILTER (WHERE u.fd <= lk.cut AND NOT u.tr "
-            "AND u.cd > lk.cut) AS d FROM lk, u GROUP BY 1), "
-            "f AS (SELECT look, a + b + c + d AS n, a + c AS conv, "
-            "CAST(a AS HUGEINT) * d - CAST(b AS HUGEINT) * c AS num, "
-            "CAST(a + b AS HUGEINT) * (c + d) * (a + c) * (b + d) "
-            "AS den FROM g) "
-            "SELECT CAST(look AS BIGINT) AS look, "
-            "CAST(n AS BIGINT) AS n, CAST(conv AS BIGINT) AS n_conv, "
-            "CAST(CASE WHEN den > 0 THEN "
-            "1000 * n * num * num // den ELSE 0 END AS BIGINT) "
-            "AS chi2_milli, "
-            "CASE WHEN den > 0 THEN "
-            "n * num * num * 1000000 > 6634897 * den ELSE FALSE END "
-            "AS crossed FROM f"
-        ),
-        # Holm step-down over 5 metrics: ordered crits, min-pass scan
-        "holm_bonferroni": (
-            "WITH u AS (SELECT user_id, count(*) AS n_ev, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS conv, "
-            "max(CASE WHEN event_type = 'error' THEN 1 ELSE 0 END) "
-            "AS err, "
-            "max(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END) "
-            "AS clk, "
-            "count(*) FILTER (WHERE event_type = 'purchase') AS np, "
-            "(user_id * 2654435761) % 4294967296 < 2147483648 AS tr "
-            "FROM events GROUP BY 1, 7), "
-            "m AS (SELECT 'converted' AS metric, conv = 1 AS y, tr "
-            "FROM u UNION ALL "
-            "SELECT 'any_error', err = 1, tr FROM u UNION ALL "
-            "SELECT 'any_click', clk = 1, tr FROM u UNION ALL "
-            "SELECT 'repeat_buyer', np >= 12, tr FROM u UNION ALL "
-            "SELECT 'high_activity', n_ev >= 66, tr FROM u), "
-            "g AS (SELECT metric, "
-            "count(*) FILTER (WHERE tr AND y) AS a, "
-            "count(*) FILTER (WHERE tr AND NOT y) AS b, "
-            "count(*) FILTER (WHERE NOT tr AND y) AS c, "
-            "count(*) FILTER (WHERE NOT tr AND NOT y) AS d "
-            "FROM m GROUP BY 1), "
-            "f AS (SELECT metric, a + b + c + d AS n, "
-            "CAST(a AS HUGEINT) * d - CAST(b AS HUGEINT) * c AS num, "
-            "CAST(a + b AS HUGEINT) * (c + d) * (a + c) * (b + d) "
-            "AS den FROM g), "
-            "s AS (SELECT metric, CASE WHEN den > 0 THEN "
-            "1000 * n * num * num // den ELSE 0 END AS chi2, "
-            "n * num * num AS lhs, den, row_number() OVER "
-            "(ORDER BY CASE WHEN den > 0 THEN "
-            "1000 * n * num * num // den ELSE 0 END DESC, metric) "
-            "AS rnk FROM f), "
-            "p AS (SELECT metric, rnk, chi2, CASE rnk "
-            "WHEN 1 THEN 6634897 WHEN 2 THEN 6238804 "
-            "WHEN 3 THEN 5731305 WHEN 4 THEN 5023886 "
-            "ELSE 3841459 END AS crit, "
-            "den > 0 AND lhs * 1000000 > (CASE rnk "
-            "WHEN 1 THEN 6634897 WHEN 2 THEN 6238804 "
-            "WHEN 3 THEN 5731305 WHEN 4 THEN 5023886 "
-            "ELSE 3841459 END) * den AS pass FROM s) "
-            "SELECT metric, CAST(rnk AS BIGINT) AS rank, "
-            "CAST(chi2 AS BIGINT) AS chi2_milli, "
-            "CAST(crit AS BIGINT) AS crit_ppm, "
-            "min(CASE WHEN pass THEN 1 ELSE 0 END) OVER "
-            "(ORDER BY rnk ROWS UNBOUNDED PRECEDING) = 1 AS rejected "
-            "FROM p"
-        ),
-        # doubled midranks from the value histogram; one floor per
-        # group on R'^2/n_j; chi2_2 crit cross-multiplied in micro
-        "kruskal_wallis": (
-            "WITH t AS (SELECT CAST(round(l_quantity) AS BIGINT) AS "
-            "qty, l_returnflag AS flag, count(*) AS n FROM lineitem "
-            "GROUP BY 1, 2), "
-            "v AS (SELECT qty, SUM(n) AS nv FROM t GROUP BY 1), "
-            "c AS (SELECT qty, 2 * (SUM(nv) OVER (ORDER BY qty "
-            "ROWS UNBOUNDED PRECEDING) - nv) + nv + 1 AS rp FROM v), "
-            "g AS (SELECT t.flag, SUM(t.n) AS n_grp, "
-            "SUM(CAST(t.n AS HUGEINT) * c.rp) AS rsum2 "
-            "FROM t JOIN c USING (qty) GROUP BY 1), "
-            "s AS (SELECT SUM(n_grp) AS n, "
-            "SUM(CAST(rsum2 AS HUGEINT) * rsum2 // n_grp) AS sq "
-            "FROM g), "
-            "f AS (SELECT n, 3000 * sq - 3000 * CAST(n AS HUGEINT) "
-            "* (n + 1) * (n + 1) AS num, "
-            "3000000 * sq - 3000000 * CAST(n AS HUGEINT) * (n + 1) "
-            "* (n + 1) > 5991465 * CAST(n AS HUGEINT) * (n + 1) "
-            "AS sig FROM s) "
-            "SELECT g.flag, CAST(g.n_grp AS BIGINT) AS n_grp, "
-            "CAST(g.rsum2 AS BIGINT) AS rsum2, "
-            "CAST(CASE WHEN f.num < 0 THEN 0 ELSE "
-            "f.num // (CAST(f.n AS HUGEINT) * (f.n + 1)) END "
-            "AS BIGINT) AS h_milli, f.sig AS significant "
-            "FROM g, f"
-        ),
-        # planted 4-rater census: ambiguous POs 2 purchase_order +
-        # 2 data_report, all other rows unanimous; trunc-to-zero kappa
-        "fleiss_kappa": (
-            "WITH d AS (SELECT doc_id, "
-            "CASE WHEN doc_id % 97 <> 0 AND doc_id % 5 = 2 THEN "
-            "CASE WHEN doc_id % 20 = 12 THEN 2 ELSE 4 END "
-            "ELSE 0 END AS n_po, "
-            "CASE WHEN doc_id % 97 <> 0 AND doc_id % 5 IN (0, 3) "
-            "THEN 4 WHEN doc_id % 97 <> 0 AND doc_id % 5 = 2 "
-            "AND doc_id % 20 = 12 THEN 2 ELSE 0 END AS n_rep, "
-            "CASE WHEN doc_id % 97 <> 0 AND doc_id % 5 <> 2 "
-            "AND doc_id % 5 <> 0 AND doc_id % 5 <> 3 "
-            "AND doc_id % 10 = 4 THEN 4 ELSE 0 END AS n_inv "
-            "FROM documents), "
-            "e AS (SELECT doc_id, n_po, n_rep, n_inv, "
-            "4 - n_po - n_rep - n_inv AS n_unc FROM d), "
-            "a AS (SELECT count(*) AS n, "
-            "SUM(n_po * n_po + n_rep * n_rep + n_inv * n_inv "
-            "+ n_unc * n_unc) AS s, "
-            "SUM(n_po) AS cpo, SUM(n_rep) AS crep, "
-            "SUM(n_inv) AS cinv, SUM(n_unc) AS cunc FROM e), "
-            "b AS (SELECT n, s, 4 * n AS m, "
-            "CAST(cpo AS HUGEINT) * cpo + CAST(crep AS HUGEINT) "
-            "* crep + CAST(cinv AS HUGEINT) * cinv "
-            "+ CAST(cunc AS HUGEINT) * cunc AS t FROM a), "
-            "f AS (SELECT n, s, m, t, "
-            "CAST(m AS HUGEINT) * (s - m) - 3 * t AS num, "
-            "3 * (CAST(m AS HUGEINT) * m - t) AS den FROM b) "
-            "SELECT CAST(n AS BIGINT) AS n_items, "
-            "CAST(s AS BIGINT) AS s_sq, "
-            "CAST(1000000 * CAST(s - m AS HUGEINT) // (3 * m) "
-            "AS BIGINT) AS pbar_ppm, "
-            "CAST(1000000 * t // (CAST(m AS HUGEINT) * m) "
-            "AS BIGINT) AS pe_ppm, "
-            "CAST(CASE WHEN den = 0 THEN 1000 "
-            "ELSE 1000 * num // den END AS BIGINT) AS kappa_milli "
-            "FROM f"
-        ),
-        # dyadic persistence weights 1e6 >> rnk (exact: 2^5 | 1e6)
-        "rbp_eval": (
-            "WITH " + _SQL_BM25_CORE + ", "
-            "qn AS (SELECT query_id, count(*) AS nt FROM qt GROUP BY 1), "
-            "tm AS (SELECT qt.query_id, tf.doc_id, count(*) AS nmatch "
-            "FROM qt JOIN tf ON tf.t = qt.t GROUP BY 1, 2), "
-            "relall AS (SELECT tm.query_id, tm.doc_id FROM tm "
-            "JOIN qn USING (query_id) WHERE tm.nmatch = qn.nt), "
-            "rr AS (SELECT r.query_id, r.rnk, "
-            "CASE WHEN relall.doc_id IS NULL THEN 0 ELSE 1 END AS rel "
-            "FROM r LEFT JOIN relall ON relall.query_id = r.query_id "
-            "AND relall.doc_id = r.doc_id WHERE r.rnk <= 5), "
-            "ag AS (SELECT query_id, SUM(rel) AS n_rel, "
-            "SUM(rel * (1000000 // (CAST(1 AS BIGINT) << rnk))) "
-            "AS rbp FROM rr GROUP BY 1) "
-            "SELECT q.query_id, "
-            "CAST(coalesce(ag.n_rel, 0) AS BIGINT) AS n_rel_topk, "
-            "CAST(coalesce(ag.rbp, 0) AS BIGINT) AS rbp_ppm "
-            "FROM (SELECT DISTINCT query_id FROM qt) q "
-            "LEFT JOIN ag USING (query_id)"
-        ),
-        # cascade model: credit 1e6 // (rnk * 2^(j+1)), j = relevant
-        # docs ranked above; one floor per term
-        "err_eval": (
-            "WITH " + _SQL_BM25_CORE + ", "
-            "qn AS (SELECT query_id, count(*) AS nt FROM qt GROUP BY 1), "
-            "tm AS (SELECT qt.query_id, tf.doc_id, count(*) AS nmatch "
-            "FROM qt JOIN tf ON tf.t = qt.t GROUP BY 1, 2), "
-            "relall AS (SELECT tm.query_id, tm.doc_id FROM tm "
-            "JOIN qn USING (query_id) WHERE tm.nmatch = qn.nt), "
-            "rr AS (SELECT r.query_id, r.rnk, "
-            "CASE WHEN relall.doc_id IS NULL THEN 0 ELSE 1 END AS rel "
-            "FROM r LEFT JOIN relall ON relall.query_id = r.query_id "
-            "AND relall.doc_id = r.doc_id WHERE r.rnk <= 5), "
-            "jj AS (SELECT query_id, rnk, rel, "
-            "coalesce(SUM(rel) OVER (PARTITION BY query_id "
-            "ORDER BY rnk ROWS BETWEEN UNBOUNDED PRECEDING AND "
-            "1 PRECEDING), 0) AS jprev FROM rr), "
-            "ag AS (SELECT query_id, SUM(rel) AS n_rel, "
-            "SUM(CASE WHEN rel = 1 THEN 1000000 // "
-            "(rnk * (CAST(1 AS BIGINT) << (jprev + 1))) "
-            "ELSE 0 END) AS err FROM jj GROUP BY 1) "
-            "SELECT q.query_id, "
-            "CAST(coalesce(ag.n_rel, 0) AS BIGINT) AS n_rel_topk, "
-            "CAST(coalesce(ag.err, 0) AS BIGINT) AS err_ppm "
-            "FROM (SELECT DISTINCT query_id FROM qt) q "
-            "LEFT JOIN ag USING (query_id)"
-        ),
-        # Chao1 bias-corrected + Turing coverage from the
-        # freq-of-freq counts; whitespace tokens, empties dropped
-        "species_richness": (
-            "WITH tok AS (SELECT unnest(list_filter("
-            "string_split_regex(text, '\\s+'), x -> x <> '')) AS t "
-            "FROM documents), "
-            "tf AS (SELECT t, count(*) AS n FROM tok GROUP BY 1), "
-            "a AS (SELECT count(*) AS s_obs, SUM(n) AS n, "
-            "count(*) FILTER (WHERE n = 1) AS f1, "
-            "count(*) FILTER (WHERE n = 2) AS f2 FROM tf) "
-            "SELECT CAST(n AS BIGINT) AS n_tokens, "
-            "CAST(s_obs AS BIGINT) AS vocab, "
-            "CAST(f1 AS BIGINT) AS f1, CAST(f2 AS BIGINT) AS f2, "
-            "CAST(s_obs + f1 * (f1 - 1) // (2 * (f2 + 1)) AS BIGINT) "
-            "AS chao1, "
-            "CAST(1000000 * (n - f1) // n AS BIGINT) AS coverage_ppm "
-            "FROM a"
-        ),
-        # Murphy split at EXACT forecast levels; per-level floors on
-        # REL/RES, HUGEINT for the 1e12-scaled squares
-        "brier_decomp": (
-            "WITH u AS (SELECT user_id, count(*) AS n_ev, "
-            "max(CASE WHEN event_type = 'purchase' AND value >= 150 "
-            "THEN 1 ELSE 0 END) AS conv FROM events GROUP BY 1), "
-            "s AS (SELECT greatest(0, least(1000000, "
-            "(n_ev - 40) * 20000)) AS p, conv FROM u), "
-            "l AS (SELECT p, count(*) AS n, SUM(conv) AS c "
-            "FROM s GROUP BY 1), "
-            "t AS (SELECT SUM(n) AS nn, SUM(c) AS cc FROM l), "
-            "f AS (SELECT "
-            "SUM((l.n - l.c) * CAST(l.p AS HUGEINT) * l.p "
-            "+ l.c * CAST(l.p - 1000000 AS HUGEINT) "
-            "* (l.p - 1000000)) AS brier, "
-            "SUM(CAST(l.n * l.p - 1000000 * l.c AS HUGEINT) "
-            "* (l.n * l.p - 1000000 * l.c) // l.n) AS rel, "
-            "SUM(1000000000000 * CAST(l.c * t.nn - l.n * t.cc "
-            "AS HUGEINT) * (l.c * t.nn - l.n * t.cc) "
-            "// (l.n * CAST(t.nn AS HUGEINT) * t.nn)) AS res, "
-            "count(*) AS n_levels FROM l, t GROUP BY ALL), "
-            "m AS (SELECT t.nn, f.n_levels, "
-            "f.brier // t.nn AS b, f.rel // t.nn AS r1, "
-            "f.res // t.nn AS r2, "
-            "(1000000000000 * CAST(t.cc AS HUGEINT) * (t.nn - t.cc) "
-            "// t.nn) // t.nn AS u FROM f, t) "
-            "SELECT CAST(nn AS BIGINT) AS n_users, "
-            "CAST(n_levels AS BIGINT) AS n_levels, "
-            "CAST(b AS BIGINT) AS brier_ppm2, "
-            "CAST(r1 AS BIGINT) AS rel_ppm2, "
-            "CAST(r2 AS BIGINT) AS res_ppm2, "
-            "CAST(u AS BIGINT) AS unc_ppm2, "
-            "CAST(b - (r1 - r2 + u) AS BIGINT) AS gap_ppm2 FROM m"
-        ),
-        # half-split per-user diffs, zeros dropped; doubled midranks
-        # on |d|; var12 = 2n(n+1)(2n+1) - T3 exact, no floor
-        "wilcoxon_signed": (
-            "WITH tt AS (SELECT min(epoch_us(ts)) AS t0, "
-            "max(epoch_us(ts)) AS t1 FROM events), "
-            "u AS (SELECT user_id, "
-            "count(*) FILTER (WHERE epoch_us(ts) >= "
-            "(tt.t0 + tt.t1 + 1) // 2) "
-            "- count(*) FILTER (WHERE epoch_us(ts) < "
-            "(tt.t0 + tt.t1 + 1) // 2) AS d "
-            "FROM events, tt GROUP BY 1, tt.t0, tt.t1), "
-            "nz AS (SELECT d, abs(d) AS ad FROM u WHERE d <> 0), "
-            "v AS (SELECT ad, count(*) AS nv FROM nz GROUP BY 1), "
-            "c AS (SELECT ad, 2 * (SUM(nv) OVER (ORDER BY ad "
-            "ROWS UNBOUNDED PRECEDING) - nv) + nv + 1 AS rp FROM v), "
-            "t3 AS (SELECT coalesce(SUM(nv * nv * nv - nv), 0) "
-            "AS t3, coalesce(SUM(nv), 0) AS n FROM v), "
-            "w AS (SELECT coalesce(SUM(c.rp), 0) AS w2 FROM nz "
-            "JOIN c USING (ad) WHERE nz.d > 0), "
-            "f AS (SELECT t3.n, w.w2, t3.t3, "
-            "w.w2 - t3.n * (t3.n + 1) // 2 AS dd, "
-            "2 * CAST(t3.n AS HUGEINT) * (t3.n + 1) * (2 * t3.n + 1) "
-            "- t3.t3 AS var12 FROM w, t3) "
-            "SELECT CAST(n AS BIGINT) AS n_nonzero, "
-            "CAST(w2 AS BIGINT) AS w2_pos, "
-            "CAST(t3 AS BIGINT) AS t3, "
-            "CAST(var12 AS BIGINT) AS var12, "
-            "CAST(CASE WHEN var12 > 0 THEN "
-            "12000 * CAST(dd AS HUGEINT) * dd // var12 ELSE 0 END "
-            "AS BIGINT) AS z2_milli, "
-            "CAST(CASE WHEN dd > 0 THEN 1 WHEN dd < 0 THEN -1 "
-            "ELSE 0 END AS BIGINT) AS shift_sign, "
-            "CASE WHEN var12 > 0 THEN 12000000 "
-            "* CAST(dd AS HUGEINT) * dd > 3841459 * var12 "
-            "ELSE FALSE END AS significant FROM f"
-        ),
-        # the km day histogram WITHOUT the recursive chain — NA's
-        # floors SUM, so a window cumsum is the whole mirror
-        "nelson_aalen": (
-            "WITH u AS (SELECT user_id, min(epoch_us(ts)) AS f, "
-            "max(epoch_us(ts)) AS l FROM events GROUP BY 1), "
-            "mx AS (SELECT max(epoch_us(ts)) AS m FROM events), "
-            "lt AS (SELECT (l - f) // 86400000000 AS ld, "
-            "(mx.m - l) >= 21600000000 AS obs FROM u, mx), "
-            "dd AS (SELECT unnest(generate_series(0, 29)) AS day), "
-            "g AS (SELECT dd.day, "
-            "count(*) FILTER (WHERE lt.ld >= dd.day) AS atrisk, "
-            "count(*) FILTER (WHERE lt.obs AND lt.ld = dd.day) "
-            "AS deaths FROM dd, lt GROUP BY 1), "
-            "h AS (SELECT day, atrisk, deaths, "
-            "CASE WHEN atrisk > 0 THEN 1000000 * deaths // atrisk "
-            "ELSE 0 END AS hz FROM g) "
-            "SELECT CAST(day AS BIGINT) AS day, "
-            "CAST(atrisk AS BIGINT) AS at_risk, "
-            "CAST(deaths AS BIGINT) AS deaths, "
-            "CAST(hz AS BIGINT) AS hazard_ppm, "
-            "CAST(SUM(hz) OVER (ORDER BY day "
-            "ROWS UNBOUNDED PRECEDING) AS BIGINT) AS cumhaz_ppm "
-            "FROM h"
-        ),
-        # GSP: bid census (one floor) + row_number rank + slot
-        # VALUES table joined on rank; pay = ctr * next bid (pure
-        # integer products)
     }
 
 

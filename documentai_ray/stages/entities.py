@@ -32,12 +32,12 @@ module import (T2 pattern).
 from __future__ import annotations
 
 import re
-from html.parser import HTMLParser
 from typing import Any
 
 import pyarrow as pa
 
 from documentai_ray.functions.text import try_parse_number
+from documentai_ray.stages.extract import MarkupParser
 
 # -- purchase order (M17) ----------------------------------------------------
 
@@ -215,7 +215,7 @@ def parse_goods_table(text: str) -> list[dict[str, str]]:
 
 # -- HTML-table tag extraction (M19 analog) ---------------------------------
 
-class _TableParser(HTMLParser):
+class _TableParser(MarkupParser):
     """Collects <table> rows as lists of cell texts (th/td)."""
 
     def __init__(self) -> None:
@@ -257,7 +257,7 @@ def extract_html_tables(html_text: str) -> list[list[list[str]]]:
     The direct ancestor is the reference's BeautifulSoup HTML-table walk for
     LC tag extraction (entity_extraction_updated/extractor/lc_application.py:
     14-68 via main.py's extract_entities_from_html_tables) — rebuilt on
-    stdlib HTMLParser."""
+    stdlib HTMLParser (through ``MarkupParser``)."""
     p = _TableParser()
     p.feed(html_text)
     p.close()

@@ -78,7 +78,22 @@ def _block_text(parts: list[str], link_parts: list[str]) -> str | None:
     return t
 
 
-class _BlockParser(HTMLParser):
+class MarkupParser(HTMLParser):
+    """``HTMLParser`` that reads a ``<![`` it cannot parse as a marked
+    section (``<![]>``, ``<![ x>``, ``<![foo]>``) as a bogus comment up to
+    the next ``>``, the HTML5 tokenizer's rule. The stdlib raises
+    ``AssertionError`` there, which would turn the whole row into an error
+    row. ``<![CDATA[…]]>`` and the other marked sections it can parse are
+    read as before."""
+
+    def parse_marked_section(self, i: int, report: int = 1) -> int:
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            return self.parse_bogus_comment(i, report)
+
+
+class _BlockParser(MarkupParser):
     """Flat block segmentation with ancestor tracking (single pass)."""
 
     def __init__(self) -> None:

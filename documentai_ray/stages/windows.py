@@ -727,100 +727,6 @@ def anomaly_ensemble_int(ds, *, key_col: str = "event_type",
                            kind="mergesort").reset_index(drop=True)
 
 
-def attribution_time_decay(ds, *, key_col: str, ts_col: str,
-                           type_col: str, conversion_type: str,
-                           window: int, bucket: int,
-                           credit_unit: int = 1_000_000,
-                           num_partitions: int = 32):
-    """Time-decay multi-touch attribution — the other industry
-    standard next to ``attribution_linear``: a touch 5 minutes before
-    the purchase deserves more credit than one 55 minutes before, and
-    the dyadic decay keeps it exact: the window splits into
-    ``window // bucket`` decay buckets (k = 0 nearest the conversion),
-    a bucket-k touch weighs 2^(B−1−k) (B buckets, integer powers of
-    two — no float decay constant), and each conversion's
-    ``credit_unit`` splits proportionally with ONE floor per touch:
-    credit = credit_unit·w // Σw.
-
-    Bucket rule: touch ∈ [conv − (k+1)·bucket, conv − k·bucket) ⟺
-    k = (conv_ts − touch_ts − 1) // bucket — half-open on the right
-    everywhere, so same-timestamp events never self-credit (the
-    attribution_linear contract).
-
-    Distributed plan: the attribution_linear partition pass,
-    generalized — per bucket k a searchsorted boundary pair turns the
-    per-(conversion, touch) weights into B range-adds, so no per-pair
-    loop ever runs.  Output: (type_col, n_touches, credit_ppm)."""
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.dedup import _add_pkey
-
-    n_buckets = window // bucket
-
-    def attribute(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col], kind="mergesort")
-        t = g[ts_col].to_numpy().astype("int64")
-        rel = t - int(t.min()) if len(t) else t
-        codes = pd.factorize(g[key_col], sort=False)[0].astype("int64")
-        shift = int(rel.max()) + window + 2 if len(rel) else 1
-        assert codes.max(initial=0) < (2**62) // max(shift, 1), \
-            "attribution_time_decay: composite key overflow — raise " \
-            "num_partitions"
-        comp = codes * shift + rel
-        is_touch = (g[type_col] != conversion_type).to_numpy()
-        pref = np.concatenate([[0], np.cumsum(is_touch)])
-        cpos = np.flatnonzero(~is_touch)
-        # bucket boundaries: k spans [conv-(k+1)b, conv-kb)
-        lo_k, hi_k, n_k = [], [], []
-        for k in range(n_buckets):
-            lo = np.searchsorted(
-                comp, codes[cpos] * shift
-                + np.maximum(rel[cpos] - (k + 1) * bucket, 0), "left")
-            hi = np.searchsorted(
-                comp, codes[cpos] * shift
-                + np.maximum(rel[cpos] - k * bucket, 0), "left")
-            # clamp hi at the conversion itself for k = 0
-            if k == 0:
-                hi = np.minimum(hi, np.searchsorted(comp, comp[cpos],
-                                                    "left"))
-            lo_k.append(lo)
-            hi_k.append(hi)
-            n_k.append(pref[hi] - pref[lo])
-        sw = np.zeros(len(cpos), dtype="int64")
-        for k in range(n_buckets):
-            sw += n_k[k] * (1 << (n_buckets - 1 - k))
-        credit_d = np.zeros(len(g) + 1, dtype="int64")
-        count_d = np.zeros(len(g) + 1, dtype="int64")
-        for k in range(n_buckets):
-            live = (n_k[k] > 0) & (sw > 0)
-            q = np.zeros(len(cpos), dtype="int64")
-            q[live] = (credit_unit * (1 << (n_buckets - 1 - k))) \
-                // sw[live]
-            np.add.at(credit_d, lo_k[k][live], q[live])
-            np.add.at(credit_d, hi_k[k][live], -q[live])
-            np.add.at(count_d, lo_k[k][live], 1)
-            np.add.at(count_d, hi_k[k][live], -1)
-        row_credit = np.cumsum(credit_d)[:len(g)]
-        row_count = np.cumsum(count_d)[:len(g)]
-        out = (pd.DataFrame({type_col: g[type_col].to_numpy()[is_touch],
-                             "n_touches": row_count[is_touch],
-                             "credit_ppm": row_credit[is_touch]})
-               .groupby(type_col, as_index=False).sum())
-        out = out[out["n_touches"] > 0]
-        out["n_touches"] = out["n_touches"].astype("int64")
-        out["credit_ppm"] = out["credit_ppm"].astype("int64")
-        return out
-
-    keyed = _add_pkey(ds.select_columns([key_col, ts_col, type_col]),
-                      key_col, num_partitions)
-    return (keyed.groupby("_pkey")
-            .map_groups(lambda g: attribute(g.drop(columns=["_pkey"])),
-                        batch_format="pandas")
-            .groupby(type_col)
-            .aggregate(Sum("n_touches", alias_name="n_touches"),
-                       Sum("credit_ppm", alias_name="credit_ppm")))
-
-
 def conformal_backtest(ds, *, ts_col: str, key_col: str,
                        season_hours: int = 24):
     """Split-conformal prediction interval for the seasonal-naive
@@ -2220,99 +2126,6 @@ def km_survival_int(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         recs.append((d, at_risk, deaths, hz, s))
     out = pd.DataFrame(recs, columns=["day", "at_risk", "deaths",
                                       "hazard_ppm", "s_ppm"])
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return out
-
-
-def competing_risks_int(ds, *, key_col: str = "user_id",
-                        ts_col: str = "ts", type_col: str = "event_type",
-                        tiebreak_col: str = "event_id",
-                        cause1_type: str = "purchase",
-                        horizon_days: int = 30,
-                        censor_gap_hours: int = 6,
-                        num_partitions: int = 64):
-    """Aalen-Johansen cumulative incidence under COMPETING risks — the
-    two-cause question ``km_survival_int`` can't pose: a user who goes quiet
-    either exits CONVERTED (last event a purchase — cause 1) or
-    ABANDONS (cause 2), and running one-cause KM per cause
-    overestimates both (a cause-1 exit removes the user from cause-2
-    risk, which "censoring them" ignores — the classic 1−KM bias).
-    The AJ estimator shares risk correctly:
-
-        s_d      = s_{d−1}·(n_d − d1_d − d2_d) // n_d     (overall KM)
-        cif_k(d) = cif_k(d−1) + s_{d−1}·dk_d // n_d
-
-    (per-step trunc — the km/markov discipline; both carried
-    unchanged when n_d = 0).  cif1 + cif2 + s conserves 10⁶ up to the
-    documented per-step truncation loss.  Lifetime / censoring follow
-    km_survival_int verbatim; the exit CAUSE is the user's LAST event
-    type (ties by ``tiebreak_col``).
-
-    Physical plan: ONE key-hash exchange; each partition resolves all
-    its users with one sort + groupby-last pass; the ≤ horizon×3
-    histogram folds driver-side.  Emits (day, at_risk, d1, d2, s_ppm,
-    cif1_ppm, cif2_ppm)."""
-    from ray.data.aggregate import Sum
-
-    from documentai_ray.stages.dedup import _add_pkey
-
-    day_us = 86_400_000_000
-
-    def prep(batch: pa.Table) -> pa.Table:
-        t = batch.column(ts_col).cast(pa.timestamp("us")) \
-            .cast(pa.int64())
-        return pa.table({key_col: batch.column(key_col), "t_us": t,
-                         type_col: batch.column(type_col),
-                         tiebreak_col: batch.column(tiebreak_col)})
-
-    t = ds.map_batches(prep, batch_format="pyarrow")
-    t_max = int(t.max("t_us"))
-
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, "t_us", tiebreak_col],
-                          kind="mergesort")
-        f = g.groupby(key_col)["t_us"].min()
-        last = g.groupby(key_col).tail(1).set_index(key_col)
-        ld = (last["t_us"] - f) // day_us
-        obs = (t_max - last["t_us"]) \
-            >= censor_gap_hours * 3_600_000_000
-        cause = np.where(last[type_col] == cause1_type, 1, 2)
-        capped = np.minimum(ld.to_numpy(), horizon_days)
-        o = obs.to_numpy() & (ld.to_numpy() < horizon_days)
-        c = np.where(o, cause, 0)
-        out = (pd.DataFrame({"_ld": capped, "_c": c})
-               .groupby(["_ld", "_c"], as_index=False).size()
-               .rename(columns={"size": "_n"}))
-        for col in out.columns:
-            out[col] = out[col].astype("int64")
-        return out
-
-    h = (_add_pkey(t, key_col, num_partitions)
-         .groupby("_pkey")
-         .map_groups(lambda g: per_user(g.drop(columns=["_pkey"])),
-                     batch_format="pandas")
-         .groupby(["_ld", "_c"])
-         .aggregate(Sum("_n", alias_name="n"))).to_pandas()
-    if h.empty:
-        raise ValueError("competing_risks_int: no users")
-    lifet = h["_ld"].to_numpy()
-    cause = h["_c"].to_numpy()
-    cnt = h["n"].to_numpy()
-    recs = []
-    s, c1, c2 = 1_000_000, 0, 0
-    for d in range(horizon_days):
-        at_risk = int(cnt[lifet >= d].sum())
-        d1 = int(cnt[(lifet == d) & (cause == 1)].sum())
-        d2 = int(cnt[(lifet == d) & (cause == 2)].sum())
-        if at_risk > 0:
-            c1 = c1 + s * d1 // at_risk
-            c2 = c2 + s * d2 // at_risk
-            s = s * (at_risk - d1 - d2) // at_risk
-        recs.append((d, at_risk, d1, d2, s, c1, c2))
-    out = pd.DataFrame(recs, columns=[
-        "day", "at_risk", "d1", "d2", "s_ppm", "cif1_ppm",
-        "cif2_ppm"])
     for c in out.columns:
         out[c] = out[c].astype("int64")
     return out

@@ -275,37 +275,6 @@ def test_pseudonymize_stable_and_salted(ray_session):
     assert "user_id" not in a.columns               # original dropped
 
 
-class TestSegmentDigests:
-    def test_digest_localizes_a_changed_segment(self, ray_session, tmp_path):
-        # two "replicas" of customer differing in ONE row: only that
-        # row's segment digest may differ — the whole point of Merkle
-        # segments (binary-searchable resync)
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        import __ray_entry__ as e
-
-        src = "/root/testdata/sf0.001/customer.parquet"
-        t = pq.read_table(src)
-        names = t.column("c_name").to_pylist()
-        keys = t.column("c_custkey").to_pylist()
-        idx = 7
-        names2 = list(names)
-        names2[idx] = names2[idx] + "-CORRUPT"
-        t2 = t.set_column(t.schema.get_field_index("c_name"),
-                          "c_name", pa.array(names2, pa.string()))
-        d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        d1.mkdir(), d2.mkdir()
-        pq.write_table(t, d1 / "customer.parquet")
-        pq.write_table(t2, d2 / "customer.parquet")
-
-        a = e.queries()["segment_digests"](str(d1)).to_pandas()
-        b = e.queries()["segment_digests"](str(d2)).to_pandas()
-        m = a.merge(b, on="segment", suffixes=("_a", "_b"))
-        diff = m[m["digest_a"] != m["digest_b"]]["segment"].tolist()
-        assert diff == [keys[idx] // 100]
-        assert (m["n_rows_a"] == m["n_rows_b"]).all()
-
-
 class TestUnionByName:
     def test_null_fill_and_order(self, ray_session):
         from documentai_ray.stages.schema import union_by_name

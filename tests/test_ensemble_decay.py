@@ -1,4 +1,4 @@
-"""2-of-3 anomaly consensus and dyadic time-decay attribution."""
+"""2-of-3 anomaly consensus."""
 
 from __future__ import annotations
 
@@ -38,37 +38,3 @@ class TestAnomalyEnsemble:
             == (1, 1, 0)
         assert r["votes"] == 2
 
-
-class TestAttributionDecay:
-    def test_dyadic_weights_and_boundaries(self, ray_session,
-                                           tmp_path):
-        """u1: click 5 min before the purchase (bucket 0, w=32) and a
-        view 55 min before (bucket 5, w=1): credits 1e6*32//33 =
-        969696 and 30303. u2 pins the window edges: a click EXACTLY
-        1h before is the k=5 boundary (sole touch, full 1e6), a
-        same-timestamp signup and a 1h+1s error are outside the
-        half-open window."""
-        import __ray_entry__ as entrymod
-
-        t1 = pd.Timestamp("2024-03-01 12:00:00")
-        t2 = pd.Timestamp("2024-03-02 12:00:00")
-        rows = [
-            (1, t1, "purchase", 1),
-            (1, t1 - pd.Timedelta(minutes=5), "click", 2),
-            (1, t1 - pd.Timedelta(minutes=55), "view", 3),
-            (2, t2, "purchase", 4),
-            (2, t2 - pd.Timedelta(hours=1), "click", 5),
-            (2, t2, "signup", 6),
-            (2, t2 - pd.Timedelta(hours=1, seconds=1), "error", 7),
-        ]
-        df = pd.DataFrame(rows, columns=["user_id", "ts", "event_type",
-                                         "event_id"])
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                       os.path.join(tmp_path, "events.parquet"))
-        out = (entrymod._q_attribution_decay(str(tmp_path))
-               .to_pandas().set_index("event_type"))
-        assert sorted(out.index) == ["click", "view"]
-        assert (out.loc["click", "n_touches"],
-                out.loc["click", "credit_ppm"]) == (2, 1_969_696)
-        assert (out.loc["view", "n_touches"],
-                out.loc["view", "credit_ppm"]) == (1, 30_303)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from documentai_ray.functions import minipdf
 from documentai_ray.sources.pages import po_fields, po_lines
 from documentai_ray.stages import entities, rules
@@ -49,6 +51,23 @@ class TestTableDetection:
 
     def test_single_column_line_is_not_table(self):
         assert entities.detect_tables("only\nprose\nlines") == []
+
+
+class TestHtmlTablesMarkedSections:
+    # an unparsable ``<![`` is a bogus comment up to the next ``>``; the
+    # cells around it are still read
+    @pytest.mark.parametrize("section", ["<![]>", "<![ x>", "<![foo bar]>"])
+    def test_unparsable_section_is_skipped(self, section):
+        html = f"<table><tr><td>a</td>{section}<td>b</td></tr></table>"
+        assert entities.extract_html_tables(html) == [[["a", "b"]]]
+
+    def test_unterminated_at_end_of_input(self):
+        html = "<table><tr><td>a</td><td>b</td></tr></table><!["
+        assert entities.extract_html_tables(html) == [[["a", "b"]]]
+
+    def test_cdata_section_unchanged(self):
+        html = "<table><tr><td>a</td><![CDATA[x]]><td>b</td></tr></table>"
+        assert entities.extract_html_tables(html) == [[["a", "b"]]]
 
 
 class TestGoodsTable:

@@ -123,6 +123,36 @@ class TestExtractOne:
         assert t == "" and kind == "error" and "UnicodeDecodeError" in err
 
 
+class TestMarkedSections:
+    """A ``<![`` html.parser cannot read as a marked section is a bogus
+    comment up to the next ``>`` (HTML5), not an error row for the page."""
+
+    HEAD = "<p>Opening paragraph long enough to be kept as content.</p>"
+    TAIL = "<p>Closing paragraph that is also long enough to keep.</p>"
+    BOTH = ("Opening paragraph long enough to be kept as content.\n"
+            "Closing paragraph that is also long enough to keep.")
+
+    @pytest.mark.parametrize("section", ["<![]>", "<![]", "<![ x>", "<![foo bar]>"])
+    def test_unparsable_section_is_skipped(self, section):
+        html = self.HEAD + section + self.TAIL
+        assert html_main_content(html) == self.BOTH
+        t, kind, err, _ = extract_one(html.encode())
+        assert (t, kind, err) == (self.BOTH, "html", "")
+
+    def test_unterminated_at_end_of_input(self):
+        html = self.HEAD + "<!["
+        first = self.BOTH.split("\n")[0]
+        assert html_main_content(html) == first
+        t, kind, err, _ = extract_one(html.encode())
+        assert (t, kind, err) == (first, "html", "")
+
+    def test_cdata_section_unchanged(self):
+        html = self.HEAD + "<![CDATA[hidden <b>markup</b>]]>" + self.TAIL
+        assert html_main_content(html) == self.BOTH
+        t, kind, err, _ = extract_one(html.encode())
+        assert (t, kind, err) == (self.BOTH, "html", "")
+
+
 class TestCorpusByteIdentity:
     """The correctness gate: byte-identical extracted text per url."""
 

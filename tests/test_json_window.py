@@ -1,28 +1,8 @@
-"""JSON column parsing and per-key running window aggregates."""
+"""Per-key running window aggregates and integer z-score anomaly flags."""
 
 from __future__ import annotations
 
 import pyarrow as pa
-
-
-def test_parse_json_column(ray_session):
-    import ray.data
-
-    from documentai_ray.stages.jsoncol import parse_json_column
-
-    t = pa.table({
-        "id": pa.array([1, 2, 3, 4], pa.int64()),
-        "props": pa.array(['{"k": 7, "tag": "a"}', '{"k": 9}',
-                           'not json', None], pa.string()),
-    })
-    out = parse_json_column(ray.data.from_arrow(t),
-                            fields={"k": "int64", "tag": "string"}).to_pandas()
-    out = out.set_index("id").sort_index()
-    assert out.loc[1, "k"] == 7 and out.loc[1, "tag"] == "a"
-    assert out.loc[2, "k"] == 9 and out.loc[2, "tag"] is None
-    # malformed / null -> nulls, never an exception
-    assert out.loc[3:4, "k"].isna().all()
-    assert "props" not in out.columns
 
 
 def test_running_per_key(ray_session):

@@ -1,4 +1,4 @@
-"""Newsvendor critical fractile and Aalen-Johansen CIF."""
+"""Newsvendor critical fractile."""
 
 from __future__ import annotations
 
@@ -27,36 +27,3 @@ class TestNewsvendorStock:
         assert (out["stock_median"], out["cost_median"]) == (8, 16)
         assert out["cost_opt"] <= out["cost_median"]
 
-
-class TestCompetingRisks:
-    def test_hand_aj_fold_and_conservation(self, ray_session,
-                                           tmp_path):
-        """u1/u3 abandon at day 1 (cause 2), u2 exits converted at
-        day 3 (cause 1 — via the event_id tiebreak on two same-ts
-        day-3 events), u4 is censored at the corpus max. AJ:
-        cif2 = 500000 at day 1, then cif1 = 250000 at day 3 sharing
-        s=500000/2 — and s + cif1 + cif2 conserves exactly 1e6."""
-        import __ray_entry__ as entrymod
-
-        d = lambda k: pd.Timestamp("2024-03-01") + pd.Timedelta(days=k)
-        rows = [
-            (1, d(0), "view", 1), (1, d(1), "error", 2),
-            (3, d(0), "view", 3), (3, d(1), "click", 4),
-            (2, d(0), "view", 5),
-            (2, d(3), "view", 6), (2, d(3), "purchase", 7),  # tie
-            (4, d(0), "view", 8), (4, d(10), "view", 9),
-        ]
-        df = pd.DataFrame(rows, columns=["user_id", "ts", "event_type",
-                                         "event_id"])
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                       os.path.join(tmp_path, "events.parquet"))
-        out = (entrymod._q_competing_risks(str(tmp_path))
-               .set_index("day"))
-        assert len(out) == 30
-        assert out.loc[0].tolist() == [4, 0, 0, 1_000_000, 0, 0]
-        assert out.loc[1].tolist() == [4, 0, 2, 500_000, 0, 500_000]
-        assert out.loc[3].tolist() == [2, 1, 0, 250_000, 250_000,
-                                       500_000]
-        last = out.loc[29]
-        assert (last["s_ppm"] + last["cif1_ppm"]
-                + last["cif2_ppm"]) == 1_000_000
