@@ -25,10 +25,16 @@ Wire format: ``b"%MPDF1\\n"`` magic followed by a UTF-8 JSON document
 ``{"pages": [{"page_num": int, "blocks": [{"bbox": [f,f,f,f],
 "lines": [{"bbox": [...], "spans": [{"bbox": [...], "text": str}]}]}]}]}``.
 Encoding uses ``sort_keys=True`` + fixed separators → byte-deterministic.
+
+A payload that is not this shape raises ``ValueError`` and nothing else:
+bad JSON, a missing key, a wrong container type, a short bbox, a page
+number outside int32 (the word-box ``page`` type) or a lone surrogate in
+a span text.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any
 
@@ -48,9 +54,33 @@ def encode(pages: list[dict[str, Any]]) -> bytes:
 def decode(payload: bytes) -> list[dict[str, Any]]:
     if not is_minipdf(payload):
         raise ValueError("not a MINIPDF payload")
-    return json.loads(payload[len(MAGIC):].decode("utf-8"))["pages"]
+    doc = json.loads(payload[len(MAGIC):].decode("utf-8"))
+    pages = doc.get("pages") if isinstance(doc, dict) else None
+    if not isinstance(pages, list):
+        raise ValueError("MINIPDF document has no page list")
+    return pages
 
 
+def _tree_faults_as_value_error(fn):
+    """A page tree that parsed as JSON but has the wrong structure fails
+    inside the walk with KeyError, TypeError, IndexError, AttributeError
+    or OverflowError; re-raise those as ValueError, the one error type of
+    a malformed payload."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (KeyError, TypeError, IndexError, AttributeError,
+                OverflowError) as exc:
+            raise ValueError(
+                f"malformed MINIPDF page tree: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    return wrapper
+
+
+@_tree_faults_as_value_error
 def walk(payload: bytes, bbox_scale: float = 2.0,
          max_pages: int | None = None) -> tuple[str, list[dict[str, Any]]]:
     """Reading-order walk → ``(text, word_boxes)``.
@@ -67,6 +97,9 @@ def walk(payload: bytes, bbox_scale: float = 2.0,
     if max_pages is not None:
         ordered = ordered[:max_pages]
     for page in ordered:
+        page_num = int(page["page_num"])
+        if not -2**31 <= page_num < 2**31:
+            raise ValueError(f"MINIPDF page number out of range: {page_num}")
         block_texts: list[str] = []
         for block in sorted(page["blocks"], key=lambda b: (b["bbox"][1], b["bbox"][0])):
             line_texts: list[str] = []
@@ -78,7 +111,7 @@ def walk(payload: bytes, bbox_scale: float = 2.0,
                     boxes.append(
                         {
                             "text": s["text"],
-                            "page": int(page["page_num"]),
+                            "page": page_num,
                             "x0": float(x0) * bbox_scale,
                             "y0": float(y0) * bbox_scale,
                             "x1": float(x1) * bbox_scale,
@@ -88,9 +121,14 @@ def walk(payload: bytes, bbox_scale: float = 2.0,
                     )
             block_texts.append("\n".join(line_texts))
         page_texts.append("\n".join(block_texts))
-    return "\n".join(page_texts), boxes
+    text = "\n".join(page_texts)
+    # every box text is a substring of the walk text: one encode rejects a
+    # lone surrogate (a "\\ud800" escape), which Arrow strings cannot hold
+    text.encode("utf-8")
+    return text, boxes
 
 
+@_tree_faults_as_value_error
 def page_lines(page: dict[str, Any]) -> list[str]:
     """Reading-order text LINES of one page dict — the per-page slice of
     ``walk()``'s ordering (blocks by (y0, x0), lines by y0, spans by x0,

@@ -63,7 +63,10 @@ def flagship(
     extracted PO field gains flat ``{field}_{page,x0,y0,x1,y1}`` columns;
     the raw box list is then dropped (the bbox columns are the output).
     Cost: the box structs travel the dedup exchange — bench entry
-    ``flagship_boxes`` records the delta vs the plain flagship."""
+    ``flagship_boxes`` records the delta vs the plain flagship — and the
+    matching stage itself (``match_boxes_batch``) is measured per row as
+    ``boxes.us_per_row`` by the docbench ``pdf_boxes`` workload
+    (``docbench/run.py --workload pdf_boxes --trace 1``)."""
     if with_entity_boxes:
         drop_word_boxes = False
     if ds is None:

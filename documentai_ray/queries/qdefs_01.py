@@ -128,7 +128,7 @@ def _q_preprocess_decision(sf_dir: str):
 def _q_wordbox_match(sf_dir: str):
     """M23 entity↔word-box matching end-to-end on the PDF path: PO docs laid
     out as MINIPDF (line-preserving) → layout walk keeps ``word_boxes`` →
-    ``extract_po`` on the walk text → ``match_entity_boxes`` (exact /
+    ``extract_po`` on the walk text → ``match_boxes_batch`` (exact /
     consecutive-multi-word / substring, reference
     entity-extraction-service/app.py:890-966) → matched bbox columns per
     field. Oracle: the layout geometry's closed form (×2 walk scale,
@@ -138,7 +138,8 @@ def _q_wordbox_match(sf_dir: str):
 
     from documentai_ray.functions.minipdf import build_from_lines
     from documentai_ray.sources.pages import is_malformed, po_lines, url_for
-    from documentai_ray.stages.entities import extract_po, match_entity_boxes
+    from documentai_ray.stages.entities import (BOX_MATCH_FIELDS, extract_po,
+                                                match_boxes_batch)
     from documentai_ray.stages.extract import extract_batch
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -158,28 +159,12 @@ def _q_wordbox_match(sf_dir: str):
     ds = docs.map_batches(gen, batch_format="pyarrow", batch_size=256)
     ds = ds.map_batches(extract_batch, batch_format="pyarrow", batch_size=256)
 
-    fields = ["po_number", "po_date", "seller", "buyer", "total_amount"]
-
     def match(batch: pa.Table) -> pa.Table:
-        cols: dict[str, list] = {"url": batch.column("url").to_pylist()}
-        for f in fields:
-            for suf in ("page", "x0", "y0", "x1", "y1"):
-                cols[f"{f}_{suf}"] = []
-        for text, boxes in zip(batch.column("text").to_pylist(),
-                               batch.column("word_boxes").to_pylist()):
-            ents = extract_po(text)
-            matched = match_entity_boxes({f: ents[f] for f in fields}, boxes)
-            for f in fields:
-                b = matched[f]
-                cols[f"{f}_page"].append(b["page"] if b else None)
-                for suf in ("x0", "y0", "x1", "y1"):
-                    cols[f"{f}_{suf}"].append(b[suf] if b else None)
-        out = {"url": pa.array(cols["url"], pa.string())}
-        for f in fields:
-            out[f"{f}_page"] = pa.array(cols[f"{f}_page"], pa.int64())
-            for suf in ("x0", "y0", "x1", "y1"):
-                out[f"{f}_{suf}"] = pa.array(cols[f"{f}_{suf}"], pa.float64())
-        return pa.table(out)
+        ents = [extract_po(t) for t in batch.column("text").to_pylist()]
+        for f in BOX_MATCH_FIELDS:
+            batch = batch.append_column(f, pa.array([e[f] for e in ents], pa.string()))
+        out = match_boxes_batch(batch)
+        return out.select(["url"] + out.column_names[batch.num_columns:])
 
     return ds.map_batches(match, batch_format="pyarrow")
 

@@ -78,19 +78,37 @@ def _add_pkey(ds, col: str, num_partitions: int, out: str = "_pkey"):
     return ds.map_batches(f, batch_format="pyarrow")
 
 
-def _keep_latest(g: pa.Table, key: str, ts: str) -> pa.Table:
-    """``dedup_latest``'s group body: one stable sort on ``(key, ts)``, then
-    the last row of each run of equal keys."""
+def _one_per_run(g: pa.Table, sort_keys: list[tuple[str, str]],
+                 keep: str) -> pa.Table:
+    """One stable sort of a partition on ``sort_keys`` (nulls last), then
+    the ``keep="first"`` or ``"last"`` row of each run of equal values in
+    the first sort key (all nulls form one run). ``_pkey`` is dropped."""
     g = g.drop_columns(["_pkey"])
     if g.num_rows < 2:
         return g
-    order = pc.sort_indices(g, sort_keys=[(key, "ascending"), (ts, "ascending")],
-                            null_placement="at_end")
-    k = g.column(key).take(order)
+    order = pc.sort_indices(g, sort_keys=sort_keys, null_placement="at_end")
+    k = g.column(sort_keys[0][0]).take(order)
     head, tail = k[:-1], k[1:]
     same = pc.or_(pc.fill_null(pc.equal(head, tail), False),
                   pc.and_(pc.is_null(head), pc.is_null(tail)))
-    return g.take(order.filter(pa.array(np.append(~same.to_numpy(), True))))
+    edge = ~same.to_numpy()
+    keep_mask = np.append(edge, True) if keep == "last" else np.insert(edge, 0, True)
+    return g.take(order.filter(pa.array(keep_mask)))
+
+
+def _keep_latest(g: pa.Table, key: str, ts: str) -> pa.Table:
+    """``dedup_latest``'s group body: one stable sort on ``(key, ts)``, then
+    the last row of each run of equal keys."""
+    return _one_per_run(g, [(key, "ascending"), (ts, "ascending")], "last")
+
+
+def _keep_first_md5(g: pa.Table, id_col: str) -> pa.Table:
+    """``dedup_exact_first``'s group body: one stable sort on
+    ``(content_md5, id_col)``, then the first row of each md5 run; the
+    md5 column is dropped."""
+    out = _one_per_run(g, [("content_md5", "ascending"), (id_col, "ascending")],
+                       "first")
+    return out.drop_columns(["content_md5"])
 
 
 def dedup_latest(ds, key: str = "url", ts: str = "warc_ts",
@@ -126,19 +144,15 @@ def add_md5(ds, col: str = "text", out: str = "content_md5"):
 def dedup_exact_first(ds, id_col: str, content_col: str = "text",
                       num_partitions: int = 64):
     """Exact content dedup: hash-partition by md5(content), keep the min-id
-    row per content hash (vectorized within each partition)."""
+    row per content hash (Arrow body ``_keep_first_md5``). Null ids sort
+    last; on equal ids the row earlier in the partition's input order
+    wins. Column types stay as they came in."""
     hashed = add_md5(ds, col=content_col)
-
-    def first(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([ "content_md5", id_col], kind="mergesort")
-        return g.drop_duplicates(subset=["content_md5"], keep="first").drop(
-            columns=["_pkey", "content_md5"]
-        )
-
     return (
         _add_pkey(hashed, "content_md5", num_partitions)
         .groupby("_pkey")
-        .map_groups(first, batch_format="pandas")
+        .map_groups(_keep_first_md5, batch_format="pyarrow",
+                    fn_kwargs={"id_col": id_col})
     )
 
 

@@ -16,6 +16,8 @@ Rebuilt extractors (reference under /root/reference/):
 - ``match_entity_boxes``   entity↔word-box matcher: exact → consecutive
   multi-word → substring match, merged bbox (app.py:890-966, M23) —
   an in-row join of two lists living in the same row; zero shuffle.
+  ``match_boxes_batch`` applies the same rule (``_match_span``) to a
+  whole batch through the ``word_boxes`` column's Arrow children.
 - ``validate_field_formats`` date/number/amount/email checks (app.py:853-888, M24).
 - ``completeness_score``   present/expected ratio + non-empty ratio
   (app.py:969-999, M26).
@@ -34,7 +36,9 @@ from __future__ import annotations
 import re
 from typing import Any
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from documentai_ray.functions.text import try_parse_number
 from documentai_ray.stages.extract import MarkupParser
@@ -326,40 +330,56 @@ def extract_table_tags(html_text: str) -> dict[str, str]:
 
 # -- entity ↔ word-box matching (M23) ---------------------------------------
 
+def _match_span(value: str | None, low: list[str], lo: int,
+                hi: int) -> tuple[int, int] | None:
+    """The one matching rule, over the lowercased box texts ``low[lo:hi]``:
+    exact single box → consecutive multi-word run → substring containment
+    (value inside one box, or a box of more than 2 characters inside the
+    value); first match wins (reference order, app.py:890-966). Returns
+    the matched ``(start, stop)`` offsets into ``low``, or None."""
+    if not value:
+        return None
+    val = value.strip().lower()
+    try:
+        i = low.index(val, lo, hi)
+        return i, i + 1
+    except ValueError:
+        pass
+    words = val.split()
+    n = len(words)
+    if n > 1:
+        i = lo
+        while True:
+            try:
+                i = low.index(words[0], i, hi - n + 1)
+            except ValueError:
+                break
+            if low[i : i + n] == words:
+                return i, i + n
+            i += 1
+    for i in range(lo, hi):
+        t = low[i]
+        if val in t or (len(t) > 2 and t in val):
+            return i, i + 1
+    return None
+
+
 def match_entity_boxes(
     entities: dict[str, str], boxes: list[dict[str, Any]]
 ) -> dict[str, dict[str, Any] | None]:
-    """Exact single-box → consecutive multi-word → substring matching with
-    bbox merge; first match wins (reference order, app.py:890-966)."""
+    """Per-document matcher over box dicts (:func:`_match_span`): a
+    one-box match returns a copy of that box, a multi-word run the merged
+    box of the run, no match None."""
+    low = [b["text"].lower() for b in boxes]
     out: dict[str, dict[str, Any] | None] = {}
-    texts = [b["text"] for b in boxes]
-    low = [t.lower() for t in texts]
     for field, value in entities.items():
-        out[field] = None
-        if not value:
-            continue
-        val = value.strip().lower()
-        # 1) exact one-box match
-        for b, t in zip(boxes, low):
-            if t == val:
-                out[field] = dict(b)
-                break
-        if out[field] is not None:
-            continue
-        words = val.split()
-        if len(words) > 1:
-            # 2) consecutive multi-word run
-            for i in range(len(low) - len(words) + 1):
-                if low[i : i + len(words)] == words:
-                    out[field] = _merge_boxes(boxes[i : i + len(words)])
-                    break
-            if out[field] is not None:
-                continue
-        # 3) substring containment (value inside one box or box inside value)
-        for b, t in zip(boxes, low):
-            if val in t or (len(t) > 2 and t in val):
-                out[field] = dict(b)
-                break
+        span = _match_span(value, low, 0, len(low))
+        if span is None:
+            out[field] = None
+        elif span[1] - span[0] == 1:
+            out[field] = dict(boxes[span[0]])
+        else:
+            out[field] = _merge_boxes(boxes[span[0] : span[1]])
     return out
 
 
@@ -452,6 +472,8 @@ GOODS_STRUCT = pa.struct([
 
 
 BOX_MATCH_FIELDS = ("po_number", "po_date", "seller", "buyer", "total_amount")
+_BOX_COORDS = ("page", "x0", "y0", "x1", "y1")
+_BOX_TYPES = (pa.int64(), pa.float64(), pa.float64(), pa.float64(), pa.float64())
 
 
 def match_boxes_batch(batch: pa.Table,
@@ -459,34 +481,60 @@ def match_boxes_batch(batch: pa.Table,
     """Entity-bbox enrichment over an entities_batch output that still
     carries ``word_boxes`` (the reference's runtime enrichment of
     extracted fields with PDF-span coordinates,
-    entity-extraction-service/app.py:571-579): per row, match each
-    extracted field value against the word boxes
-    (:func:`match_entity_boxes`) and append flat
-    ``{field}_{page,x0,y0,x1,y1}`` columns (null when unmatched or the
-    row has no boxes). Arrow-in/Arrow-out; existing columns untouched."""
-    boxes_col = batch.column("word_boxes").to_pylist()
-    vals = {f: batch.column(f).to_pylist() for f in fields}
-    cols: dict[str, list] = {}
-    for f in fields:
-        cols[f"{f}_page"] = []
-        for suf in ("x0", "y0", "x1", "y1"):
-            cols[f"{f}_{suf}"] = []
-    for i, boxes in enumerate(boxes_col):
-        ents = {f: vals[f][i] for f in fields}
-        matched = (match_entity_boxes(ents, boxes) if boxes
-                   else {f: None for f in fields})
-        for f in fields:
-            b = matched[f]
-            cols[f"{f}_page"].append(b["page"] if b else None)
-            for suf in ("x0", "y0", "x1", "y1"):
-                cols[f"{f}_{suf}"].append(b[suf] if b else None)
+    entity-extraction-service/app.py:571-579): appends flat
+    ``{field}_{page,x0,y0,x1,y1}`` columns (``int64`` page, ``float64``
+    coordinates; null when unmatched or the row has no boxes), the same
+    values :func:`match_entity_boxes` gives per row.
+
+    ``word_boxes`` is read through its Arrow children, never as Python
+    dicts: one flattened struct array for the whole batch, per-row
+    ``(start, stop)`` offsets into it from the list lengths (a null list
+    counts as empty), the box texts lowercased once, and the coordinate
+    children as numpy arrays. :func:`_match_span` finds each field's span;
+    a one-box span gathers that box's coordinates, a multi-word run takes
+    the first box's page and the min/max of its coordinates.
+    Arrow-in/Arrow-out; existing columns untouched."""
+    n = batch.num_rows
+    lists = batch.column("word_boxes")
+    lens = pc.fill_null(pc.list_value_length(lists), 0).to_numpy()
+    stops = np.cumsum(lens)
+    starts = stops - lens
+    flat = pc.list_flatten(lists)
+    if isinstance(flat, pa.ChunkedArray):
+        flat = flat.combine_chunks()
+    low = [t.lower() for t in
+           pc.struct_field(flat, "text").to_numpy(zero_copy_only=False).tolist()]
+    kids = [pc.struct_field(flat, k) for k in _BOX_COORDS]
+    coords = [k.fill_null(0).to_numpy(zero_copy_only=False) for k in kids]
+    nulls = [k.is_null().to_numpy(zero_copy_only=False) if k.null_count else None
+             for k in kids]
+
+    values = [batch.column(f).to_pylist() for f in fields]
+    hits: list[list[tuple[int, int, int]]] = [[] for _ in fields]
+    for r in np.flatnonzero(lens).tolist():
+        lo, hi = int(starts[r]), int(stops[r])
+        for vals, fhits in zip(values, hits):
+            span = _match_span(vals[r], low, lo, hi)
+            if span is not None:
+                fhits.append((r, *span))
+
     out = batch
-    for f in fields:
-        out = out.append_column(f"{f}_page",
-                                pa.array(cols[f"{f}_page"], pa.int64()))
-        for suf in ("x0", "y0", "x1", "y1"):
-            out = out.append_column(
-                f"{f}_{suf}", pa.array(cols[f"{f}_{suf}"], pa.float64()))
+    for f, fhits in zip(fields, hits):
+        rows, lo, hi = np.array(fhits, np.int64).reshape(-1, 3).T
+        runs = np.flatnonzero(hi - lo > 1).tolist()
+        for name, typ, v, null in zip(_BOX_COORDS, _BOX_TYPES, coords, nulls):
+            col = np.zeros(n, typ.to_pandas_dtype())
+            col[rows] = v[lo]
+            mask = np.ones(n, bool)
+            mask[rows] = False if null is None else null[lo]
+            if name != "page":  # a run's page is its first box's
+                agg = min if name in ("x0", "y0") else max
+                for j in runs:
+                    a, b = lo[j], hi[j]
+                    col[rows[j]] = agg(v[a:b].tolist())
+                    if null is not None:
+                        mask[rows[j]] = null[a:b].any()
+            out = out.append_column(f"{f}_{name}", pa.array(col, typ, mask=mask))
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pyarrow as pa
 import pytest
 
 from documentai_ray.functions import minipdf
@@ -179,6 +180,147 @@ class TestEntityBoxMatching:
         boxes = self._boxes("total 125,000.00USD end")
         m = entities.match_entity_boxes({"amt": "125,000.00"}, boxes)
         assert m["amt"] is not None
+
+
+def _box(text, page=1, x0=0.0, y0=0.0, x1=1.0, y1=1.0):
+    return {"text": text, "page": page, "x0": x0, "y0": y0, "x1": x1, "y1": y1,
+            "conf": 1.0}
+
+
+def _po_batch():
+    """MINIPDF and real-PDF purchase orders through extract, the box-matched
+    fields taken from ``extract_po`` on each walk text."""
+    from documentai_ray.functions.pdfwrite import text_to_pdf
+    from documentai_ray.stages.extract import extract_batch
+
+    payloads = [minipdf.build_from_lines(po_lines(d), shuffle_key=d)[0]
+                for d in range(5)]
+    payloads += [text_to_pdf(po_lines(d), shuffle_key=d) for d in range(5, 10)]
+    b = extract_batch(pa.table({"html": pa.array(payloads, pa.large_binary())}))
+    ents = [entities.extract_po(t) for t in b.column("text").to_pylist()]
+    for f in entities.BOX_MATCH_FIELDS:
+        b = b.append_column(f, pa.array([e[f] for e in ents], pa.string()))
+    return b
+
+
+def _edge_batch():
+    """Hand-built rows for every edge of the matching rule; each row's five
+    fields probe one case."""
+    from documentai_ray.stages.extract import WORD_BOX_TYPE
+
+    words = [_box(w, 2, 10.0 * i, 5.0 + i, 10.0 * i + 8, 15.0 - i)
+             for i, w in enumerate(["PO", "NUMBER", "ACME", "Trading", "ltd",
+                                    "ab", "abc", "Aİ", "İ", "", " Ltd. "])]
+    rows = [
+        # no boxes: null list, empty list
+        (None, ["ACME", "PO", "x", "y", "z"]),
+        ([], ["ACME", "PO", "x", "y", "z"]),
+        # null / empty / whitespace-only / padded values; a whitespace-only
+        # value strips to "" and so matches the first empty-text box
+        (words, [None, "", "   ", "  acme  ", "\tPO\n"]),
+        (words[:9], [None, "", "   ", "NUMBER ", "zz"]),
+        # multi-word runs, case-folded; "PO acme" is not consecutive
+        (words, ["acme trading ltd", "number acme", "PO acme", "TRADING LTD", "ltd x"]),
+        # substring: value in a box; a box of ≤2 chars never matches inside
+        # the value, one of 3 does
+        (words, ["xxabyy", "xxabcyy", "tradin", "CM", "qqq"]),
+        # "İ".lower() is 2 characters: "Aİ" is 3 once lowercased, "İ" is 2
+        (words, ["zzaİzz", "zzİzz", "İ", "aİ", "AI"]),
+        # box texts are lowercased, never stripped: " Ltd. " is no exact
+        # match for "ltd.", and "ltd" inside the value comes first
+        (words, ["ltd.", " LTD. ", "Ltd. ", "y", "z"]),
+    ]
+    table = {
+        "word_boxes": pa.array([r[0] for r in rows], WORD_BOX_TYPE),
+        **{f: pa.array([r[1][i] for r in rows], pa.string())
+           for i, f in enumerate(entities.BOX_MATCH_FIELDS)},
+    }
+    return pa.table(table)
+
+
+def _per_row_spec(batch):
+    """The batch matcher's expected columns, row by row from
+    ``match_entity_boxes`` over Python dicts."""
+    fields = entities.BOX_MATCH_FIELDS
+    cols = {f"{f}_{s}": [] for f in fields for s in ("page", "x0", "y0", "x1", "y1")}
+    vals = {f: batch.column(f).to_pylist() for f in fields}
+    for i, boxes in enumerate(batch.column("word_boxes").to_pylist()):
+        m = entities.match_entity_boxes({f: vals[f][i] for f in fields}, boxes or [])
+        for f in fields:
+            for s in ("page", "x0", "y0", "x1", "y1"):
+                cols[f"{f}_{s}"].append(m[f][s] if m[f] else None)
+    return cols
+
+
+def _assert_matches_spec(batch):
+    out = entities.match_boxes_batch(batch)
+    want = _per_row_spec(batch)
+    assert out.column_names == batch.column_names + list(want)
+    assert out.select(batch.column_names).equals(batch)
+    for name, values in want.items():
+        typ = out.schema.field(name).type
+        assert typ == (pa.int64() if name.endswith("_page") else pa.float64())
+        assert out.column(name).to_pylist() == values, name
+    return out
+
+
+class TestMatchBoxesBatch:
+    """``match_boxes_batch`` reads ``word_boxes`` column-wise; every output
+    value must equal the per-row ``match_entity_boxes`` rule."""
+
+    def test_pdf_and_minipdf_pos(self):
+        b = _po_batch()
+        assert set(b.column("payload_kind").to_pylist()) == {"pdf"}
+        out = _assert_matches_spec(b)
+        for f in entities.BOX_MATCH_FIELDS:  # every PO field is found
+            assert out.column(f"{f}_x0").null_count == 0, f
+
+    @pytest.mark.parametrize("make", [_po_batch, _edge_batch])
+    def test_slice_offset_and_multi_chunk(self, make):
+        b = make()
+        chunked = pa.Table.from_batches(b.to_batches(max_chunksize=3))
+        assert chunked.column("word_boxes").num_chunks > 1
+        for t in (b.slice(3, 4), chunked, chunked.slice(2, 4), b.slice(5, 0)):
+            _assert_matches_spec(t)
+
+    def test_edge_rows(self):
+        b = _edge_batch()
+        out = _assert_matches_spec(b)
+        get = lambda name: out.column(name).to_pylist()  # noqa: E731
+        assert get("po_number_x0")[:2] == [None, None]  # no boxes
+        assert get("po_date_x0")[2] is None  # empty value
+        assert get("seller_x0")[2] == 90.0  # "   " → the empty box
+        assert get("seller_x0")[3] == 0.0  # no empty box: "" is inside the first
+        # "acme trading ltd": run of boxes 2-4, merged bbox
+        assert [get(f"po_number_{s}")[4] for s in ("page", "x0", "y0", "x1", "y1")] \
+            == [2, 20.0, 7.0, 48.0, 13.0]
+        # "PO acme" is no run; its substring fallback finds the "ACME" box
+        assert (get("seller_x0")[4], get("seller_x1")[4]) == (20.0, 28.0)
+        # "xxabyy": "ab" is too short to match inside; "xxabcyy" holds "abc"
+        assert get("po_number_x0")[5] is None
+        assert get("po_date_x0")[5] == 60.0
+        assert get("buyer_x0")[5] == 20.0  # "CM" inside "acme"
+        assert (len("Aİ".lower()), len("İ".lower())) == (3, 2)
+        assert get("po_number_x0")[6] == 70.0  # "Aİ" counts 3 chars, lowercased
+        assert get("po_date_x0")[6] is None  # "İ" counts 2
+        assert get("po_number_x0")[7] == 40.0
+
+    def test_null_coordinate_stays_null(self):
+        from documentai_ray.stages.extract import WORD_BOX_TYPE
+
+        boxes = [_box("PO-1", 1, None, 2.0, 3.0, 4.0), _box("ACME", 1, 5.0, 6.0, 7.0, 8.0),
+                 _box("LTD", None, 9.0, 1.0, 11.0, 12.0)]
+        b = pa.table({"word_boxes": pa.array([boxes], WORD_BOX_TYPE),
+                      **{f: pa.array([v], pa.string()) for f, v in zip(
+                          entities.BOX_MATCH_FIELDS,
+                          ["PO-1", "LTD", "ACME", "nothing", "ACME LTD"])}})
+        out = _assert_matches_spec(b)
+        assert out.column("po_number_x0").to_pylist() == [None]
+        assert out.column("po_number_y0").to_pylist() == [2.0]
+        assert out.column("po_date_page").to_pylist() == [None]
+        assert out.column("seller_page").to_pylist() == [1]
+        assert out.column("total_amount_page").to_pylist() == [1]
+        assert out.column("total_amount_x0").to_pylist() == [5.0]
 
 
 class TestValidatorsAndCompleteness:

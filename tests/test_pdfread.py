@@ -141,3 +141,112 @@ def test_mutation_fuzz_never_crashes_extract():
         text, kind, err, boxes = extract_one(bytes(src))
         assert kind in ("pdf", "error", "html", "docx", "xlsx")
         assert isinstance(text, str) and isinstance(boxes, list)
+
+
+def _minipdf_doc(d: int = 3) -> dict:
+    import json
+
+    from documentai_ray.functions import minipdf
+    from documentai_ray.sources.pages import po_lines
+
+    payload, _ = minipdf.build_from_lines(po_lines(d) + ["CAFÉ NOTE"], shuffle_key=d)
+    return json.loads(payload[len(minipdf.MAGIC):])
+
+
+def _encode_doc(doc) -> bytes:
+    import json
+
+    from documentai_ray.functions import minipdf
+
+    return minipdf.MAGIC + json.dumps(doc).encode()
+
+
+def _set(path, value):
+    """Mutation of a parsed MINIPDF doc: set (or, for ``...``, delete) the
+    item at ``path`` (keys and list indices from the document root)."""
+    def apply(doc):
+        node = doc
+        for k in path[:-1]:
+            node = node[k]
+        if value is ...:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return doc
+    return apply
+
+
+SPAN = ("pages", 0, "blocks", 0, "lines", 0, "spans", 0)
+SHAPE_FAULTS = {
+    "top_level_list": lambda doc: [doc],
+    "no_pages": _set(("pages",), ...),
+    "pages_dict": _set(("pages",), {}),
+    "pages_str": _set(("pages",), "abc"),
+    "page_is_list": _set(("pages", 0), []),
+    "no_page_num": _set(("pages", 0, "page_num"), ...),
+    "page_num_none": _set(("pages", 0, "page_num"), None),
+    "page_num_text": _set(("pages", 0, "page_num"), "one"),
+    "page_num_over_int32": _set(("pages", 0, "page_num"), 2**40),
+    "page_num_inf": _set(("pages", 0, "page_num"), float("inf")),
+    "no_blocks": _set(("pages", 0, "blocks"), ...),
+    "blocks_dict": _set(("pages", 0, "blocks"), {"a": 1}),
+    "no_block_bbox": _set(("pages", 0, "blocks", 0, "bbox"), ...),
+    "short_block_bbox": _set(("pages", 0, "blocks", 0, "bbox"), [1]),
+    "no_lines": _set(("pages", 0, "blocks", 0, "lines"), ...),
+    "no_line_bbox": _set(("pages", 0, "blocks", 0, "lines", 0, "bbox"), ...),
+    "no_spans": _set(("pages", 0, "blocks", 0, "lines", 0, "spans"), ...),
+    "no_span_bbox": _set(SPAN + ("bbox",), ...),
+    "span_bbox_3": _set(SPAN + ("bbox",), [1.0, 2.0, 3.0]),
+    "span_bbox_none": _set(SPAN + ("bbox",), None),
+    "span_coord_text": _set(SPAN + ("bbox",), [1.0, 2.0, "x", 4.0]),
+    "span_coord_list": _set(SPAN + ("bbox",), [1.0, 2.0, [3.0], 4.0]),
+    "no_span_text": _set(SPAN + ("text",), ...),
+    "span_text_int": _set(SPAN + ("text",), 7),
+    "span_text_surrogate": _set(SPAN + ("text",), "\ud800x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_FAULTS))
+def test_minipdf_shape_faults_raise_value_error(name):
+    """A MINIPDF payload that parses as JSON but has the wrong page-tree
+    shape raises ValueError, and extract turns it into an error row."""
+    from documentai_ray.functions import minipdf
+
+    payload = _encode_doc(SHAPE_FAULTS[name](_minipdf_doc()))
+    with pytest.raises(ValueError):
+        minipdf.walk(payload)
+    out = extract_batch(pa.table({"html": pa.array([payload], pa.large_binary())}))
+    assert out.column("payload_kind").to_pylist() == ["error"]
+
+
+def test_minipdf_mutation_fuzz_raises_only_value_error():
+    """1,500 seeded byte mutations of five MINIPDF purchase orders: each walk
+    returns or raises ValueError, each within a time bound, and one
+    extract batch over all of them yields a row per payload. Three in four
+    mutants flip to printable ASCII, which keeps the JSON parseable more
+    often, so the page-tree faults are reached."""
+    import random
+    import time
+
+    from documentai_ray.functions import minipdf
+
+    assert minipdf.walk(_encode_doc(_minipdf_doc()))[0].endswith("CAFÉ NOTE")
+    rng = random.Random(1234)
+    bases = [_encode_doc(_minipdf_doc(d)) for d in range(5)]
+    mutants, faults = [], 0
+    for i in range(1500):
+        src = bytearray(bases[i % 5])
+        for _ in range(rng.randrange(1, 4)):  # flips after the magic
+            src[rng.randrange(len(minipdf.MAGIC), len(src))] = (
+                rng.randrange(32, 127) if i % 4 else rng.randrange(256))
+        mutants.append(bytes(src))
+        t0 = time.perf_counter()
+        try:
+            minipdf.walk(mutants[-1])
+        except ValueError:
+            faults += 1
+        assert time.perf_counter() - t0 < 0.5
+    assert 0 < faults < len(mutants)
+    out = extract_batch(pa.table({"html": pa.array(mutants, pa.large_binary())}))
+    assert out.num_rows == len(mutants)
+    assert out.column("payload_kind").to_pylist().count("error") == faults
